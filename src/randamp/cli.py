@@ -2,7 +2,8 @@
 
 Every run writes its outputs plus a manifest of SHA-256 hashes; the manifest
 lands atomically after the files it describes.  All randomness descends from
-one master seed, one child stream per trial, so reruns are byte-identical.
+one master seed, one child stream per fixed-size chunk of trials, so reruns
+are byte-identical whatever the number of worker processes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +25,6 @@ import numpy as np
 from . import __version__
 from .boxes import NsBox, algebraic_violation_box, bell_value, mixed_with_uniform, uniform_box
 from .definetti import block_sizes, definetti_check, exchangeable_mixture, log2_block_sizes
-from .devices import IidDevice
 from .lp import analytic_bound, certify_bound
 from .protocol import (
     ProtocolParams,
@@ -32,7 +33,8 @@ from .protocol import (
     proposition_bound,
     robustness_acceptance_bound,
     robustness_threshold,
-    run_protocol,
+    simulate_engine,
+    simulate_trials,
 )
 from .quantum import (
     NoiseSpec,
@@ -200,23 +202,6 @@ def cmd_certify(args) -> int:
     return 0 if passed else 1
 
 
-def _simulate_trial(payload) -> tuple:
-    index, seed, params, device_spec, sv_spec = payload
-    rng = np.random.default_rng(seed)
-    box = build_box(device_spec)
-    devices = [IidDevice(box) for _ in range(params.k)]
-    strategy = build_strategy(sv_spec, params.epsilon)
-    result, transcript = run_protocol(params, devices, strategy, rng)
-    return (
-        index,
-        int(result.accepted),
-        result.z_k,
-        -1 if result.output_bit is None else result.output_bit,
-        "|".join(str(a) for a in transcript.selection),
-        "|".join(str(m) for m in transcript.m_realized),
-    )
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _check_keys(
@@ -231,33 +216,39 @@ def cmd_simulate(args) -> int:
         n=tuple(cfg["n"]) if "n" in cfg else (1,),
         t=float(cfg.get("t", 1e6)),
     )
-    device_spec = _require(cfg, "device", "")
-    sv_spec = _require(cfg, "sv", "")
-    build_box(device_spec)  # fail fast on bad specs
-    build_strategy(sv_spec, params.epsilon)
+    box = build_box(_require(cfg, "device", ""))
+    strategy = build_strategy(_require(cfg, "sv", ""), params.epsilon)
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 100))
     if trials < 1:
         raise ConfigError("field 'trials' must be positive")
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError("option '--jobs' must be positive")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
-    children = np.random.SeedSequence(seed).spawn(trials)
-    jobs = [
-        (i, children[i], params, device_spec, sv_spec) for i in range(trials)
-    ]
+    engine = simulate_engine(params, box, strategy)
     if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = sorted(pool.map(_simulate_trial, jobs, chunksize=16))
+        spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+            chunks = list(simulate_trials(params, box, strategy, trials, seed, mapper=pool.map))
     else:
-        rows = [_simulate_trial(job) for job in jobs]
+        chunks = list(simulate_trials(params, box, strategy, trials, seed))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "accepted", "z_k", "output_bit", "selection", "m_realized"])
-    for index, accepted, z_k, bit, sel, m in rows:
-        writer.writerow([index, accepted, f"{z_k:.12g}", bit, sel, m])
+    index = n_acc = zeros = 0
+    for rows in chunks:
+        for z_k, acc, bit, sel, m in zip(
+            rows.z_k.tolist(), rows.accepted.tolist(), rows.output.tolist(),
+            rows.selection.tolist(), rows.m_realized.tolist(),
+        ):
+            writer.writerow(
+                [index, int(acc), f"{z_k:.12g}", bit, "|".join(map(str, sel)), "|".join(map(str, m))]
+            )
+            index += 1
+        n_acc += int(rows.accepted.sum())
+        zeros += int(np.sum(rows.output == 0))
 
-    n_acc = sum(r[1] for r in rows)
-    zeros = sum(1 for r in rows if r[3] == 0)
     summary = {
         "params": {
             "epsilon": params.epsilon,
@@ -285,7 +276,8 @@ def cmd_simulate(args) -> int:
         {"summary.json": _json_bytes(summary), "trials.csv": buf.getvalue().encode()},
     )
     print(
-        f"simulate: {trials} trials, acceptance {summary['acceptance_rate']:.4f}, "
+        f"simulate: {trials} trials, engine={engine}, "
+        f"acceptance {summary['acceptance_rate']:.4f}, "
         f"outputs in {args.out}"
     )
     return 0
@@ -436,9 +428,10 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=(name != "quantum-check"), help="JSON config path")
         p.add_argument("--out", required=(name == "simulate"), help="output directory")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--trials", type=int, help="trial count override")
-        p.add_argument("--jobs", type=int, help="worker processes for trials")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, help="master seed override")
+            p.add_argument("--trials", type=int, help="trial count override")
+            p.add_argument("--jobs", type=int, help="worker processes over trial chunks")
         p.set_defaults(func=func)
     return parser
 

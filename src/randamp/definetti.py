@@ -43,7 +43,8 @@ def pinsker_gap(joint: np.ndarray):
     pa = joint.sum(axis=1, keepdims=True)
     pb = joint.sum(axis=0, keepdims=True)
     lhs = float(np.sum(np.abs(joint - pa * pb)))
-    return lhs, math.sqrt(2.0 * math.log(2.0) * mi)
+    # I(A:B) >= 0; the cancelling sum can round a near-product joint below 0
+    return lhs, math.sqrt(2.0 * math.log(2.0) * max(mi, 0.0))
 
 
 class JointBoxSystem:

@@ -50,7 +50,6 @@ class ProtocolParams:
     k: int
     n: tuple = (1,)
     t: float = 1e6
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 0.5:
@@ -395,6 +394,86 @@ def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
     return period is not None and 4 % period == 0
 
 
+class _IidSampler:
+    """Exact per-trial law of k i.i.d. devices sharing one box against a
+    source whose bias depends on bit position only (fast_path_applicable).
+
+    Kept settings are then i.i.d. with the restricted, renormalized draw law,
+    so each device's selected (setting, outcome) pair is drawn directly; the
+    draw counts and selection indices are independent of those pairs.
+    """
+
+    def __init__(self, params: ProtocolParams, box, sv_strategy):
+        table = box.table if isinstance(box, NsBox) else NsBox(box).table
+        draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
+        kept_idx = np.array(INEQUALITY_INDICES)
+        kept_p = draw[kept_idx]
+        self.kept_mass = float(kept_p.sum())
+        kept_p = kept_p / kept_p.sum()
+        self.kept_cdf = np.cumsum(kept_p)
+        self.out_cdf = np.cumsum(table[:, kept_idx], axis=0).T  # (8, 16)
+        self.bell_at = BELL_FUNCTIONAL[:, kept_idx].T  # (8, 16)
+        self.maj = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
+        self.threshold = acceptance_threshold(params)
+        self.n = np.array(params.n)
+        self.select_p0, self.select_weights = _selection_law(params, sv_strategy)
+
+    def sample(self, m: int, rng) -> tuple:
+        """(Z_k, accepted, XOR of majorities) for m trials."""
+        k = len(self.n)
+        s = np.searchsorted(self.kept_cdf, rng.random((m, k)), side="right")
+        s = np.minimum(s, 7)
+        r = rng.random((m, k))
+        x = np.empty((m, k), dtype=np.int64)
+        for si in range(8):
+            mask = s == si
+            if np.any(mask):
+                x[mask] = np.minimum(
+                    np.searchsorted(self.out_cdf[si], r[mask], side="right"), 15
+                )
+        z = self.bell_at[s, x].mean(axis=1)
+        acc = z <= self.threshold
+        bits = np.bitwise_xor.reduce(self.maj[x], axis=1)
+        return z, acc, bits
+
+    def rows(self, m: int, rng) -> "TrialRows":
+        """Every column of m protocol runs.  Device j draws settings until
+        n_j are kept, a negative binomial count past n_j; after all settings
+        come the selection bits, device-major and most significant first."""
+        z, acc, bits = self.sample(m, rng)
+        m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, len(self.n)))
+        select_bits = (rng.random((m, len(self.select_p0))) >= self.select_p0).astype(np.int64)
+        return TrialRows(
+            z_k=z,
+            accepted=acc,
+            output=np.where(acc, bits, -1),
+            selection=select_bits @ self.select_weights,
+            m_realized=m_realized,
+        )
+
+
+def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
+    """(P(bit = 0) per selection bit, bit-to-index weights of shape (bits, k)),
+    or (None, None) when the source bias is not position-only with a period
+    dividing four.  The selection bits start at 4 x (settings drawn), a
+    multiple of the period, so their biases do not depend on the draw count;
+    per_draw_setting_distribution has already checked every bias of a period
+    against epsilon."""
+    period = _strategy_period(sv_strategy)
+    if period is None or 4 % period:
+        return None, None
+    widths = [size.bit_length() - 1 for size in params.selection_sizes()]
+    weights = np.zeros((sum(widths), params.k), dtype=np.int64)
+    p0 = np.empty(sum(widths))
+    pos = 0
+    for j, width in enumerate(widths):
+        for i in range(width):
+            weights[pos, j] = 1 << (width - 1 - i)
+            p0[pos] = 0.5 + float(sv_strategy.bias([0] * (pos % period)))
+            pos += 1
+    return p0, weights
+
+
 def run_trials_iid(params: ProtocolParams, box, sv_strategy, trials: int, rng,
                    chunk: int = 256) -> tuple:
     """Vectorized Monte Carlo over trials of i.i.d. devices sharing one box.
@@ -403,39 +482,82 @@ def run_trials_iid(params: ProtocolParams, box, sv_strategy, trials: int, rng,
     output_bits is -1 where the run aborted.  Distribution-exact under the
     fast_path_applicable conditions.
     """
-    table = box.table if isinstance(box, NsBox) else NsBox(box).table
-    draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
-    kept_idx = np.array(INEQUALITY_INDICES)
-    kept_p = draw[kept_idx]
-    kept_p = kept_p / kept_p.sum()
-    kept_cdf = np.cumsum(kept_p)
-    out_cdf = np.cumsum(table[:, kept_idx], axis=0).T  # (8, 16)
-    bell_at = BELL_FUNCTIONAL[:, kept_idx].T  # (8, 16)
-    maj = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
-    threshold = acceptance_threshold(params)
-
+    sampler = _IidSampler(params, box, sv_strategy)
     accepted = np.zeros(trials, dtype=bool)
     output = np.full(trials, -1, dtype=np.int8)
-    k = params.k
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        m = hi - lo
-        s = np.searchsorted(kept_cdf, rng.random((m, k)), side="right")
-        s = np.minimum(s, 7)
-        r = rng.random((m, k))
-        x = np.empty((m, k), dtype=np.int64)
-        for si in range(8):
-            mask = s == si
-            if np.any(mask):
-                x[mask] = np.minimum(
-                    np.searchsorted(out_cdf[si], r[mask], side="right"), 15
-                )
-        z = bell_at[s, x].mean(axis=1)
-        acc = z <= threshold
-        bits = np.bitwise_xor.reduce(maj[x], axis=1)
+        _, acc, bits = sampler.sample(hi - lo, rng)
         accepted[lo:hi] = acc
         output[lo:hi] = np.where(acc, bits, -1)
     return accepted, output
+
+
+@dataclass
+class TrialRows:
+    """One chunk of protocol runs, one entry (or row of k) per trial."""
+
+    z_k: np.ndarray
+    accepted: np.ndarray
+    output: np.ndarray  # -1 where the run aborted
+    selection: np.ndarray  # (trials, k)
+    m_realized: np.ndarray  # (trials, k)
+
+
+class _ProtocolSampler:
+    """run_protocol once per trial, against devices built once."""
+
+    def __init__(self, params: ProtocolParams, box, sv_strategy):
+        self.params = params
+        self.devices = [IidDevice(box) for _ in range(params.k)]
+        self.strategy = sv_strategy
+
+    def rows(self, m: int, rng) -> TrialRows:
+        runs = [run_protocol(self.params, self.devices, self.strategy, rng) for _ in range(m)]
+        return TrialRows(
+            z_k=np.array([r.z_k for r, _ in runs]),
+            accepted=np.array([r.accepted for r, _ in runs]),
+            output=np.array([-1 if r.output_bit is None else r.output_bit for r, _ in runs]),
+            selection=np.array([t.selection for _, t in runs]).reshape(m, -1),
+            m_realized=np.array([t.m_realized for _, t in runs]).reshape(m, -1),
+        )
+
+
+SIMULATE_CHUNK = 256
+
+
+def simulate_engine(params: ProtocolParams, box, sv_strategy) -> str:
+    """The engine simulate_trials takes: "vectorized" when k i.i.d. devices
+    with this box and this source meet fast_path_applicable, else "general"."""
+    devices = [IidDevice(box)] * params.k
+    return "vectorized" if fast_path_applicable(params, devices, sv_strategy) else "general"
+
+
+def _chunk_rows(sampler, size: int, seed_seq) -> TrialRows:
+    return sampler.rows(size, np.random.default_rng(seed_seq))
+
+
+def simulate_trials(params: ProtocolParams, box, sv_strategy, trials: int, seed=None,
+                    mapper=map):
+    """Protocol runs of k i.i.d. devices sharing one box: an iterator of
+    TrialRows, one per chunk of SIMULATE_CHUNK trials (the last may be
+    shorter), in trial order.
+
+    Chunk c draws only from child c of SeedSequence(seed), so the rows depend
+    on the seed alone; mapper may be an executor's map to spread chunks over
+    processes.  The engine is simulate_engine's choice: the vectorized
+    sampler where it is distribution-exact, run_protocol per trial otherwise.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    box = box if isinstance(box, NsBox) else NsBox(box)
+    if simulate_engine(params, box, sv_strategy) == "vectorized":
+        sampler = _IidSampler(params, box, sv_strategy)
+    else:
+        sampler = _ProtocolSampler(params, box, sv_strategy)
+    sizes = [min(SIMULATE_CHUNK, trials - lo) for lo in range(0, trials, SIMULATE_CHUNK)]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return mapper(_chunk_rows, [sampler] * len(sizes), sizes, children)
 
 
 @dataclass
@@ -482,8 +604,12 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     eavesdropper symbol z; device_factory() yields the k devices of a trial.
     Each symbol is run `trials` times (stratified), the exact weights enter
     the distance averages.  fast: "auto" dispatches the vectorized runner
-    when it is distribution-exact, "never"/"always" force the choice.
+    when it is distribution-exact, "never" forces the general loop, and
+    "always" demands the vectorized runner and raises ValueError for any
+    symbol where it would not be exact.
     """
+    if fast not in ("auto", "never", "always"):
+        raise ValueError(f"fast must be 'auto', 'never' or 'always', got {fast!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if params.k < 1:
@@ -497,9 +623,9 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     for (weight, factory, strategy), child in zip(adversary, master.spawn(len(adversary))):
         rng = np.random.default_rng(child)
         devices = factory()
-        use_fast = fast == "always" or (
-            fast == "auto" and fast_path_applicable(params, devices, strategy)
-        )
+        use_fast = fast != "never" and fast_path_applicable(params, devices, strategy)
+        if fast == "always" and not use_fast:
+            raise ValueError("fast='always': the vectorized runner is not exact for this adversary")
         if use_fast:
             accepted, output = run_trials_iid(
                 params, devices[0].box, strategy, trials, rng

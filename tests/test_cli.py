@@ -1,11 +1,17 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
 from randamp.cli import main, verify_manifest, write_outputs
+from randamp.devices import IidDevice
+from randamp.protocol import ProtocolParams, per_draw_setting_distribution, run_protocol
+from randamp.sv import GreedyTowardString
 
 SIM_CONFIG = {
     "epsilon": 0.1,
@@ -76,6 +82,106 @@ def test_simulate_csv_columns(tmp_path):
     assert summary["trials"] == 10
     assert summary["params"]["n"] == [2, 2, 2]
     assert 0.0 <= summary["threshold"] <= 1.0
+
+
+def read_rows(out):
+    with open(out / "trials.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_simulate_vectorized_rows_match_run_protocol(tmp_path, capsys):
+    # n = 4, 2, 4: the one-bit selection of device 2 shifts device 3's
+    # selection bits to odd source positions, where the greedy [0, 1]
+    # source leans the other way
+    cfg = dict(SIM_CONFIG, n=[4, 2, 4], trials=20_000, seed=21,
+               device={"model": "mixed_algebraic", "weight": 0.3})
+    out = tmp_path / "vec"
+    assert run_main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "engine=vectorized" in capsys.readouterr().out
+    rows = read_rows(out)
+    vec = {
+        "accepted": np.array([int(r["accepted"]) for r in rows]),
+        "output": np.array([int(r["output_bit"]) for r in rows]),
+        "selection": np.array([[int(v) for v in r["selection"].split("|")] for r in rows]),
+        "m": np.array([[int(v) for v in r["m_realized"].split("|")] for r in rows]),
+    }
+
+    params = ProtocolParams(0.1, 0.8, 0.9, 3, n=(4, 2, 4))
+    source = GreedyTowardString((0, 1), 0.1)
+    devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.3))] * 3
+    rng = np.random.default_rng(22)
+    runs = [run_protocol(params, devices, source, rng) for _ in range(2000)]
+    gen = {
+        "accepted": np.array([int(r.accepted) for r, _ in runs]),
+        "output": np.array([-1 if r.output_bit is None else r.output_bit for r, _ in runs]),
+        "selection": np.array([t.selection for _, t in runs]),
+        "m": np.array([t.m_realized for _, t in runs]),
+    }
+
+    def agree(a, b, exact=None):
+        """Two-sample z <= 4; given the exact mean of an indicator, each
+        sample also lies within z = 4 of it."""
+        var = max(a.var(), b.var(), 1e-12)
+        assert abs(a.mean() - b.mean()) <= 4 * math.sqrt(var / len(a) + var / len(b))
+        if exact is not None:
+            for sample in (a, b):
+                assert abs(sample.mean() - exact) <= 4 * math.sqrt(exact * (1 - exact) / len(sample))
+
+    agree(vec["accepted"], gen["accepted"])
+    agree(vec["output"][vec["accepted"] == 1] == 0, gen["output"][gen["accepted"] == 1] == 0)
+    # selection bit i of the run is 0 w.p. 0.6 at even positions, 0.4 at odd
+    exact_selection = [(0.24, 0.36, 0.16, 0.24), (0.6, 0.4), (0.24, 0.16, 0.36, 0.24)]
+    for j, law in enumerate(exact_selection):
+        for value, p in enumerate(law):
+            agree(vec["selection"][:, j] == value, gen["selection"][:, j] == value, p)
+    # draws per device: n_j plus a negative binomial count of unkept draws
+    kept = per_draw_setting_distribution(source, 0.1)[list(INEQUALITY_INDICES)].sum()
+    for j, n_j in enumerate((4, 2, 4)):
+        assert vec["m"][:, j].min() >= n_j and gen["m"][:, j].min() >= n_j
+        agree(vec["m"][:, j], gen["m"][:, j])
+        sd = math.sqrt(n_j * (1 - kept) / kept**2 / len(rows))
+        assert abs(vec["m"][:, j].mean() - n_j / kept) <= 4 * sd
+
+
+def test_simulate_general_engine_rows(tmp_path, capsys):
+    # a period-3 source is not position-periodic within a setting draw, so
+    # the vectorized sampler would be inexact: run_protocol per trial instead
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=300, sv={"strategy": "greedy", "target": [0, 1, 1]}))
+    outs = [tmp_path / name for name in ("a", "b", "par")]
+    assert run_main(["simulate", "--config", cfg, "--out", str(outs[0])]) == 0
+    assert "engine=general" in capsys.readouterr().out
+    assert run_main(["simulate", "--config", cfg, "--out", str(outs[1])]) == 0
+    assert run_main(["simulate", "--config", cfg, "--out", str(outs[2]), "--jobs", "2"]) == 0
+    for name in ("trials.csv", "summary.json"):
+        blobs = {(out / name).read_bytes() for out in outs}
+        assert len(blobs) == 1
+    rows = read_rows(outs[0])
+    assert [int(r["trial"]) for r in rows] == list(range(300))
+    for row in rows:
+        assert (row["output_bit"] == "-1") == (row["accepted"] == "0")
+        assert all(int(s) in (0, 1) for s in row["selection"].split("|"))
+        assert all(int(m) >= 2 for m in row["m_realized"].split("|"))
+    assert 0 < sum(int(r["accepted"]) for r in rows) < 300
+
+
+def test_run_flags_only_on_simulate(tmp_path):
+    cfg = write_config(tmp_path, {"deltas": [0.0]})
+    for argv in (
+        ["certify", "--config", cfg, "--jobs", "2"],
+        ["certify", "--config", cfg, "--seed", "1"],
+        ["bounds", "--config", cfg, "--trials", "5"],
+        ["definetti", "--config", cfg, "--seed", "1"],
+        ["quantum-check", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == 2
+
+
+def test_simulate_rejects_nonpositive_jobs(tmp_path, capsys):
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_certify_command(tmp_path, capsys):

@@ -65,6 +65,19 @@ def test_pinsker_gap_values():
     assert rhs == pytest.approx(0.6208780186506162, abs=1e-12)
 
 
+def test_pinsker_gap_product_joints():
+    # the cancelling sum for I(A:B) rounds below 0 on this exact product
+    product = np.outer([0.2, 0.8], [0.2, 0.8])
+    lhs, rhs = pinsker_gap(product)
+    assert lhs <= 1e-15
+    assert 0.0 <= rhs <= 1e-6
+    # so does this one; its true rhs (~1e-11) is below the sum's rounding
+    near = product + 1e-12 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    lhs, rhs = pinsker_gap(near)
+    assert lhs == pytest.approx(4e-12, abs=1e-15)
+    assert 0.0 <= rhs <= 1e-6
+
+
 def test_pinsker_inequality_random_joints():
     rng = np.random.default_rng(8)
     for _ in range(1000):

@@ -30,6 +30,8 @@ from randamp.protocol import (
     robustness_threshold,
     run_protocol,
     run_trials_iid,
+    simulate_engine,
+    simulate_trials,
     wilson_interval,
     xor_bias_bound,
     xor_distribution_exact,
@@ -386,6 +388,49 @@ def test_estimate_output_bias_validation():
         estimate_output_bias(params, [(1.0, lambda: [], HONEST)], trials=0)
     with pytest.raises(ValueError):
         estimate_output_bias(params, [(0.7, lambda: [], HONEST)], trials=5)
+
+
+def test_estimate_output_bias_fast_mode_is_checked():
+    params = honest_params(k=2, epsilon=0.1)
+    box = algebraic_violation_box()
+    iid = lambda: [IidDevice(box)] * 2
+    inexact = [(1.0, iid, GreedyTowardString((0, 1, 1), 0.1))]
+    with pytest.raises(ValueError, match="not exact"):
+        estimate_output_bias(params, inexact, trials=5, fast="always")
+    mixture = MixtureDevice([IidDevice(box), IidDevice(uniform_box())], (0.5, 0.5))
+    with pytest.raises(ValueError, match="not exact"):
+        estimate_output_bias(params, [(1.0, lambda: [mixture] * 2, HONEST)], trials=5, fast="always")
+    with pytest.raises(ValueError, match="fast"):
+        estimate_output_bias(params, [(1.0, iid, HONEST)], trials=5, fast="sometimes")
+    report = estimate_output_bias(params, [(1.0, iid, HONEST)], trials=5, fast="always")
+    assert report.acceptance_rate == 1.0
+
+
+def test_simulate_trials_chunks_and_engines():
+    params = honest_params(k=3, epsilon=0.1, n=(4,))
+    box = mixed_with_uniform(algebraic_violation_box(), 0.2)
+    greedy = GreedyTowardString((0, 1), 0.1)
+    assert simulate_engine(params, box, greedy) == "vectorized"
+    assert simulate_engine(params, box, GreedyTowardString((0, 1, 1), 0.1)) == "general"
+
+    def columns(chunks):
+        return [np.concatenate([getattr(c, f) for c in chunks]) for f in
+                ("z_k", "accepted", "output", "selection", "m_realized")]
+
+    chunks = list(simulate_trials(params, box, greedy, 600, seed=3))
+    assert [len(c.z_k) for c in chunks] == [256, 256, 88]
+    # each chunk draws from its own seed child, so scheduling cannot matter
+    backwards = lambda fn, *its: reversed([fn(*args) for args in reversed(list(zip(*its)))])
+    reordered = list(simulate_trials(params, box, greedy, 600, seed=3, mapper=backwards))
+    for a, b in zip(columns(chunks), columns(reordered)):
+        assert np.array_equal(a, b)
+    z, acc, out, sel, m = columns(chunks)
+    assert np.array_equal(acc, z <= acceptance_threshold(params))
+    assert np.array_equal(out == -1, ~acc)
+    assert sel.shape == m.shape == (600, 3)
+    assert sel.min() >= 0 and sel.max() < 4 and m.min() >= 4
+    with pytest.raises(ValueError):
+        simulate_trials(params, box, greedy, 0)
 
 
 def test_wilson_interval_behavior():
