@@ -90,10 +90,6 @@ def box_tensor(table: np.ndarray) -> np.ndarray:
     return t.transpose(3, 2, 1, 0, 7, 6, 5, 4)
 
 
-def tensor_to_table(tensor: np.ndarray) -> np.ndarray:
-    return np.asarray(tensor).transpose(3, 2, 1, 0, 7, 6, 5, 4).reshape(16, 16)
-
-
 def no_signaling_violations(table: np.ndarray, tol: float = DEFAULT_TOL):
     """List human-readable constraint violations of a candidate box table."""
     table = np.asarray(table, dtype=float)

@@ -19,32 +19,38 @@ from .sv import exact_bitstring_distribution
 MAX_TABLE_ENTRIES = 1 << 24
 
 
-def mutual_information(joint: np.ndarray) -> float:
-    """I(A:B) in bits for a normalized 2-D joint distribution."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
+def _pinsker_batch(joints: np.ndarray):
+    """(lhs, rhs, I) arrays for a batch of joints of shape (batch, A, B):
+    lhs = ||p_AB - p_A x p_B||_1, I = I(A:B) in bits clamped at 0, and
+    rhs = sqrt(2 ln2 I).  Every joint must be a normalized distribution."""
+    if joints.ndim != 3:
         raise ValueError("joint must be a 2-D table")
-    if np.min(joint) < -1e-12:
+    if np.min(joints) < -1e-12:
         raise ValueError("joint has negative entries")
-    total = joint.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint sums to {total}, not 1")
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
-    prod = pa * pb
-    mask = joint > 0
-    return float(np.sum(joint[mask] * np.log2(joint[mask] / prod[mask])))
+    totals = joints.sum(axis=(1, 2))
+    off = np.abs(totals - 1.0)
+    if np.max(off) > 1e-9:
+        raise ValueError(f"joint sums to {totals[np.argmax(off)]}, not 1")
+    prod = joints.sum(axis=2, keepdims=True) * joints.sum(axis=1, keepdims=True)
+    lhs = np.abs(joints - prod).sum(axis=(1, 2))
+    mask = joints > 0
+    ratio = np.where(mask, joints, 1.0) / np.where(mask, prod, 1.0)
+    # I(A:B) >= 0; the cancelling sum can round a near-product joint below 0
+    mi = np.maximum(np.where(mask, joints * np.log2(ratio), 0.0).sum(axis=(1, 2)), 0.0)
+    return lhs, np.sqrt(2.0 * math.log(2.0) * mi), mi
+
+
+def mutual_information(joint: np.ndarray) -> float:
+    """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
+    joint = np.asarray(joint, dtype=float)
+    return float(_pinsker_batch(joint[np.newaxis])[2][0])
 
 
 def pinsker_gap(joint: np.ndarray):
     """(lhs, rhs) of ||p_AB - p_A x p_B||_1 <= sqrt(2 ln2 I(A:B))."""
     joint = np.asarray(joint, dtype=float)
-    mi = mutual_information(joint)
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
-    lhs = float(np.sum(np.abs(joint - pa * pb)))
-    # I(A:B) >= 0; the cancelling sum can round a near-product joint below 0
-    return lhs, math.sqrt(2.0 * math.log(2.0) * max(mi, 0.0))
+    lhs, rhs, _ = _pinsker_batch(joint[np.newaxis])
+    return float(lhs[0]), float(rhs[0])
 
 
 class JointBoxSystem:
@@ -93,27 +99,33 @@ class JointBoxSystem:
             raise ValueError("negative probabilities")
         for j in range(self.k):
             uses = self.device_uses(j)
-            for m, g in enumerate(uses):
-                tail = tuple(uses[m:])
-                marg = t.sum(axis=tail, keepdims=True)
-                in_axis = N + g
-                ref = np.take(marg, [0], axis=in_axis)
-                dev = np.max(np.abs(marg - ref))
+            # Walk the uses backward: the marginal over uses[m:] is one axis-sum
+            # of the marginal over uses[m + 1:].  Report the earliest violation.
+            devs = [0.0] * len(uses)
+            marg = t
+            for m in reversed(range(len(uses))):
+                marg = marg.sum(axis=uses[m], keepdims=True)
+                devs[m] = _input_dependence(marg, N + uses[m])
+            for m, dev in enumerate(devs):
                 if dev > self.tol:
                     raise ValueError(
                         f"time-ordered no-signaling violated at device {j + 1}, use {m + 1}: "
                         f"future input shifts past marginal by {dev:.3e}"
                     )
             # Other devices' joint marginal must ignore every input of device j.
-            marg = t.sum(axis=tuple(uses), keepdims=True)
             for m, g in enumerate(uses):
-                ref = np.take(marg, [0], axis=N + g)
-                dev = np.max(np.abs(marg - ref))
+                dev = _input_dependence(marg, N + g)
                 if dev > self.tol:
                     raise ValueError(
                         f"cross-device signaling from device {j + 1}, use {m + 1}: "
                         f"input shifts other devices by {dev:.3e}"
                     )
+
+
+def _input_dependence(marg: np.ndarray, axis: int) -> float:
+    """Largest change of marg along one input axis, against input 0."""
+    diff = marg - np.take(marg, [0], axis=axis)
+    return float(np.max(np.abs(diff, out=diff)))
 
 
 def _suffix_closed(system: JointBoxSystem, rest) -> bool:
@@ -153,12 +165,9 @@ def product_gap(system: JointBoxSystem, cond, groups, nu: np.ndarray) -> float:
     if abs(nu.sum() - 1.0) > 1e-9:
         raise ValueError("nu must be normalized")
 
-    t = system.tensor
+    t = _marginalize_rest(system, rest)
     if rest:
-        t = t.sum(axis=tuple(rest), keepdims=True)
-        for g in rest:
-            t = np.take(t, [0], axis=N + g)
-        nu = nu.sum(axis=tuple(g for g in rest), keepdims=True)
+        nu = nu.sum(axis=tuple(rest), keepdims=True)
 
     # P(x_cond | u): sum over every group output.
     group_axes = tuple(flat_groups)
@@ -242,7 +251,10 @@ def exchangeable_mixture(n, components, weights, tol=1e-9) -> JointBoxSystem:
     tensor = None
     for w, q in zip(weights, components):
         part = w * iid_system(n, q, tol=tol).tensor
-        tensor = part if tensor is None else tensor + part
+        if tensor is None:
+            tensor = part
+        else:
+            tensor += part
     return JointBoxSystem(n, np.asarray(components[0]).shape[1], np.asarray(components[0]).shape[0], tensor, tol=tol)
 
 
@@ -260,11 +272,11 @@ def sv_selection_distribution(strategy, epsilon: float, n) -> dict:
     """Exact source distribution over selections; device j consumes log2 of
     the largest power of two <= n_j bits, big-endian, devices in order — the
     same truncated index draw the protocol uses, so positions beyond the
-    addressable prefix carry zero weight.  Assumes a strategy whose bias
-    depends on position only (asserted), since the selection bits follow the
-    setting bits in a real transcript."""
-    if not getattr(strategy, "position_dependent", False):
-        raise ValueError("exact selection weights need a position-dependent strategy")
+    addressable prefix carry zero weight.  Needs a strategy whose bias
+    depends on position only, one that declares a `period`, since the
+    selection bits follow the setting bits in a real transcript."""
+    if getattr(strategy, "period", None) is None:
+        raise ValueError("exact selection weights need a strategy with a position-only bias (a period)")
     widths = []
     for n_j in n:
         if n_j < 1:
@@ -400,7 +412,18 @@ class DeFinettiReport:
         }
 
 
-def _pinsker_slack_over_conditionals(system: JointBoxSystem, selection, nu) -> float:
+def _marginalize_rest(system: JointBoxSystem, rest):
+    """The tensor with the outputs of the uses in rest summed out and their
+    inputs pinned to 0, every axis kept."""
+    t = system.tensor
+    if rest:
+        t = t.sum(axis=tuple(rest), keepdims=True)
+        for g in rest:
+            t = np.take(t, [0], axis=system.total_uses + g)
+    return t
+
+
+def _pinsker_slack_over_conditionals(system: JointBoxSystem, selection) -> float:
     """Worst lhs - rhs of the Pinsker pair over every realized conditioning of
     a two-device selection; negative means the inequality held everywhere."""
     if system.k != 2:
@@ -411,35 +434,17 @@ def _pinsker_slack_over_conditionals(system: JointBoxSystem, selection, nu) -> f
     g2 = system.use_index(1, sel[1] - 1)
     cond = [g for j in range(2) for g in system.device_uses(j)[: sel[j] - 1]]
     rest = [g for g in range(N) if g not in set(cond + [g1, g2])]
-    t = system.tensor
-    nu = np.asarray(nu, dtype=float).reshape((system.num_inputs,) * N)
-    if rest:
-        t = t.sum(axis=tuple(rest), keepdims=True)
-        for g in rest:
-            t = np.take(t, [0], axis=N + g)
-        nu = nu.sum(axis=tuple(rest), keepdims=True)
-    worst = float("-inf")
-    S, L = system.num_outputs, system.num_inputs
-    it = np.ndindex(*([S] * len(cond) + [L] * len(cond) + [L, L]))
-    for assign in it:
-        x_cond = assign[: len(cond)]
-        u_cond = assign[len(cond) : 2 * len(cond)]
-        u1, u2 = assign[-2], assign[-1]
-        index = [slice(None)] * (2 * N)
-        for g, x in zip(cond, x_cond):
-            index[g] = x
-        for g, u in zip(cond, u_cond):
-            index[N + g] = u
-        index[N + g1] = u1
-        index[N + g2] = u2
-        block = t[tuple(index)]
-        joint = np.squeeze(block)
-        mass = joint.sum()
-        if mass <= 0:
-            continue
-        lhs, rhs = pinsker_gap(np.asarray(joint).reshape(S, S) / mass)
-        worst = max(worst, lhs - rhs)
-    return worst
+    t = _marginalize_rest(system, rest)
+    # One (S, S) joint of the selected outputs per (x_cond, u_cond, u1, u2).
+    order = rest + [N + g for g in rest] + cond + [N + g for g in cond] + [N + g1, N + g2, g1, g2]
+    S = system.num_outputs
+    joints = t.transpose(order).reshape(-1, S, S)
+    mass = joints.sum(axis=(1, 2))
+    live = mass > 0
+    if not np.any(live):
+        return float("-inf")
+    lhs, rhs, _ = _pinsker_batch(joints[live] / mass[live, np.newaxis, np.newaxis])
+    return float(np.max(lhs - rhs))
 
 
 def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
@@ -470,7 +475,7 @@ def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
         if t_val >= rhs.threshold:
             exceed += w
         if pinsker:
-            slack = _pinsker_slack_over_conditionals(system, sel, nu)
+            slack = _pinsker_slack_over_conditionals(system, sel)
             report.pinsker_worst_slack = max(report.pinsker_worst_slack, slack)
     report.weighted_exceed_fraction = exceed
     return report

@@ -365,20 +365,6 @@ def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
     return dist
 
 
-def _strategy_period(sv_strategy) -> int | None:
-    """Bias pattern length for strategies whose bias is a function of bit
-    position alone; None for anything not known to have that property."""
-    from .sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
-
-    if isinstance(sv_strategy, (HonestBits, ConstantBias)):
-        return 1
-    if isinstance(sv_strategy, GreedyTowardString):
-        return len(sv_strategy.target)
-    if isinstance(sv_strategy, SettingSteering):
-        return 4
-    return None
-
-
 def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
     """The vectorized runner is exact when every device is i.i.d. with one
     shared box and each draw's four bits see the same position-only bias
@@ -390,7 +376,7 @@ def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
     first = devices[0].box.table
     if not all(np.array_equal(d.box.table, first) for d in devices[1:]):
         return False
-    period = _strategy_period(sv_strategy)
+    period = getattr(sv_strategy, "period", None)
     return period is not None and 4 % period == 0
 
 
@@ -459,7 +445,7 @@ def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
     multiple of the period, so their biases do not depend on the draw count;
     per_draw_setting_distribution has already checked every bias of a period
     against epsilon."""
-    period = _strategy_period(sv_strategy)
+    period = getattr(sv_strategy, "period", None)
     if period is None or 4 % period:
         return None, None
     widths = [size.bit_length() - 1 for size in params.selection_sizes()]

@@ -3,6 +3,11 @@
 Every bit satisfies P(0 | history) = 1/2 + b with |b| <= epsilon.  A strategy
 is any rule from the full bit history to a bias; the draw helpers refuse rules
 that step outside [-epsilon, epsilon] rather than clamping them.
+
+A strategy whose bias is a function of bit position alone, repeating every
+`period` bits, declares that period as an attribute; the exact samplers and
+the de Finetti selection weights rely on it.  Strategies without a `period`
+are treated as history-dependent.
 """
 
 from __future__ import annotations
@@ -42,14 +47,14 @@ class SvTranscript:
 class HonestBits:
     """Fair coin; the only strategy allowed at epsilon = 0."""
 
-    position_dependent = True
+    period = 1
 
     def bias(self, history) -> float:
         return 0.0
 
 
 class ConstantBias:
-    position_dependent = True
+    period = 1
 
     def __init__(self, bias: float):
         self.constant = float(bias)
@@ -61,12 +66,11 @@ class ConstantBias:
 class GreedyTowardString:
     """Push every bit toward a cyclic target pattern as hard as allowed."""
 
-    position_dependent = True
-
     def __init__(self, target, epsilon: float):
         self.target = tuple(int(b) for b in target)
         if not self.target or any(b not in (0, 1) for b in self.target):
             raise ValueError("target must be a nonempty bit string")
+        self.period = len(self.target)
         self.epsilon = float(epsilon)
 
     def bias(self, history) -> float:
@@ -81,7 +85,7 @@ class SettingSteering:
     throughout protocol step 1.
     """
 
-    position_dependent = True
+    period = 4
 
     def __init__(self, setting, epsilon: float):
         self.setting = tuple(int(b) for b in setting)

@@ -164,6 +164,78 @@ def test_simulate_general_engine_rows(tmp_path, capsys):
     assert 0 < sum(int(r["accepted"]) for r in rows) < 300
 
 
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no worker pool expected")
+
+
+class InlinePool:
+    """Records max_workers and maps in-process instead of spawning."""
+
+    created = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.created.append(max_workers)
+        self.map = map
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_simulate_jobs_skip_pool_on_vectorized_engine(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=600))
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    serial = capsys.readouterr().out
+    assert "engine=vectorized, workers=1," in serial
+    monkeypatch.setattr("randamp.cli.ProcessPoolExecutor", NoPool)
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
+    assert "engine=vectorized, workers=1," in capsys.readouterr().out
+    for name in ("trials.csv", "summary.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def test_simulate_jobs_capped_at_chunk_count(tmp_path, capsys, monkeypatch):
+    general = {"strategy": "greedy", "target": [0, 1, 1]}
+    monkeypatch.setattr("randamp.cli.ProcessPoolExecutor", InlinePool)
+    InlinePool.created.clear()
+    # 300 trials are two chunks of at most 256
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=300, sv=general))
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "8"]) == 0
+    assert "engine=general, workers=2," in capsys.readouterr().out
+    assert InlinePool.created == [2]
+    # one chunk: nothing to spread, so no pool
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=40, sv=general), name="one.json")
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "8"]) == 0
+    assert "engine=general, workers=1," in capsys.readouterr().out
+    assert InlinePool.created == [2]
+
+
+def test_certify_records_error_type(tmp_path, capsys, monkeypatch):
+    def failing(delta, method="highs", tol=1e-8):
+        if delta > 0.1:
+            raise ArithmeticError("solver gave up")
+        return real(delta, method=method, tol=tol)
+
+    import randamp.cli
+
+    real = randamp.cli.certify_bound
+    monkeypatch.setattr(randamp.cli, "certify_bound", failing)
+    cfg = write_config(tmp_path, {"deltas": [0.0, 0.2]})
+    out = tmp_path / "cert"
+    assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "delta=0.2: ERROR solver gave up" in printed
+    assert "certification: FAIL" in printed
+    payload = json.loads((out / "certify.json").read_text())
+    assert payload["passed"] is False
+    ok, failed = payload["grid"]
+    assert "error" not in ok and ok["passed"] is True
+    assert failed == {"delta": 0.2, "error": "solver gave up", "error_type": "ArithmeticError"}
+
+
 def test_run_flags_only_on_simulate(tmp_path):
     cfg = write_config(tmp_path, {"deltas": [0.0]})
     for argv in (

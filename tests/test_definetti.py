@@ -7,6 +7,7 @@ import pytest
 from randamp.definetti import (
     DeFinettiRhs,
     JointBoxSystem,
+    _pinsker_slack_over_conditionals,
     block_sizes,
     definetti_check,
     definetti_rhs,
@@ -402,3 +403,160 @@ def test_definetti_check_report():
     assert payload["one_norm_convention"] == "unnormalized (max 2)"
     assert len(payload["selections"]) == 2
     assert payload["threshold"] == pytest.approx(report.threshold)
+
+
+def per_conditional_slack(system, selection):
+    """Loop-based reference for the Pinsker sweep: one pinsker_gap call per
+    realized conditioning (x_cond, u_cond, u1, u2) of a two-device selection,
+    later uses of each device marginalized with their inputs pinned to 0."""
+    N = system.total_uses
+    S, L = system.num_outputs, system.num_inputs
+    g1 = system.use_index(0, selection[0] - 1)
+    g2 = system.use_index(1, selection[1] - 1)
+    cond = [g for j in range(2) for g in system.device_uses(j)[: selection[j] - 1]]
+    rest = [g for g in range(N) if g not in set(cond + [g1, g2])]
+    t = system.tensor
+    if rest:
+        t = t.sum(axis=tuple(rest), keepdims=True)
+        for g in rest:
+            t = np.take(t, [0], axis=N + g)
+    worst = float("-inf")
+    for assign in np.ndindex(*([S] * len(cond) + [L] * len(cond) + [L, L])):
+        index = [0] * (2 * N)
+        for g, x in zip(cond, assign[: len(cond)]):
+            index[g] = x
+        for g, u in zip(cond, assign[len(cond) : 2 * len(cond)]):
+            index[N + g] = u
+        index[N + g1], index[N + g2] = assign[-2], assign[-1]
+        index[g1] = index[g2] = slice(None)
+        joint = t[tuple(index)]
+        mass = joint.sum()
+        if mass <= 0:
+            continue
+        lhs, rhs = pinsker_gap(joint / mass)
+        worst = max(worst, lhs - rhs)
+    return worst
+
+
+def all_selections(system):
+    return itertools.product(*(range(1, n_j + 1) for n_j in system.n))
+
+
+def test_pinsker_sweep_matches_per_conditional_oracle():
+    rng = np.random.default_rng(21)
+    for n in ((1, 3), (2, 2), (1, 4)):
+        for _ in range(3):
+            comps = [random_column_stochastic(rng) for _ in range(2)]
+            w = float(rng.uniform(0.2, 0.8))
+            system = exchangeable_mixture(n, comps, (w, 1.0 - w))
+            for sel in all_selections(system):
+                got = _pinsker_slack_over_conditionals(system, sel)
+                want = per_conditional_slack(system, sel)
+                assert math.isfinite(got)
+                assert abs(got - want) <= 1e-13
+
+
+def test_pinsker_sweep_skips_zero_mass_conditionals():
+    # Q_ZERO never emits 1, and this box never emits 1 on input 0, so many
+    # realized pasts carry no mass under either component
+    partial = np.array([[1.0, 0.3], [0.0, 0.7]])
+    for comps in ([Q_ZERO, Q_ONE], [Q_ZERO, partial]):
+        system = exchangeable_mixture((2, 3), comps, (0.5, 0.5))
+        for sel in all_selections(system):
+            got = _pinsker_slack_over_conditionals(system, sel)
+            assert got == pytest.approx(per_conditional_slack(system, sel), abs=1e-13)
+    # a fully deterministic system leaves one live joint per input pair
+    assert _pinsker_slack_over_conditionals(iid_system((1, 2), Q_ZERO), (1, 2)) <= 0.0
+
+
+def test_pinsker_sweep_on_exact_product_system():
+    # dyadic entries keep every conditional an exact product: lhs is 0
+    system = iid_system((2, 3), np.array([[0.25, 0.5], [0.75, 0.5]]))
+    for sel in all_selections(system):
+        assert _pinsker_slack_over_conditionals(system, sel) <= 0.0
+    report = definetti_check(system, HonestBits(), 0.0, (2.0,), pinsker=True)
+    assert report.pinsker_worst_slack <= 0.0
+    assert report.max_t == 0.0
+
+
+def test_pinsker_sweep_checks_every_conditional():
+    t = np.full((2,) * 4, 0.25)
+    t[0, 0, 1, 1], t[0, 1, 1, 1] = -0.5, 1.0  # sums to 1, one negative entry
+    system = JointBoxSystem((1, 1), 2, 2, t, validate=False)
+    with pytest.raises(ValueError, match="negative"):
+        _pinsker_slack_over_conditionals(system, (1, 1))
+    with pytest.raises(ValueError, match="two devices"):
+        _pinsker_slack_over_conditionals(iid_system((1,), Q_ZERO), (1,))
+
+
+def test_pinsker_gap_validation():
+    with pytest.raises(ValueError, match="2-D"):
+        pinsker_gap(np.full((2, 2, 2), 0.125))
+    with pytest.raises(ValueError, match="2-D"):
+        pinsker_gap(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="negative"):
+        pinsker_gap(np.array([[0.6, -0.1], [0.3, 0.2]]))
+    with pytest.raises(ValueError, match="sums to"):
+        pinsker_gap(np.full((2, 2), 0.3))
+
+
+# Device 1 owns uses 0-2 and device 2 uses 3-4; axes are x0..x4 then u0..u4.
+N32 = 5
+
+
+def hand_tensor(rule):
+    """n = (3, 2) binary tensor with t[x, u] = rule(x, u) / 16: rule picks
+    one output bit as a function of the inputs, the other four are fair."""
+    t = np.zeros((2,) * (2 * N32))
+    for idx in itertools.product(range(2), repeat=2 * N32):
+        t[idx] = rule(idx[:N32], idx[N32:]) / 16.0
+    return t
+
+
+def echo(out_use, in_use):
+    """Output bit out_use copies input bit in_use."""
+    return hand_tensor(lambda x, u: float(x[out_use] == u[in_use]))
+
+
+def test_incremental_validation_time_ordered_defects():
+    JointBoxSystem((3, 2), 2, 2, echo(1, 0))  # an earlier input: allowed
+    JointBoxSystem((3, 2), 2, 2, echo(4, 3))
+    cases = [
+        (echo(3, 0), "device 1, use 1"),  # device 2 sees device 1's first input
+        (echo(0, 1), "device 1, use 2"),
+        (echo(1, 2), "device 1, use 3"),
+        (echo(0, 3), "device 2, use 1"),
+        (echo(3, 4), "device 2, use 2"),
+    ]
+    for tensor, where in cases:
+        with pytest.raises(ValueError, match=f"time-ordered no-signaling violated at {where}:"):
+            JointBoxSystem((3, 2), 2, 2, tensor)
+    # two defects on device 1: the earliest use is reported, as before
+    both = hand_tensor(lambda x, u: float(x[0] == u[1]) * float(x[1] == u[2]) * 2.0)
+    with pytest.raises(ValueError, match="device 1, use 2:"):
+        JointBoxSystem((3, 2), 2, 2, both)
+
+
+def test_incremental_validation_cross_device_defect():
+    # Device 2's first output leans on device 1's second input by 0.75e-9 per
+    # value of device 1's first output: each time-ordered marginal stays
+    # within tol, the marginal over all of device 1's outputs does not.
+    lean = 0.75e-9 / 4
+    t = hand_tensor(lambda x, u: 1.0 / 2.0)
+    for idx in itertools.product(range(2), repeat=2 * N32):
+        if idx[N32 + 1] == 1:
+            t[idx] += lean if idx[3] == 0 else -lean
+    with pytest.raises(ValueError, match="cross-device signaling from device 1, use 2:"):
+        JointBoxSystem((3, 2), 2, 2, t)
+
+
+def test_incremental_validation_normalization_and_negativity():
+    fair = hand_tensor(lambda x, u: 1.0 / 2.0)
+    JointBoxSystem((3, 2), 2, 2, fair)
+    with pytest.raises(ValueError, match="normalization"):
+        JointBoxSystem((3, 2), 2, 2, 0.9 * fair)
+    bad = fair.copy()
+    bad[(0,) * N32 + (1,) * N32] -= 0.05
+    bad[(1,) * N32 + (1,) * N32] += 0.05
+    with pytest.raises(ValueError, match="negative"):
+        JointBoxSystem((3, 2), 2, 2, bad)
