@@ -19,7 +19,6 @@ from randamp.protocol import (
     acceptance_threshold,
     estimate_output_bias,
     run_protocol,
-    run_trials_iid,
 )
 from randamp.quantum import born_box, build_state, xz_bases
 from randamp.sv import GreedyTowardString, HonestBits
@@ -45,8 +44,9 @@ for label, box in [
     ("Bell value 0.8 ", mixed_with_uniform(algebraic_violation_box(), 0.2)),
     ("classical noise", mixed_with_uniform(algebraic_violation_box(), 1.0)),
 ]:
-    accepted, _ = run_trials_iid(params, box, HonestBits(), trials, rng)
-    print(f"{label} (B={bell_value(box):.1f}): acceptance {accepted.mean():.4f}")
+    adversary = [(1.0, lambda: [IidDevice(box)] * params.k, HonestBits())]
+    rate = estimate_output_bias(params, adversary, trials, seed=2).acceptance_rate
+    print(f"{label} (B={bell_value(box):.1f}): acceptance {rate:.4f}")
 
 # output-bit audit against the greedy source: distance from a fair bit
 report = estimate_output_bias(

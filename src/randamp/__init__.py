@@ -74,7 +74,6 @@ from .protocol import (
     robustness_acceptance_bound,
     robustness_threshold,
     run_protocol,
-    run_trials_iid,
     xor_bias_bound,
 )
 from .quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases

@@ -258,32 +258,3 @@ def product_box(boxes) -> np.ndarray:
         if t.shape != (16, 16):
             raise ValueError("every factor must be a (16, 16) table")
     return reduce(np.kron, tables)
-
-
-def ns_max_violation(table: np.ndarray, n_parties: int, tol_norm: float = DEFAULT_TOL) -> float:
-    """Largest no-signaling defect of a 2^n x 2^n binary-party table.
-
-    Bit b of either index is party b+1's bit.  Returns the max over parties of
-    the marginal shift when one party flips its input; normalization and
-    positivity failures beyond tol_norm count as infinite.
-    """
-    table = np.asarray(table, dtype=float)
-    d = 2**n_parties
-    if table.shape != (d, d):
-        raise ValueError(f"expected shape {(d, d)}")
-    if np.min(table) < -tol_norm or np.max(np.abs(table.sum(axis=0) - 1.0)) > tol_norm:
-        return np.inf
-    t = table.reshape((2,) * (2 * n_parties))
-    # Axis p is party (n_parties - p)'s outcome bit; mirror for settings.
-    worst = 0.0
-    for party in range(n_parties):
-        out_axis = n_parties - 1 - party
-        set_axis = 2 * n_parties - 1 - party
-        marg = t.sum(axis=out_axis)
-        shift = np.take(marg, 0, axis=set_axis - 1) - np.take(marg, 1, axis=set_axis - 1)
-        worst = max(worst, float(np.max(np.abs(shift))))
-    return worst
-
-
-def is_no_signaling_parties(table: np.ndarray, n_parties: int, tol: float = DEFAULT_TOL) -> bool:
-    return ns_max_violation(table, n_parties, tol) <= tol

@@ -25,16 +25,17 @@ import numpy as np
 from . import __version__
 from .boxes import NsBox, algebraic_violation_box, bell_value, mixed_with_uniform, uniform_box
 from .definetti import block_sizes, definetti_check, exchangeable_mixture, log2_block_sizes
+from .devices import IidDevice
 from .lp import analytic_bound, certify_bound
 from .protocol import (
     SIMULATE_CHUNK,
     ProtocolParams,
     acceptance_threshold,
     azuma_rejection_bound,
+    fast_path_applicable,
     proposition_bound,
     robustness_acceptance_bound,
     robustness_threshold,
-    simulate_engine,
     simulate_trials,
 )
 from .quantum import (
@@ -225,16 +226,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError("option '--jobs' must be positive")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
-    engine = simulate_engine(params, box, strategy)
+    devices = [IidDevice(box)] * params.k
+    engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
     # Worker start-up (each imports numpy, scipy and randamp) costs more than
     # a whole vectorized run, and a worker beyond the chunk count has no work.
     workers = 1 if engine == "vectorized" else min(args.jobs or 1, -(-trials // SIMULATE_CHUNK))
     if workers > 1:
         spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            chunks = list(simulate_trials(params, box, strategy, trials, seed, mapper=pool.map))
+            chunks = list(simulate_trials(params, devices, strategy, trials, seed, mapper=pool.map))
     else:
-        chunks = list(simulate_trials(params, box, strategy, trials, seed))
+        chunks = list(simulate_trials(params, devices, strategy, trials, seed))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

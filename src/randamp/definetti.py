@@ -229,16 +229,40 @@ def _check_selection(system: JointBoxSystem, selection):
     return sel
 
 
+def _component_table(box, total_uses: int, tol: float) -> np.ndarray:
+    """A single-party box q[x, u], checked once: 2-D, non-negative, and every
+    column summing to 1 so tightly that a product over total_uses uses stays
+    within tol.  An i.i.d. product of such a box, and any convex mixture of
+    such products, is then a valid system by construction."""
+    q = np.asarray(box, dtype=float)
+    if q.ndim != 2:
+        raise ValueError(f"component box must be a 2-D table, got shape {q.shape}")
+    if float(q.size) ** total_uses > MAX_TABLE_ENTRIES:
+        # checked here because the dense product is allocated before JointBoxSystem sees it
+        raise ValueError("system too large for exact enumeration; shrink n or alphabets")
+    if not np.all(q >= 0.0):
+        raise ValueError("negative probabilities in component box")
+    dev = float(np.max(np.abs(q.sum(axis=0) - 1.0)))
+    if not (1.0 + dev) ** total_uses - 1.0 <= tol:
+        raise ValueError(f"component box normalization off by {dev:.3e}")
+    return q
+
+
+def _iid_tensor(q: np.ndarray, total_uses: int) -> np.ndarray:
+    """Every use an independent copy of q, axes (outputs..., inputs...)."""
+    t = np.array(1.0)
+    for _ in range(total_uses):
+        t = np.multiply.outer(t, q)
+    perm = [2 * g for g in range(total_uses)] + [2 * g + 1 for g in range(total_uses)]
+    return t.transpose(perm)
+
+
 def iid_system(n, box: np.ndarray, tol=1e-9) -> JointBoxSystem:
     """Every use an independent copy of a single-party box q[x, u]."""
-    q = np.asarray(box, dtype=float)
-    S, L = q.shape
     total = sum(int(v) for v in n)
-    t = np.array(1.0)
-    for _ in range(total):
-        t = np.multiply.outer(t, q)
-    perm = [2 * g for g in range(total)] + [2 * g + 1 for g in range(total)]
-    return JointBoxSystem(n, L, S, t.transpose(perm), tol=tol)
+    q = _component_table(box, total, tol)
+    S, L = q.shape
+    return JointBoxSystem(n, L, S, _iid_tensor(q, total), tol=tol, validate=False)
 
 
 def exchangeable_mixture(n, components, weights, tol=1e-9) -> JointBoxSystem:
@@ -248,14 +272,19 @@ def exchangeable_mixture(n, components, weights, tol=1e-9) -> JointBoxSystem:
         raise ValueError("need one weight per component")
     if np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be a distribution")
+    total = sum(int(v) for v in n)
+    tables = [_component_table(q, total, tol) for q in components]
+    if any(q.shape != tables[0].shape for q in tables):
+        raise ValueError("every component box must have the same shape")
     tensor = None
-    for w, q in zip(weights, components):
-        part = w * iid_system(n, q, tol=tol).tensor
+    for w, q in zip(weights, tables):
+        part = w * _iid_tensor(q, total)
         if tensor is None:
             tensor = part
         else:
             tensor += part
-    return JointBoxSystem(n, np.asarray(components[0]).shape[1], np.asarray(components[0]).shape[0], tensor, tol=tol)
+    S, L = tables[0].shape
+    return JointBoxSystem(n, L, S, tensor, tol=tol, validate=False)
 
 
 def sv_input_distribution(strategy, epsilon: float, total_uses: int, num_inputs: int) -> np.ndarray:

@@ -81,12 +81,18 @@ class MixtureDevice(TimeOrderedDevice):
         return joint / total
 
     def box_given(self, history) -> NsBox:
+        """Posterior-weighted sum of the component boxes.  Each must be an
+        NsBox; a convex combination of boxes valid within tol is valid within
+        tol, so the sum is not validated again."""
         post = self.posterior(history)
         table = np.zeros((16, 16))
         for w, comp in zip(post, self.components):
             if w > 0:
-                table += w * as_table(comp.box_given(history))
-        return NsBox(table)
+                box = comp.box_given(history)
+                if not isinstance(box, NsBox):
+                    raise DeviceError(f"component returned {type(box).__name__}, not a box")
+                table += w * box.table
+        return NsBox(table, validate=False)
 
 
 def history_likelihood(device: TimeOrderedDevice, history) -> float:

@@ -10,21 +10,20 @@ the per-device majorities of the first three outcome bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import (
     BELL_FUNCTIONAL,
     INEQUALITY_INDICES,
-    NsBox,
     bell_value,
     in_inequality,
     majority,
     pack_bits,
     unpack_bits,
 )
-from .devices import DeviceError, IidDevice, TimeOrderedDevice, sample_outcome
+from .devices import IidDevice, sample_outcome
 from .sv import (
     SvTranscript,
     draw_index,
@@ -92,25 +91,6 @@ def xor_bias_bound(eps_list) -> float:
         raise ValueError("per-bit biases must lie in [0, 1/2]")
     prod = math.prod(eps)
     return min(0.5, 2.0 ** (len(eps) - 1) * prod)
-
-
-def xor_distribution_exact(biases, signs=None) -> float:
-    """P(XOR = 0) by exhaustive enumeration; bit i is 0 w.p. 1/2 + s_i b_i."""
-    b = [float(v) for v in biases]
-    s = [1.0] * len(b) if signs is None else [float(v) for v in signs]
-    if len(s) != len(b):
-        raise ValueError("one sign per bias")
-    p0 = 0.0
-    for code in range(1 << len(b)):
-        p = 1.0
-        parity = 0
-        for i, (bi, si) in enumerate(zip(b, s)):
-            bit = (code >> i) & 1
-            p *= 0.5 + si * bi if bit == 0 else 0.5 - si * bi
-            parity ^= bit
-        if parity == 0:
-            p0 += p
-    return p0
 
 
 def azuma_rejection_bound(params: ProtocolParams) -> float:
@@ -389,8 +369,8 @@ class _IidSampler:
     draw counts and selection indices are independent of those pairs.
     """
 
-    def __init__(self, params: ProtocolParams, box, sv_strategy):
-        table = box.table if isinstance(box, NsBox) else NsBox(box).table
+    def __init__(self, params: ProtocolParams, devices, sv_strategy):
+        table = devices[0].box.table
         draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
         kept_idx = np.array(INEQUALITY_INDICES)
         kept_p = draw[kept_idx]
@@ -405,7 +385,7 @@ class _IidSampler:
         self.select_p0, self.select_weights = _selection_law(params, sv_strategy)
 
     def sample(self, m: int, rng) -> tuple:
-        """(Z_k, accepted, XOR of majorities) for m trials."""
+        """(Z_k, accepted, output bit or -1 where aborted) for m trials."""
         k = len(self.n)
         s = np.searchsorted(self.kept_cdf, rng.random((m, k)), side="right")
         s = np.minimum(s, 7)
@@ -420,34 +400,32 @@ class _IidSampler:
         z = self.bell_at[s, x].mean(axis=1)
         acc = z <= self.threshold
         bits = np.bitwise_xor.reduce(self.maj[x], axis=1)
-        return z, acc, bits
+        return z, acc, np.where(acc, bits, -1)
 
     def rows(self, m: int, rng) -> "TrialRows":
         """Every column of m protocol runs.  Device j draws settings until
         n_j are kept, a negative binomial count past n_j; after all settings
         come the selection bits, device-major and most significant first."""
-        z, acc, bits = self.sample(m, rng)
+        z, acc, output = self.sample(m, rng)
         m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, len(self.n)))
         select_bits = (rng.random((m, len(self.select_p0))) >= self.select_p0).astype(np.int64)
         return TrialRows(
             z_k=z,
             accepted=acc,
-            output=np.where(acc, bits, -1),
+            output=output,
             selection=select_bits @ self.select_weights,
             m_realized=m_realized,
         )
 
 
 def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
-    """(P(bit = 0) per selection bit, bit-to-index weights of shape (bits, k)),
-    or (None, None) when the source bias is not position-only with a period
-    dividing four.  The selection bits start at 4 x (settings drawn), a
-    multiple of the period, so their biases do not depend on the draw count;
+    """(P(bit = 0) per selection bit, bit-to-index weights of shape (bits, k))
+    for a source whose bias is position-only with a period dividing four.
+    The selection bits start at 4 x (settings drawn), a multiple of the
+    period, so their biases do not depend on the draw count;
     per_draw_setting_distribution has already checked every bias of a period
     against epsilon."""
-    period = getattr(sv_strategy, "period", None)
-    if period is None or 4 % period:
-        return None, None
+    period = sv_strategy.period
     widths = [size.bit_length() - 1 for size in params.selection_sizes()]
     weights = np.zeros((sum(widths), params.k), dtype=np.int64)
     p0 = np.empty(sum(widths))
@@ -458,25 +436,6 @@ def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
             p0[pos] = 0.5 + float(sv_strategy.bias([0] * (pos % period)))
             pos += 1
     return p0, weights
-
-
-def run_trials_iid(params: ProtocolParams, box, sv_strategy, trials: int, rng,
-                   chunk: int = 256) -> tuple:
-    """Vectorized Monte Carlo over trials of i.i.d. devices sharing one box.
-
-    Returns (accepted, output_bits) boolean/int arrays of length trials;
-    output_bits is -1 where the run aborted.  Distribution-exact under the
-    fast_path_applicable conditions.
-    """
-    sampler = _IidSampler(params, box, sv_strategy)
-    accepted = np.zeros(trials, dtype=bool)
-    output = np.full(trials, -1, dtype=np.int8)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        _, acc, bits = sampler.sample(hi - lo, rng)
-        accepted[lo:hi] = acc
-        output[lo:hi] = np.where(acc, bits, -1)
-    return accepted, output
 
 
 @dataclass
@@ -491,11 +450,11 @@ class TrialRows:
 
 
 class _ProtocolSampler:
-    """run_protocol once per trial, against devices built once."""
+    """run_protocol once per trial against the given devices."""
 
-    def __init__(self, params: ProtocolParams, box, sv_strategy):
+    def __init__(self, params: ProtocolParams, devices, sv_strategy):
         self.params = params
-        self.devices = [IidDevice(box) for _ in range(params.k)]
+        self.devices = devices
         self.strategy = sv_strategy
 
     def rows(self, m: int, rng) -> TrialRows:
@@ -508,42 +467,54 @@ class _ProtocolSampler:
             m_realized=np.array([t.m_realized for _, t in runs]).reshape(m, -1),
         )
 
+    def sample(self, m: int, rng) -> tuple:
+        rows = self.rows(m, rng)
+        return rows.z_k, rows.accepted, rows.output
+
+
+def _sampler(params: ProtocolParams, devices, sv_strategy):
+    """The protocol engine for these k devices: the vectorized sampler where
+    fast_path_applicable makes it distribution-exact, run_protocol per trial
+    otherwise."""
+    if len(devices) != params.k:
+        raise ValueError(f"need {params.k} devices, got {len(devices)}")
+    if fast_path_applicable(params, devices, sv_strategy):
+        return _IidSampler(params, devices, sv_strategy)
+    return _ProtocolSampler(params, devices, sv_strategy)
+
 
 SIMULATE_CHUNK = 256
 
 
-def simulate_engine(params: ProtocolParams, box, sv_strategy) -> str:
-    """The engine simulate_trials takes: "vectorized" when k i.i.d. devices
-    with this box and this source meet fast_path_applicable, else "general"."""
-    devices = [IidDevice(box)] * params.k
-    return "vectorized" if fast_path_applicable(params, devices, sv_strategy) else "general"
+def _chunks(trials: int, seed) -> tuple:
+    """(sizes, seeds): chunks of SIMULATE_CHUNK trials, the last possibly
+    shorter, and one child of the seed's SeedSequence per chunk.  seed is an
+    int, None or a SeedSequence."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    sizes = [min(SIMULATE_CHUNK, trials - lo) for lo in range(0, trials, SIMULATE_CHUNK)]
+    return sizes, seed.spawn(len(sizes))
 
 
 def _chunk_rows(sampler, size: int, seed_seq) -> TrialRows:
     return sampler.rows(size, np.random.default_rng(seed_seq))
 
 
-def simulate_trials(params: ProtocolParams, box, sv_strategy, trials: int, seed=None,
+def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None,
                     mapper=map):
-    """Protocol runs of k i.i.d. devices sharing one box: an iterator of
-    TrialRows, one per chunk of SIMULATE_CHUNK trials (the last may be
-    shorter), in trial order.
+    """Protocol runs of the k devices: an iterator of TrialRows, one per
+    chunk of SIMULATE_CHUNK trials (the last may be shorter), in trial order.
 
-    Chunk c draws only from child c of SeedSequence(seed), so the rows depend
-    on the seed alone; mapper may be an executor's map to spread chunks over
-    processes.  The engine is simulate_engine's choice: the vectorized
-    sampler where it is distribution-exact, run_protocol per trial otherwise.
+    Chunk c draws only from child c of the seed's SeedSequence, so the rows
+    depend on the seed alone; mapper may be an executor's map to spread
+    chunks over processes.  The devices are shared by every trial, so they
+    must not carry state from one run to the next.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    box = box if isinstance(box, NsBox) else NsBox(box)
-    if simulate_engine(params, box, sv_strategy) == "vectorized":
-        sampler = _IidSampler(params, box, sv_strategy)
-    else:
-        sampler = _ProtocolSampler(params, box, sv_strategy)
-    sizes = [min(SIMULATE_CHUNK, trials - lo) for lo in range(0, trials, SIMULATE_CHUNK)]
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return mapper(_chunk_rows, [sampler] * len(sizes), sizes, children)
+    sampler = _sampler(params, devices, sv_strategy)
+    sizes, seeds = _chunks(trials, seed)
+    return mapper(_chunk_rows, [sampler] * len(sizes), sizes, seeds)
 
 
 @dataclass
@@ -583,23 +554,18 @@ class EmpiricalBiasReport:
 
 
 def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
-                         seed: int | None = None, fast: str = "auto") -> EmpiricalBiasReport:
+                         seed: int | None = None) -> EmpiricalBiasReport:
     """Monte Carlo audit of the output bit against an explicit adversary.
 
     adversary: list of (weight, device_factory, sv_strategy) triples, one per
-    eavesdropper symbol z; device_factory() yields the k devices of a trial.
-    Each symbol is run `trials` times (stratified), the exact weights enter
-    the distance averages.  fast: "auto" dispatches the vectorized runner
-    when it is distribution-exact, "never" forces the general loop, and
-    "always" demands the vectorized runner and raises ValueError for any
-    symbol where it would not be exact.
+    eavesdropper symbol z; device_factory() is called once per symbol and
+    yields the k devices every trial of that symbol runs against.  Each
+    symbol is run `trials` times (stratified) on the engine simulate_trials
+    uses, symbol i seeded by child i of SeedSequence(seed) and chunked like
+    simulate_trials; the exact weights enter the distance averages.
     """
-    if fast not in ("auto", "never", "always"):
-        raise ValueError(f"fast must be 'auto', 'never' or 'always', got {fast!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if params.k < 1:
-        raise ValueError("need at least one device")
     weights = np.array([w for w, _, _ in adversary], dtype=float)
     if len(weights) == 0 or np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("adversary weights must form a distribution")
@@ -607,24 +573,12 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     rows, accept_total = [], 0
     master = np.random.SeedSequence(seed)
     for (weight, factory, strategy), child in zip(adversary, master.spawn(len(adversary))):
-        rng = np.random.default_rng(child)
-        devices = factory()
-        use_fast = fast != "never" and fast_path_applicable(params, devices, strategy)
-        if fast == "always" and not use_fast:
-            raise ValueError("fast='always': the vectorized runner is not exact for this adversary")
-        if use_fast:
-            accepted, output = run_trials_iid(
-                params, devices[0].box, strategy, trials, rng
-            )
-            n_acc = int(accepted.sum())
-            zeros = int(np.sum(output == 0))
-        else:
-            n_acc = zeros = 0
-            for _ in range(trials):
-                result, _ = run_protocol(params, factory(), strategy, rng)
-                if result.accepted:
-                    n_acc += 1
-                    zeros += result.output_bit == 0
+        sampler = _sampler(params, factory(), strategy)
+        n_acc = zeros = 0
+        for size, chunk_seed in zip(*_chunks(trials, child)):
+            _, accepted, output = sampler.sample(size, np.random.default_rng(chunk_seed))
+            n_acc += int(accepted.sum())
+            zeros += int(np.sum(output == 0))
         p0 = zeros / n_acc if n_acc else float("nan")
         rows.append((weight, n_acc, p0, wilson_interval(zeros, n_acc)))
         accept_total += n_acc

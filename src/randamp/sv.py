@@ -16,20 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import in_inequality
-
 
 class StrategyViolationError(ValueError):
     """A bias rule returned a value outside the admissible interval."""
-
-
-@dataclass
-class SvParams:
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in [0, 1/2), got {self.epsilon}")
 
 
 @dataclass
@@ -128,15 +117,6 @@ def draw_index(strategy, transcript: SvTranscript, n: int, rng: np.random.Genera
     for _ in range(width):
         index = (index << 1) | next_bit(strategy, transcript, rng)
     return index
-
-
-def draw_kept_setting(strategy, transcript: SvTranscript, rng: np.random.Generator, max_draws: int = 10**6):
-    """Draw settings until one carries a Bell coefficient; returns (setting, draws used)."""
-    for attempt in range(1, max_draws + 1):
-        u = draw_setting(strategy, transcript, rng)
-        if in_inequality(u):
-            return u, attempt
-    raise RuntimeError(f"no inequality setting after {max_draws} draws")
 
 
 def string_probability_bounds(epsilon: float, length: int):

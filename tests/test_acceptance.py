@@ -29,12 +29,12 @@ from randamp.protocol import (
     estimate_output_bias,
     robustness_acceptance_bound,
     robustness_threshold,
-    run_trials_iid,
     xor_bias_bound,
-    xor_distribution_exact,
 )
 from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
 from randamp.sv import GreedyTowardString, HonestBits
+
+from helpers import xor_distribution_exact
 
 
 def test_criterion_1_quantum_algebraic_violation():
@@ -128,10 +128,8 @@ def test_criterion_5_verification_test_soundness():
     box = mixed_with_uniform(algebraic_violation_box(), 0.2)
     assert bell_value(box) == pytest.approx(0.8, abs=1e-12)
     trials = 10_000
-    accepted, _ = run_trials_iid(
-        params, box, HonestBits(), trials, np.random.default_rng(51)
-    )
-    rejection = 1.0 - accepted.mean()
+    adversary = [(1.0, lambda: [IidDevice(box)] * params.k, HonestBits())]
+    rejection = 1.0 - estimate_output_bias(params, adversary, trials, seed=51).acceptance_rate
     bound = azuma_rejection_bound(params)
     assert bound == pytest.approx(1.0 - math.exp(-0.00625), abs=1e-15)
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
@@ -152,10 +150,8 @@ def test_criterion_6_robustness_completeness():
     assert measured <= threshold
     params = ProtocolParams(epsilon=0.0, delta=0.8, mu=0.9, k=2000)
     trials = 10_000
-    accepted, _ = run_trials_iid(
-        params, box, HonestBits(), trials, np.random.default_rng(62)
-    )
-    acceptance = accepted.mean()
+    adversary = [(1.0, lambda: [IidDevice(box)] * params.k, HonestBits())]
+    acceptance = estimate_output_bias(params, adversary, trials, seed=62).acceptance_rate
     bound = robustness_acceptance_bound(params)
     assert bound == pytest.approx(1.0 - math.exp(-2.44140625e-5), abs=1e-18)
     sigma = math.sqrt(max(bound * (1.0 - bound), 1.0 / trials) / trials)

@@ -17,7 +17,6 @@ from randamp.boxes import (
     enumerate_local_deterministic_boxes,
     in_inequality,
     is_no_signaling,
-    is_no_signaling_parties,
     lhv_minimum,
     local_deterministic_box,
     majority,
@@ -29,6 +28,8 @@ from randamp.boxes import (
     uniform_box,
     unpack_bits,
 )
+
+from helpers import is_no_signaling_parties
 
 
 def test_bit_packing_roundtrip():

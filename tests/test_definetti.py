@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from randamp.definetti import (
     t_statistic,
     t_statistic_levels,
 )
+from randamp.cli import main as cli_main
 from randamp.sv import ConstantBias, GreedyTowardString, HonestBits
 
 LN2 = math.log(2.0)
@@ -560,3 +562,43 @@ def test_incremental_validation_normalization_and_negativity():
     bad[(1,) * N32 + (1,) * N32] += 0.05
     with pytest.raises(ValueError, match="negative"):
         JointBoxSystem((3, 2), 2, 2, bad)
+
+
+def test_component_boxes_checked_once(tmp_path, capsys):
+    """Builders skip dense validation, so each component table is checked up
+    front: a bad one raises ValueError from iid_system, from
+    exchangeable_mixture and from `randamp definetti` (exit code 1)."""
+    good = np.array([[0.7, 0.4], [0.3, 0.6]])
+    bad = {
+        "negative": np.array([[1.1, 0.4], [-0.1, 0.6]]),
+        "normalization": np.array([[0.7, 0.4], [0.3, 0.5]]),
+        "2-D": np.array([0.5, 0.5]),
+    }
+    for match, q in bad.items():
+        with pytest.raises(ValueError, match=match):
+            iid_system((1, 2), q)
+        with pytest.raises(ValueError, match=match):
+            exchangeable_mixture((1, 2), [good, q], (0.5, 0.5))
+        cfg = tmp_path / f"{match}.json"
+        cfg.write_text(json.dumps({
+            "epsilon": 0.1,
+            "n": [1, 2],
+            "t_levels": [2.0],
+            "system": {"type": "exchangeable", "components": [good.tolist(), q.tolist()],
+                       "weights": [0.5, 0.5]},
+            "sv": {"strategy": "honest"},
+        }))
+        assert cli_main(["definetti", "--config", str(cfg)]) == 1
+        assert match in capsys.readouterr().err
+    with pytest.raises(ValueError, match="too large"):
+        exchangeable_mixture((13, 13), [good, good], (0.5, 0.5))
+    with pytest.raises(ValueError, match="same shape"):
+        exchangeable_mixture((1, 2), [good, np.full((2, 3), 0.5)], (0.5, 0.5))
+    # normalization is held to tol over the product of all uses, not per column
+    drift = np.array([[0.7, 0.4], [0.3, 0.6 + 3e-10]])
+    iid_system((1, 2), drift)
+    with pytest.raises(ValueError, match="normalization"):
+        iid_system((2, 2), drift)
+    # builds that pass are valid systems, as dense validation confirms
+    system = exchangeable_mixture((2, 2), [good, Q_ZERO], (0.3, 0.7))
+    JointBoxSystem(system.n, 2, 2, system.tensor)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import randamp.boxes
 from randamp.boxes import (
     NsBox,
     algebraic_violation_box,
@@ -14,6 +15,7 @@ from randamp.devices import (
     IidDevice,
     MixtureDevice,
     SequenceDevice,
+    TimeOrderedDevice,
     ZeroProbabilityHistoryError,
     condition_device,
     history_likelihood,
@@ -142,3 +144,37 @@ def test_iid_device_validates_table():
         IidDevice(np.full((16, 16), 0.5))
     device = IidDevice(np.full((16, 16), 1.0 / 16.0))
     assert isinstance(device.box, NsBox)
+
+
+def test_mixture_box_is_posterior_weighted_sum_without_revalidation(monkeypatch):
+    boxes = [
+        algebraic_violation_box(),
+        uniform_box(),
+        mixed_with_uniform(algebraic_violation_box(), 0.4),
+    ]
+    device = MixtureDevice([IidDevice(b) for b in boxes], (0.2, 0.5, 0.3))
+    history = ((8, 0), (1, 5), (14, 3))
+    post = device.posterior(history)
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("mixture box validated again")
+
+    monkeypatch.setattr(randamp.boxes, "is_no_signaling", no_validation)
+    box = device.box_given(history)
+    assert isinstance(box, NsBox)
+    want = sum(w * b.table for w, b in zip(post, boxes))
+    assert np.max(np.abs(box.table - want)) <= 1e-15
+    monkeypatch.undo()
+    assert randamp.boxes.is_no_signaling(box.table)[0]
+
+
+def test_mixture_rejects_component_without_box():
+    class RawTable(TimeOrderedDevice):
+        def box_given(self, history):
+            return np.full((16, 16), 1.0 / 16.0)
+
+    device = MixtureDevice([IidDevice(uniform_box()), RawTable()], (0.5, 0.5))
+    with pytest.raises(DeviceError, match="ndarray"):
+        device.box_given(())
+    with pytest.raises(DeviceError):
+        sample_outcome(device, (), 8, np.random.default_rng(0))

@@ -29,21 +29,26 @@ from randamp.protocol import (
     robustness_acceptance_bound,
     robustness_threshold,
     run_protocol,
-    run_trials_iid,
-    simulate_engine,
     simulate_trials,
     wilson_interval,
     xor_bias_bound,
-    xor_distribution_exact,
 )
 from randamp.quantum import born_box, build_state, xz_bases
 from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
+
+from helpers import xor_distribution_exact
 
 HONEST = HonestBits()
 
 
 def honest_params(k=5, epsilon=0.0, delta=0.8, mu=0.9, **kw):
     return ProtocolParams(epsilon=epsilon, delta=delta, mu=mu, k=k, **kw)
+
+
+def engine_columns(chunks, fields=("z_k", "accepted", "output", "selection", "m_realized")):
+    """Concatenate the chunks simulate_trials yields, one array per field."""
+    chunks = list(chunks)
+    return [np.concatenate([getattr(c, f) for c in chunks]) for f in fields]
 
 
 def test_params_validation_and_broadcast():
@@ -293,10 +298,11 @@ def test_fast_path_applicability():
     assert not fast_path_applicable(params, iid, Custom())
 
 
-def test_run_trials_iid_shapes_and_abort_marking():
+def test_engine_shapes_and_abort_marking():
     params = honest_params(k=50)
-    accepted, output = run_trials_iid(
-        params, uniform_box(), HONEST, 300, np.random.default_rng(3)
+    accepted, output = engine_columns(
+        simulate_trials(params, [IidDevice(uniform_box())] * 50, HONEST, 300, seed=3),
+        ("accepted", "output"),
     )
     assert accepted.shape == (300,) and output.shape == (300,)
     assert accepted.dtype == bool
@@ -312,8 +318,10 @@ def test_fast_and_general_paths_agree():
     p_one = bell_value(box) / 8.0
     expect = (1.0 - p_one) ** params.k  # accept iff no selected pair scores
 
-    rng = np.random.default_rng(9)
-    accepted, output = run_trials_iid(params, box, HONEST, 50_000, rng)
+    accepted, output = engine_columns(
+        simulate_trials(params, [IidDevice(box)] * params.k, HONEST, 50_000, seed=9),
+        ("accepted", "output"),
+    )
     fast_rate = accepted.mean()
     assert fast_rate == pytest.approx(expect, abs=4 * math.sqrt(expect / 50_000))
 
@@ -390,47 +398,53 @@ def test_estimate_output_bias_validation():
         estimate_output_bias(params, [(0.7, lambda: [], HONEST)], trials=5)
 
 
-def test_estimate_output_bias_fast_mode_is_checked():
-    params = honest_params(k=2, epsilon=0.1)
-    box = algebraic_violation_box()
-    iid = lambda: [IidDevice(box)] * 2
-    inexact = [(1.0, iid, GreedyTowardString((0, 1, 1), 0.1))]
-    with pytest.raises(ValueError, match="not exact"):
-        estimate_output_bias(params, inexact, trials=5, fast="always")
-    mixture = MixtureDevice([IidDevice(box), IidDevice(uniform_box())], (0.5, 0.5))
-    with pytest.raises(ValueError, match="not exact"):
-        estimate_output_bias(params, [(1.0, lambda: [mixture] * 2, HONEST)], trials=5, fast="always")
-    with pytest.raises(ValueError, match="fast"):
-        estimate_output_bias(params, [(1.0, iid, HONEST)], trials=5, fast="sometimes")
-    report = estimate_output_bias(params, [(1.0, iid, HONEST)], trials=5, fast="always")
-    assert report.acceptance_rate == 1.0
-
-
 def test_simulate_trials_chunks_and_engines():
     params = honest_params(k=3, epsilon=0.1, n=(4,))
-    box = mixed_with_uniform(algebraic_violation_box(), 0.2)
+    devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * 3
     greedy = GreedyTowardString((0, 1), 0.1)
-    assert simulate_engine(params, box, greedy) == "vectorized"
-    assert simulate_engine(params, box, GreedyTowardString((0, 1, 1), 0.1)) == "general"
+    assert fast_path_applicable(params, devices, greedy)
+    assert not fast_path_applicable(params, devices, GreedyTowardString((0, 1, 1), 0.1))
 
-    def columns(chunks):
-        return [np.concatenate([getattr(c, f) for c in chunks]) for f in
-                ("z_k", "accepted", "output", "selection", "m_realized")]
-
-    chunks = list(simulate_trials(params, box, greedy, 600, seed=3))
+    chunks = list(simulate_trials(params, devices, greedy, 600, seed=3))
     assert [len(c.z_k) for c in chunks] == [256, 256, 88]
     # each chunk draws from its own seed child, so scheduling cannot matter
     backwards = lambda fn, *its: reversed([fn(*args) for args in reversed(list(zip(*its)))])
-    reordered = list(simulate_trials(params, box, greedy, 600, seed=3, mapper=backwards))
-    for a, b in zip(columns(chunks), columns(reordered)):
+    reordered = simulate_trials(params, devices, greedy, 600, seed=3, mapper=backwards)
+    for a, b in zip(engine_columns(chunks), engine_columns(reordered)):
         assert np.array_equal(a, b)
-    z, acc, out, sel, m = columns(chunks)
+    z, acc, out, sel, m = engine_columns(chunks)
     assert np.array_equal(acc, z <= acceptance_threshold(params))
     assert np.array_equal(out == -1, ~acc)
     assert sel.shape == m.shape == (600, 3)
     assert sel.min() >= 0 and sel.max() < 4 and m.min() >= 4
     with pytest.raises(ValueError):
-        simulate_trials(params, box, greedy, 0)
+        simulate_trials(params, devices, greedy, 0)
+    with pytest.raises(ValueError, match="need 3 devices"):
+        simulate_trials(params, devices[:2], greedy, 10)
+
+
+def test_audit_counts_match_simulate_rows():
+    """For one seed child the audit's accepted and zero-output counts are the
+    simulate rows' counts, on the vectorized and the general engine."""
+    params = honest_params(k=3, epsilon=0.1, n=(2,))
+    box = mixed_with_uniform(algebraic_violation_box(), 0.3)
+    mixture = MixtureDevice([IidDevice(box), IidDevice(uniform_box())], (0.7, 0.3))
+    cases = [
+        ([IidDevice(box)] * 3, GreedyTowardString((0, 1), 0.1), 600, True),
+        ([IidDevice(box)] * 3, GreedyTowardString((0, 1, 1), 0.1), 300, False),
+        ([mixture] * 3, HONEST, 300, False),
+    ]
+    for devices, source, trials, vectorized in cases:
+        assert fast_path_applicable(params, devices, source) == vectorized
+        report = estimate_output_bias(params, [(1.0, lambda: devices, source)], trials, seed=5)
+        child = np.random.SeedSequence(5).spawn(1)[0]
+        accepted, output = engine_columns(
+            simulate_trials(params, devices, source, trials, seed=child), ("accepted", "output")
+        )
+        _, n_acc, _, interval = report.per_symbol[0]
+        assert 0 < n_acc < trials  # an interior rate, so the counts have teeth
+        assert n_acc == int(accepted.sum())
+        assert interval.successes == int(np.sum(output == 0))
 
 
 def test_wilson_interval_behavior():

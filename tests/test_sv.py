@@ -9,17 +9,17 @@ from randamp.sv import (
     HonestBits,
     SettingSteering,
     StrategyViolationError,
-    SvParams,
     SvTranscript,
     draw_bits,
     draw_index,
-    draw_kept_setting,
     draw_setting,
     exact_bitstring_distribution,
     next_bit,
     replay_transcript,
     string_probability_bounds,
 )
+
+from helpers import SvParams, draw_kept_setting
 
 
 class FixedRng:
