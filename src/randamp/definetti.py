@@ -106,19 +106,21 @@ class JointBoxSystem:
             for m in reversed(range(len(uses))):
                 marg = marg.sum(axis=uses[m], keepdims=True)
                 devs[m] = _input_dependence(marg, N + uses[m])
-            for m, dev in enumerate(devs):
-                if dev > self.tol:
-                    raise ValueError(
-                        f"time-ordered no-signaling violated at device {j + 1}, use {m + 1}: "
-                        f"future input shifts past marginal by {dev:.3e}"
-                    )
             # Other devices' joint marginal must ignore every input of device j.
+            # Checked first: such a dependence also shows in device j's
+            # time-ordered marginals, and it is cross-device signaling.
             for m, g in enumerate(uses):
                 dev = _input_dependence(marg, N + g)
                 if dev > self.tol:
                     raise ValueError(
                         f"cross-device signaling from device {j + 1}, use {m + 1}: "
                         f"input shifts other devices by {dev:.3e}"
+                    )
+            for m, dev in enumerate(devs):
+                if dev > self.tol:
+                    raise ValueError(
+                        f"time-ordered no-signaling violated at device {j + 1}, use {m + 1}: "
+                        f"future input shifts past marginal by {dev:.3e}"
                     )
 
 

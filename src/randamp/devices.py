@@ -67,12 +67,30 @@ class MixtureDevice(TimeOrderedDevice):
             raise ValueError("need one weight per component")
         if np.min(self.weights) < 0 or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must form a distribution")
+        self._last = ((), np.ones(len(self.components)))
+
+    def _likelihoods(self, history) -> np.ndarray:
+        """history_likelihood of each component.  The last (history,
+        likelihoods) pair is kept: a history one use longer than it costs one
+        factor per component, the same float product in the same order;
+        any other history is recomputed from the start."""
+        history = tuple(history)
+        prev, like = self._last
+        if len(history) == len(prev) + 1 and history[:-1] == prev:
+            u, x = history[-1]
+            like = np.array([
+                p * float(as_table(c.box_given(prev))[x, u]) if p != 0.0 else 0.0
+                for p, c in zip(like, self.components)
+            ])
+        elif history != prev:
+            like = np.array(
+                [history_likelihood(c, history) for c in self.components], dtype=float
+            )
+        self._last = (history, like)
+        return like
 
     def posterior(self, history) -> np.ndarray:
-        like = np.array(
-            [history_likelihood(c, history) for c in self.components], dtype=float
-        )
-        joint = self.weights * like
+        joint = self.weights * self._likelihoods(history)
         total = joint.sum()
         if total <= 0.0:
             raise ZeroProbabilityHistoryError(
@@ -131,7 +149,8 @@ def condition_device(device: TimeOrderedDevice, history) -> TimeOrderedDevice:
 
 
 def sample_outcome(device: TimeOrderedDevice, history, setting: int, rng) -> int:
-    """Draw an outcome for the given setting; validates the returned box."""
+    """Draw an outcome for the given setting.  The device must return an
+    NsBox (DeviceError otherwise); the box is not validated again."""
     box = device.box_given(tuple(history))
     if not isinstance(box, NsBox):
         raise DeviceError(f"device returned {type(box).__name__}, not a box")

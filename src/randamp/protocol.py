@@ -365,8 +365,11 @@ class _IidSampler:
     source whose bias depends on bit position only (fast_path_applicable).
 
     Kept settings are then i.i.d. with the restricted, renormalized draw law,
-    so each device's selected (setting, outcome) pair is drawn directly; the
-    draw counts and selection indices are independent of those pairs.
+    so the selected pairs of the k devices are i.i.d., and independent of the
+    draw counts and selection indices.  The test reads only the Bell
+    coefficient b of each selected pair and the hash only the majority g of
+    its first three outcome bits, so a trial is the counts of the k devices
+    over the four cells 2b + g: one multinomial draw with the law `law`.
     """
 
     def __init__(self, params: ProtocolParams, devices, sv_strategy):
@@ -375,11 +378,15 @@ class _IidSampler:
         kept_idx = np.array(INEQUALITY_INDICES)
         kept_p = draw[kept_idx]
         self.kept_mass = float(kept_p.sum())
-        kept_p = kept_p / kept_p.sum()
-        self.kept_cdf = np.cumsum(kept_p)
-        self.out_cdf = np.cumsum(table[:, kept_idx], axis=0).T  # (8, 16)
-        self.bell_at = BELL_FUNCTIONAL[:, kept_idx].T  # (8, 16)
-        self.maj = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
+        cols = table[:, kept_idx]
+        # P(selected pair = (kept setting s, outcome x)), indexed [x, s]
+        pair_p = cols / cols.sum(axis=0) * (kept_p / self.kept_mass)
+        maj = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
+        cell = 2 * BELL_FUNCTIONAL[:, kept_idx].astype(np.int64) + maj[:, None]
+        law = np.bincount(cell.ravel(), weights=pair_p.ravel(), minlength=4)
+        self.law = law / law.sum()
+        # zero-probability cells are left out of the draw, so they get no mass
+        self.cells = np.flatnonzero(self.law > 0)
         self.threshold = acceptance_threshold(params)
         self.n = np.array(params.n)
         self.select_p0, self.select_weights = _selection_law(params, sv_strategy)
@@ -387,19 +394,11 @@ class _IidSampler:
     def sample(self, m: int, rng) -> tuple:
         """(Z_k, accepted, output bit or -1 where aborted) for m trials."""
         k = len(self.n)
-        s = np.searchsorted(self.kept_cdf, rng.random((m, k)), side="right")
-        s = np.minimum(s, 7)
-        r = rng.random((m, k))
-        x = np.empty((m, k), dtype=np.int64)
-        for si in range(8):
-            mask = s == si
-            if np.any(mask):
-                x[mask] = np.minimum(
-                    np.searchsorted(self.out_cdf[si], r[mask], side="right"), 15
-                )
-        z = self.bell_at[s, x].mean(axis=1)
+        counts = np.zeros((m, 4), dtype=np.int64)
+        counts[:, self.cells] = rng.multinomial(k, self.law[self.cells], size=m)
+        z = (counts[:, 2] + counts[:, 3]) / k
         acc = z <= self.threshold
-        bits = np.bitwise_xor.reduce(self.maj[x], axis=1)
+        bits = (counts[:, 1] + counts[:, 3]) & 1
         return z, acc, np.where(acc, bits, -1)
 
     def rows(self, m: int, rng) -> "TrialRows":
@@ -509,8 +508,10 @@ def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, s
 
     Chunk c draws only from child c of the seed's SeedSequence, so the rows
     depend on the seed alone; mapper may be an executor's map to spread
-    chunks over processes.  The devices are shared by every trial, so they
-    must not carry state from one run to the next.
+    chunks over processes.  The devices are shared by every trial, so each
+    device's box must be a function of the history alone.  A device may
+    memoize, as MixtureDevice does, as long as its answers do not depend on
+    earlier runs.
     """
     sampler = _sampler(params, devices, sv_strategy)
     sizes, seeds = _chunks(trials, seed)

@@ -352,7 +352,7 @@ def test_system_validation():
     t = np.zeros((2, 2, 2, 2))
     for x1, x2, u1, u2 in itertools.product(range(2), repeat=4):
         t[x1, x2, u1, u2] = 0.5 if x2 == u1 else 0.0
-    with pytest.raises(ValueError, match="signaling"):
+    with pytest.raises(ValueError, match="cross-device"):
         JointBoxSystem((1, 1), 2, 2, t)
 
     with pytest.raises(ValueError, match="normalization"):
@@ -523,15 +523,16 @@ def echo(out_use, in_use):
 def test_incremental_validation_time_ordered_defects():
     JointBoxSystem((3, 2), 2, 2, echo(1, 0))  # an earlier input: allowed
     JointBoxSystem((3, 2), 2, 2, echo(4, 3))
+    ordered = "time-ordered no-signaling violated at"
     cases = [
-        (echo(3, 0), "device 1, use 1"),  # device 2 sees device 1's first input
-        (echo(0, 1), "device 1, use 2"),
-        (echo(1, 2), "device 1, use 3"),
-        (echo(0, 3), "device 2, use 1"),
-        (echo(3, 4), "device 2, use 2"),
+        (echo(3, 0), "cross-device signaling from device 1, use 1"),  # device 2 sees device 1's input
+        (echo(0, 1), f"{ordered} device 1, use 2"),
+        (echo(1, 2), f"{ordered} device 1, use 3"),
+        (echo(0, 3), "cross-device signaling from device 2, use 1"),  # and the other way round
+        (echo(3, 4), f"{ordered} device 2, use 2"),
     ]
-    for tensor, where in cases:
-        with pytest.raises(ValueError, match=f"time-ordered no-signaling violated at {where}:"):
+    for tensor, message in cases:
+        with pytest.raises(ValueError, match=f"{message}:"):
             JointBoxSystem((3, 2), 2, 2, tensor)
     # two defects on device 1: the earliest use is reported, as before
     both = hand_tensor(lambda x, u: float(x[0] == u[1]) * float(x[1] == u[2]) * 2.0)

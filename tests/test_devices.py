@@ -5,6 +5,7 @@ import randamp.boxes
 from randamp.boxes import (
     NsBox,
     algebraic_violation_box,
+    bell_value,
     mixed_with_uniform,
     pack_bits,
     parity_box,
@@ -21,6 +22,8 @@ from randamp.devices import (
     history_likelihood,
     sample_outcome,
 )
+from randamp.protocol import ProtocolParams, run_protocol
+from randamp.sv import GreedyTowardString
 
 
 def test_iid_device_ignores_history():
@@ -178,3 +181,80 @@ def test_mixture_rejects_component_without_box():
         device.box_given(())
     with pytest.raises(DeviceError):
         sample_outcome(device, (), 8, np.random.default_rng(0))
+
+
+def stateless_box(device, history) -> np.ndarray:
+    """The table a device answers with, recomputed from the full history by
+    the same float operations as MixtureDevice, keeping nothing between calls."""
+    if not isinstance(device, MixtureDevice):
+        return device.box_given(history).table
+    post = stateless_posterior(device, history)
+    table = np.zeros((16, 16))
+    for w, comp in zip(post, device.components):
+        if w > 0:
+            table += w * stateless_box(comp, history)
+    return table
+
+
+def stateless_posterior(device, history) -> np.ndarray:
+    """history_likelihood of each component, weighted and normalized."""
+    like = []
+    for comp in device.components:
+        p = 1.0
+        for l, (u, x) in enumerate(history):
+            if p == 0.0:
+                break
+            p *= float(stateless_box(comp, history[:l])[x, u])
+        like.append(p)
+    joint = device.weights * np.array(like)
+    return joint / joint.sum()
+
+
+def test_mixture_posterior_updates_one_use_at_a_time():
+    inner = MixtureDevice(
+        [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.3)), IidDevice(uniform_box())],
+        (0.5, 0.5),
+    )
+    device = MixtureDevice([inner, IidDevice(algebraic_violation_box())], (0.6, 0.4))
+    params = ProtocolParams(0.1, 0.8, 0.9, 3, n=(6,))
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        # the three devices share one object, so each one's first use
+        # arrives after another device's history
+        result, run = run_protocol(params, [device] * 3, GreedyTowardString((0,), 0.1), rng)
+        scale = (0.5 - params.epsilon) ** 4
+        for j in range(3):
+            pos = run.selected_use(j)
+            want = scale * bell_value(stateless_box(device, run.uses[j][:pos]), validate=False)
+            assert result.estimation.zeta[j] == want
+        history = tuple(run.uses[0])
+        for l in range(len(history) + 1):  # one use at a time
+            assert np.array_equal(device.posterior(history[:l]), stateless_posterior(device, history[:l]))
+        fresh = tuple(run.uses[1])[:3]
+        assert fresh[:2] != history[:2]
+        for query in (history[:2], fresh, history, history, ()):
+            # a prefix, a fresh history one use longer, a repeat and the empty one
+            assert np.array_equal(device.posterior(query), stateless_posterior(device, query))
+            assert np.array_equal(device.box_given(query).table, stateless_box(device, query))
+
+
+def test_mixture_posterior_keeps_zero_likelihoods():
+    even = IidDevice(parity_box([0] * 16))
+    odd = pack_bits((1, 0, 0, 0))
+    history = ((3, odd), (8, 5), (1, 0), (8, 0))
+    # a one-use schedule: like history_likelihood, the update must not query
+    # a component again once its likelihood is 0
+    once = SequenceDevice([parity_box([0] * 16)])
+    device = MixtureDevice([once, IidDevice(uniform_box())], (0.5, 0.5))
+    for l in range(len(history) + 1):
+        post = device.posterior(history[:l])
+        assert np.array_equal(post, stateless_posterior(device, history[:l]))
+    assert post[0] == 0.0 and post[1] == 1.0
+    only_even = MixtureDevice([even, even], (0.5, 0.5))
+    only_even.posterior(history[3:])
+    with pytest.raises(ZeroProbabilityHistoryError):
+        only_even.posterior(history[3:] + history[:1])  # one use on from the kept history
+    with pytest.raises(ZeroProbabilityHistoryError):
+        only_even.posterior(history[3:] + history[:2])
+    with pytest.raises(ZeroProbabilityHistoryError):
+        only_even.posterior(history)  # recomputed from the start

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from randamp.boxes import (
+    BELL_FUNCTIONAL,
     INEQUALITY_INDICES,
+    NsBox,
     algebraic_violation_box,
     bell_value,
+    local_deterministic_box,
     majority,
     mixed_with_uniform,
     uniform_box,
@@ -17,6 +20,7 @@ from randamp.devices import IidDevice, MixtureDevice
 from randamp.protocol import (
     EstimationRecord,
     ProtocolParams,
+    _IidSampler,
     acceptance_threshold,
     azuma_rejection_bound,
     distance_d,
@@ -345,6 +349,98 @@ def test_fast_and_general_paths_agree():
     p0_general = zeros_g / general
     s = math.sqrt(0.25 / accepted.sum() + 0.25 / general)
     assert abs(p0_fast - p0_general) <= 4 * s
+
+
+def cell_law(table, source, epsilon):
+    """P(Bell coefficient b, majority g of the first three outcome bits) of
+    one device's selected pair, indexed 2b + g, by enumeration: bit i of a
+    four-bit draw is 0 w.p. 1/2 + bias at position i, draws of odd weight are
+    kept, and the kept draw's column is renormalized."""
+    biases = [source.bias([0] * i) for i in range(4)]
+    assert all(abs(b) <= epsilon for b in biases)
+    law, kept_total = np.zeros(4), 0.0
+    for bits in itertools.product((0, 1), repeat=4):
+        if sum(bits) % 2 == 0:
+            continue
+        p_u = math.prod(0.5 + b if bit == 0 else 0.5 - b for bit, b in zip(bits, biases))
+        kept_total += p_u
+        u = sum(bit << i for i, bit in enumerate(bits))
+        col = table[:, u] / table[:, u].sum()
+        for x in range(16):
+            g = int(((x & 1) + (x >> 1 & 1) + (x >> 2 & 1)) >= 2)
+            law[2 * int(BELL_FUNCTIONAL[x, u]) + g] += p_u * col[x]
+    return law / kept_total
+
+
+def binomial_dp(law, k, threshold):
+    """(P(accept), P(output 0 | accept)) for k i.i.d. devices with cell law
+    law[2b + g]: a DP over devices of (Bell-coefficient count, majority parity)."""
+    dist = np.zeros((k + 1, 2))
+    dist[0, 0] = 1.0
+    for _ in range(k):
+        step = np.zeros_like(dist)
+        for b, g in itertools.product((0, 1), repeat=2):
+            shifted = np.roll(dist, b, axis=0)[:, [g, 1 - g]]
+            if b:
+                shifted[0] = 0.0
+            step += law[2 * b + g] * shifted
+        dist = step
+    accept = dist[[c for c in range(k + 1) if c / k <= threshold]].sum(axis=0)
+    return accept.sum(), accept[0] / accept.sum()
+
+
+# half a local deterministic box: its outcomes make the Bell coefficient and
+# the majority lean on the setting, so the cell law depends on the source and
+# the output bit of three devices is visibly biased
+LEANING = NsBox(0.5 * algebraic_violation_box().table
+                + 0.5 * local_deterministic_box(((0, 0), (0, 0), (0, 1), (1, 1))))
+
+
+def test_iid_sampler_cell_law_is_exact():
+    boxes = [
+        born_box(build_state(), xz_bases()),
+        algebraic_violation_box(),
+        uniform_box(),
+        LEANING,
+    ]
+    sources = [GreedyTowardString((0, 1), 0.2), SettingSteering((0, 1, 1, 1), 0.2)]
+    params = ProtocolParams(0.2, 0.8, 0.9, 4)
+    laws = []
+    for box in boxes:
+        for source in sources:
+            law = _IidSampler(params, [IidDevice(box)] * 4, source).law
+            assert np.max(np.abs(law - cell_law(box.table, source, 0.2))) <= 1e-15
+            laws.append(law)
+    assert not np.allclose(laws[-2], laws[-1])  # the source matters on LEANING
+
+
+def test_iid_sampler_algebraic_box_always_accepts():
+    params = ProtocolParams(0.1, 0.8, 0.9, 20, n=(4,))
+    devices = [IidDevice(algebraic_violation_box())] * 20
+    source = GreedyTowardString((0, 1), 0.1)
+    assert fast_path_applicable(params, devices, source)
+    z, accepted = engine_columns(
+        simulate_trials(params, devices, source, 5000, seed=8), ("z_k", "accepted")
+    )
+    assert np.all(z == 0.0) and np.all(accepted)
+
+
+def test_iid_sampler_matches_binomial_dp():
+    source = SettingSteering((0, 1, 1, 1), 0.1)
+    law = cell_law(LEANING.table, source, 0.1)
+    trials = 200_000
+    # k = 3 accepts only with no Bell coefficient, k = 20 with at most one
+    for k, seed in ((3, 12), (20, 13)):
+        params = ProtocolParams(0.1, 8.0, 0.5, k)
+        p_acc, p_zero = binomial_dp(law, k, acceptance_threshold(params))
+        assert 0.05 < p_acc < 0.95
+        report = estimate_output_bias(
+            params, [(1.0, lambda: [IidDevice(LEANING)] * k, source)], trials, seed=seed
+        )
+        _, n_acc, p0, _ = report.per_symbol[0]
+        assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
+        assert abs(p0 - p_zero) <= 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc)
+    assert abs(binomial_dp(law, 3, 0.0)[1] - 0.5) > 0.03  # the k = 3 bias has teeth
 
 
 def test_estimate_output_bias_honest():
