@@ -8,6 +8,8 @@ the box at use l is a function of the past only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .boxes import NsBox, as_table
@@ -67,36 +69,42 @@ class MixtureDevice(TimeOrderedDevice):
             raise ValueError("need one weight per component")
         if np.min(self.weights) < 0 or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must form a distribution")
-        self._last = ((), np.ones(len(self.components)))
+        self._prior = self.weights.tolist()
+        self._last = ((), [(0.5, 1)] * len(self.components))
 
-    def _likelihoods(self, history) -> np.ndarray:
-        """history_likelihood of each component.  The last (history,
-        likelihoods) pair is kept: a history one use longer than it costs one
-        factor per component, the same float product in the same order;
-        any other history is recomputed from the start."""
+    def _likelihoods(self, history) -> list:
+        """history_likelihood of each component as a (mantissa, exponent)
+        pair from math.frexp, so a long history cannot underflow it.  The
+        last (history, likelihoods) pair is kept: a history one use longer
+        than it costs one factor per component, the same float product in
+        the same order up to exact powers of two; any other history is
+        recomputed from the start."""
         history = tuple(history)
         prev, like = self._last
         if len(history) == len(prev) + 1 and history[:-1] == prev:
             u, x = history[-1]
-            like = np.array([
-                p * float(as_table(c.box_given(prev))[x, u]) if p != 0.0 else 0.0
-                for p, c in zip(like, self.components)
-            ])
+            like = [
+                _scaled(m * float(as_table(c.box_given(prev))[x, u]), e) if m != 0.0 else (m, e)
+                for (m, e), c in zip(like, self.components)
+            ]
         elif history != prev:
-            like = np.array(
-                [history_likelihood(c, history) for c in self.components], dtype=float
-            )
+            like = [_scaled_likelihood(c, history) for c in self.components]
         self._last = (history, like)
         return like
 
     def posterior(self, history) -> np.ndarray:
-        joint = self.weights * self._likelihoods(history)
-        total = joint.sum()
-        if total <= 0.0:
+        """Prior times likelihood, normalized.  Every likelihood is scaled by
+        the same power of two first, so the result is the plain
+        weights * likelihoods / total whenever those do not underflow."""
+        like = self._likelihoods(history)
+        supported = [e for w, (m, e) in zip(self._prior, like) if w > 0.0 and m != 0.0]
+        if not supported:
             raise ZeroProbabilityHistoryError(
                 f"history of length {len(history)} has zero probability under every component"
             )
-        return joint / total
+        top = max(supported)
+        joint = np.array([w * math.ldexp(m, e - top) for w, (m, e) in zip(self._prior, like)])
+        return joint / joint.sum()
 
     def box_given(self, history) -> NsBox:
         """Posterior-weighted sum of the component boxes.  Each must be an
@@ -113,16 +121,27 @@ class MixtureDevice(TimeOrderedDevice):
         return NsBox(table, validate=False)
 
 
+def _scaled(value: float, exponent: int) -> tuple:
+    """value * 2**exponent as a (mantissa, exponent) pair; exact."""
+    m, e = math.frexp(value)
+    return m, e + exponent
+
+
+def _scaled_likelihood(device: TimeOrderedDevice, history) -> tuple:
+    """history_likelihood as a (mantissa, exponent) pair; (0.0, e) once a
+    factor is 0, after which the device is not queried again."""
+    m, e = 0.5, 1
+    for l, (u, x) in enumerate(history):
+        if m == 0.0:
+            break
+        m, e = _scaled(m * float(as_table(device.box_given(history[:l]))[x, u]), e)
+    return m, e
+
+
 def history_likelihood(device: TimeOrderedDevice, history) -> float:
     """Probability the device assigns to an observed (setting, outcome) list,
-    conditional on those settings."""
-    p = 1.0
-    for l, (u, x) in enumerate(history):
-        if p == 0.0:
-            return 0.0
-        table = as_table(device.box_given(history[:l]))
-        p *= float(table[x, u])
-    return p
+    conditional on those settings (0.0 where it is below the float range)."""
+    return math.ldexp(*_scaled_likelihood(device, history))
 
 
 class ConditionedDevice(TimeOrderedDevice):
@@ -141,7 +160,7 @@ def condition_device(device: TimeOrderedDevice, history) -> TimeOrderedDevice:
     history = tuple(history)
     if isinstance(device, MixtureDevice):
         device.posterior(history)  # surfaces ZeroProbabilityHistoryError
-    elif history_likelihood(device, history) <= 0.0:
+    elif _scaled_likelihood(device, history)[0] == 0.0:
         raise ZeroProbabilityHistoryError(
             f"history of length {len(history)} has zero probability"
         )

@@ -7,10 +7,21 @@ and guess g.  The certified analytic cap on each optimum is (11 + 7 delta)/32.
 Two independent primal solvers are kept on purpose: scipy's HiGHS and the
 vendored dense simplex.  A feasible dual vector is produced by solving the
 explicit dual program and verifying its constraints directly.
+
+The 16 instances (8 settings u* x 2 guesses) are related by relabelings of
+the box that leave the feasible set alone: permuting parties 1-3, flipping
+the outputs of parties 1-3 together or of party 4, and flipping all four
+inputs exactly when an odd number of outputs flips.  They fall into two
+orbits, of sizes 4 and 12.  `certify_bound` solves one instance per orbit
+and carries its primal box and dual vector to the others; each map is first
+checked exactly, in integers, on the constraint rows, their right-hand side
+and the objectives, and each carried certificate is checked again like a
+solved one (Bodi, Herr & Joswig, Math. Program. 137, 2013).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,13 +159,17 @@ class LpSolution:
             )
 
 
+def _inequality_rhs(delta: float) -> np.ndarray:
+    _, b_eq = equality_constraints()
+    return np.concatenate([b_eq, -b_eq, np.zeros(N_VARS), [float(delta)]])
+
+
 def inequality_constraints(delta: float):
     """All-inequality form A x <= c covering equalities (both directions),
     positivity and the Bell cap; the dual lives over these rows."""
-    A_eq, b_eq = equality_constraints()
+    A_eq, _ = equality_constraints()
     A = np.vstack([A_eq, -A_eq, -np.eye(N_VARS), bell_row()[None, :]])
-    c = np.concatenate([b_eq, -b_eq, np.zeros(N_VARS), [float(delta)]])
-    return A, c
+    return A, _inequality_rhs(delta)
 
 
 def _solve_primal_highs(instance: LpInstance):
@@ -173,7 +188,7 @@ def _solve_primal_highs(instance: LpInstance):
     return res.x, -res.fun
 
 
-def _solve_dual_highs(instance: LpInstance):
+def _solve_dual_highs(instance: LpInstance) -> np.ndarray:
     A_ub, c_vec = inequality_constraints(instance.delta)
     res = linprog(
         c_vec,
@@ -184,10 +199,7 @@ def _solve_dual_highs(instance: LpInstance):
     )
     if not res.success:
         raise RuntimeError(f"dual solve failed on {instance}: {res.message}")
-    residual = np.max(np.abs(A_ub.T @ res.x - instance.objective_m()))
-    if residual > 1e-6:
-        raise RuntimeError(f"dual certificate infeasible, residual {residual:.3e}")
-    return res.x, float(c_vec @ res.x)
+    return res.x
 
 
 def _solve_primal_simplex(instance: LpInstance):
@@ -206,6 +218,42 @@ def _solve_primal_simplex(instance: LpInstance):
     return x[:N_VARS], -value
 
 
+def _solve_raw(instance: LpInstance, method: str):
+    """(primal x, primal value, dual vector) on the chosen primal route."""
+    if method == "highs":
+        x, value = _solve_primal_highs(instance)
+    elif method == "simplex":
+        x, value = _solve_primal_simplex(instance)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return x, value, _solve_dual_highs(instance)
+
+
+def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSolution:
+    """Check a primal point and a dual vector for one instance and wrap them.
+
+    The dual residual |A^T lam - m| is formed from the equality blocks, so no
+    dense copy of the inequality matrix is needed; the box must be
+    no-signaling within 1e-7 and LpSolution checks weak duality."""
+    m = instance.objective_m()
+    A_eq, _ = equality_constraints()
+    n_eq = len(A_eq)
+    lam_pos = lam[2 * n_eq : 2 * n_eq + N_VARS]
+    lam_bell = lam[-1]
+    residual = np.max(np.abs(
+        A_eq.T @ (lam[:n_eq] - lam[n_eq : 2 * n_eq]) - lam_pos + lam_bell * bell_row() - m
+    ))
+    if residual > 1e-6:
+        raise CertificationError(
+            f"dual certificate infeasible on {instance}, residual {residual:.3e}"
+        )
+    dual_value = float(_inequality_rhs(instance.delta) @ lam)
+    table = np.clip(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0, None)
+    table /= table.sum(axis=0, keepdims=True)
+    box = NsBox(table, tol=1e-7)
+    return LpSolution(instance, float(value), box, lam, dual_value, method)
+
+
 def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     """Solve one predictability program.
 
@@ -213,17 +261,170 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     Either way the returned dual certificate comes from an explicit dual solve
     and is feasibility-checked, so the two primal paths stay independent.
     """
-    if method == "highs":
-        x, value = _solve_primal_highs(instance)
-    elif method == "simplex":
-        x, value = _solve_primal_simplex(instance)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    lam, dual_value = _solve_dual_highs(instance)
-    table = np.clip(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0, None)
-    table /= table.sum(axis=0, keepdims=True)
-    box = NsBox(table, tol=1e-7)
-    return LpSolution(instance, float(value), box, lam, dual_value, method)
+    x, value, lam = _solve_raw(instance, method)
+    return _certified(instance, x, value, lam, method)
+
+
+# -- symmetry orbits of the 16 instances ------------------------------------
+
+INSTANCE_KEYS = tuple((u_star, guess) for u_star in INEQUALITY_SETTINGS for guess in (0, 1))
+
+
+def _permute_bits(index, parties):
+    """Move bit i of each index to bit parties[i]."""
+    index = np.asarray(index)
+    out = np.zeros_like(index)
+    for i, j in enumerate(parties):
+        out |= ((index >> i) & 1) << j
+    return out
+
+
+def _insert_zero_bit(index, pos):
+    low = index & ((1 << pos) - 1)
+    return low | ((index >> pos) << (pos + 1))
+
+
+def _drop_bit(index, pos):
+    low = index & ((1 << pos) - 1)
+    return low | ((index >> (pos + 1)) << pos)
+
+
+@dataclass(frozen=True)
+class SymmetryMap:
+    """A relabeling of box entries: party i+1's bits move to party
+    parties[i]+1, the outputs are then XORed with out_flip, and all four
+    inputs are flipped when in_flip.  It sends p to p' with p'(x'|u') = p(x|u).
+
+    Nothing here is trusted: `check_symmetry_map` verifies what the index
+    arithmetic claims."""
+
+    parties: tuple
+    out_flip: int
+    in_flip: bool
+
+    def outcome(self, x):
+        return _permute_bits(x, self.parties) ^ self.out_flip
+
+    def setting(self, u):
+        return _permute_bits(u, self.parties) ^ (N_SETTINGS - 1 if self.in_flip else 0)
+
+    def var_perm(self) -> np.ndarray:
+        """P with p'[P[v]] = p[v] over flat variables v = var_index(x, u)."""
+        v = np.arange(N_VARS)
+        return var_index(self.outcome(v // N_SETTINGS), self.setting(v % N_SETTINGS))
+
+    def row_perm(self) -> np.ndarray:
+        """R over the rows of `inequality_constraints`: row r read on p is
+        row R[r] read on p'.  A marginal row whose own input flips changes
+        sign, so it moves between the +A_eq and the -A_eq block."""
+        n_eq = N_SETTINGS + 4 * 64
+        rows = np.empty(2 * n_eq + N_VARS + 1, dtype=np.int64)
+        rows[:N_SETTINGS] = self.setting(np.arange(N_SETTINGS))
+        # Marginal row 16 + 64 i + 8 s + o: party i, other settings s and
+        # other outcomes o; its +1 entries sit at the party's own input 0.
+        r = np.arange(4 * 64)
+        party = r // 64
+        x = self.outcome(_insert_zero_bit(r % 8, party))
+        u = self.setting(_insert_zero_bit((r // 8) % 8, party))
+        moved = np.asarray(self.parties)[party]
+        own_input = (u >> moved) & 1
+        rows[N_SETTINGS:n_eq] = (
+            N_SETTINGS + 64 * moved + 8 * _drop_bit(u, moved) + _drop_bit(x, moved) + n_eq * own_input
+        )
+        rows[n_eq : 2 * n_eq] = (rows[:n_eq] + n_eq) % (2 * n_eq)
+        rows[2 * n_eq : -1] = 2 * n_eq + self.var_perm()
+        rows[-1] = len(rows) - 1
+        return rows
+
+
+def _candidate_maps():
+    """The 24 relabelings that keep the Bell row and carry majority-of-three
+    objectives to majority-of-three objectives: permute parties 1-3, flip the
+    outputs of parties 1-3 together and/or of party 4, and flip every input
+    exactly when an odd number of outputs flips.  Flipping only some of
+    parties 1-3 also keeps the LP but no objective."""
+    for perm in itertools.permutations(range(3)):
+        for out_flip in (0, 7, 8, 15):
+            yield SymmetryMap(perm + (3,), out_flip, bin(out_flip).count("1") % 2 == 1)
+
+
+def _integer_rows():
+    """The rows and right-hand side of `inequality_constraints` in integers,
+    the Bell entry of the right-hand side (delta) left at 0."""
+    A_eq, b_eq = equality_constraints()
+    A_int, b_int = A_eq.astype(np.int8), b_eq.astype(np.int8)
+    if not (np.array_equal(A_int, A_eq) and np.array_equal(b_int, b_eq)):
+        raise CertificationError("equality constraints are not integral")
+    A = np.vstack([A_int, -A_int, -np.eye(N_VARS, dtype=np.int8), bell_row().astype(np.int8)[None, :]])
+    c = np.concatenate([b_int, -b_int, np.zeros(N_VARS + 1, dtype=np.int8)])
+    return A, c
+
+
+def _objective_int(key) -> np.ndarray:
+    return LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8)
+
+
+def check_symmetry_map(smap: SymmetryMap, source, target):
+    """Verify exactly that smap carries instance `source` to `target`, both
+    (u_star, guess) keys, and return its (P, R).
+
+    Checked in integers: P and R are bijections, every inequality row maps
+    onto row R[r] under P, the right-hand side is unchanged, the Bell row is
+    fixed (so every delta is kept) and the source objective becomes the
+    target objective.  Any failure raises CertificationError."""
+    A, c = _integer_rows()
+    P, R = smap.var_perm(), smap.row_perm()
+    if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
+        raise CertificationError(f"{smap} is not a bijection")
+    if R[-1] != len(A) - 1:
+        raise CertificationError(f"{smap} moves the Bell row")
+    if not np.array_equal(A[R][:, P], A):
+        raise CertificationError(f"{smap} does not map the inequality rows onto themselves")
+    if not np.array_equal(c[R], c):
+        raise CertificationError(f"{smap} changes the right-hand side")
+    if not np.array_equal(_objective_int(target)[P], _objective_int(source)):
+        raise CertificationError(f"{smap} does not carry the objective of {source} to {target}")
+    return P, R
+
+
+@lru_cache(maxsize=1)
+def symmetry_orbits():
+    """((representative, ((member, P, R), ...)), ...) over the 16 instances.
+
+    Representatives are taken in INSTANCE_KEYS order.  Each candidate map is
+    applied to a representative's objective; the first map that lands on
+    another instance's objective carries the representative to it, and must
+    pass `check_symmetry_map`.  An instance no map reaches is its own
+    representative."""
+    by_objective = {_objective_int(key).tobytes(): key for key in INSTANCE_KEYS}
+    candidates = list(_candidate_maps())
+    reached, orbits = set(), []
+    for rep in INSTANCE_KEYS:
+        if rep in reached:
+            continue
+        reached.add(rep)
+        m_rep = _objective_int(rep)
+        members = []
+        for smap in candidates:
+            image = np.empty_like(m_rep)
+            image[smap.var_perm()] = m_rep
+            member = by_objective.get(image.tobytes())
+            if member is None or member in reached:
+                continue
+            reached.add(member)
+            members.append((member, *check_symmetry_map(smap, rep, member)))
+        orbits.append((rep, tuple(members)))
+    return tuple(orbits)
+
+
+def _transport(instance: LpInstance, x, lam, P, R, method: str) -> LpSolution:
+    """Carry a representative's primal point and dual vector to another
+    instance of its orbit and check them there as if solved."""
+    x_t, lam_t = np.empty_like(x), np.empty_like(lam)
+    x_t[P] = x
+    lam_t[R] = lam
+    value = 0.5 * float(instance.objective_m() @ x_t)
+    return _certified(instance, x_t, value, lam_t, method)
 
 
 def analytic_bound(delta: float) -> float:
@@ -239,6 +440,7 @@ class CertificationReport:
     max_optimum: float
     passed: bool
     method: str
+    solved: int  # LP instances solved; the rest were carried by symmetry
 
     def to_json(self) -> dict:
         return {
@@ -252,22 +454,31 @@ class CertificationReport:
 
 
 def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> CertificationReport:
-    """Solve all 16 instances (8 settings x 2 guesses) and check the cap.
+    """Check the cap on all 16 instances (8 settings x 2 guesses).
 
-    Raises CertificationError naming the first violating instance.
+    Solves one instance per symmetry orbit, transports its primal box and
+    dual certificate to the rest of the orbit, and re-checks every
+    transported certificate as a solved one is checked.  Raises
+    CertificationError naming the first violating instance.
     """
-    optima = {}
     bound = analytic_bound(delta)
-    for u_star in INEQUALITY_SETTINGS:
-        for guess in (0, 1):
-            sol = solve(LpInstance(u_star, delta, guess), method=method)
-            optima[(bits_str(pack_bits(u_star)), guess)] = sol.value
-            if sol.value > bound + tol:
-                raise CertificationError(
-                    f"optimum {sol.value} exceeds bound {bound} at u*={u_star}, guess={guess}, delta={delta}"
-                )
-    max_opt = max(optima.values())
-    return CertificationReport(float(delta), bound, optima, max_opt, True, method)
+    solutions = {}
+    orbits = symmetry_orbits()
+    for rep, members in orbits:
+        instance = LpInstance(rep[0], delta, rep[1])
+        x, value, lam = _solve_raw(instance, method)
+        solutions[rep] = _certified(instance, x, value, lam, method)
+        for member, P, R in members:
+            solutions[member] = _transport(LpInstance(member[0], delta, member[1]), x, lam, P, R, method)
+    optima = {}
+    for u_star, guess in INSTANCE_KEYS:
+        value = solutions[(u_star, guess)].value
+        optima[(bits_str(pack_bits(u_star)), guess)] = value
+        if value > bound + tol:
+            raise CertificationError(
+                f"optimum {value} exceeds bound {bound} at u*={u_star}, guess={guess}, delta={delta}"
+            )
+    return CertificationReport(float(delta), bound, optima, max(optima.values()), True, method, len(orbits))
 
 
 def adversarial_box(delta: float, u_star, guess: int, method: str = "highs") -> NsBox:

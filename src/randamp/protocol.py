@@ -130,9 +130,15 @@ class PropositionBound:
 
 
 def proposition_bound(params: ProtocolParams) -> PropositionBound:
+    """The three terms of the distance bound.
+
+    The estimation term ((11 + 7 delta)/16)^(mu k) is capped at 1: for
+    delta > 5/7 its base exceeds 1, so the term is vacuous there (and the
+    power would overflow a float at large k)."""
     e, d, m, k = params.epsilon, params.delta, params.mu, params.k
+    base = (11.0 + 7.0 * d) / 16.0
     return PropositionBound(
-        estimation_term=((11.0 + 7.0 * d) / 16.0) ** (m * k),
+        estimation_term=1.0 if base >= 1.0 else base ** (m * k),
         azuma_term=2.0 * math.exp(-k * (0.5 - e) ** 8 * (1.0 - m) ** 2 * d * d / 8.0),
         definetti_term=4.0 / math.sqrt(params.t),
     )

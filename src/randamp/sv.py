@@ -126,21 +126,6 @@ def string_probability_bounds(epsilon: float, length: int):
     return ((0.5 - epsilon) ** length, (0.5 + epsilon) ** length)
 
 
-def replay_transcript(strategy, transcript: SvTranscript) -> None:
-    """Recompute every recorded bias from the recorded history; raises on mismatch
-    or on any bias outside the source interval."""
-    for i, (bit, recorded) in enumerate(zip(transcript.bits, transcript.biases)):
-        b = float(strategy.bias(transcript.bits[:i]))
-        if abs(b) > transcript.epsilon:
-            raise StrategyViolationError(f"bias {b} outside interval at position {i}")
-        if abs(b - recorded) > 1e-12:
-            raise StrategyViolationError(
-                f"recorded bias {recorded} at position {i} does not replay ({b})"
-            )
-        if bit not in (0, 1):
-            raise StrategyViolationError(f"non-bit {bit} at position {i}")
-
-
 def exact_bitstring_distribution(strategy, length: int, epsilon: float) -> np.ndarray:
     """Probability of every length-bit string under the strategy, exactly.
 

@@ -1,14 +1,14 @@
 """Reference helpers that only the tests use: a parameter check for
-Santha-Vazirani sources, a kept-setting sampler, a no-signaling checker for
-tables of any number of binary parties, and the exhaustive XOR oracle of
-criterion 4."""
+Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
+a no-signaling checker for tables of any number of binary parties, and the
+exhaustive XOR oracle of criterion 4."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from randamp.boxes import DEFAULT_TOL, in_inequality
-from randamp.sv import SvTranscript, draw_setting
+from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
 
 
 @dataclass
@@ -27,6 +27,21 @@ def draw_kept_setting(strategy, transcript: SvTranscript, rng: np.random.Generat
         if in_inequality(u):
             return u, attempt
     raise RuntimeError(f"no inequality setting after {max_draws} draws")
+
+
+def replay_transcript(strategy, transcript: SvTranscript) -> None:
+    """Recompute every recorded bias from the recorded history; raises on mismatch
+    or on any bias outside the source interval."""
+    for i, (bit, recorded) in enumerate(zip(transcript.bits, transcript.biases)):
+        b = float(strategy.bias(transcript.bits[:i]))
+        if abs(b) > transcript.epsilon:
+            raise StrategyViolationError(f"bias {b} outside interval at position {i}")
+        if abs(b - recorded) > 1e-12:
+            raise StrategyViolationError(
+                f"recorded bias {recorded} at position {i} does not replay ({b})"
+            )
+        if bit not in (0, 1):
+            raise StrategyViolationError(f"non-bit {bit} at position {i}")
 
 
 def ns_max_violation(table: np.ndarray, n_parties: int, tol_norm: float = DEFAULT_TOL) -> float:

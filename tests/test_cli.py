@@ -263,6 +263,7 @@ def test_certify_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "certification: pass" in printed
     assert "delta=0.0: max_optimum=0.250000000" in printed
+    assert "solved 2 of 16 instances per delta (symmetry orbits)" in printed
     payload = json.loads((out / "certify.json").read_text())
     assert payload["passed"] is True
     grid = payload["grid"]
@@ -409,6 +410,17 @@ def test_bounds_command(tmp_path, capsys):
     assert run_main(["bounds", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "n_2 ~" in out and "e+" in out  # astronomically deep recursion
+
+
+def test_bounds_command_at_large_k(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"epsilon": 0.1, "delta": 0.8, "mu": 0.9, "k": 100_000})
+    assert run_main(["bounds", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "  estimation term           1\n" in out
+    total = float(out.split("distance bound total")[1].split()[0])
+    assert math.isfinite(total)
+    # Levels whose log2 leaves the float range are summarized on one line.
+    assert "..n_100000 exceed 2^" in out and "inf" not in out
 
 
 def test_write_outputs_helper(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,49 @@ def test_mixture_posterior_keeps_zero_likelihoods():
         only_even.posterior(history[3:] + history[:2])
     with pytest.raises(ZeroProbabilityHistoryError):
         only_even.posterior(history)  # recomputed from the start
+
+
+def uniform_half_mixture():
+    half = mixed_with_uniform(algebraic_violation_box(), 0.5)
+    return MixtureDevice([IidDevice(uniform_box()), IidDevice(half)], (0.5, 0.5))
+
+
+def test_mixture_long_run_does_not_underflow():
+    # Plain likelihood products of this mixture underflow to 0 under both
+    # components after about 280 uses.
+    device = uniform_half_mixture()
+    params = ProtocolParams(0.1, 0.8, 0.9, 2, n=(1000,))
+    result, run = run_protocol(params, [device] * 2, GreedyTowardString((0,), 0.1), np.random.default_rng(5))
+    history = tuple(run.uses[0])
+    assert len(history) > 1000 and 0.0 <= result.z_k <= 1.0
+    post = device.posterior(history)
+    assert np.all(np.isfinite(post)) and post.sum() == pytest.approx(1.0, abs=1e-15)
+    assert history_likelihood(IidDevice(uniform_box()), history) == 0.0  # below the float range
+    condition_device(IidDevice(uniform_box()), history)  # but not zero
+
+
+def fraction_posterior(device, history):
+    """Posterior of a mixture of IidDevices in exact rational arithmetic."""
+    joint = []
+    for w, comp in zip(device.weights, device.components):
+        p = Fraction(float(w))
+        for u, x in history:
+            p *= Fraction(float(comp.box.table[x, u]))
+        joint.append(p)
+    total = sum(joint)
+    return [float(p / total) for p in joint]
+
+
+def test_mixture_posterior_matches_fractions():
+    boxes = [mixed_with_uniform(algebraic_violation_box(), 0.3), uniform_box(), mixed_with_uniform(algebraic_violation_box(), 0.7)]
+    device = MixtureDevice([IidDevice(b) for b in boxes], (0.2, 0.5, 0.3))
+    params = ProtocolParams(0.1, 0.8, 0.9, 1, n=(300,))
+    _, run = run_protocol(params, [device], GreedyTowardString((0,), 0.1), np.random.default_rng(8))
+    history = tuple(run.uses[0])
+    assert len(history) > 400  # long enough to underflow plain products
+    for length in (0, 1, 12, 40, len(history)):
+        want = fraction_posterior(device, history[:length])
+        # incrementally extended, then recomputed from the start
+        assert np.max(np.abs(device.posterior(history[:length]) - want)) <= 1e-12
+        fresh = MixtureDevice(device.components, device.weights)
+        assert np.max(np.abs(fresh.posterior(history[:length]) - want)) <= 1e-12

@@ -3,14 +3,23 @@ import pytest
 
 from randamp.boxes import bell_value, majority, pack_bits, unpack_bits
 from randamp.lp import (
+    INSTANCE_KEYS,
+    CertificationError,
     LpInstance,
+    SymmetryMap,
     analytic_bound,
     adversarial_box,
+    _candidate_maps,
+    _solve_raw,
+    _transport,
     certify_bound,
+    check_symmetry_map,
     equality_constraints,
+    inequality_constraints,
     independent_equality_rows,
     majority_sign_vector,
     solve,
+    symmetry_orbits,
 )
 
 U_STAR = (0, 0, 0, 1)
@@ -138,3 +147,71 @@ def test_report_json_round_trip():
     assert payload["bound"] == pytest.approx(11 / 32)
     assert len(payload["optima"]) == 16
     assert payload["max_optimum"] == pytest.approx(0.25, abs=1e-7)
+
+
+def _key(label):
+    setting, guess = label
+    return tuple(int(b) for b in setting), guess
+
+
+def test_certify_matches_independent_solves():
+    """Every optimum certify_bound reports, solved or carried by symmetry,
+    equals a fresh solve of that instance on the same route."""
+    for delta in (0.0, 0.1, 1 / 3, 0.8, 2.0):
+        for method in ("highs", "simplex"):
+            report = certify_bound(delta, method=method)
+            assert report.solved == 2
+            for label, value in report.optima.items():
+                u_star, guess = _key(label)
+                fresh = solve(LpInstance(u_star, delta, guess), method=method).value
+                assert abs(value - fresh) <= 1e-9, (delta, method, label)
+
+
+def test_symmetry_orbits_and_exact_maps():
+    orbits = symmetry_orbits()
+    assert sorted(1 + len(members) for _, members in orbits) == [4, 12]
+    covered = [rep for rep, _ in orbits] + [m for _, members in orbits for m, _, _ in members]
+    assert sorted(covered) == sorted(INSTANCE_KEYS)
+    # The stored permutations, re-checked on the float matrix at a delta.
+    A, c = inequality_constraints(0.3)
+    for rep, members in orbits:
+        m_rep = LpInstance(rep[0], 0.3, rep[1]).objective_m()
+        for member, P, R in members:
+            assert np.array_equal(A[R][:, P], A)
+            assert np.array_equal(c[R], c)
+            assert np.array_equal(LpInstance(member[0], 0.3, member[1]).objective_m()[P], m_rep)
+    # Every candidate map passes the exact checks from every instance.
+    by_objective = {LpInstance(u, 0.0, g).objective_m().tobytes(): (u, g) for u, g in INSTANCE_KEYS}
+    maps = list(_candidate_maps())
+    assert len(maps) == 24
+    for smap in maps:
+        for source in INSTANCE_KEYS:
+            m = LpInstance(source[0], 0.0, source[1]).objective_m()
+            image = np.empty_like(m)
+            image[smap.var_perm()] = m
+            check_symmetry_map(smap, source, by_objective[image.tobytes()])
+
+
+def test_corrupted_symmetry_maps_rejected():
+    source = ((0, 0, 0, 1), 0)
+    # Swapping parties 1 and 4 keeps the constraints but not the objective.
+    with pytest.raises(CertificationError, match="objective"):
+        check_symmetry_map(SymmetryMap((3, 1, 2, 0), 0, False), source, ((1, 0, 0, 0), 0))
+    # An odd output flip without the input flip moves the Bell row's support.
+    with pytest.raises(CertificationError, match="inequality rows"):
+        check_symmetry_map(SymmetryMap((0, 1, 2, 3), 8, False), source, source)
+    check_symmetry_map(SymmetryMap((0, 1, 2, 3), 8, True), source, ((1, 1, 1, 0), 0))
+
+
+def test_transport_rechecks_the_dual():
+    delta = 0.2
+    rep, members = symmetry_orbits()[1]
+    member, P, R = members[0]
+    x, _, lam = _solve_raw(LpInstance(rep[0], delta, rep[1]), "highs")
+    target = LpInstance(member[0], delta, member[1])
+    carried = _transport(target, x, lam, P, R, "highs")
+    assert carried.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
+    bad = lam.copy()
+    bad[0] += 0.5  # weight on the normalization row of setting 0000
+    with pytest.raises(CertificationError, match="dual certificate infeasible"):
+        _transport(target, x, bad, P, R, "highs")

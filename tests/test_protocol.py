@@ -145,6 +145,15 @@ def test_proposition_bound_terms():
     assert far.definetti_term == pytest.approx(4e-6)
 
 
+def test_proposition_bound_caps_vacuous_estimation_term():
+    # For delta > 5/7 the base (11 + 7 delta)/16 exceeds 1; at k = 1e5 the
+    # uncapped power overflows a float.
+    bound = proposition_bound(ProtocolParams(0.1, 0.8, 0.9, 100_000))
+    assert bound.estimation_term == 1.0
+    assert math.isfinite(bound.total)
+    assert proposition_bound(ProtocolParams(0.1, 0.8, 0.9, 20)).estimation_term == 1.0
+
+
 def test_distance_examples():
     report = distance_d(np.array([0.75, 0.25]))
     assert report.d == pytest.approx(0.125, abs=1e-15)

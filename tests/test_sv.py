@@ -15,11 +15,10 @@ from randamp.sv import (
     draw_setting,
     exact_bitstring_distribution,
     next_bit,
-    replay_transcript,
     string_probability_bounds,
 )
 
-from helpers import SvParams, draw_kept_setting
+from helpers import SvParams, draw_kept_setting, replay_transcript
 
 
 class FixedRng:
