@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
 
     devices = [IidDevice(box)] * params.k
     engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
-    # Worker start-up (each imports numpy, scipy and randamp) costs more than
+    # Worker start-up (each imports numpy and randamp) costs more than
     # a whole vectorized run, and a worker beyond the chunk count has no work.
     workers = 1 if engine == "vectorized" else min(args.jobs or 1, -(-trials // SIMULATE_CHUNK))
     if workers > 1:
@@ -370,10 +370,20 @@ def cmd_quantum_check(args) -> int:
     return 0
 
 
+# A float log10 near 1e10 is exact to half an ulp, 2^-20, which moves the
+# mantissa 10^frac by a relative ln(10) * 2^-20 ~ 2e-6: inside half a unit of
+# its fourth decimal.  Near 1e11 the ulp is 2^-16 and the error reaches that
+# digit.  Past this cut the four mantissa digits would be float noise, so the
+# log2 is printed instead.
+_MAX_SCI_LOG10 = 1e10
+
+
 def _sci_from_log2(log2_value: float) -> str:
     if log2_value < 62:
         return f"{2.0 ** log2_value:.6g}"
     log10 = log2_value * math.log10(2.0)
+    if log10 > _MAX_SCI_LOG10:
+        return f"2^{log2_value:.6g}"
     exponent = int(log10)
     mantissa = 10.0 ** (log10 - exponent)
     return f"{mantissa:.4f}e+{exponent}"

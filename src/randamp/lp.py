@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .boxes import (
     BELL_FUNCTIONAL,
@@ -47,6 +46,16 @@ N_VARS = N_OUTCOMES * N_SETTINGS  # p(x|u) flattened outcome-major
 
 class CertificationError(AssertionError):
     pass
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs"):
+    """scipy.optimize.linprog, imported on the first solve: importing scipy
+    takes several times as long as the rest of the package, and only the
+    HiGHS route needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                         method=method)
 
 
 def var_index(x: int, u: int) -> int:

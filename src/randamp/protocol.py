@@ -23,7 +23,7 @@ from .boxes import (
     pack_bits,
     unpack_bits,
 )
-from .devices import IidDevice, sample_outcome
+from .devices import IidDevice, MixtureDevice, sample_outcome
 from .sv import (
     SvTranscript,
     draw_index,
@@ -351,35 +351,58 @@ def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
     return dist
 
 
+def _reduced_table(device):
+    """The selected-pair table of a device whose uses are i.i.d. given one
+    hidden label, or None.  An IidDevice reduces to its box; a MixtureDevice
+    draws its label once and is then i.i.d., so under a position-only source
+    its selected pair has the weight average of its components' laws (nested
+    mixtures recursively).  Anything else, or a mixture with such a component,
+    does not reduce."""
+    if isinstance(device, IidDevice):
+        return device.box.table
+    if isinstance(device, MixtureDevice):
+        tables = [_reduced_table(c) for c in device.components]
+        if any(t is None for t in tables):
+            return None
+        return sum(w * t for w, t in zip(device.weights, tables))
+    return None
+
+
 def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
-    """The vectorized runner is exact when every device is i.i.d. with one
-    shared box and each draw's four bits see the same position-only bias
-    pattern (period dividing 4): kept settings are then i.i.d. with the
-    restricted, renormalized draw law and the selection step cannot correlate
-    with box contents."""
-    if not devices or not all(isinstance(d, IidDevice) for d in devices):
+    """The vectorized runner is exact when every device reduces to one shared
+    selected-pair table (an IidDevice, or a mixture of them sharing one hidden
+    label: see _reduced_table) and each draw's four bits see the same
+    position-only bias pattern (period dividing 4).  Kept settings are then
+    i.i.d. with the restricted, renormalized draw law, and neither they, the
+    draw counts nor the selection step can correlate with a device's label or
+    box contents.  Each device conditions only on its own history, so even k
+    copies of one MixtureDevice act as k independent labels."""
+    tables = [_reduced_table(d) for d in devices]
+    if not tables or tables[0] is None:
         return False
-    first = devices[0].box.table
-    if not all(np.array_equal(d.box.table, first) for d in devices[1:]):
+    if not all(t is not None and np.array_equal(t, tables[0]) for t in tables[1:]):
         return False
     period = getattr(sv_strategy, "period", None)
     return period is not None and 4 % period == 0
 
 
 class _IidSampler:
-    """Exact per-trial law of k i.i.d. devices sharing one box against a
-    source whose bias depends on bit position only (fast_path_applicable).
+    """Exact per-trial law of k devices that reduce to one selected-pair table
+    (i.i.d. devices sharing one box, or mixtures of them with one hidden label
+    each) against a source whose bias depends on bit position only
+    (fast_path_applicable).
 
     Kept settings are then i.i.d. with the restricted, renormalized draw law,
-    so the selected pairs of the k devices are i.i.d., and independent of the
-    draw counts and selection indices.  The test reads only the Bell
-    coefficient b of each selected pair and the hash only the majority g of
-    its first three outcome bits, so a trial is the counts of the k devices
-    over the four cells 2b + g: one multinomial draw with the law `law`.
+    so the selected pairs of the k devices are i.i.d. with the reduced table's
+    law, and independent of the draw counts and selection indices.  The test
+    reads only the Bell coefficient b of each selected pair and the hash only
+    the majority g of its first three outcome bits, so a trial is the counts
+    of the k devices over the four cells 2b + g: one multinomial draw with the
+    law `law`.
     """
 
     def __init__(self, params: ProtocolParams, devices, sv_strategy):
-        table = devices[0].box.table
+        table = _reduced_table(devices[0])
         draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
         kept_idx = np.array(INEQUALITY_INDICES)
         kept_p = draw[kept_idx]

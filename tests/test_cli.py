@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -421,6 +422,12 @@ def test_bounds_command_at_large_k(tmp_path, capsys):
     assert math.isfinite(total)
     # Levels whose log2 leaves the float range are summarized on one line.
     assert "..n_100000 exceed 2^" in out and "inf" not in out
+    # A float carries ~16 significant digits; no printed figure may claim more.
+    schedule = out.split("block schedule:\n")[1].splitlines()
+    assert len(schedule) > 1000
+    for line in schedule:
+        for digits in re.findall(r"\d+(?:\.\d+)?", line):
+            assert len(digits.replace(".", "").lstrip("0")) <= 17, line
 
 
 def test_write_outputs_helper(tmp_path):
@@ -442,3 +449,17 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for sub in ("certify", "simulate", "definetti", "quantum-check", "bounds"):
         assert sub in proc.stdout
+
+
+def test_scipy_imported_only_by_lp_solves(tmp_path):
+    """Importing the package and running simulate leave scipy unloaded: only
+    the LP routes need it, and they import it on first use."""
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    script = (
+        "import sys, randamp, randamp.cli\n"
+        "assert 'scipy' not in sys.modules, 'on import'\n"
+        f"assert randamp.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'after simulate'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

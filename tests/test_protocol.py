@@ -16,11 +16,12 @@ from randamp.boxes import (
     uniform_box,
     unpack_bits,
 )
-from randamp.devices import IidDevice, MixtureDevice
+from randamp.devices import ConditionedDevice, IidDevice, MixtureDevice, SequenceDevice
 from randamp.protocol import (
     EstimationRecord,
     ProtocolParams,
     _IidSampler,
+    _ProtocolSampler,
     acceptance_threshold,
     azuma_rejection_bound,
     distance_d,
@@ -300,7 +301,9 @@ def test_fast_path_applicability():
     mixed_boxes = iid[:2] + [IidDevice(uniform_box())]
     assert not fast_path_applicable(params, mixed_boxes, HONEST)
     mixture = [MixtureDevice([IidDevice(uniform_box())], (1.0,))] * 3
-    assert not fast_path_applicable(params, mixture, HONEST)
+    assert fast_path_applicable(params, mixture, HONEST)
+    scheduled = MixtureDevice([IidDevice(uniform_box()), SequenceDevice([uniform_box()])], (0.5, 0.5))
+    assert not fast_path_applicable(params, [scheduled] * 3, HONEST)
 
     class Custom:
         position_dependent = True
@@ -401,8 +404,8 @@ def binomial_dp(law, k, threshold):
 # half a local deterministic box: its outcomes make the Bell coefficient and
 # the majority lean on the setting, so the cell law depends on the source and
 # the output bit of three devices is visibly biased
-LEANING = NsBox(0.5 * algebraic_violation_box().table
-                + 0.5 * local_deterministic_box(((0, 0), (0, 0), (0, 1), (1, 1))))
+DETERMINISTIC = NsBox(local_deterministic_box(((0, 0), (0, 0), (0, 1), (1, 1))))
+LEANING = NsBox(0.5 * algebraic_violation_box().table + 0.5 * DETERMINISTIC.table)
 
 
 def test_iid_sampler_cell_law_is_exact():
@@ -452,6 +455,61 @@ def test_iid_sampler_matches_binomial_dp():
     assert abs(binomial_dp(law, 3, 0.0)[1] - 0.5) > 0.03  # the k = 3 bias has teeth
 
 
+def nested_mixture():
+    """A mixture of a mixture and an IidDevice, and its leaf boxes with their
+    overall weights."""
+    inner = MixtureDevice([IidDevice(LEANING), IidDevice(DETERMINISTIC)], (1 / 3, 2 / 3))
+    outer = MixtureDevice([inner, IidDevice(uniform_box())], (3 / 4, 1 / 4))
+    leaves = [(1 / 4, LEANING), (1 / 2, DETERMINISTIC), (1 / 4, uniform_box())]
+    return outer, leaves
+
+
+def test_nested_mixture_law_is_weight_average():
+    params = ProtocolParams(0.2, 0.8, 0.9, 4)
+    device, leaves = nested_mixture()
+    for source in (GreedyTowardString((0, 1), 0.2), SettingSteering((0, 1, 1, 1), 0.2)):
+        law = _IidSampler(params, [device] * 4, source).law
+        expect = sum(w * cell_law(box.table, source, 0.2) for w, box in leaves)
+        assert np.max(np.abs(law - expect)) <= 1e-15
+
+
+def test_general_engine_on_nested_mixture_matches_closed_form():
+    """run_protocol per trial, with per-use posteriors, against the law the
+    label-first reduction gives: accept iff at most thr k selected pairs
+    score, P(accept) binomial in q = P(b = 1)."""
+    k = 3
+    params = ProtocolParams(0.1, 8.0, 0.5, k)
+    device, _ = nested_mixture()
+    threshold = acceptance_threshold(params)
+    for source, seed in ((HONEST, 21), (GreedyTowardString((0, 1), 0.1), 22)):
+        fast = _IidSampler(params, [device] * k, source)
+        law = fast.law
+        q = law[2] + law[3]
+        p_acc = sum(math.comb(k, b) * q**b * (1 - q) ** (k - b)
+                    for b in range(k + 1) if b / k <= threshold)
+        p_zero = binomial_dp(law, k, threshold)[1]
+        assert 0.05 < p_acc < 0.95 and abs(p_zero - 0.5) > 0.02
+        for sampler, trials in ((_ProtocolSampler(params, [device] * k, source), 3000),
+                                (fast, 100_000)):
+            _, accepted, output = sampler.sample(trials, np.random.default_rng(seed))
+            n_acc = int(accepted.sum())
+            assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
+            p0 = np.mean(output[accepted] == 0)
+            assert abs(p0 - p_zero) <= 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc)
+
+
+def test_mixtures_that_do_not_reduce_stay_general():
+    params = honest_params(k=3)
+    device, _ = nested_mixture()
+    assert fast_path_applicable(params, [device] * 3, HONEST)
+    assert fast_path_applicable(params, [nested_mixture()[0] for _ in range(3)], HONEST)
+    box = IidDevice(algebraic_violation_box())
+    flat = IidDevice(uniform_box())
+    weighted = [MixtureDevice([box, flat], (1 - w, w)) for w in (0.1, 0.2, 0.3)]
+    assert not fast_path_applicable(params, weighted, HONEST)
+    assert not fast_path_applicable(params, [ConditionedDevice(device, ())] * 3, HONEST)
+
+
 def test_estimate_output_bias_honest():
     params = honest_params(k=10)
     box = algebraic_violation_box()
@@ -475,8 +533,11 @@ def test_estimate_output_bias_general_path():
         ],
         (0.5, 0.5),
     )
+    # a ConditionedDevice does not reduce to one table, so the general engine runs
+    device = ConditionedDevice(mixture, ())
+    assert not fast_path_applicable(params, [device] * 2, HONEST)
     adversary = [
-        (0.5, lambda: [mixture] * 2, HONEST),
+        (0.5, lambda: [device] * 2, HONEST),
         (0.5, lambda: [IidDevice(algebraic_violation_box())] * 2, HONEST),
     ]
     report = estimate_output_bias(params, adversary, trials=300, seed=1)
@@ -537,7 +598,8 @@ def test_audit_counts_match_simulate_rows():
     cases = [
         ([IidDevice(box)] * 3, GreedyTowardString((0, 1), 0.1), 600, True),
         ([IidDevice(box)] * 3, GreedyTowardString((0, 1, 1), 0.1), 300, False),
-        ([mixture] * 3, HONEST, 300, False),
+        ([mixture] * 3, HONEST, 300, True),
+        ([mixture] * 3, GreedyTowardString((0, 1, 1), 0.1), 300, False),
     ]
     for devices, source, trials, vectorized in cases:
         assert fast_path_applicable(params, devices, source) == vectorized
