@@ -17,6 +17,7 @@ from randamp.definetti import (
     definetti_check,
     definetti_rhs,
     exchangeable_mixture,
+    iid_system,
     t_statistic,
 )
 from randamp.sv import GreedyTowardString
@@ -45,6 +46,12 @@ print(f"swept {len(report.selections)} selections: max T {report.max_t:.4f},"
       f" weight above threshold {report.weighted_exceed_fraction:.4f}")
 print(f"worst Pinsker slack over all conditionals: {report.pinsker_worst_slack:.2e}"
       " (<= 0 means it held everywhere)")
+
+# baseline: a device that never mixes has nothing to reveal, so every
+# selection is already an exact product
+baseline = definetti_check(iid_system((1, 8), q0), GreedyTowardString((0,), 0.1), 0.1, [2.0])
+print(f"i.i.d. baseline (q0 alone): max T over {len(baseline.selections)} selections"
+      f" {baseline.max_t:.4f}")
 
 # the block-size recursion that makes the full-scale argument work; sizes
 # explode quickly, which is why desk-scale checks stop at toy n

@@ -35,7 +35,6 @@ from .definetti import (
     definetti_rhs,
     exchangeable_mixture,
     iid_system,
-    mutual_information,
     pinsker_gap,
     t_statistic,
     t_statistic_levels,

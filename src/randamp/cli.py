@@ -297,6 +297,13 @@ def cmd_definetti(args) -> int:
     _check_keys(
         cfg, {"epsilon", "n", "schedule", "t_levels", "system", "sv", "pinsker", "sigma_size"}
     )
+    pinsker = cfg.get("pinsker", False)
+    if not isinstance(pinsker, bool):
+        raise ConfigError(f"field 'pinsker' must be true or false, got {pinsker!r}")
+    sigma_size = cfg.get("sigma_size")
+    # JSON true/false load as bool, a subclass of int: not a size
+    if "sigma_size" in cfg and not (type(sigma_size) is int and sigma_size >= 2):
+        raise ConfigError(f"field 'sigma_size' must be an integer >= 2, got {sigma_size!r}")
     epsilon = float(_require(cfg, "epsilon", ""))
     if "n" in cfg:
         n = [int(v) for v in cfg["n"]]
@@ -321,12 +328,7 @@ def cmd_definetti(args) -> int:
     system = exchangeable_mixture(n, components, weights)
     strategy = build_strategy(_require(cfg, "sv", ""), epsilon)
     report = definetti_check(
-        system,
-        strategy,
-        epsilon,
-        t_levels,
-        sigma_size=cfg.get("sigma_size"),
-        pinsker=bool(cfg.get("pinsker", False)),
+        system, strategy, epsilon, t_levels, sigma_size=sigma_size, pinsker=pinsker
     )
     payload = report.to_json()
     if args.out:

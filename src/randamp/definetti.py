@@ -40,12 +40,6 @@ def _pinsker_batch(joints: np.ndarray):
     return lhs, np.sqrt(2.0 * math.log(2.0) * mi), mi
 
 
-def mutual_information(joint: np.ndarray) -> float:
-    """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
-    joint = np.asarray(joint, dtype=float)
-    return float(_pinsker_batch(joint[np.newaxis])[2][0])
-
-
 def pinsker_gap(joint: np.ndarray):
     """(lhs, rhs) of ||p_AB - p_A x p_B||_1 <= sqrt(2 ln2 I(A:B))."""
     joint = np.asarray(joint, dtype=float)
@@ -151,11 +145,20 @@ def product_gap(system: JointBoxSystem, cond, groups, nu: np.ndarray) -> float:
     cond: global use indices whose outputs are realized and conditioned on;
     groups: disjoint lists of use indices whose joint output distribution is
     compared against the product of the per-group marginals; remaining uses
-    are marginalized.  nu weights full input assignments and must be a
-    normalized tensor with one axis per use.
+    are marginalized (inputs pinned to 0 first, see _marginalize_rest).  nu
+    weights full input assignments and must be a normalized tensor with one
+    axis per use.
+
+    With t the marginalized tensor, r = P(x_cond | u) and m_g group g's
+    unnormalized marginal of t, the r-weighted conditional gap is computed in
+    the fused form r sum|t/r - prod_g m_g/r| = sum|t - prod_g m_g / r^(G-1)|,
+    G the number of groups: no full-size division.  1/r is taken as 0 where
+    r = 0; such slices hold no mass, so they add nothing.
     """
     N = system.total_uses
     cond = sorted(cond)
+    if not groups:
+        raise ValueError("need at least one group")
     flat_groups = [g for grp in groups for g in grp]
     used = cond + flat_groups
     if len(set(used)) != len(used):
@@ -171,21 +174,19 @@ def product_gap(system: JointBoxSystem, cond, groups, nu: np.ndarray) -> float:
     if rest:
         nu = nu.sum(axis=tuple(rest), keepdims=True)
 
-    # P(x_cond | u): sum over every group output.
-    group_axes = tuple(flat_groups)
-    r = t.sum(axis=group_axes, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = np.where(r > 0, t / np.where(r > 0, r, 1.0), 0.0)
-
-    prod = np.ones_like(q)
+    marginals = []
     for grp in groups:
         other = tuple(g for g in flat_groups if g not in grp)
-        prod = prod * q.sum(axis=other, keepdims=True)
-    gap = np.abs(q - prod).sum(axis=group_axes, keepdims=True)
+        marginals.append(t.sum(axis=other, keepdims=True))
+    r = marginals[0].sum(axis=tuple(groups[0]), keepdims=True)
+    inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0)
+    prod = marginals[0] * inv ** (len(groups) - 1)
+    for m in marginals[1:]:
+        prod = prod * m
+    gap = np.abs(np.subtract(t, prod, out=prod), out=prod)
 
-    # nu (N input axes) broadcasts against the trailing input axes of the
-    # tensor-shaped factors; r carries P(x_cond | u).
-    return float(np.sum(gap * r * nu))
+    # nu (N input axes) matches the trailing input axes of gap.
+    return float(np.sum(gap.sum(axis=tuple(range(N))) * nu))
 
 
 def t_statistic(system: JointBoxSystem, selection, nu: np.ndarray) -> float:
@@ -206,19 +207,18 @@ def t_statistic_levels(system: JointBoxSystem, selection, nu: np.ndarray):
     """(T, [T_2..T_k]) where level i compares devices below i as one block
     against device i's selected use, conditioning on pasts of devices >= i."""
     sel = _check_selection(system, selection)
-    total = t_statistic(system, selection, nu)
-    levels = []
-    for i in range(1, system.k):
-        block = []
-        for j in range(i):
-            block.extend(system.device_uses(j))
-        cond = []
-        for j in range(i, system.k):
-            uses = system.device_uses(j)
-            cond.extend(uses[: sel[j] - 1])
-        groups = [block, [system.device_uses(i)[sel[i] - 1]]]
-        levels.append(product_gap(system, cond, groups, nu))
-    return total, levels
+    total = t_statistic(system, sel, nu)
+    return total, [_level_gap(system, sel[i:], nu) for i in range(1, system.k)]
+
+
+def _level_gap(system: JointBoxSystem, suffix, nu: np.ndarray) -> float:
+    """Level i of t_statistic_levels, i = k - len(suffix): it reads only the
+    selection suffix sel[i:], so selections sharing that suffix share it."""
+    i = system.k - len(suffix)
+    block = [g for j in range(i) for g in system.device_uses(j)]
+    cond = [g for j, a in enumerate(suffix, start=i) for g in system.device_uses(j)[: a - 1]]
+    groups = [block, [system.device_uses(i)[suffix[0] - 1]]]
+    return product_gap(system, cond, groups, nu)
 
 
 def _check_selection(system: JointBoxSystem, selection):
@@ -250,42 +250,47 @@ def _component_table(box, total_uses: int, tol: float) -> np.ndarray:
     return q
 
 
-def _iid_tensor(q: np.ndarray, total_uses: int) -> np.ndarray:
-    """Every use an independent copy of q, axes (outputs..., inputs...)."""
-    t = np.array(1.0)
-    for _ in range(total_uses):
-        t = np.multiply.outer(t, q)
-    perm = [2 * g for g in range(total_uses)] + [2 * g + 1 for g in range(total_uses)]
-    return t.transpose(perm)
+def _iid_power(q: np.ndarray, uses: int, scale: float) -> np.ndarray:
+    """scale times every use an independent copy of q, as an (S^uses, L^uses)
+    table whose row and column indices are the C-order output and input
+    tuples; each step prepends one use."""
+    S, L = q.shape
+    t = np.full((1, 1), float(scale))
+    for _ in range(uses):
+        t = (q[:, None, :, None] * t[None, :, None, :]).reshape(S * t.shape[0], L * t.shape[1])
+    return t
 
 
 def iid_system(n, box: np.ndarray, tol=1e-9) -> JointBoxSystem:
     """Every use an independent copy of a single-party box q[x, u]."""
-    total = sum(int(v) for v in n)
-    q = _component_table(box, total, tol)
-    S, L = q.shape
-    return JointBoxSystem(n, L, S, _iid_tensor(q, total), tol=tol, validate=False)
+    return exchangeable_mixture(n, [box], (1.0,), tol=tol)
 
 
 def exchangeable_mixture(n, components, weights, tol=1e-9) -> JointBoxSystem:
-    """Mixture over component single-party boxes used i.i.d. on every use."""
+    """Mixture over component single-party boxes used i.i.d. on every use.
+
+    The tensor is built C-contiguous in (outputs..., inputs...) order, the
+    layout every later sum runs fastest on.  Each component's first use is
+    added one (x, u) slice at a time, so besides the tensor only two tables
+    of 1/(S L) its size are ever alive.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) != len(components) or len(components) == 0:
         raise ValueError("need one weight per component")
     if np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be a distribution")
     total = sum(int(v) for v in n)
+    if total < 1:
+        raise ValueError("need at least one use per device")
     tables = [_component_table(q, total, tol) for q in components]
     if any(q.shape != tables[0].shape for q in tables):
         raise ValueError("every component box must have the same shape")
-    tensor = None
-    for w, q in zip(weights, tables):
-        part = w * _iid_tensor(q, total)
-        if tensor is None:
-            tensor = part
-        else:
-            tensor += part
     S, L = tables[0].shape
+    tensor = np.zeros((S, S ** (total - 1), L, L ** (total - 1)))
+    for w, q in zip(weights, tables):
+        later = _iid_power(q, total - 1, w)
+        for x, u in np.ndindex(S, L):
+            tensor[x, :, u, :] += q[x, u] * later
     return JointBoxSystem(n, L, S, tensor, tol=tol, validate=False)
 
 
@@ -444,13 +449,16 @@ class DeFinettiReport:
 
 
 def _marginalize_rest(system: JointBoxSystem, rest):
-    """The tensor with the outputs of the uses in rest summed out and their
-    inputs pinned to 0, every axis kept."""
+    """The tensor with the inputs of the uses in rest pinned to 0 and their
+    outputs summed out, every axis kept.  Pinning comes first and is a basic
+    slice (a view), so the sum reads L^r times fewer entries than the whole
+    tensor holds (L inputs per use, r uses in rest)."""
     t = system.tensor
     if rest:
-        t = t.sum(axis=tuple(rest), keepdims=True)
+        pin = [slice(None)] * t.ndim
         for g in rest:
-            t = np.take(t, [0], axis=system.total_uses + g)
+            pin[system.total_uses + g] = slice(0, 1)
+        t = t[tuple(pin)].sum(axis=tuple(rest), keepdims=True)
     return t
 
 
@@ -495,8 +503,15 @@ def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
         probability_bound=rhs.probability_bound,
     )
     exceed = 0.0
+    level_by_suffix = {}
     for sel, w in sorted(weights.items()):
-        t_val, levels = t_statistic_levels(system, sel, nu)
+        t_val = t_statistic(system, sel, nu)
+        levels = []
+        for i in range(1, system.k):
+            suffix = sel[i:]
+            if suffix not in level_by_suffix:
+                level_by_suffix[suffix] = _level_gap(system, suffix, nu)
+            levels.append(level_by_suffix[suffix])
         if t_val > sum(levels) + 1e-9:
             raise AssertionError(
                 f"level decomposition broken at selection {sel}: T={t_val} > sum Ti={sum(levels)}"

@@ -1,13 +1,15 @@
 """Reference helpers that only the tests use: a parameter check for
 Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
-a no-signaling checker for tables of any number of binary parties, and the
-exhaustive XOR oracle of criterion 4."""
+a no-signaling checker for tables of any number of binary parties, the
+exhaustive XOR oracle of criterion 4, and the mutual information of a 2-D
+joint."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from randamp.boxes import DEFAULT_TOL, in_inequality
+from randamp.definetti import _pinsker_batch
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
 
 
@@ -90,3 +92,9 @@ def xor_distribution_exact(biases, signs=None) -> float:
         if parity == 0:
             p0 += p
     return p0
+
+
+def mutual_information(joint: np.ndarray) -> float:
+    """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
+    joint = np.asarray(joint, dtype=float)
+    return float(_pinsker_batch(joint[np.newaxis])[2][0])

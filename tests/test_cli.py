@@ -394,6 +394,35 @@ def test_definetti_schedule_config(tmp_path, capsys):
     assert "n=[1, 3]" in capsys.readouterr().out
 
 
+def test_definetti_rejects_malformed_flags(tmp_path, capsys):
+    base = {
+        "epsilon": 0.1,
+        "n": [1, 2],
+        "t_levels": [2.0],
+        "system": {
+            "type": "exchangeable",
+            "components": [[[0.9, 0.9], [0.1, 0.1]], [[0.1, 0.1], [0.9, 0.9]]],
+            "weights": [0.5, 0.5],
+        },
+        "sv": {"strategy": "honest"},
+    }
+    bad = [("pinsker", "false"), ("pinsker", 1), ("pinsker", None),
+           ("sigma_size", 2.7), ("sigma_size", 2.0), ("sigma_size", 1), ("sigma_size", 0),
+           ("sigma_size", True), ("sigma_size", "4"), ("sigma_size", None)]
+    for field, value in bad:
+        cfg = write_config(tmp_path, {**base, field: value})
+        assert run_main(["definetti", "--config", cfg]) == 2, (field, value)
+        assert f"'{field}'" in capsys.readouterr().err
+    # well-formed flags are honoured
+    for pinsker, sigma_size in ((False, 4), (True, 2)):
+        cfg = write_config(tmp_path, {**base, "pinsker": pinsker, "sigma_size": sigma_size})
+        out = tmp_path / f"df_{pinsker}"
+        assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "definetti.json").read_text())
+        assert payload["sigma_size"] == sigma_size
+        assert math.isfinite(payload["pinsker_worst_slack"]) == pinsker
+
+
 def test_bounds_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"epsilon": 0.0, "delta": 0.8, "mu": 0.9, "k": 2, "t": 1.0}

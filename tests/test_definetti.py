@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from randamp.definetti import (
     DeFinettiRhs,
     JointBoxSystem,
+    _marginalize_rest,
     _pinsker_slack_over_conditionals,
     block_sizes,
     definetti_check,
@@ -15,7 +18,6 @@ from randamp.definetti import (
     exchangeable_mixture,
     iid_system,
     log2_block_sizes,
-    mutual_information,
     pinsker_gap,
     product_gap,
     sv_input_distribution,
@@ -25,6 +27,8 @@ from randamp.definetti import (
 )
 from randamp.cli import main as cli_main
 from randamp.sv import ConstantBias, GreedyTowardString, HonestBits
+
+from helpers import mutual_information
 
 LN2 = math.log(2.0)
 
@@ -172,6 +176,124 @@ def test_product_gap_matches_brute_force():
     got = product_gap(system, [], [[0], [1, 2]], nu)
     want = brute_force_gap(system, nu, [], [[0], [1, 2]], [])
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def random_mixture(rng, n, components=3):
+    comps = [random_column_stochastic(rng) for _ in range(components)]
+    w = rng.random(components)
+    return exchangeable_mixture(n, comps, w / w.sum())
+
+
+def test_product_gap_three_singleton_groups():
+    # G = 3 scales the fused gap by 1/r^2
+    rng = np.random.default_rng(31)
+    for n in ((1, 1, 1), (1, 1, 2), (2, 1, 1)):
+        system = random_mixture(rng, n)
+        N = system.total_uses
+        nu = rng.random((2,) * N)
+        nu /= nu.sum()
+        last = [system.device_uses(j)[-1] for j in range(3)]
+        firsts = [system.device_uses(j)[0] for j in range(3)]
+        cases = [([], [[g] for g in firsts], [g for g in range(N) if g not in firsts]),
+                 ([g for g in range(N) if g not in last], [[g] for g in last], [])]
+        for cond, groups, rest in cases:
+            got = product_gap(system, cond, groups, nu)
+            want = brute_force_gap(system, nu, cond, groups, rest)
+            assert want > 1e-3
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_product_gap_with_zero_mass_conditionals():
+    # deterministic components leave conditionals with r = 0, which must add
+    # nothing and raise no division warning
+    partial = np.array([[1.0, 0.3], [0.0, 0.7]])
+    nu = np.full((2,) * 4, 1 / 16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for comps in ([Q_ZERO, Q_ONE], [Q_ZERO, Q_ONE, partial]):
+            system = exchangeable_mixture((2, 2), comps, np.full(len(comps), 1.0 / len(comps)))
+            for cond, groups, rest in (([1], [[0], [2]], [3]), ([0, 2], [[1], [3]], []),
+                                       ([2], [[0, 1], [3]], []), ([], [[0], [2]], [1, 3])):
+                got = product_gap(system, cond, groups, nu)
+                assert got == pytest.approx(brute_force_gap(system, nu, cond, groups, rest), abs=1e-12)
+            for sel in all_selections(system):
+                t_statistic_levels(system, sel, nu)
+                _pinsker_slack_over_conditionals(system, sel)
+
+
+def test_marginalized_uses_pinned_before_summing():
+    # the sum over marginalized outputs runs on the pinned view: it allocates
+    # no more than its L^r-times-smaller result
+    system = random_mixture(np.random.default_rng(37), (2, 8))
+    for rest in ([9], [5, 6, 7, 8, 9], [1] + list(range(3, 10))):
+        tracemalloc.start()
+        try:
+            marginal = _marginalize_rest(system, rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert marginal.size == system.tensor.size // 4 ** len(rest)
+        assert peak <= marginal.nbytes + (1 << 16)
+
+    # only input 0 of every marginalized use is read: NaN planted at input 1
+    # leaves the gap and the Pinsker sweep finite and unchanged
+    rng = np.random.default_rng(41)
+    clean = random_mixture(rng, (2, 3))
+    N = clean.total_uses
+    nu = rng.random((2,) * N)
+    nu /= nu.sum()
+    cond, groups, rest = [2], [[0], [3]], [1, 4]
+    tensor = np.array(clean.tensor)
+    for g in rest:
+        index = [slice(None)] * (2 * N)
+        index[N + g] = 1
+        tensor[tuple(index)] = np.nan
+    planted = JointBoxSystem(clean.n, 2, 2, tensor, validate=False)
+    got = product_gap(planted, cond, groups, nu)
+    assert math.isfinite(got)
+    assert got == product_gap(clean, cond, groups, nu)
+    assert got == pytest.approx(brute_force_gap(clean, nu, cond, groups, rest), abs=1e-12)
+    slack = _pinsker_slack_over_conditionals(planted, (1, 2))
+    assert math.isfinite(slack)
+    assert slack == _pinsker_slack_over_conditionals(clean, (1, 2))
+
+
+def test_definetti_check_levels_match_standalone_levels():
+    # levels are computed once per selection suffix and shared
+    rng = np.random.default_rng(43)
+    system = random_mixture(rng, (1, 2, 2))
+    strategy = GreedyTowardString((0, 1), 0.1)
+    report = definetti_check(system, strategy, 0.1, (2.0, 2.0))
+    nu = sv_input_distribution(strategy, 0.1, system.total_uses, system.num_inputs)
+    assert len(report.selections) == 4
+    for sel, _, t_val, levels in report.selections:
+        assert (t_val, levels) == t_statistic_levels(system, sel, nu)
+
+
+def test_exchangeable_mixture_build():
+    rng = np.random.default_rng(47)
+    comps = [random_column_stochastic(rng) for _ in range(3)]
+    w = rng.random(3)
+    w /= w.sum()
+    n = (2, 8)
+    N = sum(n)
+    exchangeable_mixture((1, 1), comps, w)  # warm up
+    tracemalloc.start()
+    try:
+        system = exchangeable_mixture(n, comps, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * system.tensor.nbytes + (1 << 16)
+    # the component-by-component outer-product construction
+    want = 0.0
+    for weight, q in zip(w, comps):
+        t = np.array(1.0)
+        for _ in range(N):
+            t = np.multiply.outer(t, q)
+        want = want + weight * t.transpose([2 * g for g in range(N)] + [2 * g + 1 for g in range(N)])
+    assert np.max(np.abs(system.tensor - want)) <= 1e-15
+    assert system.tensor.flags.c_contiguous
 
 
 def test_iid_system_has_zero_t():
