@@ -5,9 +5,10 @@ Certifying the guessing bound by linear programming
 How well can an eavesdropper, who prepared the box, guess the majority of
 three output bits at one inequality setting — given that the box stays
 no-signaling and keeps its Bell value below delta?  The answer is a linear
-program over the 256 box entries.  Two independent solution routes (an
-interior-point/simplex library solver on the primal and dual, and a plain
-tableau simplex) must agree before a bound is trusted.
+program over the 256 box entries.  Two independent solution routes (the
+HiGHS library solver and a plain tableau simplex) must agree before a bound
+is trusted.  Each route reads its dual certificate off its own optimum, and
+the certificate is checked before the bound counts.
 """
 
 from randamp.boxes import bell_value

@@ -33,10 +33,18 @@ def _pinsker_batch(joints: np.ndarray):
         raise ValueError(f"joint sums to {totals[np.argmax(off)]}, not 1")
     prod = joints.sum(axis=2, keepdims=True) * joints.sum(axis=1, keepdims=True)
     lhs = np.abs(joints - prod).sum(axis=(1, 2))
-    mask = joints > 0
-    ratio = np.where(mask, joints, 1.0) / np.where(mask, prod, 1.0)
-    # I(A:B) >= 0; the cancelling sum can round a near-product joint below 0
-    mi = np.maximum(np.where(mask, joints * np.log2(ratio), 0.0).sum(axis=(1, 2)), 0.0)
+    # I ln 2 = sum q (r ln r - (r - 1)) over q = p_A p_B > 0, r = p/q: every
+    # term is >= 0 (it is (1+d) log1p(d) - d with d = r - 1), unlike p ln r,
+    # whose terms cancel near a product joint.  A cell with p = 0 < q
+    # contributes q; a cell with q = 0 has p = 0 too.
+    live = joints > 0
+    ratio = np.divide(joints, prod, out=np.zeros_like(joints), where=live)
+    terms = np.log(ratio, out=np.zeros_like(joints), where=live)
+    terms *= ratio
+    ratio -= 1.0
+    terms -= ratio
+    terms *= prod
+    mi = np.maximum(terms.sum(axis=(1, 2)), 0.0) / math.log(2.0)
     return lhs, np.sqrt(2.0 * math.log(2.0) * mi), mi
 
 

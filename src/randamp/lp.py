@@ -5,8 +5,10 @@ Over all no-signaling boxes whose Bell value is at most delta, maximize
 and guess g.  The certified analytic cap on each optimum is (11 + 7 delta)/32.
 
 Two independent primal solvers are kept on purpose: scipy's HiGHS and the
-vendored dense simplex.  A feasible dual vector is produced by solving the
-explicit dual program and verifying its constraints directly.
+vendored dense simplex.  Each route takes its dual certificate from its own
+primal optimum (HiGHS's constraint multipliers, or the simplex tableau's
+row duals and reduced costs), and the certificate is then verified directly:
+non-negative, dual residual |A^T lam - m| small, weak duality.
 
 The 16 instances (8 settings u* x 2 guesses) are related by relabelings of
 the box that leave the feasible set alone: permuting parties 1-3, flipping
@@ -159,6 +161,12 @@ class LpSolution:
     dual_certificate: np.ndarray
     dual_value: float
     method: str
+    dual_residual: float  # max |A^T lam - m|
+
+    @property
+    def duality_gap(self) -> float:
+        """|dual value / 2 - primal value|; the dual objective is unhalved."""
+        return abs(0.5 * self.dual_value - self.value)
 
     def __post_init__(self):
         # Weak duality, with the halving convention of the primal objective.
@@ -169,19 +177,26 @@ class LpSolution:
 
 
 def _inequality_rhs(delta: float) -> np.ndarray:
+    """Right-hand side of the all-inequality form A x <= c the dual lives
+    over: rows +A_eq, -A_eq, -I (positivity) and the Bell cap, in that order."""
     _, b_eq = equality_constraints()
     return np.concatenate([b_eq, -b_eq, np.zeros(N_VARS), [float(delta)]])
 
 
-def inequality_constraints(delta: float):
-    """All-inequality form A x <= c covering equalities (both directions),
-    positivity and the Bell cap; the dual lives over these rows."""
-    A_eq, _ = equality_constraints()
-    A = np.vstack([A_eq, -A_eq, -np.eye(N_VARS), bell_row()[None, :]])
-    return A, _inequality_rhs(delta)
+def _dual_vector(free, pos, bell: float) -> np.ndarray:
+    """lam over the rows of the inequality form from the multipliers of
+    m = A_eq^T free + bell * bell_row - pos: the free equality multipliers
+    split into their +A_eq and -A_eq parts, and the rounding dust of the
+    non-negative ones clipped at 0."""
+    return np.concatenate([
+        np.maximum(free, 0.0), np.maximum(-free, 0.0), np.maximum(pos, 0.0), [max(bell, 0.0)]
+    ])
 
 
 def _solve_primal_highs(instance: LpInstance):
+    """HiGHS on min -m.x/2; its multipliers satisfy
+    -m/2 = A_eq^T y + bell_row * mu + s with mu <= 0 and s >= 0.  x <= 1 is
+    implied by normalization, so no bound row is given for it."""
     A_eq, b_eq = equality_constraints()
     res = linprog(
         -0.5 * instance.objective_m(),
@@ -189,32 +204,22 @@ def _solve_primal_highs(instance: LpInstance):
         b_ub=[instance.delta],
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=(0, 1),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"HiGHS failed on {instance}: {res.message}")
-    return res.x, -res.fun
-
-
-def _solve_dual_highs(instance: LpInstance) -> np.ndarray:
-    A_ub, c_vec = inequality_constraints(instance.delta)
-    res = linprog(
-        c_vec,
-        A_eq=A_ub.T,
-        b_eq=instance.objective_m(),
         bounds=(0, None),
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"dual solve failed on {instance}: {res.message}")
-    return res.x
+        raise RuntimeError(f"HiGHS failed on {instance}: {res.message}")
+    lam = _dual_vector(-2.0 * res.eqlin.marginals, 2.0 * res.lower.marginals,
+                       -2.0 * float(res.ineqlin.marginals[0]))
+    return res.x, -res.fun, lam
 
 
 def _solve_primal_simplex(instance: LpInstance):
+    """The tableau simplex on the independent equality rows plus the Bell
+    cap with one slack; its row duals y and reduced costs c - A^T y >= 0 give
+    -m/2 = A_eq[keep]^T y[:-1] + bell_row * y[-1] + (c - A^T y)[:N_VARS]."""
     A_eq, b_eq = equality_constraints()
     keep = independent_equality_rows()
-    # One slack turns the Bell cap into an equality row.
     n = N_VARS + 1
     A = np.zeros((len(keep) + 1, n))
     A[: len(keep), :N_VARS] = A_eq[keep]
@@ -223,35 +228,41 @@ def _solve_primal_simplex(instance: LpInstance):
     b = np.concatenate([b_eq[keep], [instance.delta]])
     c = np.zeros(n)
     c[:N_VARS] = -0.5 * instance.objective_m()
-    x, value = simplex_solve(c, A, b)
-    return x[:N_VARS], -value
+    x, value, y = simplex_solve(c, A, b)
+    free = np.zeros(len(A_eq))
+    free[keep] = -2.0 * y[:-1]
+    lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
+    return x[:N_VARS], -value, lam
 
 
 def _solve_raw(instance: LpInstance, method: str):
-    """(primal x, primal value, dual vector) on the chosen primal route."""
+    """(primal x, primal value, dual vector) from one solve on the chosen route."""
     if method == "highs":
-        x, value = _solve_primal_highs(instance)
-    elif method == "simplex":
-        x, value = _solve_primal_simplex(instance)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return x, value, _solve_dual_highs(instance)
+        return _solve_primal_highs(instance)
+    if method == "simplex":
+        return _solve_primal_simplex(instance)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSolution:
     """Check a primal point and a dual vector for one instance and wrap them.
 
-    The dual residual |A^T lam - m| is formed from the equality blocks, so no
-    dense copy of the inequality matrix is needed; the box must be
-    no-signaling within 1e-7 and LpSolution checks weak duality."""
+    lam must be non-negative; the dual residual |A^T lam - m| is formed from
+    the equality blocks, so no dense copy of the inequality matrix is needed;
+    the box must be no-signaling within 1e-7 and LpSolution checks weak
+    duality."""
+    if np.min(lam) < 0.0:
+        raise CertificationError(
+            f"dual certificate has a negative multiplier on {instance}: {np.min(lam):.3e}"
+        )
     m = instance.objective_m()
     A_eq, _ = equality_constraints()
     n_eq = len(A_eq)
     lam_pos = lam[2 * n_eq : 2 * n_eq + N_VARS]
     lam_bell = lam[-1]
-    residual = np.max(np.abs(
+    residual = float(np.max(np.abs(
         A_eq.T @ (lam[:n_eq] - lam[n_eq : 2 * n_eq]) - lam_pos + lam_bell * bell_row() - m
-    ))
+    )))
     if residual > 1e-6:
         raise CertificationError(
             f"dual certificate infeasible on {instance}, residual {residual:.3e}"
@@ -260,15 +271,16 @@ def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSol
     table = np.clip(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0, None)
     table /= table.sum(axis=0, keepdims=True)
     box = NsBox(table, tol=1e-7)
-    return LpSolution(instance, float(value), box, lam, dual_value, method)
+    return LpSolution(instance, float(value), box, lam, dual_value, method, residual)
 
 
 def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     """Solve one predictability program.
 
     method "highs" uses scipy; "simplex" uses the vendored tableau solver.
-    Either way the returned dual certificate comes from an explicit dual solve
-    and is feasibility-checked, so the two primal paths stay independent.
+    Either way the dual certificate comes from that route's own primal
+    optimum and is checked (non-negative, dual residual, weak duality), so
+    the two routes stay independent.
     """
     x, value, lam = _solve_raw(instance, method)
     return _certified(instance, x, value, lam, method)
@@ -323,9 +335,10 @@ class SymmetryMap:
         return var_index(self.outcome(v // N_SETTINGS), self.setting(v % N_SETTINGS))
 
     def row_perm(self) -> np.ndarray:
-        """R over the rows of `inequality_constraints`: row r read on p is
-        row R[r] read on p'.  A marginal row whose own input flips changes
-        sign, so it moves between the +A_eq and the -A_eq block."""
+        """R over the rows of the inequality form (+A_eq, -A_eq, -I, Bell;
+        see `_inequality_rhs`): row r read on p is row R[r] read on p'.  A
+        marginal row whose own input flips changes sign, so it moves between
+        the +A_eq and the -A_eq block."""
         n_eq = N_SETTINGS + 4 * 64
         rows = np.empty(2 * n_eq + N_VARS + 1, dtype=np.int64)
         rows[:N_SETTINGS] = self.setting(np.arange(N_SETTINGS))
@@ -358,8 +371,9 @@ def _candidate_maps():
 
 
 def _integer_rows():
-    """The rows and right-hand side of `inequality_constraints` in integers,
-    the Bell entry of the right-hand side (delta) left at 0."""
+    """The rows (+A_eq, -A_eq, -I, Bell) and right-hand side of the
+    inequality form in integers, the Bell entry of the right-hand side
+    (delta) left at 0."""
     A_eq, b_eq = equality_constraints()
     A_int, b_int = A_eq.astype(np.int8), b_eq.astype(np.int8)
     if not (np.array_equal(A_int, A_eq) and np.array_equal(b_int, b_eq)):
@@ -450,6 +464,8 @@ class CertificationReport:
     passed: bool
     method: str
     solved: int  # LP instances solved; the rest were carried by symmetry
+    dual_residual: float  # worst over the 16 certificates
+    duality_gap: float  # worst |dual value / 2 - primal value|
 
     def to_json(self) -> dict:
         return {
@@ -487,7 +503,11 @@ def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> Cer
             raise CertificationError(
                 f"optimum {value} exceeds bound {bound} at u*={u_star}, guess={guess}, delta={delta}"
             )
-    return CertificationReport(float(delta), bound, optima, max(optima.values()), True, method, len(orbits))
+    return CertificationReport(
+        float(delta), bound, optima, max(optima.values()), True, method, len(orbits),
+        max(sol.dual_residual for sol in solutions.values()),
+        max(sol.duality_gap for sol in solutions.values()),
+    )
 
 
 def adversarial_box(delta: float, u_star, guess: int, method: str = "highs") -> NsBox:

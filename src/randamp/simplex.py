@@ -1,8 +1,9 @@
 """Dense two-phase tableau simplex for equality-form linear programs.
 
-Solves min c.x subject to A x = b, x >= 0.  Written for the few-hundred
-variable scale of box polytopes; kept deliberately independent of scipy so
-certification can cross-check two unrelated code paths.
+Solves min c.x subject to A x = b, x >= 0, and returns the row duals y of
+the optimum with it (c - A^T y >= 0, b.y = c.x).  Written for the
+few-hundred variable scale of box polytopes; kept deliberately independent
+of scipy so certification can cross-check two unrelated code paths.
 
 Box polytopes are massively degenerate, so the leaving row is chosen
 lexicographically against the running basis-inverse block (the classic
@@ -55,7 +56,7 @@ def _leaving_row(tableau, basis, col, lex_lo, lex_hi, tol, bland):
         return int(candidates[0])
     if bland:
         return int(candidates[np.argmin(basis[candidates])])
-    scaled = tableau[np.ix_(candidates, range(lex_lo, lex_hi))] / column[candidates, None]
+    scaled = tableau[candidates, lex_lo:lex_hi] / column[candidates, None]
     order = np.lexsort(scaled[:, ::-1].T)
     return int(candidates[order[0]])
 
@@ -93,9 +94,11 @@ def _iterate(tableau, basis, enter_cols, lex_lo, lex_hi, tol, maxiter):
 def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
     """Minimize c.x over A x = b, x >= 0.
 
-    Returns (x, value).  Raises InfeasibleError / UnboundedError / SimplexError.
-    Rows of A should be linearly independent; redundant rows surface as
-    leftover artificial basics and are pivoted out or rejected.
+    Returns (x, value, y), y the row duals: c_B B^-1, read off the final
+    objective row over the artificial block, which started as the identity.
+    Raises InfeasibleError / UnboundedError / SimplexError.  Rows of A should
+    be linearly independent; redundant rows surface as leftover artificial
+    basics and are pivoted out or rejected.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -143,4 +146,6 @@ def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
 
     x = np.zeros(n)
     x[basis] = np.maximum(tableau[:m, -1], 0.0)
-    return x, float(c @ x)
+    y = -tableau[-1, n : n + len(b)]
+    y[flip] *= -1.0  # duals of the rows as given, not as flipped
+    return x, float(c @ x), y

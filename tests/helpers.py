@@ -1,8 +1,8 @@
 """Reference helpers that only the tests use: a parameter check for
 Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
 a no-signaling checker for tables of any number of binary parties, the
-exhaustive XOR oracle of criterion 4, and the mutual information of a 2-D
-joint."""
+exhaustive XOR oracle of criterion 4, the mutual information of a 2-D
+joint, and the all-inequality form of the guessing LP."""
 
 from dataclasses import dataclass
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from randamp.boxes import DEFAULT_TOL, in_inequality
 from randamp.definetti import _pinsker_batch
+from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
 
 
@@ -98,3 +99,12 @@ def mutual_information(joint: np.ndarray) -> float:
     """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
     joint = np.asarray(joint, dtype=float)
     return float(_pinsker_batch(joint[np.newaxis])[2][0])
+
+
+def inequality_constraints(delta: float):
+    """All-inequality form A x <= c of the guessing LP: the equalities in both
+    directions, positivity and the Bell cap; the dual certificates live over
+    these rows."""
+    A_eq, _ = equality_constraints()
+    A = np.vstack([A_eq, -A_eq, -np.eye(N_VARS), bell_row()[None, :]])
+    return A, _inequality_rhs(delta)

@@ -265,6 +265,11 @@ def test_certify_command(tmp_path, capsys):
     assert "certification: pass" in printed
     assert "delta=0.0: max_optimum=0.250000000" in printed
     assert "solved 2 of 16 instances per delta (symmetry orbits)" in printed
+    line = re.search(r"^dual certificates: worst residual (\S+), worst \|dual/2 - primal\| (\S+)$",
+                     printed, re.MULTILINE)
+    assert line is not None
+    assert 0.0 <= float(line.group(1)) <= 1e-9
+    assert 0.0 <= float(line.group(2)) <= 1e-9
     payload = json.loads((out / "certify.json").read_text())
     assert payload["passed"] is True
     grid = payload["grid"]

@@ -85,6 +85,17 @@ def test_pinsker_gap_product_joints():
     assert 0.0 <= rhs <= 1e-6
 
 
+def test_pinsker_near_product_joints_have_no_positive_slack():
+    # ||p - q||_1 = 4 eta here; I(A:B) summed as p log(p/q) cancelled to
+    # about 1e-17 and reported a positive slack on 11 of these 45 joints
+    pattern = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for a, b, eta in itertools.product((0.2, 0.3, 0.45), (0.25, 0.6, 0.7),
+                                       (1e-6, 1e-7, 1e-8, 1e-9, 1e-10)):
+        joint = np.outer([a, 1.0 - a], [b, 1.0 - b]) + eta * pattern
+        lhs, rhs = pinsker_gap(joint)
+        assert lhs - rhs <= 0.0, (a, b, eta)
+
+
 def test_pinsker_inequality_random_joints():
     rng = np.random.default_rng(8)
     for _ in range(1000):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import randamp.lp as lp
 from randamp.boxes import bell_value, majority, pack_bits, unpack_bits
 from randamp.lp import (
     INSTANCE_KEYS,
@@ -15,12 +16,13 @@ from randamp.lp import (
     certify_bound,
     check_symmetry_map,
     equality_constraints,
-    inequality_constraints,
     independent_equality_rows,
     majority_sign_vector,
     solve,
     symmetry_orbits,
 )
+
+from helpers import inequality_constraints
 
 U_STAR = (0, 0, 0, 1)
 
@@ -215,3 +217,56 @@ def test_transport_rechecks_the_dual():
     bad[0] += 0.5  # weight on the normalization row of setting 0000
     with pytest.raises(CertificationError, match="dual certificate infeasible"):
         _transport(target, x, bad, P, R, "highs")
+    bad = lam.copy()
+    bad[np.argmax(lam == 0.0)] = -0.1  # certifies nothing, whatever its residual
+    with pytest.raises(CertificationError, match="negative multiplier"):
+        _transport(target, x, bad, P, R, "highs")
+
+
+def test_route_certificates_checked_independently(monkeypatch):
+    """Every certificate certify_bound checks, solved or carried, on both
+    routes: non-negative, A^T lam = m on the dense inequality matrix, and
+    dual value / 2 equal to the primal value."""
+    checked = []
+    certified = lp._certified
+
+    def recording(*args):
+        sol = certified(*args)
+        checked.append(sol)
+        return sol
+
+    monkeypatch.setattr(lp, "_certified", recording)
+    for delta in (0.0, 0.1, 2 / 9, 1 / 3, 1.0, 2.0, 8.0):
+        A, c = inequality_constraints(delta)
+        for method in ("highs", "simplex"):
+            checked.clear()
+            report = certify_bound(delta, method=method)
+            assert len(checked) == 16
+            for sol in checked:
+                lam = sol.dual_certificate
+                assert np.min(lam) >= 0.0
+                residual = np.max(np.abs(A.T @ lam - sol.instance.objective_m()))
+                assert residual <= 1e-9, (delta, method, sol.instance)
+                assert sol.dual_residual == pytest.approx(residual, abs=1e-12)
+                assert c @ lam == pytest.approx(sol.dual_value, abs=1e-12)
+                assert abs(0.5 * sol.dual_value - sol.value) <= 1e-9, (delta, method, sol.instance)
+            assert report.dual_residual == max(sol.dual_residual for sol in checked)
+            assert report.duality_gap == max(sol.duality_gap for sol in checked)
+
+
+def test_one_solve_per_orbit_and_no_dual_program(monkeypatch):
+    calls = []
+    real = lp.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "linprog", counting)
+    for delta in (0.1, 1 / 3):
+        calls.clear()
+        certify_bound(delta, method="simplex")
+        assert calls == []
+        certify_bound(delta, method="highs")
+        assert len(calls) == len(symmetry_orbits())
+        assert all(call["A_ub"] is not None for call in calls)  # primal solves only

@@ -16,10 +16,18 @@ def test_textbook_production_problem():
     )
     b = np.array([4.0, 12.0, 18.0])
     c = np.array([-3.0, -5.0, 0.0, 0.0, 0.0])
-    x, value = simplex_solve(c, A, b)
+    x, value, y = simplex_solve(c, A, b)
     assert value == pytest.approx(-36.0, abs=1e-9)
     assert x[0] == pytest.approx(2.0, abs=1e-9)
     assert x[1] == pytest.approx(6.0, abs=1e-9)
+    assert np.max(np.abs(y - [0.0, -1.5, -1.0])) <= 1e-12
+    # The second row negated (b < 0, flipped inside): the dual of the row as
+    # given changes sign.
+    A[1] *= -1.0
+    b[1] *= -1.0
+    _, flipped_value, flipped = simplex_solve(c, A, b)
+    assert flipped_value == value
+    assert np.max(np.abs(flipped - [0.0, 1.5, -1.0])) <= 1e-12
 
 
 def test_beale_cycling_example():
@@ -33,7 +41,7 @@ def test_beale_cycling_example():
     )
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
-    x, value = simplex_solve(c, A, b)
+    x, value, _ = simplex_solve(c, A, b)
     assert value == pytest.approx(-0.05, abs=1e-9)
 
 
@@ -52,11 +60,11 @@ def test_unbounded_detected():
 
 
 def test_trivial_and_redundant_rows():
-    x, value = simplex_solve(np.array([1.0]), np.array([[1.0]]), np.array([0.0]))
+    x, value, _ = simplex_solve(np.array([1.0]), np.array([[1.0]]), np.array([0.0]))
     assert value == 0.0
     A = np.array([[1.0, 1.0], [2.0, 2.0]])  # consistent duplicate
     b = np.array([1.0, 2.0])
-    x, value = simplex_solve(np.array([1.0, 0.0]), A, b)
+    x, value, _ = simplex_solve(np.array([1.0, 0.0]), A, b)
     assert value == pytest.approx(0.0, abs=1e-9)
     assert x[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -65,7 +73,7 @@ def test_negative_rhs_rows_are_flipped():
     # Same feasible set as x1 + x2 = 1 written with a negated row.
     A = np.array([[-1.0, -1.0]])
     b = np.array([-1.0])
-    x, value = simplex_solve(np.array([2.0, 1.0]), A, b)
+    x, value, _ = simplex_solve(np.array([2.0, 1.0]), A, b)
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -88,10 +96,13 @@ def test_random_instances_match_scipy():
         b = np.concatenate([A[:m, :n] @ x0, [x0.sum() + 1.0]])
         c = np.concatenate([rng.standard_normal(n), [0.0]])
 
-        x, value = simplex_solve(c, A, b)
+        x, value, y = simplex_solve(c, A, b)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status == 0, f"trial {trial}: scipy failed"
         assert value == pytest.approx(ref.fun, abs=1e-7)
         assert np.max(np.abs(A @ x - b)) <= 1e-7
         assert np.min(x) >= -1e-9
         assert c @ x == pytest.approx(value, abs=1e-9)
+        assert np.max(np.abs(y - ref.eqlin.marginals)) <= 1e-9, f"trial {trial}"
+        assert np.min(c - A.T @ y) >= -1e-9
+        assert b @ y == pytest.approx(value, abs=1e-9)
