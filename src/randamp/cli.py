@@ -127,9 +127,12 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_outputs(out_dir: str, command: str, config_path: str | None, files: dict):
+def write_outputs(out_dir: str, command: str, config_path: str | None, files: dict,
+                  metrics: dict | None = None):
     """files: name -> bytes.  Writes data files, then the manifest, each via
-    temp-file rename so a crash never leaves a half-written artifact."""
+    temp-file rename so a crash never leaves a half-written artifact.
+    metrics, facts about the run that are not results (so the data files stay
+    byte-stable), go into the manifest only."""
     os.makedirs(out_dir, exist_ok=True)
     for name, payload in files.items():
         tmp = os.path.join(out_dir, f".{name}.tmp")
@@ -145,6 +148,8 @@ def write_outputs(out_dir: str, command: str, config_path: str | None, files: di
             name: sha256_file(os.path.join(out_dir, name)) for name in sorted(files)
         },
     }
+    if metrics is not None:
+        manifest["metrics"] = metrics
     tmp = os.path.join(out_dir, ".manifest.json.tmp")
     with open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -192,7 +197,12 @@ def cmd_certify(args) -> int:
         "grid": grid,
     }
     if args.out:
-        write_outputs(args.out, "certify", args.config, {"certify.json": _json_bytes(summary)})
+        metrics = {"certificates": [
+            {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual,
+             "duality_gap": r.duality_gap}
+            for r in reports
+        ]}
+        write_outputs(args.out, "certify", args.config, {"certify.json": _json_bytes(summary)}, metrics)
     for entry in grid:
         if "error" in entry:
             print(f"delta={entry['delta']}: ERROR {entry['error']}")

@@ -8,17 +8,21 @@ Two independent primal solvers are kept on purpose: scipy's HiGHS and the
 vendored dense simplex.  Each route takes its dual certificate from its own
 primal optimum (HiGHS's constraint multipliers, or the simplex tableau's
 row duals and reduced costs), and the certificate is then verified directly:
-non-negative, dual residual |A^T lam - m| small, weak duality.
+non-negative, dual residual |A^T lam - m| small, weak duality.  The cap is
+checked against the bound the certificate proves, dual value / 2 plus
+8 times the residual, as well as against the primal optimum.
 
 The 16 instances (8 settings u* x 2 guesses) are related by relabelings of
 the box that leave the feasible set alone: permuting parties 1-3, flipping
 the outputs of parties 1-3 together or of party 4, and flipping all four
 inputs exactly when an odd number of outputs flips.  They fall into two
 orbits, of sizes 4 and 12.  `certify_bound` solves one instance per orbit
-and carries its primal box and dual vector to the others; each map is first
-checked exactly, in integers, on the constraint rows, their right-hand side
-and the objectives, and each carried certificate is checked again like a
-solved one (Bodi, Herr & Joswig, Math. Program. 137, 2013).
+(on the simplex route both representatives in one call that shares phase 1,
+since they differ only in the objective) and carries its primal box and
+dual vector to the others; each map is first checked exactly, in integers,
+on the constraint rows, their right-hand side and the objectives, and each
+carried certificate is checked again like a solved one (Bodi, Herr &
+Joswig, Math. Program. 137, 2013).
 """
 
 from __future__ import annotations
@@ -214,10 +218,13 @@ def _solve_primal_highs(instance: LpInstance):
     return res.x, -res.fun, lam
 
 
-def _solve_primal_simplex(instance: LpInstance):
-    """The tableau simplex on the independent equality rows plus the Bell
-    cap with one slack; its row duals y and reduced costs c - A^T y >= 0 give
-    -m/2 = A_eq[keep]^T y[:-1] + bell_row * y[-1] + (c - A^T y)[:N_VARS]."""
+def _simplex_program(instances):
+    """(A, b, C) for the tableau simplex: the independent equality rows plus
+    the Bell cap with one slack, and one objective row -m/2 per instance.
+    The instances must share their delta, which is all b depends on."""
+    deltas = {instance.delta for instance in instances}
+    if len(deltas) != 1:
+        raise ValueError(f"instances must share one delta, got {sorted(deltas)}")
     A_eq, b_eq = equality_constraints()
     keep = independent_equality_rows()
     n = N_VARS + 1
@@ -225,22 +232,37 @@ def _solve_primal_simplex(instance: LpInstance):
     A[: len(keep), :N_VARS] = A_eq[keep]
     A[-1, :N_VARS] = bell_row()
     A[-1, -1] = 1.0
-    b = np.concatenate([b_eq[keep], [instance.delta]])
-    c = np.zeros(n)
-    c[:N_VARS] = -0.5 * instance.objective_m()
-    x, value, y = simplex_solve(c, A, b)
-    free = np.zeros(len(A_eq))
-    free[keep] = -2.0 * y[:-1]
-    lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
-    return x[:N_VARS], -value, lam
+    b = np.concatenate([b_eq[keep], [deltas.pop()]])
+    C = np.zeros((len(instances), n))
+    for row, instance in zip(C, instances):
+        row[:N_VARS] = -0.5 * instance.objective_m()
+    return A, b, C
 
 
-def _solve_raw(instance: LpInstance, method: str):
-    """(primal x, primal value, dual vector) from one solve on the chosen route."""
+def _solve_primal_simplex(instances):
+    """The tableau simplex on instances sharing one delta, one phase 1 for
+    all of them; per instance its row duals y and reduced costs
+    c - A^T y >= 0 give
+    -m/2 = A_eq[keep]^T y[:-1] + bell_row * y[-1] + (c - A^T y)[:N_VARS]."""
+    A, b, C = _simplex_program(instances)
+    keep = independent_equality_rows()
+    n_eq = len(equality_constraints()[0])
+    results = []
+    for c, (x, value, y) in zip(C, simplex_solve(C, A, b)):
+        free = np.zeros(n_eq)
+        free[keep] = -2.0 * y[:-1]
+        lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
+        results.append((x[:N_VARS], -value, lam))
+    return results
+
+
+def _solve_raw(instances, method: str):
+    """(primal x, primal value, dual vector) per instance, the instances
+    sharing one delta: one HiGHS solve each, or one simplex call for all."""
     if method == "highs":
-        return _solve_primal_highs(instance)
+        return [_solve_primal_highs(instance) for instance in instances]
     if method == "simplex":
-        return _solve_primal_simplex(instance)
+        return _solve_primal_simplex(instances)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -282,7 +304,7 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     optimum and is checked (non-negative, dual residual, weak duality), so
     the two routes stay independent.
     """
-    x, value, lam = _solve_raw(instance, method)
+    (x, value, lam), = _solve_raw([instance], method)
     return _certified(instance, x, value, lam, method)
 
 
@@ -483,25 +505,35 @@ def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> Cer
 
     Solves one instance per symmetry orbit, transports its primal box and
     dual certificate to the rest of the orbit, and re-checks every
-    transported certificate as a solved one is checked.  Raises
-    CertificationError naming the first violating instance.
+    transported certificate as a solved one is checked.  The cap must hold
+    for the primal optimum and for the bound each dual certificate proves:
+    for every feasible x (|x|_1 = 16, one unit per setting),
+    m.x/2 <= dual_value/2 + 8 * dual_residual.  Raises CertificationError
+    naming the first violating instance.
     """
     bound = analytic_bound(delta)
     solutions = {}
     orbits = symmetry_orbits()
-    for rep, members in orbits:
-        instance = LpInstance(rep[0], delta, rep[1])
-        x, value, lam = _solve_raw(instance, method)
+    instances = [LpInstance(rep[0], delta, rep[1]) for rep, _ in orbits]
+    solved = _solve_raw(instances, method)
+    for (rep, members), instance, (x, value, lam) in zip(orbits, instances, solved):
         solutions[rep] = _certified(instance, x, value, lam, method)
         for member, P, R in members:
             solutions[member] = _transport(LpInstance(member[0], delta, member[1]), x, lam, P, R, method)
     optima = {}
     for u_star, guess in INSTANCE_KEYS:
-        value = solutions[(u_star, guess)].value
+        solution = solutions[(u_star, guess)]
+        value = solution.value
         optima[(bits_str(pack_bits(u_star)), guess)] = value
         if value > bound + tol:
             raise CertificationError(
                 f"optimum {value} exceeds bound {bound} at u*={u_star}, guess={guess}, delta={delta}"
+            )
+        proved = 0.5 * solution.dual_value + 0.5 * N_SETTINGS * solution.dual_residual
+        if proved > bound + tol:
+            raise CertificationError(
+                f"dual certificate proves only {proved} against bound {bound} "
+                f"at u*={u_star}, guess={guess}, delta={delta}"
             )
     return CertificationReport(
         float(delta), bound, optima, max(optima.values()), True, method, len(orbits),

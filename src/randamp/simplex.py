@@ -7,7 +7,17 @@ of scipy so certification can cross-check two unrelated code paths.
 
 Box polytopes are massively degenerate, so the leaving row is chosen
 lexicographically against the running basis-inverse block (the classic
-anti-cycling rule), with Bland's rule as a sticky fallback.
+anti-cycling rule of Dantzig, Orden & Wolfe, Pacific J. Math. 5, 1955), with
+Bland's rule as a sticky fallback.  Ratio ties are few (a median of two
+candidates on the certify LP), so the lexicographic minimum is taken by
+comparing the candidates' rows as Python lists rather than by sorting on
+every column.
+
+Phase 1 never reads the objective.  Given several objectives over the same
+A and b (one per row of a 2-D c), phase 1, the removal of leftover
+artificials and the row drop run once, and each objective gets its own
+phase 2 from a copy of the feasible tableau and basis; every pivot is the
+one a separate solve would make.
 """
 
 from __future__ import annotations
@@ -57,8 +67,16 @@ def _leaving_row(tableau, basis, col, lex_lo, lex_hi, tol, bland):
     if bland:
         return int(candidates[np.argmin(basis[candidates])])
     scaled = tableau[candidates, lex_lo:lex_hi] / column[candidates, None]
-    order = np.lexsort(scaled[:, ::-1].T)
-    return int(candidates[order[0]])
+    return int(candidates[_lex_first(scaled)])
+
+
+def _lex_first(block: np.ndarray) -> int:
+    """Index of the lexicographically smallest row of block, the first one
+    among equal rows: what np.lexsort(block[:, ::-1].T)[0] gives.  Python
+    compares floats by value (so -0.0 == 0.0) and min keeps the first of
+    equal keys, as the stable sort does."""
+    rows = block.tolist()
+    return min(range(len(rows)), key=rows.__getitem__)
 
 
 def _iterate(tableau, basis, enter_cols, lex_lo, lex_hi, tol, maxiter):
@@ -96,27 +114,37 @@ def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
 
     Returns (x, value, y), y the row duals: c_B B^-1, read off the final
     objective row over the artificial block, which started as the identity.
-    Raises InfeasibleError / UnboundedError / SimplexError.  Rows of A should
-    be linearly independent; redundant rows surface as leftover artificial
+    A 2-D c holds one objective per row; the result is then a list with one
+    such triple per row, all from one shared phase 1.  Raises
+    InfeasibleError / UnboundedError / SimplexError.  Rows of A should be
+    linearly independent; redundant rows surface as leftover artificial
     basics and are pivoted out or rejected.
     """
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
+    if b.shape != (m,) or c.ndim not in (1, 2) or c.shape[-1] != n:
         raise ValueError("inconsistent shapes")
-    A = A.copy()
     flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    tableau, basis = _phase_one(A, b, flip, tol, maxiter)
+    if c.ndim == 1:
+        return _phase_two(tableau, basis, c, flip, tol, maxiter)
+    return [_phase_two(tableau.copy(), basis.copy(), row, flip, tol, maxiter) for row in c]
 
-    # Artificial identity block doubles as the lexicographic tracker, so it is
-    # kept through both phases; artificials are never eligible to enter.
+
+def _phase_one(A, b, flip, tol, maxiter):
+    """A feasible (tableau, basis) for A x = b, x >= 0, the rows in flip
+    negated so that b >= 0, with the artificial columns kept and the rows of
+    redundant constraints dropped."""
+    m, n = A.shape
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
     tableau[:m, -1] = b
+    tableau[:m][flip] *= -1.0
+    # Artificial identity block doubles as the lexicographic tracker, so it is
+    # kept through both phases; artificials are never eligible to enter.
+    tableau[:m, n : n + m] = np.eye(m)
     tableau[-1] = -tableau[:m].sum(axis=0)
     tableau[-1, n : n + m] = 0.0
     basis = np.arange(n, n + m)
@@ -136,8 +164,14 @@ def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
     if len(keep) < m:
         tableau = np.vstack([tableau[keep], tableau[-1:]])
         basis = basis[keep]
-        m = len(keep)
+    return tableau, basis
 
+
+def _phase_two(tableau, basis, c, flip, tol, maxiter):
+    """Minimize c.x from phase 1's feasible tableau and basis, both updated
+    in place, and return (x, value, y)."""
+    m = len(basis)
+    n = len(c)
     tableau[-1, :] = 0.0
     tableau[-1, :n] = c
     for row in range(m):
@@ -146,6 +180,6 @@ def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
 
     x = np.zeros(n)
     x[basis] = np.maximum(tableau[:m, -1], 0.0)
-    y = -tableau[-1, n : n + len(b)]
+    y = -tableau[-1, n : n + len(flip)]
     y[flip] *= -1.0  # duals of the rows as given, not as flipped
     return x, float(c @ x), y

@@ -235,6 +235,8 @@ def test_certify_records_error_type(tmp_path, capsys, monkeypatch):
     ok, failed = payload["grid"]
     assert "error" not in ok and ok["passed"] is True
     assert failed == {"delta": 0.2, "error": "solver gave up", "error_type": "ArithmeticError"}
+    facts = json.loads((out / "manifest.json").read_text())["metrics"]["certificates"]
+    assert [f["delta"] for f in facts] == [0.0]  # only the certified deltas
 
 
 def test_run_flags_only_on_simulate(tmp_path):
@@ -276,6 +278,14 @@ def test_certify_command(tmp_path, capsys):
     assert [g["delta"] for g in grid] == [0.0, 0.2]
     assert grid[0]["max_optimum"] <= grid[1]["max_optimum"]
     assert verify_manifest(str(out))
+    # The certificate facts go to the manifest, not to certify.json.
+    assert not {"solved", "dual_residual", "duality_gap"} & set(grid[0])
+    manifest = json.loads((out / "manifest.json").read_text())
+    facts = manifest["metrics"]["certificates"]
+    assert [f["delta"] for f in facts] == [0.0, 0.2]
+    assert all(f["solved"] == 2 for f in facts)
+    assert all(0.0 <= f[key] <= 1e-9 for f in facts for key in ("dual_residual", "duality_gap"))
+    assert f"{max(f['dual_residual'] for f in facts):.3e}" == line.group(1)
 
 
 def test_certify_rejects_empty_grid(tmp_path, capsys):

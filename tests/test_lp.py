@@ -209,7 +209,7 @@ def test_transport_rechecks_the_dual():
     delta = 0.2
     rep, members = symmetry_orbits()[1]
     member, P, R = members[0]
-    x, _, lam = _solve_raw(LpInstance(rep[0], delta, rep[1]), "highs")
+    (x, _, lam), = _solve_raw([LpInstance(rep[0], delta, rep[1])], "highs")
     target = LpInstance(member[0], delta, member[1])
     carried = _transport(target, x, lam, P, R, "highs")
     assert carried.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
@@ -270,3 +270,41 @@ def test_one_solve_per_orbit_and_no_dual_program(monkeypatch):
         certify_bound(delta, method="highs")
         assert len(calls) == len(symmetry_orbits())
         assert all(call["A_ub"] is not None for call in calls)  # primal solves only
+
+
+@pytest.mark.parametrize("method", ["highs", "simplex"])
+@pytest.mark.parametrize("perturbation", ["dual_value", "residual"])
+def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
+    """At the tight delta = 1/3, a certificate that passes the residual gate
+    and weak duality but proves less than the cap is rejected, though every
+    primal optimum meets the cap."""
+    delta, setting = 1 / 3, 5
+    n_eq = len(equality_constraints()[0])
+    positivity = slice(2 * n_eq + setting, 2 * n_eq + lp.N_VARS, lp.N_SETTINGS)
+    raw = lp._solve_raw
+    perturbed = []
+
+    def perturbing(instances, route):
+        results = raw(instances, route)
+        x, value, lam = results[0]
+        lam = lam.copy()
+        if perturbation == "dual_value":
+            # +t on the +A_eq normalization row of one setting and on the
+            # positivity rows of its 16 variables: A^T lam is unchanged and
+            # the dual value grows by t.
+            lam[setting] += 1e-3
+            lam[positivity] += 1e-3
+        else:
+            # Residual 5e-7, inside the 1e-6 gate; 8 times it exceeds tol.
+            lam[positivity.start] += 5e-7
+        perturbed.append(instances[0])
+        return [(x, value, lam)] + results[1:]
+
+    monkeypatch.setattr(lp, "_solve_raw", perturbing)
+    with pytest.raises(CertificationError, match="dual certificate proves only") as err:
+        certify_bound(delta, method=method)
+    rep = perturbed[0]
+    assert f"u*={rep.u_star}, guess={rep.guess}" in str(err.value)
+    monkeypatch.setattr(lp, "_solve_raw", raw)
+    report = certify_bound(delta, method=method)
+    assert 0.5 * lp.N_SETTINGS * report.dual_residual < 1e-9

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from randamp.simplex import InfeasibleError, UnboundedError, simplex_solve
+import randamp.simplex as simplex
+from randamp import lp
+from randamp.simplex import InfeasibleError, UnboundedError, _lex_first, simplex_solve
 
 
-def test_textbook_production_problem():
+def textbook_problem():
     # max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18; optimum 36 at (2, 6)
     A = np.array(
         [
@@ -16,6 +18,18 @@ def test_textbook_production_problem():
     )
     b = np.array([4.0, 12.0, 18.0])
     c = np.array([-3.0, -5.0, 0.0, 0.0, 0.0])
+    return c, A, b
+
+
+def assert_same_triples(stacked, separate):
+    assert len(stacked) == len(separate)
+    for got, want in zip(stacked, separate):
+        x, value, y = got
+        assert np.array_equal(x, want[0]) and value == want[1] and np.array_equal(y, want[2])
+
+
+def test_textbook_production_problem():
+    c, A, b = textbook_problem()
     x, value, y = simplex_solve(c, A, b)
     assert value == pytest.approx(-36.0, abs=1e-9)
     assert x[0] == pytest.approx(2.0, abs=1e-9)
@@ -80,6 +94,62 @@ def test_negative_rhs_rows_are_flipped():
 def test_shape_validation():
     with pytest.raises(ValueError):
         simplex_solve(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        simplex_solve(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        simplex_solve(np.float64(0.0), np.zeros((2, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("delta", [0.0, 2 / 9, 1 / 3, 1.0, 8.0])
+def test_stacked_objectives_match_separate_solves_on_certify_lp(delta):
+    instances = [lp.LpInstance(rep[0], delta, rep[1]) for rep, _ in lp.symmetry_orbits()]
+    A, b, C = lp._simplex_program(instances)
+    assert_same_triples(simplex_solve(C, A, b), [simplex_solve(c, A, b) for c in C])
+
+
+def test_stacked_objectives_match_separate_solves_with_flipped_row():
+    c, A, b = textbook_problem()
+    A[1] *= -1.0
+    b[1] *= -1.0  # b < 0: flipped inside, and the dual of that row with it
+    C = np.array([c, [-1.0, -1.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0, 0.0]])
+    stacked = simplex_solve(C, A, b)
+    assert_same_triples(stacked, [simplex_solve(row, A, b) for row in C])
+    assert np.max(np.abs(stacked[0][2] - [0.0, 1.5, -1.0])) <= 1e-12
+
+
+def test_phase_one_runs_once_for_stacked_objectives(monkeypatch):
+    calls = []
+    iterate = simplex._iterate
+
+    def counting(*args):
+        calls.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(simplex, "_iterate", counting)
+    c, A, b = textbook_problem()
+    for r in (1, 2, 3):
+        calls.clear()
+        results = simplex_solve(np.tile(c, (r, 1)), A, b)
+        assert len(results) == r
+        assert len(calls) == 1 + r
+    calls.clear()
+    simplex_solve(c, A, b)
+    assert len(calls) == 2
+
+
+def test_lex_first_matches_lexsort_on_ties():
+    rng = np.random.default_rng(7)
+    for trial in range(2000):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(1, 8))
+        block = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+        block[block == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(block == 0.0)))
+        # Exact duplicates, some with zeros of the other sign.
+        for _ in range(int(rng.integers(0, rows))):
+            src, dst = rng.integers(0, rows, size=2)
+            block[dst] = block[src]
+            block[dst][block[dst] == 0.0] *= -1.0
+        assert _lex_first(block) == np.lexsort(block[:, ::-1].T)[0], (trial, block)
 
 
 def test_random_instances_match_scipy():
