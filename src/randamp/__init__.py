@@ -68,7 +68,6 @@ from .protocol import (
     azuma_rejection_bound,
     distance_d,
     estimate_output_bias,
-    goodness_oracle,
     proposition_bound,
     robustness_acceptance_bound,
     robustness_threshold,

@@ -221,6 +221,17 @@ def cmd_certify(args) -> int:
     return 0 if passed else 1
 
 
+def _use_counts(value):
+    """The simulate field 'n' as ProtocolParams takes it: one integer for
+    every device, or a list of integers."""
+    # JSON true/false load as bool, a subclass of int: not a count
+    if type(value) is int:
+        return value
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        return tuple(value)
+    raise ConfigError(f"field 'n' must be an integer or a list of integers, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _check_keys(
@@ -232,7 +243,7 @@ def cmd_simulate(args) -> int:
         delta=float(_require(cfg, "delta", "")),
         mu=float(_require(cfg, "mu", "")),
         k=int(_require(cfg, "k", "")),
-        n=tuple(cfg["n"]) if "n" in cfg else (1,),
+        n=_use_counts(cfg["n"]) if "n" in cfg else (1,),
         t=float(cfg.get("t", 1e6)),
     )
     box = build_box(_require(cfg, "device", ""))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -307,33 +308,10 @@ def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
     return result, run
 
 
-@dataclass
-class GoodnessReport:
-    verdict: bool
-    delta_values: tuple
-    good_count: int
-    required: float
-
-
-def goodness_oracle(devices, transcript: RunTranscript,
-                    delta: float | None = None, mu: float | None = None) -> GoodnessReport:
-    """Simulation-side check: do >= mu k of the selected conditional boxes sit
-    below delta?  Never consulted by the protocol itself."""
-    params = transcript.params
-    delta = params.delta if delta is None else delta
-    mu = params.mu if mu is None else mu
-    values = []
-    for j, device in enumerate(devices):
-        pos = transcript.selected_use(j)
-        box = device.box_given(tuple(transcript.uses[j][:pos]))
-        values.append(bell_value(box, validate=False))
-    good = sum(1 for v in values if v < delta)
-    return GoodnessReport(
-        verdict=good >= mu * params.k,
-        delta_values=tuple(values),
-        good_count=good,
-        required=mu * params.k,
-    )
+# setting index of each four-bit string, first bit most significant
+_SETTING_OF_CODE = np.array(
+    [pack_bits(tuple((code >> (3 - i)) & 1 for i in range(4))) for code in range(16)]
+)
 
 
 def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
@@ -343,11 +321,8 @@ def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
     length only, which holds for every built-in strategy whose pattern length
     divides four.
     """
-    flat = exact_bitstring_distribution(sv_strategy, 4, epsilon)
-    dist = np.zeros(16)
-    for code in range(16):
-        bits = tuple((code >> (3 - i)) & 1 for i in range(4))
-        dist[pack_bits(bits)] = flat[code]
+    dist = np.empty(16)
+    dist[_SETTING_OF_CODE] = exact_bitstring_distribution(sv_strategy, 4, epsilon)
     return dist
 
 
@@ -386,6 +361,53 @@ def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
     return period is not None and 4 % period == 0
 
 
+# Cell 2b + g of each (outcome, kept setting) pair, indexed [x, s]: b is the
+# pair's Bell coefficient, g the majority of the first three outcome bits.
+_KEPT = np.array(INEQUALITY_INDICES)
+_CELL = 2 * BELL_FUNCTIONAL[:, _KEPT].astype(np.int64) + np.array(
+    [majority(*unpack_bits(x)[:3]) for x in range(16)]
+)[:, None]
+_CELL.setflags(write=False)
+
+
+def _log_power(base: float, exponents: np.ndarray) -> np.ndarray:
+    """exponents x log|base|, with 0^0 = 1: a zero base gives -inf where the
+    exponent is positive and 0 where it is 0."""
+    if base == 0.0:
+        return np.where(exponents > 0, -np.inf, 0.0)
+    return exponents * math.log(abs(base))
+
+
+def trial_law(law, k: int) -> np.ndarray:
+    """Law of one trial of k i.i.d. devices with nonnegative cell law
+    law[2b + g]: entry 2B + par is the probability that B selected pairs carry
+    a Bell coefficient and their majorities XOR to par.
+
+    With q = law[2] + law[3] and a_b = law[2b] - law[2b + 1],
+    P(B) = C(k, B) q^B (1 - q)^(k - B), and by the piling-up lemma (Matsui,
+    EUROCRYPT '93) P(B, 0) - P(B, 1) = C(k, B) a_1^B a_0^(k - B).  Both are
+    summed in log space, signs apart, and exponentiated last, so nothing
+    overflows at large k; log C(k, B) is a cumulative sum of
+    log((k - B + 1) / B) up to k/2, mirrored.  Entries are clipped at 0, so
+    an impossible outcome has probability exactly 0, and normalized: the
+    rounding of the log-space sums leaves a relative error of about 1e-9 at
+    k = 10^6.
+    """
+    count = np.arange(k + 1)
+    half = k // 2
+    log_comb = np.zeros(k + 1)
+    np.cumsum(np.log((k - count[1:half + 1] + 1) / count[1:half + 1]), out=log_comb[1:half + 1])
+    log_comb[k - half:] = log_comb[half::-1]
+    q, r = law[2] + law[3], law[0] + law[1]
+    a0, a1 = law[0] - law[1], law[2] - law[3]
+    total = np.exp(log_comb + _log_power(q, count) + _log_power(r, k - count))
+    odd = ((a1 < 0) * count + (a0 < 0) * (k - count)) % 2 == 1
+    diff = np.exp(log_comb + _log_power(a1, count) + _log_power(a0, k - count))
+    diff[odd] *= -1.0
+    pmf = np.clip(np.stack([total + diff, total - diff], axis=1).ravel(), 0.0, None)
+    return pmf / pmf.sum()
+
+
 class _IidSampler:
     """Exact per-trial law of k devices that reduce to one selected-pair table
     (i.i.d. devices sharing one box, or mixtures of them with one hidden label
@@ -396,39 +418,43 @@ class _IidSampler:
     so the selected pairs of the k devices are i.i.d. with the reduced table's
     law, and independent of the draw counts and selection indices.  The test
     reads only the Bell coefficient b of each selected pair and the hash only
-    the majority g of its first three outcome bits, so a trial is the counts
-    of the k devices over the four cells 2b + g: one multinomial draw with the
-    law `law`.
+    the majority g of its first three outcome bits, so each pair falls in one
+    of four cells 2b + g with the law `law`, and a trial is one draw of
+    (B, parity): how many pairs score and the parity of their majorities
+    (trial_law).  Outcomes of probability 0 are never drawn.
     """
 
     def __init__(self, params: ProtocolParams, devices, sv_strategy):
         table = _reduced_table(devices[0])
         draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
-        kept_idx = np.array(INEQUALITY_INDICES)
-        kept_p = draw[kept_idx]
+        kept_p = draw[_KEPT]
         self.kept_mass = float(kept_p.sum())
-        cols = table[:, kept_idx]
+        cols = table[:, _KEPT]
         # P(selected pair = (kept setting s, outcome x)), indexed [x, s]
         pair_p = cols / cols.sum(axis=0) * (kept_p / self.kept_mass)
-        maj = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
-        cell = 2 * BELL_FUNCTIONAL[:, kept_idx].astype(np.int64) + maj[:, None]
-        law = np.bincount(cell.ravel(), weights=pair_p.ravel(), minlength=4)
+        law = np.clip(np.bincount(_CELL.ravel(), weights=pair_p.ravel(), minlength=4), 0.0, None)
         self.law = law / law.sum()
-        # zero-probability cells are left out of the draw, so they get no mass
-        self.cells = np.flatnonzero(self.law > 0)
-        self.threshold = acceptance_threshold(params)
+        self.params = params
+        self.strategy = sv_strategy
         self.n = np.array(params.n)
-        self.select_p0, self.select_weights = _selection_law(params, sv_strategy)
+        k = params.k
+        pmf = trial_law(self.law, k)
+        self.cdf = np.cumsum(pmf)
+        # from the last possible outcome on, so no impossible one is drawn
+        self.cdf[np.flatnonzero(pmf)[-1]:] = 1.0
+        # Z_k, the test's verdict and the output of each outcome 2B + parity
+        self._z = np.repeat(np.arange(k + 1) / k, 2)
+        self._accepted = self._z <= acceptance_threshold(params)
+        self._output = np.where(self._accepted, np.tile([0, 1], k + 1), -1)
+
+    @cached_property
+    def _selection(self) -> tuple:
+        return _selection_law(self.params, self.strategy)
 
     def sample(self, m: int, rng) -> tuple:
         """(Z_k, accepted, output bit or -1 where aborted) for m trials."""
-        k = len(self.n)
-        counts = np.zeros((m, 4), dtype=np.int64)
-        counts[:, self.cells] = rng.multinomial(k, self.law[self.cells], size=m)
-        z = (counts[:, 2] + counts[:, 3]) / k
-        acc = z <= self.threshold
-        bits = (counts[:, 1] + counts[:, 3]) & 1
-        return z, acc, np.where(acc, bits, -1)
+        idx = np.searchsorted(self.cdf, rng.random(m), side="right")
+        return self._z[idx], self._accepted[idx], self._output[idx]
 
     def rows(self, m: int, rng) -> "TrialRows":
         """Every column of m protocol runs.  Device j draws settings until
@@ -436,12 +462,13 @@ class _IidSampler:
         come the selection bits, device-major and most significant first."""
         z, acc, output = self.sample(m, rng)
         m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, len(self.n)))
-        select_bits = (rng.random((m, len(self.select_p0))) >= self.select_p0).astype(np.int64)
+        select_p0, select_weights = self._selection
+        select_bits = (rng.random((m, len(select_p0))) >= select_p0).astype(np.int64)
         return TrialRows(
             z_k=z,
             accepted=acc,
             output=output,
-            selection=select_bits @ self.select_weights,
+            selection=select_bits @ select_weights,
             m_realized=m_realized,
         )
 

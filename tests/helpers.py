@@ -2,15 +2,17 @@
 Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
 a no-signaling checker for tables of any number of binary parties, the
 exhaustive XOR oracle of criterion 4, the mutual information of a 2-D
-joint, and the all-inequality form of the guessing LP."""
+joint, the all-inequality form of the guessing LP, and the goodness oracle
+over a run's selected conditional boxes."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from randamp.boxes import DEFAULT_TOL, in_inequality
+from randamp.boxes import DEFAULT_TOL, bell_value, in_inequality
 from randamp.definetti import _pinsker_batch
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
+from randamp.protocol import RunTranscript
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
 
 
@@ -108,3 +110,32 @@ def inequality_constraints(delta: float):
     A_eq, _ = equality_constraints()
     A = np.vstack([A_eq, -A_eq, -np.eye(N_VARS), bell_row()[None, :]])
     return A, _inequality_rhs(delta)
+
+
+@dataclass
+class GoodnessReport:
+    verdict: bool
+    delta_values: tuple
+    good_count: int
+    required: float
+
+
+def goodness_oracle(devices, transcript: RunTranscript,
+                    delta: float | None = None, mu: float | None = None) -> GoodnessReport:
+    """Simulation-side check: do >= mu k of the selected conditional boxes sit
+    below delta?  Never consulted by the protocol itself."""
+    params = transcript.params
+    delta = params.delta if delta is None else delta
+    mu = params.mu if mu is None else mu
+    values = []
+    for j, device in enumerate(devices):
+        pos = transcript.selected_use(j)
+        box = device.box_given(tuple(transcript.uses[j][:pos]))
+        values.append(bell_value(box, validate=False))
+    good = sum(1 for v in values if v < delta)
+    return GoodnessReport(
+        verdict=good >= mu * params.k,
+        delta_values=tuple(values),
+        good_count=good,
+        required=mu * params.k,
+    )

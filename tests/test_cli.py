@@ -342,6 +342,24 @@ def test_bad_strategy_and_device_specs(tmp_path, capsys):
     assert "psychic" in capsys.readouterr().err
 
 
+def test_simulate_use_counts_field(tmp_path, capsys):
+    """An integer n counts for every device, as ProtocolParams takes it; any
+    other scalar or a nested list is a config error naming the field."""
+    outs = {}
+    for name, n in (("int", 4), ("list", [4]), ("per_device", [4, 4, 4])):
+        cfg = write_config(tmp_path, {**SIM_CONFIG, "n": n}, f"{name}.json")
+        assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        assert summary["params"]["n"] == [4, 4, 4]
+        outs[name] = (tmp_path / name / "trials.csv").read_bytes()
+    assert outs["int"] == outs["list"] == outs["per_device"]
+    capsys.readouterr()
+    for value in (True, 4.0, "4", [[4]], [2, True], [2.0], None, {"n": 4}):
+        cfg = write_config(tmp_path, {**SIM_CONFIG, "n": value}, "bad.json")
+        assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2, value
+        assert "field 'n'" in capsys.readouterr().err
+
+
 def test_config_file_errors(tmp_path, capsys):
     assert run_main(["certify", "--config", str(tmp_path / "nope.json")]) == 2
     broken = tmp_path / "broken.json"

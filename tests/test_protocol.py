@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,12 +9,15 @@ import pytest
 from randamp.boxes import (
     BELL_FUNCTIONAL,
     INEQUALITY_INDICES,
+    U1,
     NsBox,
     algebraic_violation_box,
     bell_value,
     local_deterministic_box,
     majority,
     mixed_with_uniform,
+    pack_bits,
+    parity_box,
     uniform_box,
     unpack_bits,
 )
@@ -28,20 +33,20 @@ from randamp.protocol import (
     estimate_output_bias,
     f_epsilon,
     fast_path_applicable,
-    goodness_oracle,
     per_draw_setting_distribution,
     proposition_bound,
     robustness_acceptance_bound,
     robustness_threshold,
     run_protocol,
     simulate_trials,
+    trial_law,
     wilson_interval,
     xor_bias_bound,
 )
-from randamp.quantum import born_box, build_state, xz_bases
+from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
 from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
 
-from helpers import xor_distribution_exact
+from helpers import goodness_oracle, xor_distribution_exact
 
 HONEST = HonestBits()
 
@@ -384,8 +389,8 @@ def cell_law(table, source, epsilon):
     return law / kept_total
 
 
-def binomial_dp(law, k, threshold):
-    """(P(accept), P(output 0 | accept)) for k i.i.d. devices with cell law
+def binomial_table(law, k):
+    """P(B, parity), indexed [B, parity], for k i.i.d. devices with cell law
     law[2b + g]: a DP over devices of (Bell-coefficient count, majority parity)."""
     dist = np.zeros((k + 1, 2))
     dist[0, 0] = 1.0
@@ -397,6 +402,12 @@ def binomial_dp(law, k, threshold):
                 shifted[0] = 0.0
             step += law[2 * b + g] * shifted
         dist = step
+    return dist
+
+
+def binomial_dp(law, k, threshold):
+    """(P(accept), P(output 0 | accept)) from binomial_table."""
+    dist = binomial_table(law, k)
     accept = dist[[c for c in range(k + 1) if c / k <= threshold]].sum(axis=0)
     return accept.sum(), accept[0] / accept.sum()
 
@@ -453,6 +464,119 @@ def test_iid_sampler_matches_binomial_dp():
         assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
         assert abs(p0 - p_zero) <= 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc)
     assert abs(binomial_dp(law, 3, 0.0)[1] - 0.5) > 0.03  # the k = 3 bias has teeth
+
+
+# signs of (a_0, a_1) = (law[0] - law[1], law[2] - law[3]): (-, -) and (-, +)
+SIGNED_LAWS = [np.array([0.1, 0.4, 0.2, 0.3]), np.array([0.05, 0.45, 0.35, 0.15])]
+
+
+def test_trial_law_matches_binomial_table():
+    sources = [GreedyTowardString((0, 1), 0.2), SettingSteering((0, 1, 1, 1), 0.2)]
+    laws = [cell_law(box.table, source, 0.2) for source in sources
+            for box in (noisy_box(NoiseSpec(state_mixing=0.05)), LEANING, DETERMINISTIC,
+                        mixed_with_uniform(algebraic_violation_box(), 0.3))]
+    for law in laws + SIGNED_LAWS:
+        for k in (3, 20, 60):
+            table = binomial_table(law, k)
+            assert np.max(np.abs(trial_law(law, k) - table.ravel())) <= 1e-14, (law, k)
+
+
+def exact_trial_law(law, k):
+    """P(B, parity) as Fractions, entry 2B + parity, summed over all 4^k
+    cell sequences."""
+    pmf = [Fraction(0)] * (2 * k + 2)
+    for cells in itertools.product(range(4), repeat=k):
+        score = sum(c >> 1 for c in cells)
+        parity = sum(c & 1 for c in cells) % 2
+        pmf[2 * score + parity] += math.prod((law[c] for c in cells), start=Fraction(1))
+    return pmf
+
+
+def test_trial_law_matches_exact_fractions():
+    F = Fraction
+    laws = [(F(1, 7), F(2, 7), F(3, 7), F(1, 7)), (F(1, 2), F(0), F(1, 3), F(1, 6)),
+            (F(0), F(1, 5), F(0), F(4, 5)), (F(1, 10), F(1, 2), F(3, 10), F(1, 10)),
+            (F(3, 8), F(1, 8), F(1, 8), F(3, 8))]
+    for law in laws:
+        for k in range(1, 7):
+            pmf = trial_law(np.array([float(v) for v in law]), k)
+            for got, want in zip(pmf, exact_trial_law(law, k)):
+                # impossible outcomes are exactly 0, possible ones within a few ulps
+                assert (got == 0.0) == (want == 0)
+                assert abs(F(got) - want) <= 4e-15 * want, (law, k)
+
+
+def test_trial_law_at_large_k_is_finite_and_normalized():
+    from scipy.stats import binom
+
+    source = SettingSteering((0, 1, 1, 1), 0.1)
+    law = cell_law(LEANING.table, source, 0.1)
+    q = law[2] + law[3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (10**5, 10**6):
+            pmf = trial_law(law, k)
+            assert np.all(np.isfinite(pmf)) and abs(pmf.sum() - 1.0) <= 1e-12
+            marginal = pmf[0::2] + pmf[1::2]
+            assert np.max(np.abs(marginal - binom.pmf(np.arange(k + 1), k, q))) <= 1e-9
+        params = ProtocolParams(0.1, 8.0, 0.5, 10**5)
+        sampler = _IidSampler(params, [IidDevice(LEANING)] * params.k, source)
+        z, _, _ = sampler.sample(1000, np.random.default_rng(4))
+    assert abs(z.mean() - q) <= 4 * math.sqrt(q * (1 - q) / (1000 * params.k))
+
+
+class EdgeRng:
+    """Uniforms at 0, just below 1 and on either side of each CDF step."""
+
+    def __init__(self, cdf):
+        below = np.nextafter(cdf, 0.0)
+        self.u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0], below])
+
+    def random(self, m):
+        return self.u[np.arange(m) % len(self.u)]
+
+
+def test_degenerate_cell_laws_never_draw_impossible_outcomes():
+    """a_0 = a_1 = 0 gives a fair parity at every B; q = 0 never scores, q = 1
+    always scores, and a box whose outcomes are all 0 never outputs 1.  At
+    k = 7 the CDF of that last box sums to 1 - 2^-53 at its last possible
+    outcome, so the impossible one after it must still get no width."""
+    k = 7
+    params = ProtocolParams(0.1, 0.8, 0.9, k)
+    greedy = GreedyTowardString((0,), 0.1)
+    scoring = [0] * 16
+    for u in U1:
+        scoring[pack_bits(u)] = 1
+    zeros = NsBox(local_deterministic_box(((0, 0), (0, 0), (0, 0), (0, 0))))
+    cases = {
+        "fair parity": (mixed_with_uniform(algebraic_violation_box(), 0.3), HONEST),
+        "q = 0": (noisy_box(NoiseSpec()), greedy),
+        "q = 1": (parity_box(scoring), greedy),
+        "even parity": (zeros, HONEST),
+    }
+    pmfs, draws = {}, {}
+    for name, (box, source) in cases.items():
+        sampler = _IidSampler(params, [IidDevice(box)] * k, source)
+        pmf = pmfs[name] = trial_law(sampler.law, k).reshape(k + 1, 2)
+        assert np.array_equal(np.diff(sampler.cdf, prepend=0.0) > 0, pmf.ravel() > 0), name
+        for rng in (EdgeRng(sampler.cdf), np.random.default_rng(9)):
+            z, accepted, output = draws[name, type(rng).__name__] = sampler.sample(20_000, rng)
+            b = np.rint(z * k).astype(int)
+            # an aborted run hides its parity
+            possible = np.where(accepted, pmf[b, np.maximum(output, 0)], pmf[b].sum(axis=1)) > 0
+            assert np.all(possible), name
+    assert np.array_equal(pmfs["fair parity"][:, 0], pmfs["fair parity"][:, 1])
+    assert np.all(pmfs["fair parity"] > 0)
+    assert np.all(pmfs["q = 0"][1:] == 0.0)
+    assert np.all(pmfs["q = 1"][:-1] == 0.0)
+    assert np.all(pmfs["even parity"][:, 1] == 0.0)
+    for rng in ("EdgeRng", "Generator"):
+        z, accepted, _ = draws["q = 0", rng]
+        assert np.all(z == 0.0) and np.all(accepted)
+        z, _, output = draws["q = 1", rng]
+        assert np.all(z == 1.0) and np.all(output == -1)
+        assert not np.any(draws["even parity", rng][2] == 1)
+        assert np.any(draws["fair parity", rng][2] == 1)
 
 
 def nested_mixture():
