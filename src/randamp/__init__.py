@@ -29,6 +29,7 @@ from .boxes import (
 )
 from .definetti import (
     DeFinettiReport,
+    ExchangeableMixture,
     JointBoxSystem,
     block_sizes,
     definetti_check,
@@ -37,7 +38,6 @@ from .definetti import (
     iid_system,
     pinsker_gap,
     t_statistic,
-    t_statistic_levels,
 )
 from .devices import (
     DeviceError,

@@ -9,7 +9,6 @@ outcome-major: table[outcome_index, setting_index].
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 import numpy as np
 
@@ -246,15 +245,3 @@ def enumerate_local_deterministic_boxes():
 def lhv_minimum() -> float:
     """Brute-force minimum of the Bell value over all local deterministic boxes."""
     return min(bell_value(t, validate=False) for _, t in enumerate_local_deterministic_boxes())
-
-
-def product_box(boxes) -> np.ndarray:
-    """Joint table of independent boxes; device 1 takes the most significant
-    index digits.  The result is a (16^k, 16^k) conditional table."""
-    tables = [as_table(b) for b in boxes]
-    if not tables:
-        raise ValueError("product_box needs at least one box")
-    for t in tables:
-        if t.shape != (16, 16):
-            raise ValueError("every factor must be a (16, 16) table")
-    return reduce(np.kron, tables)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .boxes import NsBox, algebraic_violation_box, bell_value, mixed_with_uniform, uniform_box
-from .definetti import block_sizes, definetti_check, exchangeable_mixture, log2_block_sizes
+from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_block_sizes
 from .devices import IidDevice
 from .lp import INSTANCE_KEYS, analytic_bound, certify_bound
 from .protocol import (
@@ -350,7 +350,7 @@ def cmd_definetti(args) -> int:
         raise ConfigError("only system.type 'exchangeable' is supported")
     components = [np.asarray(c, dtype=float) for c in _require(system_spec, "components", "system.")]
     weights = _require(system_spec, "weights", "system.")
-    system = exchangeable_mixture(n, components, weights)
+    system = ExchangeableMixture(n, components, weights)
     strategy = build_strategy(_require(cfg, "sv", ""), epsilon)
     report = definetti_check(
         system, strategy, epsilon, t_levels, sigma_size=sigma_size, pinsker=pinsker
@@ -470,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     specs = {
         "certify": (cmd_certify, "LP guessing-probability certification over a delta grid"),
         "simulate": (cmd_simulate, "Monte Carlo protocol runs to JSON + CSV"),
-        "definetti": (cmd_definetti, "exact product-closeness checks on small systems"),
+        "definetti": (cmd_definetti, "exact product-closeness checks on exchangeable mixtures"),
         "quantum-check": (cmd_quantum_check, "state and measurement-box validation"),
         "bounds": (cmd_bounds, "print every theoretical bound for given parameters"),
     }

@@ -1,20 +1,23 @@
 """Distance of sequential multi-device boxes from product form.
 
-Small instances are enumerated exactly: a system of k devices, device j used
-n_j times, is a dense conditional tensor over all uses.  The statistic T
-measures, averaged over source-weighted inputs and realized pasts, how far the
-conditional box of the selected uses is from the product of its per-device
-marginals (unnormalized 1-norm, maximum 2).
+A system of k devices, device j used n_j times, is enumerated exactly.  A
+general one is a dense conditional tensor over all uses (JointBoxSystem); an
+exchangeable mixture of i.i.d. components (ExchangeableMixture) is summed
+over the type classes of its realized uses instead, without the tensor.  The
+statistic T measures, averaged over source-weighted inputs and realized
+pasts, how far the conditional box of the selected uses is from the product
+of its per-device marginals (unnormalized 1-norm, maximum 2).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sv import exact_bitstring_distribution
+from .sv import bit_zero_probabilities, exact_bitstring_distribution
 
 MAX_TABLE_ENTRIES = 1 << 24
 
@@ -211,17 +214,11 @@ def t_statistic(system: JointBoxSystem, selection, nu: np.ndarray) -> float:
     return product_gap(system, cond, groups, nu)
 
 
-def t_statistic_levels(system: JointBoxSystem, selection, nu: np.ndarray):
-    """(T, [T_2..T_k]) where level i compares devices below i as one block
-    against device i's selected use, conditioning on pasts of devices >= i."""
-    sel = _check_selection(system, selection)
-    total = t_statistic(system, sel, nu)
-    return total, [_level_gap(system, sel[i:], nu) for i in range(1, system.k)]
-
-
 def _level_gap(system: JointBoxSystem, suffix, nu: np.ndarray) -> float:
-    """Level i of t_statistic_levels, i = k - len(suffix): it reads only the
-    selection suffix sel[i:], so selections sharing that suffix share it."""
+    """Level i of T, i = k - len(suffix): device i's selected use against the
+    devices below i as one block, conditioning on the pasts of devices >= i.
+    It reads only the selection suffix sel[i:], so selections sharing that
+    suffix share it."""
     i = system.k - len(suffix)
     block = [g for j in range(i) for g in system.device_uses(j)]
     cond = [g for j, a in enumerate(suffix, start=i) for g in system.device_uses(j)[: a - 1]]
@@ -247,9 +244,6 @@ def _component_table(box, total_uses: int, tol: float) -> np.ndarray:
     q = np.asarray(box, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"component box must be a 2-D table, got shape {q.shape}")
-    if float(q.size) ** total_uses > MAX_TABLE_ENTRIES:
-        # checked here because the dense product is allocated before JointBoxSystem sees it
-        raise ValueError("system too large for exact enumeration; shrink n or alphabets")
     if not np.all(q >= 0.0):
         raise ValueError("negative probabilities in component box")
     dev = float(np.max(np.abs(q.sum(axis=0) - 1.0)))
@@ -274,32 +268,55 @@ def iid_system(n, box: np.ndarray, tol=1e-9) -> JointBoxSystem:
     return exchangeable_mixture(n, [box], (1.0,), tol=tol)
 
 
+class ExchangeableMixture:
+    """k devices, device j used n_j times, where one hidden label c, drawn
+    once with weight w_c, makes every use an independent copy of the
+    component box q_c[x, u]: the system sum_c w_c q_c^(x N) over all N uses.
+
+    Each component is checked once (_component_table), so the system is valid
+    by construction.  It is kept as its components: definetti_check sums it
+    over type classes (_TypeSums), and exchangeable_mixture expands it into
+    the dense JointBoxSystem.
+    """
+
+    def __init__(self, n, components, weights, tol=1e-9):
+        self.n = tuple(int(v) for v in n)
+        if not self.n or any(v < 1 for v in self.n):
+            raise ValueError("need at least one use per device")
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1 or len(weights) != len(components) or len(components) == 0:
+            raise ValueError("need one weight per component")
+        if np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must be a distribution")
+        self.k = len(self.n)
+        self.total_uses = sum(self.n)
+        tables = [_component_table(q, self.total_uses, tol) for q in components]
+        if any(q.shape != tables[0].shape for q in tables):
+            raise ValueError("every component box must have the same shape")
+        self.weights = weights
+        self.tables = np.stack(tables)  # (components, S, L)
+        self.num_outputs, self.num_inputs = tables[0].shape
+        self.offsets = tuple(int(v) for v in np.cumsum((0,) + self.n[:-1]))
+
+
 def exchangeable_mixture(n, components, weights, tol=1e-9) -> JointBoxSystem:
-    """Mixture over component single-party boxes used i.i.d. on every use.
+    """The dense JointBoxSystem of an ExchangeableMixture.
 
     The tensor is built C-contiguous in (outputs..., inputs...) order, the
     layout every later sum runs fastest on.  Each component's first use is
     added one (x, u) slice at a time, so besides the tensor only two tables
     of 1/(S L) its size are ever alive.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) != len(components) or len(components) == 0:
-        raise ValueError("need one weight per component")
-    if np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be a distribution")
-    total = sum(int(v) for v in n)
-    if total < 1:
-        raise ValueError("need at least one use per device")
-    tables = [_component_table(q, total, tol) for q in components]
-    if any(q.shape != tables[0].shape for q in tables):
-        raise ValueError("every component box must have the same shape")
-    S, L = tables[0].shape
+    mix = ExchangeableMixture(n, components, weights, tol)
+    S, L, total = mix.num_outputs, mix.num_inputs, mix.total_uses
+    if float(S * L) ** total > MAX_TABLE_ENTRIES:
+        raise ValueError("system too large for exact enumeration; shrink n or alphabets")
     tensor = np.zeros((S, S ** (total - 1), L, L ** (total - 1)))
-    for w, q in zip(weights, tables):
+    for w, q in zip(mix.weights, mix.tables):
         later = _iid_power(q, total - 1, w)
         for x, u in np.ndindex(S, L):
             tensor[x, :, u, :] += q[x, u] * later
-    return JointBoxSystem(n, L, S, tensor, tol=tol, validate=False)
+    return JointBoxSystem(mix.n, L, S, tensor, tol=tol, validate=False)
 
 
 def sv_input_distribution(strategy, epsilon: float, total_uses: int, num_inputs: int) -> np.ndarray:
@@ -494,13 +511,258 @@ def _pinsker_slack_over_conditionals(system: JointBoxSystem, selection) -> float
     return float(np.max(lhs - rhs))
 
 
-def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
+class _DenseSums:
+    """T, its levels and the Pinsker slack of a JointBoxSystem, from its
+    tensor and the source's law over all inputs."""
+
+    def __init__(self, system: JointBoxSystem, strategy, epsilon: float):
+        self.system = system
+        self.nu = sv_input_distribution(strategy, epsilon, system.total_uses, system.num_inputs)
+
+    def total(self, selection) -> float:
+        return t_statistic(self.system, selection, self.nu)
+
+    def level(self, suffix) -> float:
+        return _level_gap(self.system, suffix, self.nu)
+
+    def pinsker_slack(self, selection) -> float:
+        return _pinsker_slack_over_conditionals(self.system, selection)
+
+
+def _log(a):
+    """Natural log with log 0 = -inf, silently."""
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
+def _type_count(m: int, parts: int) -> int:
+    return math.comb(m + parts - 1, parts - 1)
+
+
+def _binomials(max_uses: int, parts: int) -> np.ndarray:
+    """C(a, b) at [a, b] for b < parts and a - b <= max_uses + 1, the entries
+    _ranked_types reads; the rest stay 0."""
+    table = np.zeros((max_uses + parts + 1, parts), dtype=np.int64)
+    for b in range(parts):
+        table[b:b + max_uses + 2, b] = [math.comb(a, b) for a in range(b, b + max_uses + 2)]
+    return table
+
+
+def _ranked_types(m: int, parts: int, binomials: np.ndarray) -> tuple:
+    """(counts, successors): every type of m uses over `parts` categories, one
+    row of counts summing to m, ordered by the colex rank of its stars-and-bars
+    bar positions b_i (rank sum_i C(b_i, i + 1)); and at [t, c] the rank of
+    type t plus one use of category c among the types of m + 1 uses."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m + parts - 1), parts - 1))
+    bars = np.fromiter(flat, dtype=np.int64).reshape(_type_count(m, parts), parts - 1)
+    j = np.arange(1, parts)
+    stay = binomials[bars, j]
+    order = np.argsort(stay.sum(axis=1))
+    bars, stay = bars[order], stay[order]
+    counts = np.diff(bars, axis=1, prepend=-1, append=m + parts - 1) - 1
+    # one more use of category c moves every bar from c on up by one
+    moved = binomials[bars + 1, j]
+    successors = np.zeros_like(counts)
+    successors[:, 1:] += np.cumsum(stay, axis=1)
+    successors[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1]
+    return counts, successors
+
+
+def _outer_uses(laws: np.ndarray, k: int) -> np.ndarray:
+    """Rows of laws[r, u, x] over k uses, each use independent: the product
+    for every (u_1..u_k, x_1..x_k), flattened with u_1 most significant and
+    the outputs last, so that a sum over outputs runs over contiguous
+    entries."""
+    rows, L, S = laws.shape
+    out = laws
+    for _ in range(1, k):
+        out = out[:, :, np.newaxis, :, np.newaxis] * laws[:, np.newaxis, :, np.newaxis, :]
+        out = out.reshape(rows, out.shape[1] * L, out.shape[3] * S)
+    return out.reshape(rows, -1)
+
+
+@dataclass
+class _TypeClasses:
+    """The types of m uses in rank order (_ranked_types)."""
+
+    successors: np.ndarray  # (types, L S)
+    log_lik: np.ndarray  # (types, components): log prod q_c[x, u]^N[x, u]
+
+
+@dataclass
+class _Conditionals:
+    """The live types of m conditioned uses (those some label explains) with
+    lambda_c = w_c prod q_c^N at lambda / max lambda, and the T gap of each
+    (see _TypeSums.total)."""
+
+    live: np.ndarray  # (types,) bool
+    log_scale: np.ndarray  # (live,): log max_c lambda_c
+    lam: np.ndarray  # (live, components)
+    gaps: np.ndarray  # (live, L^k)
+
+
+class _TypeSums:
+    """T, its levels and the Pinsker slack of an ExchangeableMixture, summed
+    over type classes instead of use sequences.
+
+    The type of a set of uses counts its (output, input) pairs, N[x, u]
+    (stored with the pair (u, x) at u S + x, inputs major).
+    Given label c, the uses have likelihood prod q_c[x, u]^N[x, u], so the
+    conditional box of every other use depends on them only through
+    lambda_c(N) = w_c prod q_c^N.  Under a position-only source the inputs
+    are independent with law p_g(u) at use g, and a type's source weight is
+    W(N) = sum of prod_g p_g(u_g) over the (x, u) sequences of type N: one DP
+    over the uses, each adding one (x, u) pair with weight p_g(u).  Each gap
+    is homogeneous of degree 1 in lambda, so it is evaluated at
+    lambda / max lambda and rescaled in log form: a conditional that some
+    label explains is never lost to underflow.
+    """
+
+    def __init__(self, mix: ExchangeableMixture, strategy, epsilon: float):
+        S, L, k, N = mix.num_outputs, mix.num_inputs, mix.k, mix.total_uses
+        bits = (L - 1).bit_length()
+        if 2**bits != L:
+            raise ValueError("input alphabet must be a power of two")
+        # Every past a selection conditions on, and every level's block, must
+        # fit: the largest arrays are types x (S L)^k for T and the Pinsker
+        # sweep, and past types x block types x max(S L, C) for a level.
+        K, C = S * L, len(mix.weights)
+        pasts = [2 ** (n_j.bit_length() - 1) - 1 for n_j in mix.n]
+        blocks = [sum(mix.n[:i]) for i in range(1, k)]
+        sizes = [_type_count(sum(pasts), K) * max(K**k, C)]
+        sizes += [_type_count(sum(pasts[i:]), K) * _type_count(blocks[i - 1], K) * max(K, C)
+                  for i in range(1, k)]
+        if max(sizes) > MAX_TABLE_ENTRIES:
+            raise ValueError("system too large for exact enumeration; shrink n or alphabets")
+        self.mix = mix
+        p0 = bit_zero_probabilities(strategy, N * bits, epsilon).reshape(N, bits)
+        # bit i of input u, most significant first, is bit g bits + i of the source
+        u_bits = (np.arange(L)[:, np.newaxis] >> np.arange(bits - 1, -1, -1)) & 1
+        self.input_law = np.where(u_bits == 0, p0[:, np.newaxis], 1.0 - p0[:, np.newaxis]).prod(axis=2)
+        laws = mix.tables.transpose(0, 2, 1)  # [c, u, x]
+        self.q = laws.reshape(C, K)
+        self.q_k = _outer_uses(laws, k)  # the k selected uses given c
+        # log q, with 0 for log 0: a type that uses a pair of probability 0
+        # under a component is marked impossible for it through zero_q
+        self.log_q = np.log(np.where(self.q > 0.0, self.q, 1.0)).T
+        self.zero_q = (self.q == 0.0).T
+        self.log_w = _log(mix.weights)
+        self._binomials = _binomials(max([sum(pasts)] + blocks), K)
+        self._weights = {(0,) * k: np.ones(1)}
+        self._classes = {}
+        self._conditionals = {}
+        self._slack = {}
+
+    def _types_of(self, m: int) -> _TypeClasses:
+        if m not in self._classes:
+            counts, successors = _ranked_types(m, self.q.shape[1], self._binomials)
+            log_lik = np.where(counts @ self.zero_q > 0, -np.inf, counts @ self.log_q)
+            self._classes[m] = _TypeClasses(successors, log_lik)
+        return self._classes[m]
+
+    def _log_weights(self, key) -> np.ndarray:
+        """log W per type of the uses sum_j uses_j[:key[j]].  The DP starts
+        from the key with one use fewer on its last device, so the pasts of
+        consecutive selections share every step but one."""
+        chain = []
+        while key not in self._weights:
+            j = max(i for i, c in enumerate(key) if c)
+            chain.append((key, self.mix.offsets[j] + key[j] - 1))
+            key = key[:j] + (key[j] - 1,) + key[j + 1:]
+        weights = self._weights[key]
+        for key, use in reversed(chain):
+            m = sum(key) - 1
+            pair_law = np.repeat(self.input_law[use], self.mix.num_outputs)
+            weights = self._weights[key] = np.bincount(
+                self._types_of(m).successors.ravel(),
+                weights=(weights[:, np.newaxis] * pair_law).ravel(),
+                minlength=_type_count(m + 1, len(pair_law)),
+            )
+        return _log(weights)
+
+    def _given(self, m: int) -> _Conditionals:
+        if m not in self._conditionals:
+            S, L, k = self.mix.num_outputs, self.mix.num_inputs, self.mix.k
+            log_lam = self._types_of(m).log_lik + self.log_w
+            log_scale = log_lam.max(axis=1)
+            live = log_scale > -np.inf
+            log_scale = log_scale[live]
+            lam = np.exp(log_lam[live] - log_scale[:, np.newaxis])
+            # sum_x |t - prod_j m_j / r^(k-1)| for every input tuple of the
+            # selected uses: t their joint, m_j use j's marginal, r = sum lam
+            prod = _outer_uses((lam @ self.q).reshape(-1, L, S), k)
+            prod /= lam.sum(axis=1, keepdims=True) ** (k - 1)
+            gaps = np.abs(lam @ self.q_k - prod).reshape(len(lam), L**k, S**k).sum(axis=2)
+            self._conditionals[m] = _Conditionals(live, log_scale, lam, gaps)
+        return self._conditionals[m]
+
+    def total(self, selection) -> float:
+        """T = sum over types of the pasts of W e^scale sum_u p(u) gap(u), p
+        the product of the selected uses' input laws."""
+        key = tuple(a - 1 for a in selection)
+        given = self._given(sum(key))
+        p = np.ones(1)
+        for j, a in enumerate(selection):
+            p = np.multiply.outer(p, self.input_law[self.mix.offsets[j] + a - 1]).ravel()
+        weight = np.exp(self._log_weights(key)[given.live] + given.log_scale)
+        return float(weight @ (given.gaps @ p))
+
+    def level(self, suffix) -> float:
+        """Level i = k - len(suffix), a sum over type pairs of the pasts of
+        devices >= i (lambda) and the block of all uses of devices < i (mu):
+        the block's joint with device i's selected use, at weights
+        nu = lambda mu, against the block marginal times the use's marginal
+        given the pasts alone."""
+        mix = self.mix
+        S, L = mix.num_outputs, mix.num_inputs
+        i = mix.k - len(suffix)
+        cond = (0,) * i + tuple(a - 1 for a in suffix)
+        block = mix.n[:i] + (0,) * len(suffix)
+        given = self._given(sum(cond))
+        log_w_cond = self._log_weights(cond)[given.live] + given.log_scale
+        log_w_block = self._log_weights(block)
+        log_nu = _log(given.lam)[:, np.newaxis] + self._types_of(sum(block)).log_lik
+        # a pair no label explains has log_nu = -inf throughout: nu = 0, gap 0
+        log_scale = log_nu.max(axis=2)
+        log_scale[log_scale == -np.inf] = 0.0
+        nu = np.exp(log_nu - log_scale[:, :, np.newaxis])
+        use_marg = (given.lam @ self.q) / given.lam.sum(axis=1, keepdims=True)
+        gap = np.abs(nu @ self.q - nu.sum(axis=2, keepdims=True) * use_marg[:, np.newaxis])
+        use_law = self.input_law[mix.offsets[i] + suffix[0] - 1]
+        gap = gap.reshape(gap.shape[:2] + (L, S)).sum(axis=3) @ use_law
+        weight = np.exp(log_w_cond[:, np.newaxis] + log_w_block + log_scale)
+        return float(np.sum(weight * gap))
+
+    def pinsker_slack(self, selection) -> float:
+        """Worst lhs - rhs of the Pinsker pair over the normalized joints of
+        the two selected outputs, per live type of the pasts and input pair."""
+        if self.mix.k != 2:
+            raise ValueError("pairwise Pinsker sweep needs exactly two devices")
+        m = sum(selection) - 2
+        if m not in self._slack:
+            S = self.mix.num_outputs
+            lam = self._given(m).lam
+            if not len(lam):
+                self._slack[m] = float("-inf")
+            else:
+                joints = (lam @ self.q_k).reshape(-1, S, S)
+                lhs, rhs, _ = _pinsker_batch(joints / joints.sum(axis=(1, 2))[:, np.newaxis, np.newaxis])
+                self._slack[m] = float(np.max(lhs - rhs))
+        return self._slack[m]
+
+
+def definetti_check(system: JointBoxSystem | ExchangeableMixture, strategy, epsilon: float, t_levels,
                     sigma_size: int | None = None, pinsker: bool = False) -> DeFinettiReport:
     """Sweep every selection, weight it by the source, and compare T against
-    the concentration threshold."""
+    the concentration threshold.  A JointBoxSystem is summed as a tensor; an
+    ExchangeableMixture over type classes (_TypeSums), which needs a source
+    whose bias depends on position only."""
     sigma = system.num_outputs if sigma_size is None else int(sigma_size)
     rhs = definetti_rhs(system.n, t_levels, epsilon, sigma)
-    nu = sv_input_distribution(strategy, epsilon, system.total_uses, system.num_inputs)
+    if isinstance(system, ExchangeableMixture):
+        sums = _TypeSums(system, strategy, epsilon)
+    else:
+        sums = _DenseSums(system, strategy, epsilon)
     weights = sv_selection_distribution(strategy, epsilon, system.n)
     report = DeFinettiReport(
         n=system.n,
@@ -513,12 +775,12 @@ def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
     exceed = 0.0
     level_by_suffix = {}
     for sel, w in sorted(weights.items()):
-        t_val = t_statistic(system, sel, nu)
+        t_val = sums.total(sel)
         levels = []
         for i in range(1, system.k):
             suffix = sel[i:]
             if suffix not in level_by_suffix:
-                level_by_suffix[suffix] = _level_gap(system, suffix, nu)
+                level_by_suffix[suffix] = sums.level(suffix)
             levels.append(level_by_suffix[suffix])
         if t_val > sum(levels) + 1e-9:
             raise AssertionError(
@@ -529,7 +791,7 @@ def definetti_check(system: JointBoxSystem, strategy, epsilon: float, t_levels,
         if t_val >= rhs.threshold:
             exceed += w
         if pinsker:
-            slack = _pinsker_slack_over_conditionals(system, sel)
+            slack = sums.pinsker_slack(sel)
             report.pinsker_worst_slack = max(report.pinsker_worst_slack, slack)
     report.weighted_exceed_fraction = exceed
     return report

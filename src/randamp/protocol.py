@@ -27,6 +27,7 @@ from .boxes import (
 from .devices import IidDevice, MixtureDevice, sample_outcome
 from .sv import (
     SvTranscript,
+    bit_zero_probabilities,
     draw_index,
     draw_setting,
     exact_bitstring_distribution,
@@ -343,22 +344,37 @@ def _reduced_table(device):
     return None
 
 
-def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
-    """The vectorized runner is exact when every device reduces to one shared
-    selected-pair table (an IidDevice, or a mixture of them sharing one hidden
-    label: see _reduced_table) and each draw's four bits see the same
-    position-only bias pattern (period dividing 4).  Kept settings are then
-    i.i.d. with the restricted, renormalized draw law, and neither they, the
-    draw counts nor the selection step can correlate with a device's label or
-    box contents.  Each device conditions only on its own history, so even k
-    copies of one MixtureDevice act as k independent labels."""
-    tables = [_reduced_table(d) for d in devices]
-    if not tables or tables[0] is None:
-        return False
-    if not all(t is not None and np.array_equal(t, tables[0]) for t in tables[1:]):
-        return False
+def _shared_table(devices, sv_strategy):
+    """The one selected-pair table every device reduces to, when the
+    vectorized runner is exact for these devices and this source, else None.
+
+    That needs every device to reduce to one shared table (an IidDevice, or a
+    mixture of them sharing one hidden label: see _reduced_table) and each
+    draw's four bits to see the same position-only bias pattern (period
+    dividing 4).  Kept settings are then i.i.d. with the restricted,
+    renormalized draw law, and neither they, the draw counts nor the
+    selection step can correlate with a device's label or box contents.  Each
+    device conditions only on its own history, so even k copies of one
+    MixtureDevice act as k independent labels; such a device object is
+    reduced once."""
     period = getattr(sv_strategy, "period", None)
-    return period is not None and 4 % period == 0
+    if period is None or 4 % period != 0 or not devices:
+        return None
+    distinct = list({id(device): device for device in devices}.values())
+    table = _reduced_table(distinct[0])
+    if table is None:
+        return None
+    for device in distinct[1:]:
+        other = _reduced_table(device)
+        if other is None or not np.array_equal(other, table):
+            return None
+    return table
+
+
+def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
+    """Whether the vectorized runner is exact for these devices and this
+    source (_shared_table)."""
+    return _shared_table(devices, sv_strategy) is not None
 
 
 # Cell 2b + g of each (outcome, kept setting) pair, indexed [x, s]: b is the
@@ -412,7 +428,7 @@ class _IidSampler:
     """Exact per-trial law of k devices that reduce to one selected-pair table
     (i.i.d. devices sharing one box, or mixtures of them with one hidden label
     each) against a source whose bias depends on bit position only
-    (fast_path_applicable).
+    (_shared_table), given that shared table.
 
     Kept settings are then i.i.d. with the restricted, renormalized draw law,
     so the selected pairs of the k devices are i.i.d. with the reduced table's
@@ -424,8 +440,7 @@ class _IidSampler:
     (trial_law).  Outcomes of probability 0 are never drawn.
     """
 
-    def __init__(self, params: ProtocolParams, devices, sv_strategy):
-        table = _reduced_table(devices[0])
+    def __init__(self, params: ProtocolParams, table: np.ndarray, sv_strategy):
         draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
         kept_p = draw[_KEPT]
         self.kept_mass = float(kept_p.sum())
@@ -477,18 +492,14 @@ def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
     """(P(bit = 0) per selection bit, bit-to-index weights of shape (bits, k))
     for a source whose bias is position-only with a period dividing four.
     The selection bits start at 4 x (settings drawn), a multiple of the
-    period, so their biases do not depend on the draw count;
-    per_draw_setting_distribution has already checked every bias of a period
-    against epsilon."""
-    period = sv_strategy.period
+    period, so their biases do not depend on the draw count."""
     widths = [size.bit_length() - 1 for size in params.selection_sizes()]
     weights = np.zeros((sum(widths), params.k), dtype=np.int64)
-    p0 = np.empty(sum(widths))
+    p0 = bit_zero_probabilities(sv_strategy, sum(widths), params.epsilon)
     pos = 0
     for j, width in enumerate(widths):
         for i in range(width):
             weights[pos, j] = 1 << (width - 1 - i)
-            p0[pos] = 0.5 + float(sv_strategy.bias([0] * (pos % period)))
             pos += 1
     return p0, weights
 
@@ -533,8 +544,9 @@ def _sampler(params: ProtocolParams, devices, sv_strategy):
     otherwise."""
     if len(devices) != params.k:
         raise ValueError(f"need {params.k} devices, got {len(devices)}")
-    if fast_path_applicable(params, devices, sv_strategy):
-        return _IidSampler(params, devices, sv_strategy)
+    table = _shared_table(devices, sv_strategy)
+    if table is not None:
+        return _IidSampler(params, table, sv_strategy)
     return _ProtocolSampler(params, devices, sv_strategy)
 
 

@@ -6,8 +6,8 @@ that step outside [-epsilon, epsilon] rather than clamping them.
 
 A strategy whose bias is a function of bit position alone, repeating every
 `period` bits, declares that period as an attribute; the exact samplers and
-the de Finetti selection weights rely on it.  Strategies without a `period`
-are treated as history-dependent.
+the de Finetti weights rely on it (bit_zero_probabilities).  Strategies
+without a `period` are treated as history-dependent.
 """
 
 from __future__ import annotations
@@ -124,6 +124,25 @@ def string_probability_bounds(epsilon: float, length: int):
     if length < 0:
         raise ValueError("length must be nonnegative")
     return ((0.5 - epsilon) ** length, (0.5 + epsilon) ** length)
+
+
+def bit_zero_probabilities(strategy, length: int, epsilon: float) -> np.ndarray:
+    """P(bit i = 0) = 1/2 + bias for each of the first `length` bit positions
+    of a strategy whose bias depends on position only (one that declares a
+    `period`), so that the bits are independent.  Each bias used is checked
+    against epsilon."""
+    period = getattr(strategy, "period", None)
+    if period is None:
+        raise ValueError("per-bit probabilities need a strategy with a position-only bias (a period)")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    p0 = np.empty(min(period, length))
+    for pos in range(len(p0)):
+        b = float(strategy.bias([0] * pos))
+        if abs(b) > epsilon:
+            raise StrategyViolationError(f"bias {b} exceeds epsilon {epsilon} at position {pos}")
+        p0[pos] = 0.5 + b
+    return p0[np.arange(length) % period]
 
 
 def exact_bitstring_distribution(strategy, length: int, epsilon: float) -> np.ndarray:

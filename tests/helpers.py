@@ -1,16 +1,18 @@
 """Reference helpers that only the tests use: a parameter check for
 Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
 a no-signaling checker for tables of any number of binary parties, the
-exhaustive XOR oracle of criterion 4, the mutual information of a 2-D
-joint, the all-inequality form of the guessing LP, and the goodness oracle
-over a run's selected conditional boxes."""
+joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
+the mutual information of a 2-D joint, T with its per-level decomposition
+on a dense system, the all-inequality form of the guessing LP, and the
+goodness oracle over a run's selected conditional boxes."""
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from randamp.boxes import DEFAULT_TOL, bell_value, in_inequality
-from randamp.definetti import _pinsker_batch
+from randamp.boxes import DEFAULT_TOL, as_table, bell_value, in_inequality
+from randamp.definetti import _check_selection, _level_gap, _pinsker_batch, t_statistic
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.protocol import RunTranscript
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
@@ -78,6 +80,18 @@ def is_no_signaling_parties(table: np.ndarray, n_parties: int, tol: float = DEFA
     return ns_max_violation(table, n_parties, tol) <= tol
 
 
+def product_box(boxes) -> np.ndarray:
+    """Joint table of independent boxes; device 1 takes the most significant
+    index digits.  The result is a (16^k, 16^k) conditional table."""
+    tables = [as_table(b) for b in boxes]
+    if not tables:
+        raise ValueError("product_box needs at least one box")
+    for t in tables:
+        if t.shape != (16, 16):
+            raise ValueError("every factor must be a (16, 16) table")
+    return reduce(np.kron, tables)
+
+
 def xor_distribution_exact(biases, signs=None) -> float:
     """P(XOR = 0) by exhaustive enumeration; bit i is 0 w.p. 1/2 + s_i b_i."""
     b = [float(v) for v in biases]
@@ -101,6 +115,15 @@ def mutual_information(joint: np.ndarray) -> float:
     """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
     joint = np.asarray(joint, dtype=float)
     return float(_pinsker_batch(joint[np.newaxis])[2][0])
+
+
+def t_statistic_levels(system, selection, nu: np.ndarray):
+    """(T, [T_2..T_k]) of a dense system, where level i compares devices below
+    i as one block against device i's selected use, conditioning on pasts of
+    devices >= i."""
+    sel = _check_selection(system, selection)
+    total = t_statistic(system, sel, nu)
+    return total, [_level_gap(system, sel[i:], nu) for i in range(1, system.k)]
 
 
 def inequality_constraints(delta: float):

@@ -24,12 +24,11 @@ from randamp.boxes import (
     pack_bits,
     parity,
     parity_box,
-    product_box,
     uniform_box,
     unpack_bits,
 )
 
-from helpers import is_no_signaling_parties
+from helpers import is_no_signaling_parties, product_box
 
 
 def test_bit_packing_roundtrip():

@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
+import randamp.definetti as definetti
 from randamp.definetti import (
     DeFinettiRhs,
+    ExchangeableMixture,
     JointBoxSystem,
+    _TypeSums,
     _marginalize_rest,
     _pinsker_slack_over_conditionals,
     block_sizes,
@@ -23,12 +26,17 @@ from randamp.definetti import (
     sv_input_distribution,
     sv_selection_distribution,
     t_statistic,
-    t_statistic_levels,
 )
 from randamp.cli import main as cli_main
-from randamp.sv import ConstantBias, GreedyTowardString, HonestBits
+from randamp.sv import (
+    ConstantBias,
+    GreedyTowardString,
+    HonestBits,
+    SettingSteering,
+    StrategyViolationError,
+)
 
-from helpers import mutual_information
+from helpers import mutual_information, t_statistic_levels
 
 LN2 = math.log(2.0)
 
@@ -736,3 +744,172 @@ def test_component_boxes_checked_once(tmp_path, capsys):
     # builds that pass are valid systems, as dense validation confirms
     system = exchangeable_mixture((2, 2), [good, Q_ZERO], (0.3, 0.7))
     JointBoxSystem(system.n, 2, 2, system.tensor)
+
+
+def type_oracle_instances():
+    """(n, components, weights, source, epsilon, pinsker): every instance is
+    small enough for the dense tensor, (2, 9) the largest."""
+    rng = np.random.default_rng(53)
+
+    def mixture(count, outputs=2, inputs=2):
+        comps = [random_column_stochastic(rng, outputs, inputs) for _ in range(count)]
+        w = rng.random(count)
+        return comps, w / w.sum()
+
+    partial = np.array([[1.0, 0.3], [0.0, 0.7]])
+    greedy3 = GreedyTowardString((0, 1, 1), 0.1)
+    steer = SettingSteering((0, 1, 1, 0), 0.1)
+    return [
+        ((1, 8), *mixture(3), greedy3, 0.1, True),
+        ((2, 9), *mixture(2), steer, 0.1, True),
+        ((2, 8), *mixture(2), ConstantBias(-0.1), 0.1, False),
+        ((3, 4), *mixture(3), HonestBits(), 0.0, True),
+        ((2, 3), *mixture(2, outputs=3), greedy3, 0.1, True),
+        ((1, 4), *mixture(3, inputs=4), steer, 0.1, True),
+        ((2, 2), *mixture(2, outputs=3, inputs=4), ConstantBias(0.05), 0.1, True),
+        ((1, 2, 2), *mixture(3), greedy3, 0.1, False),
+        ((2, 1, 3), *mixture(2, outputs=3), steer, 0.1, False),
+        ((2, 3), [Q_ZERO, Q_ONE], np.array([0.5, 0.5]), GreedyTowardString((0,), 0.1), 0.1, True),
+        ((2, 4), [Q_ZERO, Q_ONE, partial], np.array([0.2, 0.3, 0.5]), steer, 0.1, True),
+        ((1, 2, 2), [Q_ZERO, partial], np.array([0.5, 0.5]), HonestBits(), 0.0, False),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(type_oracle_instances())))
+def test_type_sums_match_dense_check(index):
+    """definetti_check summed over type classes against the dense tensor:
+    the same selections and weights, and T, every level, max T, the
+    exceeding weight and the Pinsker slack to 1e-12."""
+    n, comps, w, source, epsilon, pinsker = type_oracle_instances()[index]
+    # threshold inside the range of T, so the exceeding weight is not trivially 0
+    t_levels = [0.05] * (len(n) - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        typed = definetti_check(ExchangeableMixture(n, comps, w), source, epsilon, t_levels, pinsker=pinsker)
+    dense = definetti_check(exchangeable_mixture(n, comps, w), source, epsilon, t_levels, pinsker=pinsker)
+    assert len(typed.selections) == len(dense.selections)
+    for (sel, w_t, t_t, lv_t), (sel_d, w_d, t_d, lv_d) in zip(typed.selections, dense.selections):
+        assert sel == sel_d and w_t == w_d
+        assert abs(t_t - t_d) <= 1e-12, sel
+        assert len(lv_t) == len(lv_d) == len(n) - 1
+        assert max((abs(a - b) for a, b in zip(lv_t, lv_d)), default=0.0) <= 1e-12, sel
+    assert abs(typed.max_t - dense.max_t) <= 1e-12
+    assert abs(typed.weighted_exceed_fraction - dense.weighted_exceed_fraction) <= 1e-12
+    assert typed.threshold == dense.threshold
+    if pinsker:
+        assert math.isfinite(typed.pinsker_worst_slack)
+        assert abs(typed.pinsker_worst_slack - dense.pinsker_worst_slack) <= 1e-12
+    else:
+        assert typed.pinsker_worst_slack == float("-inf")
+    assert typed.to_json().keys() == dense.to_json().keys()
+
+
+def test_type_sums_cover_nontrivial_instances():
+    # the oracle instances are not all trivial: several selections are far
+    # from product form, some exceed the threshold and some do not
+    n, comps, w, source, epsilon, _ = type_oracle_instances()[1]
+    report = definetti_check(ExchangeableMixture(n, comps, w), source, epsilon, [0.05])
+    values = [t_val for _, _, t_val, _ in report.selections]
+    assert max(values) > 1e-3
+    assert 0.0 < report.weighted_exceed_fraction < 1.0
+
+
+def test_type_sums_at_n_1_32():
+    """Beyond the dense tensor (2^66 entries): a one-component mixture is a
+    product at every selection, and tiny component entries leave every
+    conditional live although their raw likelihoods underflow to 0."""
+    box = np.array([[0.3, 0.8], [0.7, 0.2]])
+    report = definetti_check(ExchangeableMixture((1, 32), [box], (1.0,)), GreedyTowardString((0, 1), 0.1),
+                             0.1, [2.0], pinsker=True)
+    assert len(report.selections) == 32
+    assert report.max_t <= 1e-15
+    assert all(abs(levels[0]) <= 1e-15 for _, _, _, levels in report.selections)
+    assert report.pinsker_worst_slack <= 1e-15
+
+    tiny = [np.array([[1e-12, 0.4], [1.0 - 1e-12, 0.6]]), np.array([[3e-12, 0.7], [1.0 - 3e-12, 0.3]])]
+    mix = ExchangeableMixture((1, 32), tiny, (0.5, 0.5))
+    sums = _TypeSums(mix, HonestBits(), 0.0)
+    given = sums._given(31)
+    log_lam = sums._types_of(31).log_lik + np.log(0.5)
+    assert np.any(np.exp(log_lam).max(axis=1) == 0.0)  # raw products underflow
+    assert given.live.all() and len(given.lam) == math.comb(34, 3)
+    assert np.all(given.lam.max(axis=1) == 1.0)
+    # the scaled posterior agrees with a log-sum-exp evaluation on every type
+    posterior = given.lam / given.lam.sum(axis=1, keepdims=True)
+    want = np.exp(log_lam - np.logaddexp(log_lam[:, 0], log_lam[:, 1])[:, np.newaxis])
+    assert np.max(np.abs(posterior - want)) <= 1e-12
+    report = definetti_check(mix, HonestBits(), 0.0, [2.0], pinsker=True)
+    assert math.isfinite(report.pinsker_worst_slack) and report.pinsker_worst_slack <= 1e-12
+    assert all(math.isfinite(t_val) for _, _, t_val, _ in report.selections)
+
+
+def test_type_sums_refuse_invalid_sources(tmp_path, capsys):
+    mix = ExchangeableMixture((1, 4), [Q_ZERO, Q_ONE], (0.5, 0.5))
+    with pytest.raises(StrategyViolationError):
+        definetti_check(mix, ConstantBias(0.2), 0.1, [2.0])
+
+    class Opaque:
+        def bias(self, history):
+            return 0.0
+
+    with pytest.raises(ValueError, match="period"):
+        definetti_check(mix, Opaque(), 0.0, [2.0])
+    with pytest.raises(ValueError, match="power of two"):
+        definetti_check(ExchangeableMixture((1, 2), [np.full((2, 3), 0.5)], (1.0,)), HonestBits(), 0.0, [2.0])
+    cfg = tmp_path / "violation.json"
+    cfg.write_text(json.dumps({
+        "epsilon": 0.1, "n": [1, 4], "t_levels": [2.0],
+        "system": {"type": "exchangeable", "components": [Q_ZERO.tolist(), Q_ONE.tolist()],
+                   "weights": [0.5, 0.5]},
+        "sv": {"strategy": "constant", "bias": 0.2},
+    }))
+    assert cli_main(["definetti", "--config", str(cfg)]) == 1
+    assert "bias 0.2 exceeds epsilon 0.1" in capsys.readouterr().err
+
+
+def test_type_sums_size_guard():
+    # the guard is on the type sum's own arrays, not on S^N L^N: (1, 32) runs
+    # above, while 255 conditioned binary uses (2.8M types x 16) do not fit
+    with pytest.raises(ValueError, match="too large"):
+        definetti_check(ExchangeableMixture((1, 256), [Q_ZERO, Q_ONE], (0.5, 0.5)), HonestBits(), 0.0, [2.0])
+    big = [np.full((4, 4), 0.25), np.eye(4)]
+    with pytest.raises(ValueError, match="too large"):
+        definetti_check(ExchangeableMixture((1, 8), big, (0.5, 0.5)), HonestBits(), 0.0, [2.0])
+    with pytest.raises(ValueError, match="too large"):
+        exchangeable_mixture((1, 32), [Q_ZERO, Q_ONE], (0.5, 0.5))
+
+
+def test_cli_definetti_stays_off_the_dense_path(tmp_path, monkeypatch):
+    """randamp definetti builds no tensor: no exchangeable_mixture, no
+    product_gap and no source law over all inputs, and at n = (2, 8) its
+    traced peak stays below 2 MB, against 8 MB for the dense tensor alone."""
+    calls = []
+    for name in ("exchangeable_mixture", "product_gap", "sv_input_distribution"):
+        real = getattr(definetti, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(definetti, name, counting)
+    cfg = tmp_path / "df.json"
+    cfg.write_text(json.dumps({
+        "epsilon": 0.1, "n": [2, 8], "t_levels": [4.0],
+        "system": {"type": "exchangeable",
+                   "components": [[[0.3, 0.6], [0.7, 0.4]], [[0.8, 0.25], [0.2, 0.75]]],
+                   "weights": [0.4, 0.6]},
+        "sv": {"strategy": "greedy", "target": [0, 1]},
+        "pinsker": True,
+    }))
+    out = tmp_path / "out"
+    assert cli_main(["definetti", "--config", str(cfg), "--out", str(out)]) == 0  # warm up
+    tracemalloc.start()
+    try:
+        assert cli_main(["definetti", "--config", str(cfg), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 2 << 20
+    payload = json.loads((out / "definetti.json").read_text())
+    assert len(payload["selections"]) == 16

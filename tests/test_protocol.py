@@ -27,6 +27,7 @@ from randamp.protocol import (
     ProtocolParams,
     _IidSampler,
     _ProtocolSampler,
+    _shared_table,
     acceptance_threshold,
     azuma_rejection_bound,
     distance_d,
@@ -319,6 +320,27 @@ def test_fast_path_applicability():
     assert not fast_path_applicable(params, iid, Custom())
 
 
+def test_vectorized_engine_reduces_each_device_once(monkeypatch):
+    import randamp.protocol as protocol
+
+    calls = []
+    real = protocol._reduced_table
+
+    def counting(device):
+        calls.append(device)
+        return real(device)
+
+    monkeypatch.setattr(protocol, "_reduced_table", counting)
+    params = honest_params(k=3)
+    devices = [IidDevice(algebraic_violation_box()) for _ in range(3)]
+    rows = list(simulate_trials(params, devices, HONEST, 300, seed=5))
+    assert len(rows) == 2
+    assert calls == devices
+    calls.clear()
+    list(simulate_trials(params, devices[:1] * 3, HONEST, 10, seed=5))
+    assert calls == devices[:1]
+
+
 def test_engine_shapes_and_abort_marking():
     params = honest_params(k=50)
     accepted, output = engine_columns(
@@ -431,7 +453,7 @@ def test_iid_sampler_cell_law_is_exact():
     laws = []
     for box in boxes:
         for source in sources:
-            law = _IidSampler(params, [IidDevice(box)] * 4, source).law
+            law = _IidSampler(params, box.table, source).law
             assert np.max(np.abs(law - cell_law(box.table, source, 0.2))) <= 1e-15
             laws.append(law)
     assert not np.allclose(laws[-2], laws[-1])  # the source matters on LEANING
@@ -520,7 +542,7 @@ def test_trial_law_at_large_k_is_finite_and_normalized():
             marginal = pmf[0::2] + pmf[1::2]
             assert np.max(np.abs(marginal - binom.pmf(np.arange(k + 1), k, q))) <= 1e-9
         params = ProtocolParams(0.1, 8.0, 0.5, 10**5)
-        sampler = _IidSampler(params, [IidDevice(LEANING)] * params.k, source)
+        sampler = _IidSampler(params, LEANING.table, source)
         z, _, _ = sampler.sample(1000, np.random.default_rng(4))
     assert abs(z.mean() - q) <= 4 * math.sqrt(q * (1 - q) / (1000 * params.k))
 
@@ -556,7 +578,7 @@ def test_degenerate_cell_laws_never_draw_impossible_outcomes():
     }
     pmfs, draws = {}, {}
     for name, (box, source) in cases.items():
-        sampler = _IidSampler(params, [IidDevice(box)] * k, source)
+        sampler = _IidSampler(params, box.table, source)
         pmf = pmfs[name] = trial_law(sampler.law, k).reshape(k + 1, 2)
         assert np.array_equal(np.diff(sampler.cdf, prepend=0.0) > 0, pmf.ravel() > 0), name
         for rng in (EdgeRng(sampler.cdf), np.random.default_rng(9)):
@@ -592,7 +614,7 @@ def test_nested_mixture_law_is_weight_average():
     params = ProtocolParams(0.2, 0.8, 0.9, 4)
     device, leaves = nested_mixture()
     for source in (GreedyTowardString((0, 1), 0.2), SettingSteering((0, 1, 1, 1), 0.2)):
-        law = _IidSampler(params, [device] * 4, source).law
+        law = _IidSampler(params, _shared_table([device] * 4, source), source).law
         expect = sum(w * cell_law(box.table, source, 0.2) for w, box in leaves)
         assert np.max(np.abs(law - expect)) <= 1e-15
 
@@ -606,7 +628,7 @@ def test_general_engine_on_nested_mixture_matches_closed_form():
     device, _ = nested_mixture()
     threshold = acceptance_threshold(params)
     for source, seed in ((HONEST, 21), (GreedyTowardString((0, 1), 0.1), 22)):
-        fast = _IidSampler(params, [device] * k, source)
+        fast = _IidSampler(params, _shared_table([device] * k, source), source)
         law = fast.law
         q = law[2] + law[3]
         p_acc = sum(math.comb(k, b) * q**b * (1 - q) ** (k - b)

@@ -10,6 +10,7 @@ from randamp.sv import (
     SettingSteering,
     StrategyViolationError,
     SvTranscript,
+    bit_zero_probabilities,
     draw_bits,
     draw_index,
     draw_setting,
@@ -82,6 +83,34 @@ def test_setting_steering_distribution():
     dist = exact_bitstring_distribution(SettingSteering((0, 0, 0, 1), 0.1), 4, 0.1)
     # big-endian packing: bit string 0001 sits at index 1
     assert dist[1] == pytest.approx(0.6**4)
+
+
+def test_bit_zero_probabilities_match_exact_walk():
+    """For a position-only strategy the bits are independent with P(0) =
+    1/2 + bias, so the product of the per-bit laws is the exact walk."""
+    for strategy in (HonestBits(), ConstantBias(-0.1), GreedyTowardString((0, 1, 1), 0.1),
+                     SettingSteering((0, 1, 1, 0), 0.1)):
+        p0 = bit_zero_probabilities(strategy, 7, 0.1)
+        walk = exact_bitstring_distribution(strategy, 7, 0.1).reshape((2,) * 7)
+        product = np.array(1.0)
+        for p in p0:
+            product = np.multiply.outer(product, [p, 1.0 - p])
+        assert np.max(np.abs(product - walk)) <= 1e-15
+    assert list(bit_zero_probabilities(GreedyTowardString((1, 0), 0.2), 5, 0.2)) == [0.3, 0.7, 0.3, 0.7, 0.3]
+    assert len(bit_zero_probabilities(HonestBits(), 0, 0.0)) == 0
+    with pytest.raises(StrategyViolationError):
+        bit_zero_probabilities(ConstantBias(0.2), 3, 0.1)
+
+    class LateViolation:
+        period = 2
+
+        def bias(self, history):
+            return 0.3 * (len(history) % 2)
+
+    with pytest.raises(StrategyViolationError, match="position 1"):
+        bit_zero_probabilities(LateViolation(), 2, 0.1)
+    with pytest.raises(ValueError, match="period"):
+        bit_zero_probabilities(ParityFeedback(0.1), 3, 0.1)
 
 
 def test_draw_setting_bit_order():
