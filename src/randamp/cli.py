@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -461,7 +462,10 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="randamp",
         description="Bell-inequality randomness amplification: certification and simulation",

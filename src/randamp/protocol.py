@@ -10,6 +10,7 @@ the per-device majorities of the first three outcome bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,7 +147,7 @@ def proposition_bound(params: ProtocolParams) -> PropositionBound:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class DistanceReport:
     """Distance from uniform of S given the eavesdropper (z) and setting (w).
 
@@ -158,8 +159,6 @@ class DistanceReport:
     d: float
     d_c: float
     sigma_size: int
-    conditionals: np.ndarray  # (n_w, n_z, sigma)
-    z_weights: np.ndarray  # (n_w, n_z)
 
     def __post_init__(self):
         if self.d_c > self.sigma_size * self.d + 1e-12:
@@ -189,7 +188,7 @@ def distance_d(conditionals, z_weights=None) -> DistanceReport:
     dev = np.abs(p - 1.0 / sigma)
     d = 0.5 * float(np.max(dev))
     d_c = 0.5 * float(np.sum(np.max(np.einsum("wz,wzs->ws", w, dev), axis=0)))
-    return DistanceReport(d=d, d_c=d_c, sigma_size=sigma, conditionals=p, z_weights=w)
+    return DistanceReport(d=d, d_c=d_c, sigma_size=sigma)
 
 
 @dataclass
@@ -454,8 +453,10 @@ class _IidSampler:
         self.n = np.array(params.n)
         k = params.k
         pmf = trial_law(self.law, k)
-        self.cdf = np.cumsum(pmf)
-        # from the last possible outcome on, so no impossible one is drawn
+        # capped at 1, where rounding of the running sum can overshoot, so
+        # every width is nonnegative (no uniform draw below 1 sees the cap);
+        # and 1 from the last possible outcome on, so no impossible one is drawn
+        self.cdf = np.minimum(np.cumsum(pmf), 1.0)
         self.cdf[np.flatnonzero(pmf)[-1]:] = 1.0
         # Z_k, the test's verdict and the output of each outcome 2B + parity
         self._z = np.repeat(np.arange(k + 1) / k, 2)
@@ -466,10 +467,28 @@ class _IidSampler:
     def _selection(self) -> tuple:
         return _selection_law(self.params, self.strategy)
 
+    @cached_property
+    def category_p(self) -> np.ndarray:
+        """P(accepted with output 0), P(accepted with output 1), P(aborted):
+        the CDF widths `sample` draws from, summed by outcome, so an
+        impossible category gets exactly 0."""
+        category = np.where(self._accepted, self._output, 2)
+        return np.bincount(category, weights=np.diff(self.cdf, prepend=0.0), minlength=3)
+
     def sample(self, m: int, rng) -> tuple:
         """(Z_k, accepted, output bit or -1 where aborted) for m trials."""
         idx = np.searchsorted(self.cdf, rng.random(m), side="right")
         return self._z[idx], self._accepted[idx], self._output[idx]
+
+    def counts(self, m: int, seed) -> tuple:
+        """(accepted, accepted with output 0) over m trials: trials are i.i.d.
+        draws of one law, so the three category counts are one multinomial
+        draw, O(k) at any m.  Only possible categories enter it, as numpy
+        gives the last category the remainder."""
+        p = self.category_p
+        drawn = np.zeros(3, dtype=np.int64)
+        drawn[p > 0] = np.random.default_rng(seed).multinomial(m, p[p > 0])
+        return int(drawn[0] + drawn[1]), int(drawn[0])
 
     def rows(self, m: int, rng) -> "TrialRows":
         """Every column of m protocol runs.  Device j draws settings until
@@ -537,6 +556,16 @@ class _ProtocolSampler:
         rows = self.rows(m, rng)
         return rows.z_k, rows.accepted, rows.output
 
+    def counts(self, m: int, seed) -> tuple:
+        """(accepted, accepted with output 0) over m trials, chunked and
+        seeded like simulate_trials."""
+        n_acc = zeros = 0
+        for size, chunk_seed in zip(*_chunks(m, seed)):
+            _, accepted, output = self.sample(size, np.random.default_rng(chunk_seed))
+            n_acc += int(accepted.sum())
+            zeros += int(np.sum(output == 0))
+        return n_acc, zeros
+
 
 def _sampler(params: ProtocolParams, devices, sv_strategy):
     """The protocol engine for these k devices: the vectorized sampler where
@@ -586,7 +615,7 @@ def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, s
     return mapper(_chunk_rows, [sampler] * len(sizes), sizes, seeds)
 
 
-@dataclass
+@dataclass(slots=True)
 class WilsonInterval:
     successes: int
     count: int
@@ -604,7 +633,9 @@ def wilson_interval(successes: int, count: int, z: float = WILSON_Z99) -> Wilson
     return WilsonInterval(successes, count, max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
+# The report dataclasses are slotted and hold no arrays: callers that keep
+# one report per audit call, as the bench harness does, hold ~0.7 KB each.
+@dataclass(slots=True)
 class EmpiricalBiasReport:
     params: ProtocolParams
     trials_per_symbol: int
@@ -630,11 +661,21 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     eavesdropper symbol z; device_factory() is called once per symbol and
     yields the k devices every trial of that symbol runs against.  Each
     symbol is run `trials` times (stratified) on the engine simulate_trials
-    uses, symbol i seeded by child i of SeedSequence(seed) and chunked like
-    simulate_trials; the exact weights enter the distance averages.
+    uses, symbol i seeded by child i of SeedSequence(seed); the exact weights
+    enter the distance averages.  The general engine runs chunks of
+    SIMULATE_CHUNK trials like simulate_trials, so its counts equal those of
+    simulate_trials rows at that child.  The vectorized engine draws the
+    counts as one multinomial from child i, O(k) at any trial count: it
+    shares the per-trial law with simulate_trials, not the random stream.
+
+    trials is an integer in [1, 2**53] (bools rejected): numpy's binomial
+    sampler computes in doubles, so larger counts would not be exact.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if isinstance(trials, (bool, np.bool_)):
+        raise TypeError("trials must be an integer, not a bool")
+    trials = operator.index(trials)
+    if not 1 <= trials <= 2**53:
+        raise ValueError(f"trials {trials} outside [1, 2**53]")
     weights = np.array([w for w, _, _ in adversary], dtype=float)
     if len(weights) == 0 or np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("adversary weights must form a distribution")
@@ -642,12 +683,7 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     rows, accept_total = [], 0
     master = np.random.SeedSequence(seed)
     for (weight, factory, strategy), child in zip(adversary, master.spawn(len(adversary))):
-        sampler = _sampler(params, factory(), strategy)
-        n_acc = zeros = 0
-        for size, chunk_seed in zip(*_chunks(trials, child)):
-            _, accepted, output = sampler.sample(size, np.random.default_rng(chunk_seed))
-            n_acc += int(accepted.sum())
-            zeros += int(np.sum(output == 0))
+        n_acc, zeros = _sampler(params, factory(), strategy).counts(trials, child)
         p0 = zeros / n_acc if n_acc else float("nan")
         rows.append((weight, n_acc, p0, wilson_interval(zeros, n_acc)))
         accept_total += n_acc

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -471,11 +472,12 @@ def test_iid_sampler_algebraic_box_always_accepts():
 
 
 def test_iid_sampler_matches_binomial_dp():
+    """The audit's one multinomial draw per symbol reaches 10^12 trials, which
+    checks the closed form to about 1e-6."""
     source = SettingSteering((0, 1, 1, 1), 0.1)
     law = cell_law(LEANING.table, source, 0.1)
-    trials = 200_000
     # k = 3 accepts only with no Bell coefficient, k = 20 with at most one
-    for k, seed in ((3, 12), (20, 13)):
+    for k, trials, seed in ((3, 200_000, 12), (20, 200_000, 13), (3, 10**12, 14), (20, 10**12, 15)):
         params = ProtocolParams(0.1, 8.0, 0.5, k)
         p_acc, p_zero = binomial_dp(law, k, acceptance_threshold(params))
         assert 0.05 < p_acc < 0.95
@@ -485,6 +487,7 @@ def test_iid_sampler_matches_binomial_dp():
         _, n_acc, p0, _ = report.per_symbol[0]
         assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
         assert abs(p0 - p_zero) <= 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc)
+    assert 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc) < 4e-6
     assert abs(binomial_dp(law, 3, 0.0)[1] - 0.5) > 0.03  # the k = 3 bias has teeth
 
 
@@ -562,7 +565,9 @@ def test_degenerate_cell_laws_never_draw_impossible_outcomes():
     """a_0 = a_1 = 0 gives a fair parity at every B; q = 0 never scores, q = 1
     always scores, and a box whose outcomes are all 0 never outputs 1.  At
     k = 7 the CDF of that last box sums to 1 - 2^-53 at its last possible
-    outcome, so the impossible one after it must still get no width."""
+    outcome, so the impossible one after it must still get no width.  The
+    audit's multinomial counts never include an impossible category either,
+    at any trial count."""
     k = 7
     params = ProtocolParams(0.1, 0.8, 0.9, k)
     greedy = GreedyTowardString((0,), 0.1)
@@ -576,9 +581,11 @@ def test_degenerate_cell_laws_never_draw_impossible_outcomes():
         "q = 1": (parity_box(scoring), greedy),
         "even parity": (zeros, HONEST),
     }
-    pmfs, draws = {}, {}
+    pmfs, draws, counts = {}, {}, {}
     for name, (box, source) in cases.items():
         sampler = _IidSampler(params, box.table, source)
+        counts[name] = [(trials, *sampler.counts(trials, seed))
+                        for trials in (1, 1000, 10**12, 2**53) for seed in range(3)]
         pmf = pmfs[name] = trial_law(sampler.law, k).reshape(k + 1, 2)
         assert np.array_equal(np.diff(sampler.cdf, prepend=0.0) > 0, pmf.ravel() > 0), name
         for rng in (EdgeRng(sampler.cdf), np.random.default_rng(9)):
@@ -599,6 +606,16 @@ def test_degenerate_cell_laws_never_draw_impossible_outcomes():
         assert np.all(z == 1.0) and np.all(output == -1)
         assert not np.any(draws["even parity", rng][2] == 1)
         assert np.any(draws["fair parity", rng][2] == 1)
+    assert all(n_acc == trials for trials, n_acc, _ in counts["q = 0"])
+    assert all(n_acc == 0 for _, n_acc, _ in counts["q = 1"])
+    assert all(zeros == n_acc for _, n_acc, zeros in counts["even parity"])
+    assert counts["even parity"][-1][1] > 0  # P(accept) = 1/128: the equality has teeth
+    # numpy's multinomial hands the remainder to the last category; here the
+    # first two sum to 1 - 2^-54, so a zero last category must stay out
+    sampler = _IidSampler(params, noisy_box(NoiseSpec()).table, greedy)
+    sampler.category_p = np.array([0.1, np.nextafter(0.9, 0.0), 0.0])
+    for seed in range(5):
+        assert sampler.counts(2**53, seed)[0] == 2**53
 
 
 def nested_mixture():
@@ -710,6 +727,21 @@ def test_estimate_output_bias_validation():
         estimate_output_bias(params, [(0.7, lambda: [], HONEST)], trials=5)
 
 
+def test_estimate_output_bias_rejects_inexact_trial_counts():
+    """A trial count is a positive integer no larger than 2**53, where the
+    multinomial draw stops being exact; no bool, no float."""
+    params = honest_params(k=2)
+    adversary = [(1.0, lambda: [IidDevice(algebraic_violation_box())] * 2, HONEST)]
+    for trials in (2.5, 2.0, True, np.True_):
+        with pytest.raises(TypeError):
+            estimate_output_bias(params, adversary, trials)
+    for trials in (0, -1, 2**53 + 1):
+        with pytest.raises(ValueError):
+            estimate_output_bias(params, adversary, trials)
+    assert estimate_output_bias(params, adversary, np.int64(3), seed=1).per_symbol[0][1] == 3
+    assert estimate_output_bias(params, adversary, 2**53, seed=1).per_symbol[0][1] == 2**53
+
+
 def test_simulate_trials_chunks_and_engines():
     params = honest_params(k=3, epsilon=0.1, n=(4,))
     devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * 3
@@ -736,19 +768,20 @@ def test_simulate_trials_chunks_and_engines():
 
 
 def test_audit_counts_match_simulate_rows():
-    """For one seed child the audit's accepted and zero-output counts are the
-    simulate rows' counts, on the vectorized and the general engine."""
+    """On the general engine the audit's accepted and zero-output counts for
+    one seed child are the simulate rows' counts.  On the vectorized engine
+    the two share the per-trial law, not the random stream: the audit's
+    category probabilities are exactly the CDF widths simulate's searchsorted
+    assigns to each category, and at 10^6 trials the counts agree at z = 4."""
     params = honest_params(k=3, epsilon=0.1, n=(2,))
     box = mixed_with_uniform(algebraic_violation_box(), 0.3)
     mixture = MixtureDevice([IidDevice(box), IidDevice(uniform_box())], (0.7, 0.3))
-    cases = [
-        ([IidDevice(box)] * 3, GreedyTowardString((0, 1), 0.1), 600, True),
-        ([IidDevice(box)] * 3, GreedyTowardString((0, 1, 1), 0.1), 300, False),
-        ([mixture] * 3, HONEST, 300, True),
-        ([mixture] * 3, GreedyTowardString((0, 1, 1), 0.1), 300, False),
+    general = [
+        ([IidDevice(box)] * 3, GreedyTowardString((0, 1, 1), 0.1), 300),
+        ([mixture] * 3, GreedyTowardString((0, 1, 1), 0.1), 300),
     ]
-    for devices, source, trials, vectorized in cases:
-        assert fast_path_applicable(params, devices, source) == vectorized
+    for devices, source, trials in general:
+        assert not fast_path_applicable(params, devices, source)
         report = estimate_output_bias(params, [(1.0, lambda: devices, source)], trials, seed=5)
         child = np.random.SeedSequence(5).spawn(1)[0]
         accepted, output = engine_columns(
@@ -758,6 +791,65 @@ def test_audit_counts_match_simulate_rows():
         assert 0 < n_acc < trials  # an interior rate, so the counts have teeth
         assert n_acc == int(accepted.sum())
         assert interval.successes == int(np.sum(output == 0))
+
+    vectorized = [
+        ([IidDevice(box)] * 3, GreedyTowardString((0, 1), 0.1)),
+        ([mixture] * 3, HONEST),
+    ]
+    trials = 1_000_000
+    for devices, source in vectorized:
+        assert fast_path_applicable(params, devices, source)
+        sampler = _IidSampler(params, _shared_table(devices, source), source)
+        # one uniform at the left edge of each interval searchsorted can land in
+        widths = np.diff(sampler.cdf, prepend=0.0)
+        drawn = np.flatnonzero(widths > 0)
+        left = np.where(drawn > 0, sampler.cdf[drawn - 1], 0.0)
+        _, accepted, output = sampler.sample(len(drawn), SimpleNamespace(random=lambda m: left))
+        by_category = [0.0, 0.0, 0.0]
+        for width, acc, out in zip(widths[drawn], accepted, output):
+            by_category[out if acc else 2] += width
+        assert np.array_equal(sampler.category_p, by_category)
+
+        # two independent samples of one law: seeds 5 and 6
+        report = estimate_output_bias(params, [(1.0, lambda: devices, source)], trials, seed=5)
+        accepted, output = engine_columns(
+            simulate_trials(params, devices, source, trials, seed=6), ("accepted", "output")
+        )
+        _, n_acc, _, interval = report.per_symbol[0]
+        rows_acc, rows_zeros = int(accepted.sum()), int(np.sum(output == 0))
+        p_acc = (n_acc + rows_acc) / (2 * trials)
+        assert 0.05 < p_acc < 0.95
+        assert abs(n_acc - rows_acc) / trials <= 4 * math.sqrt(2 * p_acc * (1 - p_acc) / trials)
+        p0 = (interval.successes + rows_zeros) / (n_acc + rows_acc)
+        assert 0.05 < p0 < 0.95
+        gap = abs(interval.successes / n_acc - rows_zeros / rows_acc)
+        assert gap <= 4 * math.sqrt(p0 * (1 - p0) * (1 / n_acc + 1 / rows_acc))
+
+
+def test_capped_cdf_has_nonnegative_widths_and_draws_as_before():
+    """The running sum of a trial law can round past 1 before its last
+    possible outcome (here at k = 7 for 1 % white noise), which would give
+    that outcome a negative CDF width and the multinomial a negative
+    probability.  The CDF is capped at 1, and no uniform below 1 lands
+    differently for it, so simulate draws exactly as with the uncapped sum."""
+    k = 7
+    params = ProtocolParams(0.1, 0.8, 0.9, k)
+    box = noisy_box(NoiseSpec(state_mixing=0.01))
+    sampler = _IidSampler(params, box.table, HONEST)
+    pmf = trial_law(sampler.law, k)
+    last = np.flatnonzero(pmf)[-1]
+    uncapped = np.cumsum(pmf)
+    assert uncapped[:last].max() > 1.0
+    uncapped[last:] = 1.0
+    assert np.diff(uncapped, prepend=0.0).min() < 0.0
+    assert np.diff(sampler.cdf, prepend=0.0).min() >= 0.0
+    u = np.concatenate([np.random.default_rng(3).random(100_000), EdgeRng(sampler.cdf).u])
+    assert np.array_equal(np.searchsorted(uncapped, u, side="right"),
+                          np.searchsorted(sampler.cdf, u, side="right"))
+    assert np.all(sampler.category_p >= 0.0)
+    adversary = [(1.0, lambda: [IidDevice(box)] * k, HONEST)]
+    _, n_acc, _, interval = estimate_output_bias(params, adversary, 10**9, seed=4).per_symbol[0]
+    assert 0 < interval.successes < n_acc < 10**9
 
 
 def test_wilson_interval_behavior():
