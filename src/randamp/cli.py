@@ -9,11 +9,10 @@ are byte-identical whatever the number of worker processes.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import datetime
 import functools
 import hashlib
-import io
 import json
 import math
 import multiprocessing
@@ -68,10 +67,13 @@ def _check_keys(cfg: dict, allowed, path: str = ""):
             raise ConfigError(f"unknown field '{path}{key}'")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple:
+    """(config, SHA-256 of the bytes parsed): the manifest records the file
+    as it was read, whatever happens to it during the run."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -128,34 +130,53 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_outputs(out_dir: str, command: str, config_path: str | None, files: dict,
-                  metrics: dict | None = None):
-    """files: name -> bytes.  Writes data files, then the manifest, each via
-    temp-file rename so a crash never leaves a half-written artifact.
-    metrics, facts about the run that are not results (so the data files stay
-    byte-stable), go into the manifest only."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, payload in files.items():
-        tmp = os.path.join(out_dir, f".{name}.tmp")
+@contextlib.contextmanager
+def _atomic_output(out_dir: str, name: str, digests: dict):
+    """Yields write(bytes) for the file out_dir/name.  The bytes go to a temp
+    file and into a running SHA-256; the file is renamed into place, and its
+    digest stored in digests[name], only when the block completes.  If the
+    block raises, the temp file is removed and any earlier file of that name
+    is left as it was."""
+    tmp = os.path.join(out_dir, f".{name}.tmp")
+    h = hashlib.sha256()
+    try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            def write(data: bytes) -> None:
+                fh.write(data)
+                h.update(data)
+
+            yield write
         os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    digests[name] = h.hexdigest()
+
+
+def write_outputs(out_dir: str, command: str, config_sha256: str | None, files: dict,
+                  metrics: dict | None = None, written: dict | None = None):
+    """files: name -> bytes.  Writes data files, then the manifest, each via
+    _atomic_output so a crash never leaves a half-written artifact.  written
+    maps files already put in place by _atomic_output to their digests; the
+    manifest lists them too.  metrics, facts about the run that are not
+    results (so the data files stay byte-stable), go into the manifest only."""
+    os.makedirs(out_dir, exist_ok=True)
+    digests = dict(written or {})
+    for name, payload in files.items():
+        with _atomic_output(out_dir, name, digests) as write:
+            write(payload)
     manifest = {
         "command": command,
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config_sha256": sha256_file(config_path) if config_path else None,
-        "outputs": {
-            name: sha256_file(os.path.join(out_dir, name)) for name in sorted(files)
-        },
+        "config_sha256": config_sha256,
+        "outputs": digests,
     }
     if metrics is not None:
         manifest["metrics"] = metrics
-    tmp = os.path.join(out_dir, ".manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    with _atomic_output(out_dir, "manifest.json", {}) as write:
+        write(_json_bytes(manifest))
 
 
 def verify_manifest(out_dir: str) -> bool:
@@ -172,7 +193,7 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def cmd_certify(args) -> int:
-    cfg = load_config(args.config)
+    cfg, cfg_sha256 = load_config(args.config)
     _check_keys(cfg, {"deltas", "method", "tolerance"})
     deltas = _require(cfg, "deltas", "")
     if not deltas:
@@ -203,7 +224,7 @@ def cmd_certify(args) -> int:
              "duality_gap": r.duality_gap}
             for r in reports
         ]}
-        write_outputs(args.out, "certify", args.config, {"certify.json": _json_bytes(summary)}, metrics)
+        write_outputs(args.out, "certify", cfg_sha256, {"certify.json": _json_bytes(summary)}, metrics)
     for entry in grid:
         if "error" in entry:
             print(f"delta={entry['delta']}: ERROR {entry['error']}")
@@ -233,8 +254,37 @@ def _use_counts(value):
     raise ConfigError(f"field 'n' must be an integer or a list of integers, got {value!r}")
 
 
+def _stream_trials(chunks, k: int, write) -> tuple:
+    """Writes trials.csv, the header and then one row per trial, through
+    write, one chunk of TrialRows at a time; returns (accepted, accepted
+    with output 0, chunks).  Every row is one %-format of a template built
+    from k; z_k is formatted per value with .12g."""
+    per_device = "|".join(["%d"] * k)
+    row = f"%d,%d,%s,%d,{per_device},{per_device}\n"
+    width = 4 + 2 * k
+    write(b"trial,accepted,z_k,output_bit,selection,m_realized\n")
+    start = n_acc = zeros = n_chunks = 0
+    for rows in chunks:
+        m = len(rows.z_k)
+        ints = np.zeros((m, width), dtype=np.int64)
+        ints[:, 0] = np.arange(start, start + m)
+        ints[:, 1] = rows.accepted
+        ints[:, 3] = rows.output
+        ints[:, 4:4 + k] = rows.selection
+        ints[:, 4 + k:] = rows.m_realized
+        fields = ints.ravel().tolist()
+        # column 2, left 0 in ints, is z_k: a %s field
+        fields[2::width] = [f"{z:.12g}" for z in rows.z_k.tolist()]
+        write(((row * m) % tuple(fields)).encode())
+        start += m
+        n_acc += int(rows.accepted.sum())
+        zeros += int(np.sum(rows.output == 0))
+        n_chunks += 1
+    return n_acc, zeros, n_chunks
+
+
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+    cfg, cfg_sha256 = load_config(args.config)
     _check_keys(
         cfg,
         {"epsilon", "delta", "mu", "k", "n", "t", "trials", "seed", "device", "sv"},
@@ -261,28 +311,18 @@ def cmd_simulate(args) -> int:
     # Worker start-up (each imports numpy and randamp) costs more than
     # a whole vectorized run, and a worker beyond the chunk count has no work.
     workers = 1 if engine == "vectorized" else min(args.jobs or 1, -(-trials // SIMULATE_CHUNK))
-    if workers > 1:
-        spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            chunks = list(simulate_trials(params, devices, strategy, trials, seed, mapper=pool.map))
-    else:
-        chunks = list(simulate_trials(params, devices, strategy, trials, seed))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "accepted", "z_k", "output_bit", "selection", "m_realized"])
-    index = n_acc = zeros = 0
-    for rows in chunks:
-        for z_k, acc, bit, sel, m in zip(
-            rows.z_k.tolist(), rows.accepted.tolist(), rows.output.tolist(),
-            rows.selection.tolist(), rows.m_realized.tolist(),
-        ):
-            writer.writerow(
-                [index, int(acc), f"{z_k:.12g}", bit, "|".join(map(str, sel)), "|".join(map(str, m))]
-            )
-            index += 1
-        n_acc += int(rows.accepted.sum())
-        zeros += int(np.sum(rows.output == 0))
+    written = {}
+    os.makedirs(args.out, exist_ok=True)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
+            ).map
+        chunks = simulate_trials(params, devices, strategy, trials, seed, mapper=mapper)
+        with _atomic_output(args.out, "trials.csv", written) as write:
+            n_acc, zeros, n_chunks = _stream_trials(chunks, params.k, write)
 
     summary = {
         "params": {
@@ -307,8 +347,10 @@ def cmd_simulate(args) -> int:
     write_outputs(
         args.out,
         "simulate",
-        args.config,
-        {"summary.json": _json_bytes(summary), "trials.csv": buf.getvalue().encode()},
+        cfg_sha256,
+        {"summary.json": _json_bytes(summary)},
+        metrics={"engine": engine, "workers": workers, "chunks": n_chunks},
+        written=written,
     )
     print(
         f"simulate: {trials} trials, engine={engine}, workers={workers}, "
@@ -319,7 +361,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_definetti(args) -> int:
-    cfg = load_config(args.config)
+    cfg, cfg_sha256 = load_config(args.config)
     _check_keys(
         cfg, {"epsilon", "n", "schedule", "t_levels", "system", "sv", "pinsker", "sigma_size"}
     )
@@ -358,7 +400,7 @@ def cmd_definetti(args) -> int:
     )
     payload = report.to_json()
     if args.out:
-        write_outputs(args.out, "definetti", args.config, {"definetti.json": _json_bytes(payload)})
+        write_outputs(args.out, "definetti", cfg_sha256, {"definetti.json": _json_bytes(payload)})
     print(
         f"definetti: n={n} max T={report.max_t:.6f} threshold={report.threshold:.6f} "
         f"exceed fraction={report.weighted_exceed_fraction:.6f} "
@@ -368,7 +410,7 @@ def cmd_definetti(args) -> int:
 
 
 def cmd_quantum_check(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg, cfg_sha256 = load_config(args.config) if args.config else ({}, None)
     _check_keys(cfg, {"state_mixing", "basis_rotation"})
     noise = NoiseSpec(
         state_mixing=float(cfg.get("state_mixing", 0.0)),
@@ -388,7 +430,7 @@ def cmd_quantum_check(args) -> int:
     }
     if args.out:
         write_outputs(
-            args.out, "quantum-check", args.config, {"quantum_check.json": _json_bytes(payload)}
+            args.out, "quantum-check", cfg_sha256, {"quantum_check.json": _json_bytes(payload)}
         )
     print(
         f"quantum-check: norm={payload['state_norm']:.12f} "
@@ -418,7 +460,7 @@ def _sci_from_log2(log2_value: float) -> str:
 
 
 def cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
+    cfg, cfg_sha256 = load_config(args.config)
     _check_keys(cfg, {"epsilon", "delta", "mu", "k", "t", "k_exponent"})
     params = ProtocolParams(
         epsilon=float(_require(cfg, "epsilon", "")),
@@ -458,7 +500,7 @@ def cmd_bounds(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        write_outputs(args.out, "bounds", args.config, {"bounds.txt": text.encode()})
+        write_outputs(args.out, "bounds", cfg_sha256, {"bounds.txt": text.encode()})
     return 0
 
 

@@ -49,11 +49,12 @@ def validate_bases(bases: np.ndarray, tol: float = 1e-12) -> None:
     bases = np.asarray(bases, dtype=complex)
     if bases.shape != (4, 2, 2, 2):
         raise ValueError(f"bases must have shape (4, 2, 2, 2), got {bases.shape}")
-    for party in range(4):
-        for u in range(2):
-            g = bases[party, u] @ bases[party, u].conj().T
-            if not np.allclose(g, np.eye(2), atol=tol):
-                raise ValueError(f"party {party + 1}, input {u}: basis not orthonormal")
+    # every party's and input's Gram matrix at once, [party, input, row, col]
+    gram = bases @ bases.conj().swapaxes(-1, -2)
+    orthonormal = np.isclose(gram, np.eye(2), atol=tol).all(axis=(-2, -1))
+    if not orthonormal.all():
+        party, u = np.argwhere(~orthonormal)[0]
+        raise ValueError(f"party {party + 1}, input {u}: basis not orthonormal")
 
 
 def validate_state(state: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -81,6 +82,20 @@ def born_box(state: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
     return NsBox(table, tol=tol)
 
 
+def _product_vectors(bases: np.ndarray) -> np.ndarray:
+    """vecs[a, b, c, d, i, j, k, l] = the product of party 1's basis vector
+    for outcome a at input i, ..., party 4's for outcome d at input l, as a
+    flat length-16 vector.  Party p's (outcome, input, component) axes sit at
+    positions p, 4 + p and 8 + p of a 12-axis broadcast."""
+    factors = []
+    for party in range(4):
+        shape = [1] * 12
+        shape[party] = shape[4 + party] = shape[8 + party] = 2
+        factors.append(bases[party].reshape(shape))
+    vecs = factors[0] * factors[1] * factors[2] * factors[3]
+    return vecs.reshape(2, 2, 2, 2, 2, 2, 2, 2, 16)
+
+
 def born_box_mixed(rho: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
     """Measurement box for a density operator (16 x 16, same index order as states)."""
     rho = np.asarray(rho, dtype=complex)
@@ -91,9 +106,7 @@ def born_box_mixed(rho: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsB
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError("rho must have unit trace")
     validate_bases(bases)
-    b = np.asarray(bases, dtype=complex)
-    vecs = np.einsum("aiw,bjx,cky,dlz->abcdijklwxyz", b[0], b[1], b[2], b[3])
-    vecs = vecs.reshape(2, 2, 2, 2, 2, 2, 2, 2, 16)
+    vecs = _product_vectors(np.asarray(bases, dtype=complex))
     prob = np.einsum("...w,wv,...v->...", vecs.conj(), rho, vecs).real
     table = prob.transpose(7, 6, 5, 4, 3, 2, 1, 0).reshape(16, 16)
     return NsBox(table, tol=tol)

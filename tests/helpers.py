@@ -3,9 +3,12 @@ Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
 a no-signaling checker for tables of any number of binary parties, the
 joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
 the mutual information of a 2-D joint, T with its per-level decomposition
-on a dense system, the all-inequality form of the guessing LP, and the
-goodness oracle over a run's selected conditional boxes."""
+on a dense system, the all-inequality form of the guessing LP, the
+goodness oracle over a run's selected conditional boxes, the product
+measurement vectors as one einsum, and trials.csv written row by row."""
 
+import csv
+import io
 from dataclasses import dataclass
 from functools import reduce
 
@@ -162,3 +165,30 @@ def goodness_oracle(devices, transcript: RunTranscript,
         good_count=good,
         required=mu * params.k,
     )
+
+
+def product_vectors_einsum(bases: np.ndarray) -> np.ndarray:
+    """The four parties' product measurement vectors as one 12-index einsum,
+    indexed [a, b, c, d, i, j, k, l, component] like quantum._product_vectors."""
+    b = np.asarray(bases, dtype=complex)
+    vecs = np.einsum("aiw,bjx,cky,dlz->abcdijklwxyz", b[0], b[1], b[2], b[3])
+    return vecs.reshape(2, 2, 2, 2, 2, 2, 2, 2, 16)
+
+
+def reference_trials_csv(chunks) -> bytes:
+    """trials.csv of the given TrialRows chunks, one csv.writer row per trial:
+    the oracle for the CLI's row template."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "accepted", "z_k", "output_bit", "selection", "m_realized"])
+    index = 0
+    for rows in chunks:
+        for z_k, acc, bit, sel, m in zip(
+            rows.z_k.tolist(), rows.accepted.tolist(), rows.output.tolist(),
+            rows.selection.tolist(), rows.m_realized.tolist(),
+        ):
+            writer.writerow(
+                [index, int(acc), f"{z_k:.12g}", bit, "|".join(map(str, sel)), "|".join(map(str, m))]
+            )
+            index += 1
+    return buf.getvalue().encode()

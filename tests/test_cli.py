@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_trials_csv
 
+import randamp.cli
 from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
 from randamp.cli import main, verify_manifest, write_outputs
 from randamp.devices import IidDevice
@@ -207,11 +211,148 @@ def test_simulate_jobs_capped_at_chunk_count(tmp_path, capsys, monkeypatch):
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "8"]) == 0
     assert "engine=general, workers=2," in capsys.readouterr().out
     assert InlinePool.created == [2]
+    assert read_metrics(tmp_path / "a") == {"engine": "general", "workers": 2, "chunks": 2}
     # one chunk: nothing to spread, so no pool
     cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=40, sv=general), name="one.json")
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "8"]) == 0
     assert "engine=general, workers=1," in capsys.readouterr().out
     assert InlinePool.created == [2]
+
+
+def read_metrics(out):
+    return json.loads((out / "manifest.json").read_text())["metrics"]
+
+
+def record_chunks(monkeypatch) -> list:
+    """Patches the CLI's simulate_trials to keep every chunk it hands out."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        for rows in real(*args, **kwargs):
+            seen.append(rows)
+            yield rows
+
+    real = randamp.cli.simulate_trials
+    monkeypatch.setattr(randamp.cli, "simulate_trials", recording)
+    return seen
+
+
+GENERAL_SV = {"strategy": "greedy", "target": [0, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "overrides, extra, engine",
+    [
+        ({"trials": 600}, [], "vectorized"),
+        ({"trials": 300, "sv": GENERAL_SV}, [], "general"),
+        ({"trials": 300, "sv": GENERAL_SV}, ["--jobs", "2"], "general"),
+        ({"k": 1, "trials": 300}, [], "vectorized"),
+        ({"k": 1, "trials": 40, "sv": GENERAL_SV}, [], "general"),
+        ({"n": [4, 2, 4], "trials": 300}, [], "vectorized"),
+        ({"trials": 1}, [], "vectorized"),
+        ({"trials": 256}, [], "vectorized"),
+        ({"trials": 257}, [], "vectorized"),
+        ({"trials": 257, "sv": GENERAL_SV}, [], "general"),
+    ],
+)
+def test_simulate_rows_match_csv_writer_oracle(tmp_path, capsys, monkeypatch, overrides, extra, engine):
+    seen = record_chunks(monkeypatch)
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, **overrides))
+    out = tmp_path / "out"
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)] + extra) == 0
+    assert f"engine={engine}," in capsys.readouterr().out
+    trials = overrides["trials"]
+    assert [len(rows.z_k) for rows in seen] == [min(256, trials - lo) for lo in range(0, trials, 256)]
+    assert (out / "trials.csv").read_bytes() == reference_trials_csv(seen)
+    assert read_metrics(out)["chunks"] == len(seen)
+
+
+def test_simulate_data_files_pinned_and_metrics_in_manifest_only(tmp_path, capsys):
+    """The data files' digests, taken from the csv.writer implementation
+    before the manifest carried metrics: neither the row template nor the
+    metrics change a byte."""
+    pinned = {
+        "vectorized": (SIM_CONFIG, 1, "487c17da61bc3b5e8a0efea4e23dab0226dee1a3d40af1c588c66f01adf11b1e",
+                       "d8cc5de4a05ca4e2490b18c07e97a83bb9b374b815fec01d5289040e51301a3d"),
+        "general": (dict(SIM_CONFIG, trials=300, sv=GENERAL_SV), 2,
+                    "724e5ccbbbe0e636e42232fad9e23a79006e201ae1fb9830e8b372a722d1578d",
+                    "4aca6106aad74bab6f0abae7aac81a6b0735bfd253b854be3ef3096fd48430b0"),
+    }
+    for engine, (config, chunks, csv_sha, summary_sha) in pinned.items():
+        out = tmp_path / engine
+        cfg = write_config(tmp_path, config, name=f"{engine}.json")
+        assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha
+        assert read_metrics(out) == {"engine": engine, "workers": 1, "chunks": chunks}
+        summary = json.loads((out / "summary.json").read_text())
+        assert "metrics" not in summary and "engine" not in summary
+    capsys.readouterr()
+
+
+def test_simulate_failure_mid_stream_leaves_outputs_untouched(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=600))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == {"trials.csv", "summary.json", "manifest.json"}
+
+    def one_chunk_then_fail(*args, **kwargs):
+        yield next(iter(real(*args, **kwargs)))
+        raise OSError("No space left on device")
+
+    real = randamp.cli.simulate_trials
+    monkeypatch.setattr(randamp.cli, "simulate_trials", one_chunk_then_fail)
+    capsys.readouterr()
+    assert run_main(["simulate", "--config", cfg, "--out", str(out), "--seed", "9"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # no temp file, and the previous run's files byte for byte
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert run_main(["simulate", "--config", cfg, "--out", str(fresh)]) == 1
+    assert not fresh.exists() or not any(fresh.iterdir())
+
+
+def test_manifest_records_the_config_bytes_parsed(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    with open(cfg, "rb") as fh:
+        parsed = fh.read()
+
+    def edit_config_then_build(*args, **kwargs):
+        with open(cfg, "w") as fh:
+            json.dump(dict(SIM_CONFIG, seed=6), fh)
+        return real(*args, **kwargs)
+
+    real = randamp.cli.build_strategy
+    monkeypatch.setattr(randamp.cli, "build_strategy", edit_config_then_build)
+    out = tmp_path / "out"
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with open(cfg, "rb") as fh:
+        assert fh.read() != parsed  # edited between parse and write
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+    assert json.loads((out / "summary.json").read_text())["seed"] == 5
+    capsys.readouterr()
+
+
+def test_simulate_memory_is_one_chunk_not_the_whole_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "epsilon": 0.1, "delta": 0.8, "mu": 0.9, "k": 20, "n": [4], "trials": 20_000, "seed": 3,
+        "device": {"model": "quantum", "state_mixing": 0.05},
+        "sv": {"strategy": "greedy", "target": [0, 1]},
+    })
+    out = tmp_path / "out"
+    # a first call pays for numpy's lazy imports, which are not the run's
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "warm"), "--trials", "1"]) == 0
+    tracemalloc.start()
+    try:
+        assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    size = (out / "trials.csv").stat().st_size
+    assert size > 1_500_000
+    assert peak < size / 2, (peak, size)
 
 
 def test_certify_records_error_type(tmp_path, capsys, monkeypatch):
@@ -494,12 +635,16 @@ def test_bounds_command_at_large_k(tmp_path, capsys):
 
 def test_write_outputs_helper(tmp_path):
     out = tmp_path / "w"
-    write_outputs(str(out), "demo", None, {"blob.txt": b"hello\n"})
+    write_outputs(str(out), "demo", None, {"blob.txt": b"hello\n"}, metrics={"b": 1, "a": [2]})
     assert (out / "blob.txt").read_bytes() == b"hello\n"
-    manifest = json.loads((out / "manifest.json").read_text())
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
     assert manifest["config_sha256"] is None
     assert manifest["command"] == "demo"
+    assert manifest["outputs"] == {"blob.txt": hashlib.sha256(b"hello\n").hexdigest()}
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert verify_manifest(str(out))
+    assert sorted(path.name for path in out.iterdir()) == ["blob.txt", "manifest.json"]
 
 
 def test_module_entry_point():

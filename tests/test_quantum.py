@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from helpers import product_vectors_einsum
 
 from randamp.boxes import bell_value, is_no_signaling, uniform_box
 from randamp.quantum import (
     NoiseSpec,
+    _product_vectors,
     apply_noise,
     born_box,
     born_box_mixed,
@@ -130,6 +132,34 @@ def test_validation_errors():
         NoiseSpec(state_mixing=1.5)
     with pytest.raises(ValueError):
         NoiseSpec(basis_rotation=float("nan"))
+
+
+def test_validate_bases_names_party_and_input():
+    for party, u in ((0, 0), (2, 1), (3, 1)):
+        bad = np.array(xz_bases())
+        bad[party, u, 1] = bad[party, u, 0]
+        with pytest.raises(ValueError, match=f"party {party + 1}, input {u}: "):
+            validate_bases(bad)
+    # two bad bases: the first in (party, input) order is named
+    bad = np.array(xz_bases())
+    bad[3, 0] *= 1.1
+    bad[1, 1, 0] *= 1.1j
+    with pytest.raises(ValueError, match="party 2, input 1: "):
+        validate_bases(bad)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.2, -1.3])
+def test_product_vectors_match_einsum_bitwise(angle):
+    bases = rotate_bases(xz_bases(), angle)
+    assert np.array_equal(_product_vectors(bases), product_vectors_einsum(bases))
+
+
+def test_noisy_box_tables_bitwise_with_einsum_product_vectors(monkeypatch):
+    grid = [(m, angle) for m in (0.0, 0.01, 0.05, 0.3, 1.0) for angle in (0.0, 0.2, 0.7, -1.3)]
+    tables = [noisy_box(NoiseSpec(m, angle)).table for m, angle in grid]
+    monkeypatch.setattr("randamp.quantum._product_vectors", product_vectors_einsum)
+    for (m, angle), table in zip(grid, tables):
+        assert np.array_equal(noisy_box(NoiseSpec(m, angle)).table, table), (m, angle)
 
 
 def test_born_box_mixed_rejects_bad_density():
