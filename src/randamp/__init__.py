@@ -46,7 +46,6 @@ from .devices import (
     SequenceDevice,
     TimeOrderedDevice,
     ZeroProbabilityHistoryError,
-    condition_device,
 )
 from .lp import (
     CertificationError,

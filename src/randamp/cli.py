@@ -243,15 +243,23 @@ def cmd_certify(args) -> int:
     return 0 if passed else 1
 
 
-def _use_counts(value):
-    """The simulate field 'n' as ProtocolParams takes it: one integer for
-    every device, or a list of integers."""
-    # JSON true/false load as bool, a subclass of int: not a count
-    if type(value) is int:
+def _integer(value, field: str) -> int:
+    """A config field that must be a JSON integer: a float, a string or
+    true/false (a bool is an int in Python) is refused, not truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
+    return value
+
+
+def _use_counts(value, scalar: bool):
+    """The field 'n': a list of integers, or with scalar one integer for
+    every device, as ProtocolParams takes it."""
+    if scalar and type(value) is int:
         return value
     if isinstance(value, list) and all(type(v) is int for v in value):
         return tuple(value)
-    raise ConfigError(f"field 'n' must be an integer or a list of integers, got {value!r}")
+    kind = "an integer or a list of integers" if scalar else "a list of integers"
+    raise ConfigError(f"field 'n' must be {kind}, got {value!r}")
 
 
 def _stream_trials(chunks, k: int, write) -> tuple:
@@ -293,18 +301,18 @@ def cmd_simulate(args) -> int:
         epsilon=float(_require(cfg, "epsilon", "")),
         delta=float(_require(cfg, "delta", "")),
         mu=float(_require(cfg, "mu", "")),
-        k=int(_require(cfg, "k", "")),
-        n=_use_counts(cfg["n"]) if "n" in cfg else (1,),
+        k=_integer(_require(cfg, "k", ""), "k"),
+        n=_use_counts(cfg["n"], scalar=True) if "n" in cfg else (1,),
         t=float(cfg.get("t", 1e6)),
     )
     box = build_box(_require(cfg, "device", ""))
     strategy = build_strategy(_require(cfg, "sv", ""), params.epsilon)
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 100))
+    trials = args.trials if args.trials is not None else _integer(cfg.get("trials", 100), "trials")
     if trials < 1:
         raise ConfigError("field 'trials' must be positive")
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError("option '--jobs' must be positive")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "seed")
 
     devices = [IidDevice(box)] * params.k
     engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
@@ -374,15 +382,15 @@ def cmd_definetti(args) -> int:
         raise ConfigError(f"field 'sigma_size' must be an integer >= 2, got {sigma_size!r}")
     epsilon = float(_require(cfg, "epsilon", ""))
     if "n" in cfg:
-        n = [int(v) for v in cfg["n"]]
+        n = list(_use_counts(cfg["n"], scalar=False))
     elif "schedule" in cfg:
         sched = cfg["schedule"]
         _check_keys(sched, {"k", "t", "k_exponent"}, "schedule.")
         n = block_sizes(
             epsilon,
-            int(_require(sched, "k", "schedule.")),
+            _integer(_require(sched, "k", "schedule."), "schedule.k"),
             float(_require(sched, "t", "schedule.")),
-            int(sched.get("k_exponent", 2)),
+            _integer(sched.get("k_exponent", 2), "schedule.k_exponent"),
         )
     else:
         raise ConfigError("missing field 'n' (or 'schedule')")
@@ -400,7 +408,8 @@ def cmd_definetti(args) -> int:
     )
     payload = report.to_json()
     if args.out:
-        write_outputs(args.out, "definetti", cfg_sha256, {"definetti.json": _json_bytes(payload)})
+        metrics = {"selections": len(report.selections), "types": report.types, "chunks": report.chunks}
+        write_outputs(args.out, "definetti", cfg_sha256, {"definetti.json": _json_bytes(payload)}, metrics)
     print(
         f"definetti: n={n} max T={report.max_t:.6f} threshold={report.threshold:.6f} "
         f"exceed fraction={report.weighted_exceed_fraction:.6f} "

@@ -20,22 +20,26 @@ import numpy as np
 from .sv import bit_zero_probabilities, exact_bitstring_distribution
 
 MAX_TABLE_ENTRIES = 1 << 24
+CHUNK_ENTRIES = 1 << 18
 
 
 def _pinsker_batch(joints: np.ndarray):
-    """(lhs, rhs, I) arrays for a batch of joints of shape (batch, A, B):
-    lhs = ||p_AB - p_A x p_B||_1, I = I(A:B) in bits clamped at 0, and
-    rhs = sqrt(2 ln2 I).  Every joint must be a normalized distribution."""
+    """(lhs, rhs, I) arrays for a batch of joints of shape (A, B, batch),
+    one joint per last index: lhs = ||p_AB - p_A x p_B||_1, I = I(A:B) in
+    bits clamped at 0, and rhs = sqrt(2 ln2 I).  Every joint must be a
+    normalized distribution.  With the batch last, every sum below runs
+    along it, not over the joint's few entries per batch index."""
     if joints.ndim != 3:
         raise ValueError("joint must be a 2-D table")
     if np.min(joints) < -1e-12:
         raise ValueError("joint has negative entries")
-    totals = joints.sum(axis=(1, 2))
+    p_a = joints.sum(axis=1)
+    totals = p_a.sum(axis=0)
     off = np.abs(totals - 1.0)
     if np.max(off) > 1e-9:
         raise ValueError(f"joint sums to {totals[np.argmax(off)]}, not 1")
-    prod = joints.sum(axis=2, keepdims=True) * joints.sum(axis=1, keepdims=True)
-    lhs = np.abs(joints - prod).sum(axis=(1, 2))
+    prod = p_a[:, np.newaxis] * joints.sum(axis=0)
+    lhs = np.abs(joints - prod).sum(axis=(0, 1))
     # I ln 2 = sum q (r ln r - (r - 1)) over q = p_A p_B > 0, r = p/q: every
     # term is >= 0 (it is (1+d) log1p(d) - d with d = r - 1), unlike p ln r,
     # whose terms cancel near a product joint.  A cell with p = 0 < q
@@ -47,14 +51,14 @@ def _pinsker_batch(joints: np.ndarray):
     ratio -= 1.0
     terms -= ratio
     terms *= prod
-    mi = np.maximum(terms.sum(axis=(1, 2)), 0.0) / math.log(2.0)
+    mi = np.maximum(terms.sum(axis=(0, 1)), 0.0) / math.log(2.0)
     return lhs, np.sqrt(2.0 * math.log(2.0) * mi), mi
 
 
 def pinsker_gap(joint: np.ndarray):
     """(lhs, rhs) of ||p_AB - p_A x p_B||_1 <= sqrt(2 ln2 I(A:B))."""
     joint = np.asarray(joint, dtype=float)
-    lhs, rhs, _ = _pinsker_batch(joint[np.newaxis])
+    lhs, rhs, _ = _pinsker_batch(joint[..., np.newaxis])
     return float(lhs[0]), float(rhs[0])
 
 
@@ -453,6 +457,10 @@ class DeFinettiReport:
     max_t: float = 0.0
     pinsker_worst_slack: float = float("-inf")
     one_norm_convention: str = "unnormalized (max 2)"
+    # the past types the type-class path summed, and in how many chunks;
+    # 0 on the dense path.  Not part of to_json.
+    types: int = 0
+    chunks: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -500,14 +508,14 @@ def _pinsker_slack_over_conditionals(system: JointBoxSystem, selection) -> float
     rest = [g for g in range(N) if g not in set(cond + [g1, g2])]
     t = _marginalize_rest(system, rest)
     # One (S, S) joint of the selected outputs per (x_cond, u_cond, u1, u2).
-    order = rest + [N + g for g in rest] + cond + [N + g for g in cond] + [N + g1, N + g2, g1, g2]
+    order = [g1, g2] + rest + [N + g for g in rest] + cond + [N + g for g in cond] + [N + g1, N + g2]
     S = system.num_outputs
-    joints = t.transpose(order).reshape(-1, S, S)
-    mass = joints.sum(axis=(1, 2))
+    joints = t.transpose(order).reshape(S, S, -1)
+    mass = joints.sum(axis=(0, 1))
     live = mass > 0
     if not np.any(live):
         return float("-inf")
-    lhs, rhs, _ = _pinsker_batch(joints[live] / mass[live, np.newaxis, np.newaxis])
+    lhs, rhs, _ = _pinsker_batch(joints[:, :, live] / mass[live])
     return float(np.max(lhs - rhs))
 
 
@@ -529,76 +537,88 @@ class _DenseSums:
         return _pinsker_slack_over_conditionals(self.system, selection)
 
 
-def _log(a):
-    """Natural log with log 0 = -inf, silently."""
-    with np.errstate(divide="ignore"):
-        return np.log(a)
-
-
 def _type_count(m: int, parts: int) -> int:
     return math.comb(m + parts - 1, parts - 1)
 
 
-def _binomials(max_uses: int, parts: int) -> np.ndarray:
-    """C(a, b) at [a, b] for b < parts and a - b <= max_uses + 1, the entries
-    _ranked_types reads; the rest stay 0."""
-    table = np.zeros((max_uses + parts + 1, parts), dtype=np.int64)
-    for b in range(parts):
-        table[b:b + max_uses + 2, b] = [math.comb(a, b) for a in range(b, b + max_uses + 2)]
-    return table
+def _grow(table: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """table with each row repeated once for every value 0..upper[row] of a
+    new last column, in increasing order."""
+    reps = upper + 1
+    ends = np.cumsum(reps)
+    value = np.arange(ends[-1]) - np.repeat(ends - reps, reps)
+    return np.column_stack((np.repeat(table, reps, axis=0), value))
 
 
-def _ranked_types(m: int, parts: int, binomials: np.ndarray) -> tuple:
-    """(counts, successors): every type of m uses over `parts` categories, one
-    row of counts summing to m, ordered by the colex rank of its stars-and-bars
-    bar positions b_i (rank sum_i C(b_i, i + 1)); and at [t, c] the rank of
-    type t plus one use of category c among the types of m + 1 uses."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m + parts - 1), parts - 1))
-    bars = np.fromiter(flat, dtype=np.int64).reshape(_type_count(m, parts), parts - 1)
-    j = np.arange(1, parts)
-    stay = binomials[bars, j]
-    order = np.argsort(stay.sum(axis=1))
-    bars, stay = bars[order], stay[order]
-    counts = np.diff(bars, axis=1, prepend=-1, append=m + parts - 1) - 1
-    # one more use of category c moves every bar from c on up by one
-    moved = binomials[bars + 1, j]
-    successors = np.zeros_like(counts)
-    successors[:, 1:] += np.cumsum(stay, axis=1)
-    successors[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1]
-    return counts, successors
+def _colex_rank(prefix: np.ndarray) -> np.ndarray:
+    """Rank of each type among the types of every size, by size and then in
+    colex order of its stars-and-bars bar positions (the order _type_table
+    splits in), from its partial sums Q_j = n_0 + .. + n_j: sum_j
+    C(Q_j + j, j + 1).  The last term counts the types of fewer uses, so
+    without the last partial sum this is the rank within the type's size."""
+    rank = np.zeros(prefix.shape[:-1], dtype=np.int64)
+    for j in range(prefix.shape[-1]):
+        binom = 1
+        for i in range(j + 1):
+            binom = binom * (prefix[..., j] + j - i) // (i + 1)
+        rank = rank + binom
+    return rank
+
+
+def _type_table(inputs: np.ndarray, S: int) -> tuple:
+    """(counts, group): every type of (output, input) pairs whose input counts
+    are a row of inputs, grouped by that row (group is its index) and within
+    a group in colex order of each input's split into S output counts, input
+    0 most significant.  counts[:, u S + x] is N[x, u].  With one input, the
+    splits of each size into S parts: the types of every size in rank order
+    (_colex_rank)."""
+    I, L = inputs.shape
+    # columns: group, n_0..n_{L-1}, 0, then the partial output sums as grown
+    table = np.column_stack((np.arange(I), inputs, np.zeros(I, dtype=inputs.dtype)))
+    bounds = []
+    for u in range(L):
+        cols = [1 + u]
+        for _ in range(S - 1):
+            table = _grow(table, table[:, cols[-1]])
+            cols.append(table.shape[1] - 1)
+        bounds.append([L + 1] + cols[::-1])
+    counts = np.diff(table[:, bounds], axis=2).reshape(len(table), L * S)
+    return counts, table[:, 0]
 
 
 def _outer_uses(laws: np.ndarray, k: int) -> np.ndarray:
-    """Rows of laws[r, u, x] over k uses, each use independent: the product
-    for every (u_1..u_k, x_1..x_k), flattened with u_1 most significant and
-    the outputs last, so that a sum over outputs runs over contiguous
-    entries."""
-    rows, L, S = laws.shape
+    """Every product of k rows of laws[c, u, x], one per use, each use
+    independent: row (c_1..c_k), c_1 most significant, holds the product for
+    every (u_1..u_k, x_1..x_k), flattened with u_1 most significant and the
+    outputs last, so that a sum over outputs runs over contiguous entries."""
+    C, L, S = laws.shape
     out = laws
     for _ in range(1, k):
-        out = out[:, :, np.newaxis, :, np.newaxis] * laws[:, np.newaxis, :, np.newaxis, :]
-        out = out.reshape(rows, out.shape[1] * L, out.shape[3] * S)
-    return out.reshape(rows, -1)
+        out = out[:, np.newaxis, :, np.newaxis, :, np.newaxis] * laws[np.newaxis, :, np.newaxis, :, np.newaxis, :]
+        out = out.reshape(len(out) * C, out.shape[2] * L, out.shape[4] * S)
+    return out.reshape(len(out), -1)
 
 
 @dataclass
 class _TypeClasses:
-    """The types of m uses in rank order (_ranked_types)."""
+    """The types of m0..m1 uses, grouped by input counts (_type_table): one
+    group per input type, the groups in rank order (_colex_rank)."""
 
-    successors: np.ndarray  # (types, L S)
+    starts: np.ndarray  # (input types,): first row of each group
     log_lik: np.ndarray  # (types, components): log prod q_c[x, u]^N[x, u]
+    log_mult: np.ndarray  # (types,): log prod_u n_u! / prod_x N[x, u]!
 
 
 @dataclass
 class _Conditionals:
-    """The live types of m conditioned uses (those some label explains) with
-    lambda_c = w_c prod q_c^N at lambda / max lambda, and the T gap of each
-    (see _TypeSums.total)."""
+    """lambda_c = w_c prod q_c^N of every type at lambda / max lambda.  A
+    type no label explains is not live: its scale is -inf and its lam a row
+    of ones, so every sum gives it weight 0 without a 0/0."""
 
+    types: _TypeClasses
     live: np.ndarray  # (types,) bool
-    log_scale: np.ndarray  # (live,): log max_c lambda_c
-    lam: np.ndarray  # (live, components)
-    gaps: np.ndarray  # (live, L^k)
+    log_scale: np.ndarray  # (types,): log max_c lambda_c
+    lam: np.ndarray  # (types, components)
 
 
 class _TypeSums:
@@ -610,30 +630,36 @@ class _TypeSums:
     Given label c, the uses have likelihood prod q_c[x, u]^N[x, u], so the
     conditional box of every other use depends on them only through
     lambda_c(N) = w_c prod q_c^N.  Under a position-only source the inputs
-    are independent with law p_g(u) at use g, and a type's source weight is
-    W(N) = sum of prod_g p_g(u_g) over the (x, u) sequences of type N: one DP
-    over the uses, each adding one (x, u) pair with weight p_g(u).  Each gap
-    is homogeneous of degree 1 in lambda, so it is evaluated at
-    lambda / max lambda and rescaled in log form: a conditional that some
-    label explains is never lost to underflow.
+    are independent with law p_g(u) at use g, and a type's source weight
+    W(N), the sum of prod_g p_g(u_g) over the (x, u) sequences of type N, is
+    V(n) prod_u n_u! / prod_x N[x, u]!: V(n) the law of the input counts n,
+    one DP over the uses on input types only, and the multinomial counts the
+    ways to place the outputs.  Each gap is homogeneous of degree 1 in
+    lambda, so it is evaluated at lambda / max lambda and rescaled in log
+    form: a conditional that some label explains is never lost to underflow.
+
+    The types of every past size 0..M are swept once, in chunks of
+    consecutive sizes (_chunks); a size whose arrays alone exceed `budget`
+    entries is refused.  Each chunk's weighted gaps are summed per input
+    type, so T and each level are then a dot product of V with one segment
+    of those sums.
     """
 
-    def __init__(self, mix: ExchangeableMixture, strategy, epsilon: float):
+    def __init__(self, mix: ExchangeableMixture, strategy, epsilon: float, pinsker: bool = False,
+                 budget: int = MAX_TABLE_ENTRIES):
         S, L, k, N = mix.num_outputs, mix.num_inputs, mix.k, mix.total_uses
         bits = (L - 1).bit_length()
         if 2**bits != L:
             raise ValueError("input alphabet must be a power of two")
-        # Every past a selection conditions on, and every level's block, must
-        # fit: the largest arrays are types x (S L)^k for T and the Pinsker
-        # sweep, and past types x block types x max(S L, C) for a level.
+        if pinsker and k != 2:
+            raise ValueError("pairwise Pinsker sweep needs exactly two devices")
         K, C = S * L, len(mix.weights)
         pasts = [2 ** (n_j.bit_length() - 1) - 1 for n_j in mix.n]
         blocks = [sum(mix.n[:i]) for i in range(1, k)]
-        sizes = [_type_count(sum(pasts), K) * max(K**k, C)]
-        sizes += [_type_count(sum(pasts[i:]), K) * _type_count(blocks[i - 1], K) * max(K, C)
-                  for i in range(1, k)]
-        if max(sizes) > MAX_TABLE_ENTRIES:
-            raise ValueError("system too large for exact enumeration; shrink n or alphabets")
+        # level i sums the pasts of devices >= i against the types of its block
+        self._level_tops = [sum(pasts[i:]) for i in range(1, k)]
+        level_rows = [_type_count(b, K) * max(K, C) for b in blocks]
+        self.chunks = _chunks(sum(pasts), K, max(K, C) ** k, list(zip(self._level_tops, level_rows)), budget)
         self.mix = mix
         p0 = bit_zero_probabilities(strategy, N * bits, epsilon).reshape(N, bits)
         # bit i of input u, most significant first, is bit g bits + i of the source
@@ -641,114 +667,201 @@ class _TypeSums:
         self.input_law = np.where(u_bits == 0, p0[:, np.newaxis], 1.0 - p0[:, np.newaxis]).prod(axis=2)
         laws = mix.tables.transpose(0, 2, 1)  # [c, u, x]
         self.q = laws.reshape(C, K)
-        self.q_k = _outer_uses(laws, k)  # the k selected uses given c
+        tuples = _outer_uses(laws, k)
+        q_k = tuples[[c * sum(C**j for j in range(k)) for c in range(C)]]  # the k selected uses given c
+        if pinsker:  # q_k as (x_1, x_2, u_1, u_2) rows by components
+            self._pairs = q_k.reshape(C, L, L, S, S).transpose(3, 4, 1, 2, 0).reshape(-1, C)
+        # t - prod_j m_j / r^(k-1), in the notation of _sum_chunk, is the sum
+        # over label tuples of lam_c1 post_c2..post_ck (q_c1^k - q_c1 x .. x q_ck)
+        self.d_k = np.repeat(q_k, C ** (k - 1), axis=0) - tuples
         # log q, with 0 for log 0: a type that uses a pair of probability 0
         # under a component is marked impossible for it through zero_q
         self.log_q = np.log(np.where(self.q > 0.0, self.q, 1.0)).T
-        self.zero_q = (self.q == 0.0).T
-        self.log_w = _log(mix.weights)
-        self._binomials = _binomials(max([sum(pasts)] + blocks), K)
-        self._weights = {(0,) * k: np.ones(1)}
-        self._classes = {}
-        self._conditionals = {}
+        self.zero_q = (self.q == 0.0).T.astype(float)
+        with np.errstate(divide="ignore"):
+            self.log_w = np.log(mix.weights)
+        top = max([sum(pasts)] + blocks)
+        self._log_fact = np.array([math.lgamma(v + 1.0) for v in range(top + 1)])
+        self.inputs = _type_table(np.arange(top + 1)[:, np.newaxis], L)[0]
+        self._input_start = [math.comb(m + L - 1, L) for m in range(top + 2)]
+        grid = list(itertools.product(*(range(p + 1) for p in pasts)))
+        block_keys = [mix.n[:i] + (0,) * (k - i) for i in range(1, k)]
+        self._weights = self._input_weights(grid + block_keys)
+
+        # per input type of the pasts: the weighted T gap at every input tuple
+        # of the selected uses, each level's weighted gap at the selected
+        # use's input, and per size the worst Pinsker slack
+        self._t_sums = np.zeros((L**k, self._input_start[sum(pasts) + 1]))
+        self._level_sums = [np.zeros((L, self._input_start[top_i + 1])) for top_i in self._level_tops]
         self._slack = {}
+        self.types = 0
+        blocks = [self._block_factors(key) for key in block_keys]
+        for m0, m1 in self.chunks:
+            self._sum_chunk(m0, m1, blocks, pinsker)
 
-    def _types_of(self, m: int) -> _TypeClasses:
-        if m not in self._classes:
-            counts, successors = _ranked_types(m, self.q.shape[1], self._binomials)
-            log_lik = np.where(counts @ self.zero_q > 0, -np.inf, counts @ self.log_q)
-            self._classes[m] = _TypeClasses(successors, log_lik)
-        return self._classes[m]
+    def _input_weights(self, keys) -> dict:
+        """V for each key and every key on its way from no uses: a key's uses
+        are its parent's plus the last use of its last device with any.  One
+        bincount adds that use to every key of the size below."""
+        layers = {}
+        seen = set()
+        for key in keys:
+            while any(key) and key not in seen:
+                seen.add(key)
+                j = max(i for i, c in enumerate(key) if c)
+                parent = key[:j] + (key[j] - 1,) + key[j + 1:]
+                layers.setdefault(sum(key), []).append((key, parent, self.mix.offsets[j] + key[j] - 1))
+                key = parent
+        L, start = self.mix.num_inputs, self._input_start
+        # [t, u]: the rank of input type t plus one use of input u among the
+        # input types of one more use
+        prefix = np.cumsum(self.inputs, axis=1)[:, np.newaxis, :] + (np.arange(L) >= np.arange(L)[:, np.newaxis])
+        successors = _colex_rank(prefix[:, :, :-1])
+        weights = {(0,) * self.mix.k: np.ones(1)}
+        rows_of, added = {(0,) * self.mix.k: 0}, np.ones((1, 1))
+        for m in sorted(layers):
+            entries = layers[m]
+            rows, width = len(entries), start[m + 1] - start[m]
+            target = successors[start[m - 1]:start[m]] + np.arange(0, rows * width, width)[:, np.newaxis, np.newaxis]
+            parents = added[[rows_of[parent] for _, parent, _ in entries]]
+            laws = self.input_law[[use for _, _, use in entries]]
+            added = np.bincount(target.ravel(), (parents[:, :, np.newaxis] * laws[:, np.newaxis, :]).ravel(),
+                                rows * width).reshape(rows, width)
+            rows_of = {}
+            for row, (key, _, _) in enumerate(entries):
+                weights[key], rows_of[key] = added[row], row
+        return weights
 
-    def _log_weights(self, key) -> np.ndarray:
-        """log W per type of the uses sum_j uses_j[:key[j]].  The DP starts
-        from the key with one use fewer on its last device, so the pasts of
-        consecutive selections share every step but one."""
-        chain = []
-        while key not in self._weights:
-            j = max(i for i, c in enumerate(key) if c)
-            chain.append((key, self.mix.offsets[j] + key[j] - 1))
-            key = key[:j] + (key[j] - 1,) + key[j + 1:]
-        weights = self._weights[key]
-        for key, use in reversed(chain):
-            m = sum(key) - 1
-            pair_law = np.repeat(self.input_law[use], self.mix.num_outputs)
-            weights = self._weights[key] = np.bincount(
-                self._types_of(m).successors.ravel(),
-                weights=(weights[:, np.newaxis] * pair_law).ravel(),
-                minlength=_type_count(m + 1, len(pair_law)),
-            )
-        return _log(weights)
+    def _types_of(self, m0: int, m1: int | None = None) -> _TypeClasses:
+        m1 = m0 if m1 is None else m1
+        inputs = self.inputs[self._input_start[m0]:self._input_start[m1 + 1]]
+        counts, group = _type_table(inputs, self.mix.num_outputs)
+        n = counts.astype(float)
+        log_lik = np.where(n @ self.zero_q > 0, -np.inf, n @ self.log_q)
+        log_mult = (self._log_fact[inputs] @ np.ones(inputs.shape[1]))[group]
+        log_mult -= self._log_fact[counts] @ np.ones(counts.shape[1])
+        return _TypeClasses(np.searchsorted(group, np.arange(len(inputs))), log_lik, log_mult)
 
-    def _given(self, m: int) -> _Conditionals:
-        if m not in self._conditionals:
-            S, L, k = self.mix.num_outputs, self.mix.num_inputs, self.mix.k
-            log_lam = self._types_of(m).log_lik + self.log_w
-            log_scale = log_lam.max(axis=1)
-            live = log_scale > -np.inf
-            log_scale = log_scale[live]
-            lam = np.exp(log_lam[live] - log_scale[:, np.newaxis])
-            # sum_x |t - prod_j m_j / r^(k-1)| for every input tuple of the
-            # selected uses: t their joint, m_j use j's marginal, r = sum lam
-            prod = _outer_uses((lam @ self.q).reshape(-1, L, S), k)
-            prod /= lam.sum(axis=1, keepdims=True) ** (k - 1)
-            gaps = np.abs(lam @ self.q_k - prod).reshape(len(lam), L**k, S**k).sum(axis=2)
-            self._conditionals[m] = _Conditionals(live, log_scale, lam, gaps)
-        return self._conditionals[m]
+    def _given(self, m0: int, m1: int | None = None) -> _Conditionals:
+        types = self._types_of(m0, m1)
+        log_lam = types.log_lik + self.log_w
+        # max over components one column at a time: a reduction over an axis
+        # of a few entries runs a short inner loop per type
+        log_scale = log_lam[:, 0].copy()
+        for c in range(1, log_lam.shape[1]):
+            np.maximum(log_scale, log_lam[:, c], out=log_scale)
+        live = log_scale > -np.inf
+        lam = np.exp(log_lam - np.where(live, log_scale, 0.0)[:, np.newaxis])
+        if not live.all():
+            lam[~live] = 1.0
+        return _Conditionals(types, live, log_scale, lam)
+
+    def _block_factors(self, key) -> np.ndarray:
+        """(block types, components): the block's source weight W times
+        prod q_c^N of each type of the block's uses."""
+        types = self._types_of(sum(key))
+        sizes = np.diff(np.append(types.starts, len(types.log_mult)))
+        weight = np.repeat(self._weights[key], sizes)
+        return weight[:, np.newaxis] * np.exp(types.log_lik + types.log_mult[:, np.newaxis])
+
+    def _sum_chunk(self, m0: int, m1: int, blocks, pinsker: bool):
+        """Adds the types of m0..m1 uses to the per-input-type sums.  Arrays
+        run types last, so every elementwise op and sum runs along them."""
+        mix = self.mix
+        S, L, k = mix.num_outputs, mix.num_inputs, mix.k
+        given = self._given(m0, m1)
+        types, lam = given.types, np.ascontiguousarray(given.lam.T)
+        rows = lam.shape[1]
+        self.types += rows
+        base = self._input_start[m0]
+        # first input type and first row of every size m0..m1 + 1
+        firsts = [self._input_start[m] - base for m in range(m0, m1 + 2)]
+        first_rows = np.append(types.starts, rows)[firsts]
+        # the type's share of the pasts' source weight, up to V: W e^scale / V
+        weight = np.exp(types.log_mult + given.log_scale)
+        # sum_x |t - prod_j m_j / r^(k-1)| for every input tuple of the
+        # selected uses: t their joint, m_j use j's marginal, r = sum lam,
+        # from the monomials lam_c1 post_c2..post_ck, post = lam / r
+        post = lam / lam.sum(axis=0)
+        mono = lam
+        for _ in range(1, k):
+            mono = (mono[:, np.newaxis] * post).reshape(-1, rows)
+        gaps = self.d_k.T @ mono
+        gaps = np.abs(gaps, out=gaps).reshape(L**k, S**k, rows).sum(axis=1)
+        gaps *= weight
+        self._t_sums[:, base:base + len(types.starts)] = np.add.reduceat(gaps, types.starts, axis=1)
+        if pinsker:
+            # one joint of the selected outputs per input pair and type
+            cells = (self._pairs @ lam).reshape(S, S, -1)
+            cells /= cells.sum(axis=(0, 1))
+            lhs, rhs, _ = _pinsker_batch(cells)
+            worst = np.where(given.live, (lhs - rhs).reshape(L * L, rows).max(axis=0), -np.inf)
+            for m, value in zip(range(m0, m1 + 1), np.maximum.reduceat(worst, first_rows[:-1])):
+                self._slack[m] = float(value)
+        # level i: the joint of device i's selected use with the block of
+        # devices < i, at nu = lam prod q^N_block over block types, against
+        # the block marginal times the use's marginal given the pasts alone:
+        # nu q - (sum nu) post q = sum_c F_c lam_c (q_c - post q), F the
+        # block factors (_block_factors)
+        if self._level_tops and m0 <= self._level_tops[0]:
+            spread = lam[:, np.newaxis] * (self.q[:, :, np.newaxis] - self.q.T @ post)
+        for top_i, factors, sums in zip(self._level_tops, blocks, self._level_sums):
+            if m0 > top_i:
+                continue
+            groups = firsts[min(m1, top_i) + 1 - m0]
+            r = first_rows[min(m1, top_i) + 1 - m0]
+            gap = factors @ spread[:, :, :r].reshape(len(spread), -1)
+            gap = (np.ones(len(factors)) @ np.abs(gap, out=gap)).reshape(L, S, r).sum(axis=1)
+            gap *= weight[:r]
+            sums[:, base:base + groups] = np.add.reduceat(gap, types.starts[:groups], axis=1)
 
     def total(self, selection) -> float:
-        """T = sum over types of the pasts of W e^scale sum_u p(u) gap(u), p
+        """T = sum over the pasts' types of W e^scale sum_u p(u) gap(u), p
         the product of the selected uses' input laws."""
         key = tuple(a - 1 for a in selection)
-        given = self._given(sum(key))
+        m = sum(key)
         p = np.ones(1)
         for j, a in enumerate(selection):
             p = np.multiply.outer(p, self.input_law[self.mix.offsets[j] + a - 1]).ravel()
-        weight = np.exp(self._log_weights(key)[given.live] + given.log_scale)
-        return float(weight @ (given.gaps @ p))
+        segment = self._t_sums[:, self._input_start[m]:self._input_start[m + 1]]
+        return float(p @ segment @ self._weights[key])
 
     def level(self, suffix) -> float:
         """Level i = k - len(suffix), a sum over type pairs of the pasts of
-        devices >= i (lambda) and the block of all uses of devices < i (mu):
-        the block's joint with device i's selected use, at weights
-        nu = lambda mu, against the block marginal times the use's marginal
-        given the pasts alone."""
+        devices >= i (lambda) and the block of all uses of devices < i."""
         mix = self.mix
-        S, L = mix.num_outputs, mix.num_inputs
         i = mix.k - len(suffix)
         cond = (0,) * i + tuple(a - 1 for a in suffix)
-        block = mix.n[:i] + (0,) * len(suffix)
-        given = self._given(sum(cond))
-        log_w_cond = self._log_weights(cond)[given.live] + given.log_scale
-        log_w_block = self._log_weights(block)
-        log_nu = _log(given.lam)[:, np.newaxis] + self._types_of(sum(block)).log_lik
-        # a pair no label explains has log_nu = -inf throughout: nu = 0, gap 0
-        log_scale = log_nu.max(axis=2)
-        log_scale[log_scale == -np.inf] = 0.0
-        nu = np.exp(log_nu - log_scale[:, :, np.newaxis])
-        use_marg = (given.lam @ self.q) / given.lam.sum(axis=1, keepdims=True)
-        gap = np.abs(nu @ self.q - nu.sum(axis=2, keepdims=True) * use_marg[:, np.newaxis])
-        use_law = self.input_law[mix.offsets[i] + suffix[0] - 1]
-        gap = gap.reshape(gap.shape[:2] + (L, S)).sum(axis=3) @ use_law
-        weight = np.exp(log_w_cond[:, np.newaxis] + log_w_block + log_scale)
-        return float(np.sum(weight * gap))
+        m = sum(cond)
+        segment = self._level_sums[i - 1][:, self._input_start[m]:self._input_start[m + 1]]
+        return float(self.input_law[mix.offsets[i] + suffix[0] - 1] @ segment @ self._weights[cond])
 
     def pinsker_slack(self, selection) -> float:
         """Worst lhs - rhs of the Pinsker pair over the normalized joints of
         the two selected outputs, per live type of the pasts and input pair."""
-        if self.mix.k != 2:
-            raise ValueError("pairwise Pinsker sweep needs exactly two devices")
-        m = sum(selection) - 2
-        if m not in self._slack:
-            S = self.mix.num_outputs
-            lam = self._given(m).lam
-            if not len(lam):
-                self._slack[m] = float("-inf")
-            else:
-                joints = (lam @ self.q_k).reshape(-1, S, S)
-                lhs, rhs, _ = _pinsker_batch(joints / joints.sum(axis=(1, 2))[:, np.newaxis, np.newaxis])
-                self._slack[m] = float(np.max(lhs - rhs))
-        return self._slack[m]
+        return self._slack[sum(selection) - 2]
+
+
+def _chunks(max_past: int, K: int, t_row: int, level_rows, budget: int) -> list:
+    """(m0, m1) ranges of consecutive past sizes 0..max_past, each holding
+    about CHUNK_ENTRIES entries per array (a few MB, so that the sweep's
+    working set stays small) and never more than budget.  A type of m uses
+    spans t_row = max(K, C)^k entries for T and the Pinsker sweep, and block
+    types x max(K, C) for each level whose pasts reach m.  A size whose
+    arrays exceed budget alone is refused."""
+    chunks = []
+    target = min(budget, CHUNK_ENTRIES)
+    used = target
+    for m in range(max_past + 1):
+        size = _type_count(m, K) * max([t_row] + [row for top, row in level_rows if m <= top])
+        if size > budget:
+            raise ValueError("system too large for exact enumeration; shrink n or alphabets")
+        if used + size > target:
+            chunks.append([m, m])
+            used = 0
+        chunks[-1][1] = m
+        used += size
+    return [tuple(c) for c in chunks]
 
 
 def definetti_check(system: JointBoxSystem | ExchangeableMixture, strategy, epsilon: float, t_levels,
@@ -759,11 +872,6 @@ def definetti_check(system: JointBoxSystem | ExchangeableMixture, strategy, epsi
     whose bias depends on position only."""
     sigma = system.num_outputs if sigma_size is None else int(sigma_size)
     rhs = definetti_rhs(system.n, t_levels, epsilon, sigma)
-    if isinstance(system, ExchangeableMixture):
-        sums = _TypeSums(system, strategy, epsilon)
-    else:
-        sums = _DenseSums(system, strategy, epsilon)
-    weights = sv_selection_distribution(strategy, epsilon, system.n)
     report = DeFinettiReport(
         n=system.n,
         epsilon=epsilon,
@@ -772,6 +880,12 @@ def definetti_check(system: JointBoxSystem | ExchangeableMixture, strategy, epsi
         threshold=rhs.threshold,
         probability_bound=rhs.probability_bound,
     )
+    if isinstance(system, ExchangeableMixture):
+        sums = _TypeSums(system, strategy, epsilon, pinsker)
+        report.types, report.chunks = sums.types, len(sums.chunks)
+    else:
+        sums = _DenseSums(system, strategy, epsilon)
+    weights = sv_selection_distribution(strategy, epsilon, system.n)
     exceed = 0.0
     level_by_suffix = {}
     for sel, w in sorted(weights.items()):

@@ -73,8 +73,8 @@ class MixtureDevice(TimeOrderedDevice):
         self._last = ((), [(0.5, 1)] * len(self.components))
 
     def _likelihoods(self, history) -> list:
-        """history_likelihood of each component as a (mantissa, exponent)
-        pair from math.frexp, so a long history cannot underflow it.  The
+        """The likelihood of the history under each component
+        (_scaled_likelihood), so a long history cannot underflow it.  The
         last (history, likelihoods) pair is kept: a history one use longer
         than it costs one factor per component, the same float product in
         the same order up to exact powers of two; any other history is
@@ -128,20 +128,16 @@ def _scaled(value: float, exponent: int) -> tuple:
 
 
 def _scaled_likelihood(device: TimeOrderedDevice, history) -> tuple:
-    """history_likelihood as a (mantissa, exponent) pair; (0.0, e) once a
-    factor is 0, after which the device is not queried again."""
+    """The probability the device assigns to an observed (setting, outcome)
+    list, conditional on those settings, as a (mantissa, exponent) pair from
+    math.frexp; (0.0, e) once a factor is 0, after which the device is not
+    queried again."""
     m, e = 0.5, 1
     for l, (u, x) in enumerate(history):
         if m == 0.0:
             break
         m, e = _scaled(m * float(as_table(device.box_given(history[:l]))[x, u]), e)
     return m, e
-
-
-def history_likelihood(device: TimeOrderedDevice, history) -> float:
-    """Probability the device assigns to an observed (setting, outcome) list,
-    conditional on those settings (0.0 where it is below the float range)."""
-    return math.ldexp(*_scaled_likelihood(device, history))
 
 
 class ConditionedDevice(TimeOrderedDevice):
@@ -153,18 +149,6 @@ class ConditionedDevice(TimeOrderedDevice):
 
     def box_given(self, history) -> NsBox:
         return self.device.box_given(self.prefix + tuple(history))
-
-
-def condition_device(device: TimeOrderedDevice, history) -> TimeOrderedDevice:
-    """Pin a history prefix; raises if the device gives it probability zero."""
-    history = tuple(history)
-    if isinstance(device, MixtureDevice):
-        device.posterior(history)  # surfaces ZeroProbabilityHistoryError
-    elif _scaled_likelihood(device, history)[0] == 0.0:
-        raise ZeroProbabilityHistoryError(
-            f"history of length {len(history)} has zero probability"
-        )
-    return ConditionedDevice(device, history)
 
 
 def sample_outcome(device: TimeOrderedDevice, history, setting: int, rng) -> int:

@@ -5,10 +5,12 @@ joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
 the mutual information of a 2-D joint, T with its per-level decomposition
 on a dense system, the all-inequality form of the guessing LP, the
 goodness oracle over a run's selected conditional boxes, the product
-measurement vectors as one einsum, and trials.csv written row by row."""
+measurement vectors as one einsum, trials.csv written row by row, and a
+device's likelihood of a history and the device conditioned on it."""
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from randamp.boxes import DEFAULT_TOL, as_table, bell_value, in_inequality
 from randamp.definetti import _check_selection, _level_gap, _pinsker_batch, t_statistic
+from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHistoryError, _scaled_likelihood
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.protocol import RunTranscript
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
@@ -117,7 +120,7 @@ def xor_distribution_exact(biases, signs=None) -> float:
 def mutual_information(joint: np.ndarray) -> float:
     """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
     joint = np.asarray(joint, dtype=float)
-    return float(_pinsker_batch(joint[np.newaxis])[2][0])
+    return float(_pinsker_batch(joint[..., np.newaxis])[2][0])
 
 
 def t_statistic_levels(system, selection, nu: np.ndarray):
@@ -192,3 +195,19 @@ def reference_trials_csv(chunks) -> bytes:
             )
             index += 1
     return buf.getvalue().encode()
+
+
+def history_likelihood(device, history) -> float:
+    """Probability the device assigns to an observed (setting, outcome) list,
+    conditional on those settings (0.0 where it is below the float range)."""
+    return math.ldexp(*_scaled_likelihood(device, history))
+
+
+def condition_device(device, history) -> ConditionedDevice:
+    """Pin a history prefix; raises if the device gives it probability zero."""
+    history = tuple(history)
+    if isinstance(device, MixtureDevice):
+        device.posterior(history)  # surfaces ZeroProbabilityHistoryError
+    elif _scaled_likelihood(device, history)[0] == 0.0:
+        raise ZeroProbabilityHistoryError(f"history of length {len(history)} has zero probability")
+    return ConditionedDevice(device, history)

@@ -597,6 +597,54 @@ def test_definetti_rejects_malformed_flags(tmp_path, capsys):
         assert math.isfinite(payload["pinsker_worst_slack"]) == pinsker
 
 
+DEFINETTI_CONFIG = {
+    "epsilon": 0.1,
+    "n": [1, 2],
+    "t_levels": [2.0],
+    "system": {
+        "type": "exchangeable",
+        "components": [[[1, 1], [0, 0]], [[0, 0], [1, 1]]],
+        "weights": [0.5, 0.5],
+    },
+    "sv": {"strategy": "greedy", "target": [0]},
+    "pinsker": True,
+}
+
+
+def test_integer_fields_are_not_truncated(tmp_path, capsys):
+    """A float, a string or a bool where a config wants an integer is a
+    config error naming the field, not truncated: "k": 20.7 ran with k = 20
+    and "seed": 7.5 ended in a traceback."""
+    simulate = [("k", v) for v in (20.7, 3.0, True, "3")] + [("trials", v) for v in (8.9, "8", True)]
+    simulate += [("seed", v) for v in (7.5, "5", False, None)]
+    for field, value in simulate:
+        cfg = write_config(tmp_path, {**SIM_CONFIG, field: value})
+        assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2, (field, value)
+        assert f"field '{field}'" in capsys.readouterr().err
+    definetti = [("n", v) for v in ([1, 8.7], [True, 4], ["2", 4], [1.0, 2], 2, None)]
+    definetti += [("schedule", {"k": 2.5, "t": 0.5}), ("schedule", {"k": 2, "t": 0.5, "k_exponent": 2.0})]
+    for field, value in definetti:
+        cfg = {k: v for k, v in DEFINETTI_CONFIG.items() if k != "n"}
+        cfg = write_config(tmp_path, {**cfg, field: value})
+        assert run_main(["definetti", "--config", cfg]) == 2, (field, value)
+        assert f"field '{field}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x/*"))
+
+
+def test_definetti_metrics_in_manifest_only(tmp_path, capsys):
+    """The manifest records how many selections, past types and chunks the
+    check summed; definetti.json keeps the bytes it had before the manifest
+    carried metrics."""
+    out = tmp_path / "df"
+    assert run_main(["definetti", "--config", write_config(tmp_path, DEFINETTI_CONFIG), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "definetti.json").read_bytes()).hexdigest()
+    assert digest == "21c226a18a9a2a42ee033170c69514130d556849314e69776e9f6b940c41f55e"
+    # n = (1, 2): past sizes 0 and 1, 1 + 4 types of binary (output, input) pairs
+    assert read_metrics(out) == {"selections": 2, "types": 5, "chunks": 1}
+    assert verify_manifest(str(out))
+    capsys.readouterr()
+
+
 def test_bounds_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"epsilon": 0.0, "delta": 0.8, "mu": 0.9, "k": 2, "t": 1.0}

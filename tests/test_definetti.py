@@ -843,6 +843,67 @@ def test_type_sums_at_n_1_32():
     assert all(math.isfinite(t_val) for _, _, t_val, _ in report.selections)
 
 
+# T at every selection of the mixture below at n = (1, 32), from the sum that
+# enumerated, weighted and checked the types of each past size separately
+T_AT_N_1_32 = [
+    0.17318400000000003, 0.15348940025220686, 0.11838487310473678, 0.10912064639293603,
+    0.08600294579095494, 0.08034325502145498, 0.06400508398685867, 0.06024487284404042,
+    0.04832347414731476, 0.04570736403742761, 0.03684203890773592, 0.034968343563503555,
+    0.028289745459481867, 0.026921655562076527, 0.021842117891819935, 0.020829576396197206,
+    0.016937841536013642, 0.016180709912187816, 0.013181901201570645, 0.012611006103047728,
+    0.010289687754599227, 0.009856183319472819, 0.008052596765128681, 0.00772146089744975,
+    0.006315755949222587, 0.006061556254252513, 0.0049630258026281595, 0.004767073779904219,
+    0.003906599438654885, 0.003755013566905484, 0.0030796380127300366, 0.0029620132436212485,
+]
+
+
+def test_type_sums_pinned_at_n_1_32():
+    """Past the dense oracle: T, its level (equal to T, as device 1 has one
+    use) and the Pinsker slack of a two-component mixture, against the values
+    of the per-size sum, to 1e-12."""
+    comps = [np.array([[0.3, 0.6], [0.7, 0.4]]), np.array([[0.8, 0.25], [0.2, 0.75]])]
+    report = definetti_check(ExchangeableMixture((1, 32), comps, (0.4, 0.6)), GreedyTowardString((0, 1), 0.1),
+                             0.1, [2.0], pinsker=True)
+    assert [sel for sel, _, _, _ in report.selections] == [(1, a) for a in range(1, 33)]
+    for (_, _, t_val, levels), want in zip(report.selections, T_AT_N_1_32):
+        assert abs(t_val - want) <= 1e-12
+        assert abs(levels[0] - want) <= 1e-12
+    assert abs(report.pinsker_worst_slack - 1.0239489656175658e-16) <= 1e-12
+    assert report.types == math.comb(35, 4)
+
+
+def test_type_sums_in_several_chunks_match_one():
+    """The sweep split into chunks of past sizes by a small entry budget
+    gives every T, level and Pinsker slack of the one-chunk sweep to 1e-15.
+    At (2, 9) the largest single size is the level array of 7 past uses:
+    C(10, 3) types x C(5, 3) block types x 4 pairs = 4800 entries."""
+    n, comps, w, source, epsilon, _ = type_oracle_instances()[1]
+    mix = ExchangeableMixture(n, comps, w)
+    whole = _TypeSums(mix, source, epsilon, pinsker=True)
+    split = _TypeSums(mix, source, epsilon, pinsker=True, budget=4800)
+    assert whole.chunks == [(0, 8)]
+    assert split.chunks == [(0, 4), (5, 5), (6, 6), (7, 7), (8, 8)]
+    assert whole.types == split.types == math.comb(12, 4)
+    for sel in sv_selection_distribution(source, epsilon, n):
+        assert abs(split.total(sel) - whole.total(sel)) <= 1e-15
+        assert abs(split.level(sel[1:]) - whole.level(sel[1:])) <= 1e-15
+        assert abs(split.pinsker_slack(sel) - whole.pinsker_slack(sel)) <= 1e-15
+    with pytest.raises(ValueError, match="too large"):
+        _TypeSums(mix, source, epsilon, budget=4799)
+
+
+def test_type_table_lists_every_type_once():
+    """Every type of 0..4 uses over 2 inputs x 3 outputs, once, grouped by
+    input counts in rank order, and the rank of each input type is its row."""
+    inputs = definetti._type_table(np.arange(5)[:, np.newaxis], 2)[0]
+    assert np.array_equal(definetti._colex_rank(np.cumsum(inputs, axis=1)), np.arange(len(inputs)))
+    counts, group = definetti._type_table(inputs, 3)
+    want = sorted(c for m in range(5) for c in itertools.product(range(m + 1), repeat=6) if sum(c) == m)
+    assert sorted(map(tuple, counts)) == want
+    assert np.all(np.diff(group) >= 0)
+    assert np.array_equal(counts.reshape(-1, 2, 3).sum(axis=2), inputs[group])
+
+
 def test_type_sums_refuse_invalid_sources(tmp_path, capsys):
     mix = ExchangeableMixture((1, 4), [Q_ZERO, Q_ONE], (0.5, 0.5))
     with pytest.raises(StrategyViolationError):

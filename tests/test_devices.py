@@ -20,12 +20,12 @@ from randamp.devices import (
     SequenceDevice,
     TimeOrderedDevice,
     ZeroProbabilityHistoryError,
-    condition_device,
-    history_likelihood,
     sample_outcome,
 )
 from randamp.protocol import ProtocolParams, run_protocol
 from randamp.sv import GreedyTowardString
+
+from helpers import condition_device, history_likelihood
 
 
 def test_iid_device_ignores_history():
