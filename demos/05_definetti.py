@@ -10,8 +10,7 @@ exchangeable device (a mixture of i.i.d. behaviours) the early uses reveal
 the mixture component, so T dies off as the selected use moves deeper.
 
 Such a device is summed over the type classes of its realized uses, the
-(output, input) counts, so n2 = 32 is as easy as n2 = 8; a general system
-needs the dense tensor over all uses, which stops at about 12 binary uses.
+(output, input) counts, so n2 = 32 is as easy as n2 = 8.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from randamp.definetti import (
     block_sizes,
     definetti_check,
     definetti_rhs,
-    iid_system,
 )
 from randamp.sv import GreedyTowardString, HonestBits
 
@@ -51,8 +49,8 @@ print(f"worst Pinsker slack over all conditionals: {report.pinsker_worst_slack:.
       " (<= 0 means it held everywhere)")
 
 # baseline: a device that never mixes has nothing to reveal, so every
-# selection is already an exact product (here on the dense tensor)
-baseline = definetti_check(iid_system((1, 8), q0), GreedyTowardString((0,), 0.1), 0.1, [2.0])
+# selection is already an exact product
+baseline = definetti_check(ExchangeableMixture((1, 8), [q0], (1.0,)), GreedyTowardString((0,), 0.1), 0.1, [2.0])
 print(f"i.i.d. baseline (q0 alone): max T over {len(baseline.selections)} selections"
       f" {baseline.max_t:.4f}")
 

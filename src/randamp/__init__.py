@@ -3,8 +3,8 @@
 Library layout: `boxes` (inequality and no-signaling geometry), `quantum`
 (the algebraically violating realization), `sv` (adversarial weak sources),
 `lp`/`simplex` (predictability certification), `definetti` (product-closeness
-on small systems), `devices`/`protocol` (the protocol itself and its bounds),
-`cli` (command-line front end).
+of exchangeable mixtures, summed over type classes), `devices`/`protocol`
+(the protocol itself and its bounds), `cli` (command-line front end).
 """
 
 __version__ = "0.1.0"
@@ -30,14 +30,10 @@ from .boxes import (
 from .definetti import (
     DeFinettiReport,
     ExchangeableMixture,
-    JointBoxSystem,
     block_sizes,
     definetti_check,
     definetti_rhs,
-    exchangeable_mixture,
-    iid_system,
     pinsker_gap,
-    t_statistic,
 )
 from .devices import (
     DeviceError,

@@ -92,7 +92,7 @@ def build_strategy(spec: dict, epsilon: float, path: str = "sv."):
         return GreedyTowardString(spec.get("target", [0]), epsilon)
     if name == "constant":
         _check_keys(spec, {"strategy", "bias"}, path)
-        return ConstantBias(spec.get("bias", epsilon))
+        return ConstantBias(_number(spec.get("bias", epsilon), f"{path}bias"))
     if name == "steer":
         _check_keys(spec, {"strategy", "setting"}, path)
         return SettingSteering(_require(spec, "setting", path), epsilon)
@@ -107,8 +107,8 @@ def build_box(spec: dict, path: str = "device.") -> NsBox:
     if model == "quantum":
         return noisy_box(
             NoiseSpec(
-                state_mixing=float(spec.get("state_mixing", 0.0)),
-                basis_rotation=float(spec.get("basis_rotation", 0.0)),
+                state_mixing=_number(spec.get("state_mixing", 0.0), f"{path}state_mixing"),
+                basis_rotation=_number(spec.get("basis_rotation", 0.0), f"{path}basis_rotation"),
             )
         )
     if model == "uniform":
@@ -116,9 +116,9 @@ def build_box(spec: dict, path: str = "device.") -> NsBox:
     if model == "algebraic":
         return algebraic_violation_box()
     if model == "mixed_algebraic":
-        return mixed_with_uniform(algebraic_violation_box(), float(spec.get("weight", 0.0)))
+        return mixed_with_uniform(algebraic_violation_box(), _number(spec.get("weight", 0.0), f"{path}weight"))
     if model == "table":
-        return NsBox(_require(spec, "table", path))
+        return NsBox(_numbers(_require(spec, "table", path), f"{path}table", nested=True))
     raise ConfigError(f"unknown device model '{model}' at '{path}model'")
 
 
@@ -196,17 +196,18 @@ def cmd_certify(args) -> int:
     cfg, cfg_sha256 = load_config(args.config)
     _check_keys(cfg, {"deltas", "method", "tolerance"})
     deltas = _require(cfg, "deltas", "")
-    if not deltas:
+    values = _numbers(deltas, "deltas")
+    if not values:
         raise ConfigError("field 'deltas' must list at least one value")
     method = cfg.get("method", "highs")
     if method not in ("highs", "simplex"):
         raise ConfigError(f"unknown value {method!r} for field 'method'")
-    tol = float(cfg.get("tolerance", 1e-8))
+    tol = _number(cfg.get("tolerance", 1e-8), "tolerance")
     grid, passed, reports = [], True, []
-    for delta in deltas:
+    for delta, value in zip(deltas, values):
         try:
             # certify_bound raises unless the bound holds on all 16 instances
-            report = certify_bound(float(delta), method=method, tol=tol)
+            report = certify_bound(value, method=method, tol=tol)
             grid.append(report.to_json())
             reports.append(report)
         except Exception as exc:  # solver failure is a reportable outcome
@@ -249,6 +250,27 @@ def _integer(value, field: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
     return value
+
+
+def _number(value, field: str) -> float:
+    """A config field that must be a JSON number, as a float: a string, null
+    or true/false is refused, not converted."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"field '{field}' must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field '{field}' is too large for a float")
+
+
+def _numbers(value, field: str, nested: bool = False) -> list:
+    """A JSON list of numbers, each checked by _number.  With nested, an
+    entry may itself be such a list, to any depth; the shape is left to the
+    caller."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{field}' must be a list, got {value!r}")
+    return [_numbers(v, f"{field}[{i}]", nested) if nested and isinstance(v, list) else _number(v, f"{field}[{i}]")
+            for i, v in enumerate(value)]
 
 
 def _use_counts(value, scalar: bool):
@@ -298,12 +320,12 @@ def cmd_simulate(args) -> int:
         {"epsilon", "delta", "mu", "k", "n", "t", "trials", "seed", "device", "sv"},
     )
     params = ProtocolParams(
-        epsilon=float(_require(cfg, "epsilon", "")),
-        delta=float(_require(cfg, "delta", "")),
-        mu=float(_require(cfg, "mu", "")),
+        epsilon=_number(_require(cfg, "epsilon", ""), "epsilon"),
+        delta=_number(_require(cfg, "delta", ""), "delta"),
+        mu=_number(_require(cfg, "mu", ""), "mu"),
         k=_integer(_require(cfg, "k", ""), "k"),
         n=_use_counts(cfg["n"], scalar=True) if "n" in cfg else (1,),
-        t=float(cfg.get("t", 1e6)),
+        t=_number(cfg.get("t", 1e6), "t"),
     )
     box = build_box(_require(cfg, "device", ""))
     strategy = build_strategy(_require(cfg, "sv", ""), params.epsilon)
@@ -380,7 +402,7 @@ def cmd_definetti(args) -> int:
     # JSON true/false load as bool, a subclass of int: not a size
     if "sigma_size" in cfg and not (type(sigma_size) is int and sigma_size >= 2):
         raise ConfigError(f"field 'sigma_size' must be an integer >= 2, got {sigma_size!r}")
-    epsilon = float(_require(cfg, "epsilon", ""))
+    epsilon = _number(_require(cfg, "epsilon", ""), "epsilon")
     if "n" in cfg:
         n = list(_use_counts(cfg["n"], scalar=False))
     elif "schedule" in cfg:
@@ -389,18 +411,19 @@ def cmd_definetti(args) -> int:
         n = block_sizes(
             epsilon,
             _integer(_require(sched, "k", "schedule."), "schedule.k"),
-            float(_require(sched, "t", "schedule.")),
+            _number(_require(sched, "t", "schedule."), "schedule.t"),
             _integer(sched.get("k_exponent", 2), "schedule.k_exponent"),
         )
     else:
         raise ConfigError("missing field 'n' (or 'schedule')")
-    t_levels = [float(v) for v in _require(cfg, "t_levels", "")]
+    t_levels = _numbers(_require(cfg, "t_levels", ""), "t_levels")
     system_spec = _require(cfg, "system", "")
     _check_keys(system_spec, {"type", "components", "weights"}, "system.")
     if _require(system_spec, "type", "system.") != "exchangeable":
         raise ConfigError("only system.type 'exchangeable' is supported")
-    components = [np.asarray(c, dtype=float) for c in _require(system_spec, "components", "system.")]
-    weights = _require(system_spec, "weights", "system.")
+    components = _numbers(_require(system_spec, "components", "system."), "system.components", nested=True)
+    components = [np.asarray(c, dtype=float) for c in components]
+    weights = _numbers(_require(system_spec, "weights", "system."), "system.weights")
     system = ExchangeableMixture(n, components, weights)
     strategy = build_strategy(_require(cfg, "sv", ""), epsilon)
     report = definetti_check(
@@ -422,8 +445,8 @@ def cmd_quantum_check(args) -> int:
     cfg, cfg_sha256 = load_config(args.config) if args.config else ({}, None)
     _check_keys(cfg, {"state_mixing", "basis_rotation"})
     noise = NoiseSpec(
-        state_mixing=float(cfg.get("state_mixing", 0.0)),
-        basis_rotation=float(cfg.get("basis_rotation", 0.0)),
+        state_mixing=_number(cfg.get("state_mixing", 0.0), "state_mixing"),
+        basis_rotation=_number(cfg.get("basis_rotation", 0.0), "basis_rotation"),
     )
     state = build_state()
     validate_state(state)
@@ -472,11 +495,11 @@ def cmd_bounds(args) -> int:
     cfg, cfg_sha256 = load_config(args.config)
     _check_keys(cfg, {"epsilon", "delta", "mu", "k", "t", "k_exponent"})
     params = ProtocolParams(
-        epsilon=float(_require(cfg, "epsilon", "")),
-        delta=float(_require(cfg, "delta", "")),
-        mu=float(_require(cfg, "mu", "")),
+        epsilon=_number(_require(cfg, "epsilon", ""), "epsilon"),
+        delta=_number(_require(cfg, "delta", ""), "delta"),
+        mu=_number(_require(cfg, "mu", ""), "mu"),
         k=int(_require(cfg, "k", "")),
-        t=float(cfg.get("t", 1e6)),
+        t=_number(cfg.get("t", 1e6), "t"),
     )
     k_exp = int(cfg.get("k_exponent", 2))
     prop = proposition_bound(params)

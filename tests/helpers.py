@@ -2,11 +2,11 @@
 Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
 a no-signaling checker for tables of any number of binary parties, the
 joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
-the mutual information of a 2-D joint, T with its per-level decomposition
-on a dense system, the all-inequality form of the guessing LP, the
-goodness oracle over a run's selected conditional boxes, the product
-measurement vectors as one einsum, trials.csv written row by row, and a
-device's likelihood of a history and the device conditioned on it."""
+the mutual information of a 2-D joint, the all-inequality form of the
+guessing LP, the goodness oracle over a run's selected conditional boxes,
+the product measurement vectors as one einsum, trials.csv written row by
+row, and a device's likelihood of a history and the device conditioned on
+it.  The dense de Finetti oracle is in dense_definetti."""
 
 import csv
 import io
@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from randamp.boxes import DEFAULT_TOL, as_table, bell_value, in_inequality
-from randamp.definetti import _check_selection, _level_gap, _pinsker_batch, t_statistic
+from randamp.definetti import _pinsker_batch
 from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHistoryError, _scaled_likelihood
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.protocol import RunTranscript
@@ -121,15 +121,6 @@ def mutual_information(joint: np.ndarray) -> float:
     """I(A:B) in bits for a normalized 2-D joint distribution, clamped at 0."""
     joint = np.asarray(joint, dtype=float)
     return float(_pinsker_batch(joint[..., np.newaxis])[2][0])
-
-
-def t_statistic_levels(system, selection, nu: np.ndarray):
-    """(T, [T_2..T_k]) of a dense system, where level i compares devices below
-    i as one block against device i's selected use, conditioning on pasts of
-    devices >= i."""
-    sel = _check_selection(system, selection)
-    total = t_statistic(system, sel, nu)
-    return total, [_level_gap(system, sel[i:], nu) for i in range(1, system.k)]
 
 
 def inequality_constraints(delta: float):

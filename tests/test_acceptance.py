@@ -20,7 +20,7 @@ from randamp.boxes import (
     mixed_with_uniform,
 )
 from randamp.cli import main as cli_main
-from randamp.definetti import definetti_check, exchangeable_mixture, t_statistic
+from randamp.definetti import ExchangeableMixture, definetti_check
 from randamp.devices import IidDevice
 from randamp.lp import analytic_bound, certify_bound
 from randamp.protocol import (
@@ -34,6 +34,7 @@ from randamp.protocol import (
 from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
 from randamp.sv import GreedyTowardString, HonestBits
 
+from dense_definetti import exchangeable_mixture, t_statistic
 from helpers import xor_distribution_exact
 
 
@@ -199,8 +200,9 @@ def test_criterion_7_end_to_end_bias():
 
 def test_criterion_8_definetti_small_instance():
     """Two binary devices, exchangeable two-component mixture: deeper
-    conditioning never increases T, Pinsker holds on every conditional, and
-    the source-weighted mass above the threshold obeys the Markov budget."""
+    conditioning never increases T (on the dense oracle), Pinsker holds on
+    every conditional, and the source-weighted mass above the threshold
+    obeys the Markov budget (definetti_check on the type sum)."""
     t0 = time.perf_counter()
     q0 = np.array([[0.9, 0.7], [0.1, 0.3]])
     q1 = np.array([[0.1, 0.3], [0.9, 0.7]])
@@ -210,8 +212,9 @@ def test_criterion_8_definetti_small_instance():
         system = exchangeable_mixture((1, n2), [q0, q1], (0.5, 0.5))
         nu = np.full((2,) * (1 + n2), 2.0 ** -(1 + n2))
         deepest.append(t_statistic(system, (1, n2), nu))
+        mix = ExchangeableMixture((1, n2), [q0, q1], (0.5, 0.5))
         for t2 in (2.0, 4.0):
-            report = definetti_check(system, strategy, 0.1, [t2], pinsker=True)
+            report = definetti_check(mix, strategy, 0.1, [t2], pinsker=True)
             assert report.pinsker_worst_slack <= 1e-9
             assert report.weighted_exceed_fraction <= report.probability_bound
             assert report.probability_bound == pytest.approx(1.0 / t2)

@@ -631,17 +631,89 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys):
     assert not list(tmp_path.glob("x/*"))
 
 
+def test_float_fields_are_numbers(tmp_path, capsys):
+    """A string, a bool or null where a config wants a number, alone or as
+    a list entry, is a config error naming the field, not converted:
+    "epsilon": "0.1" and "t_levels": ["2.0"] ran, "delta": true ran with
+    delta = 1.0, and an integer past the float range ended in a traceback."""
+    quantum = {"model": "quantum", "state_mixing": 0.01}
+    simulate = [("epsilon", "0.1"), ("epsilon", None), ("delta", True), ("mu", "0.1"), ("t", "1e6"), ("t", 10**400),
+                ("device", {**quantum, "state_mixing": "0.01"}, "device.state_mixing"),
+                ("device", {**quantum, "basis_rotation": False}, "device.basis_rotation"),
+                ("device", {"model": "mixed_algebraic", "weight": "0.1"}, "device.weight"),
+                ("device", {"model": "table", "table": [["0.0625"] * 16] * 16}, "device.table[0][0]"),
+                ("sv", {"strategy": "constant", "bias": "0.05"}, "sv.bias")]
+    components = DEFINETTI_CONFIG["system"]["components"]
+    definetti = [("epsilon", "0.1"), ("t_levels", ["2.0"], "t_levels[0]"), ("t_levels", [None], "t_levels[0]"),
+                 ("t_levels", 2.0),
+                 ("system", {**DEFINETTI_CONFIG["system"], "weights": ["0.5", 0.5]}, "system.weights[0]"),
+                 ("system", {**DEFINETTI_CONFIG["system"], "weights": [0.5, True]}, "system.weights[1]"),
+                 ("system", {**DEFINETTI_CONFIG["system"], "components": [components[0], [[0, 0], ["1", 1]]]},
+                  "system.components[1][1][0]"),
+                 ("sv", {"strategy": "constant", "bias": None}, "sv.bias")]
+    certify = [("deltas", ["0.3"], "deltas[0]"), ("deltas", [0.0, True], "deltas[1]"), ("deltas", "0.3"),
+               ("tolerance", "1e-8")]
+    quantum_check = [("state_mixing", "0.25"), ("basis_rotation", True)]
+    bounds = [("epsilon", "0.1"), ("delta", True), ("mu", None), ("t", "1.0")]
+    runs = [("simulate", SIM_CONFIG, simulate), ("definetti", DEFINETTI_CONFIG, definetti),
+            ("certify", {"deltas": [0.0]}, certify), ("quantum-check", {}, quantum_check),
+            ("bounds", {"epsilon": 0.0, "delta": 0.8, "mu": 0.9, "k": 2, "t": 1.0}, bounds)]
+    for command, base, cases in runs:
+        for field, value, *name in cases:
+            cfg = write_config(tmp_path, {**base, field: value})
+            out = tmp_path / "x"
+            assert run_main([command, "--config", cfg, "--out", str(out)]) == 2, (command, field, value)
+            assert f"field '{name[0] if name else field}'" in capsys.readouterr().err, (command, field, value)
+            assert not list(out.glob("*"))
+    # schedule.t is read only without n
+    schedule = {k: v for k, v in DEFINETTI_CONFIG.items() if k != "n"}
+    cfg = write_config(tmp_path, {**schedule, "schedule": {"k": 2, "t": "0.5"}})
+    assert run_main(["definetti", "--config", cfg]) == 2
+    assert "field 'schedule.t'" in capsys.readouterr().err
+
+
+# (config, sha256 of definetti.json): the one-use pair of deterministic
+# boxes; a two-component mixture at n = (1, 8) with the Pinsker sweep; and
+# three devices at n = (1, 2, 4) under a steering source
+DEFINETTI_PINNED = [
+    (DEFINETTI_CONFIG, "21c226a18a9a2a42ee033170c69514130d556849314e69776e9f6b940c41f55e"),
+    ({"epsilon": 0.1, "n": [1, 8], "t_levels": [2.0],
+      "system": {"type": "exchangeable", "components": [[[0.9, 0.7], [0.1, 0.3]], [[0.1, 0.3], [0.9, 0.7]]],
+                 "weights": [0.5, 0.5]},
+      "sv": {"strategy": "greedy", "target": [0, 1]}, "pinsker": True},
+     "24d176929701c414bae6519a6ae88ee4b0651677350028f8cb44aade199978a3"),
+    ({"epsilon": 0.1, "n": [1, 2, 4], "t_levels": [2.0, 4.0],
+      "system": {"type": "exchangeable",
+                 "components": [[[0.3, 0.6], [0.7, 0.4]], [[0.8, 0.25], [0.2, 0.75]], [[0.5, 0.1], [0.5, 0.9]]],
+                 "weights": [0.2, 0.3, 0.5]},
+      "sv": {"strategy": "steer", "setting": [0, 1, 1, 0]}},
+     "bb9edced13e841bda1fbb37b7088c0b40cf7042dbcd7b842335797321eea4b62"),
+]
+
+
 def test_definetti_metrics_in_manifest_only(tmp_path, capsys):
     """The manifest records how many selections, past types and chunks the
     check summed; definetti.json keeps the bytes it had before the manifest
-    carried metrics."""
-    out = tmp_path / "df"
-    assert run_main(["definetti", "--config", write_config(tmp_path, DEFINETTI_CONFIG), "--out", str(out)]) == 0
-    digest = hashlib.sha256((out / "definetti.json").read_bytes()).hexdigest()
-    assert digest == "21c226a18a9a2a42ee033170c69514130d556849314e69776e9f6b940c41f55e"
-    # n = (1, 2): past sizes 0 and 1, 1 + 4 types of binary (output, input) pairs
-    assert read_metrics(out) == {"selections": 2, "types": 5, "chunks": 1}
-    assert verify_manifest(str(out))
+    carried metrics, and before the dense path left the library."""
+    metrics = [
+        # n = (1, 2): past sizes 0 and 1, 1 + 4 types of binary (output, input) pairs
+        {"selections": 2, "types": 5, "chunks": 1},
+        # past sizes 0..7: C(11, 4) types
+        {"selections": 8, "types": 330, "chunks": 1},
+        # past sizes 0..4 of devices 2 and 3: C(8, 4) types
+        {"selections": 8, "types": 70, "chunks": 1},
+    ]
+    for i, ((config, want), facts) in enumerate(zip(DEFINETTI_PINNED, metrics)):
+        out = tmp_path / f"df{i}"
+        assert run_main(["definetti", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "definetti.json").read_bytes()).hexdigest() == want, i
+        assert read_metrics(out) == facts
+        assert verify_manifest(str(out))
+    # an integer where a number is wanted is read as that float: same bytes
+    out = tmp_path / "ints"
+    assert run_main(["definetti", "--config", write_config(tmp_path, {**DEFINETTI_CONFIG, "t_levels": [2]}),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "definetti.json").read_bytes()).hexdigest() == DEFINETTI_PINNED[0][1]
     capsys.readouterr()
 
 

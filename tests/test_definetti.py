@@ -7,25 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
+import randamp
 import randamp.definetti as definetti
 from randamp.definetti import (
-    DeFinettiRhs,
     ExchangeableMixture,
-    JointBoxSystem,
     _TypeSums,
-    _marginalize_rest,
-    _pinsker_slack_over_conditionals,
     block_sizes,
     definetti_check,
     definetti_rhs,
-    exchangeable_mixture,
-    iid_system,
     log2_block_sizes,
     pinsker_gap,
-    product_gap,
-    sv_input_distribution,
     sv_selection_distribution,
-    t_statistic,
 )
 from randamp.cli import main as cli_main
 from randamp.sv import (
@@ -36,7 +28,19 @@ from randamp.sv import (
     StrategyViolationError,
 )
 
-from helpers import mutual_information, t_statistic_levels
+from dense_definetti import (
+    JointBoxSystem,
+    _marginalize_rest,
+    _pinsker_slack_over_conditionals,
+    dense_check,
+    exchangeable_mixture,
+    iid_system,
+    product_gap,
+    sv_input_distribution,
+    t_statistic,
+    t_statistic_levels,
+)
+from helpers import mutual_information
 
 LN2 = math.log(2.0)
 
@@ -282,7 +286,7 @@ def test_definetti_check_levels_match_standalone_levels():
     rng = np.random.default_rng(43)
     system = random_mixture(rng, (1, 2, 2))
     strategy = GreedyTowardString((0, 1), 0.1)
-    report = definetti_check(system, strategy, 0.1, (2.0, 2.0))
+    report = dense_check(system, strategy, 0.1, (2.0, 2.0))
     nu = sv_input_distribution(strategy, 0.1, system.total_uses, system.num_inputs)
     assert len(report.selections) == 4
     for sel, _, t_val, levels in report.selections:
@@ -533,7 +537,7 @@ def test_product_gap_guards():
 
 def test_definetti_check_report():
     system = exchangeable_mixture((1, 2), [Q_ZERO, Q_ONE], (0.5, 0.5))
-    report = definetti_check(
+    report = dense_check(
         system, GreedyTowardString("0", 0.1), 0.1, (2.0,), pinsker=True
     )
     assert len(report.selections) == 2
@@ -617,7 +621,7 @@ def test_pinsker_sweep_on_exact_product_system():
     system = iid_system((2, 3), np.array([[0.25, 0.5], [0.75, 0.5]]))
     for sel in all_selections(system):
         assert _pinsker_slack_over_conditionals(system, sel) <= 0.0
-    report = definetti_check(system, HonestBits(), 0.0, (2.0,), pinsker=True)
+    report = dense_check(system, HonestBits(), 0.0, (2.0,), pinsker=True)
     assert report.pinsker_worst_slack <= 0.0
     assert report.max_t == 0.0
 
@@ -777,16 +781,17 @@ def type_oracle_instances():
 
 @pytest.mark.parametrize("index", range(len(type_oracle_instances())))
 def test_type_sums_match_dense_check(index):
-    """definetti_check summed over type classes against the dense tensor:
-    the same selections and weights, and T, every level, max T, the
-    exceeding weight and the Pinsker slack to 1e-12."""
+    """definetti_check summed over type classes against the same selection
+    loop on the dense tensor (dense_check): the same selections and weights,
+    and T, every level, max T, the exceeding weight and the Pinsker slack to
+    1e-12."""
     n, comps, w, source, epsilon, pinsker = type_oracle_instances()[index]
     # threshold inside the range of T, so the exceeding weight is not trivially 0
     t_levels = [0.05] * (len(n) - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         typed = definetti_check(ExchangeableMixture(n, comps, w), source, epsilon, t_levels, pinsker=pinsker)
-    dense = definetti_check(exchangeable_mixture(n, comps, w), source, epsilon, t_levels, pinsker=pinsker)
+    dense = dense_check(exchangeable_mixture(n, comps, w), source, epsilon, t_levels, pinsker=pinsker)
     assert len(typed.selections) == len(dense.selections)
     for (sel, w_t, t_t, lv_t), (sel_d, w_d, t_d, lv_d) in zip(typed.selections, dense.selections):
         assert sel == sel_d and w_t == w_d
@@ -940,19 +945,28 @@ def test_type_sums_size_guard():
         exchangeable_mixture((1, 32), [Q_ZERO, Q_ONE], (0.5, 0.5))
 
 
-def test_cli_definetti_stays_off_the_dense_path(tmp_path, monkeypatch):
-    """randamp definetti builds no tensor: no exchangeable_mixture, no
-    product_gap and no source law over all inputs, and at n = (2, 8) its
-    traced peak stays below 2 MB, against 8 MB for the dense tensor alone."""
-    calls = []
-    for name in ("exchangeable_mixture", "product_gap", "sv_input_distribution"):
-        real = getattr(definetti, name)
+def test_definetti_check_takes_only_exchangeable_mixtures():
+    """A dense system or any other object is refused up front with a
+    TypeError naming its type, not deep inside the type sum."""
+    dense = iid_system((1, 2), Q_ZERO)
+    with pytest.raises(TypeError, match="JointBoxSystem"):
+        definetti_check(dense, HonestBits(), 0.0, [2.0])
+    with pytest.raises(TypeError, match="dict"):
+        definetti_check({"n": (1, 2)}, HonestBits(), 0.0, [2.0])
 
-        def counting(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(definetti, name, counting)
+# the dense path, now only in the test oracle dense_definetti
+DENSE_NAMES = ("JointBoxSystem", "_input_dependence", "_suffix_closed", "product_gap", "t_statistic",
+               "_level_gap", "_check_selection", "_iid_power", "iid_system", "exchangeable_mixture",
+               "sv_input_distribution", "_marginalize_rest", "_pinsker_slack_over_conditionals", "_DenseSums")
+
+
+def test_cli_definetti_stays_off_the_dense_path(tmp_path):
+    """The library has no dense path: neither randamp nor randamp.definetti
+    defines any of its names, and randamp definetti at n = (2, 8) keeps its
+    traced peak below 2 MB, against 8 MB for the dense tensor alone."""
+    for module in (randamp, definetti):
+        assert [name for name in DENSE_NAMES if hasattr(module, name)] == []
     cfg = tmp_path / "df.json"
     cfg.write_text(json.dumps({
         "epsilon": 0.1, "n": [2, 8], "t_levels": [4.0],
@@ -970,7 +984,6 @@ def test_cli_definetti_stays_off_the_dense_path(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == []
     assert peak < 2 << 20
     payload = json.loads((out / "definetti.json").read_text())
     assert len(payload["selections"]) == 16
