@@ -15,10 +15,8 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -89,13 +87,13 @@ def build_strategy(spec: dict, epsilon: float, path: str = "sv."):
         return HonestBits()
     if name == "greedy":
         _check_keys(spec, {"strategy", "target"}, path)
-        return GreedyTowardString(spec.get("target", [0]), epsilon)
+        return GreedyTowardString(_bits(spec.get("target", [0]), f"{path}target"), epsilon)
     if name == "constant":
         _check_keys(spec, {"strategy", "bias"}, path)
         return ConstantBias(_number(spec.get("bias", epsilon), f"{path}bias"))
     if name == "steer":
         _check_keys(spec, {"strategy", "setting"}, path)
-        return SettingSteering(_require(spec, "setting", path), epsilon)
+        return SettingSteering(_bits(_require(spec, "setting", path), f"{path}setting"), epsilon)
     raise ConfigError(f"unknown strategy '{name}' at '{path}strategy'")
 
 
@@ -252,6 +250,15 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _bits(value, field: str) -> tuple:
+    """A config field that must be a JSON list of the integers 0 and 1: a
+    string, true/false, a float or any other integer is refused, not
+    converted."""
+    if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
+        raise ConfigError(f"field '{field}' must be a list of the integers 0 and 1, got {value!r}")
+    return tuple(value)
+
+
 def _number(value, field: str) -> float:
     """A config field that must be a JSON number, as a float: a string, null
     or true/false is refused, not converted."""
@@ -346,6 +353,10 @@ def cmd_simulate(args) -> int:
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
+            # imported here: only a pool needs them, and they slow every command's start
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
             mapper = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
@@ -498,10 +509,10 @@ def cmd_bounds(args) -> int:
         epsilon=_number(_require(cfg, "epsilon", ""), "epsilon"),
         delta=_number(_require(cfg, "delta", ""), "delta"),
         mu=_number(_require(cfg, "mu", ""), "mu"),
-        k=int(_require(cfg, "k", "")),
+        k=_integer(_require(cfg, "k", ""), "k"),
         t=_number(cfg.get("t", 1e6), "t"),
     )
-    k_exp = int(cfg.get("k_exponent", 2))
+    k_exp = _integer(cfg.get("k_exponent", 2), "k_exponent")
     prop = proposition_bound(params)
     lines = [
         f"epsilon={params.epsilon} delta={params.delta} mu={params.mu} "

@@ -496,31 +496,36 @@ class _IidSampler:
         come the selection bits, device-major and most significant first."""
         z, acc, output = self.sample(m, rng)
         m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, len(self.n)))
-        select_p0, select_weights = self._selection
-        select_bits = (rng.random((m, len(select_p0))) >= select_p0).astype(np.int64)
+        select_p0, weights, first_bits, devices = self._selection
+        weighted = np.where(rng.random((m, len(select_p0))) >= select_p0, weights, 0)
+        # each device's index is the sum of its weighted bits, in int64
+        selection = np.zeros((m, len(self.n)), dtype=np.int64)
+        if devices.size:
+            selection[:, devices] = np.add.reduceat(weighted, first_bits, axis=1)
         return TrialRows(
             z_k=z,
             accepted=acc,
             output=output,
-            selection=select_bits @ select_weights,
+            selection=selection,
             m_realized=m_realized,
         )
 
 
 def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
-    """(P(bit = 0) per selection bit, bit-to-index weights of shape (bits, k))
-    for a source whose bias is position-only with a period dividing four.
-    The selection bits start at 4 x (settings drawn), a multiple of the
-    period, so their biases do not depend on the draw count."""
-    widths = [size.bit_length() - 1 for size in params.selection_sizes()]
-    weights = np.zeros((sum(widths), params.k), dtype=np.int64)
-    p0 = bit_zero_probabilities(sv_strategy, sum(widths), params.epsilon)
-    pos = 0
-    for j, width in enumerate(widths):
-        for i in range(width):
-            weights[pos, j] = 1 << (width - 1 - i)
-            pos += 1
-    return p0, weights
+    """(P(bit = 0) per selection bit, each bit's weight in its device's index,
+    the first bit of each device that has selection bits, those devices) for
+    a source whose bias is position-only with a period dividing four.  The
+    selection bits start at 4 x (settings drawn), a multiple of the period,
+    so their biases do not depend on the draw count.  A device with n_j = 1
+    has no selection bits and always selects use 0."""
+    widths = np.array([size.bit_length() - 1 for size in params.selection_sizes()], dtype=np.int64)
+    ends = np.cumsum(widths)
+    p0 = bit_zero_probabilities(sv_strategy, int(ends[-1]), params.epsilon)
+    # device-major, most significant bit first
+    owner = np.repeat(np.arange(len(widths)), widths)
+    weights = np.left_shift(np.int64(1), ends[owner] - 1 - np.arange(len(owner)))
+    devices = np.flatnonzero(widths)
+    return p0, weights, (ends - widths)[devices], devices
 
 
 @dataclass

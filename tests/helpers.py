@@ -4,9 +4,10 @@ a no-signaling checker for tables of any number of binary parties, the
 joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
 the mutual information of a 2-D joint, the all-inequality form of the
 guessing LP, the goodness oracle over a run's selected conditional boxes,
-the product measurement vectors as one einsum, trials.csv written row by
-row, and a device's likelihood of a history and the device conditioned on
-it.  The dense de Finetti oracle is in dense_definetti."""
+the density-matrix Born rule over product measurement vectors (and those
+vectors as one einsum), trials.csv written row by row, and a device's
+likelihood of a history and the device conditioned on it.  The dense de
+Finetti oracle is in dense_definetti."""
 
 import csv
 import io
@@ -16,11 +17,12 @@ from functools import reduce
 
 import numpy as np
 
-from randamp.boxes import DEFAULT_TOL, as_table, bell_value, in_inequality
+from randamp.boxes import DEFAULT_TOL, NsBox, as_table, bell_value, in_inequality
 from randamp.definetti import _pinsker_batch
 from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHistoryError, _scaled_likelihood
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.protocol import RunTranscript
+from randamp.quantum import NoiseSpec, rotate_bases, validate_bases, validate_state
 from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
 
 
@@ -161,9 +163,49 @@ def goodness_oracle(devices, transcript: RunTranscript,
     )
 
 
+def product_vectors(bases: np.ndarray) -> np.ndarray:
+    """vecs[a, b, c, d, i, j, k, l] = the product of party 1's basis vector
+    for outcome a at input i, ..., party 4's for outcome d at input l, as a
+    flat length-16 vector.  Party p's (outcome, input, component) axes sit at
+    positions p, 4 + p and 8 + p of a 12-axis broadcast."""
+    factors = []
+    for party in range(4):
+        shape = [1] * 12
+        shape[party] = shape[4 + party] = shape[8 + party] = 2
+        factors.append(bases[party].reshape(shape))
+    vecs = factors[0] * factors[1] * factors[2] * factors[3]
+    return vecs.reshape(2, 2, 2, 2, 2, 2, 2, 2, 16)
+
+
+def born_box_mixed(rho: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
+    """Measurement box for a density operator (16 x 16, same index order as
+    states): p(x|u) = <v|rho|v> over the product basis vectors v, the oracle
+    for quantum.noisy_box."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (16, 16):
+        raise ValueError("rho must be 16 x 16")
+    if not np.allclose(rho, rho.conj().T, atol=1e-10):
+        raise ValueError("rho must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValueError("rho must have unit trace")
+    validate_bases(bases)
+    vecs = product_vectors(np.asarray(bases, dtype=complex))
+    prob = np.einsum("...w,wv,...v->...", vecs.conj(), rho, vecs).real
+    table = prob.transpose(7, 6, 5, 4, 3, 2, 1, 0).reshape(16, 16)
+    return NsBox(table, tol=tol)
+
+
+def apply_noise(state: np.ndarray, bases: np.ndarray, noise: NoiseSpec):
+    """Return (rho, bases) for the noisy preparation and tilted measurements."""
+    state = validate_state(state)
+    m = noise.state_mixing
+    rho = (1.0 - m) * np.outer(state, state.conj()) + m * np.eye(16) / 16.0
+    return rho, rotate_bases(bases, noise.basis_rotation)
+
+
 def product_vectors_einsum(bases: np.ndarray) -> np.ndarray:
     """The four parties' product measurement vectors as one 12-index einsum,
-    indexed [a, b, c, d, i, j, k, l, component] like quantum._product_vectors."""
+    indexed [a, b, c, d, i, j, k, l, component] like product_vectors."""
     b = np.asarray(bases, dtype=complex)
     vecs = np.einsum("aiw,bjx,cky,dlz->abcdijklwxyz", b[0], b[1], b[2], b[3])
     return vecs.reshape(2, 2, 2, 2, 2, 2, 2, 2, 16)

@@ -195,7 +195,7 @@ def test_simulate_jobs_skip_pool_on_vectorized_engine(tmp_path, capsys, monkeypa
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
     serial = capsys.readouterr().out
     assert "engine=vectorized, workers=1," in serial
-    monkeypatch.setattr("randamp.cli.ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
     assert "engine=vectorized, workers=1," in capsys.readouterr().out
     for name in ("trials.csv", "summary.json"):
@@ -204,7 +204,7 @@ def test_simulate_jobs_skip_pool_on_vectorized_engine(tmp_path, capsys, monkeypa
 
 def test_simulate_jobs_capped_at_chunk_count(tmp_path, capsys, monkeypatch):
     general = {"strategy": "greedy", "target": [0, 1, 1]}
-    monkeypatch.setattr("randamp.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     InlinePool.created.clear()
     # 300 trials are two chunks of at most 256
     cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=300, sv=general))
@@ -521,6 +521,7 @@ def test_quantum_check_command(tmp_path, capsys):
     payload = json.loads((out / "quantum_check.json").read_text())
     assert payload["amplitudes_pm_quarter"] is True
     assert abs(payload["bell_value_clean"]) <= 1e-12
+    assert payload["bell_value_clean"] == 0.0  # the ideal box has no rounding dust
     assert payload["bell_value_noisy"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -629,6 +630,37 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys):
         assert run_main(["definetti", "--config", cfg]) == 2, (field, value)
         assert f"field '{field}" in capsys.readouterr().err
     assert not list(tmp_path.glob("x/*"))
+
+
+def test_bounds_integer_fields_are_not_truncated(tmp_path, capsys):
+    """bounds reads k and k_exponent as simulate reads k: "k": 2.7 ran with
+    k = 2 and "k_exponent": "3" was accepted."""
+    base = {"epsilon": 0.0, "delta": 0.8, "mu": 0.9, "k": 2, "t": 1.0}
+    cases = [("k", 2.7), ("k", "2"), ("k", True), ("k_exponent", "3"), ("k_exponent", 2.0), ("k_exponent", None)]
+    for field, value in cases:
+        out = tmp_path / "x"
+        cfg = write_config(tmp_path, {**base, field: value})
+        assert run_main(["bounds", "--config", cfg, "--out", str(out)]) == 2, (field, value)
+        assert f"field '{field}'" in capsys.readouterr().err, (field, value)
+        assert not list(out.glob("*"))
+
+
+def test_strategy_bits_are_json_bits(tmp_path, capsys):
+    """greedy's target and steer's setting must list the JSON integers 0 and
+    1: ["0", true] was accepted as (0, 1)."""
+    bad_bits = (["0", 1], [0, True], [0.0, 1], [0, 2], [-1, 0], [None], "01", 1)
+    schedule = {k: v for k, v in DEFINETTI_CONFIG.items() if k != "sv"}
+    for command, base in (("simulate", SIM_CONFIG), ("definetti", schedule)):
+        for strategy, field, good in (("greedy", "target", [0, 1, 1]), ("steer", "setting", [0, 1, 1, 0])):
+            out = tmp_path / f"{command}_{strategy}"
+            cfg = write_config(tmp_path, {**base, "sv": {"strategy": strategy, field: good}})
+            assert run_main([command, "--config", cfg, "--out", str(out)]) == 0, (command, strategy)
+            for value in bad_bits:
+                out = tmp_path / "x"
+                cfg = write_config(tmp_path, {**base, "sv": {"strategy": strategy, field: value}})
+                assert run_main([command, "--config", cfg, "--out", str(out)]) == 2, (command, field, value)
+                assert f"field 'sv.{field}'" in capsys.readouterr().err, (command, field, value)
+                assert not list(out.glob("*"))
 
 
 def test_float_fields_are_numbers(tmp_path, capsys):
@@ -787,6 +819,21 @@ def test_scipy_imported_only_by_lp_solves(tmp_path):
         "assert 'scipy' not in sys.modules, 'on import'\n"
         f"assert randamp.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'after simulate'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_process_pool_imported_only_for_jobs(tmp_path):
+    """multiprocessing and concurrent.futures load only where simulate builds
+    a worker pool: importing the CLI and a serial simulate leave them out."""
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    script = (
+        "import sys, randamp.cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "assert not any(m in sys.modules for m in pool), 'on import'\n"
+        f"assert randamp.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert not any(m in sys.modules for m in pool), 'after simulate'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -46,7 +46,7 @@ from randamp.protocol import (
     xor_bias_bound,
 )
 from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
-from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
+from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering, bit_zero_probabilities
 
 from helpers import goodness_oracle, xor_distribution_exact
 
@@ -618,6 +618,35 @@ def test_degenerate_cell_laws_never_draw_impossible_outcomes():
         assert sampler.counts(2**53, seed)[0] == 2**53
 
 
+def test_packed_selection_indices_equal_bit_matmul():
+    """rows packs each device's selection bits, most significant first, into
+    its index without a matmul; the indices are those of bits @ weights in
+    int64, at unequal n, with n_j = 1 (no bits, index 0) first, inside and
+    last, and past 2^53, where a float sum would round."""
+    table = noisy_box(NoiseSpec(state_mixing=0.05)).table
+    source = GreedyTowardString((0, 1, 1), 0.1)
+    for n in ((1, 2, 5, 1, 16, 3, 1), (1,), (2**60 + 5, 1, 3)):
+        params = ProtocolParams(0.1, 0.8, 0.9, len(n), n=n)
+        widths = [size.bit_length() - 1 for size in params.selection_sizes()]
+        weights = np.zeros((sum(widths), len(n)), dtype=np.int64)
+        pos = 0
+        for j, width in enumerate(widths):
+            for i in range(width):
+                weights[pos, j] = 1 << (width - 1 - i)
+                pos += 1
+        p0 = bit_zero_probabilities(source, sum(widths), 0.1)
+        sampler = _IidSampler(params, table, source)
+        for seed in range(3):
+            rows = sampler.rows(40, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            sampler.sample(40, rng)
+            rng.negative_binomial(params.n, sampler.kept_mass, size=(40, len(n)))
+            bits = (rng.random((40, sum(widths))) >= p0).astype(np.int64)
+            assert rows.selection.dtype == np.int64
+            assert np.array_equal(rows.selection, bits @ weights), (n, seed)
+        assert np.all(rows.selection < np.array(params.selection_sizes()))
+
+
 def nested_mixture():
     """A mixture of a mixture and an IidDevice, and its leaf boxes with their
     overall weights."""
@@ -828,11 +857,11 @@ def test_audit_counts_match_simulate_rows():
 
 def test_capped_cdf_has_nonnegative_widths_and_draws_as_before():
     """The running sum of a trial law can round past 1 before its last
-    possible outcome (here at k = 7 for 1 % white noise), which would give
+    possible outcome (here at k = 8 for 1 % white noise), which would give
     that outcome a negative CDF width and the multinomial a negative
     probability.  The CDF is capped at 1, and no uniform below 1 lands
     differently for it, so simulate draws exactly as with the uncapped sum."""
-    k = 7
+    k = 8
     params = ProtocolParams(0.1, 0.8, 0.9, k)
     box = noisy_box(NoiseSpec(state_mixing=0.01))
     sampler = _IidSampler(params, box.table, HONEST)

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from helpers import product_vectors_einsum
+from helpers import apply_noise, born_box_mixed, product_vectors, product_vectors_einsum
 
 from randamp.boxes import bell_value, is_no_signaling, uniform_box
+from randamp.protocol import ProtocolParams, _IidSampler
 from randamp.quantum import (
     NoiseSpec,
-    _product_vectors,
-    apply_noise,
     born_box,
-    born_box_mixed,
     build_state,
     noisy_box,
     rotate_bases,
@@ -16,6 +14,7 @@ from randamp.quantum import (
     validate_state,
     xz_bases,
 )
+from randamp.sv import HonestBits
 
 # Amplitudes of the target state, worked out by hand from the two-pair
 # expansion.  With qubit 1 on the most significant bit:
@@ -51,6 +50,19 @@ def test_state_amplitudes():
 def test_clean_bell_value_is_algebraic_minimum():
     box = born_box(build_state(), xz_bases())
     assert abs(bell_value(box)) <= 1e-12
+
+
+def test_ideal_box_is_exact():
+    """The party-by-party contraction leaves no rounding dust: every entry
+    that vanishes for the ideal box is exactly 0 (8 outcomes at each of the
+    16 settings, 64 of them), the Bell value is exactly 0, and no selected
+    pair ever scores."""
+    for box in (born_box(build_state(), xz_bases()), noisy_box(NoiseSpec())):
+        assert np.count_nonzero(box.table == 0.0) == 64
+        assert bell_value(box) == 0.0
+        sampler = _IidSampler(ProtocolParams(0.1, 0.8, 0.9, 5), box.table, HonestBits())
+        assert np.all(sampler.law[2:] == 0.0)
+    assert bell_value(noisy_box(NoiseSpec(state_mixing=0.05))) == 0.2
 
 
 def test_global_phase_invariance():
@@ -148,18 +160,29 @@ def test_validate_bases_names_party_and_input():
         validate_bases(bad)
 
 
+def test_validate_bases_diagonal_tolerance_is_absolute():
+    """A basis vector of norm 1 + 1e-8 is off the Gram diagonal by 2e-8, far
+    past tol = 1e-12; a relative tolerance must not let it through."""
+    bad = np.array(xz_bases())
+    bad[2, 1, 0] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="party 3, input 1: "):
+        validate_bases(bad)
+
+
 @pytest.mark.parametrize("angle", [0.0, 0.2, -1.3])
 def test_product_vectors_match_einsum_bitwise(angle):
     bases = rotate_bases(xz_bases(), angle)
-    assert np.array_equal(_product_vectors(bases), product_vectors_einsum(bases))
+    assert np.array_equal(product_vectors(bases), product_vectors_einsum(bases))
 
 
-def test_noisy_box_tables_bitwise_with_einsum_product_vectors(monkeypatch):
-    grid = [(m, angle) for m in (0.0, 0.01, 0.05, 0.3, 1.0) for angle in (0.0, 0.2, 0.7, -1.3)]
-    tables = [noisy_box(NoiseSpec(m, angle)).table for m, angle in grid]
-    monkeypatch.setattr("randamp.quantum._product_vectors", product_vectors_einsum)
-    for (m, angle), table in zip(grid, tables):
-        assert np.array_equal(noisy_box(NoiseSpec(m, angle)).table, table), (m, angle)
+def test_noisy_box_matches_density_matrix_oracle():
+    """noisy_box, the mixture of the pure box with the uniform one, is the
+    Born rule for the mixed state, computed as <v|rho|v>."""
+    for m in (0.0, 0.01, 0.05, 0.3, 1.0):
+        for angle in (0.0, 0.2, 0.7, -1.3):
+            noise = NoiseSpec(m, angle)
+            oracle = born_box_mixed(*apply_noise(build_state(), xz_bases(), noise)).table
+            assert np.max(np.abs(noisy_box(noise).table - oracle)) <= 1e-15, (m, angle)
 
 
 def test_born_box_mixed_rejects_bad_density():
