@@ -16,8 +16,9 @@ from randamp.sv import (
     SettingSteering,
     StrategyViolationError,
     SvTranscript,
+    bit_probabilities,
+    code_law,
     draw_setting,
-    exact_bitstring_distribution,
     next_bit,
     string_probability_bounds,
 )
@@ -29,8 +30,9 @@ lo, hi = string_probability_bounds(eps, 4)
 print(f"any 4-bit string at eps={eps}: probability in [{lo:.4f}, {hi:.4f}]")
 print(f"(a fair source would give {2**-4:.4f} always)")
 
-# hardest push toward 0000: each bit takes the full allowance
-dist = exact_bitstring_distribution(GreedyTowardString((0,), eps), 4, eps)
+# hardest push toward 0000: each bit takes the full allowance; these biases
+# depend on position only, so the bits are independent
+dist = code_law(bit_probabilities(GreedyTowardString((0,), eps), 4, eps))
 print(f"greedy strategy hits P(0000) = {dist[0]:.4f}  (= 0.6^4, the upper bound)")
 
 # the four-bit groups feed the Bell test as one setting per party
@@ -50,5 +52,5 @@ except StrategyViolationError as e:
 
 # honest and constant-bias sources for comparison
 for name, s in [("honest", HonestBits()), ("constant +0.1", ConstantBias(eps))]:
-    d = exact_bitstring_distribution(s, 2, eps)
+    d = code_law(bit_probabilities(s, 2, eps))
     print(f"{name:>14}: two-bit distribution {np.round(d, 3)}")

@@ -77,7 +77,8 @@ from .sv import (
     SettingSteering,
     StrategyViolationError,
     SvTranscript,
+    bit_probabilities,
+    code_law,
     draw_index,
     draw_setting,
-    exact_bitstring_distribution,
 )

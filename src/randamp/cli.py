@@ -41,7 +41,6 @@ from .quantum import (
     born_box,
     build_state,
     noisy_box,
-    validate_state,
     xz_bases,
 )
 from .sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
@@ -460,7 +459,6 @@ def cmd_quantum_check(args) -> int:
         basis_rotation=_number(cfg.get("basis_rotation", 0.0), "basis_rotation"),
     )
     state = build_state()
-    validate_state(state)
     clean = born_box(state, xz_bases())
     box = noisy_box(noise)
     payload = {

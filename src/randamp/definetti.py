@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sv import bit_zero_probabilities, exact_bitstring_distribution
+from .protocol import as_integer
+from .sv import bit_probabilities, code_law
 
 MAX_TABLE_ENTRIES = 1 << 24
 CHUNK_ENTRIES = 1 << 18
@@ -88,7 +89,7 @@ class ExchangeableMixture:
     """
 
     def __init__(self, n, components, weights, tol=1e-9):
-        self.n = tuple(int(v) for v in n)
+        self.n = tuple(as_integer(v, "n") for v in n)
         if not self.n or any(v < 1 for v in self.n):
             raise ValueError("need at least one use per device")
         weights = np.asarray(weights, dtype=float)
@@ -114,27 +115,12 @@ def sv_selection_distribution(strategy, epsilon: float, n) -> dict:
     addressable prefix carry zero weight.  Needs a strategy whose bias
     depends on position only, one that declares a `period`, since the
     selection bits follow the setting bits in a real transcript."""
-    if getattr(strategy, "period", None) is None:
-        raise ValueError("exact selection weights need a strategy with a position-only bias (a period)")
-    widths = []
-    for n_j in n:
-        if n_j < 1:
-            raise ValueError("use counts must be positive")
-        widths.append(int(n_j).bit_length() - 1)
-    total_bits = sum(widths)
-    flat = exact_bitstring_distribution(strategy, total_bits, epsilon)
-    out = {}
-    for code in range(len(flat)):
-        bits_left = total_bits
-        rem = code
-        sel = []
-        for w in widths:
-            bits_left -= w
-            sel.append((rem >> bits_left) & ((1 << w) - 1))
-            rem &= (1 << bits_left) - 1
-        sel = tuple(a + 1 for a in sel)
-        out[sel] = out.get(sel, 0.0) + float(flat[code])
-    return out
+    n = [as_integer(n_j, "n") for n_j in n]
+    if any(n_j < 1 for n_j in n):
+        raise ValueError("use counts must be positive")
+    widths = [n_j.bit_length() - 1 for n_j in n]
+    law = code_law(bit_probabilities(strategy, sum(widths), epsilon)).reshape([1 << w for w in widths])
+    return {tuple(a + 1 for a in sel): p for sel, p in zip(np.ndindex(law.shape), law.ravel().tolist())}
 
 
 def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
@@ -379,10 +365,8 @@ class _TypeSums:
         level_rows = [_type_count(b, K) * max(K, C) for b in blocks]
         self.chunks = _chunks(sum(pasts), K, max(K, C) ** k, list(zip(self._level_tops, level_rows)), budget)
         self.mix = mix
-        p0 = bit_zero_probabilities(strategy, N * bits, epsilon).reshape(N, bits)
-        # bit i of input u, most significant first, is bit g bits + i of the source
-        u_bits = (np.arange(L)[:, np.newaxis] >> np.arange(bits - 1, -1, -1)) & 1
-        self.input_law = np.where(u_bits == 0, p0[:, np.newaxis], 1.0 - p0[:, np.newaxis]).prod(axis=2)
+        # the input of use g is the big-endian code of source bits g bits .. (g + 1) bits - 1
+        self.input_law = code_law(bit_probabilities(strategy, N * bits, epsilon).reshape(N, bits, 2))
         laws = mix.tables.transpose(0, 2, 1)  # [c, u, x]
         self.q = laws.reshape(C, K)
         tuples = _outer_uses(laws, k)

@@ -26,15 +26,20 @@ from .boxes import (
     unpack_bits,
 )
 from .devices import IidDevice, MixtureDevice, sample_outcome
-from .sv import (
-    SvTranscript,
-    bit_zero_probabilities,
-    draw_index,
-    draw_setting,
-    exact_bitstring_distribution,
-)
+from .sv import SvTranscript, bit_probabilities, code_law, draw_index, draw_setting
 
 WILSON_Z99 = 2.5758293035489004
+
+
+def as_integer(value, field: str) -> int:
+    """value as an int when it is one (operator.index, so numpy integers
+    pass); a bool, a float or a string is refused, not truncated."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{field} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,15 +65,12 @@ class ProtocolParams:
             raise ValueError(f"delta {self.delta} outside (0, 8]")
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu {self.mu} outside (0, 1)")
+        object.__setattr__(self, "k", as_integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        n = self.n
-        if isinstance(n, int):
-            n = (n,) * self.k
-        else:
-            n = tuple(int(v) for v in n)
-            if len(n) == 1:
-                n = n * self.k
+        n = tuple(as_integer(v, "n") for v in ((self.n,) if np.ndim(self.n) == 0 else self.n))
+        if len(n) == 1:
+            n = n * self.k
         if len(n) != self.k or any(v < 1 for v in n):
             raise ValueError("n must give a positive count for each of the k devices")
         object.__setattr__(self, "n", n)
@@ -92,8 +94,9 @@ def xor_bias_bound(eps_list) -> float:
     eps = [float(e) for e in eps_list]
     if any(not 0.0 <= e <= 0.5 for e in eps):
         raise ValueError("per-bit biases must lie in [0, 1/2]")
-    prod = math.prod(eps)
-    return min(0.5, 2.0 ** (len(eps) - 1) * prod)
+    # 1/2 prod(2 eps_i), not 2^(n-1) prod(eps_i): the power overflows past
+    # 1024 biases, and doubling is exact, so the two agree bit for bit
+    return min(0.5, 0.5 * math.prod(2.0 * e for e in eps))
 
 
 def azuma_rejection_bound(params: ProtocolParams) -> float:
@@ -230,7 +233,6 @@ class ProtocolResult:
     output_bit: int | None
     majority_bits: tuple
     threshold: float
-    theoretical_bound: float
     estimation: EstimationRecord
 
     def __post_init__(self):
@@ -302,28 +304,19 @@ def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
         output_bit=output,
         majority_bits=maj_bits,
         threshold=threshold,
-        theoretical_bound=proposition_bound(params).total,
         estimation=estimation,
     )
     return result, run
 
 
-# setting index of each four-bit string, first bit most significant
-_SETTING_OF_CODE = np.array(
-    [pack_bits(tuple((code >> (3 - i)) & 1 for i in range(4))) for code in range(16)]
-)
-
-
 def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
-    """Distribution of one four-bit setting draw, indexed by setting.
-
-    Exact when the strategy's bias depends on bit position modulo the draw
-    length only, which holds for every built-in strategy whose pattern length
-    divides four.
+    """Distribution of one four-bit setting draw, indexed by setting (u^1 on
+    the low bit, pack_bits), for a strategy whose bias depends on position
+    only.  It is the law of the first draw; later draws share it when the
+    period divides four.
     """
-    dist = np.empty(16)
-    dist[_SETTING_OF_CODE] = exact_bitstring_distribution(sv_strategy, 4, epsilon)
-    return dist
+    # code axes are u^1 .. u^4, most significant first; setting order reverses them
+    return code_law(bit_probabilities(sv_strategy, 4, epsilon)).reshape((2,) * 4).transpose().ravel()
 
 
 def _reduced_table(device):
@@ -520,7 +513,7 @@ def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
     has no selection bits and always selects use 0."""
     widths = np.array([size.bit_length() - 1 for size in params.selection_sizes()], dtype=np.int64)
     ends = np.cumsum(widths)
-    p0 = bit_zero_probabilities(sv_strategy, int(ends[-1]), params.epsilon)
+    p0 = bit_probabilities(sv_strategy, int(ends[-1]), params.epsilon)[:, 0]
     # device-major, most significant bit first
     owner = np.repeat(np.arange(len(widths)), widths)
     weights = np.left_shift(np.int64(1), ends[owner] - 1 - np.arange(len(owner)))
@@ -676,9 +669,7 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     trials is an integer in [1, 2**53] (bools rejected): numpy's binomial
     sampler computes in doubles, so larger counts would not be exact.
     """
-    if isinstance(trials, (bool, np.bool_)):
-        raise TypeError("trials must be an integer, not a bool")
-    trials = operator.index(trials)
+    trials = as_integer(trials, "trials")
     if not 1 <= trials <= 2**53:
         raise ValueError(f"trials {trials} outside [1, 2**53]")
     weights = np.array([w for w, _, _ in adversary], dtype=float)

@@ -5,9 +5,12 @@ is any rule from the full bit history to a bias; the draw helpers refuse rules
 that step outside [-epsilon, epsilon] rather than clamping them.
 
 A strategy whose bias is a function of bit position alone, repeating every
-`period` bits, declares that period as an attribute; the exact samplers and
-the de Finetti weights rely on it (bit_zero_probabilities).  Strategies
-without a `period` are treated as history-dependent.
+`period` bits, declares that period as an attribute.  bit_probabilities is
+the one notion of such a position-only source: its bits are independent,
+and every exact law the library reports (the vectorized engine's draw and
+selection laws, the de Finetti selection weights and input laws) is
+code_law of its per-bit laws.  Strategies without a `period` are treated as
+history-dependent and have no exact law here.
 """
 
 from __future__ import annotations
@@ -67,24 +70,17 @@ class GreedyTowardString:
         return self.epsilon if want == 0 else -self.epsilon
 
 
-class SettingSteering:
+class SettingSteering(GreedyTowardString):
     """Steer each four-bit group toward one Bell setting.
 
     Alignment assumes draws are consumed in whole four-bit groups, which holds
     throughout protocol step 1.
     """
 
-    period = 4
-
     def __init__(self, setting, epsilon: float):
-        self.setting = tuple(int(b) for b in setting)
-        if len(self.setting) != 4:
+        super().__init__(setting, epsilon)
+        if self.period != 4:
             raise ValueError("setting must have four bits")
-        self.epsilon = float(epsilon)
-
-    def bias(self, history) -> float:
-        want = self.setting[len(history) % 4]
-        return self.epsilon if want == 0 else -self.epsilon
 
 
 def next_bit(strategy, transcript: SvTranscript, rng: np.random.Generator) -> int:
@@ -126,47 +122,34 @@ def string_probability_bounds(epsilon: float, length: int):
     return ((0.5 - epsilon) ** length, (0.5 + epsilon) ** length)
 
 
-def bit_zero_probabilities(strategy, length: int, epsilon: float) -> np.ndarray:
-    """P(bit i = 0) = 1/2 + bias for each of the first `length` bit positions
-    of a strategy whose bias depends on position only (one that declares a
-    `period`), so that the bits are independent.  Each bias used is checked
-    against epsilon."""
+def bit_probabilities(strategy, length: int, epsilon: float) -> np.ndarray:
+    """(P(bit i = 0), P(bit i = 1)) = (1/2 + b, 1/2 - b) for each of the first
+    `length` bit positions, shape (length, 2), of a strategy whose bias b
+    depends on position only (one that declares a `period`), so that the
+    bits are independent.  Each bias used is checked against epsilon."""
     period = getattr(strategy, "period", None)
     if period is None:
         raise ValueError("per-bit probabilities need a strategy with a position-only bias (a period)")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    p0 = np.empty(min(period, length))
-    for pos in range(len(p0)):
+    p = np.empty((min(period, length), 2))
+    for pos in range(len(p)):
         b = float(strategy.bias([0] * pos))
         if abs(b) > epsilon:
             raise StrategyViolationError(f"bias {b} exceeds epsilon {epsilon} at position {pos}")
-        p0[pos] = 0.5 + b
-    return p0[np.arange(length) % period]
+        p[pos] = 0.5 + b, 0.5 - b
+    return p[np.arange(length) % period]
 
 
-def exact_bitstring_distribution(strategy, length: int, epsilon: float) -> np.ndarray:
-    """Probability of every length-bit string under the strategy, exactly.
-
-    Walks the full history tree, so the rule may depend on the past in any way.
-    Index packs the first bit as most significant, matching draw_index.
-    """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    probs = np.zeros(2**length)
-
-    def walk(history, p):
-        if len(history) == length:
-            idx = 0
-            for b in history:
-                idx = (idx << 1) | b
-            probs[idx] = p
-            return
-        b = float(strategy.bias(history))
-        if abs(b) > epsilon:
-            raise StrategyViolationError(f"bias {b} outside interval at {history}")
-        walk(history + [0], p * (0.5 + b))
-        walk(history + [1], p * (0.5 - b))
-
-    walk([], 1.0)
-    return probs
+def code_law(bit_p) -> np.ndarray:
+    """Law of the big-endian code of independent bits with per-bit laws
+    bit_p[..., i, :] along axis -2 (first bit most significant, as
+    draw_index packs them); leading axes are kept.  The product runs in bit
+    order, so each probability is the same float as a walk over the
+    history tree gives."""
+    bit_p = np.asarray(bit_p, dtype=float)
+    lead = bit_p.shape[:-2]
+    law = np.ones(lead + (1,))
+    for i in range(bit_p.shape[-2]):
+        law = (law[..., :, np.newaxis] * bit_p[..., i, np.newaxis, :]).reshape(lead + (-1,))
+    return law

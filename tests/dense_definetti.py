@@ -18,7 +18,8 @@ from randamp.definetti import (
     _report,
     _sweep,
 )
-from randamp.sv import exact_bitstring_distribution
+
+from helpers import exact_bitstring_distribution
 
 
 class JointBoxSystem:

@@ -1,13 +1,15 @@
 """Reference helpers that only the tests use: a parameter check for
-Santha-Vazirani sources, a kept-setting sampler, a transcript replay audit,
-a no-signaling checker for tables of any number of binary parties, the
-joint table of independent boxes, the exhaustive XOR oracle of criterion 4,
-the mutual information of a 2-D joint, the all-inequality form of the
-guessing LP, the goodness oracle over a run's selected conditional boxes,
-the density-matrix Born rule over product measurement vectors (and those
-vectors as one einsum), trials.csv written row by row, and a device's
-likelihood of a history and the device conditioned on it.  The dense de
-Finetti oracle is in dense_definetti."""
+Santha-Vazirani sources, the exact law of any source strategy by a walk over
+its history tree (with a source of every built-in strategy class and a
+position shift, to check the library's position-only laws against it), a
+kept-setting sampler, a transcript replay audit, a no-signaling checker for
+tables of any number of binary parties, the joint table of independent
+boxes, the exhaustive XOR oracle of criterion 4, the mutual information of
+a 2-D joint, the all-inequality form of the guessing LP, the goodness oracle
+over a run's selected conditional boxes, the density-matrix Born rule over
+product measurement vectors (and those vectors as one einsum), trials.csv
+written row by row, and a device's likelihood of a history and the device
+conditioned on it.  The dense de Finetti oracle is in dense_definetti."""
 
 import csv
 import io
@@ -23,7 +25,15 @@ from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHis
 from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
 from randamp.protocol import RunTranscript
 from randamp.quantum import NoiseSpec, rotate_bases, validate_bases, validate_state
-from randamp.sv import StrategyViolationError, SvTranscript, draw_setting
+from randamp.sv import (
+    ConstantBias,
+    GreedyTowardString,
+    HonestBits,
+    SettingSteering,
+    StrategyViolationError,
+    SvTranscript,
+    draw_setting,
+)
 
 
 @dataclass
@@ -33,6 +43,52 @@ class SvParams:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in [0, 1/2), got {self.epsilon}")
+
+
+def exact_bitstring_distribution(strategy, length: int, epsilon: float) -> np.ndarray:
+    """Probability of every length-bit string under the strategy, exactly.
+
+    Walks the full history tree, so the rule may depend on the past in any way.
+    Index packs the first bit as most significant, matching draw_index.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    probs = np.zeros(2**length)
+
+    def walk(history, p):
+        if len(history) == length:
+            idx = 0
+            for b in history:
+                idx = (idx << 1) | b
+            probs[idx] = p
+            return
+        b = float(strategy.bias(history))
+        if abs(b) > epsilon:
+            raise StrategyViolationError(f"bias {b} outside interval at {history}")
+        walk(history + [0], p * (0.5 + b))
+        walk(history + [1], p * (0.5 - b))
+
+    walk([], 1.0)
+    return probs
+
+
+def builtin_strategies(epsilon: float) -> list:
+    """One source of every built-in strategy class at epsilon, with periods
+    1, 2, 3 and 4 among them."""
+    return [HonestBits(), ConstantBias(epsilon), ConstantBias(-epsilon),
+            GreedyTowardString((1, 0), epsilon), GreedyTowardString((0, 1, 1), epsilon),
+            SettingSteering((0, 1, 1, 0), epsilon)]
+
+
+class Shifted:
+    """A strategy as seen from bit position `offset` on: the walk of its next
+    bits is their exact marginal when its bias depends on position only."""
+
+    def __init__(self, strategy, offset: int):
+        self.strategy, self.offset = strategy, offset
+
+    def bias(self, history) -> float:
+        return self.strategy.bias([0] * self.offset + list(history))
 
 
 def draw_kept_setting(strategy, transcript: SvTranscript, rng: np.random.Generator, max_draws: int = 10**6):

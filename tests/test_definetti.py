@@ -40,7 +40,7 @@ from dense_definetti import (
     t_statistic,
     t_statistic_levels,
 )
-from helpers import mutual_information
+from helpers import Shifted, builtin_strategies, exact_bitstring_distribution, mutual_information
 
 LN2 = math.log(2.0)
 
@@ -483,6 +483,51 @@ def test_sv_selection_distribution():
 
     with pytest.raises(ValueError):
         sv_selection_distribution(Opaque(), 0.0, (2,))
+
+
+def test_selection_weights_and_input_laws_are_the_exact_walk():
+    """The selection weights, decoded from the walk over all selection bits,
+    and each use's input law, the walk over that use's bits alone, are the
+    library's code laws float for float; a source without a period has
+    neither."""
+    for eps in (0.0, 0.05, 0.1, 0.2, 0.3, 0.49):
+        for source in builtin_strategies(eps):
+            for n in ((1, 8), (2, 8), (1, 2, 4), (3, 5), (16,), (1, 1024)):
+                widths = [v.bit_length() - 1 for v in n]
+                expect = {}
+                for code, p in enumerate(exact_bitstring_distribution(source, sum(widths), eps)):
+                    sel = []
+                    for w in reversed(widths):
+                        sel.insert(0, code % (1 << w) + 1)
+                        code >>= w
+                    expect[tuple(sel)] = p
+                got = sv_selection_distribution(source, eps, n)
+                assert list(got) == list(expect) and all(got[sel] == p for sel, p in expect.items())
+            for n, inputs in (((2, 3), 2), ((2, 1), 4), ((1,), 16)):
+                bits = inputs.bit_length() - 1
+                rng = np.random.default_rng(inputs)
+                mix = ExchangeableMixture(n, [random_column_stochastic(rng, 2, inputs)], [1.0])
+                law = _TypeSums(mix, source, eps).input_law
+                for use in range(sum(n)):
+                    walk = exact_bitstring_distribution(Shifted(source, use * bits), bits, eps)
+                    assert np.array_equal(law[use], walk), (source, eps, n, use)
+
+    class Opaque:
+        def bias(self, history):
+            return 0.0
+
+    with pytest.raises(ValueError, match="period"):
+        sv_selection_distribution(Opaque(), 0.0, (2,))
+    mix = ExchangeableMixture((1, 2), [Q_ZERO], [1.0])
+    with pytest.raises(ValueError, match="period"):
+        _TypeSums(mix, Opaque(), 0.0)
+
+
+def test_mixture_use_counts_are_not_truncated():
+    for n in ((1, 2.7), (1, True), (1, "2")):
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            ExchangeableMixture(n, [Q_ZERO], [1.0])
+    assert ExchangeableMixture((np.int64(2), 1), [Q_ZERO], [1.0]).n == (2, 1)
 
 
 def test_system_validation():

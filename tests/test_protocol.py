@@ -28,6 +28,7 @@ from randamp.protocol import (
     ProtocolParams,
     _IidSampler,
     _ProtocolSampler,
+    _selection_law,
     _shared_table,
     acceptance_threshold,
     azuma_rejection_bound,
@@ -46,9 +47,15 @@ from randamp.protocol import (
     xor_bias_bound,
 )
 from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
-from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering, bit_zero_probabilities
+from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering, bit_probabilities
 
-from helpers import goodness_oracle, xor_distribution_exact
+from helpers import (
+    Shifted,
+    builtin_strategies,
+    exact_bitstring_distribution,
+    goodness_oracle,
+    xor_distribution_exact,
+)
 
 HONEST = HonestBits()
 
@@ -101,6 +108,29 @@ def test_xor_bias_bound_values():
     assert xor_bias_bound([]) == 0.5  # empty product capped at the ceiling
     with pytest.raises(ValueError):
         xor_bias_bound([0.6])
+
+
+def test_xor_bias_bound_past_a_thousand_biases():
+    """1/2 prod(2 eps_i) is 2^(n-1) prod(eps_i) bit for bit where the power
+    does not overflow, and stays finite past 1024 biases."""
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        eps = list(rng.random(rng.integers(1, 61)) * 0.5)
+        assert xor_bias_bound(eps) == min(0.5, 2.0 ** (len(eps) - 1) * math.prod(eps))
+    assert xor_bias_bound([0.5] * 1025) == 0.5
+    assert xor_bias_bound([0.25] * 1025) == 2.0**-1026
+    assert xor_bias_bound([0.1] * 1025) == 0.0
+    assert xor_bias_bound([0.5] * 10**5) == 0.5
+    assert xor_bias_bound([0.1] * 10**5) == 0.0
+
+
+def test_integer_fields_are_not_truncated():
+    for kw, field in ((dict(k=1, n=(2.9,)), "n"), (dict(k=2, n=(2, 1.0)), "n"), (dict(k=1, n=True), "n"),
+                      (dict(k=True), "k"), (dict(k=2.0), "k"), (dict(k="2"), "k")):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            ProtocolParams(0.1, 0.8, 0.9, **kw)
+    params = ProtocolParams(0.1, 0.8, 0.9, np.int64(2), n=np.int64(3))
+    assert params.k == 2 and params.n == (3, 3) and type(params.k) is int
 
 
 def test_xor_enumeration_matches_product_identity():
@@ -295,6 +325,29 @@ def test_per_draw_setting_distribution():
     assert steer.sum() == pytest.approx(1.0)
     greedy = per_draw_setting_distribution(GreedyTowardString("0", 0.1), 0.1)
     assert greedy[0] == pytest.approx(0.6**4)
+
+
+def test_draw_and_selection_laws_are_the_exact_walk():
+    """The per-draw law, reordered by code, and each selection bit's P(0)
+    equal the walk over the history tree, float for float; a source without
+    a period has neither."""
+    setting_of_code = [pack_bits(tuple((code >> (3 - i)) & 1 for i in range(4))) for code in range(16)]
+    for eps in (0.0, 0.05, 0.1, 0.2, 0.3, 0.49):
+        params = ProtocolParams(eps, 0.8, 0.9, 3, n=(1, 4, 8))
+        for source in builtin_strategies(eps):
+            walk = exact_bitstring_distribution(source, 4, eps)
+            assert np.array_equal(per_draw_setting_distribution(source, eps)[setting_of_code], walk)
+            p0 = [exact_bitstring_distribution(Shifted(source, i), 1, eps)[0] for i in range(5)]
+            assert np.array_equal(_selection_law(params, source)[0], p0)
+
+    class Opaque:
+        def bias(self, history):
+            return 0.0
+
+    with pytest.raises(ValueError, match="period"):
+        per_draw_setting_distribution(Opaque(), 0.1)
+    with pytest.raises(ValueError, match="period"):
+        _selection_law(honest_params(k=2, n=(2,)), Opaque())
 
 
 def test_fast_path_applicability():
@@ -634,7 +687,7 @@ def test_packed_selection_indices_equal_bit_matmul():
             for i in range(width):
                 weights[pos, j] = 1 << (width - 1 - i)
                 pos += 1
-        p0 = bit_zero_probabilities(source, sum(widths), 0.1)
+        p0 = bit_probabilities(source, sum(widths), 0.1)[:, 0]
         sampler = _IidSampler(params, table, source)
         for seed in range(3):
             rows = sampler.rows(40, np.random.default_rng(seed))

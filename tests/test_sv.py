@@ -10,16 +10,24 @@ from randamp.sv import (
     SettingSteering,
     StrategyViolationError,
     SvTranscript,
-    bit_zero_probabilities,
+    bit_probabilities,
+    code_law,
     draw_bits,
     draw_index,
     draw_setting,
-    exact_bitstring_distribution,
     next_bit,
     string_probability_bounds,
 )
 
-from helpers import SvParams, draw_kept_setting, replay_transcript
+from helpers import (
+    SvParams,
+    builtin_strategies,
+    draw_kept_setting,
+    exact_bitstring_distribution,
+    replay_transcript,
+)
+
+EPSILONS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.49)
 
 
 class FixedRng:
@@ -90,16 +98,16 @@ def test_bit_zero_probabilities_match_exact_walk():
     1/2 + bias, so the product of the per-bit laws is the exact walk."""
     for strategy in (HonestBits(), ConstantBias(-0.1), GreedyTowardString((0, 1, 1), 0.1),
                      SettingSteering((0, 1, 1, 0), 0.1)):
-        p0 = bit_zero_probabilities(strategy, 7, 0.1)
+        bit_p = bit_probabilities(strategy, 7, 0.1)
         walk = exact_bitstring_distribution(strategy, 7, 0.1).reshape((2,) * 7)
         product = np.array(1.0)
-        for p in p0:
-            product = np.multiply.outer(product, [p, 1.0 - p])
-        assert np.max(np.abs(product - walk)) <= 1e-15
-    assert list(bit_zero_probabilities(GreedyTowardString((1, 0), 0.2), 5, 0.2)) == [0.3, 0.7, 0.3, 0.7, 0.3]
-    assert len(bit_zero_probabilities(HonestBits(), 0, 0.0)) == 0
+        for p in bit_p:
+            product = np.multiply.outer(product, p)
+        assert np.array_equal(product, walk)
+    assert list(bit_probabilities(GreedyTowardString((1, 0), 0.2), 5, 0.2)[:, 0]) == [0.3, 0.7, 0.3, 0.7, 0.3]
+    assert bit_probabilities(HonestBits(), 0, 0.0).shape == (0, 2)
     with pytest.raises(StrategyViolationError):
-        bit_zero_probabilities(ConstantBias(0.2), 3, 0.1)
+        bit_probabilities(ConstantBias(0.2), 3, 0.1)
 
     class LateViolation:
         period = 2
@@ -108,9 +116,33 @@ def test_bit_zero_probabilities_match_exact_walk():
             return 0.3 * (len(history) % 2)
 
     with pytest.raises(StrategyViolationError, match="position 1"):
-        bit_zero_probabilities(LateViolation(), 2, 0.1)
+        bit_probabilities(LateViolation(), 2, 0.1)
     with pytest.raises(ValueError, match="period"):
-        bit_zero_probabilities(ParityFeedback(0.1), 3, 0.1)
+        bit_probabilities(ParityFeedback(0.1), 3, 0.1)
+
+
+def test_code_law_is_the_exact_walk():
+    """code_law of the per-bit laws is the walk over the history tree, float
+    for float, for every built-in strategy; leading axes are batches."""
+    for eps in EPSILONS:
+        for strategy in builtin_strategies(eps):
+            for length in (0, 1, 4, 7):
+                law = code_law(bit_probabilities(strategy, length, eps))
+                assert np.array_equal(law, exact_bitstring_distribution(strategy, length, eps)), (strategy, eps)
+    bit_p = bit_probabilities(GreedyTowardString((0, 1, 1), 0.2), 6, 0.2).reshape(2, 3, 2)
+    batched = code_law(bit_p)
+    assert batched.shape == (2, 8)
+    for row, p in zip(batched, bit_p):
+        assert np.array_equal(row, code_law(p))
+
+
+def test_setting_steering_is_a_four_bit_target():
+    for setting in ((2, 0, 0, 0), (0, 1, 0), (0, 1, 1, 0, 1)):
+        with pytest.raises(ValueError):
+            SettingSteering(setting, 0.1)
+    steer, greedy = SettingSteering((0, 1, 1, 0), 0.1), GreedyTowardString((0, 1, 1, 0), 0.1)
+    assert steer.period == 4
+    assert [steer.bias([0] * i) for i in range(9)] == [greedy.bias([0] * i) for i in range(9)]
 
 
 def test_draw_setting_bit_order():
