@@ -200,6 +200,8 @@ def cmd_certify(args) -> int:
     if method not in ("highs", "simplex"):
         raise ConfigError(f"unknown value {method!r} for field 'method'")
     tol = _number(cfg.get("tolerance", 1e-8), "tolerance")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"field 'tolerance' must be a finite number >= 0, got {tol!r}")
     grid, passed, reports = [], True, []
     for delta, value in zip(deltas, values):
         try:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import as_integer
-from .sv import bit_probabilities, code_law
+from .sv import as_integer, bit_probabilities, code_law
 
 MAX_TABLE_ENTRIES = 1 << 24
 CHUNK_ENTRIES = 1 << 18

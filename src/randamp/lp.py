@@ -22,12 +22,20 @@ since they differ only in the objective) and carries its primal box and
 dual vector to the others; each map is first checked exactly, in integers,
 on the constraint rows, their right-hand side and the objectives, and each
 carried certificate is checked again like a solved one (Bodi, Herr &
-Joswig, Math. Program. 137, 2013).
+Joswig, Math. Program. 137, 2013).  The row map is checked on the ~2.9k
+nonzero entries of the constraint matrix: once P and R are bijections,
+A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
+one.
+
+The equality system is built by index arithmetic, and HiGHS gets it and
+the Bell row as CSR matrices, cached like the system itself, so that
+linprog does not convert a dense matrix on every solve.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +56,7 @@ from .boxes import (
 from .simplex import simplex_solve
 
 N_VARS = N_OUTCOMES * N_SETTINGS  # p(x|u) flattened outcome-major
+N_EQ = N_SETTINGS + 4 * 64  # normalization rows, then 64 marginal rows per party
 
 
 class CertificationError(AssertionError):
@@ -68,37 +77,34 @@ def var_index(x: int, u: int) -> int:
     return x * N_SETTINGS + u
 
 
+def _insert_zero_bit(index, pos):
+    low = index & ((1 << pos) - 1)
+    return low | ((index >> pos) << (pos + 1))
+
+
+def _drop_bit(index, pos):
+    low = index & ((1 << pos) - 1)
+    return low | ((index >> (pos + 1)) << pos)
+
+
 @lru_cache(maxsize=1)
 def equality_constraints():
-    """(A, b) for normalization and the per-party marginal matching rows."""
-    rows = []
-    b = []
-    for u in range(N_SETTINGS):
-        row = np.zeros(N_VARS)
-        for x in range(N_OUTCOMES):
-            row[var_index(x, u)] = 1.0
-        rows.append(row)
-        b.append(1.0)
-    for party in range(4):
-        others = [i for i in range(4) if i != party]
-        for other_setting in range(8):
-            for other_outcome in range(8):
-                row = np.zeros(N_VARS)
-                u_bits = [0] * 4
-                x_bits = [0] * 4
-                for pos, i in enumerate(others):
-                    u_bits[i] = (other_setting >> pos) & 1
-                    x_bits[i] = (other_outcome >> pos) & 1
-                for xi in (0, 1):
-                    x_bits[party] = xi
-                    x = pack_bits(x_bits)
-                    u_bits[party] = 0
-                    row[var_index(x, pack_bits(u_bits))] += 1.0
-                    u_bits[party] = 1
-                    row[var_index(x, pack_bits(u_bits))] -= 1.0
-                rows.append(row)
-                b.append(0.0)
-    return np.array(rows), np.array(b)
+    """(A, b) for normalization and the per-party marginal matching rows.
+
+    Row u < 16 sums p(.|u) to 1.  Row 16 + 64 i + 8 s + o, for party i and
+    the other parties' settings s and outcomes o (their bits in party
+    order), is the sum over x_i of p(x|u_i = 0) - p(x|u_i = 1) = 0."""
+    A = np.zeros((N_EQ, N_VARS))
+    u = np.arange(N_SETTINGS)[:, None]
+    A[u, var_index(np.arange(N_OUTCOMES), u)] = 1.0
+    r = np.arange(N_EQ - N_SETTINGS)[:, None]
+    party = r // 64
+    x = _insert_zero_bit(r % 8, party) | (np.arange(2) << party)
+    u = _insert_zero_bit((r // 8) % 8, party)
+    A[N_SETTINGS + r, var_index(x, u)] = 1.0
+    A[N_SETTINGS + r, var_index(x, u | (1 << party))] = -1.0
+    b = np.concatenate([np.ones(N_SETTINGS), np.zeros(N_EQ - N_SETTINGS)])
+    return A, b
 
 
 @lru_cache(maxsize=1)
@@ -197,17 +203,27 @@ def _dual_vector(free, pos, bell: float) -> np.ndarray:
     ])
 
 
+@lru_cache(maxsize=1)
+def _sparse_rows():
+    """A_eq and the Bell row as CSR matrices for HiGHS, which takes sparse
+    input: given dense ones, linprog converts them again on every solve."""
+    from scipy.sparse import csr_array
+
+    A_eq, _ = equality_constraints()
+    return csr_array(A_eq), csr_array(bell_row()[None, :])
+
+
 def _solve_primal_highs(instance: LpInstance):
     """HiGHS on min -m.x/2; its multipliers satisfy
     -m/2 = A_eq^T y + bell_row * mu + s with mu <= 0 and s >= 0.  x <= 1 is
     implied by normalization, so no bound row is given for it."""
-    A_eq, b_eq = equality_constraints()
+    A_eq, bell = _sparse_rows()
     res = linprog(
         -0.5 * instance.objective_m(),
-        A_ub=bell_row()[None, :],
+        A_ub=bell,
         b_ub=[instance.delta],
         A_eq=A_eq,
-        b_eq=b_eq,
+        b_eq=equality_constraints()[1],
         bounds=(0, None),
         method="highs",
     )
@@ -273,24 +289,21 @@ def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSol
     the equality blocks, so no dense copy of the inequality matrix is needed;
     the box must be no-signaling within 1e-7 and LpSolution checks weak
     duality."""
-    if np.min(lam) < 0.0:
+    if lam.min() < 0.0:
         raise CertificationError(
-            f"dual certificate has a negative multiplier on {instance}: {np.min(lam):.3e}"
+            f"dual certificate has a negative multiplier on {instance}: {lam.min():.3e}"
         )
-    m = instance.objective_m()
     A_eq, _ = equality_constraints()
-    n_eq = len(A_eq)
-    lam_pos = lam[2 * n_eq : 2 * n_eq + N_VARS]
-    lam_bell = lam[-1]
-    residual = float(np.max(np.abs(
-        A_eq.T @ (lam[:n_eq] - lam[n_eq : 2 * n_eq]) - lam_pos + lam_bell * bell_row() - m
-    )))
+    lam_pos = lam[2 * N_EQ : 2 * N_EQ + N_VARS]
+    residual = float(np.abs(
+        A_eq.T @ (lam[:N_EQ] - lam[N_EQ : 2 * N_EQ]) - lam_pos + lam[-1] * bell_row() - instance.objective_m()
+    ).max())
     if residual > 1e-6:
         raise CertificationError(
             f"dual certificate infeasible on {instance}, residual {residual:.3e}"
         )
     dual_value = float(_inequality_rhs(instance.delta) @ lam)
-    table = np.clip(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0, None)
+    table = np.maximum(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0)
     table /= table.sum(axis=0, keepdims=True)
     box = NsBox(table, tol=1e-7)
     return LpSolution(instance, float(value), box, lam, dual_value, method, residual)
@@ -313,23 +326,11 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
 INSTANCE_KEYS = tuple((u_star, guess) for u_star in INEQUALITY_SETTINGS for guess in (0, 1))
 
 
-def _permute_bits(index, parties):
-    """Move bit i of each index to bit parties[i]."""
-    index = np.asarray(index)
-    out = np.zeros_like(index)
-    for i, j in enumerate(parties):
-        out |= ((index >> i) & 1) << j
-    return out
-
-
-def _insert_zero_bit(index, pos):
-    low = index & ((1 << pos) - 1)
-    return low | ((index >> pos) << (pos + 1))
-
-
-def _drop_bit(index, pos):
-    low = index & ((1 << pos) - 1)
-    return low | ((index >> (pos + 1)) << pos)
+@lru_cache(maxsize=None)
+def _bit_permutation(parties: tuple) -> np.ndarray:
+    """The 16 four-bit indices with bit i of each moved to bit parties[i]."""
+    bits = (np.arange(N_SETTINGS)[:, None] >> np.arange(4)) & 1
+    return bits @ (1 << np.asarray(parties))
 
 
 @dataclass(frozen=True)
@@ -346,10 +347,10 @@ class SymmetryMap:
     in_flip: bool
 
     def outcome(self, x):
-        return _permute_bits(x, self.parties) ^ self.out_flip
+        return _bit_permutation(tuple(self.parties))[x] ^ self.out_flip
 
     def setting(self, u):
-        return _permute_bits(u, self.parties) ^ (N_SETTINGS - 1 if self.in_flip else 0)
+        return _bit_permutation(tuple(self.parties))[u] ^ (N_SETTINGS - 1 if self.in_flip else 0)
 
     def var_perm(self) -> np.ndarray:
         """P with p'[P[v]] = p[v] over flat variables v = var_index(x, u)."""
@@ -361,8 +362,7 @@ class SymmetryMap:
         see `_inequality_rhs`): row r read on p is row R[r] read on p'.  A
         marginal row whose own input flips changes sign, so it moves between
         the +A_eq and the -A_eq block."""
-        n_eq = N_SETTINGS + 4 * 64
-        rows = np.empty(2 * n_eq + N_VARS + 1, dtype=np.int64)
+        rows = np.empty(2 * N_EQ + N_VARS + 1, dtype=np.int64)
         rows[:N_SETTINGS] = self.setting(np.arange(N_SETTINGS))
         # Marginal row 16 + 64 i + 8 s + o: party i, other settings s and
         # other outcomes o; its +1 entries sit at the party's own input 0.
@@ -372,11 +372,11 @@ class SymmetryMap:
         u = self.setting(_insert_zero_bit((r // 8) % 8, party))
         moved = np.asarray(self.parties)[party]
         own_input = (u >> moved) & 1
-        rows[N_SETTINGS:n_eq] = (
-            N_SETTINGS + 64 * moved + 8 * _drop_bit(u, moved) + _drop_bit(x, moved) + n_eq * own_input
+        rows[N_SETTINGS:N_EQ] = (
+            N_SETTINGS + 64 * moved + 8 * _drop_bit(u, moved) + _drop_bit(x, moved) + N_EQ * own_input
         )
-        rows[n_eq : 2 * n_eq] = (rows[:n_eq] + n_eq) % (2 * n_eq)
-        rows[2 * n_eq : -1] = 2 * n_eq + self.var_perm()
+        rows[N_EQ : 2 * N_EQ] = (rows[:N_EQ] + N_EQ) % (2 * N_EQ)
+        rows[2 * N_EQ : -1] = 2 * N_EQ + self.var_perm()
         rows[-1] = len(rows) - 1
         return rows
 
@@ -392,21 +392,25 @@ def _candidate_maps():
             yield SymmetryMap(perm + (3,), out_flip, bin(out_flip).count("1") % 2 == 1)
 
 
+@lru_cache(maxsize=1)
 def _integer_rows():
     """The rows (+A_eq, -A_eq, -I, Bell) and right-hand side of the
     inequality form in integers, the Bell entry of the right-hand side
-    (delta) left at 0."""
+    (delta) left at 0, and the (row, column) indices of the rows' nonzero
+    entries."""
     A_eq, b_eq = equality_constraints()
     A_int, b_int = A_eq.astype(np.int8), b_eq.astype(np.int8)
     if not (np.array_equal(A_int, A_eq) and np.array_equal(b_int, b_eq)):
         raise CertificationError("equality constraints are not integral")
     A = np.vstack([A_int, -A_int, -np.eye(N_VARS, dtype=np.int8), bell_row().astype(np.int8)[None, :]])
     c = np.concatenate([b_int, -b_int, np.zeros(N_VARS + 1, dtype=np.int8)])
-    return A, c
+    return A, c, np.divmod(np.flatnonzero(A != 0), N_VARS)
 
 
-def _objective_int(key) -> np.ndarray:
-    return LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8)
+@lru_cache(maxsize=1)
+def _objectives_int() -> dict:
+    """The unhalved objective of every instance in integers, by key."""
+    return {key: LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8) for key in INSTANCE_KEYS}
 
 
 def check_symmetry_map(smap: SymmetryMap, source, target):
@@ -417,17 +421,21 @@ def check_symmetry_map(smap: SymmetryMap, source, target):
     onto row R[r] under P, the right-hand side is unchanged, the Bell row is
     fixed (so every delta is kept) and the source objective becomes the
     target objective.  Any failure raises CertificationError."""
-    A, c = _integer_rows()
+    A, c, (rows, cols) = _integer_rows()
     P, R = smap.var_perm(), smap.row_perm()
     if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
         raise CertificationError(f"{smap} is not a bijection")
     if R[-1] != len(A) - 1:
         raise CertificationError(f"{smap} moves the Bell row")
-    if not np.array_equal(A[R][:, P], A):
+    # A[R][:, P] == A, checked on A's nonzero entries only: (r, v) ->
+    # (R[r], P[v]) is a bijection, so once it sends every nonzero entry to
+    # an equal one, the nonzero entries fill A's support and zeros go to zeros.
+    if not np.array_equal(A[R[rows], P[cols]], A[rows, cols]):
         raise CertificationError(f"{smap} does not map the inequality rows onto themselves")
     if not np.array_equal(c[R], c):
         raise CertificationError(f"{smap} changes the right-hand side")
-    if not np.array_equal(_objective_int(target)[P], _objective_int(source)):
+    objectives = _objectives_int()
+    if not np.array_equal(objectives[target][P], objectives[source]):
         raise CertificationError(f"{smap} does not carry the objective of {source} to {target}")
     return P, R
 
@@ -441,18 +449,19 @@ def symmetry_orbits():
     another instance's objective carries the representative to it, and must
     pass `check_symmetry_map`.  An instance no map reaches is its own
     representative."""
-    by_objective = {_objective_int(key).tobytes(): key for key in INSTANCE_KEYS}
-    candidates = list(_candidate_maps())
+    objectives = _objectives_int()
+    by_objective = {m.tobytes(): key for key, m in objectives.items()}
+    candidates = [(smap, smap.var_perm()) for smap in _candidate_maps()]
     reached, orbits = set(), []
     for rep in INSTANCE_KEYS:
         if rep in reached:
             continue
         reached.add(rep)
-        m_rep = _objective_int(rep)
+        m_rep = objectives[rep]
         members = []
-        for smap in candidates:
+        for smap, P in candidates:
             image = np.empty_like(m_rep)
-            image[smap.var_perm()] = m_rep
+            image[P] = m_rep
             member = by_objective.get(image.tobytes())
             if member is None or member in reached:
                 continue
@@ -509,8 +518,11 @@ def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> Cer
     for the primal optimum and for the bound each dual certificate proves:
     for every feasible x (|x|_1 = 16, one unit per setting),
     m.x/2 <= dual_value/2 + 8 * dual_residual.  Raises CertificationError
-    naming the first violating instance.
+    naming the first violating instance.  tol must be finite and >= 0: a
+    NaN one would make every cap comparison false.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     bound = analytic_bound(delta)
     solutions = {}
     orbits = symmetry_orbits()

@@ -10,7 +10,6 @@ the per-device majorities of the first three outcome bits.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,20 +25,9 @@ from .boxes import (
     unpack_bits,
 )
 from .devices import IidDevice, MixtureDevice, sample_outcome
-from .sv import SvTranscript, bit_probabilities, code_law, draw_index, draw_setting
+from .sv import SvTranscript, as_integer, bit_probabilities, code_law, draw_index, draw_setting
 
 WILSON_Z99 = 2.5758293035489004
-
-
-def as_integer(value, field: str) -> int:
-    """value as an int when it is one (operator.index, so numpy integers
-    pass); a bool, a float or a string is refused, not truncated."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{field} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ history-dependent and have no exact law here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,27 @@ import numpy as np
 
 class StrategyViolationError(ValueError):
     """A bias rule returned a value outside the admissible interval."""
+
+
+def as_integer(value, field: str) -> int:
+    """value as an int when it is one (operator.index, so numpy integers
+    pass); a bool, a float or a string is refused, not truncated."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{field} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
+
+
+def _bit_string(bits, field: str) -> tuple:
+    """bits as a nonempty tuple of the integers 0 and 1, each entry taken by
+    as_integer: a bool, a float, a string or any other integer is refused,
+    not converted."""
+    bits = tuple(as_integer(b, field) for b in bits)
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"{field} must be a nonempty bit string, got {bits}")
+    return bits
 
 
 @dataclass
@@ -59,9 +81,7 @@ class GreedyTowardString:
     """Push every bit toward a cyclic target pattern as hard as allowed."""
 
     def __init__(self, target, epsilon: float):
-        self.target = tuple(int(b) for b in target)
-        if not self.target or any(b not in (0, 1) for b in self.target):
-            raise ValueError("target must be a nonempty bit string")
+        self.target = _bit_string(target, "target")
         self.period = len(self.target)
         self.epsilon = float(epsilon)
 
@@ -78,9 +98,10 @@ class SettingSteering(GreedyTowardString):
     """
 
     def __init__(self, setting, epsilon: float):
+        setting = _bit_string(setting, "setting")
+        if len(setting) != 4:
+            raise ValueError(f"setting must have four bits, got {setting}")
         super().__init__(setting, epsilon)
-        if self.period != 4:
-            raise ValueError("setting must have four bits")
 
 
 def next_bit(strategy, transcript: SvTranscript, rng: np.random.Generator) -> int:

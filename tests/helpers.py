@@ -5,24 +5,47 @@ position shift, to check the library's position-only laws against it), a
 kept-setting sampler, a transcript replay audit, a no-signaling checker for
 tables of any number of binary parties, the joint table of independent
 boxes, the exhaustive XOR oracle of criterion 4, the mutual information of
-a 2-D joint, the all-inequality form of the guessing LP, the goodness oracle
-over a run's selected conditional boxes, the density-matrix Born rule over
-product measurement vectors (and those vectors as one einsum), trials.csv
-written row by row, and a device's likelihood of a history and the device
-conditioned on it.  The dense de Finetti oracle is in dense_definetti."""
+a 2-D joint, the all-inequality form of the guessing LP, its equality
+system built row by row, the dense check of a symmetry map and the
+four-party no-signaling check one party at a time (the oracles of
+lp.equality_constraints, lp.check_symmetry_map and
+boxes.no_signaling_violations), the goodness oracle over a run's selected
+conditional boxes, the density-matrix Born rule over product measurement
+vectors (and those vectors as one einsum), trials.csv written row by row,
+and a device's likelihood of a history and the device conditioned on it.
+The dense de Finetti oracle is in dense_definetti."""
 
 import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from randamp.boxes import DEFAULT_TOL, NsBox, as_table, bell_value, in_inequality
+from randamp.boxes import (
+    DEFAULT_TOL,
+    N_OUTCOMES,
+    N_SETTINGS,
+    NsBox,
+    as_table,
+    bell_value,
+    bits_str,
+    box_tensor,
+    in_inequality,
+    pack_bits,
+)
 from randamp.definetti import _pinsker_batch
 from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHistoryError, _scaled_likelihood
-from randamp.lp import N_VARS, _inequality_rhs, bell_row, equality_constraints
+from randamp.lp import (
+    N_VARS,
+    CertificationError,
+    LpInstance,
+    _inequality_rhs,
+    bell_row,
+    equality_constraints,
+    var_index,
+)
 from randamp.protocol import RunTranscript
 from randamp.quantum import NoiseSpec, rotate_bases, validate_bases, validate_state
 from randamp.sv import (
@@ -188,6 +211,106 @@ def inequality_constraints(delta: float):
     A_eq, _ = equality_constraints()
     A = np.vstack([A_eq, -A_eq, -np.eye(N_VARS), bell_row()[None, :]])
     return A, _inequality_rhs(delta)
+
+
+def loop_equality_constraints():
+    """The equality system of the guessing LP built one row at a time: the
+    oracle for lp.equality_constraints."""
+    rows = []
+    b = []
+    for u in range(N_SETTINGS):
+        row = np.zeros(N_VARS)
+        for x in range(N_OUTCOMES):
+            row[var_index(x, u)] = 1.0
+        rows.append(row)
+        b.append(1.0)
+    for party in range(4):
+        others = [i for i in range(4) if i != party]
+        for other_setting in range(8):
+            for other_outcome in range(8):
+                row = np.zeros(N_VARS)
+                u_bits = [0] * 4
+                x_bits = [0] * 4
+                for pos, i in enumerate(others):
+                    u_bits[i] = (other_setting >> pos) & 1
+                    x_bits[i] = (other_outcome >> pos) & 1
+                for xi in (0, 1):
+                    x_bits[party] = xi
+                    x = pack_bits(x_bits)
+                    u_bits[party] = 0
+                    row[var_index(x, pack_bits(u_bits))] += 1.0
+                    u_bits[party] = 1
+                    row[var_index(x, pack_bits(u_bits))] -= 1.0
+                rows.append(row)
+                b.append(0.0)
+    return np.array(rows), np.array(b)
+
+
+@lru_cache(maxsize=1)
+def _dense_integer_rows():
+    A_eq, b_eq = loop_equality_constraints()
+    A_int, b_int = A_eq.astype(np.int8), b_eq.astype(np.int8)
+    A = np.vstack([A_int, -A_int, -np.eye(N_VARS, dtype=np.int8), bell_row().astype(np.int8)[None, :]])
+    c = np.concatenate([b_int, -b_int, np.zeros(N_VARS + 1, dtype=np.int8)])
+    return A, c
+
+
+def dense_check_symmetry_map(smap, source, target):
+    """lp.check_symmetry_map with the row map checked on the whole integer
+    matrix, A[R][:, P] == A, over the loop-built system: its oracle.
+    Returns (P, R) or raises CertificationError with the same messages."""
+    A, c = _dense_integer_rows()
+    P, R = smap.var_perm(), smap.row_perm()
+
+    def objective(key):
+        return LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8)
+
+    if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
+        raise CertificationError(f"{smap} is not a bijection")
+    if R[-1] != len(A) - 1:
+        raise CertificationError(f"{smap} moves the Bell row")
+    if not np.array_equal(A[R][:, P], A):
+        raise CertificationError(f"{smap} does not map the inequality rows onto themselves")
+    if not np.array_equal(c[R], c):
+        raise CertificationError(f"{smap} changes the right-hand side")
+    if not np.array_equal(objective(target)[P], objective(source)):
+        raise CertificationError(f"{smap} does not carry the objective of {source} to {target}")
+    return P, R
+
+
+def tensor_marginal_shifts(table) -> list:
+    """Per party, |marginal at own input 0 - marginal at own input 1| over
+    the other parties' (outcomes, settings), each marginal summed from the
+    (x1..x4, u1..u4) tensor."""
+    t = box_tensor(np.asarray(table, dtype=float))
+    shifts = []
+    for party in range(4):
+        marg = t.sum(axis=party)
+        shifts.append(np.abs(np.take(marg, 0, axis=3 + party) - np.take(marg, 1, axis=3 + party)))
+    return shifts
+
+
+def tensor_no_signaling_violations(table, tol: float = DEFAULT_TOL):
+    """boxes.no_signaling_violations with each party's marginal taken from
+    the (x1..x4, u1..u4) tensor one party at a time: its oracle."""
+    table = np.asarray(table, dtype=float)
+    if table.shape != (N_OUTCOMES, N_SETTINGS):
+        return [f"table shape {table.shape} != (16, 16)"]
+    violations = []
+    if np.min(table) < -tol:
+        for x, u in zip(*np.where(table < -tol)):
+            violations.append(f"negative entry p({bits_str(x)}|{bits_str(u)}) = {table[x, u]:.3e}")
+    col_sums = table.sum(axis=0)
+    for u in np.where(np.abs(col_sums - 1.0) > tol)[0]:
+        violations.append(f"setting {bits_str(u)} sums to {col_sums[u]:.12f}")
+    for party, diff in enumerate(tensor_marginal_shifts(table)):
+        for idx in zip(*np.where(diff > tol)):
+            violations.append(
+                f"party {party + 1} marginal shifts by {diff[idx]:.3e} "
+                f"(other outcomes {''.join(map(str, idx[:3]))}, "
+                f"other settings {''.join(map(str, idx[3:]))})"
+            )
+    return violations
 
 
 @dataclass

@@ -21,6 +21,7 @@ from randamp.boxes import (
     local_deterministic_box,
     majority,
     mixed_with_uniform,
+    no_signaling_violations,
     pack_bits,
     parity,
     parity_box,
@@ -28,7 +29,12 @@ from randamp.boxes import (
     unpack_bits,
 )
 
-from helpers import is_no_signaling_parties, product_box
+from helpers import (
+    is_no_signaling_parties,
+    product_box,
+    tensor_marginal_shifts,
+    tensor_no_signaling_violations,
+)
 
 
 def test_bit_packing_roundtrip():
@@ -216,3 +222,76 @@ def test_enumerate_local_deterministic_boxes_complete():
     assert len(seen) == 256  # all distinct deterministic vertices
     for _, table in boxes[:16]:
         assert is_no_signaling(table)[0]
+
+
+def _same_verdict_as_oracle(table, tol):
+    """no_signaling_violations and NsBox agree with the one-party-at-a-time
+    oracle: the same violations, in order, and the same NsBox error."""
+    violations = tensor_no_signaling_violations(table, tol)
+    assert no_signaling_violations(table, tol) == violations
+    if violations:
+        more = f" (+{len(violations) - 4} more)" if len(violations) > 4 else ""
+        with pytest.raises(BoxValidationError) as err:
+            NsBox(table, tol=tol)
+        assert str(err.value) == f"invalid box: {'; '.join(violations[:4])}{more}"
+    else:
+        NsBox(table, tol=tol)
+    return violations
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_validation_matches_oracle_at_the_tolerance(tol):
+    """Tables a few ulps inside and outside tol for each kind of violation
+    keep the decision and messages of the one-party-at-a-time check."""
+    def steps(ulp):
+        return [tol + k * ulp for k in range(-6, 7)]
+
+    # A negative entry: p(0000|0000) = -e in a deterministic box.
+    kinds = {"negative entry": []}
+    for e in [np.nextafter(tol, -np.inf), tol, np.nextafter(tol, np.inf)]:
+        table = local_deterministic_box(((1, 1), (0, 1), (0, 0), (1, 0)))
+        table[0, 0] = -e
+        kinds["negative entry"].append(_same_verdict_as_oracle(table, tol))
+    # A column sum: every entry of setting 0101 scaled by 1 + s, s stepped
+    # by ulps of 1.
+    kinds["sums to"] = []
+    for s in steps(2.0**-52):
+        table = np.full((16, 16), 1.0 / 16.0)
+        table[:, 5] *= 1.0 + s
+        kinds["sums to"].append(_same_verdict_as_oracle(table, tol))
+    # A marginal: mass d moved along party j's output bit at setting 0000,
+    # which shifts every other party's marginal and leaves party j's alone;
+    # d stepped by ulps of the 1/8 marginal sums.
+    for j in range(4):
+        kinds[f"party {j + 1}"] = []
+        for d in steps(2.0**-55):
+            table = np.full((16, 16), 1.0 / 16.0)
+            table[0, 0] -= d
+            table[1 << j, 0] += d
+            found = _same_verdict_as_oracle(table, tol)
+            assert not any(v.startswith(f"party {j + 1} ") for v in found)
+            kinds[f"party {j + 1}"].append(found)
+    for kind, verdicts in kinds.items():
+        # Each sweep crosses the tolerance: its first table passes and its
+        # last one fails, naming that kind of violation.
+        assert verdicts[0] == [] and verdicts[-1], kind
+        if kind.startswith("party"):
+            others = {f"party {i + 1} " for i in range(4)} - {kind + " "}
+            assert {v[:8] for v in verdicts[-1] if v.startswith("party")} == others
+        else:
+            assert any(kind in v for v in verdicts[-1]), kind
+
+
+def test_validation_matches_oracle_on_perturbed_boxes():
+    rng = np.random.default_rng(20)
+    tables = [algebraic_violation_box().table, uniform_box().table,
+              local_deterministic_box(((0, 1), (1, 0), (1, 1), (0, 0)))]
+    for trial in range(300):
+        table = tables[trial % 3] + rng.normal(scale=10.0 ** rng.uniform(-10, -6), size=(16, 16))
+        _same_verdict_as_oracle(table, 1e-8)
+        # At the largest marginal shift itself and one ulp either side, so a
+        # shift summed in another order, off in its last bit, shows.
+        worst = max(float(d.max()) for d in tensor_marginal_shifts(table))
+        for tol in (np.nextafter(worst, 0.0), worst, np.nextafter(worst, 1.0)):
+            _same_verdict_as_oracle(table, tol)
+    assert no_signaling_violations(np.ones((4, 4))) == ["table shape (4, 4) != (16, 16)"]

@@ -429,6 +429,66 @@ def test_certify_command(tmp_path, capsys):
     assert f"{max(f['dual_residual'] for f in facts):.3e}" == line.group(1)
 
 
+# sha256 of certify.json and of the manifest's metrics, and the HiGHS
+# iteration count of every solve in order, on a grid with every linear piece
+# of the LP value function, the tight delta = 1/3 and both ends of [0, 8].
+# Recorded before the equality system was built by index arithmetic and
+# handed to HiGHS as sparse matrices; both must leave every byte alone.  The
+# figures are those of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS
+# may take other pivots.
+PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
+PINNED_CERTIFY = {
+    "highs": ("db3c0d7f601c162780becce67a3fd58bb387cf26ebee5ab159d2b63ddaa7a76a",
+              "9a88d9a4b03762f09e224b64750657bdc5528d6e618b9cc90b7660bf0096b27e"),
+    "simplex": ("c7ad8af187c68b1f086f10202b4a8ddea20f8cb5370b8ea891a43a08a7f5354a",
+                "17a2a5bcd63b8025e7032f6aa754878f9e5220bd3bd72e27df7213d5dbb5fb32"),
+}
+PINNED_HIGHS_NIT = [153, 151, 216, 242, 198, 239, 228, 251, 249, 227, 227, 202, 197, 199, 227, 204]
+
+
+def test_certify_outputs_pinned(tmp_path, monkeypatch):
+    import randamp.lp as lp
+
+    nits = []
+    real = lp.linprog
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nits.append(int(res.nit))
+        return res
+
+    monkeypatch.setattr(lp, "linprog", recording)
+    for method, (certify_sha, metrics_sha) in PINNED_CERTIFY.items():
+        cfg = write_config(tmp_path, {"deltas": PINNED_CERTIFY_DELTAS, "method": method}, f"{method}.json")
+        out = tmp_path / method
+        assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "certify.json").read_bytes()).hexdigest() == certify_sha, method
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest()
+        assert digest == metrics_sha, method
+    assert nits == PINNED_HIGHS_NIT
+
+
+@pytest.mark.parametrize("tolerance", ["NaN", "Infinity", "-Infinity", "-1e-9"])
+def test_certify_rejects_a_tolerance_that_checks_nothing(tmp_path, capsys, tolerance):
+    """A NaN tolerance makes every cap comparison false, so it would pass
+    any optimum; an infinite or negative one is no tolerance either."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"deltas": [0.3, 3.0], "tolerance": {tolerance}}}')
+    out = tmp_path / "cert"
+    assert run_main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "'tolerance'" in captured.err and "certification" not in captured.out
+    assert not out.exists()
+
+
+def test_certify_accepts_a_zero_tolerance(tmp_path, capsys):
+    # Deltas where the cap is not tight, so no rounding can reach it.
+    cfg = write_config(tmp_path, {"deltas": [0.0, 0.5], "tolerance": 0})
+    assert run_main(["certify", "--config", cfg]) == 0
+    assert "certification: pass" in capsys.readouterr().out
+
+
 def test_certify_rejects_empty_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, {"deltas": []})
     assert run_main(["certify", "--config", cfg]) == 2

@@ -183,7 +183,7 @@ def test_product_gap_matches_brute_force():
     rng = np.random.default_rng(17)
     components = [random_column_stochastic(rng) for _ in range(2)]
     system = exchangeable_mixture((1, 2), components, (0.3, 0.7))
-    nu = sv_input_distribution(GreedyTowardString("0", 0.1), 0.1, 3, 2)
+    nu = sv_input_distribution(GreedyTowardString((0,), 0.1), 0.1, 3, 2)
 
     # fully used: condition on device 2's first use
     got = product_gap(system, [1], [[0], [2]], nu)
@@ -457,7 +457,7 @@ def test_sv_input_distribution():
     nu = sv_input_distribution(HonestBits(), 0.0, 2, 4)
     assert nu.shape == (4, 4)
     assert np.allclose(nu, 1 / 16.0)
-    biased = sv_input_distribution(GreedyTowardString("0", 0.1), 0.1, 1, 2)
+    biased = sv_input_distribution(GreedyTowardString((0,), 0.1), 0.1, 1, 2)
     assert biased[0] == pytest.approx(0.6)
     with pytest.raises(ValueError):
         sv_input_distribution(HonestBits(), 0.0, 2, 3)
@@ -583,7 +583,7 @@ def test_product_gap_guards():
 def test_definetti_check_report():
     system = exchangeable_mixture((1, 2), [Q_ZERO, Q_ONE], (0.5, 0.5))
     report = dense_check(
-        system, GreedyTowardString("0", 0.1), 0.1, (2.0,), pinsker=True
+        system, GreedyTowardString((0,), 0.1), 0.1, (2.0,), pinsker=True
     )
     assert len(report.selections) == 2
     weights = [w for _, w, _, _ in report.selections]

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from randamp.lp import (
     symmetry_orbits,
 )
 
-from helpers import inequality_constraints
+from helpers import dense_check_symmetry_map, inequality_constraints, loop_equality_constraints
 
 U_STAR = (0, 0, 0, 1)
 
@@ -53,6 +55,14 @@ def test_equality_system_shape_and_rank():
     keep = independent_equality_rows()
     assert len(keep) == np.linalg.matrix_rank(A)
     assert np.linalg.matrix_rank(A[keep]) == len(keep)
+
+
+def test_equality_system_matches_row_by_row_oracle():
+    A, b = equality_constraints()
+    A_loop, b_loop = loop_equality_constraints()
+    assert A.dtype == A_loop.dtype and b.dtype == b_loop.dtype
+    assert A.shape == A_loop.shape and A.flags.c_contiguous
+    assert A.tobytes() == A_loop.tobytes() and b.tobytes() == b_loop.tobytes()
 
 
 def test_frozen_grid():
@@ -205,6 +215,84 @@ def test_corrupted_symmetry_maps_rejected():
     check_symmetry_map(SymmetryMap((0, 1, 2, 3), 8, True), source, ((1, 1, 1, 0), 0))
 
 
+def _verdict(check, *args):
+    try:
+        P, R = check(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return P.tobytes(), R.tobytes()
+
+
+@dataclass(frozen=True)
+class SwappedMap(SymmetryMap):
+    """A symmetry map with two entries of its P or of its R swapped, or
+    (j = None) entry i of P overwritten by entry i + 1."""
+
+    which: str = "P"
+    i: int = 0
+    j: int | None = None
+
+    def _corrupt(self, perm):
+        perm = perm.copy()
+        if self.j is None:
+            perm[self.i] = perm[self.i + 1]
+        else:
+            perm[[self.i, self.j]] = perm[[self.j, self.i]]
+        return perm
+
+    def var_perm(self):
+        P = super().var_perm()
+        return self._corrupt(P) if self.which == "P" else P
+
+    def row_perm(self):
+        R = super().row_perm()
+        return self._corrupt(R) if self.which == "R" else R
+
+
+def test_support_map_check_matches_dense_oracle():
+    """check_symmetry_map decides every map, sound or corrupted, as the
+    dense A[R][:, P] == A check does, with the same message."""
+    by_objective = {LpInstance(u, 0.0, g).objective_m().tobytes(): (u, g) for u, g in INSTANCE_KEYS}
+
+    def image_of(smap, source):
+        m = LpInstance(source[0], 0.0, source[1]).objective_m()
+        image = np.empty_like(m)
+        image[smap.var_perm()] = m
+        return by_objective[image.tobytes()]
+
+    rng = np.random.default_rng(4)
+    seen = set()
+    n_rows = 2 * lp.N_EQ + lp.N_VARS + 1
+    for smap in _candidate_maps():
+        for source in INSTANCE_KEYS:
+            target = image_of(smap, source)
+            accepted = _verdict(dense_check_symmetry_map, smap, source, target)
+            assert _verdict(check_symmetry_map, smap, source, target) == accepted
+            assert accepted == (smap.var_perm().tobytes(), smap.row_perm().tobytes())
+            # The wrong target: only the objective check can fail.
+            wrong = INSTANCE_KEYS[(INSTANCE_KEYS.index(target) + 1) % len(INSTANCE_KEYS)]
+            verdict = _verdict(check_symmetry_map, smap, source, wrong)
+            assert verdict == _verdict(dense_check_symmetry_map, smap, source, wrong)
+            assert "does not carry the objective" in verdict
+        # Two entries of R or of P swapped, some pairs drawn at random and
+        # some chosen: the Bell row, and rows or variables of one block; and
+        # one entry repeated, which is no bijection.
+        corrupt = [("R", n_rows - 1, 0), ("R", 3, 300), ("R", 17, 18), ("R", 600, 601), ("P", 0, 1), ("P", 5, 250)]
+        corrupt += [("R", *map(int, rng.choice(n_rows, 2, replace=False))) for _ in range(4)]
+        corrupt += [("P", *map(int, rng.choice(lp.N_VARS, 2, replace=False))) for _ in range(4)]
+        corrupt += [("P", 7, None), ("R", 40, None)]
+        for which, i, j in corrupt:
+            bad = SwappedMap(smap.parties, smap.out_flip, smap.in_flip, which, i, j)
+            source = INSTANCE_KEYS[int(rng.integers(len(INSTANCE_KEYS)))]
+            target = image_of(smap, source)
+            verdict = _verdict(check_symmetry_map, bad, source, target)
+            assert verdict == _verdict(dense_check_symmetry_map, bad, source, target)
+            assert isinstance(verdict, str), (smap, which, i, j)
+            seen.add(verdict.split(") ", 1)[1].split(" of ")[0])
+    # Swapped entries break the row map before the objective is looked at.
+    assert seen == {"is not a bijection", "moves the Bell row", "does not map the inequality rows onto themselves"}
+
+
 def test_transport_rechecks_the_dual():
     delta = 0.2
     rep, members = symmetry_orbits()[1]
@@ -308,3 +396,15 @@ def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
     monkeypatch.setattr(lp, "_solve_raw", raw)
     report = certify_bound(delta, method=method)
     assert 0.5 * lp.N_SETTINGS * report.dual_residual < 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_certify_refuses_a_tolerance_that_checks_nothing(tol):
+    with pytest.raises(ValueError, match="tol"):
+        certify_bound(1 / 3, tol=tol)
+
+
+def test_certify_accepts_a_zero_tolerance():
+    # The cap is tight at delta = 1/3 and on [1, 8], but not at 0 or 0.5.
+    assert certify_bound(0.0, tol=0.0).passed
+    assert certify_bound(0.5, tol=0.0, method="simplex").passed

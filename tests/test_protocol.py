@@ -323,7 +323,7 @@ def test_per_draw_setting_distribution():
     steer = per_draw_setting_distribution(SettingSteering((0, 0, 0, 1), 0.1), 0.1)
     assert steer[8] == pytest.approx(0.6**4)  # setting 0001
     assert steer.sum() == pytest.approx(1.0)
-    greedy = per_draw_setting_distribution(GreedyTowardString("0", 0.1), 0.1)
+    greedy = per_draw_setting_distribution(GreedyTowardString((0,), 0.1), 0.1)
     assert greedy[0] == pytest.approx(0.6**4)
 
 
@@ -355,9 +355,9 @@ def test_fast_path_applicability():
     iid = [IidDevice(algebraic_violation_box()) for _ in range(3)]
     assert fast_path_applicable(params, iid, HONEST)
     assert fast_path_applicable(params, iid, ConstantBias(0.05))
-    assert fast_path_applicable(params, iid, GreedyTowardString("01", 0.1))
+    assert fast_path_applicable(params, iid, GreedyTowardString((0, 1), 0.1))
     assert fast_path_applicable(params, iid, SettingSteering((0, 1, 1, 1), 0.1))
-    assert not fast_path_applicable(params, iid, GreedyTowardString("011", 0.1))
+    assert not fast_path_applicable(params, iid, GreedyTowardString((0, 1, 1), 0.1))
     mixed_boxes = iid[:2] + [IidDevice(uniform_box())]
     assert not fast_path_applicable(params, mixed_boxes, HONEST)
     mixture = [MixtureDevice([IidDevice(uniform_box())], (1.0,))] * 3

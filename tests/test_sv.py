@@ -62,7 +62,7 @@ def test_params_validation():
 
 
 def test_greedy_string_probability():
-    dist = exact_bitstring_distribution(GreedyTowardString("000", 0.1), 3, 0.1)
+    dist = exact_bitstring_distribution(GreedyTowardString((0, 0, 0), 0.1), 3, 0.1)
     assert dist[0] == pytest.approx(0.216, abs=1e-15)
     assert dist.sum() == pytest.approx(1.0, abs=1e-14)
     lo, hi = string_probability_bounds(0.1, 3)
@@ -171,7 +171,7 @@ def test_index_distribution_bounds_exhaustive():
         HonestBits(),
         ConstantBias(0.1),
         ConstantBias(-0.1),
-        GreedyTowardString("10", 0.1),
+        GreedyTowardString((1, 0), 0.1),
         SettingSteering((1, 1, 0, 1), 0.1),
         ParityFeedback(0.1),
     ]
@@ -215,7 +215,7 @@ def test_honest_settings_uniform():
 
 
 def test_sequential_draws_match_exact_distribution():
-    strategy = GreedyTowardString("101", 0.12)
+    strategy = GreedyTowardString((1, 0, 1), 0.12)
     rng = np.random.default_rng(2024)
     counts = np.zeros(8)
     for _ in range(10_000):
@@ -228,7 +228,7 @@ def test_sequential_draws_match_exact_distribution():
 
 def test_target_string_frequency_bounds():
     # Position-only biases let the million-run experiment vectorize exactly.
-    strategy = GreedyTowardString("101", 0.1)
+    strategy = GreedyTowardString((1, 0, 1), 0.1)
     target = np.array([1, 0, 1])
     runs = 1_000_000
     biases = np.array([strategy.bias([0] * i) for i in range(3)])
@@ -241,7 +241,7 @@ def test_target_string_frequency_bounds():
 
 
 def test_replay_transcript_audit():
-    strategy = GreedyTowardString("0110", 0.2)
+    strategy = GreedyTowardString((0, 1, 1, 0), 0.2)
     transcript = SvTranscript(epsilon=0.2)
     draw_bits(strategy, transcript, 200, np.random.default_rng(3))
     replay_transcript(strategy, transcript)  # clean pass
@@ -281,6 +281,25 @@ def test_strategy_constructor_validation():
     with pytest.raises(ValueError):
         GreedyTowardString("", 0.1)
     with pytest.raises(ValueError):
-        GreedyTowardString("012", 0.1)
+        GreedyTowardString((0, 1, 2), 0.1)
     with pytest.raises(ValueError):
         SettingSteering((0, 1, 0), 0.1)
+
+
+def test_strategy_bits_are_the_integers_0_and_1():
+    """Targets and settings are refused unless every entry is the integer 0
+    or 1 (numpy integers included): nothing is truncated or parsed."""
+    for bad in ((1.9, 0), (1.0, 0), (True, 0), (np.True_, 0), ("1", "0"), "10", (None, 1)):
+        with pytest.raises(TypeError, match="target"):
+            GreedyTowardString(bad, 0.1)
+    for bad in ((0.5, 1, 1, 0), (1, 1, 1, False), ("0", 1, 1, 0)):
+        with pytest.raises(TypeError, match="setting"):
+            SettingSteering(bad, 0.1)
+    for bad in ((2, 0, 0, 0), (0, -1, 0, 0), ()):
+        with pytest.raises(ValueError, match="setting"):
+            SettingSteering(bad, 0.1)
+    with pytest.raises(ValueError, match="setting must have four bits"):
+        SettingSteering((0, 1, 1), 0.1)
+    assert GreedyTowardString((np.int64(1), np.uint8(0)), 0.1).target == (1, 0)
+    assert type(GreedyTowardString(np.array([1, 0]), 0.1).target[0]) is int
+    assert SettingSteering(np.array([0, 1, 1, 0]), 0.1).target == (0, 1, 1, 0)
