@@ -108,6 +108,11 @@ def no_signaling_violations(table: np.ndarray, tol: float = DEFAULT_TOL):
     table = np.asarray(table, dtype=float)
     if table.shape != (N_OUTCOMES, N_SETTINGS):
         return [f"table shape {table.shape} != (16, 16)"]
+    # every comparison below is false for NaN, so a NaN table would pass them
+    finite = np.isfinite(table)
+    if not finite.all():
+        return [f"non-finite entry p({bits_str(x)}|{bits_str(u)}) = {table[x, u]}"
+                for x, u in zip(*np.nonzero(~finite))]
     violations = []
     if np.min(table) < -tol:
         for x, u in zip(*np.where(table < -tol)):

@@ -13,6 +13,7 @@ import contextlib
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -292,32 +293,84 @@ def _use_counts(value, scalar: bool):
     raise ConfigError(f"field 'n' must be {kind}, got {value!r}")
 
 
-def _stream_trials(chunks, k: int, write) -> tuple:
+# Chunks formatted per _trial_rows call.  Two amortize its fixed cost; the
+# batch's columns, byte matrix and bytes take several times what it writes,
+# so memory grows with the batch.
+_WRITE_BATCH = 2
+
+
+def _put_digits(values, out) -> None:
+    """Writes the nonnegative integers values as right-aligned ASCII digits
+    along the last axis of out, with NUL bytes for their leading zeros (a
+    value of 0 keeps its last digit).  The values are first narrowed to the
+    least unsigned type that holds width digits, so the temporaries are
+    small; each step divides by the scalar 10, which numpy does without a
+    hardware division."""
+    width = out.shape[-1]
+    values = values.astype(np.min_scalar_type(10**width - 1))
+    for d in range(width - 1, -1, -1):
+        quotient = values // 10
+        digit = values - 10 * quotient + ord("0")
+        if d < width - 1:
+            digit *= values > 0
+        out[..., d] = digit
+        values = quotient
+
+
+def _trial_rows(start: int, z_k, accepted, output, selection, m_realized) -> bytes:
+    """The trials.csv rows of trials start, start + 1, ...: every field is
+    written into a fixed-width column of one byte matrix, wide enough for
+    the batch's largest value and padded with NUL bytes, which are then
+    dropped.  The distinct values of z_k (at most k + 1) are formatted once
+    with .12g; output is -1, 0 or 1."""
+    m, k = selection.shape
+    z_values = sorted(set(z_k.tolist()))
+    z_text = [f"{z:.12g}".encode() for z in z_values]
+    dt, zw = len(str(start + m - 1)), max(map(len, z_text))
+    ds, dm = len(str(selection.max())), len(str(m_realized.max()))
+    # trial,accepted,z_k,output_bit,selection,m_realized with separators
+    width = dt + zw + 7 + k * (ds + dm + 2)
+    buf = np.full((m, width), ord(","), dtype=np.uint8)
+    _put_digits(np.arange(start, start + m), buf[:, :dt])
+    c = dt + 1
+    buf[:, c] = accepted + ord("0")
+    c += 2
+    # one row per distinct value, gathered by each row's value
+    z_buf = np.frombuffer(b"".join(text.ljust(zw, b"\0") for text in z_text), dtype=np.uint8)
+    buf[:, c:c + zw] = z_buf.reshape(len(z_text), zw)[np.searchsorted(z_values, z_k)]
+    c += zw + 1
+    buf[:, c] = (output < 0) * ord("-")
+    buf[:, c + 1] = np.abs(output) + ord("0")
+    c += 3
+    for values, digits, last in ((selection, ds, ","), (m_realized, dm, "\n")):
+        # one (digits + 1)-byte cell per device: the value, then "|"
+        cells = buf[:, c:c + k * (digits + 1)].reshape(m, k, digits + 1)
+        _put_digits(values, cells[..., :digits])
+        cells[:, :, digits] = ord("|")
+        cells[:, -1, digits] = ord(last)
+        c += k * (digits + 1)
+    return buf.tobytes().translate(None, b"\0")
+
+
+def _stream_trials(chunks, write) -> tuple:
     """Writes trials.csv, the header and then one row per trial, through
-    write, one chunk of TrialRows at a time; returns (accepted, accepted
-    with output 0, chunks).  Every row is one %-format of a template built
-    from k; z_k is formatted per value with .12g."""
-    per_device = "|".join(["%d"] * k)
-    row = f"%d,%d,%s,%d,{per_device},{per_device}\n"
-    width = 4 + 2 * k
+    write, _WRITE_BATCH chunks of TrialRows at a time (_trial_rows);
+    returns (accepted, accepted with output 0, chunks)."""
     write(b"trial,accepted,z_k,output_bit,selection,m_realized\n")
     start = n_acc = zeros = n_chunks = 0
-    for rows in chunks:
-        m = len(rows.z_k)
-        ints = np.zeros((m, width), dtype=np.int64)
-        ints[:, 0] = np.arange(start, start + m)
-        ints[:, 1] = rows.accepted
-        ints[:, 3] = rows.output
-        ints[:, 4:4 + k] = rows.selection
-        ints[:, 4 + k:] = rows.m_realized
-        fields = ints.ravel().tolist()
-        # column 2, left 0 in ints, is z_k: a %s field
-        fields[2::width] = [f"{z:.12g}" for z in rows.z_k.tolist()]
-        write(((row * m) % tuple(fields)).encode())
-        start += m
-        n_acc += int(rows.accepted.sum())
-        zeros += int(np.sum(rows.output == 0))
-        n_chunks += 1
+    chunks = iter(chunks)
+    while batch := list(itertools.islice(chunks, _WRITE_BATCH)):
+        n_chunks += len(batch)
+        z_k, accepted, output, selection, m_realized = [
+            np.concatenate(column) for column in zip(*(
+                (rows.z_k, rows.accepted, rows.output, rows.selection, rows.m_realized) for rows in batch
+            ))
+        ]
+        del batch  # the columns hold copies: drop the chunks before formatting
+        write(_trial_rows(start, z_k, accepted, output, selection, m_realized))
+        start += len(z_k)
+        n_acc += np.count_nonzero(accepted)
+        zeros += np.count_nonzero(output == 0)
     return n_acc, zeros, n_chunks
 
 
@@ -364,7 +417,7 @@ def cmd_simulate(args) -> int:
             ).map
         chunks = simulate_trials(params, devices, strategy, trials, seed, mapper=mapper)
         with _atomic_output(args.out, "trials.csv", written) as write:
-            n_acc, zeros, n_chunks = _stream_trials(chunks, params.k, write)
+            n_acc, zeros, n_chunks = _stream_trials(chunks, write)
 
     summary = {
         "params": {

@@ -94,7 +94,8 @@ class ExchangeableMixture:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) != len(components) or len(components) == 0:
             raise ValueError("need one weight per component")
-        if np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-12:
+        # written so that NaN weights fail the comparisons
+        if not (np.min(weights) >= 0 and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be a distribution")
         self.k = len(self.n)
         self.total_uses = sum(self.n)
@@ -126,7 +127,7 @@ def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}."""
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
-    if k < 1 or t <= 0:
+    if k < 1 or not t > 0:  # false for NaN too
         raise ValueError("need k >= 1 and t > 0")
     if k_exponent not in (2, 3):
         raise ValueError("k_exponent must be 2 or 3")

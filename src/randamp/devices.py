@@ -67,7 +67,8 @@ class MixtureDevice(TimeOrderedDevice):
         self.weights = np.asarray(weights, dtype=float)
         if len(self.components) != len(self.weights) or not self.components:
             raise ValueError("need one weight per component")
-        if np.min(self.weights) < 0 or abs(self.weights.sum() - 1.0) > 1e-12:
+        # written so that NaN weights fail the comparisons
+        if not (np.min(self.weights) >= 0 and abs(self.weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must form a distribution")
         self._prior = self.weights.tolist()
         self._last = ((), [(0.5, 1)] * len(self.components))

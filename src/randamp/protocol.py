@@ -62,8 +62,8 @@ class ProtocolParams:
         if len(n) != self.k or any(v < 1 for v in n):
             raise ValueError("n must give a positive count for each of the k devices")
         object.__setattr__(self, "n", n)
-        if self.t <= 0:
-            raise ValueError("t must be positive")
+        if not self.t > 0:  # false for NaN too
+            raise ValueError(f"t {self.t} must be positive")
         thr = acceptance_threshold(self)
         if not 0.0 < thr < 1.0:
             raise ValueError(f"acceptance threshold {thr} outside (0, 1)")
@@ -168,13 +168,14 @@ def distance_d(conditionals, z_weights=None) -> DistanceReport:
     elif p.ndim == 2:
         p = p.reshape(1, *p.shape)
     n_w, n_z, sigma = p.shape
-    if np.max(np.abs(p.sum(axis=2) - 1.0)) > 1e-9 or np.min(p) < -1e-12:
+    # written so that NaN entries fail the comparisons
+    if not (np.max(np.abs(p.sum(axis=2) - 1.0)) <= 1e-9 and np.min(p) >= -1e-12):
         raise ValueError("each conditional must be a distribution")
     if z_weights is None:
         w = np.full((n_w, n_z), 1.0 / n_z)
     else:
         w = np.asarray(z_weights, dtype=float).reshape(n_w, n_z)
-        if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9 or np.min(w) < 0:
+        if not (np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9 and np.min(w) >= 0):
             raise ValueError("z_weights rows must be distributions")
     dev = np.abs(p - 1.0 / sigma)
     d = 0.5 * float(np.max(dev))
@@ -431,7 +432,9 @@ class _IidSampler:
         self.law = law / law.sum()
         self.params = params
         self.strategy = sv_strategy
-        self.n = np.array(params.n)
+        # one scalar count when every device has the same n: numpy then draws
+        # the same negative binomial stream without broadcasting an array
+        self.n = params.n[0] if len(set(params.n)) == 1 else np.array(params.n)
         k = params.k
         pmf = trial_law(self.law, k)
         # capped at 1, where rounding of the running sum can overshoot, so
@@ -476,11 +479,12 @@ class _IidSampler:
         n_j are kept, a negative binomial count past n_j; after all settings
         come the selection bits, device-major and most significant first."""
         z, acc, output = self.sample(m, rng)
-        m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, len(self.n)))
+        k = self.params.k
+        m_realized = self.n + rng.negative_binomial(self.n, self.kept_mass, size=(m, k))
         select_p0, weights, first_bits, devices = self._selection
         weighted = np.where(rng.random((m, len(select_p0))) >= select_p0, weights, 0)
         # each device's index is the sum of its weighted bits, in int64
-        selection = np.zeros((m, len(self.n)), dtype=np.int64)
+        selection = np.zeros((m, k), dtype=np.int64)
         if devices.size:
             selection[:, devices] = np.add.reduceat(weighted, first_bits, axis=1)
         return TrialRows(
@@ -661,7 +665,8 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     if not 1 <= trials <= 2**53:
         raise ValueError(f"trials {trials} outside [1, 2**53]")
     weights = np.array([w for w, _, _ in adversary], dtype=float)
-    if len(weights) == 0 or np.min(weights) < 0 or abs(weights.sum() - 1.0) > 1e-9:
+    # written so that NaN weights fail the comparisons
+    if len(weights) == 0 or not (np.min(weights) >= 0 and abs(weights.sum() - 1.0) <= 1e-9):
         raise ValueError("adversary weights must form a distribution")
 
     rows, accept_total = [], 0

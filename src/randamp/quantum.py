@@ -4,9 +4,9 @@ State vectors are flat length-16 complex arrays with qubit 1 on the most
 significant bit (C-order flatten of the (q1, q2, q3, q4) amplitude tensor).
 Party i measures qubit i; input 0 selects the X basis, input 1 the Z basis.
 
-born_box contracts the Born amplitudes party by party, party 4 first, so the
-ideal box is exact: its vanishing entries are exactly 0 and its Bell value is
-exactly 0.  The noisy box for the state (1 - m) |psi><psi| + m I/16 is the
+_born_table contracts the Born amplitudes party by party, party 4 first, so
+the ideal box is exact: its vanishing entries are exactly 0 and its Bell value
+is exactly 0.  The noisy box for the state (1 - m) |psi><psi| + m I/16 is the
 mixture (1 - m) p_psi + m/16 of that box with the uniform one, which is the
 Born rule for the mixed state because every product basis vector has unit
 norm.
@@ -73,13 +73,13 @@ def validate_state(state: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if state.shape != (16,):
         raise ValueError("state must have 16 amplitudes")
     norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # false for NaN too
         raise ValueError(f"state norm {norm} != 1")
     return state
 
 
-def born_box(state: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
-    """Measurement box p(x|u) = |<basis vectors|state>|^2 for a pure state.
+def _born_table(state: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The (16, 16) table |<basis vectors|state>|^2 of a pure state, unchecked.
 
     The amplitudes are contracted party by party, party 4 first: each of four
     einsums folds one party's conjugated basis into one qubit of the state, so
@@ -87,8 +87,6 @@ def born_box(state: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
     the X/Z bases the amplitudes that vanish come out exactly 0, so the ideal
     box has all 64 of its zero entries and Bell value exactly 0.  The last
     einsum leaves the axes in table order (x4 x3 x2 x1, u4 u3 u2 u1)."""
-    state = validate_state(state)
-    validate_bases(bases)
     conj = np.asarray(bases, dtype=complex).conj()
     # u, x: the party's input and outcome; a-d: qubits 1-4 of the state;
     # upper case: inputs and outcomes of the parties already folded in
@@ -96,7 +94,16 @@ def born_box(state: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
     amp = np.einsum("uxc,XUabc->XxUuab", conj[2], amp)
     amp = np.einsum("uxb,XYUVab->XYxUVua", conj[1], amp)
     amp = np.einsum("uxa,XYZUVWa->XYZxUVWu", conj[0], amp)
-    return NsBox((amp.real**2 + amp.imag**2).reshape(16, 16), tol=tol)
+    return (amp.real**2 + amp.imag**2).reshape(16, 16)
+
+
+def born_box(state: np.ndarray, bases: np.ndarray, tol: float = 1e-9) -> NsBox:
+    """Measurement box p(x|u) = |<basis vectors|state>|^2 for a pure state
+    (_born_table), after checking the state's norm and the bases'
+    orthonormality; the box is validated too."""
+    state = validate_state(state)
+    validate_bases(bases)
+    return NsBox(_born_table(state, bases), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,10 @@ def noisy_box(noise: NoiseSpec, tol: float = 1e-9) -> NsBox:
 
     Every product basis vector has unit norm, so the Born rule for
     (1 - m) |psi><psi| + m I/16 is the mixture (1 - m) p_psi(x|u) + m/16 of
-    the pure state's box (born_box, in the rotated bases) with the uniform
-    box.  born_box validates the pure box; the mixture is valid by
-    construction and is not validated again."""
+    the pure state's box (_born_table, in the rotated bases) with the uniform
+    box.  The canonical state has unit norm and a rotation keeps the X/Z
+    bases orthonormal, so the pure table is a box by construction, and so is
+    the mixture: neither the inputs nor the box are validated."""
     m = noise.state_mixing
-    pure = born_box(build_state(), rotate_bases(xz_bases(), noise.basis_rotation), tol=tol)
-    return NsBox((1.0 - m) * pure.table + m / 16.0, tol=tol, validate=False)
+    pure = _born_table(build_state(), rotate_bases(xz_bases(), noise.basis_rotation))
+    return NsBox((1.0 - m) * pure + m / 16.0, tol=tol, validate=False)

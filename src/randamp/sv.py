@@ -106,7 +106,7 @@ class SettingSteering(GreedyTowardString):
 
 def next_bit(strategy, transcript: SvTranscript, rng: np.random.Generator) -> int:
     b = float(strategy.bias(transcript.bits))
-    if abs(b) > transcript.epsilon:
+    if not abs(b) <= transcript.epsilon:  # false for NaN too
         raise StrategyViolationError(
             f"bias {b} exceeds epsilon {transcript.epsilon} at position {len(transcript.bits)}"
         )
@@ -156,7 +156,7 @@ def bit_probabilities(strategy, length: int, epsilon: float) -> np.ndarray:
     p = np.empty((min(period, length), 2))
     for pos in range(len(p)):
         b = float(strategy.bias([0] * pos))
-        if abs(b) > epsilon:
+        if not abs(b) <= epsilon:  # false for NaN too
             raise StrategyViolationError(f"bias {b} exceeds epsilon {epsilon} at position {pos}")
         p[pos] = 0.5 + b, 0.5 - b
     return p[np.arange(length) % period]

@@ -146,6 +146,18 @@ def test_box_validation_errors():
         NsBox(unnormalized)
 
 
+def test_non_finite_entries_refused():
+    """Every comparison against tol is false for NaN: a NaN table validated."""
+    with pytest.raises(BoxValidationError, match=r"non-finite entry p\(0000\|0000\) = nan; .*\(\+252 more\)"):
+        NsBox(np.full((16, 16), np.nan))
+    for value in (np.nan, np.inf, -np.inf):
+        table = np.full((16, 16), 1.0 / 16.0)
+        table[3, 8] = value
+        assert no_signaling_violations(table) == [f"non-finite entry p(1100|0001) = {value}"]
+        with pytest.raises(BoxValidationError, match="non-finite"):
+            NsBox(table)
+
+
 def test_bell_value_linearity():
     rng = np.random.default_rng(3)
     box_a = uniform_box()

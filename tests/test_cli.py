@@ -15,7 +15,7 @@ import randamp.cli
 from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
 from randamp.cli import main, verify_manifest, write_outputs
 from randamp.devices import IidDevice
-from randamp.protocol import ProtocolParams, per_draw_setting_distribution, run_protocol
+from randamp.protocol import ProtocolParams, TrialRows, per_draw_setting_distribution, run_protocol
 from randamp.sv import GreedyTowardString
 
 SIM_CONFIG = {
@@ -253,6 +253,13 @@ GENERAL_SV = {"strategy": "greedy", "target": [0, 1, 1]}
         ({"trials": 256}, [], "vectorized"),
         ({"trials": 257}, [], "vectorized"),
         ({"trials": 257, "sv": GENERAL_SV}, [], "general"),
+        # the writer formats two chunks per batch: batches of 2 and 1 chunks
+        ({"k": 1, "trials": 600}, [], "vectorized"),
+        ({"n": [1], "trials": 300}, [], "vectorized"),  # every selection is 0
+        ({"n": [1000], "trials": 300}, [], "vectorized"),  # selections up to 511
+        # trial indices cross 999 -> 1000 and 9999 -> 10000 inside one batch
+        ({"trials": 10_100}, [], "vectorized"),
+        ({"trials": 600, "sv": GENERAL_SV}, ["--jobs", "2"], "general"),
     ],
 )
 def test_simulate_rows_match_csv_writer_oracle(tmp_path, capsys, monkeypatch, overrides, extra, engine):
@@ -265,6 +272,30 @@ def test_simulate_rows_match_csv_writer_oracle(tmp_path, capsys, monkeypatch, ov
     assert [len(rows.z_k) for rows in seen] == [min(256, trials - lo) for lo in range(0, trials, 256)]
     assert (out / "trials.csv").read_bytes() == reference_trials_csv(seen)
     assert read_metrics(out)["chunks"] == len(seen)
+
+
+def test_stream_trials_matches_csv_writer_on_any_widths():
+    """The digit writer on synthetic chunks: integers from 0 to 2^63 - 1,
+    zero and multi-digit columns side by side, z_k values whose .12g form
+    has up to 12 significant digits or an exponent, aborted and accepted
+    rows, batches of one and two chunks of unequal sizes."""
+    rng = np.random.default_rng(11)
+    z_pool = np.array([0.0, 1.0, 1 / 3, 2 / 3, 0.05, 1e-7, 123456.789, 1 / 7])
+    for k, sizes, top in ((1, [3], 10), (4, [256, 17, 256], 10**6), (3, [1, 2, 5], 2**63 - 1), (2, [40, 40], 1)):
+        chunks = []
+        for m in sizes:
+            output = rng.integers(-1, 2, m)
+            chunks.append(TrialRows(
+                z_k=rng.choice(z_pool, m), accepted=output >= 0, output=output,
+                selection=rng.integers(0, top, (m, k), endpoint=True),
+                m_realized=np.minimum(rng.integers(0, 2**62, (m, k)) >> rng.integers(0, 62, (m, k)), top),
+            ))
+        pieces = []
+        n_acc, zeros, n_chunks = randamp.cli._stream_trials(chunks, pieces.append)
+        assert b"".join(pieces) == reference_trials_csv(chunks), (k, sizes, top)
+        accepted = np.concatenate([c.accepted for c in chunks])
+        output = np.concatenate([c.output for c in chunks])
+        assert (n_acc, zeros, n_chunks) == (accepted.sum(), np.sum(output == 0), len(sizes))
 
 
 def test_simulate_data_files_pinned_and_metrics_in_manifest_only(tmp_path, capsys):
@@ -288,6 +319,18 @@ def test_simulate_data_files_pinned_and_metrics_in_manifest_only(tmp_path, capsy
         summary = json.loads((out / "summary.json").read_text())
         assert "metrics" not in summary and "engine" not in summary
     capsys.readouterr()
+
+
+def test_simulate_unequal_counts_pinned(tmp_path, capsys):
+    """Unequal use counts draw m_realized with an array of negative-binomial
+    counts: trials.csv keeps the digest it had when every draw did."""
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, k=2, n=[3, 5], trials=600))
+    out = tmp_path / "out"
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "engine=vectorized," in capsys.readouterr().out
+    assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == (
+        "d12d6a90f3f2c483f61d370a25ff26960ae2e397bee56775cca4631789ef24d4"
+    )
 
 
 def test_simulate_failure_mid_stream_leaves_outputs_untouched(tmp_path, capsys, monkeypatch):
@@ -522,6 +565,47 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, bad)
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     assert "mu" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_nan_device_table(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, device={"model": "table", "table": [[math.nan] * 16] * 16}))
+    out = tmp_path / "x"
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_nan_t_is_refused(tmp_path, capsys, command):
+    """A NaN t fails `t > 0`: simulate wrote a NaN proposition_total, and
+    bounds failed converting NaN to an integer without naming t."""
+    base = SIM_CONFIG if command == "simulate" else {"epsilon": 0.1, "delta": 0.8, "mu": 0.9, "k": 2}
+    cfg = write_config(tmp_path, {**base, "t": math.nan})
+    out = tmp_path / "x"
+    assert run_main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "t nan must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_definetti_refuses_nan_weights(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**DEFINETTI_CONFIG, "system": {**DEFINETTI_CONFIG["system"],
+                                                                   "weights": [math.nan, math.nan]}})
+    out = tmp_path / "x"
+    assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 1
+    assert "weights must be a distribution" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "definetti"])
+def test_nan_source_bias_is_refused(tmp_path, capsys, command):
+    """A NaN constant bias fails `|b| <= epsilon`: definetti wrote NaN
+    levels and exited 0, simulate failed inside numpy."""
+    base = SIM_CONFIG if command == "simulate" else DEFINETTI_CONFIG
+    cfg = write_config(tmp_path, {**base, "sv": {"strategy": "constant", "bias": math.nan}})
+    out = tmp_path / "x"
+    assert run_main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "bias nan exceeds epsilon 0.1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_bad_strategy_and_device_specs(tmp_path, capsys):

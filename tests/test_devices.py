@@ -87,6 +87,12 @@ def test_mixture_validation():
         MixtureDevice([IidDevice(uniform_box())] * 2, [0.6, 0.6])
 
 
+def test_mixture_refuses_nan_weights():
+    for weights in ([np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="weights"):
+            MixtureDevice([IidDevice(uniform_box())] * 2, weights)
+
+
 def test_zero_probability_history():
     # both components concentrate on definite parities, so a wrong-parity
     # outcome has zero likelihood

@@ -88,6 +88,7 @@ def test_params_validation_and_broadcast():
         dict(n=(1, 2)),
         dict(n=0),
         dict(t=0.0),
+        dict(t=math.nan),
     ):
         kwargs = dict(epsilon=0.1, delta=0.8, mu=0.9, k=3)
         kwargs.update(bad)
@@ -208,6 +209,15 @@ def test_distance_examples():
         distance_d(np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         distance_d(np.array([0.75, 0.25]), z_weights=np.array([-0.2, 1.2]))
+
+
+def test_distance_refuses_nan():
+    """NaN conditionals or z weights fail every comparison: they gave
+    d = d_c = NaN."""
+    with pytest.raises(ValueError, match="conditional"):
+        distance_d(np.array([math.nan, math.nan]))
+    with pytest.raises(ValueError, match="z_weights"):
+        distance_d(np.full((1, 2, 2), 0.5), z_weights=np.array([math.nan, math.nan]))
 
 
 def test_distance_inequalities_randomized():
@@ -709,6 +719,34 @@ def nested_mixture():
     return outer, leaves
 
 
+def test_scalar_negative_binomial_count_draws_the_array_stream():
+    """_IidSampler passes negative_binomial one scalar count when every
+    device has the same n; numpy then draws exactly what the broadcast
+    array of that count draws, so m_realized keeps its bytes."""
+    for seed in range(24):
+        for p in (0.05, 0.3, 0.5, 0.9375, 0.999):
+            for n, shape in ((1, (256, 20)), (4, (7, 3)), (1000, (5, 1)), (3, (1, 1))):
+                scalar = np.random.default_rng(seed).negative_binomial(n, p, size=shape)
+                array = np.random.default_rng(seed).negative_binomial(np.full(shape[1], n), p, size=shape)
+                assert scalar.dtype == array.dtype and np.array_equal(scalar, array), (seed, p, n, shape)
+
+
+def test_equal_counts_rows_match_the_array_count_draw():
+    """At equal n the sampler's m_realized is the array-count draw of the
+    same stream, after the trial-law draw."""
+    table = noisy_box(NoiseSpec(state_mixing=0.05)).table
+    source = GreedyTowardString((0, 1), 0.1)
+    for n in ((4,) * 5, (1,) * 3, (1000,)):
+        params = ProtocolParams(0.1, 0.8, 0.9, len(n), n=n)
+        sampler = _IidSampler(params, table, source)
+        for seed in range(3):
+            rows = sampler.rows(50, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            sampler.sample(50, rng)
+            want = np.array(n) + rng.negative_binomial(np.array(n), sampler.kept_mass, size=(50, len(n)))
+            assert rows.m_realized.dtype == want.dtype and np.array_equal(rows.m_realized, want), (n, seed)
+
+
 def test_nested_mixture_law_is_weight_average():
     params = ProtocolParams(0.2, 0.8, 0.9, 4)
     device, leaves = nested_mixture()
@@ -807,6 +845,16 @@ def test_estimate_output_bias_validation():
         estimate_output_bias(params, [(1.0, lambda: [], HONEST)], trials=0)
     with pytest.raises(ValueError):
         estimate_output_bias(params, [(0.7, lambda: [], HONEST)], trials=5)
+
+
+def test_estimate_output_bias_refuses_nan_weights():
+    """A NaN symbol weight fails every comparison: it was accepted and gave
+    d_c = NaN."""
+    params = honest_params(k=2)
+    device = lambda: [IidDevice(algebraic_violation_box())] * 2  # noqa: E731
+    for weights in ((math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="weights"):
+            estimate_output_bias(params, [(w, device, HONEST) for w in weights], trials=5, seed=1)
 
 
 def test_estimate_output_bias_rejects_inexact_trial_counts():

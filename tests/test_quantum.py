@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from helpers import apply_noise, born_box_mixed, product_vectors, product_vectors_einsum
 
+import randamp.boxes
+import randamp.quantum
 from randamp.boxes import bell_value, is_no_signaling, uniform_box
 from randamp.protocol import ProtocolParams, _IidSampler
 from randamp.quantum import (
@@ -136,6 +138,8 @@ def test_validation_errors():
         validate_state(np.ones(16))
     with pytest.raises(ValueError):
         validate_state(np.ones(8) / np.sqrt(8.0))
+    with pytest.raises(ValueError, match="norm nan"):
+        validate_state(np.full(16, np.nan))
     bad = np.array(xz_bases())
     bad[0, 0, 1] = bad[0, 0, 0]
     with pytest.raises(ValueError):
@@ -183,6 +187,30 @@ def test_noisy_box_matches_density_matrix_oracle():
             noise = NoiseSpec(m, angle)
             oracle = born_box_mixed(*apply_noise(build_state(), xz_bases(), noise)).table
             assert np.max(np.abs(noisy_box(noise).table - oracle)) <= 1e-15, (m, angle)
+
+
+def test_noisy_box_is_a_box_without_validation(monkeypatch):
+    """noisy_box checks neither the canonical state, the rotated bases nor
+    the Born table; over a grid of noise its box is no-signaling at 1e-12
+    and equals the validated path, born_box mixed with uniform, bit for bit."""
+    grid = [(m, angle) for m in (0.0, 0.05, 0.3, 0.999, 1.0) for angle in (0.0, 1e-6, 0.2, -0.7, 3.0, 40.0)]
+    validated = {
+        (m, angle): (1.0 - m) * born_box(build_state(), rotate_bases(xz_bases(), angle)).table + m / 16.0
+        for m, angle in grid
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("noisy_box validated something")
+
+    for name in ("validate_state", "validate_bases"):
+        monkeypatch.setattr(randamp.quantum, name, refuse)
+    monkeypatch.setattr(randamp.boxes, "is_no_signaling", refuse)
+    noisy = {key: noisy_box(NoiseSpec(*key)) for key in grid}
+    monkeypatch.undo()
+    for key, box in noisy.items():
+        ok, violations = is_no_signaling(box.table, tol=1e-12)
+        assert ok, (key, violations)
+        assert box.table.tobytes() == validated[key].tobytes(), key
 
 
 def test_born_box_mixed_rejects_bad_density():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -108,6 +110,10 @@ def test_bit_zero_probabilities_match_exact_walk():
     assert bit_probabilities(HonestBits(), 0, 0.0).shape == (0, 2)
     with pytest.raises(StrategyViolationError):
         bit_probabilities(ConstantBias(0.2), 3, 0.1)
+    with pytest.raises(StrategyViolationError, match="bias nan"):
+        bit_probabilities(ConstantBias(math.nan), 3, 0.1)
+    with pytest.raises(StrategyViolationError, match="bias nan"):
+        next_bit(ConstantBias(math.nan), SvTranscript(epsilon=0.1), np.random.default_rng(0))
 
     class LateViolation:
         period = 2
