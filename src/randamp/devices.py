@@ -60,17 +60,33 @@ class MixtureDevice(TimeOrderedDevice):
     The conditional box at use l is the posterior-weighted average of the
     component boxes, the posterior being the Bayes update of the prior by the
     likelihood each component assigns to the observed history.
+
+    weights must be a 1-D vector with one entry per component, forming a
+    distribution: entries nonnegative, summing to 1 within 1e-12; anything
+    else raises ValueError.
     """
 
     def __init__(self, components, weights):
         self.components = list(components)
         self.weights = np.asarray(weights, dtype=float)
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("need one weight per component")
-        # written so that NaN weights fail the comparisons
-        if not (np.min(self.weights) >= 0 and abs(self.weights.sum() - 1.0) <= 1e-12):
-            raise ValueError("weights must form a distribution")
+        if self.weights.ndim != 1 or len(self.weights) != len(self.components) or not self.components:
+            raise ValueError(
+                f"weights must be a 1-D vector with one entry per component "
+                f"({len(self.components)}), got shape {self.weights.shape}"
+            )
         self._prior = self.weights.tolist()
+        # rounded as numpy's sum, so every decision is numpy's: numpy sums
+        # fewer than eight entries left to right and longer vectors pairwise
+        if len(self._prior) < 8:
+            total = 0.0
+            for w in self._prior:
+                total += w
+        else:
+            total = float(self.weights.sum())
+        # written so that NaN weights fail the comparisons: a NaN that min
+        # skips still makes the sum NaN
+        if not (min(self._prior) >= 0 and abs(total - 1.0) <= 1e-12):
+            raise ValueError("weights must form a distribution")
         self._last = ((), [(0.5, 1)] * len(self.components))
 
     def _likelihoods(self, history) -> list:

@@ -161,7 +161,9 @@ class DistanceReport:
 
 
 def distance_d(conditionals, z_weights=None) -> DistanceReport:
-    """conditionals[w, z] is a distribution of S; z_weights[w] weights z."""
+    """conditionals[w, z] is a distribution of S; z_weights[w] weights z.
+    Both are checked (within 1e-9 of summing to 1, entries nonnegative; NaN
+    fails) before _distances computes the report."""
     p = np.asarray(conditionals, dtype=float)
     if p.ndim == 1:
         p = p.reshape(1, 1, -1)
@@ -177,6 +179,13 @@ def distance_d(conditionals, z_weights=None) -> DistanceReport:
         w = np.asarray(z_weights, dtype=float).reshape(n_w, n_z)
         if not (np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9 and np.min(w) >= 0):
             raise ValueError("z_weights rows must be distributions")
+    return _distances(p, w)
+
+
+def _distances(p: np.ndarray, w: np.ndarray) -> DistanceReport:
+    """distance_d without its checks, for conditionals p[w, z, s] and weights
+    w[w, z] that are distributions by construction."""
+    sigma = p.shape[2]
     dev = np.abs(p - 1.0 / sigma)
     d = 0.5 * float(np.max(dev))
     d_c = 0.5 * float(np.sum(np.max(np.einsum("wz,wzs->ws", w, dev), axis=0)))
@@ -314,7 +323,8 @@ def _reduced_table(device):
     draws its label once and is then i.i.d., so under a position-only source
     its selected pair has the weight average of its components' laws (nested
     mixtures recursively).  Anything else, or a mixture with such a component,
-    does not reduce."""
+    does not reduce.  The table is a function of _law_key(device) alone, so
+    _shared_table calls this once per distinct key."""
     if isinstance(device, IidDevice):
         return device.box.table
     if isinstance(device, MixtureDevice):
@@ -322,6 +332,22 @@ def _reduced_table(device):
         if any(t is None for t in tables):
             return None
         return sum(w * t for w, t in zip(device.weights, tables))
+    return None
+
+
+def _law_key(device):
+    """A hashable key that fixes _reduced_table(device), or None where that
+    is None: an IidDevice's is the identity of its box's table, a
+    MixtureDevice's its components' keys with the bytes of the weights
+    _reduced_table multiplies by.  Identities are compared only while the
+    devices hold their tables, so keys live for one _shared_table call."""
+    if isinstance(device, IidDevice):
+        return id(device.box.table)
+    if isinstance(device, MixtureDevice):
+        keys = tuple([_law_key(c) for c in device.components])
+        if None in keys:
+            return None
+        return keys, device.weights.tobytes()
     return None
 
 
@@ -336,18 +362,29 @@ def _shared_table(devices, sv_strategy):
     renormalized draw law, and neither they, the draw counts nor the
     selection step can correlate with a device's label or box contents.  Each
     device conditions only on its own history, so even k copies of one
-    MixtureDevice act as k independent labels; such a device object is
-    reduced once."""
+    MixtureDevice act as k independent labels.
+
+    Set-up is paid once per distinct law, not per device: each distinct
+    device object gets a structural key (_law_key), and only the first
+    device of each key is reduced, so k fresh mixtures over the same boxes
+    and weights cost one reduction and k key lookups.  Tables of distinct
+    keys are compared by content, so mixtures over distinct but equal boxes
+    still share a table."""
     period = getattr(sv_strategy, "period", None)
     if period is None or 4 % period != 0 or not devices:
         return None
-    distinct = list({id(device): device for device in devices}.values())
-    table = _reduced_table(distinct[0])
-    if table is None:
-        return None
-    for device in distinct[1:]:
+    seen, table = set(), None
+    for device in {id(device): device for device in devices}.values():
+        key = _law_key(device)
+        if key is None:
+            return None
+        if key in seen:
+            continue
+        seen.add(key)
         other = _reduced_table(device)
-        if other is None or not np.array_equal(other, table):
+        if table is None:
+            table = other
+        elif not np.array_equal(other, table):
             return None
     return table
 
@@ -681,9 +718,11 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     if not estimable:
         distances, sigma = None, float("nan")
     else:
+        # rows [p0, 1 - p0] and renormalized weights: distributions by
+        # construction, so the unchecked core computes the report
         conds = np.array([[p0, 1.0 - p0] for _, _, p0, _ in estimable])
         w = np.array([w for w, _, _, _ in estimable])
-        distances = distance_d(conds.reshape(1, -1, 2), (w / w.sum()).reshape(1, -1))
+        distances = _distances(conds.reshape(1, -1, 2), (w / w.sum()).reshape(1, -1))
         sigma = 0.5 * max(
             math.sqrt(max(p0 * (1 - p0), 1.0 / n) / n) for _, n, p0, _ in estimable
         )

@@ -93,6 +93,82 @@ def test_mixture_refuses_nan_weights():
             MixtureDevice([IidDevice(uniform_box())] * 2, weights)
 
 
+def test_mixture_refuses_weights_that_are_not_a_vector():
+    """A 2-D weight array was accepted and failed later (a broadcast error in
+    the audit, a TypeError in box_given); a scalar raised TypeError from
+    len()."""
+    device = IidDevice(uniform_box())
+    for components, weights in (
+        ([device], [[0.5, 0.5]]),
+        ([device] * 2, [[0.5], [0.5]]),
+        ([device], 1.0),
+        ([device] * 2, 0.5),
+    ):
+        with pytest.raises(ValueError, match="1-D vector with one entry per component"):
+            MixtureDevice(components, weights)
+
+
+# accept/reject decisions of the numpy check min(w) >= 0 and
+# |sum(w) - 1| <= 1e-12, pinned from that implementation
+WEIGHT_DECISIONS = [
+    ([np.nan, 1.0], False),
+    ([1.0, np.nan], False),
+    ([np.nan, 0.5, 0.5], False),
+    ([-0.0, 1.0], True),
+    ([1.0, -0.0], True),
+    ([-0.0, -0.0, 1.0], True),
+    ([-1e-300, 1.0], False),
+    ([1.5, -0.5], False),
+    ([np.inf, -np.inf], False),
+    ([np.inf, 0.0], False),
+    ([0.2, 0.5, 0.3], True),
+    ([0.1, 0.2, 0.7], True),
+    ([1 / 3] * 3, True),
+    ([0.5, 0.5 + 5e-13], True),
+    ([0.5, 0.5 - 5e-13], True),
+    ([0.5, 0.25, 0.25 - 5e-13], True),
+    ([0.25, 0.25, 0.5 + 5e-13], True),
+    ([0.5, 0.5 + 2e-12], False),
+    ([0.5, 0.5 - 2e-12], False),
+    ([0.25, 0.25, 0.5 + 2e-12], False),
+    ([0.1] * 10, True),
+    ([0.125] * 8, True),
+]
+
+
+@pytest.mark.parametrize("weights, accepted", WEIGHT_DECISIONS)
+def test_mixture_weight_boundary_decisions(weights, accepted):
+    components = [IidDevice(uniform_box())] * len(weights)
+    if accepted:
+        MixtureDevice(components, weights)
+    else:
+        with pytest.raises(ValueError, match="distribution"):
+            MixtureDevice(components, weights)
+
+
+def test_mixture_weight_check_matches_numpy_at_the_tolerance():
+    """The check runs on Python floats; its sum must round like numpy's,
+    left to right below eight entries and pairwise from eight on, so
+    vectors whose sum lands within a few ulps of 1 +- 1e-12 get numpy's
+    decision."""
+    rng = np.random.default_rng(31)
+    device = IidDevice(uniform_box())
+    decisions = set()
+    for n in range(1, 13):
+        for _ in range(400):
+            w = rng.dirichlet(np.ones(n)) if n > 1 else np.ones(1)
+            w[-1] += rng.choice([-1e-12, 1e-12]) + rng.integers(-8, 9) * 2.0**-52
+            want = bool(np.min(w) >= 0 and abs(w.sum() - 1.0) <= 1e-12)
+            try:
+                MixtureDevice([device] * n, w.tolist())
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (n, w.tolist())
+            decisions.add((n >= 8, want))
+    assert decisions == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_zero_probability_history():
     # both components concentrate on definite parities, so a wrong-parity
     # outcome has zero likelihood

@@ -793,6 +793,114 @@ def test_mixtures_that_do_not_reduce_stay_general():
     assert not fast_path_applicable(params, [ConditionedDevice(device, ())] * 3, HONEST)
 
 
+def count_reductions(monkeypatch) -> list:
+    """Record every _reduced_table call, recursive ones included."""
+    import randamp.protocol as protocol
+
+    calls = []
+    real = protocol._reduced_table
+
+    def counting(device):
+        calls.append(device)
+        return real(device)
+
+    monkeypatch.setattr(protocol, "_reduced_table", counting)
+    return calls
+
+
+def test_fresh_mixtures_over_shared_boxes_reduce_once(monkeypatch):
+    """k fresh mixtures over the same boxes and weights share one law key:
+    one reduction, and the same rows and report, bit for bit, as k copies of
+    one mixture object."""
+    k = 6
+    params = ProtocolParams(0.1, 0.8, 0.9, k, n=(4,))
+    source = GreedyTowardString((0,), 0.1)
+    strong, flat = IidDevice(algebraic_violation_box()), IidDevice(uniform_box())
+    # the weights as a tuple, a list and an array have the same bytes
+    fresh = [MixtureDevice([strong, flat], w) for w in [(0.8, 0.2), [0.8, 0.2], np.array([0.8, 0.2])] * 2]
+    one = MixtureDevice([strong, flat], (0.8, 0.2))
+    calls = count_reductions(monkeypatch)
+    assert np.array_equal(_shared_table(fresh, source), _shared_table([one] * k, source))
+    assert calls == [fresh[0], strong, flat, one, strong, flat]
+
+    fresh_rows = engine_columns(simulate_trials(params, fresh, source, 600, seed=4))
+    one_rows = engine_columns(simulate_trials(params, [one] * k, source, 600, seed=4))
+    for got, want in zip(fresh_rows, one_rows):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    reports = [
+        estimate_output_bias(params, [(1.0, factory, source)], 5000, seed=12)
+        for factory in (lambda: [MixtureDevice([strong, flat], (0.8, 0.2)) for _ in range(k)],
+                        lambda: [one] * k)
+    ]
+    assert 0.05 < reports[0].acceptance_rate < 0.95  # interior, so the counts have teeth
+    assert repr(reports[0]) == repr(reports[1])
+
+
+def test_mixtures_over_equal_tables_compare_by_content(monkeypatch):
+    """Distinct box objects give distinct keys; equal tables still take the
+    vectorized engine, each reduced once."""
+    params = honest_params(k=3)
+    table = algebraic_violation_box().table
+    flat = IidDevice(uniform_box())
+    copies = [MixtureDevice([IidDevice(NsBox(table.copy())), flat], (0.8, 0.2)) for _ in range(3)]
+    calls = count_reductions(monkeypatch)
+    assert fast_path_applicable(params, copies, HONEST)
+    assert [c for c in calls if isinstance(c, MixtureDevice)] == copies
+
+    strong = IidDevice(algebraic_violation_box())
+    weighted = [MixtureDevice([strong, flat], w) for w in ((0.8, 0.2), (0.8, 0.2), (0.7, 0.3))]
+    calls.clear()
+    assert not fast_path_applicable(params, weighted, HONEST)
+    assert [c for c in calls if isinstance(c, MixtureDevice)] == [weighted[0], weighted[2]]
+
+
+def test_nested_mixtures_are_keyed_through_inner_mixtures(monkeypatch):
+    params = honest_params(k=4)
+    leaning, deterministic, flat = IidDevice(LEANING), IidDevice(DETERMINISTIC), IidDevice(uniform_box())
+
+    def nested(inner_weights=(1 / 3, 2 / 3), last=flat):
+        inner = MixtureDevice([leaning, deterministic], inner_weights)
+        return MixtureDevice([inner, last], (3 / 4, 1 / 4))
+
+    devices = [nested() for _ in range(4)]
+    calls = count_reductions(monkeypatch)
+    table = _shared_table(devices, HONEST)
+    assert calls == [devices[0], devices[0].components[0], leaning, deterministic, flat]
+    assert np.array_equal(table, _shared_table([nested_mixture()[0]] * 4, HONEST))
+
+    # a different inner weight is a different key, and here a different table
+    calls.clear()
+    assert not fast_path_applicable(params, devices[:3] + [nested((2 / 3, 1 / 3))], HONEST)
+    assert len([c for c in calls if c is leaning]) == 2
+    # an inner component that does not reduce keys the whole device to None
+    scheduled = nested(last=SequenceDevice([uniform_box()]))
+    assert not fast_path_applicable(params, devices[:3] + [scheduled], HONEST)
+
+
+def test_audit_distances_equal_checked_distance_d():
+    """The audit computes d and d_c without re-checking the rows it built;
+    they equal distance_d on the same rows, bit for bit, with a symbol of
+    weight 0 among three."""
+    k = 4
+    params = ProtocolParams(0.1, 0.8, 0.9, k)
+    source = GreedyTowardString((0,), 0.1)
+    strong, flat = IidDevice(algebraic_violation_box()), IidDevice(uniform_box())
+    adversary = [
+        (0.6, lambda: [MixtureDevice([strong, flat], (0.7, 0.3)) for _ in range(k)], source),
+        (0.0, lambda: [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * k, HONEST),
+        (0.4, lambda: [ConditionedDevice(MixtureDevice([strong, flat], (0.9, 0.1)), ())] * k, HONEST),
+    ]
+    report = estimate_output_bias(params, adversary, 400, seed=3)
+    estimable = [row for row in report.per_symbol if row[1] > 0]
+    assert len(estimable) == 3
+    rows = np.array([[p0, 1.0 - p0] for _, _, p0, _ in estimable])
+    w = np.array([w for w, _, _, _ in estimable])
+    want = distance_d(rows.reshape(1, -1, 2), (w / w.sum()).reshape(1, -1))
+    assert repr((report.d, report.d_c)) == repr((want.d, want.d_c))
+    assert report.distances.sigma_size == want.sigma_size == 2
+
+
 def test_estimate_output_bias_honest():
     params = honest_params(k=10)
     box = algebraic_violation_box()
