@@ -600,36 +600,70 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "certify": (cmd_certify, "LP guessing-probability certification over a delta grid"),
+    "simulate": (cmd_simulate, "Monte Carlo protocol runs to JSON + CSV"),
+    "definetti": (cmd_definetti, "exact product-closeness checks on exchangeable mixtures"),
+    "quantum-check": (cmd_quantum_check, "state and measurement-box validation"),
+    "bounds": (cmd_bounds, "print every theoretical bound for given parameters"),
+}
+
+
+def _add_command_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Declare command `name`'s options and handler (`func`) on `parser`.
+    The one place a command's options are declared: `make_parser` calls it
+    for each sub-parser and `command_parser` for its single parser, so the
+    two parse a command's arguments alike."""
+    parser.add_argument("--config", required=(name != "quantum-check"), help="JSON config path")
+    parser.add_argument("--out", required=(name == "simulate"), help="output directory")
+    if name == "simulate":
+        parser.add_argument("--seed", type=int, help="master seed override")
+        parser.add_argument("--trials", type=int, help="trial count override")
+        parser.add_argument("--jobs", type=int, help="worker processes over trial chunks")
+    parser.set_defaults(func=_COMMANDS[name][0])
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args does not
+    """The full argument parser, built once per process: parse_args does not
     change it."""
     parser = argparse.ArgumentParser(
         prog="randamp",
         description="Bell-inequality randomness amplification: certification and simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "certify": (cmd_certify, "LP guessing-probability certification over a delta grid"),
-        "simulate": (cmd_simulate, "Monte Carlo protocol runs to JSON + CSV"),
-        "definetti": (cmd_definetti, "exact product-closeness checks on exchangeable mixtures"),
-        "quantum-check": (cmd_quantum_check, "state and measurement-box validation"),
-        "bounds": (cmd_bounds, "print every theoretical bound for given parameters"),
-    }
-    for name, (func, help_text) in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=(name != "quantum-check"), help="JSON config path")
-        p.add_argument("--out", required=(name == "simulate"), help="output directory")
-        if name == "simulate":
-            p.add_argument("--seed", type=int, help="master seed override")
-            p.add_argument("--trials", type=int, help="trial count override")
-            p.add_argument("--jobs", type=int, help="worker processes over trial chunks")
-        p.set_defaults(func=func)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_command_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """A parser for command `name` alone, built once per process.  It is
+    the sub-parser `make_parser` builds for `name` (same prog, options and
+    handler, so the same help and errors), plus `command` set to `name`,
+    at a fraction of the full parser's cost."""
+    parser = argparse.ArgumentParser(prog=f"randamp {name}")
+    _add_command_options(parser, name)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """make_parser().parse_args(argv), building only the invoked command's
+    parser when argv starts with a command.  Anything else (no command,
+    options before it, arguments it leaves unrecognized) goes to the full
+    parser, so top-level help, usage and every error read as before."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return make_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

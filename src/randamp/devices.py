@@ -68,7 +68,10 @@ class MixtureDevice(TimeOrderedDevice):
 
     def __init__(self, components, weights):
         self.components = list(components)
-        self.weights = np.asarray(weights, dtype=float)
+        # a private read-only copy: the posteriors read _prior, copied below,
+        # and the vectorized engine reads weights, so both must stay fixed
+        self.weights = np.array(weights, dtype=float)
+        self.weights.setflags(write=False)
         if self.weights.ndim != 1 or len(self.weights) != len(self.components) or not self.components:
             raise ValueError(
                 f"weights must be a 1-D vector with one entry per component "

@@ -437,6 +437,73 @@ def test_run_flags_only_on_simulate(tmp_path):
         assert exc.value.code == 2
 
 
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["simulate", "-h"],
+    ["definetti", "--help"],
+    ["simulate", "--out", "o"],
+    ["simulate", "--config", "c"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "abc"],
+    ["simulate", "--config", "c", "--out", "o", "--bogus"],
+    ["certify", "--conf", "c"],
+    ["simulate", "--conf", "c", "--out", "o", "--tri", "7"],
+    ["definetti", "--config=x", "extra"],
+    ["sim", "--config", "c"],
+    ["--config", "c", "simulate", "--out", "o"],
+    ["simulate", "--", "--config", "c", "--out", "o"],
+    ["bounds", "--config", "c", "--", "x"],
+    ["simulate", "--config", "a", "--config", "b", "--out", "o"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "1", "--seed", "2"],
+    ["simulate", "--config", "c", "--out", "o", "--seed", "1", "--trials", "8", "--jobs", "2"],
+    ["quantum-check"],
+    ["quantum-check", "--out", "o"],
+    ["quantum-check", "--config", "q", "--out", "o"],
+    ["certify", "--config", "c", "--seed", "3"],
+    ["certify", "--config", "c", "-h", "--bogus"],
+    ["definetti", "--config", "c", "--out"],
+    ["bounds"],
+    ["bounds", "--config", "c"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(Namespace or SystemExit code, stdout, stderr) of one parse."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "empty")
+def test_command_parser_parses_as_the_full_parser(argv, capsys):
+    expected = parse_outcome(randamp.cli.make_parser().parse_args, argv, capsys)
+    assert parse_outcome(randamp.cli._parse_args, argv, capsys) == expected
+
+
+def test_well_formed_call_builds_only_its_command_parser(tmp_path, monkeypatch):
+    built = []
+    add_options = randamp.cli._add_command_options
+
+    def recording(parser, name):
+        built.append(name)
+        add_options(parser, name)
+
+    def full_parser():
+        raise AssertionError("make_parser called")
+
+    monkeypatch.setattr(randamp.cli, "_add_command_options", recording)
+    monkeypatch.setattr(randamp.cli, "make_parser", full_parser)
+    randamp.cli.command_parser.cache_clear()
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    for out in ("a", "b"):
+        assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    assert built == ["simulate"]
+
+
 def test_simulate_rejects_nonpositive_jobs(tmp_path, capsys):
     cfg = write_config(tmp_path, SIM_CONFIG)
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2

@@ -22,7 +22,7 @@ from randamp.devices import (
     ZeroProbabilityHistoryError,
     sample_outcome,
 )
-from randamp.protocol import ProtocolParams, run_protocol
+from randamp.protocol import ProtocolParams, _reduced_table, run_protocol
 from randamp.sv import GreedyTowardString
 
 from helpers import condition_device, history_likelihood
@@ -62,6 +62,19 @@ def test_mixture_posterior_hand_computed():
     blended = device.box_given(((u, x),)).table
     want = expected_a * box_a.table + (1 - expected_a) * box_b.table
     assert np.max(np.abs(blended - want)) <= 1e-12
+
+
+def test_mixture_keeps_its_own_read_only_weights():
+    weights = np.array([0.8, 0.2])
+    device = MixtureDevice([IidDevice(algebraic_violation_box()), IidDevice(uniform_box())], weights)
+    weights[:] = [0.2, 0.8]
+    table = device.box_given(()).table
+    assert device.weights.tolist() == [0.8, 0.2]
+    assert device.posterior(()).tolist() == [0.8, 0.2]
+    assert np.max(np.abs(_reduced_table(device) - table)) <= 1e-15
+    assert np.max(np.abs(0.8 * algebraic_violation_box().table + 0.2 * uniform_box().table - table)) <= 1e-15
+    with pytest.raises(ValueError):
+        device.weights[0] = 1
 
 
 def test_mixture_two_step_bayes_update():
