@@ -25,7 +25,7 @@ from . import __version__
 from .boxes import NsBox, algebraic_violation_box, bell_value, mixed_with_uniform, uniform_box
 from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_block_sizes
 from .devices import IidDevice
-from .lp import INSTANCE_KEYS, analytic_bound, certify_bound
+from .lp import INSTANCE_KEYS, analytic_bound, certify_bound, prepare_highs
 from .protocol import (
     SIMULATE_CHUNK,
     ProtocolParams,
@@ -191,6 +191,12 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def cmd_certify(args) -> int:
+    """Certify the LP guessing bound at every delta of the config's grid.
+
+    On the HiGHS route the deltas are certified on up to min(#deltas, CPUs)
+    threads; the simplex route runs on the calling thread.  Entries, prints,
+    certify.json and the manifest are built afterwards in grid order, so
+    they are the same whatever the number of threads."""
     cfg, cfg_sha256 = load_config(args.config)
     _check_keys(cfg, {"deltas", "method", "tolerance"})
     deltas = _require(cfg, "deltas", "")
@@ -203,16 +209,36 @@ def cmd_certify(args) -> int:
     tol = _number(cfg.get("tolerance", 1e-8), "tolerance")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"field 'tolerance' must be a finite number >= 0, got {tol!r}")
-    grid, passed, reports = [], True, []
-    for delta, value in zip(deltas, values):
+
+    def certify(value):
+        """certify_bound's report for one delta, or the exception it raised."""
         try:
             # certify_bound raises unless the bound holds on all 16 instances
-            report = certify_bound(value, method=method, tol=tol)
-            grid.append(report.to_json())
-            reports.append(report)
+            return certify_bound(value, method=method, tol=tol)
         except Exception as exc:  # solver failure is a reportable outcome
-            grid.append({"delta": delta, "error": str(exc), "error_type": type(exc).__name__})
+            return exc
+
+    # HiGHS releases the GIL while it solves, so threads overlap one delta's
+    # solves with another's checks; the simplex route holds the GIL in its
+    # per-pivot Python and gains nothing from threads.
+    workers = min(len(values), os.cpu_count() or 1) if method == "highs" else 1
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # imported here: only a pool needs it, and it slows every command's start
+            from concurrent.futures import ThreadPoolExecutor
+
+            prepare_highs()  # no worker then imports a module or builds a cache
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        outcomes = list(mapper(certify, values))
+    grid, passed, reports = [], True, []
+    for delta, outcome in zip(deltas, outcomes):
+        if isinstance(outcome, Exception):
+            grid.append({"delta": delta, "error": str(outcome), "error_type": type(outcome).__name__})
             passed = False
+        else:
+            grid.append(outcome.to_json())
+            reports.append(outcome)
     summary = {
         "passed": passed,
         "method": method,

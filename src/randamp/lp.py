@@ -30,6 +30,11 @@ one.
 The equality system is built by index arithmetic, and HiGHS gets it and
 the Bell row as CSR matrices, cached like the system itself, so that
 linprog does not convert a dense matrix on every solve.
+
+The cached arrays are read-only, so that threads may share them: the CLI
+certifies the deltas of a grid on several threads on the HiGHS route, which
+releases the GIL while it solves, after `prepare_highs` has built every cache
+and import on the calling thread.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), met
                          method=method)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: cached arrays are shared by every caller."""
+    array.setflags(write=False)
+    return array
+
+
 def var_index(x: int, u: int) -> int:
     return x * N_SETTINGS + u
 
@@ -104,7 +115,7 @@ def equality_constraints():
     A[N_SETTINGS + r, var_index(x, u)] = 1.0
     A[N_SETTINGS + r, var_index(x, u | (1 << party))] = -1.0
     b = np.concatenate([np.ones(N_SETTINGS), np.zeros(N_EQ - N_SETTINGS)])
-    return A, b
+    return _read_only(A), _read_only(b)
 
 
 @lru_cache(maxsize=1)
@@ -124,7 +135,7 @@ def independent_equality_rows():
     aug_rank = np.linalg.matrix_rank(np.hstack([A, b[:, None]]), tol=1e-10)
     if aug_rank != rank:
         raise RuntimeError("equality system inconsistent with its own rank")
-    return keep
+    return _read_only(keep)
 
 
 def bell_row() -> np.ndarray:
@@ -138,7 +149,7 @@ def majority_sign_vector(guess: int) -> np.ndarray:
     for x in range(N_OUTCOMES):
         bits = unpack_bits(x)
         signs[x] = 1.0 if majority(bits[0], bits[1], bits[2]) == guess else -1.0
-    return signs
+    return _read_only(signs)
 
 
 @dataclass(frozen=True)
@@ -211,6 +222,17 @@ def _sparse_rows():
 
     A_eq, _ = equality_constraints()
     return csr_array(A_eq), csr_array(bell_row()[None, :])
+
+
+def prepare_highs() -> None:
+    """Do on the calling thread the one-time work of a HiGHS `certify_bound`:
+    build the symmetry orbits and the cached systems they rest on, the CSR
+    rows, and import scipy's linprog.  Threads that certify deltas side by
+    side afterwards only read caches and never import a module; two threads
+    importing scipy at once risk a deadlock on the import lock."""
+    symmetry_orbits()
+    _sparse_rows()
+    from scipy.optimize import linprog  # noqa: F401
 
 
 def _solve_primal_highs(instance: LpInstance):
@@ -330,7 +352,7 @@ INSTANCE_KEYS = tuple((u_star, guess) for u_star in INEQUALITY_SETTINGS for gues
 def _bit_permutation(parties: tuple) -> np.ndarray:
     """The 16 four-bit indices with bit i of each moved to bit parties[i]."""
     bits = (np.arange(N_SETTINGS)[:, None] >> np.arange(4)) & 1
-    return bits @ (1 << np.asarray(parties))
+    return _read_only(bits @ (1 << np.asarray(parties)))
 
 
 @dataclass(frozen=True)
@@ -404,13 +426,15 @@ def _integer_rows():
         raise CertificationError("equality constraints are not integral")
     A = np.vstack([A_int, -A_int, -np.eye(N_VARS, dtype=np.int8), bell_row().astype(np.int8)[None, :]])
     c = np.concatenate([b_int, -b_int, np.zeros(N_VARS + 1, dtype=np.int8)])
-    return A, c, np.divmod(np.flatnonzero(A != 0), N_VARS)
+    rows, cols = np.divmod(np.flatnonzero(A != 0), N_VARS)
+    return _read_only(A), _read_only(c), (_read_only(rows), _read_only(cols))
 
 
 @lru_cache(maxsize=1)
 def _objectives_int() -> dict:
     """The unhalved objective of every instance in integers, by key."""
-    return {key: LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8) for key in INSTANCE_KEYS}
+    return {key: _read_only(LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8))
+            for key in INSTANCE_KEYS}
 
 
 def check_symmetry_map(smap: SymmetryMap, source, target):

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -540,12 +541,13 @@ def test_certify_command(tmp_path, capsys):
 
 
 # sha256 of certify.json and of the manifest's metrics, and the HiGHS
-# iteration count of every solve in order, on a grid with every linear piece
-# of the LP value function, the tight delta = 1/3 and both ends of [0, 8].
-# Recorded before the equality system was built by index arithmetic and
-# handed to HiGHS as sparse matrices; both must leave every byte alone.  The
-# figures are those of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS
-# may take other pivots.
+# iteration count of every solve in serial order (delta by delta, the orbit
+# representatives in turn), on a grid with every linear piece of the LP value
+# function, the tight delta = 1/3 and both ends of [0, 8].  Recorded before
+# the equality system was built by index arithmetic and handed to HiGHS as
+# sparse matrices; both must leave every byte alone.  The figures are those
+# of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS may take other
+# pivots.
 PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
 PINNED_CERTIFY = {
     "highs": ("db3c0d7f601c162780becce67a3fd58bb387cf26ebee5ab159d2b63ddaa7a76a",
@@ -559,12 +561,12 @@ PINNED_HIGHS_NIT = [153, 151, 216, 242, 198, 239, 228, 251, 249, 227, 227, 202, 
 def test_certify_outputs_pinned(tmp_path, monkeypatch):
     import randamp.lp as lp
 
-    nits = []
+    solves = []  # ((delta, objective bytes), nit), in completion order
     real = lp.linprog
 
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        nits.append(int(res.nit))
+    def recording(c, *args, **kwargs):
+        res = real(c, *args, **kwargs)
+        solves.append(((float(kwargs["b_ub"][0]), np.asarray(c).tobytes()), int(res.nit)))
         return res
 
     monkeypatch.setattr(lp, "linprog", recording)
@@ -576,7 +578,120 @@ def test_certify_outputs_pinned(tmp_path, monkeypatch):
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
         digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest()
         assert digest == metrics_sha, method
-    assert nits == PINNED_HIGHS_NIT
+    # Concurrent solves finish in either order, so each nit is matched to
+    # its solve by delta and objective and compared in serial order.
+    assert len(solves) == 16
+    nit_by_solve = dict(solves)
+    serial = [
+        (delta, (-0.5 * lp.LpInstance(rep[0], delta, rep[1]).objective_m()).tobytes())
+        for delta in PINNED_CERTIFY_DELTAS for rep, _ in lp.symmetry_orbits()
+    ]
+    assert [nit_by_solve[key] for key in serial] == PINNED_HIGHS_NIT
+
+
+def _serial_certify(deltas, method="highs"):
+    """certify.json's bytes and the manifest's metrics of a grid certified by
+    a plain loop of certify_bound on the calling thread."""
+    from randamp.cli import _json_bytes
+    from randamp.lp import certify_bound
+
+    reports = [certify_bound(delta, method=method) for delta in deltas]
+    summary = {"passed": True, "method": method, "bound_formula": "min((11 + 7 delta)/32, 1/2)",
+               "grid": [r.to_json() for r in reports]}
+    metrics = {"certificates": [
+        {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual, "duality_gap": r.duality_gap}
+        for r in reports
+    ]}
+    return _json_bytes(summary), metrics
+
+
+def _record_threads(monkeypatch):
+    """Wrap cli.certify_bound to record the thread of every call."""
+    threads = []
+    real = randamp.cli.certify_bound
+
+    def recording(delta, method="highs", tol=1e-8):
+        threads.append(threading.get_ident())
+        return real(delta, method=method, tol=tol)
+
+    monkeypatch.setattr(randamp.cli, "certify_bound", recording)
+    return threads
+
+
+def test_threaded_certify_matches_a_serial_loop(tmp_path, monkeypatch):
+    """More deltas than threads, every linear piece and both ends of [0, 8]:
+    the threaded grid writes the bytes a serial loop of certify_bound gives,
+    run after run."""
+    deltas = [0.0, 0.05, 2 / 9, 0.3, 1 / 3, 0.5, 0.9, 1.0, 3.0, 8.0]
+    want_certify, want_metrics = _serial_certify(deltas)
+    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 4)
+    threads = _record_threads(monkeypatch)
+    cfg = write_config(tmp_path, {"deltas": deltas})
+    for run in range(3):
+        out = tmp_path / f"run{run}"
+        assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "certify.json").read_bytes() == want_certify
+        assert json.loads((out / "manifest.json").read_text())["metrics"] == want_metrics
+    assert len(threads) == 3 * len(deltas)
+    assert threading.get_ident() not in threads  # every delta ran on a worker
+
+
+def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, monkeypatch):
+    deltas = [0.1, 0.2, 1.5]
+    summary = json.loads(_serial_certify(deltas[::2])[0])
+    real = randamp.cli.certify_bound
+    failed_on = []
+
+    def failing(delta, method="highs", tol=1e-8):
+        if delta == 0.2:
+            failed_on.append(threading.get_ident())
+            raise ArithmeticError("solver gave up")
+        return real(delta, method=method, tol=tol)
+
+    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(randamp.cli, "certify_bound", failing)
+    cfg = write_config(tmp_path, {"deltas": deltas})
+    out = tmp_path / "cert"
+    assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert failed_on and threading.get_ident() not in failed_on
+    printed = capsys.readouterr().out
+    assert printed.index("delta=0.1:") < printed.index("delta=0.2: ERROR") < printed.index("delta=1.5:")
+    payload = json.loads((out / "certify.json").read_text())
+    first, failed, last = payload["grid"]
+    assert [first, last] == summary["grid"]
+    assert failed == {"delta": 0.2, "error": "solver gave up", "error_type": "ArithmeticError"}
+    facts = json.loads((out / "manifest.json").read_text())["metrics"]["certificates"]
+    assert [f["delta"] for f in facts] == [0.1, 1.5]
+
+
+@pytest.mark.parametrize("config", [{"deltas": [0.1, 1.0], "method": "simplex"}, {"deltas": [1 / 3]}])
+def test_serial_certify_starts_no_thread(tmp_path, capsys, monkeypatch, config):
+    """The simplex route holds the GIL and a single delta has nothing to
+    overlap, so neither starts a thread."""
+    def no_thread(self):
+        raise AssertionError("no thread expected")
+
+    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert run_main(["certify", "--config", write_config(tmp_path, config)]) == 0
+    assert "certification: pass" in capsys.readouterr().out
+
+
+def test_threaded_certify_builds_each_cache_once(tmp_path, monkeypatch):
+    """Cold caches are built on the calling thread before the workers start,
+    so no two workers build one at the same time."""
+    import randamp.lp as lp
+
+    for name in ("equality_constraints", "_sparse_rows", "_integer_rows", "_objectives_int",
+                 "majority_sign_vector", "_bit_permutation", "symmetry_orbits"):
+        getattr(lp, name).cache_clear()
+    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 2)
+    threads = _record_threads(monkeypatch)
+    cfg = write_config(tmp_path, {"deltas": [0.05, 0.3, 1 / 3, 0.6, 2.0]})
+    assert run_main(["certify", "--config", cfg]) == 0
+    assert threading.get_ident() not in threads
+    assert lp.equality_constraints.cache_info().misses == 1
+    assert lp.symmetry_orbits.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("tolerance", ["NaN", "Infinity", "-Infinity", "-1e-9"])

@@ -408,3 +408,25 @@ def test_certify_accepts_a_zero_tolerance():
     # The cap is tight at delta = 1/3 and on [1, 8], but not at 0 or 0.5.
     assert certify_bound(0.0, tol=0.0).passed
     assert certify_bound(0.5, tol=0.0, method="simplex").passed
+
+
+def test_cached_arrays_are_read_only():
+    """Threads certifying deltas side by side share these caches, so none
+    of them can be written through."""
+    A, b = equality_constraints()
+    A_int, c_int, (rows, cols) = lp._integer_rows()
+    shared = {
+        "equality A": A,
+        "equality b": b,
+        "independent rows": independent_equality_rows(),
+        "majority signs": majority_sign_vector(1),
+        "bit permutation": lp._bit_permutation((1, 0, 2, 3)),
+        "integer rows": A_int,
+        "integer rhs": c_int,
+        "nonzero rows": rows,
+        "nonzero cols": cols,
+        **{f"objective {key}": m for key, m in lp._objectives_int().items()},
+    }
+    for name, array in shared.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
