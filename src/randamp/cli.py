@@ -27,23 +27,10 @@ from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_b
 from .devices import IidDevice
 from .lp import INSTANCE_KEYS, analytic_bound, certify_bound, prepare_highs
 from .protocol import (
-    SIMULATE_CHUNK,
-    ProtocolParams,
-    acceptance_threshold,
-    azuma_rejection_bound,
-    fast_path_applicable,
-    proposition_bound,
-    robustness_acceptance_bound,
-    robustness_threshold,
-    simulate_trials,
+    SIMULATE_CHUNK, ProtocolParams, acceptance_threshold, azuma_rejection_bound, fast_path_applicable,
+    proposition_bound, robustness_acceptance_bound, robustness_threshold, simulate_trials,
 )
-from .quantum import (
-    NoiseSpec,
-    born_box,
-    build_state,
-    noisy_box,
-    xz_bases,
-)
+from .quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
 from .sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
 
 
@@ -51,18 +38,181 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, field: str, path: str):
-    if field not in cfg:
-        raise ConfigError(f"missing field '{path}{field}'")
-    return cfg[field]
+REQUIRED = object()  # the default of a field a config must give
+_INT64_MAX = 2**63 - 1
 
 
-def _check_keys(cfg: dict, allowed, path: str = ""):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"expected an object at '{path or '<root>'}'")
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{path}{key}'")
+class Field:
+    """One config field: its kind, its default and the inclusive range of
+    its value (of each entry, for a list of integers).
+
+    An "object" lists its fields; a "choice" maps each value it takes to
+    the fields that value adds beside it.  A field with `instead` may be
+    left out when that sibling is given, and the two exclude each other."""
+
+    __slots__ = ("kind", "default", "low", "high", "fields", "nonempty", "instead", "check")
+
+    def __init__(self, kind: str, default=REQUIRED, *, low=-math.inf, high=math.inf,
+                 fields: dict | None = None, nonempty: bool = False, instead: str | None = None):
+        self.kind, self.default, self.low, self.high = kind, default, low, high
+        self.fields, self.nonempty, self.instead = fields, nonempty, instead
+        self.check = _CHECKS[kind]  # (value, field, path, noun) -> checked value
+
+
+def _refused(path: str, noun: str, expected: str, value, field: Field | None = None) -> ConfigError:
+    if field is not None and field.high != math.inf:
+        expected += f" <= {field.high}" if field.low == -math.inf else f" in [{field.low}, {field.high}]"
+    elif field is not None and field.low != -math.inf:
+        expected += f" >= {field.low}"
+    return ConfigError(f"{noun} '{path}' must be {expected}, got {value!r}")
+
+
+def _number(value, field: Field, path: str, noun: str) -> float:
+    """A finite JSON number in range, as a float: a string, null or
+    true/false is refused, not converted."""
+    if type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{noun} '{path}' is too large for a float")
+    elif type(value) is not float:
+        raise _refused(path, noun, "a number", value)
+    if not (math.isfinite(value) and field.low <= value <= field.high):
+        raise _refused(path, noun, "a finite number", value, field)
+    return value
+
+
+# "uses": one integer for every device, or a list, as ProtocolParams takes n
+_INTEGER_KINDS = {"integer": "an integer", "integers": "a list of integers", "uses": "an integer or a list of integers"}
+
+
+def _integers(value, field: Field, path: str, noun: str):
+    """A JSON integer in range, or a list of them as a tuple, as the kind
+    allows: a float, a string or true/false (a bool is an int in Python) is
+    refused, not truncated."""
+    scalar = field.kind != "integers" and type(value) is int
+    if scalar or field.kind != "integer" and type(value) is list:
+        for v in (value,) if scalar else value:
+            if type(v) is not int or not field.low <= v <= field.high:
+                break
+        else:
+            return value if scalar else tuple(value)
+    raise _refused(path, noun, _INTEGER_KINDS[field.kind], value, field)
+
+
+def _numbers(value, field: Field, path: str, noun: str) -> list:
+    """A list of numbers, each checked by _number; in a "table" an entry
+    may itself be such a list, to any depth (the shape is the caller's)."""
+    if type(value) is not list:
+        raise _refused(path, noun, "a list", value)
+    if field.nonempty and not value:
+        raise ConfigError(f"{noun} '{path}' must list at least one value")
+    checked = []
+    for i, v in enumerate(value):
+        if type(v) is float and math.isfinite(v) and field.low <= v <= field.high:
+            checked.append(v)  # the common case, without building v's path
+        elif field.kind == "table" and type(v) is list:
+            checked.append(_numbers(v, field, f"{path}[{i}]", noun))
+        else:
+            checked.append(_number(v, field, f"{path}[{i}]", noun))
+    return checked
+
+
+def _flag(value, field: Field, path: str, noun: str) -> bool:
+    if type(value) is not bool:
+        raise _refused(path, noun, "true or false", value)
+    return value
+
+
+def _choice(value, field: Field, path: str, noun: str) -> str:
+    if type(value) is not str or value not in field.fields:
+        raise ConfigError(f"unknown value {value!r} for {noun} '{path}'")
+    return value
+
+
+def _object(value, field: Field, path: str, noun: str = "field") -> dict:
+    """The checked fields of a JSON object, defaults filled in: a missing
+    required field, an unknown one or a malformed value is a ConfigError
+    naming it.  A choice adds the fields of its value to those checked."""
+    if type(value) is not dict:
+        raise _refused(path or "<root>", noun, "an object", value)
+    prefix = f"{path}." if path else ""
+    checked, given = {}, 0
+    fields = list(field.fields.items())
+    for name, spec in fields:  # grows as choices add their fields
+        if name in value:
+            given += 1
+            if spec.instead is not None and spec.instead in value:
+                raise ConfigError(f"fields '{prefix}{name}' and '{prefix}{spec.instead}' exclude each other")
+            checked[name] = item = spec.check(value[name], spec, prefix + name, noun)
+            if spec.kind == "choice":
+                fields.extend(spec.fields[item].items())
+        elif spec.default is not REQUIRED or spec.instead in value:
+            checked[name] = None if spec.default is REQUIRED else spec.default
+        else:
+            also = f" (or '{prefix}{spec.instead}')" if spec.instead else ""
+            raise ConfigError(f"missing field '{prefix}{name}'{also}")
+    if given < len(value):
+        unknown = next(name for name in value if name not in checked)
+        raise ConfigError(f"unknown field '{prefix}{unknown}'")
+    return checked
+
+
+_CHECKS = {"number": _number, "integer": _integers, "integers": _integers, "uses": _integers,
+           "numbers": _numbers, "table": _numbers, "flag": _flag, "choice": _choice, "object": _object}
+
+_NUMBER, _COUNT = Field("number"), Field("integer", high=_INT64_MAX)
+_SV = Field("object", fields={"strategy": Field("choice", fields={
+    "honest": {},
+    "greedy": {"target": Field("integers", (0,), low=0, high=1)},
+    "constant": {"bias": Field("number", None)},  # None: epsilon
+    "steer": {"setting": Field("integers", low=0, high=1)},
+})})
+_PARAMS = {"epsilon": _NUMBER, "delta": _NUMBER, "mu": _NUMBER, "k": _COUNT, "t": Field("number", 1e6)}
+_NOISE = {"state_mixing": Field("number", 0.0), "basis_rotation": Field("number", 0.0)}
+
+# Every command's config, field by field: the CLI reads nothing else.
+CONFIG_FIELDS = {
+    "certify": Field("object", fields={
+        "deltas": Field("numbers", nonempty=True),
+        "method": Field("choice", "highs", fields={"highs": {}, "simplex": {}}),
+        "tolerance": Field("number", 1e-8, low=0),
+    }),
+    "simulate": Field("object", fields={
+        **_PARAMS,
+        "n": Field("uses", (1,), high=_INT64_MAX),
+        "trials": Field("integer", 100, low=1, high=_INT64_MAX),
+        "seed": Field("integer", 0, low=0),  # SeedSequence takes any such integer
+        "device": Field("object", fields={"model": Field("choice", fields={
+            "quantum": _NOISE, "uniform": {}, "algebraic": {},
+            "mixed_algebraic": {"weight": Field("number", 0.0)},
+            "table": {"table": Field("table")},
+        })}),
+        "sv": _SV,
+    }),
+    "definetti": Field("object", fields={
+        "epsilon": _NUMBER,
+        "n": Field("integers", high=_INT64_MAX, instead="schedule"),
+        "schedule": Field("object", None, fields={
+            "k": _COUNT, "t": _NUMBER, "k_exponent": Field("integer", 2, high=_INT64_MAX),
+        }),
+        "t_levels": Field("numbers"),
+        "system": Field("object", fields={
+            "type": Field("choice", fields={"exchangeable": {}}),
+            "components": Field("table"),
+            "weights": Field("numbers"),
+        }),
+        "sv": _SV,
+        "pinsker": Field("flag", False),
+        "sigma_size": Field("integer", None, low=2, high=_INT64_MAX),  # None: the system's
+    }),
+    "quantum-check": Field("object", fields=_NOISE),
+    "bounds": Field("object", fields={**_PARAMS, "k_exponent": Field("integer", 2, high=_INT64_MAX)}),
+}
+
+# simulate's options: --seed and --trials are checked as the fields they replace
+SIMULATE_OPTIONS = {"seed": CONFIG_FIELDS["simulate"].fields["seed"],
+                    "trials": CONFIG_FIELDS["simulate"].fields["trials"], "jobs": Field("integer", 1, low=1)}
 
 
 def load_config(path: str) -> tuple:
@@ -74,50 +224,39 @@ def load_config(path: str) -> tuple:
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not text, or an integer past str's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def build_strategy(spec: dict, epsilon: float, path: str = "sv."):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"expected an object at '{path[:-1]}'")
-    name = _require(spec, "strategy", path)
-    if name == "honest":
-        _check_keys(spec, {"strategy"}, path)
-        return HonestBits()
+def _config(args, command: str) -> tuple:
+    """(args.config checked against CONFIG_FIELDS[command], defaults filled
+    in; SHA-256 of its bytes).  No file is the empty config."""
+    cfg, cfg_sha256 = load_config(args.config) if args.config else ({}, None)
+    return _object(cfg, CONFIG_FIELDS[command], ""), cfg_sha256
+
+
+def build_strategy(spec: dict, epsilon: float):
+    """The source strategy of a checked `sv` object."""
+    name = spec["strategy"]
     if name == "greedy":
-        _check_keys(spec, {"strategy", "target"}, path)
-        return GreedyTowardString(_bits(spec.get("target", [0]), f"{path}target"), epsilon)
+        return GreedyTowardString(spec["target"], epsilon)
     if name == "constant":
-        _check_keys(spec, {"strategy", "bias"}, path)
-        return ConstantBias(_number(spec.get("bias", epsilon), f"{path}bias"))
+        return ConstantBias(epsilon if spec["bias"] is None else spec["bias"])
     if name == "steer":
-        _check_keys(spec, {"strategy", "setting"}, path)
-        return SettingSteering(_bits(_require(spec, "setting", path), f"{path}setting"), epsilon)
-    raise ConfigError(f"unknown strategy '{name}' at '{path}strategy'")
+        return SettingSteering(spec["setting"], epsilon)
+    return HonestBits()
 
 
-def build_box(spec: dict, path: str = "device.") -> NsBox:
-    _check_keys(
-        spec, {"model", "state_mixing", "basis_rotation", "weight", "table"}, path
-    )
-    model = _require(spec, "model", path)
+def build_box(spec: dict) -> NsBox:
+    """The box of a checked `device` object."""
+    model = spec["model"]
     if model == "quantum":
-        return noisy_box(
-            NoiseSpec(
-                state_mixing=_number(spec.get("state_mixing", 0.0), f"{path}state_mixing"),
-                basis_rotation=_number(spec.get("basis_rotation", 0.0), f"{path}basis_rotation"),
-            )
-        )
-    if model == "uniform":
-        return uniform_box()
-    if model == "algebraic":
-        return algebraic_violation_box()
+        return noisy_box(NoiseSpec(state_mixing=spec["state_mixing"], basis_rotation=spec["basis_rotation"]))
     if model == "mixed_algebraic":
-        return mixed_with_uniform(algebraic_violation_box(), _number(spec.get("weight", 0.0), f"{path}weight"))
+        return mixed_with_uniform(algebraic_violation_box(), spec["weight"])
     if model == "table":
-        return NsBox(_numbers(_require(spec, "table", path), f"{path}table", nested=True))
-    raise ConfigError(f"unknown device model '{model}' at '{path}model'")
+        return NsBox(spec["table"])
+    return uniform_box() if model == "uniform" else algebraic_violation_box()
 
 
 def sha256_file(path: str) -> str:
@@ -197,18 +336,9 @@ def cmd_certify(args) -> int:
     threads; the simplex route runs on the calling thread.  Entries, prints,
     certify.json and the manifest are built afterwards in grid order, so
     they are the same whatever the number of threads."""
-    cfg, cfg_sha256 = load_config(args.config)
-    _check_keys(cfg, {"deltas", "method", "tolerance"})
-    deltas = _require(cfg, "deltas", "")
-    values = _numbers(deltas, "deltas")
-    if not values:
-        raise ConfigError("field 'deltas' must list at least one value")
-    method = cfg.get("method", "highs")
-    if method not in ("highs", "simplex"):
-        raise ConfigError(f"unknown value {method!r} for field 'method'")
-    tol = _number(cfg.get("tolerance", 1e-8), "tolerance")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"field 'tolerance' must be a finite number >= 0, got {tol!r}")
+    raw, cfg_sha256 = load_config(args.config)
+    cfg = _object(raw, CONFIG_FIELDS["certify"], "")
+    values, method, tol = cfg["deltas"], cfg["method"], cfg["tolerance"]
 
     def certify(value):
         """certify_bound's report for one delta, or the exception it raised."""
@@ -219,8 +349,8 @@ def cmd_certify(args) -> int:
             return exc
 
     # HiGHS releases the GIL while it solves, so threads overlap one delta's
-    # solves with another's checks; the simplex route holds the GIL in its
-    # per-pivot Python and gains nothing from threads.
+    # solves with another's checks.  numpy's tableau updates release it too,
+    # but the simplex route stays serial: exact certificates are to replace it.
     workers = min(len(values), os.cpu_count() or 1) if method == "highs" else 1
     with contextlib.ExitStack() as stack:
         mapper = map
@@ -232,91 +362,30 @@ def cmd_certify(args) -> int:
             mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
         outcomes = list(mapper(certify, values))
     grid, passed, reports = [], True, []
-    for delta, outcome in zip(deltas, outcomes):
+    for delta, outcome in zip(raw["deltas"], outcomes):  # an error shows delta as the config wrote it
         if isinstance(outcome, Exception):
             grid.append({"delta": delta, "error": str(outcome), "error_type": type(outcome).__name__})
             passed = False
         else:
             grid.append(outcome.to_json())
             reports.append(outcome)
-    summary = {
-        "passed": passed,
-        "method": method,
-        "bound_formula": "min((11 + 7 delta)/32, 1/2)",
-        "grid": grid,
-    }
+    summary = {"passed": passed, "method": method, "bound_formula": "min((11 + 7 delta)/32, 1/2)", "grid": grid}
     if args.out:
-        metrics = {"certificates": [
-            {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual,
-             "duality_gap": r.duality_gap}
-            for r in reports
-        ]}
+        metrics = {"certificates": [{"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual,
+                                     "duality_gap": r.duality_gap} for r in reports]}
         write_outputs(args.out, "certify", cfg_sha256, {"certify.json": _json_bytes(summary)}, metrics)
     for entry in grid:
         if "error" in entry:
             print(f"delta={entry['delta']}: ERROR {entry['error']}")
         else:
-            print(
-                f"delta={entry['delta']}: max_optimum={entry['max_optimum']:.9f} "
-                f"bound={entry['bound']:.9f} {'ok' if entry['passed'] else 'VIOLATED'}"
-            )
+            print(f"delta={entry['delta']}: max_optimum={entry['max_optimum']:.9f} "
+                  f"bound={entry['bound']:.9f} {'ok' if entry['passed'] else 'VIOLATED'}")
     if reports:
         print(f"solved {reports[-1].solved} of {len(INSTANCE_KEYS)} instances per delta (symmetry orbits)")
-        print(
-            f"dual certificates: worst residual {max(r.dual_residual for r in reports):.3e}, "
-            f"worst |dual/2 - primal| {max(r.duality_gap for r in reports):.3e}"
-        )
+        print(f"dual certificates: worst residual {max(r.dual_residual for r in reports):.3e}, "
+              f"worst |dual/2 - primal| {max(r.duality_gap for r in reports):.3e}")
     print("certification:", "pass" if passed else "FAIL")
     return 0 if passed else 1
-
-
-def _integer(value, field: str) -> int:
-    """A config field that must be a JSON integer: a float, a string or
-    true/false (a bool is an int in Python) is refused, not truncated."""
-    if type(value) is not int:
-        raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
-    return value
-
-
-def _bits(value, field: str) -> tuple:
-    """A config field that must be a JSON list of the integers 0 and 1: a
-    string, true/false, a float or any other integer is refused, not
-    converted."""
-    if not isinstance(value, list) or any(type(b) is not int or b not in (0, 1) for b in value):
-        raise ConfigError(f"field '{field}' must be a list of the integers 0 and 1, got {value!r}")
-    return tuple(value)
-
-
-def _number(value, field: str) -> float:
-    """A config field that must be a JSON number, as a float: a string, null
-    or true/false is refused, not converted."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"field '{field}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"field '{field}' is too large for a float")
-
-
-def _numbers(value, field: str, nested: bool = False) -> list:
-    """A JSON list of numbers, each checked by _number.  With nested, an
-    entry may itself be such a list, to any depth; the shape is left to the
-    caller."""
-    if not isinstance(value, list):
-        raise ConfigError(f"field '{field}' must be a list, got {value!r}")
-    return [_numbers(v, f"{field}[{i}]", nested) if nested and isinstance(v, list) else _number(v, f"{field}[{i}]")
-            for i, v in enumerate(value)]
-
-
-def _use_counts(value, scalar: bool):
-    """The field 'n': a list of integers, or with scalar one integer for
-    every device, as ProtocolParams takes it."""
-    if scalar and type(value) is int:
-        return value
-    if isinstance(value, list) and all(type(v) is int for v in value):
-        return tuple(value)
-    kind = "an integer or a list of integers" if scalar else "a list of integers"
-    raise ConfigError(f"field 'n' must be {kind}, got {value!r}")
 
 
 # Chunks formatted per _trial_rows call.  Two amortize its fixed cost; the
@@ -401,33 +470,21 @@ def _stream_trials(chunks, write) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    cfg, cfg_sha256 = load_config(args.config)
-    _check_keys(
-        cfg,
-        {"epsilon", "delta", "mu", "k", "n", "t", "trials", "seed", "device", "sv"},
-    )
-    params = ProtocolParams(
-        epsilon=_number(_require(cfg, "epsilon", ""), "epsilon"),
-        delta=_number(_require(cfg, "delta", ""), "delta"),
-        mu=_number(_require(cfg, "mu", ""), "mu"),
-        k=_integer(_require(cfg, "k", ""), "k"),
-        n=_use_counts(cfg["n"], scalar=True) if "n" in cfg else (1,),
-        t=_number(cfg.get("t", 1e6), "t"),
-    )
-    box = build_box(_require(cfg, "device", ""))
-    strategy = build_strategy(_require(cfg, "sv", ""), params.epsilon)
-    trials = args.trials if args.trials is not None else _integer(cfg.get("trials", 100), "trials")
-    if trials < 1:
-        raise ConfigError("field 'trials' must be positive")
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError("option '--jobs' must be positive")
-    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "seed")
+    cfg, cfg_sha256 = _config(args, "simulate")
+    for name, field in SIMULATE_OPTIONS.items():
+        if (value := getattr(args, name)) is not None:
+            cfg[name] = field.check(value, field, f"--{name}", "option")
+    cfg.setdefault("jobs", SIMULATE_OPTIONS["jobs"].default)
+    params = ProtocolParams(n=cfg["n"], **{name: cfg[name] for name in _PARAMS})
+    box = build_box(cfg["device"])
+    strategy = build_strategy(cfg["sv"], params.epsilon)
+    trials, seed = cfg["trials"], cfg["seed"]
 
     devices = [IidDevice(box)] * params.k
     engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
     # Worker start-up (each imports numpy and randamp) costs more than
     # a whole vectorized run, and a worker beyond the chunk count has no work.
-    workers = 1 if engine == "vectorized" else min(args.jobs or 1, -(-trials // SIMULATE_CHUNK))
+    workers = 1 if engine == "vectorized" else min(cfg["jobs"], -(-trials // SIMULATE_CHUNK))
     written = {}
     os.makedirs(args.out, exist_ok=True)
     with contextlib.ExitStack() as stack:
@@ -446,14 +503,7 @@ def cmd_simulate(args) -> int:
             n_acc, zeros, n_chunks = _stream_trials(chunks, write)
 
     summary = {
-        "params": {
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "mu": params.mu,
-            "k": params.k,
-            "n": list(params.n),
-            "t": params.t,
-        },
+        "params": {"n": list(params.n), **{name: getattr(params, name) for name in _PARAMS}},
         "seed": seed,
         "trials": trials,
         "acceptance_rate": n_acc / trials,
@@ -465,80 +515,35 @@ def cmd_simulate(args) -> int:
             "proposition_total": proposition_bound(params).total,
         },
     }
-    write_outputs(
-        args.out,
-        "simulate",
-        cfg_sha256,
-        {"summary.json": _json_bytes(summary)},
-        metrics={"engine": engine, "workers": workers, "chunks": n_chunks},
-        written=written,
-    )
-    print(
-        f"simulate: {trials} trials, engine={engine}, workers={workers}, "
-        f"acceptance {summary['acceptance_rate']:.4f}, "
-        f"outputs in {args.out}"
-    )
+    write_outputs(args.out, "simulate", cfg_sha256, {"summary.json": _json_bytes(summary)},
+                  metrics={"engine": engine, "workers": workers, "chunks": n_chunks}, written=written)
+    print(f"simulate: {trials} trials, engine={engine}, workers={workers}, "
+          f"acceptance {summary['acceptance_rate']:.4f}, outputs in {args.out}")
     return 0
 
 
 def cmd_definetti(args) -> int:
-    cfg, cfg_sha256 = load_config(args.config)
-    _check_keys(
-        cfg, {"epsilon", "n", "schedule", "t_levels", "system", "sv", "pinsker", "sigma_size"}
-    )
-    pinsker = cfg.get("pinsker", False)
-    if not isinstance(pinsker, bool):
-        raise ConfigError(f"field 'pinsker' must be true or false, got {pinsker!r}")
-    sigma_size = cfg.get("sigma_size")
-    # JSON true/false load as bool, a subclass of int: not a size
-    if "sigma_size" in cfg and not (type(sigma_size) is int and sigma_size >= 2):
-        raise ConfigError(f"field 'sigma_size' must be an integer >= 2, got {sigma_size!r}")
-    epsilon = _number(_require(cfg, "epsilon", ""), "epsilon")
-    if "n" in cfg:
-        n = list(_use_counts(cfg["n"], scalar=False))
-    elif "schedule" in cfg:
-        sched = cfg["schedule"]
-        _check_keys(sched, {"k", "t", "k_exponent"}, "schedule.")
-        n = block_sizes(
-            epsilon,
-            _integer(_require(sched, "k", "schedule."), "schedule.k"),
-            _number(_require(sched, "t", "schedule."), "schedule.t"),
-            _integer(sched.get("k_exponent", 2), "schedule.k_exponent"),
-        )
-    else:
-        raise ConfigError("missing field 'n' (or 'schedule')")
-    t_levels = _numbers(_require(cfg, "t_levels", ""), "t_levels")
-    system_spec = _require(cfg, "system", "")
-    _check_keys(system_spec, {"type", "components", "weights"}, "system.")
-    if _require(system_spec, "type", "system.") != "exchangeable":
-        raise ConfigError("only system.type 'exchangeable' is supported")
-    components = _numbers(_require(system_spec, "components", "system."), "system.components", nested=True)
-    components = [np.asarray(c, dtype=float) for c in components]
-    weights = _numbers(_require(system_spec, "weights", "system."), "system.weights")
-    system = ExchangeableMixture(n, components, weights)
-    strategy = build_strategy(_require(cfg, "sv", ""), epsilon)
+    cfg, cfg_sha256 = _config(args, "definetti")
+    epsilon, sched, spec = cfg["epsilon"], cfg["schedule"], cfg["system"]
+    n = list(cfg["n"]) if sched is None else block_sizes(epsilon, sched["k"], sched["t"], sched["k_exponent"])
+    components = [np.asarray(c, dtype=float) for c in spec["components"]]
+    system = ExchangeableMixture(n, components, spec["weights"])
+    strategy = build_strategy(cfg["sv"], epsilon)
     report = definetti_check(
-        system, strategy, epsilon, t_levels, sigma_size=sigma_size, pinsker=pinsker
+        system, strategy, epsilon, cfg["t_levels"], sigma_size=cfg["sigma_size"], pinsker=cfg["pinsker"]
     )
     payload = report.to_json()
     if args.out:
         metrics = {"selections": len(report.selections), "types": report.types, "chunks": report.chunks}
         write_outputs(args.out, "definetti", cfg_sha256, {"definetti.json": _json_bytes(payload)}, metrics)
-    print(
-        f"definetti: n={n} max T={report.max_t:.6f} threshold={report.threshold:.6f} "
-        f"exceed fraction={report.weighted_exceed_fraction:.6f} "
-        f"<= bound {report.probability_bound:.6f}"
-    )
+    print(f"definetti: n={n} max T={report.max_t:.6f} threshold={report.threshold:.6f} "
+          f"exceed fraction={report.weighted_exceed_fraction:.6f} <= bound {report.probability_bound:.6f}")
     return 0
 
 
 def cmd_quantum_check(args) -> int:
-    cfg, cfg_sha256 = load_config(args.config) if args.config else ({}, None)
-    _check_keys(cfg, {"state_mixing", "basis_rotation"})
-    noise = NoiseSpec(
-        state_mixing=_number(cfg.get("state_mixing", 0.0), "state_mixing"),
-        basis_rotation=_number(cfg.get("basis_rotation", 0.0), "basis_rotation"),
-    )
+    cfg, cfg_sha256 = _config(args, "quantum-check")
+    noise = NoiseSpec(state_mixing=cfg["state_mixing"], basis_rotation=cfg["basis_rotation"])
     state = build_state()
     clean = born_box(state, xz_bases())
     box = noisy_box(noise)
@@ -551,14 +556,9 @@ def cmd_quantum_check(args) -> int:
         "no_signaling": True,  # NsBox construction already enforced it
     }
     if args.out:
-        write_outputs(
-            args.out, "quantum-check", cfg_sha256, {"quantum_check.json": _json_bytes(payload)}
-        )
-    print(
-        f"quantum-check: norm={payload['state_norm']:.12f} "
-        f"bell_clean={payload['bell_value_clean']:.3e} "
-        f"bell_noisy={payload['bell_value_noisy']:.6f}"
-    )
+        write_outputs(args.out, "quantum-check", cfg_sha256, {"quantum_check.json": _json_bytes(payload)})
+    print(f"quantum-check: norm={payload['state_norm']:.12f} bell_clean={payload['bell_value_clean']:.3e} "
+          f"bell_noisy={payload['bell_value_noisy']:.6f}")
     return 0
 
 
@@ -582,16 +582,9 @@ def _sci_from_log2(log2_value: float) -> str:
 
 
 def cmd_bounds(args) -> int:
-    cfg, cfg_sha256 = load_config(args.config)
-    _check_keys(cfg, {"epsilon", "delta", "mu", "k", "t", "k_exponent"})
-    params = ProtocolParams(
-        epsilon=_number(_require(cfg, "epsilon", ""), "epsilon"),
-        delta=_number(_require(cfg, "delta", ""), "delta"),
-        mu=_number(_require(cfg, "mu", ""), "mu"),
-        k=_integer(_require(cfg, "k", ""), "k"),
-        t=_number(cfg.get("t", 1e6), "t"),
-    )
-    k_exp = _integer(cfg.get("k_exponent", 2), "k_exponent")
+    cfg, cfg_sha256 = _config(args, "bounds")
+    params = ProtocolParams(**{name: cfg[name] for name in _PARAMS})
+    k_exp = cfg["k_exponent"]
     prop = proposition_bound(params)
     lines = [
         f"epsilon={params.epsilon} delta={params.delta} mu={params.mu} "
@@ -695,7 +688,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # OverflowError: a block size past 2^62
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

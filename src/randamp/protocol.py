@@ -9,6 +9,7 @@ the per-device majorities of the first three outcome bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -587,7 +588,7 @@ class _ProtocolSampler:
         """(accepted, accepted with output 0) over m trials, chunked and
         seeded like simulate_trials."""
         n_acc = zeros = 0
-        for size, chunk_seed in zip(*_chunks(m, seed)):
+        for size, chunk_seed in _chunks(m, seed):
             _, accepted, output = self.sample(size, np.random.default_rng(chunk_seed))
             n_acc += int(accepted.sum())
             zeros += int(np.sum(output == 0))
@@ -609,20 +610,20 @@ def _sampler(params: ProtocolParams, devices, sv_strategy):
 SIMULATE_CHUNK = 256
 
 
-def _chunks(trials: int, seed) -> tuple:
-    """(sizes, seeds): chunks of SIMULATE_CHUNK trials, the last possibly
-    shorter, and one child of the seed's SeedSequence per chunk.  seed is an
-    int, None or a SeedSequence."""
+def _chunks(trials: int, seed):
+    """(size, seed) of each chunk of SIMULATE_CHUNK trials, the last possibly
+    shorter, as an iterator: each seed is the next child of the seed's
+    SeedSequence (an int, None or a SeedSequence), spawned as its chunk is
+    reached, which gives the children of one spawn(n).  trials is checked now."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    sizes = [min(SIMULATE_CHUNK, trials - lo) for lo in range(0, trials, SIMULATE_CHUNK)]
-    return sizes, seed.spawn(len(sizes))
+    return ((min(SIMULATE_CHUNK, trials - lo), seed.spawn(1)[0]) for lo in range(0, trials, SIMULATE_CHUNK))
 
 
-def _chunk_rows(sampler, size: int, seed_seq) -> TrialRows:
-    return sampler.rows(size, np.random.default_rng(seed_seq))
+def _chunk_rows(sampler, chunk: tuple) -> TrialRows:
+    return sampler.rows(chunk[0], np.random.default_rng(chunk[1]))
 
 
 def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None,
@@ -638,8 +639,7 @@ def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, s
     earlier runs.
     """
     sampler = _sampler(params, devices, sv_strategy)
-    sizes, seeds = _chunks(trials, seed)
-    return mapper(_chunk_rows, [sampler] * len(sizes), sizes, seeds)
+    return mapper(_chunk_rows, itertools.repeat(sampler), _chunks(trials, seed))
 
 
 @dataclass(slots=True)

@@ -752,20 +752,20 @@ def test_invalid_parameter_exits_one(tmp_path, capsys):
 def test_simulate_refuses_a_nan_device_table(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(SIM_CONFIG, device={"model": "table", "table": [[math.nan] * 16] * 16}))
     out = tmp_path / "x"
-    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    assert "non-finite entry" in capsys.readouterr().err
+    assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "field 'device.table[0][0]' must be a finite number, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])
 def test_nan_t_is_refused(tmp_path, capsys, command):
-    """A NaN t fails `t > 0`: simulate wrote a NaN proposition_total, and
-    bounds failed converting NaN to an integer without naming t."""
+    """A NaN t is a config error: simulate wrote a NaN proposition_total,
+    and bounds failed converting NaN to an integer without naming t."""
     base = SIM_CONFIG if command == "simulate" else {"epsilon": 0.1, "delta": 0.8, "mu": 0.9, "k": 2}
     cfg = write_config(tmp_path, {**base, "t": math.nan})
     out = tmp_path / "x"
-    assert run_main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert "t nan must be positive" in capsys.readouterr().err
+    assert run_main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "field 't' must be a finite number, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -773,20 +773,20 @@ def test_definetti_refuses_nan_weights(tmp_path, capsys):
     cfg = write_config(tmp_path, {**DEFINETTI_CONFIG, "system": {**DEFINETTI_CONFIG["system"],
                                                                    "weights": [math.nan, math.nan]}})
     out = tmp_path / "x"
-    assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 1
-    assert "weights must be a distribution" in capsys.readouterr().err
+    assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 2
+    assert "field 'system.weights[0]' must be a finite number, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "definetti"])
 def test_nan_source_bias_is_refused(tmp_path, capsys, command):
-    """A NaN constant bias fails `|b| <= epsilon`: definetti wrote NaN
-    levels and exited 0, simulate failed inside numpy."""
+    """A NaN constant bias is a config error: definetti wrote NaN levels
+    and exited 0, simulate failed inside numpy."""
     base = SIM_CONFIG if command == "simulate" else DEFINETTI_CONFIG
     cfg = write_config(tmp_path, {**base, "sv": {"strategy": "constant", "bias": math.nan}})
     out = tmp_path / "x"
-    assert run_main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert "bias nan exceeds epsilon 0.1" in capsys.readouterr().err
+    assert run_main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "field 'sv.bias' must be a finite number, got nan" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -936,6 +936,53 @@ DEFINETTI_CONFIG = {
     "sv": {"strategy": "greedy", "target": [0]},
     "pinsker": True,
 }
+
+
+def test_definetti_refuses_n_and_schedule_together(tmp_path, capsys):
+    """schedule was ignored, unchecked, whenever n was given."""
+    for schedule in ({"k": 2, "t": 0.5}, "garbage"):
+        cfg = write_config(tmp_path, {**DEFINETTI_CONFIG, "schedule": schedule})
+        out = tmp_path / "x"
+        assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 2
+        assert "fields 'n' and 'schedule' exclude each other" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_definetti_schedule_past_the_size_limit_exits_one(tmp_path, capsys):
+    """block_sizes raises OverflowError past 2^62: a runtime failure with
+    its message, where it was a traceback."""
+    schedule = {k: v for k, v in DEFINETTI_CONFIG.items() if k != "n"}
+    cfg = write_config(tmp_path, {**schedule, "t_levels": [2.0, 2.0], "schedule": {"k": 3, "t": 1e6}})
+    out = tmp_path / "x"
+    assert run_main(["definetti", "--config", cfg, "--out", str(out)]) == 1
+    assert "block size exceeds 2^62" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BOUNDS_CONFIG = {"epsilon": 0.1, "delta": 0.8, "mu": 0.9, "k": 2}
+
+
+@pytest.mark.parametrize(("command", "base", "change", "options", "named"), [
+    ("simulate", SIM_CONFIG, {"t": math.inf}, [], "field 't'"),  # wrote "t": Infinity
+    ("definetti", DEFINETTI_CONFIG, {"t_levels": [math.inf]}, [], "field 't_levels[0]'"),  # "threshold": Infinity
+    ("simulate", SIM_CONFIG, {"k": 10**30}, [], "field 'k'"),  # OverflowError traceback
+    ("bounds", BOUNDS_CONFIG, {"k": 10**30}, [], "field 'k'"),  # OverflowError traceback
+    ("simulate", SIM_CONFIG, {"seed": -1}, [], "field 'seed'"),  # numpy's message, exit 1
+    ("simulate", SIM_CONFIG, {}, ["--seed", "-1"], "option '--seed'"),  # numpy's message, exit 1
+], ids=["t", "t_levels", "simulate-k", "bounds-k", "seed", "seed-option"])
+def test_fields_out_of_range_are_config_errors(tmp_path, capsys, command, base, change, options, named):
+    cfg = write_config(tmp_path, {**base, **change})
+    out = tmp_path / "x"
+    assert run_main([command, "--config", cfg, "--out", str(out), *options]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_has_no_upper_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**SIM_CONFIG, "seed": 10**30})
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    assert json.loads((tmp_path / "x" / "summary.json").read_text())["seed"] == 10**30
+    capsys.readouterr()
 
 
 def test_integer_fields_are_not_truncated(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import randamp.protocol as protocol
 from randamp.boxes import (
     BELL_FUNCTIONAL,
     INEQUALITY_INDICES,
@@ -1003,6 +1005,45 @@ def test_simulate_trials_chunks_and_engines():
         simulate_trials(params, devices, greedy, 0)
     with pytest.raises(ValueError, match="need 3 devices"):
         simulate_trials(params, devices[:2], greedy, 10)
+
+
+@pytest.mark.parametrize("trials", [1, 257, 600])
+@pytest.mark.parametrize("greedy_target", [(0, 1), (0, 1, 1)])  # vectorized and general engines
+def test_simulate_trials_chunks_are_one_spawn_of_the_seed(trials, greedy_target):
+    """Chunk c has min(256, trials left) rows drawn from child c of one
+    SeedSequence(seed).spawn(n), though the children are spawned as the
+    chunks are reached."""
+    params = honest_params(k=3, epsilon=0.1, n=(4,))
+    devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * 3
+    source = GreedyTowardString(greedy_target, 0.1)
+    sizes = [min(256, trials - lo) for lo in range(0, trials, 256)]
+    children = np.random.SeedSequence(7).spawn(len(sizes))
+    sampler = protocol._sampler(params, devices, source)
+    expected = [sampler.rows(size, np.random.default_rng(child)) for size, child in zip(sizes, children)]
+    chunks = list(simulate_trials(params, devices, source, trials, seed=7))
+    assert [len(c.z_k) for c in chunks] == sizes
+    for a, b in zip(engine_columns(chunks), engine_columns(expected)):
+        assert np.array_equal(a, b)
+
+
+def test_simulate_trials_hands_out_chunks_one_at_a_time():
+    """The first chunk of 10^12 trials comes without a list of every
+    chunk's size and seed (~4e9 of each), and a bad count still raises at
+    the call."""
+    params = honest_params(k=3, epsilon=0.1, n=(4,))
+    devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * 3
+    source = GreedyTowardString((0, 1), 0.1)
+    next(simulate_trials(params, devices, source, 1, seed=3))  # numpy's lazy imports are not the chunks'
+    tracemalloc.start()
+    try:
+        first = next(iter(simulate_trials(params, devices, source, 10**12, seed=3)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first.z_k) == 256
+    assert peak < 1_000_000, peak
+    with pytest.raises(ValueError, match="at least one trial"):
+        simulate_trials(params, devices, source, 0)
 
 
 def test_audit_counts_match_simulate_rows():
