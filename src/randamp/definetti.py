@@ -123,14 +123,18 @@ def sv_selection_distribution(strategy, epsilon: float, n) -> dict:
     return {tuple(a + 1 for a in sel): p for sel, p in zip(np.ndindex(law.shape), law.ravel().tolist())}
 
 
-def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
-    """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}."""
+def _check_schedule(epsilon: float, k: int, t: float, k_exponent: int) -> None:
     if not 0.0 <= epsilon < 0.5:
         raise ValueError("epsilon must lie in [0, 1/2)")
     if k < 1 or not t > 0:  # false for NaN too
         raise ValueError("need k >= 1 and t > 0")
     if k_exponent not in (2, 3):
         raise ValueError("k_exponent must be 2 or 3")
+
+
+def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
+    """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}."""
+    _check_schedule(epsilon, k, t, k_exponent)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
     factor = math.log2(8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3)
     logs = [0.0]
@@ -145,8 +149,8 @@ def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     Raises OverflowError when a level exceeds 2^62; use log2_block_sizes to
     inspect such schedules.
     """
+    _check_schedule(epsilon, k, t, k_exponent)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
-    log2_block_sizes(epsilon, k, t, k_exponent)  # argument validation
     factor = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
     sizes = [1]
     for _ in range(1, k):

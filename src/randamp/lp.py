@@ -27,14 +27,20 @@ nonzero entries of the constraint matrix: once P and R are bijections,
 A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
 one.
 
-The equality system is built by index arithmetic, and HiGHS gets it and
-the Bell row as CSR matrices, cached like the system itself, so that
-linprog does not convert a dense matrix on every solve.
+The equality system is built by index arithmetic.  HiGHS is called through
+scipy's bindings without `scipy.optimize.linprog`: the model linprog would
+hand it (the Bell row stacked over the equality rows in CSC form, the row
+and column bounds with kHighsInf for infinity, and linprog's default
+options) is built once, and each solve passes it with its own objective and
+Bell bound to a fresh solver.  linprog re-checks and re-stacks its inputs
+and reads the basis one column at a time on every call, all while holding
+the GIL; the direct call returns the same bits (checked against linprog in
+tests/test_lp.py).
 
-The cached arrays are read-only, so that threads may share them: the CLI
-certifies the deltas of a grid on several threads on the HiGHS route, which
-releases the GIL while it solves, after `prepare_highs` has built every cache
-and import on the calling thread.
+The cached arrays and the model are read-only, so that threads may share
+them: the CLI certifies the deltas of a grid on several threads on the
+HiGHS route, which releases the GIL while it solves, after `prepare_highs`
+has built every cache and import on the calling thread.
 """
 
 from __future__ import annotations
@@ -66,16 +72,6 @@ N_EQ = N_SETTINGS + 4 * 64  # normalization rows, then 64 marginal rows per part
 
 class CertificationError(AssertionError):
     pass
-
-
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs"):
-    """scipy.optimize.linprog, imported on the first solve: importing scipy
-    takes several times as long as the rest of the package, and only the
-    HiGHS route needs it."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                         method=method)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -214,46 +210,107 @@ def _dual_vector(free, pos, bell: float) -> np.ndarray:
     ])
 
 
-@lru_cache(maxsize=1)
-def _sparse_rows():
-    """A_eq and the Bell row as CSR matrices for HiGHS, which takes sparse
-    input: given dense ones, linprog converts them again on every solve."""
-    from scipy.sparse import csr_array
+@dataclass(frozen=True)
+class _HighsModel:
+    """What linprog hands HiGHS for the primal, less the objective and the
+    Bell bound: the matrix vstack((bell_row, A_eq)) in CSC form, its row
+    bounds (the Bell row's lower one -kHighsInf), the column bounds 0 and
+    kHighsInf, and linprog's default options.  The sequences are tuples,
+    which HiGHS reads faster than arrays and nobody can edit."""
 
-    A_eq, _ = equality_constraints()
-    return csr_array(A_eq), csr_array(bell_row()[None, :])
+    start: tuple
+    index: tuple
+    value: tuple
+    row_lower: tuple
+    b_eq: tuple
+    col_lower: tuple
+    col_upper: tuple
+    options: object  # HighsOptions
+
+
+@lru_cache(maxsize=1)
+def _highs_model() -> _HighsModel:
+    from scipy.optimize._highspy import _core as highs
+
+    A_eq, b_eq = equality_constraints()
+    rows = np.vstack([bell_row()[None, :], A_eq])
+    cols, row_index = np.nonzero(rows.T)  # column-major, rows ascending in each column
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return _HighsModel(
+        tuple(np.searchsorted(cols, np.arange(N_VARS + 1)).tolist()),
+        tuple(row_index.tolist()),
+        tuple(rows[row_index, cols].tolist()),
+        (-highs.kHighsInf, *b_eq.tolist()),
+        tuple(b_eq.tolist()),
+        (0.0,) * N_VARS,
+        (highs.kHighsInf,) * N_VARS,
+        options,
+    )
+
+
+def _highs_solve(c: np.ndarray, delta: float):
+    """HiGHS on min c.x subject to bell_row.x <= delta, A_eq x = b_eq, x >= 0,
+    exactly as linprog(method="highs") would run it, and what linprog would
+    return: (x, objective value, row duals with the Bell row's first, the
+    lower-bound marginals, simplex iterations).  A lower-bound marginal is
+    the column dual where the column is nonbasic at its lower bound, else 0.
+    Only `run` releases the GIL.  Raises RuntimeError naming the model
+    status unless it is optimal."""
+    from scipy.optimize._highspy import _core as highs
+
+    model = _highs_model()
+    problem = highs.HighsLp()
+    problem.num_col_ = problem.a_matrix_.num_col_ = N_VARS
+    problem.num_row_ = problem.a_matrix_.num_row_ = len(model.row_lower)
+    problem.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    problem.a_matrix_.start_ = model.start
+    problem.a_matrix_.index_ = model.index
+    problem.a_matrix_.value_ = model.value
+    problem.col_cost_ = c.tolist()
+    problem.col_lower_ = model.col_lower
+    problem.col_upper_ = model.col_upper
+    problem.row_lower_ = model.row_lower
+    problem.row_upper_ = (float(delta), *model.b_eq)
+    solver = highs._Highs()
+    solver.passOptions(model.options)
+    solver.passModel(problem)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"HiGHS ended with model status {solver.modelStatusToString(status)!r}")
+    info, solution = solver.getInfo(), solver.getSolution()
+    at_lower = highs.HighsBasisStatus.kLower
+    lower = np.where([col == at_lower for col in solver.getBasis().col_status],
+                     solution.col_dual, 0.0)
+    return (np.array(solution.col_value), info.objective_function_value, np.array(solution.row_dual),
+            lower, info.simplex_iteration_count or info.ipm_iteration_count)
 
 
 def prepare_highs() -> None:
     """Do on the calling thread the one-time work of a HiGHS `certify_bound`:
-    build the symmetry orbits and the cached systems they rest on, the CSR
-    rows, and import scipy's linprog.  Threads that certify deltas side by
-    side afterwards only read caches and never import a module; two threads
-    importing scipy at once risk a deadlock on the import lock."""
+    build the symmetry orbits and the cached systems they rest on, and the
+    HiGHS model, which imports scipy's bindings.  Threads that certify deltas
+    side by side afterwards only read caches and never import a module; two
+    threads importing scipy at once risk a deadlock on the import lock."""
     symmetry_orbits()
-    _sparse_rows()
-    from scipy.optimize import linprog  # noqa: F401
+    _highs_model()
 
 
 def _solve_primal_highs(instance: LpInstance):
     """HiGHS on min -m.x/2; its multipliers satisfy
     -m/2 = A_eq^T y + bell_row * mu + s with mu <= 0 and s >= 0.  x <= 1 is
     implied by normalization, so no bound row is given for it."""
-    A_eq, bell = _sparse_rows()
-    res = linprog(
-        -0.5 * instance.objective_m(),
-        A_ub=bell,
-        b_ub=[instance.delta],
-        A_eq=A_eq,
-        b_eq=equality_constraints()[1],
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"HiGHS failed on {instance}: {res.message}")
-    lam = _dual_vector(-2.0 * res.eqlin.marginals, 2.0 * res.lower.marginals,
-                       -2.0 * float(res.ineqlin.marginals[0]))
-    return res.x, -res.fun, lam
+    try:
+        x, value, row_dual, lower, _ = _highs_solve(-0.5 * instance.objective_m(), instance.delta)
+    except RuntimeError as exc:
+        raise RuntimeError(f"HiGHS failed on {instance}: {exc}") from None
+    lam = _dual_vector(-2.0 * row_dual[1:], 2.0 * lower, -2.0 * float(row_dual[0]))
+    return x, -value, lam
 
 
 def _simplex_program(instances):

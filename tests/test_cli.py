@@ -545,9 +545,9 @@ def test_certify_command(tmp_path, capsys):
 # representatives in turn), on a grid with every linear piece of the LP value
 # function, the tight delta = 1/3 and both ends of [0, 8].  Recorded before
 # the equality system was built by index arithmetic and handed to HiGHS as
-# sparse matrices; both must leave every byte alone.  The figures are those
-# of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS may take other
-# pivots.
+# sparse matrices, and before HiGHS was called without linprog; each must
+# leave every byte alone.  The figures are those of scipy 1.17.1's HiGHS and
+# numpy 2.4.6; another HiGHS may take other pivots.
 PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
 PINNED_CERTIFY = {
     "highs": ("db3c0d7f601c162780becce67a3fd58bb387cf26ebee5ab159d2b63ddaa7a76a",
@@ -562,14 +562,14 @@ def test_certify_outputs_pinned(tmp_path, monkeypatch):
     import randamp.lp as lp
 
     solves = []  # ((delta, objective bytes), nit), in completion order
-    real = lp.linprog
+    real = lp._highs_solve
 
-    def recording(c, *args, **kwargs):
-        res = real(c, *args, **kwargs)
-        solves.append(((float(kwargs["b_ub"][0]), np.asarray(c).tobytes()), int(res.nit)))
+    def recording(c, delta):
+        res = real(c, delta)
+        solves.append(((float(delta), np.asarray(c).tobytes()), int(res[-1])))
         return res
 
-    monkeypatch.setattr(lp, "linprog", recording)
+    monkeypatch.setattr(lp, "_highs_solve", recording)
     for method, (certify_sha, metrics_sha) in PINNED_CERTIFY.items():
         cfg = write_config(tmp_path, {"deltas": PINNED_CERTIFY_DELTAS, "method": method}, f"{method}.json")
         out = tmp_path / method
@@ -682,7 +682,7 @@ def test_threaded_certify_builds_each_cache_once(tmp_path, monkeypatch):
     so no two workers build one at the same time."""
     import randamp.lp as lp
 
-    for name in ("equality_constraints", "_sparse_rows", "_integer_rows", "_objectives_int",
+    for name in ("equality_constraints", "_highs_model", "_integer_rows", "_objectives_int",
                  "majority_sign_vector", "_bit_permutation", "symmetry_orbits"):
         getattr(lp, name).cache_clear()
     monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 2)
@@ -692,6 +692,7 @@ def test_threaded_certify_builds_each_cache_once(tmp_path, monkeypatch):
     assert threading.get_ident() not in threads
     assert lp.equality_constraints.cache_info().misses == 1
     assert lp.symmetry_orbits.cache_info().misses == 1
+    assert lp._highs_model.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("tolerance", ["NaN", "Infinity", "-Infinity", "-1e-9"])

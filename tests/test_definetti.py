@@ -453,6 +453,19 @@ def test_block_sizes():
         block_sizes(0.1, 2, 1.0, k_exponent=4)
 
 
+def test_block_sizes_overflows_without_building_the_schedule():
+    """A long schedule overflows at its third level; checking the arguments
+    must not first build a list with one entry per level (10^6 here)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            block_sizes(0.1, 10**6, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_sv_input_distribution():
     nu = sv_input_distribution(HonestBits(), 0.0, 2, 4)
     assert nu.shape == (4, 4)

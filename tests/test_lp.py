@@ -344,20 +344,50 @@ def test_route_certificates_checked_independently(monkeypatch):
 
 def test_one_solve_per_orbit_and_no_dual_program(monkeypatch):
     calls = []
-    real = lp.linprog
+    real = lp._highs_solve
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def counting(c, delta):
+        calls.append((c.tobytes(), delta))
+        return real(c, delta)
 
-    monkeypatch.setattr(lp, "linprog", counting)
+    monkeypatch.setattr(lp, "_highs_solve", counting)
     for delta in (0.1, 1 / 3):
         calls.clear()
         certify_bound(delta, method="simplex")
         assert calls == []
         certify_bound(delta, method="highs")
-        assert len(calls) == len(symmetry_orbits())
-        assert all(call["A_ub"] is not None for call in calls)  # primal solves only
+        # One primal solve per orbit, on the representative's own objective
+        # and the certified delta; no solve of a dual program.
+        assert calls == [((-0.5 * LpInstance(rep[0], delta, rep[1]).objective_m()).tobytes(), delta)
+                         for rep, _ in symmetry_orbits()]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05, 0.1, 2 / 9, 0.3, 1 / 3, 0.5, 5 / 7, 1.0, 2.0, 8.0])
+def test_direct_highs_matches_linprog_bit_for_bit(delta):
+    """The direct HiGHS call returns what scipy's linprog returns on the same
+    program, to the bit: primal point, objective, every marginal and the
+    iteration count.  Guards the direct call against a change in scipy."""
+    from scipy.optimize import linprog
+
+    A_eq, b_eq = equality_constraints()
+    for rep, _ in symmetry_orbits():
+        c = -0.5 * LpInstance(rep[0], delta, rep[1]).objective_m()
+        want = linprog(c, A_ub=lp.bell_row()[None, :], b_ub=[delta], A_eq=A_eq, b_eq=b_eq,
+                       bounds=(0, None), method="highs")
+        x, value, row_dual, lower, nit = lp._highs_solve(c, delta)
+        assert np.array_equal(x, want.x), rep
+        assert value == want.fun, rep
+        assert np.array_equal(row_dual[:1], want.ineqlin.marginals), rep
+        assert np.array_equal(row_dual[1:], want.eqlin.marginals), rep
+        assert np.array_equal(lower, want.lower.marginals), rep
+        assert nit == want.nit, rep
+
+
+def test_direct_highs_names_a_status_that_is_not_optimal():
+    """No box has a negative Bell value, so a bound of -1 is infeasible."""
+    c = -0.5 * LpInstance(U_STAR, 0.0, 0).objective_m()
+    with pytest.raises(RuntimeError, match="model status 'Infeasible'"):
+        lp._highs_solve(c, -1.0)
 
 
 @pytest.mark.parametrize("method", ["highs", "simplex"])
