@@ -174,7 +174,7 @@ _NOISE = {"state_mixing": Field("number", 0.0), "basis_rotation": Field("number"
 # Every command's config, field by field: the CLI reads nothing else.
 CONFIG_FIELDS = {
     "certify": Field("object", fields={
-        "deltas": Field("numbers", nonempty=True),
+        "deltas": Field("numbers", nonempty=True, low=0, high=8),
         "method": Field("choice", "highs", fields={"highs": {}, "simplex": {}}),
         "tolerance": Field("number", 1e-8, low=0),
     }),
@@ -600,16 +600,15 @@ def cmd_bounds(args) -> int:
         f"LP guessing bound at delta  {analytic_bound(params.delta):.9g}",
         "block schedule:",
     ]
-    logs = log2_block_sizes(params.epsilon, params.k, params.t, k_exp)
     try:
         sizes = block_sizes(params.epsilon, params.k, params.t, k_exp)
-        for i, (size, lg) in enumerate(zip(sizes, logs), start=1):
+        for i, size in enumerate(sizes, start=1):
             lines.append(f"  n_{i} = {size}")
     except OverflowError:
-        for i, lg in enumerate(logs, start=1):
+        for i, lg in enumerate(log2_block_sizes(params.epsilon, params.k, params.t, k_exp), start=1):
             if math.isinf(lg):
                 # log2 itself left the float range; so does every later level
-                lines.append(f"  n_{i}..n_{len(logs)} exceed 2^{sys.float_info.max:.4g}")
+                lines.append(f"  n_{i}..n_{params.k} exceed 2^{sys.float_info.max:.4g}")
                 break
             lines.append(f"  n_{i} ~ {_sci_from_log2(lg)}")
     text = "\n".join(lines) + "\n"

@@ -133,12 +133,15 @@ def _check_schedule(epsilon: float, k: int, t: float, k_exponent: int) -> None:
 
 
 def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
-    """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}."""
+    """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}.
+
+    The list stops at its first infinite level, since every later level is
+    infinite too: it has k entries unless its last one is infinite."""
     _check_schedule(epsilon, k, t, k_exponent)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
     factor = math.log2(8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3)
     logs = [0.0]
-    for _ in range(1, k):
+    while len(logs) < k and not math.isinf(logs[-1]):
         logs.append((factor + logs[-1]) / shrink)
     return logs
 

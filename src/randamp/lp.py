@@ -37,6 +37,12 @@ and reads the basis one column at a time on every call, all while holding
 the GIL; the direct call returns the same bits (checked against linprog in
 tests/test_lp.py).
 
+Neither route imports a scipy subpackage.  `_highs_core` loads the
+bindings' extension module from its file: importing it by name would first
+run scipy.optimize's __init__, ~780 modules and ~0.5 s that the bindings do
+not use.  The simplex route takes its independent equality rows from a
+stored list, which numpy checks on first use.
+
 The cached arrays and the model are read-only, so that threads may share
 them: the CLI certifies the deltas of a grid on several threads on the
 HiGHS route, which releases the GIL while it solves, after `prepare_highs`
@@ -47,6 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,23 +122,37 @@ def equality_constraints():
     return _read_only(A), _read_only(b)
 
 
+# The rows that scipy.linalg.qr(A.T, mode="economic", pivoting=True) keeps
+# (scipy 1.17.1; the leading pivots whose |R_ii| exceeds 1e-10 |R_00|,
+# sorted).  They are stored so that the simplex route imports no scipy, and
+# so that its tableau, and with it every pivot, does not depend on the LAPACK
+# build.
+_INDEPENDENT_ROWS = (
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 23, 25, 26, 27, 29,
+    30, 33, 34, 36, 37, 39, 41, 42, 43, 44, 47, 49, 50, 52, 55, 57, 59, 62, 64, 65, 67, 69, 70, 73,
+    74, 76, 77, 78, 79, 80, 81, 82, 85, 86, 87, 88, 91, 93, 95, 96, 97, 98, 101, 102, 103, 104, 106,
+    109, 110, 111, 113, 114, 115, 116, 117, 119, 120, 121, 123, 124, 125, 126, 130, 131, 132, 135,
+    136, 137, 138, 140, 143, 144, 145, 147, 149, 150, 153, 154, 156, 159, 160, 161, 165, 166, 169,
+    170, 172, 174, 175, 176, 177, 179, 181, 182, 184, 185, 187, 188, 189, 190, 192, 193, 194, 197,
+    198, 199, 200, 203, 205, 206, 207, 208, 210, 211, 212, 215, 216, 219, 220, 221, 222, 224, 227,
+    228, 229, 230, 231, 232, 233, 236, 238, 239, 240, 243, 244, 245, 246, 248, 251, 253, 254, 255,
+    256, 258, 259, 265, 266, 268, 269, 271,
+)
+
+
 @lru_cache(maxsize=1)
 def independent_equality_rows():
     """Indices of a maximal independent subset of the equality rows.
 
-    Dropping the rest must not change the feasible set, which requires the
-    augmented matrix to have the same rank; asserted here once.
+    Dropping the rest must not change the feasible set: the kept rows must
+    be independent and span the augmented rows [A | b], so both ranks must
+    equal their number; asserted here once.
     """
-    from scipy.linalg import qr
-
     A, b = equality_constraints()
-    _, r_mat, piv = qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    rank = int(np.sum(diag > diag[0] * 1e-10))
-    keep = np.sort(piv[:rank])
-    aug_rank = np.linalg.matrix_rank(np.hstack([A, b[:, None]]), tol=1e-10)
-    if aug_rank != rank:
-        raise RuntimeError("equality system inconsistent with its own rank")
+    keep = np.array(_INDEPENDENT_ROWS)
+    rank = np.linalg.matrix_rank(A[keep], tol=1e-10)
+    if not rank == len(keep) == np.linalg.matrix_rank(np.hstack([A, b[:, None]]), tol=1e-10):
+        raise RuntimeError("stored equality rows are not a basis of the consistent equality system")
     return _read_only(keep)
 
 
@@ -228,9 +250,37 @@ class _HighsModel:
     options: object  # HighsOptions
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, the extension module `_HIGHS_CORE`.
+
+    A module already imported (by `import scipy.optimize`, say) is returned.
+    Otherwise the extension is found in scipy's directory and loaded from its
+    file under its full name, which runs no scipy.optimize __init__, and is
+    registered in sys.modules, so that a later `import scipy.optimize` reuses
+    it instead of initialising the pybind11 module a second time."""
+    module = sys.modules.get(_HIGHS_CORE)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
+        path = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [path])
+        if spec is None:
+            raise ModuleNotFoundError(f"no module {_HIGHS_CORE!r} in {path}", name=_HIGHS_CORE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_CORE] = module
+    return module
+
+
 @lru_cache(maxsize=1)
 def _highs_model() -> _HighsModel:
-    from scipy.optimize._highspy import _core as highs
+    highs = _highs_core()
 
     A_eq, b_eq = equality_constraints()
     rows = np.vstack([bell_row()[None, :], A_eq])
@@ -261,8 +311,7 @@ def _highs_solve(c: np.ndarray, delta: float):
     the column dual where the column is nonbasic at its lower bound, else 0.
     Only `run` releases the GIL.  Raises RuntimeError naming the model
     status unless it is optimal."""
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_core()
     model = _highs_model()
     problem = highs.HighsLp()
     problem.num_col_ = problem.a_matrix_.num_col_ = N_VARS
@@ -294,9 +343,11 @@ def _highs_solve(c: np.ndarray, delta: float):
 def prepare_highs() -> None:
     """Do on the calling thread the one-time work of a HiGHS `certify_bound`:
     build the symmetry orbits and the cached systems they rest on, and the
-    HiGHS model, which imports scipy's bindings.  Threads that certify deltas
-    side by side afterwards only read caches and never import a module; two
-    threads importing scipy at once risk a deadlock on the import lock."""
+    HiGHS model, which loads scipy's bindings through `_highs_core`.  Threads
+    that certify deltas side by side afterwards only read caches and never
+    load a module.  `_highs_core` takes no lock: two threads that both found
+    the bindings missing would each load the extension and initialise the
+    pybind11 module twice."""
     symmetry_orbits()
     _highs_model()
 

@@ -1057,7 +1057,8 @@ def test_float_fields_are_numbers(tmp_path, capsys):
                  ("system", {**DEFINETTI_CONFIG["system"], "components": [components[0], [[0, 0], ["1", 1]]]},
                   "system.components[1][1][0]"),
                  ("sv", {"strategy": "constant", "bias": None}, "sv.bias")]
-    certify = [("deltas", ["0.3"], "deltas[0]"), ("deltas", [0.0, True], "deltas[1]"), ("deltas", "0.3"),
+    certify = [("deltas", ["0.3"], "deltas[0]"), ("deltas", [0.0, True], "deltas[1]"),
+               ("deltas", [0.2, 9], "deltas[1]"), ("deltas", "0.3"),
                ("tolerance", "1e-8")]
     quantum_check = [("state_mixing", "0.25"), ("basis_rotation", True)]
     bounds = [("epsilon", "0.1"), ("delta", True), ("mu", None), ("t", "1.0")]
@@ -1186,16 +1187,25 @@ def test_module_entry_point():
 
 def test_scipy_imported_only_by_lp_solves(tmp_path):
     """Importing the package and running simulate leave scipy unloaded: only
-    the LP routes need it, and they import it on first use."""
-    cfg = write_config(tmp_path, SIM_CONFIG)
-    script = (
-        "import sys, randamp, randamp.cli\n"
-        "assert 'scipy' not in sys.modules, 'on import'\n"
-        f"assert randamp.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'after simulate'\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    the LP routes need it, and they load it on first use.  Neither certify
+    route loads scipy.optimize or scipy.linalg: the HiGHS route loads the
+    bindings' extension module from its file, and the simplex route's
+    independent equality rows are stored.  Each run is a fresh process."""
+    runs = [("simulate", SIM_CONFIG, ("scipy",))] + [
+        ("certify", {"deltas": [0.0, 1 / 3], "method": method}, ("scipy.optimize", "scipy.linalg"))
+        for method in ("highs", "simplex")
+    ]
+    for i, (command, config, unloaded) in enumerate(runs):
+        cfg = write_config(tmp_path, config, f"config{i}.json")
+        script = (
+            "import sys, randamp, randamp.cli\n"
+            "assert 'scipy' not in sys.modules, 'on import'\n"
+            f"assert randamp.cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / f'out{i}')!r}]) == 0\n"
+            f"loaded = [name for name in {unloaded!r} if name in sys.modules]\n"
+            f"assert not loaded, f'after {command}: {{loaded}}'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, (config, proc.stderr)
 
 
 def test_process_pool_imported_only_for_jobs(tmp_path):

@@ -84,7 +84,7 @@ def bad_values(field):
         entries = ["x", True, None, 1.5, HUGE, math.nan] + out_of_range(field)
         return wrong + [[v] for v in entries] + ([1.5] + out_of_range(field) if kind == "uses" else [])
     if kind == "numbers":
-        return wrong + [[v] for v in ("x", True, None, [0.5], {}, HUGE, math.nan)]
+        return wrong + [[v] for v in ("x", True, None, [0.5], {}, HUGE, math.nan, *out_of_range(field))]
     if kind == "table":
         return wrong + [[[v]] for v in ("x", True, None, {}, HUGE, math.nan)] + [[None]]
     return wrong + (["garbage"] if kind == "choice" else [0, 1] if kind == "flag" else [])

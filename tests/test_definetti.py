@@ -466,6 +466,19 @@ def test_block_sizes_overflows_without_building_the_schedule():
     assert peak < 2**20
 
 
+def test_log2_block_sizes_stops_at_its_first_infinite_level():
+    """Every level after the first infinite one is infinite too, so the list
+    ends there (at level 2 307 of 10^6 here) instead of holding all k."""
+    tracemalloc.start()
+    try:
+        logs = log2_block_sizes(0.1, 10**6, 1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isinf(logs[-1]) and not any(map(math.isinf, logs[:-1]))
+    assert len(logs) < 10**4 and peak < 2**20
+
+
 def test_sv_input_distribution():
     nu = sv_input_distribution(HonestBits(), 0.0, 2, 4)
     assert nu.shape == (4, 4)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,24 @@ def test_equality_system_shape_and_rank():
     keep = independent_equality_rows()
     assert len(keep) == np.linalg.matrix_rank(A)
     assert np.linalg.matrix_rank(A[keep]) == len(keep)
+
+
+def test_stored_equality_rows_are_checked(monkeypatch):
+    """The stored rows must be a basis of the equality system: a kept row
+    swapped for a dropped one that the other kept rows span, or one kept
+    row left out, is refused on first use."""
+    A, _ = equality_constraints()
+    keep = list(lp._INDEPENDENT_ROWS)
+    dropped = min(set(range(len(A))) - set(keep))
+    # The dropped row as the unique combination of the kept ones: a kept row
+    # without weight in it can go, and the dropped row is still dependent.
+    weights = np.linalg.lstsq(A[keep].T, A[dropped], rcond=None)[0]
+    unused = keep[np.flatnonzero(np.abs(weights) < 1e-9)[0]]
+    swapped = sorted(set(keep) - {unused} | {dropped})
+    for rows in (swapped, keep[:-1]):
+        monkeypatch.setattr(lp, "_INDEPENDENT_ROWS", tuple(rows))
+        with pytest.raises(RuntimeError, match="stored equality rows"):
+            independent_equality_rows.__wrapped__()
 
 
 def test_equality_system_matches_row_by_row_oracle():
@@ -381,6 +401,41 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         assert np.array_equal(row_dual[1:], want.eqlin.marginals), rep
         assert np.array_equal(lower, want.lower.marginals), rep
         assert nit == want.nit, rep
+
+
+@pytest.mark.parametrize("steps", [
+    # The bindings loaded from their file first: scipy.optimize then reuses
+    # them, and linprog still solves.
+    "core = lp._highs_core()\n"
+    "import scipy.optimize\n"
+    "from scipy.optimize._highspy import _core\n"
+    "assert _core is core is sys.modules[lp._HIGHS_CORE]\n"
+    "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')\n"
+    "assert res.status == 0 and res.fun == 1.0, res\n",
+    # scipy.optimize first: the loader returns its module and loads nothing.
+    "import scipy.optimize, importlib.util\n"
+    "core = sys.modules[lp._HIGHS_CORE]\n"
+    "def load(spec):\n"
+    "    raise AssertionError('second load')\n"
+    "importlib.util.module_from_spec = load\n"
+    "assert lp._highs_core() is core\n",
+], ids=["bindings-first", "scipy.optimize-first"])
+def test_highs_bindings_loaded_once_in_either_import_order(steps):
+    """Either way one module serves both, and the HiGHS route certifies."""
+    script = f"import sys\nimport randamp.lp as lp\n{steps}assert lp.certify_bound(1 / 3).passed\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_highs_bindings_missing_from_scipy_is_named(monkeypatch, tmp_path):
+    import scipy
+
+    lp._highs_core()  # so that monkeypatch puts the loaded module back
+    monkeypatch.delitem(sys.modules, lp._HIGHS_CORE)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ModuleNotFoundError, match=r"no module 'scipy\.optimize\._highspy\._core' in "):
+        lp._highs_core()
+    assert lp._HIGHS_CORE not in sys.modules
 
 
 def test_direct_highs_names_a_status_that_is_not_optimal():
