@@ -3,8 +3,11 @@
 Library layout: `boxes` (inequality and no-signaling geometry), `quantum`
 (the algebraically violating realization), `sv` (adversarial weak sources),
 `lp`/`simplex` (predictability certification), `definetti` (product-closeness
-of exchangeable mixtures, summed over type classes), `devices`/`protocol`
-(the protocol itself and its bounds), `cli` (command-line front end).
+of exchangeable mixtures, summed over type classes), `devices` (i.i.d. and
+mixture devices; any custom `TimeOrderedDevice` runs on the general engine),
+`protocol` (the protocol itself, its bounds and the output-bias audit), `cli`
+(command-line front end).  Only what the CLI and the demos use lives here;
+test fixtures and reference oracles live in the test suite.
 """
 
 __version__ = "0.1.0"
@@ -33,13 +36,11 @@ from .definetti import (
     block_sizes,
     definetti_check,
     definetti_rhs,
-    pinsker_gap,
 )
 from .devices import (
     DeviceError,
     IidDevice,
     MixtureDevice,
-    SequenceDevice,
     TimeOrderedDevice,
     ZeroProbabilityHistoryError,
 )
@@ -61,7 +62,6 @@ from .protocol import (
     RunTranscript,
     acceptance_threshold,
     azuma_rejection_bound,
-    distance_d,
     estimate_output_bias,
     proposition_bound,
     robustness_acceptance_bound,

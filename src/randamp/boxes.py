@@ -168,17 +168,6 @@ class NsBox:
     def outcome_distribution(self, setting) -> np.ndarray:
         return self.table[:, pack_bits(setting)]
 
-    def to_json(self) -> dict:
-        return {"p": self.table.tolist(), "order": "outcome-major"}
-
-    @classmethod
-    def from_json(cls, payload: dict, tol: float = DEFAULT_TOL) -> "NsBox":
-        if set(payload.keys()) != {"p", "order"}:
-            raise BoxValidationError(f"box JSON must have exactly keys 'p' and 'order', got {sorted(payload)}")
-        if payload["order"] != "outcome-major":
-            raise BoxValidationError(f"unsupported box order {payload['order']!r}")
-        return cls(payload["p"], tol=tol)
-
     def __repr__(self):
         return f"NsBox(bell={bell_value(self, validate=False):.6f}, tol={self.tol:g})"
 
@@ -187,18 +176,15 @@ def as_table(box) -> np.ndarray:
     return box.table if isinstance(box, NsBox) else np.asarray(box, dtype=float)
 
 
-def bell_value(box, functional: np.ndarray | None = None, validate: bool = True) -> float:
-    """Contract a coefficient table against a box. Default functional has
-    local-hidden-variable minimum 2 and algebraic minimum 0."""
+def bell_value(box, validate: bool = True) -> float:
+    """Contract the Bell functional against a box: local-hidden-variable
+    minimum 2, algebraic minimum 0."""
     table = as_table(box)
     if validate and not isinstance(box, NsBox):
         ok, violations = is_no_signaling(table)
         if not ok:
             raise BoxValidationError(f"invalid box: {violations[0]}")
-    f = BELL_FUNCTIONAL if functional is None else np.asarray(functional, dtype=float)
-    if f.shape != (N_OUTCOMES, N_SETTINGS):
-        raise ValueError(f"functional must be (16, 16), got {f.shape}")
-    return float(np.sum(f * table))
+    return float(np.sum(BELL_FUNCTIONAL * table))
 
 
 def uniform_box() -> NsBox:

@@ -9,6 +9,7 @@ are byte-identical whatever the number of worker processes.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import datetime
 import functools
@@ -469,6 +470,25 @@ def _stream_trials(chunks, write) -> tuple:
     return n_acc, zeros, n_chunks
 
 
+def _windowed_map(pool, window: int, fn, *iterables):
+    """pool.map(fn, *iterables) with at most `window` calls submitted and
+    not yet yielded: results come in input order, and the inputs are read
+    only as the window frees a slot, so memory stays at a few chunks however
+    many there are (Executor.map submits every call before yielding one).
+    Calls still pending when the caller stops are cancelled."""
+    pending = collections.deque()
+    try:
+        for args in zip(*iterables):
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def cmd_simulate(args) -> int:
     cfg, cfg_sha256 = _config(args, "simulate")
     for name, field in SIMULATE_OPTIONS.items():
@@ -495,9 +515,8 @@ def cmd_simulate(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
-            mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
-            ).map
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=spawn))
+            mapper = functools.partial(_windowed_map, pool, 2 * workers)
         chunks = simulate_trials(params, devices, strategy, trials, seed, mapper=mapper)
         with _atomic_output(args.out, "trials.csv", written) as write:
             n_acc, zeros, n_chunks = _stream_trials(chunks, write)

@@ -54,13 +54,6 @@ def _pinsker_batch(joints: np.ndarray):
     return lhs, np.sqrt(2.0 * math.log(2.0) * mi), mi
 
 
-def pinsker_gap(joint: np.ndarray):
-    """(lhs, rhs) of ||p_AB - p_A x p_B||_1 <= sqrt(2 ln2 I(A:B))."""
-    joint = np.asarray(joint, dtype=float)
-    lhs, rhs, _ = _pinsker_batch(joint[..., np.newaxis])
-    return float(lhs[0]), float(rhs[0])
-
-
 def _component_table(box, total_uses: int, tol: float) -> np.ndarray:
     """A single-party box q[x, u], checked once: 2-D, non-negative, and every
     column summing to 1 so tightly that a product over total_uses uses stays
@@ -135,19 +128,23 @@ def _check_schedule(epsilon: float, k: int, t: float, k_exponent: int) -> None:
 def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}.
 
-    The list stops at its first infinite level, since every later level is
-    infinite too: it has k entries unless its last one is infinite."""
+    Every level is at least 0, one use, as in block_sizes.  The list stops
+    at its first infinite level, since every later level is infinite too: it
+    has k entries unless its last one is infinite."""
     _check_schedule(epsilon, k, t, k_exponent)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
-    factor = math.log2(8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3)
+    product = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
+    factor = math.log2(product) if product > 0.0 else -math.inf  # t^3 may underflow
     logs = [0.0]
     while len(logs) < k and not math.isinf(logs[-1]):
-        logs.append((factor + logs[-1]) / shrink)
+        logs.append(max(0.0, (factor + logs[-1]) / shrink))
     return logs
 
 
 def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
-    """Integer block sizes from the recursion, each level ceiled before reuse.
+    """Integer block sizes from the recursion, each level ceiled before reuse
+    and at least 1, as n_1 is: a tiny t puts the recursion's level near 0
+    uses, which would ceil to 0.
 
     Raises OverflowError when a level exceeds 2^62; use log2_block_sizes to
     inspect such schedules.
@@ -160,7 +157,7 @@ def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
         raw = (factor * sizes[-1]) ** (1.0 / shrink)
         if raw > 2.0**62:
             raise OverflowError("block size exceeds 2^62; see log2_block_sizes")
-        sizes.append(math.ceil(raw - 1e-9))
+        sizes.append(max(1, math.ceil(raw - 1e-9)))
     return sizes
 
 
@@ -168,18 +165,14 @@ def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
 class DeFinettiRhs:
     threshold: float
     probability_bound: float
-    per_level_threshold: list
-    presubstitution_threshold: float
-    presubstitution_probability: float
 
 
 def definetti_rhs(n, t, epsilon: float, sigma_size: int) -> DeFinettiRhs:
     """Threshold and failure probability for the selection-averaged T bound.
 
     n: per-device use counts; t: one parameter per level 2..k.  The threshold
-    follows the substituted form of the concentration bound; the raw
-    (pre-substitution) pair, with t in place of t^2 n^log2(1+2eps), is also
-    reported.  The alphabet enters through log2(sigma_size); the four-party
+    follows the substituted form of the concentration bound, summed over the
+    levels.  The alphabet enters through log2(sigma_size); the four-party
     box alphabet (16 outcomes) reproduces the classic 8 ln2 prefactor.
     """
     n = [int(v) for v in n]
@@ -193,21 +186,12 @@ def definetti_rhs(n, t, epsilon: float, sigma_size: int) -> DeFinettiRhs:
     log_sigma = math.log2(sigma_size)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
     coeff = 2.0 * math.log(2.0) * log_sigma
-    per_level = []
-    presub = []
-    presub_prob = 0.0
-    for i, t_i in enumerate(t, start=2):
-        n_i = n[i - 1]
-        prev = sum(n[: i - 1])
-        per_level.append(math.sqrt(coeff * t_i**2 * prev / n_i**shrink))
-        presub.append(math.sqrt(coeff * t_i * prev / n_i))
-        presub_prob += math.sqrt(n_i ** math.log2(1.0 + 2.0 * epsilon) / t_i)
+    per_level = [
+        math.sqrt(coeff * t_i**2 * sum(n[: i - 1]) / n[i - 1] ** shrink) for i, t_i in enumerate(t, start=2)
+    ]
     return DeFinettiRhs(
         threshold=float(sum(per_level)),
         probability_bound=float(sum(1.0 / v for v in t)),
-        per_level_threshold=per_level,
-        presubstitution_threshold=float(sum(presub)),
-        presubstitution_probability=float(presub_prob),
     )
 
 

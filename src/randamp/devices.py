@@ -38,22 +38,6 @@ class IidDevice(TimeOrderedDevice):
         return self.box
 
 
-class SequenceDevice(TimeOrderedDevice):
-    """A fixed schedule of boxes, one per use."""
-
-    def __init__(self, boxes):
-        self.boxes = [b if isinstance(b, NsBox) else NsBox(b) for b in boxes]
-        if not self.boxes:
-            raise ValueError("need at least one box")
-
-    def box_given(self, history) -> NsBox:
-        if len(history) >= len(self.boxes):
-            raise DeviceError(
-                f"schedule exhausted: use {len(history) + 1} of {len(self.boxes)}"
-            )
-        return self.boxes[len(history)]
-
-
 class MixtureDevice(TimeOrderedDevice):
     """Convex mixture of sub-devices sharing one hidden label.
 
@@ -158,17 +142,6 @@ def _scaled_likelihood(device: TimeOrderedDevice, history) -> tuple:
             break
         m, e = _scaled(m * float(as_table(device.box_given(history[:l]))[x, u]), e)
     return m, e
-
-
-class ConditionedDevice(TimeOrderedDevice):
-    """A device with a fixed prefix of uses already spent."""
-
-    def __init__(self, device: TimeOrderedDevice, prefix):
-        self.device = device
-        self.prefix = tuple(prefix)
-
-    def box_given(self, history) -> NsBox:
-        return self.device.box_given(self.prefix + tuple(history))
 
 
 def sample_outcome(device: TimeOrderedDevice, history, setting: int, rng) -> int:

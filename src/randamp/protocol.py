@@ -19,7 +19,6 @@ import numpy as np
 from .boxes import (
     BELL_FUNCTIONAL,
     INEQUALITY_INDICES,
-    bell_value,
     in_inequality,
     majority,
     pack_bits,
@@ -161,52 +160,16 @@ class DistanceReport:
             raise AssertionError(f"distance {self.d} above 1/2")
 
 
-def distance_d(conditionals, z_weights=None) -> DistanceReport:
-    """conditionals[w, z] is a distribution of S; z_weights[w] weights z.
-    Both are checked (within 1e-9 of summing to 1, entries nonnegative; NaN
-    fails) before _distances computes the report."""
-    p = np.asarray(conditionals, dtype=float)
-    if p.ndim == 1:
-        p = p.reshape(1, 1, -1)
-    elif p.ndim == 2:
-        p = p.reshape(1, *p.shape)
-    n_w, n_z, sigma = p.shape
-    # written so that NaN entries fail the comparisons
-    if not (np.max(np.abs(p.sum(axis=2) - 1.0)) <= 1e-9 and np.min(p) >= -1e-12):
-        raise ValueError("each conditional must be a distribution")
-    if z_weights is None:
-        w = np.full((n_w, n_z), 1.0 / n_z)
-    else:
-        w = np.asarray(z_weights, dtype=float).reshape(n_w, n_z)
-        if not (np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9 and np.min(w) >= 0):
-            raise ValueError("z_weights rows must be distributions")
-    return _distances(p, w)
-
-
 def _distances(p: np.ndarray, w: np.ndarray) -> DistanceReport:
-    """distance_d without its checks, for conditionals p[w, z, s] and weights
-    w[w, z] that are distributions by construction."""
+    """The distances of conditionals p[w, z, s] (a distribution of S per
+    setting w and eavesdropper symbol z) under weights w[w, z] (a
+    distribution of z per w).  Neither is checked: callers pass
+    distributions by construction."""
     sigma = p.shape[2]
     dev = np.abs(p - 1.0 / sigma)
     d = 0.5 * float(np.max(dev))
     d_c = 0.5 * float(np.sum(np.max(np.einsum("wz,wzs->ws", w, dev), axis=0)))
     return DistanceReport(d=d, d_c=d_c, sigma_size=sigma)
-
-
-@dataclass
-class EstimationRecord:
-    """Per-device test data plus the oracle-side supermartingale."""
-
-    b_values: tuple  # Bell coefficient of each selected pair, in {0,1}
-    zeta: tuple  # (1/2-eps)^4 x Bell value of the true conditional box
-    x_values: tuple  # running sums of (zeta_l - B_l)
-
-    def __post_init__(self):
-        prev = 0.0
-        for x in self.x_values:
-            if abs(x - prev) > 1.0 + 1e-12:
-                raise AssertionError(f"supermartingale increment {x - prev} exceeds 1")
-            prev = x
 
 
 @dataclass
@@ -232,7 +195,6 @@ class ProtocolResult:
     output_bit: int | None
     majority_bits: tuple
     threshold: float
-    estimation: EstimationRecord
 
     def __post_init__(self):
         if self.accepted != (self.output_bit is not None):
@@ -273,29 +235,11 @@ def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
         sv=transcript,
     )
 
-    scale = (0.5 - params.epsilon) ** 4
-    b_values, zeta, x_values = [], [], []
-    x = 0.0
-    for j, device in enumerate(devices):
-        pos = run.selected_use(j)
-        u, xout = run.uses[j][pos]
-        b = float(BELL_FUNCTIONAL[xout, u])
-        true_box = device.box_given(tuple(run.uses[j][:pos]))
-        z = scale * bell_value(true_box, validate=False)
-        x += z - b
-        b_values.append(b)
-        zeta.append(z)
-        x_values.append(x)
-    estimation = EstimationRecord(
-        b_values=tuple(b_values), zeta=tuple(zeta), x_values=tuple(x_values)
-    )
-
-    z_k = float(np.mean(b_values))
+    pairs = [run.selected_pair(j) for j in range(params.k)]
+    z_k = float(np.mean([float(BELL_FUNCTIONAL[x, u]) for u, x in pairs]))
     threshold = acceptance_threshold(params)
     accepted = z_k <= threshold
-    maj_bits = tuple(
-        majority(*unpack_bits(run.selected_pair(j)[1])[:3]) for j in range(params.k)
-    )
+    maj_bits = tuple(majority(*unpack_bits(x)[:3]) for _, x in pairs)
     output = int(np.bitwise_xor.reduce(maj_bits)) if accepted else None
     result = ProtocolResult(
         accepted=accepted,
@@ -303,7 +247,6 @@ def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
         output_bit=output,
         majority_bits=maj_bits,
         threshold=threshold,
-        estimation=estimation,
     )
     return result, run
 
@@ -650,7 +593,9 @@ class WilsonInterval:
     high: float
 
 
-def wilson_interval(successes: int, count: int, z: float = WILSON_Z99) -> WilsonInterval:
+def wilson_interval(successes: int, count: int) -> WilsonInterval:
+    """The 99% Wilson score interval of successes / count."""
+    z = WILSON_Z99
     if count <= 0:
         return WilsonInterval(successes, count, 0.0, 1.0)
     p = successes / count

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
+TOL = 1e-9  # pivot, ratio-tie and reduced-cost tolerance
+MAXITER = 50000  # pivots per phase before SimplexError
+
 
 class SimplexError(RuntimeError):
     pass
@@ -48,11 +51,11 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     basis[row] = col
 
 
-def _leaving_row(tableau, basis, col, lex_lo, lex_hi, tol, bland):
+def _leaving_row(tableau, basis, col, lex_lo, lex_hi, bland):
     """Ratio test.  Ties are broken lexicographically on the scaled
     basis-inverse rows, or by smallest basis label under Bland's rule."""
     column = tableau[:-1, col]
-    positive = column > tol
+    positive = column > TOL
     if not positive.any():
         raise UnboundedError("objective unbounded below")
     # Rounding can leave the rhs a hair negative; treat that as zero so the
@@ -61,7 +64,7 @@ def _leaving_row(tableau, basis, col, lex_lo, lex_hi, tol, bland):
     ratios = np.full(column.shape, np.inf)
     ratios[positive] = rhs[positive] / column[positive]
     best = float(np.min(ratios))
-    candidates = np.where(ratios <= best + tol * (1.0 + best))[0]
+    candidates = np.where(ratios <= best + TOL * (1.0 + best))[0]
     if candidates.size == 1:
         return int(candidates[0])
     if bland:
@@ -79,24 +82,24 @@ def _lex_first(block: np.ndarray) -> int:
     return min(range(len(rows)), key=rows.__getitem__)
 
 
-def _iterate(tableau, basis, enter_cols, lex_lo, lex_hi, tol, maxiter):
+def _iterate(tableau, basis, enter_cols, lex_lo, lex_hi):
     """Pivot until no reduced cost among the first enter_cols columns is
     negative.  Dantzig entering; sticky Bland entering after a long stall."""
     stall = 0
     bland = False
     last_obj = tableau[-1, -1]
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         costs = tableau[-1, :enter_cols]
         if bland:
-            negative = np.where(costs < -tol)[0]
+            negative = np.where(costs < -TOL)[0]
             if negative.size == 0:
                 return
             col = int(negative[0])
         else:
             col = int(np.argmin(costs))
-            if costs[col] >= -tol:
+            if costs[col] >= -TOL:
                 return
-        row = _leaving_row(tableau, basis, col, lex_lo, lex_hi, tol, bland)
+        row = _leaving_row(tableau, basis, col, lex_lo, lex_hi, bland)
         _pivot(tableau, row, col, basis)
         obj = tableau[-1, -1]
         if obj <= last_obj + 1e-12:
@@ -109,7 +112,7 @@ def _iterate(tableau, basis, enter_cols, lex_lo, lex_hi, tol, maxiter):
     raise SimplexError("iteration limit reached")
 
 
-def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
+def simplex_solve(c, A, b):
     """Minimize c.x over A x = b, x >= 0.
 
     Returns (x, value, y), y the row duals: c_B B^-1, read off the final
@@ -127,13 +130,13 @@ def simplex_solve(c, A, b, tol: float = 1e-9, maxiter: int = 50000):
     if b.shape != (m,) or c.ndim not in (1, 2) or c.shape[-1] != n:
         raise ValueError("inconsistent shapes")
     flip = b < 0
-    tableau, basis = _phase_one(A, b, flip, tol, maxiter)
+    tableau, basis = _phase_one(A, b, flip)
     if c.ndim == 1:
-        return _phase_two(tableau, basis, c, flip, tol, maxiter)
-    return [_phase_two(tableau.copy(), basis.copy(), row, flip, tol, maxiter) for row in c]
+        return _phase_two(tableau, basis, c, flip)
+    return [_phase_two(tableau.copy(), basis.copy(), row, flip) for row in c]
 
 
-def _phase_one(A, b, flip, tol, maxiter):
+def _phase_one(A, b, flip):
     """A feasible (tableau, basis) for A x = b, x >= 0, the rows in flip
     negated so that b >= 0, with the artificial columns kept and the rows of
     redundant constraints dropped."""
@@ -148,14 +151,14 @@ def _phase_one(A, b, flip, tol, maxiter):
     tableau[-1] = -tableau[:m].sum(axis=0)
     tableau[-1, n : n + m] = 0.0
     basis = np.arange(n, n + m)
-    _iterate(tableau, basis, n, n, n + m, tol, maxiter)
+    _iterate(tableau, basis, n, n, n + m)
     if tableau[-1, -1] < -1e-7:
         raise InfeasibleError(f"phase 1 residual {-tableau[-1, -1]:.3e}")
 
     # Remove artificials still sitting in the basis (degenerate at zero).
     for row in range(m):
         if basis[row] >= n:
-            pivots = np.where(np.abs(tableau[row, :n]) > tol)[0]
+            pivots = np.where(np.abs(tableau[row, :n]) > TOL)[0]
             if pivots.size:
                 _pivot(tableau, row, int(pivots[0]), basis)
             elif abs(tableau[row, -1]) > 1e-7:
@@ -167,7 +170,7 @@ def _phase_one(A, b, flip, tol, maxiter):
     return tableau, basis
 
 
-def _phase_two(tableau, basis, c, flip, tol, maxiter):
+def _phase_two(tableau, basis, c, flip):
     """Minimize c.x from phase 1's feasible tableau and basis, both updated
     in place, and return (x, value, y)."""
     m = len(basis)
@@ -176,7 +179,7 @@ def _phase_two(tableau, basis, c, flip, tol, maxiter):
     tableau[-1, :n] = c
     for row in range(m):
         tableau[-1] -= tableau[-1, basis[row]] * tableau[row]
-    _iterate(tableau, basis, n, n, n + m, tol, maxiter)
+    _iterate(tableau, basis, n, n, n + m)
 
     x = np.zeros(n)
     x[basis] = np.maximum(tableau[:m, -1], 0.0)

@@ -5,15 +5,17 @@ position shift, to check the library's position-only laws against it), a
 kept-setting sampler, a transcript replay audit, a no-signaling checker for
 tables of any number of binary parties, the joint table of independent
 boxes, the exhaustive XOR oracle of criterion 4, the mutual information of
-a 2-D joint, the all-inequality form of the guessing LP, its equality
-system built row by row, the dense check of a symmetry map and the
-four-party no-signaling check one party at a time (the oracles of
-lp.equality_constraints, lp.check_symmetry_map and
-boxes.no_signaling_violations), the goodness oracle over a run's selected
-conditional boxes, the density-matrix Born rule over product measurement
-vectors (and those vectors as one einsum), trials.csv written row by row,
-and a device's likelihood of a history and the device conditioned on it.
-The dense de Finetti oracle is in dense_definetti."""
+a 2-D joint and the Pinsker pair of one, the all-inequality form of the
+guessing LP, its equality system built row by row, the dense check of a
+symmetry map and the four-party no-signaling check one party at a time (the
+oracles of lp.equality_constraints, lp.check_symmetry_map and
+boxes.no_signaling_violations), the goodness oracle and supermartingale over
+a run's selected conditional boxes, the checked distance from uniform (the
+reference for the audit's unchecked protocol._distances), the
+density-matrix Born rule over product measurement vectors (and those vectors
+as one einsum), trials.csv written row by row, a device that plays a fixed
+schedule of boxes, and a device's likelihood of a history and the device
+conditioned on it.  The dense de Finetti oracle is in dense_definetti."""
 
 import csv
 import io
@@ -24,6 +26,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from randamp.boxes import (
+    BELL_FUNCTIONAL,
     DEFAULT_TOL,
     N_OUTCOMES,
     N_SETTINGS,
@@ -36,7 +39,13 @@ from randamp.boxes import (
     pack_bits,
 )
 from randamp.definetti import _pinsker_batch
-from randamp.devices import ConditionedDevice, MixtureDevice, ZeroProbabilityHistoryError, _scaled_likelihood
+from randamp.devices import (
+    DeviceError,
+    MixtureDevice,
+    TimeOrderedDevice,
+    ZeroProbabilityHistoryError,
+    _scaled_likelihood,
+)
 from randamp.lp import (
     N_VARS,
     CertificationError,
@@ -46,7 +55,7 @@ from randamp.lp import (
     equality_constraints,
     var_index,
 )
-from randamp.protocol import RunTranscript
+from randamp.protocol import DistanceReport, RunTranscript, _distances
 from randamp.quantum import NoiseSpec, rotate_bases, validate_bases, validate_state
 from randamp.sv import (
     ConstantBias,
@@ -204,6 +213,14 @@ def mutual_information(joint: np.ndarray) -> float:
     return float(_pinsker_batch(joint[..., np.newaxis])[2][0])
 
 
+def pinsker_gap(joint: np.ndarray):
+    """(lhs, rhs) of ||p_AB - p_A x p_B||_1 <= sqrt(2 ln2 I(A:B)) for one
+    normalized 2-D joint: the per-joint reference for the batched sweep."""
+    joint = np.asarray(joint, dtype=float)
+    lhs, rhs, _ = _pinsker_batch(joint[..., np.newaxis])
+    return float(lhs[0]), float(rhs[0])
+
+
 def inequality_constraints(delta: float):
     """All-inequality form A x <= c of the guessing LP: the equalities in both
     directions, positivity and the Bell cap; the dual certificates live over
@@ -319,27 +336,64 @@ class GoodnessReport:
     delta_values: tuple
     good_count: int
     required: float
+    zeta: tuple  # (1/2 - eps)^4 x Bell value of each selected conditional box
+    x_values: tuple  # running sums of zeta_l - B_l, B_l the selected pair's coefficient
 
 
 def goodness_oracle(devices, transcript: RunTranscript,
                     delta: float | None = None, mu: float | None = None) -> GoodnessReport:
     """Simulation-side check: do >= mu k of the selected conditional boxes sit
-    below delta?  Never consulted by the protocol itself."""
+    below delta?  Also the proof's supermartingale X_l = sum (zeta_l - B_l),
+    whose increments are asserted to stay within 1.  Never consulted by the
+    protocol itself."""
     params = transcript.params
     delta = params.delta if delta is None else delta
     mu = params.mu if mu is None else mu
-    values = []
+    scale = (0.5 - params.epsilon) ** 4
+    values, zeta, x_values = [], [], []
+    x = 0.0
     for j, device in enumerate(devices):
         pos = transcript.selected_use(j)
         box = device.box_given(tuple(transcript.uses[j][:pos]))
         values.append(bell_value(box, validate=False))
+        zeta.append(scale * values[-1])
+        u, out = transcript.selected_pair(j)
+        step = zeta[-1] - float(BELL_FUNCTIONAL[out, u])
+        if abs(step) > 1.0 + 1e-12:
+            raise AssertionError(f"supermartingale increment {step} exceeds 1")
+        x += step
+        x_values.append(x)
     good = sum(1 for v in values if v < delta)
     return GoodnessReport(
         verdict=good >= mu * params.k,
         delta_values=tuple(values),
         good_count=good,
         required=mu * params.k,
+        zeta=tuple(zeta),
+        x_values=tuple(x_values),
     )
+
+
+def distance_d(conditionals, z_weights=None) -> DistanceReport:
+    """conditionals[w, z] is a distribution of S; z_weights[w] weights z.
+    Both are checked (within 1e-9 of summing to 1, entries nonnegative; NaN
+    fails) before protocol._distances computes the report."""
+    p = np.asarray(conditionals, dtype=float)
+    if p.ndim == 1:
+        p = p.reshape(1, 1, -1)
+    elif p.ndim == 2:
+        p = p.reshape(1, *p.shape)
+    n_w, n_z, sigma = p.shape
+    # written so that NaN entries fail the comparisons
+    if not (np.max(np.abs(p.sum(axis=2) - 1.0)) <= 1e-9 and np.min(p) >= -1e-12):
+        raise ValueError("each conditional must be a distribution")
+    if z_weights is None:
+        w = np.full((n_w, n_z), 1.0 / n_z)
+    else:
+        w = np.asarray(z_weights, dtype=float).reshape(n_w, n_z)
+        if not (np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9 and np.min(w) >= 0):
+            raise ValueError("z_weights rows must be distributions")
+    return _distances(p, w)
 
 
 def product_vectors(bases: np.ndarray) -> np.ndarray:
@@ -407,6 +461,34 @@ def reference_trials_csv(chunks) -> bytes:
             )
             index += 1
     return buf.getvalue().encode()
+
+
+class SequenceDevice(TimeOrderedDevice):
+    """A fixed schedule of boxes, one per use: a device that is neither
+    i.i.d. nor a mixture, so the general engine runs it."""
+
+    def __init__(self, boxes):
+        self.boxes = [b if isinstance(b, NsBox) else NsBox(b) for b in boxes]
+        if not self.boxes:
+            raise ValueError("need at least one box")
+
+    def box_given(self, history) -> NsBox:
+        if len(history) >= len(self.boxes):
+            raise DeviceError(
+                f"schedule exhausted: use {len(history) + 1} of {len(self.boxes)}"
+            )
+        return self.boxes[len(history)]
+
+
+class ConditionedDevice(TimeOrderedDevice):
+    """A device with a fixed prefix of uses already spent."""
+
+    def __init__(self, device: TimeOrderedDevice, prefix):
+        self.device = device
+        self.prefix = tuple(prefix)
+
+    def box_given(self, history) -> NsBox:
+        return self.device.box_given(self.prefix + tuple(history))
 
 
 def history_likelihood(device, history) -> float:

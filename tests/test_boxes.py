@@ -214,19 +214,6 @@ def test_product_box_marginals_reproduce_factors():
     assert np.max(np.abs(marg_b - box_b.table)) <= 1e-12
 
 
-def test_json_round_trip():
-    box = algebraic_violation_box()
-    payload = box.to_json()
-    assert set(payload) == {"p", "order"}
-    assert payload["order"] == "outcome-major"
-    again = NsBox.from_json(payload)
-    assert np.array_equal(again.table, box.table)
-    with pytest.raises(BoxValidationError):
-        NsBox.from_json({"p": payload["p"]})
-    with pytest.raises(BoxValidationError):
-        NsBox.from_json({"p": payload["p"], "order": "setting-major"})
-
-
 def test_enumerate_local_deterministic_boxes_complete():
     boxes = list(enumerate_local_deterministic_boxes())
     assert len(boxes) == 256

@@ -176,18 +176,41 @@ class NoPool:
 
 
 class InlinePool:
-    """Records max_workers and maps in-process instead of spawning."""
+    """Records max_workers and runs each submitted call in-process at once
+    instead of spawning.  peak[i] is the most calls pool i held submitted
+    and not yet collected."""
 
     created = []
+    peak = []
 
     def __init__(self, max_workers=None, mp_context=None):
         self.created.append(max_workers)
-        self.map = map
+        self.peak.append(0)
+        self.outstanding = 0
+
+    def submit(self, fn, *args):
+        self.outstanding += 1
+        self.peak[-1] = max(self.peak[-1], self.outstanding)
+        return InlineFuture(self, fn(*args))
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        return False
+
+
+class InlineFuture:
+    """A finished call of an InlinePool: reading its result collects it."""
+
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def result(self):
+        self.pool.outstanding -= 1
+        return self.value
+
+    def cancel(self):
         return False
 
 
@@ -218,6 +241,24 @@ def test_simulate_jobs_capped_at_chunk_count(tmp_path, capsys, monkeypatch):
     assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "8"]) == 0
     assert "engine=general, workers=1," in capsys.readouterr().out
     assert InlinePool.created == [2]
+
+
+def test_simulate_jobs_keep_a_window_of_chunks(tmp_path, capsys, monkeypatch):
+    """--jobs N holds at most 2N chunks submitted and not yet written, so
+    memory does not grow with the trial count, and writes them in chunk
+    order: the bytes equal a serial run's."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    InlinePool.created.clear()
+    InlinePool.peak.clear()
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=10 * 256, sv=GENERAL_SV))
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
+    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    capsys.readouterr()
+    assert InlinePool.created == [2]
+    assert InlinePool.peak == [4]  # ten chunks, a window of 2 x 2
+    assert read_metrics(tmp_path / "par") == {"engine": "general", "workers": 2, "chunks": 10}
+    for name in ("trials.csv", "summary.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def read_metrics(out):
@@ -1141,6 +1182,12 @@ def test_bounds_command(tmp_path, capsys):
     assert run_main(["bounds", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "n_2 ~" in out and "e+" in out  # astronomically deep recursion
+
+    # a tiny t puts every level near 0 uses: each still gets one, as n_1 does
+    cfg = write_config(tmp_path, {"epsilon": 0.1, "delta": 0.6, "mu": 0.5, "k": 4, "t": 1e-120}, "tiny.json")
+    assert run_main(["bounds", "--config", cfg]) == 0
+    schedule = capsys.readouterr().out.split("block schedule:\n")[1].splitlines()
+    assert schedule == [f"  n_{i} = 1" for i in range(1, 5)]
 
 
 def test_bounds_command_at_large_k(tmp_path, capsys):

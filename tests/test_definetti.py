@@ -16,7 +16,6 @@ from randamp.definetti import (
     definetti_check,
     definetti_rhs,
     log2_block_sizes,
-    pinsker_gap,
     sv_selection_distribution,
 )
 from randamp.cli import main as cli_main
@@ -40,7 +39,7 @@ from dense_definetti import (
     t_statistic,
     t_statistic_levels,
 )
-from helpers import Shifted, builtin_strategies, exact_bitstring_distribution, mutual_information
+from helpers import Shifted, builtin_strategies, exact_bitstring_distribution, mutual_information, pinsker_gap
 
 LN2 = math.log(2.0)
 
@@ -402,24 +401,19 @@ def test_definetti_rhs_values():
     assert rhs.threshold == pytest.approx(math.sqrt(8 * LN2 * 4.0 / 100.0), abs=1e-14)
     assert rhs.threshold == pytest.approx(0.4709640090061899, abs=1e-12)
     assert rhs.probability_bound == 0.5
-    assert rhs.presubstitution_threshold == pytest.approx(
-        math.sqrt(8 * LN2 * 2.0 / 100.0), abs=1e-14
-    )
-    assert rhs.presubstitution_probability == pytest.approx(math.sqrt(0.5), abs=1e-14)
 
     shrink = 1.0 - math.log2(1.2)
     rhs = definetti_rhs((1, 100), (2.0,), 0.1, 16)
     assert rhs.threshold == pytest.approx(
         math.sqrt(8 * LN2 * 4.0 / 100.0**shrink), abs=1e-12
     )
-    assert rhs.presubstitution_probability == pytest.approx(
-        math.sqrt(100.0 ** math.log2(1.2) / 2.0), abs=1e-12
-    )
 
     two = definetti_rhs((1, 4, 8), (2.0, 4.0), 0.0, 2)
     assert two.probability_bound == pytest.approx(0.75)
-    assert len(two.per_level_threshold) == 2
-    assert two.threshold == pytest.approx(sum(two.per_level_threshold))
+    # one level per t: sqrt(2 ln2 log2(sigma) t_i^2 (n_1 + .. + n_{i-1}) / n_i)
+    assert two.threshold == pytest.approx(
+        math.sqrt(2 * LN2 * 4.0 * 1 / 4) + math.sqrt(2 * LN2 * 16.0 * 5 / 8), abs=1e-14
+    )
 
 
 def test_definetti_rhs_validation():
@@ -445,6 +439,11 @@ def test_block_sizes():
     logs = log2_block_sizes(0.49, 3, 2.0)
     assert logs[0] == 0.0
     assert logs[2] > logs[1] > 100.0
+    # a tiny t puts the levels near 0 uses: each gets one, as n_1 does, and
+    # its log2 is 0, not below (at t = 1e-120, t^3 underflows to 0)
+    for t in (1e-3, 1e-30, 1e-120):
+        assert block_sizes(0.1, 4, t) == [1, 1, 1, 1]
+        assert log2_block_sizes(0.1, 4, t) == [0.0] * 4
     with pytest.raises(ValueError):
         block_sizes(0.5, 2, 1.0)
     with pytest.raises(ValueError):

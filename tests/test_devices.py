@@ -17,7 +17,6 @@ from randamp.devices import (
     DeviceError,
     IidDevice,
     MixtureDevice,
-    SequenceDevice,
     TimeOrderedDevice,
     ZeroProbabilityHistoryError,
     sample_outcome,
@@ -25,7 +24,7 @@ from randamp.devices import (
 from randamp.protocol import ProtocolParams, _reduced_table, run_protocol
 from randamp.sv import GreedyTowardString
 
-from helpers import condition_device, history_likelihood
+from helpers import SequenceDevice, condition_device, goodness_oracle, history_likelihood
 
 
 def test_iid_device_ignores_history():
@@ -318,12 +317,13 @@ def test_mixture_posterior_updates_one_use_at_a_time():
     for _ in range(3):
         # the three devices share one object, so each one's first use
         # arrives after another device's history
-        result, run = run_protocol(params, [device] * 3, GreedyTowardString((0,), 0.1), rng)
+        _, run = run_protocol(params, [device] * 3, GreedyTowardString((0,), 0.1), rng)
+        zeta = goodness_oracle([device] * 3, run).zeta
         scale = (0.5 - params.epsilon) ** 4
         for j in range(3):
             pos = run.selected_use(j)
             want = scale * bell_value(stateless_box(device, run.uses[j][:pos]), validate=False)
-            assert result.estimation.zeta[j] == want
+            assert zeta[j] == want
         history = tuple(run.uses[0])
         for l in range(len(history) + 1):  # one use at a time
             assert np.array_equal(device.posterior(history[:l]), stateless_posterior(device, history[:l]))

@@ -24,9 +24,8 @@ from randamp.boxes import (
     uniform_box,
     unpack_bits,
 )
-from randamp.devices import ConditionedDevice, IidDevice, MixtureDevice, SequenceDevice
+from randamp.devices import IidDevice, MixtureDevice
 from randamp.protocol import (
-    EstimationRecord,
     ProtocolParams,
     _IidSampler,
     _ProtocolSampler,
@@ -34,7 +33,6 @@ from randamp.protocol import (
     _shared_table,
     acceptance_threshold,
     azuma_rejection_bound,
-    distance_d,
     estimate_output_bias,
     f_epsilon,
     fast_path_applicable,
@@ -52,8 +50,11 @@ from randamp.quantum import NoiseSpec, born_box, build_state, noisy_box, xz_base
 from randamp.sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering, bit_probabilities
 
 from helpers import (
+    ConditionedDevice,
+    SequenceDevice,
     Shifted,
     builtin_strategies,
+    distance_d,
     exact_bitstring_distribution,
     goodness_oracle,
     xor_distribution_exact,
@@ -236,12 +237,6 @@ def test_distance_inequalities_randomized():
         assert report.d <= 0.5 + 1e-12
 
 
-def test_estimation_record_increment_guard():
-    EstimationRecord(b_values=(0, 1), zeta=(0.5, 0.0), x_values=(0.5, -0.5))
-    with pytest.raises(AssertionError):
-        EstimationRecord(b_values=(0,), zeta=(1.5,), x_values=(1.5,))
-
-
 def test_run_protocol_honest_always_accepts():
     params = honest_params(k=5)
     devices = [IidDevice(algebraic_violation_box()) for _ in range(params.k)]
@@ -252,7 +247,6 @@ def test_run_protocol_honest_always_accepts():
         assert result.z_k == 0.0
         assert result.output_bit in (0, 1)
         assert result.output_bit == int(np.bitwise_xor.reduce(result.majority_bits))
-        assert all(z == 0.0 for z in result.estimation.zeta)
         for j in range(params.k):
             u, x = run.selected_pair(j)
             assert u in INEQUALITY_INDICES
@@ -262,6 +256,7 @@ def test_run_protocol_honest_always_accepts():
             assert all(s in INEQUALITY_INDICES for s in kept_settings)
         report = goodness_oracle(devices, run)
         assert report.verdict and report.good_count == params.k
+        assert all(z == 0.0 for z in report.zeta)
 
 
 def test_run_protocol_uniform_rejects():
@@ -312,11 +307,12 @@ def test_supermartingale_increments_bounded():
     rng = np.random.default_rng(77)
     for _ in range(10):
         devices = [mixture] * params.k
-        result, _ = run_protocol(params, devices, steer, rng)
-        xs = (0.0,) + result.estimation.x_values
+        _, run = run_protocol(params, devices, steer, rng)
+        report = goodness_oracle(devices, run)  # asserts each |zeta_l - B_l| <= 1
+        xs = (0.0,) + report.x_values
         for a, b in zip(xs, xs[1:]):
             assert abs(b - a) <= 1.0 + 1e-12
-        for z in result.estimation.zeta:
+        for z in report.zeta:
             assert 0.0 <= z <= 0.5
 
 
@@ -938,6 +934,26 @@ def test_estimate_output_bias_general_path():
     assert len(report.per_symbol) == 2
     assert report.distances is not None
     assert report.d_c <= 2 * report.d + 1e-12
+
+
+def test_general_engine_audit_of_history_dependent_devices_pinned():
+    """k = 20 fresh MixtureDevices, each one hidden label over an honest
+    quantum box and a uniform one, against a period-3 source: the general
+    engine, where every outcome is drawn from a posterior-weighted box.  The
+    (accepted, zeros) counts are pinned: they depend on the seed alone, and
+    neither a device's posterior cache nor the order of its queries may
+    move a draw."""
+    params = ProtocolParams(0.1, 0.8, 0.9, 20, n=(16,))
+    honest, flat = IidDevice(noisy_box(NoiseSpec())), IidDevice(uniform_box())
+
+    def factory():
+        return [MixtureDevice([honest, flat], [0.9, 0.1]) for _ in range(params.k)]
+
+    source = GreedyTowardString((0, 1, 1), 0.1)
+    assert not fast_path_applicable(params, factory(), source)
+    report = estimate_output_bias(params, [(1.0, factory, source)], 64, seed=3)
+    _, n_acc, _, interval = report.per_symbol[0]
+    assert (n_acc, interval.successes) == (26, 12)  # accepted, and accepted with output 0
 
 
 def test_estimate_output_bias_zero_acceptance():
