@@ -12,15 +12,25 @@ the certificate is checked before the bound counts.
 """
 
 from randamp.boxes import bell_value
-from randamp.lp import LpInstance, adversarial_box, analytic_bound, certify_bound, solve
+from randamp.lp import LpInstance, adversarial_box, analytic_bound, certify_bound, certify_grid, solve
 
-for delta in (0.0, 0.2, 0.8):
-    report = certify_bound(delta, method="highs")
+# One solver per symmetry orbit walks the grid; each delta after the first
+# is re-solved from the previous optimal basis.  An entry is the report, or
+# the error that certifying its delta raised.
+deltas = (0.0, 0.2, 0.8)
+for delta, report in zip(deltas, certify_grid(deltas, method="highs")):
+    if isinstance(report, Exception):
+        raise report
     print(
         f"delta={delta}: max guessing advantage {report.max_optimum:.6f}"
         f"  (closed-form ceiling {analytic_bound(delta):.6f})"
         f"  certified: {report.passed}"
     )
+
+# At delta = 1/3 the ceiling is tight: the optimum is (11 + 7/3)/32 = 5/12.
+# certify_bound checks one delta and raises if the ceiling fails there.
+tight = certify_bound(1 / 3)
+print(f"delta=1/3: max guessing advantage {tight.max_optimum:.12f}  (5/12 = {5 / 12:.12f})")
 
 # the two routes, side by side, on one instance
 inst = LpInstance(u_star=(0, 0, 0, 1), delta=0.2, guess=0)

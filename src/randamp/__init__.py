@@ -52,6 +52,7 @@ from .lp import (
     adversarial_box,
     analytic_bound,
     certify_bound,
+    certify_grid,
     solve,
 )
 from .protocol import (

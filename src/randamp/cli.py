@@ -26,7 +26,7 @@ from . import __version__
 from .boxes import NsBox, algebraic_violation_box, bell_value, mixed_with_uniform, uniform_box
 from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_block_sizes
 from .devices import IidDevice
-from .lp import INSTANCE_KEYS, analytic_bound, certify_bound, prepare_highs
+from .lp import INSTANCE_KEYS, analytic_bound, certify_grid
 from .protocol import (
     SIMULATE_CHUNK, ProtocolParams, acceptance_threshold, azuma_rejection_bound, fast_path_applicable,
     proposition_bound, robustness_acceptance_bound, robustness_threshold, simulate_trials,
@@ -330,38 +330,29 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _certificate_facts(report) -> dict:
+    """A certified delta's solver facts for the manifest; on HiGHS with each
+    orbit solve's simplex iteration count."""
+    facts = {"delta": report.delta, "solved": report.solved, "dual_residual": report.dual_residual,
+             "duality_gap": report.duality_gap}
+    if report.highs_nit is not None:
+        facts["highs_nit"] = list(report.highs_nit)
+    return facts
+
+
 def cmd_certify(args) -> int:
     """Certify the LP guessing bound at every delta of the config's grid.
 
-    On the HiGHS route the deltas are certified on up to min(#deltas, CPUs)
-    threads; the simplex route runs on the calling thread.  Entries, prints,
-    certify.json and the manifest are built afterwards in grid order, so
-    they are the same whatever the number of threads."""
+    `certify_grid` does the work and picks the threads: on the HiGHS route
+    with more than one delta, one per orbit representative (up to the CPU
+    count), each re-solving every delta after the first from its previous
+    optimal basis.  Entries, prints, certify.json and the manifest follow
+    grid order, so they are the same whatever the number of threads."""
     raw, cfg_sha256 = load_config(args.config)
     cfg = _object(raw, CONFIG_FIELDS["certify"], "")
-    values, method, tol = cfg["deltas"], cfg["method"], cfg["tolerance"]
-
-    def certify(value):
-        """certify_bound's report for one delta, or the exception it raised."""
-        try:
-            # certify_bound raises unless the bound holds on all 16 instances
-            return certify_bound(value, method=method, tol=tol)
-        except Exception as exc:  # solver failure is a reportable outcome
-            return exc
-
-    # HiGHS releases the GIL while it solves, so threads overlap one delta's
-    # solves with another's checks.  numpy's tableau updates release it too,
-    # but the simplex route stays serial: exact certificates are to replace it.
-    workers = min(len(values), os.cpu_count() or 1) if method == "highs" else 1
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            # imported here: only a pool needs it, and it slows every command's start
-            from concurrent.futures import ThreadPoolExecutor
-
-            prepare_highs()  # no worker then imports a module or builds a cache
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        outcomes = list(mapper(certify, values))
+    method = cfg["method"]
+    # every entry is a report that passed on all 16 instances, or the error
+    outcomes = certify_grid(cfg["deltas"], method=method, tol=cfg["tolerance"])
     grid, passed, reports = [], True, []
     for delta, outcome in zip(raw["deltas"], outcomes):  # an error shows delta as the config wrote it
         if isinstance(outcome, Exception):
@@ -372,8 +363,7 @@ def cmd_certify(args) -> int:
             reports.append(outcome)
     summary = {"passed": passed, "method": method, "bound_formula": "min((11 + 7 delta)/32, 1/2)", "grid": grid}
     if args.out:
-        metrics = {"certificates": [{"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual,
-                                     "duality_gap": r.duality_gap} for r in reports]}
+        metrics = {"certificates": [_certificate_facts(r) for r in reports]}
         write_outputs(args.out, "certify", cfg_sha256, {"certify.json": _json_bytes(summary)}, metrics)
     for entry in grid:
         if "error" in entry:
@@ -602,7 +592,8 @@ def _sci_from_log2(log2_value: float) -> str:
 
 def cmd_bounds(args) -> int:
     cfg, cfg_sha256 = _config(args, "bounds")
-    params = ProtocolParams(**{name: cfg[name] for name in _PARAMS})
+    # n=None: the bounds do not read the use counts, so no k-entry tuple is built
+    params = ProtocolParams(n=None, **{name: cfg[name] for name in _PARAMS})
     k_exp = cfg["k_exponent"]
     prop = proposition_bound(params)
     lines = [

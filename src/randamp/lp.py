@@ -16,13 +16,13 @@ The 16 instances (8 settings u* x 2 guesses) are related by relabelings of
 the box that leave the feasible set alone: permuting parties 1-3, flipping
 the outputs of parties 1-3 together or of party 4, and flipping all four
 inputs exactly when an odd number of outputs flips.  They fall into two
-orbits, of sizes 4 and 12.  `certify_bound` solves one instance per orbit
-(on the simplex route both representatives in one call that shares phase 1,
-since they differ only in the objective) and carries its primal box and
-dual vector to the others; each map is first checked exactly, in integers,
-on the constraint rows, their right-hand side and the objectives, and each
-carried certificate is checked again like a solved one (Bodi, Herr &
-Joswig, Math. Program. 137, 2013).  The row map is checked on the ~2.9k
+orbits, of sizes 4 and 12.  `certify_grid` solves one instance per orbit
+and delta (on the simplex route both representatives of a delta in one
+call that shares phase 1, since they differ only in the objective) and
+carries its primal box and dual vector to the others; each map is first
+checked exactly, in integers, on the constraint rows, their right-hand
+side and the objectives, and each carried certificate is checked again
+like a solved one (Bodi, Herr & Joswig, Math. Program. 137, 2013).  The row map is checked on the ~2.9k
 nonzero entries of the constraint matrix: once P and R are bijections,
 A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
 one.
@@ -31,11 +31,16 @@ The equality system is built by index arithmetic.  HiGHS is called through
 scipy's bindings without `scipy.optimize.linprog`: the model linprog would
 hand it (the Bell row stacked over the equality rows in CSC form, the row
 and column bounds with kHighsInf for infinity, and linprog's default
-options) is built once, and each solve passes it with its own objective and
-Bell bound to a fresh solver.  linprog re-checks and re-stacks its inputs
-and reads the basis one column at a time on every call, all while holding
-the GIL; the direct call returns the same bits (checked against linprog in
-tests/test_lp.py).
+options) is built once.  `certify_grid` gives each orbit representative one
+solver for the whole delta grid: the model goes to it once, at the grid's
+first delta, and for each later delta only the Bell row's upper bound
+changes before the solver runs again.  The previous optimal basis stays
+dual feasible, so the dual simplex restarts from it and takes a few
+iterations instead of ~200 (Huangfu & Hall, Math. Prog. Comp. 10, 2018).
+A solve that is not optimal is that delta's error, and the next delta
+starts a fresh solver.  A first, cold solve returns what linprog returns,
+to the bit (checked in tests/test_lp.py); a warm one may differ from it in
+the last digits.
 
 Neither route imports a scipy subpackage.  `_highs_core` loads the
 bindings' extension module from its file: importing it by name would first
@@ -44,9 +49,9 @@ not use.  The simplex route takes its independent equality rows from a
 stored list, which numpy checks on first use.
 
 The cached arrays and the model are read-only, so that threads may share
-them: the CLI certifies the deltas of a grid on several threads on the
-HiGHS route, which releases the GIL while it solves, after `prepare_highs`
-has built every cache and import on the calling thread.
+them: on the HiGHS route `certify_grid` runs the representatives' solvers
+on threads, since HiGHS releases the GIL while it solves, after
+`prepare_highs` has built every cache and import on the calling thread.
 """
 
 from __future__ import annotations
@@ -304,13 +309,10 @@ def _highs_model() -> _HighsModel:
 
 
 def _highs_solve(c: np.ndarray, delta: float):
-    """HiGHS on min c.x subject to bell_row.x <= delta, A_eq x = b_eq, x >= 0,
-    exactly as linprog(method="highs") would run it, and what linprog would
-    return: (x, objective value, row duals with the Bell row's first, the
-    lower-bound marginals, simplex iterations).  A lower-bound marginal is
-    the column dual where the column is nonbasic at its lower bound, else 0.
-    Only `run` releases the GIL.  Raises RuntimeError naming the model
-    status unless it is optimal."""
+    """A fresh HiGHS solver on min c.x subject to bell_row.x <= delta,
+    A_eq x = b_eq, x >= 0, run once exactly as linprog(method="highs") would
+    run it: (the solver, its solution as `_highs_run` reads it).  Raises
+    RuntimeError naming the model status unless it is optimal."""
     highs = _highs_core()
     model = _highs_model()
     problem = highs.HighsLp()
@@ -328,6 +330,24 @@ def _highs_solve(c: np.ndarray, delta: float):
     solver = highs._Highs()
     solver.passOptions(model.options)
     solver.passModel(problem)
+    return solver, _highs_run(solver)
+
+
+def _highs_resolve(solver, delta: float):
+    """The solver's last program with the Bell bound moved to delta, run
+    again.  Only that row bound changes, so the previous optimal basis stays
+    dual feasible and the dual simplex restarts from it."""
+    solver.changeRowBounds(0, -_highs_core().kHighsInf, float(delta))
+    return _highs_run(solver)
+
+
+def _highs_run(solver):
+    """Run the solver and return what linprog would: (x, objective value,
+    row duals with the Bell row's first, the lower-bound marginals, simplex
+    iterations).  A lower-bound marginal is the column dual where the column
+    is nonbasic at its lower bound, else 0.  Only `run` releases the GIL.
+    Raises RuntimeError naming the model status unless it is optimal."""
+    highs = _highs_core()
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -337,31 +357,47 @@ def _highs_solve(c: np.ndarray, delta: float):
     lower = np.where([col == at_lower for col in solver.getBasis().col_status],
                      solution.col_dual, 0.0)
     return (np.array(solution.col_value), info.objective_function_value, np.array(solution.row_dual),
-            lower, info.simplex_iteration_count or info.ipm_iteration_count)
+            lower, info.simplex_iteration_count)
 
 
 def prepare_highs() -> None:
-    """Do on the calling thread the one-time work of a HiGHS `certify_bound`:
-    build the symmetry orbits and the cached systems they rest on, and the
-    HiGHS model, which loads scipy's bindings through `_highs_core`.  Threads
-    that certify deltas side by side afterwards only read caches and never
-    load a module.  `_highs_core` takes no lock: two threads that both found
-    the bindings missing would each load the extension and initialise the
+    """Do on the calling thread the one-time work of the HiGHS route: build
+    the symmetry orbits and the cached systems they rest on, and the HiGHS
+    model, which loads scipy's bindings through `_highs_core`.  The threads
+    `certify_grid` starts afterwards only read caches and never load a
+    module.  `_highs_core` takes no lock: two threads that both found the
+    bindings missing would each load the extension and initialise the
     pybind11 module twice."""
     symmetry_orbits()
     _highs_model()
 
 
-def _solve_primal_highs(instance: LpInstance):
-    """HiGHS on min -m.x/2; its multipliers satisfy
+def _highs_chain(instances) -> list:
+    """HiGHS on min -m.x/2 for instances that share one objective, in order,
+    with one solver: the first instance goes to a fresh solver, each later
+    one only moves the Bell bound (`_highs_resolve`).  After a failure the
+    next instance starts a fresh solver.  Per instance (x, value, lam, nit)
+    or the exception; the multipliers satisfy
     -m/2 = A_eq^T y + bell_row * mu + s with mu <= 0 and s >= 0.  x <= 1 is
     implied by normalization, so no bound row is given for it."""
-    try:
-        x, value, row_dual, lower, _ = _highs_solve(-0.5 * instance.objective_m(), instance.delta)
-    except RuntimeError as exc:
-        raise RuntimeError(f"HiGHS failed on {instance}: {exc}") from None
-    lam = _dual_vector(-2.0 * row_dual[1:], 2.0 * lower, -2.0 * float(row_dual[0]))
-    return x, -value, lam
+    if len({(instance.u_star, instance.guess) for instance in instances}) > 1:
+        raise ValueError("a HiGHS chain walks one objective")
+    solver, results = None, []
+    for instance in instances:
+        try:
+            if solver is None:
+                solver, solution = _highs_solve(-0.5 * instance.objective_m(), instance.delta)
+            else:
+                solution = _highs_resolve(solver, instance.delta)
+        except Exception as exc:  # this delta's outcome; the next one starts afresh
+            solver = None
+            results.append(RuntimeError(f"HiGHS failed on {instance}: {exc}")
+                           if isinstance(exc, RuntimeError) else exc)
+            continue
+        x, value, row_dual, lower, nit = solution
+        lam = _dual_vector(-2.0 * row_dual[1:], 2.0 * lower, -2.0 * float(row_dual[0]))
+        results.append((x, -value, lam, nit))
+    return results
 
 
 def _simplex_program(instances):
@@ -398,17 +434,23 @@ def _solve_primal_simplex(instances):
         free = np.zeros(n_eq)
         free[keep] = -2.0 * y[:-1]
         lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
-        results.append((x[:N_VARS], -value, lam))
+        results.append((x[:N_VARS], -value, lam, None))
     return results
 
 
-def _solve_raw(instances, method: str):
-    """(primal x, primal value, dual vector) per instance, the instances
-    sharing one delta: one HiGHS solve each, or one simplex call for all."""
+def _solve_raw(instances, method: str) -> list:
+    """(primal x, primal value, dual vector, HiGHS iterations) per instance,
+    or the exception its solve raised.  On HiGHS the instances share one
+    objective and walk one solver (`_highs_chain`); on the simplex route
+    they share one delta and one call, whose failure is every instance's,
+    and the iteration entry is None."""
     if method == "highs":
-        return [_solve_primal_highs(instance) for instance in instances]
+        return _highs_chain(instances)
     if method == "simplex":
-        return _solve_primal_simplex(instances)
+        try:
+            return _solve_primal_simplex(instances)
+        except Exception as exc:  # the delta's outcome, as on HiGHS
+            return [exc] * len(instances)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -447,7 +489,10 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     optimum and is checked (non-negative, dual residual, weak duality), so
     the two routes stay independent.
     """
-    (x, value, lam), = _solve_raw([instance], method)
+    (raw,) = _solve_raw([instance], method)
+    if isinstance(raw, Exception):
+        raise raw
+    x, value, lam, _ = raw
     return _certified(instance, x, value, lam, method)
 
 
@@ -629,6 +674,7 @@ class CertificationReport:
     solved: int  # LP instances solved; the rest were carried by symmetry
     dual_residual: float  # worst over the 16 certificates
     duality_gap: float  # worst |dual value / 2 - primal value|
+    highs_nit: tuple | None = None  # HiGHS simplex iterations per orbit solve; None on the simplex route
 
     def to_json(self) -> dict:
         return {
@@ -641,29 +687,33 @@ class CertificationReport:
         }
 
 
-def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> CertificationReport:
-    """Check the cap on all 16 instances (8 settings x 2 guesses).
+def _orbit_solutions(orbit, instances, raws, method: str) -> list:
+    """Per instance of one representative's grid, the checked LpSolution of
+    every instance of its orbit by key (the representative's as solved, the
+    others carried through the orbit's maps), or the exception its solve or
+    a check raised."""
+    rep, members = orbit
+    outcomes = []
+    for instance, raw in zip(instances, raws):
+        if isinstance(raw, Exception):
+            outcomes.append(raw)
+            continue
+        x, value, lam, _ = raw
+        try:
+            solutions = {rep: _certified(instance, x, value, lam, method)}
+            for member, P, R in members:
+                solutions[member] = _transport(
+                    LpInstance(member[0], instance.delta, member[1]), x, lam, P, R, method)
+        except Exception as exc:  # this delta's outcome
+            outcomes.append(exc)
+            continue
+        outcomes.append(solutions)
+    return outcomes
 
-    Solves one instance per symmetry orbit, transports its primal box and
-    dual certificate to the rest of the orbit, and re-checks every
-    transported certificate as a solved one is checked.  The cap must hold
-    for the primal optimum and for the bound each dual certificate proves:
-    for every feasible x (|x|_1 = 16, one unit per setting),
-    m.x/2 <= dual_value/2 + 8 * dual_residual.  Raises CertificationError
-    naming the first violating instance.  tol must be finite and >= 0: a
-    NaN one would make every cap comparison false.
-    """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, highs_nit) -> CertificationReport:
+    """The cap checked on all 16 checked solutions of one delta."""
     bound = analytic_bound(delta)
-    solutions = {}
-    orbits = symmetry_orbits()
-    instances = [LpInstance(rep[0], delta, rep[1]) for rep, _ in orbits]
-    solved = _solve_raw(instances, method)
-    for (rep, members), instance, (x, value, lam) in zip(orbits, instances, solved):
-        solutions[rep] = _certified(instance, x, value, lam, method)
-        for member, P, R in members:
-            solutions[member] = _transport(LpInstance(member[0], delta, member[1]), x, lam, P, R, method)
     optima = {}
     for u_star, guess in INSTANCE_KEYS:
         solution = solutions[(u_star, guess)]
@@ -680,10 +730,87 @@ def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> Cer
                 f"at u*={u_star}, guess={guess}, delta={delta}"
             )
     return CertificationReport(
-        float(delta), bound, optima, max(optima.values()), True, method, len(orbits),
+        float(delta), bound, optima, max(optima.values()), True, method, solved,
         max(sol.dual_residual for sol in solutions.values()),
         max(sol.duality_gap for sol in solutions.values()),
+        highs_nit,
     )
+
+
+def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
+    """Check the cap on all 16 instances (8 settings x 2 guesses) at every
+    delta of the grid: per delta, in grid order, its CertificationReport or
+    the exception certifying it raised.
+
+    Solves one instance per symmetry orbit, transports its primal box and
+    dual certificate to the rest of the orbit, and re-checks every
+    transported certificate as a solved one is checked.  The cap must hold
+    for the primal optimum and for the bound each dual certificate proves:
+    for every feasible x (|x|_1 = 16, one unit per setting),
+    m.x/2 <= dual_value/2 + 8 * dual_residual.  A violation is a
+    CertificationError naming the first violating instance.
+
+    On HiGHS each orbit representative walks the grid in order with one
+    solver (`_highs_chain`), so a delta's last digits may depend on the
+    delta before it; a grid of one delta is solved cold.  With more than
+    one delta the representatives are mapped over min(#orbits, CPUs)
+    threads, each running its chain and then checking and transporting its
+    own orbit's certificates: HiGHS releases the GIL while it solves, so one
+    orbit's solves overlap the other's checks.  The results are the same
+    whatever the number of threads.  A single delta, and the simplex route
+    (one call per delta for both representatives, sharing phase 1), stay on
+    the calling thread.
+
+    Raises ValueError, before any solve, for an unknown method, a delta
+    outside [0, 8] or a tol that is not finite and >= 0: a NaN one would
+    make every cap comparison false."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if method not in ("highs", "simplex"):
+        raise ValueError(f"unknown method {method!r}")
+    orbits = symmetry_orbits()
+    grids = [[LpInstance(rep[0], delta, rep[1]) for delta in deltas] for rep, _ in orbits]
+    by_delta = None if method == "highs" else [_solve_raw(list(column), method) for column in zip(*grids)]
+
+    def certify_orbit(i):
+        raws = _solve_raw(grids[i], method) if by_delta is None else [solved[i] for solved in by_delta]
+        return raws, _orbit_solutions(orbits[i], grids[i], raws, method)
+
+    workers = min(len(orbits), os.cpu_count() or 1) if method == "highs" and len(deltas) > 1 else 1
+    if workers > 1:
+        # imported here: only a pool needs it, and it slows every command's start
+        from concurrent.futures import ThreadPoolExecutor
+
+        prepare_highs()  # no worker then imports a module or builds a cache
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_orbit = list(pool.map(certify_orbit, range(len(orbits))))
+    else:
+        per_orbit = [certify_orbit(i) for i in range(len(orbits))]
+    outcomes = []
+    for i, delta in enumerate(deltas):
+        raws = [orbit[0][i] for orbit in per_orbit]
+        checked = [orbit[1][i] for orbit in per_orbit]
+        # A failed solve is reported before a failed check, each in orbit order.
+        errors = [outcome for outcome in raws + checked if isinstance(outcome, Exception)]
+        if errors:
+            outcomes.append(errors[0])
+            continue
+        solutions = {key: sol for orbit in checked for key, sol in orbit.items()}
+        highs_nit = tuple(raw[3] for raw in raws) if method == "highs" else None
+        try:
+            outcomes.append(_report(delta, solutions, method, tol, len(orbits), highs_nit))
+        except CertificationError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def certify_bound(delta: float, method: str = "highs", tol: float = 1e-8) -> CertificationReport:
+    """`certify_grid` on the grid of one delta: its report, or the exception
+    certifying it raised is raised here."""
+    (outcome,) = certify_grid([delta], method, tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def adversarial_box(delta: float, u_star, guess: int, method: str = "highs") -> NsBox:

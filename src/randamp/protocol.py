@@ -36,14 +36,16 @@ class ProtocolParams:
 
     n is the per-device count of kept uses to accumulate; the selection step
     only addresses the largest power of two that fits, surplus kept uses are
-    dead weight at the tail.
+    dead weight at the tail.  One count is every device's.  n = None leaves
+    the counts unset, for callers that read only the bound formulas, which
+    do not depend on n: no k-entry tuple is built then.
     """
 
     epsilon: float
     delta: float
     mu: float
     k: int
-    n: tuple = (1,)
+    n: tuple | None = (1,)
     t: float = 1e6
 
     def __post_init__(self):
@@ -56,12 +58,13 @@ class ProtocolParams:
         object.__setattr__(self, "k", as_integer(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        n = tuple(as_integer(v, "n") for v in ((self.n,) if np.ndim(self.n) == 0 else self.n))
-        if len(n) == 1:
-            n = n * self.k
-        if len(n) != self.k or any(v < 1 for v in n):
-            raise ValueError("n must give a positive count for each of the k devices")
-        object.__setattr__(self, "n", n)
+        if self.n is not None:
+            n = tuple(as_integer(v, "n") for v in ((self.n,) if np.ndim(self.n) == 0 else self.n))
+            if len(n) == 1:
+                n = n * self.k
+            if len(n) != self.k or any(v < 1 for v in n):
+                raise ValueError("n must give a positive count for each of the k devices")
+            object.__setattr__(self, "n", n)
         if not self.t > 0:  # false for NaN too
             raise ValueError(f"t {self.t} must be positive")
         thr = acceptance_threshold(self)

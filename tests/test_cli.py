@@ -441,15 +441,15 @@ def test_simulate_memory_is_one_chunk_not_the_whole_file(tmp_path, capsys):
 
 
 def test_certify_records_error_type(tmp_path, capsys, monkeypatch):
-    def failing(delta, method="highs", tol=1e-8):
+    import randamp.lp as lp
+
+    def failing(solver, delta):
         if delta > 0.1:
             raise ArithmeticError("solver gave up")
-        return real(delta, method=method, tol=tol)
+        return real(solver, delta)
 
-    import randamp.cli
-
-    real = randamp.cli.certify_bound
-    monkeypatch.setattr(randamp.cli, "certify_bound", failing)
+    real = lp._highs_resolve  # re-solves every delta after the first
+    monkeypatch.setattr(lp, "_highs_resolve", failing)
     cfg = write_config(tmp_path, {"deltas": [0.0, 0.2]})
     out = tmp_path / "cert"
     assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
@@ -582,35 +582,27 @@ def test_certify_command(tmp_path, capsys):
 
 
 # sha256 of certify.json and of the manifest's metrics, and the HiGHS
-# iteration count of every solve in serial order (delta by delta, the orbit
-# representatives in turn), on a grid with every linear piece of the LP value
-# function, the tight delta = 1/3 and both ends of [0, 8].  Recorded before
-# the equality system was built by index arithmetic and handed to HiGHS as
-# sparse matrices, and before HiGHS was called without linprog; each must
-# leave every byte alone.  The figures are those of scipy 1.17.1's HiGHS and
-# numpy 2.4.6; another HiGHS may take other pivots.
+# iteration count of every orbit solve in serial order (delta by delta, the
+# orbit representatives in turn), on a grid with every linear piece of the
+# LP value function, the tight delta = 1/3 and both ends of [0, 8].  The
+# simplex figures were recorded before the equality system was built by
+# index arithmetic and handed to HiGHS as sparse matrices, and before HiGHS
+# was called without linprog; each left every byte alone.  The HiGHS figures
+# were re-pinned when each delta after the first came to be re-solved from
+# the previous optimal basis: every optimum moved by at most 4.6e-15.  The
+# figures are those of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS
+# may take other pivots.
 PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
 PINNED_CERTIFY = {
-    "highs": ("db3c0d7f601c162780becce67a3fd58bb387cf26ebee5ab159d2b63ddaa7a76a",
-              "9a88d9a4b03762f09e224b64750657bdc5528d6e618b9cc90b7660bf0096b27e"),
+    "highs": ("03ea1e76dff944c09fc8f02046ff7e5def63c5910735d7fbba9322c23b2e83c5",
+              "7c06daa01c1987de4627bdec3a7de579b527680f882d4ce17ed94372c4cd74a3"),
     "simplex": ("c7ad8af187c68b1f086f10202b4a8ddea20f8cb5370b8ea891a43a08a7f5354a",
                 "17a2a5bcd63b8025e7032f6aa754878f9e5220bd3bd72e27df7213d5dbb5fb32"),
 }
-PINNED_HIGHS_NIT = [153, 151, 216, 242, 198, 239, 228, 251, 249, 227, 227, 202, 197, 199, 227, 204]
+PINNED_HIGHS_NIT = [153, 151, 12, 18, 0, 0, 18, 6, 12, 28, 0, 0, 17, 15, 27, 18]
 
 
-def test_certify_outputs_pinned(tmp_path, monkeypatch):
-    import randamp.lp as lp
-
-    solves = []  # ((delta, objective bytes), nit), in completion order
-    real = lp._highs_solve
-
-    def recording(c, delta):
-        res = real(c, delta)
-        solves.append(((float(delta), np.asarray(c).tobytes()), int(res[-1])))
-        return res
-
-    monkeypatch.setattr(lp, "_highs_solve", recording)
+def test_certify_outputs_pinned(tmp_path):
     for method, (certify_sha, metrics_sha) in PINNED_CERTIFY.items():
         cfg = write_config(tmp_path, {"deltas": PINNED_CERTIFY_DELTAS, "method": method}, f"{method}.json")
         out = tmp_path / method
@@ -619,50 +611,64 @@ def test_certify_outputs_pinned(tmp_path, monkeypatch):
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
         digest = hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest()
         assert digest == metrics_sha, method
-    # Concurrent solves finish in either order, so each nit is matched to
-    # its solve by delta and objective and compared in serial order.
-    assert len(solves) == 16
-    nit_by_solve = dict(solves)
-    serial = [
-        (delta, (-0.5 * lp.LpInstance(rep[0], delta, rep[1]).objective_m()).tobytes())
-        for delta in PINNED_CERTIFY_DELTAS for rep, _ in lp.symmetry_orbits()
-    ]
-    assert [nit_by_solve[key] for key in serial] == PINNED_HIGHS_NIT
+        nit = [n for facts in metrics["certificates"] for n in facts.get("highs_nit", ())]
+        assert nit == (PINNED_HIGHS_NIT if method == "highs" else [])
+
+
+def test_one_delta_certify_is_solved_cold(tmp_path):
+    """A grid of one delta starts every solver afresh, so its certify.json
+    keeps the bytes of one cold solve per orbit.  At delta = 8 a warm solve
+    along the pinned grid lands 4.6e-15 away."""
+    cfg = write_config(tmp_path, {"deltas": [8.0]})
+    out = tmp_path / "one"
+    assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert (hashlib.sha256((out / "certify.json").read_bytes()).hexdigest()
+            == "a0982b3e6d32eaf91e0f33e9ff69ae2e5d8b4f3c3badf3e6982f3642696bde38")
 
 
 def _serial_certify(deltas, method="highs"):
     """certify.json's bytes and the manifest's metrics of a grid certified by
-    a plain loop of certify_bound on the calling thread."""
+    certify_grid on the calling thread, as with one CPU."""
+    import randamp.lp as lp
     from randamp.cli import _json_bytes
-    from randamp.lp import certify_bound
 
-    reports = [certify_bound(delta, method=method) for delta in deltas]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.os, "cpu_count", lambda: 1)
+        threads = _record_threads(patch)
+        reports = lp.certify_grid(deltas, method=method)
+    assert set(threads) == {threading.get_ident()}
     summary = {"passed": True, "method": method, "bound_formula": "min((11 + 7 delta)/32, 1/2)",
                "grid": [r.to_json() for r in reports]}
     metrics = {"certificates": [
-        {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual, "duality_gap": r.duality_gap}
+        {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual, "duality_gap": r.duality_gap,
+         **({"highs_nit": list(r.highs_nit)} if method == "highs" else {})}
         for r in reports
     ]}
     return _json_bytes(summary), metrics
 
 
 def _record_threads(monkeypatch):
-    """Wrap cli.certify_bound to record the thread of every call."""
+    """Wrap lp._solve_raw to record the thread of every call: on HiGHS one
+    call per orbit representative, which walks the whole grid."""
+    import randamp.lp as lp
+
     threads = []
-    real = randamp.cli.certify_bound
+    real = lp._solve_raw
 
-    def recording(delta, method="highs", tol=1e-8):
+    def recording(instances, method):
         threads.append(threading.get_ident())
-        return real(delta, method=method, tol=tol)
+        return real(instances, method)
 
-    monkeypatch.setattr(randamp.cli, "certify_bound", recording)
+    monkeypatch.setattr(lp, "_solve_raw", recording)
     return threads
 
 
 def test_threaded_certify_matches_a_serial_loop(tmp_path, monkeypatch):
     """More deltas than threads, every linear piece and both ends of [0, 8]:
-    the threaded grid writes the bytes a serial loop of certify_bound gives,
-    run after run."""
+    the threaded grid writes the bytes certify_grid gives on the calling
+    thread, run after run."""
+    import randamp.lp as lp
+
     deltas = [0.0, 0.05, 2 / 9, 0.3, 1 / 3, 0.5, 0.9, 1.0, 3.0, 8.0]
     want_certify, want_metrics = _serial_certify(deltas)
     monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 4)
@@ -673,24 +679,27 @@ def test_threaded_certify_matches_a_serial_loop(tmp_path, monkeypatch):
         assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "certify.json").read_bytes() == want_certify
         assert json.loads((out / "manifest.json").read_text())["metrics"] == want_metrics
-    assert len(threads) == 3 * len(deltas)
-    assert threading.get_ident() not in threads  # every delta ran on a worker
+    assert len(threads) == 3 * len(lp.symmetry_orbits())
+    assert threading.get_ident() not in threads  # every chain ran on a worker
 
 
 def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, monkeypatch):
+    import randamp.lp as lp
+
     deltas = [0.1, 0.2, 1.5]
-    summary = json.loads(_serial_certify(deltas[::2])[0])
-    real = randamp.cli.certify_bound
+    # 0.1 opens each chain; after the failure at 0.2, 1.5 starts a fresh solver.
+    want = [json.loads(_serial_certify([delta])[0])["grid"][0] for delta in deltas[::2]]
+    real = lp._highs_resolve
     failed_on = []
 
-    def failing(delta, method="highs", tol=1e-8):
+    def failing(solver, delta):
         if delta == 0.2:
             failed_on.append(threading.get_ident())
             raise ArithmeticError("solver gave up")
-        return real(delta, method=method, tol=tol)
+        return real(solver, delta)
 
     monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(randamp.cli, "certify_bound", failing)
+    monkeypatch.setattr(lp, "_highs_resolve", failing)
     cfg = write_config(tmp_path, {"deltas": deltas})
     out = tmp_path / "cert"
     assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
@@ -699,7 +708,7 @@ def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, m
     assert printed.index("delta=0.1:") < printed.index("delta=0.2: ERROR") < printed.index("delta=1.5:")
     payload = json.loads((out / "certify.json").read_text())
     first, failed, last = payload["grid"]
-    assert [first, last] == summary["grid"]
+    assert [first, last] == want
     assert failed == {"delta": 0.2, "error": "solver gave up", "error_type": "ArithmeticError"}
     facts = json.loads((out / "manifest.json").read_text())["metrics"]["certificates"]
     assert [f["delta"] for f in facts] == [0.1, 1.5]
@@ -1205,6 +1214,17 @@ def test_bounds_command_at_large_k(tmp_path, capsys):
     for line in schedule:
         for digits in re.findall(r"\d+(?:\.\d+)?", line):
             assert len(digits.replace(".", "").lstrip("0")) <= 17, line
+
+
+def test_bounds_command_at_the_largest_k(tmp_path, capsys):
+    """bounds reads no use counts, so the config's largest k builds no
+    k-entry schedule of them (a MemoryError traceback before)."""
+    k = 2**63 - 1
+    cfg = write_config(tmp_path, {"epsilon": 0.1, "delta": 0.8, "mu": 0.1, "k": k})
+    assert run_main(["bounds", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert f"k={k} " in out
+    assert out.split("block schedule:\n")[1].splitlines()[-1].startswith(f"  n_2305..n_{k} exceed 2^")
 
 
 def test_write_outputs_helper(tmp_path):

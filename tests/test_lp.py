@@ -317,7 +317,7 @@ def test_transport_rechecks_the_dual():
     delta = 0.2
     rep, members = symmetry_orbits()[1]
     member, P, R = members[0]
-    (x, _, lam), = _solve_raw([LpInstance(rep[0], delta, rep[1])], "highs")
+    (x, _, lam, _), = _solve_raw([LpInstance(rep[0], delta, rep[1])], "highs")
     target = LpInstance(member[0], delta, member[1])
     carried = _transport(target, x, lam, P, R, "highs")
     assert carried.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
@@ -386,7 +386,8 @@ def test_one_solve_per_orbit_and_no_dual_program(monkeypatch):
 def test_direct_highs_matches_linprog_bit_for_bit(delta):
     """The direct HiGHS call returns what scipy's linprog returns on the same
     program, to the bit: primal point, objective, every marginal and the
-    iteration count.  Guards the direct call against a change in scipy."""
+    iteration count.  So does the first delta of a chain, whatever deltas
+    follow it.  Guards the direct call against a change in scipy."""
     from scipy.optimize import linprog
 
     A_eq, b_eq = equality_constraints()
@@ -394,12 +395,19 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         c = -0.5 * LpInstance(rep[0], delta, rep[1]).objective_m()
         want = linprog(c, A_ub=lp.bell_row()[None, :], b_ub=[delta], A_eq=A_eq, b_eq=b_eq,
                        bounds=(0, None), method="highs")
-        x, value, row_dual, lower, nit = lp._highs_solve(c, delta)
+        _, (x, value, row_dual, lower, nit) = lp._highs_solve(c, delta)
         assert np.array_equal(x, want.x), rep
         assert value == want.fun, rep
         assert np.array_equal(row_dual[:1], want.ineqlin.marginals), rep
         assert np.array_equal(row_dual[1:], want.eqlin.marginals), rep
         assert np.array_equal(lower, want.lower.marginals), rep
+        assert nit == want.nit, rep
+        chain = _solve_raw([LpInstance(rep[0], d, rep[1]) for d in (delta, 1 / 3, 8.0)], "highs")
+        x, value, lam, nit = chain[0]
+        assert np.array_equal(x, want.x), rep
+        assert value == -want.fun, rep
+        assert np.array_equal(lam, lp._dual_vector(-2.0 * want.eqlin.marginals, 2.0 * want.lower.marginals,
+                                                   -2.0 * float(want.ineqlin.marginals[0]))), rep
         assert nit == want.nit, rep
 
 
@@ -445,6 +453,69 @@ def test_direct_highs_names_a_status_that_is_not_optimal():
         lp._highs_solve(c, -1.0)
 
 
+def test_shuffled_grid_matches_independent_linprog_solves():
+    """A grid out of order, with every linear piece, the tight delta = 1/3
+    and both ends of [0, 8]: every optimum certify_grid reports, solved cold
+    or warm or carried by symmetry, is within 1e-12 of linprog's own solve of
+    that instance."""
+    from scipy.optimize import linprog
+
+    A_eq, b_eq = equality_constraints()
+    deltas = [8.0, 0.0, 1 / 3, 2 / 9, 5 / 7, 1.0, 0.05, 3.0]
+    for delta, report in zip(deltas, lp.certify_grid(deltas)):
+        assert isinstance(report, lp.CertificationReport), report
+        assert report.delta == delta
+        for label, value in report.optima.items():
+            u_star, guess = _key(label)
+            c = -0.5 * LpInstance(u_star, delta, guess).objective_m()
+            want = linprog(c, A_ub=lp.bell_row()[None, :], b_ub=[delta], A_eq=A_eq, b_eq=b_eq,
+                           bounds=(0, None), method="highs")
+            assert abs(value + want.fun) <= 1e-12, (delta, label)
+
+
+def test_random_grid_keeps_every_dual_residual_small():
+    """100 seeded deltas in random order over [0, 2], where the value
+    function bends: every warm-started certificate still checks, with a dual
+    residual of at most 1e-9."""
+    deltas = np.random.default_rng(1308_4635).uniform(0.0, 2.0, 100).tolist()
+    reports = lp.certify_grid(deltas)
+    assert all(isinstance(report, lp.CertificationReport) for report in reports)
+    assert max(report.dual_residual for report in reports) <= 1e-9
+
+
+def test_failure_at_a_middle_delta_stays_its_own(monkeypatch):
+    """A solve that fails inside a chain is that delta's outcome: the deltas
+    before it are certified as without it, and the next delta starts a fresh
+    solver, so it matches a grid of its own."""
+    deltas = [0.1, 0.2, 1 / 3, 1.5]
+    want = lp.certify_grid(deltas[:2]) + lp.certify_grid(deltas[3:])
+    real_solve, real_resolve = lp._highs_solve, lp._highs_resolve
+    cold = []
+
+    def solving(c, delta):
+        cold.append(delta)
+        return real_solve(c, delta)
+
+    def failing(solver, delta):
+        if delta == 1 / 3:
+            raise RuntimeError("HiGHS ended with model status 'Time limit reached'")
+        return real_resolve(solver, delta)
+
+    monkeypatch.setattr(lp, "_highs_solve", solving)
+    monkeypatch.setattr(lp, "_highs_resolve", failing)
+    first, second, failed, last = lp.certify_grid(deltas)
+    assert [first, second, last] == want
+    assert isinstance(failed, RuntimeError)
+    assert str(failed).startswith("HiGHS failed on LpInstance(") and f"delta={1 / 3}" in str(failed)
+    assert sorted(cold) == [0.1, 0.1, 1.5, 1.5]
+
+
+def test_highs_chain_walks_one_objective():
+    a, b = (LpInstance(rep[0], 0.2, rep[1]) for rep, _ in symmetry_orbits())
+    with pytest.raises(ValueError, match="one objective"):
+        _solve_raw([a, b], "highs")
+
+
 @pytest.mark.parametrize("method", ["highs", "simplex"])
 @pytest.mark.parametrize("perturbation", ["dual_value", "residual"])
 def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
@@ -459,7 +530,7 @@ def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
 
     def perturbing(instances, route):
         results = raw(instances, route)
-        x, value, lam = results[0]
+        x, value, lam, nit = results[0]
         lam = lam.copy()
         if perturbation == "dual_value":
             # +t on the +A_eq normalization row of one setting and on the
@@ -471,7 +542,7 @@ def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
             # Residual 5e-7, inside the 1e-6 gate; 8 times it exceeds tol.
             lam[positivity.start] += 5e-7
         perturbed.append(instances[0])
-        return [(x, value, lam)] + results[1:]
+        return [(x, value, lam, nit)] + results[1:]
 
     monkeypatch.setattr(lp, "_solve_raw", perturbing)
     with pytest.raises(CertificationError, match="dual certificate proves only") as err:
