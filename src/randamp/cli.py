@@ -3,13 +3,12 @@
 Every run writes its outputs plus a manifest of SHA-256 hashes; the manifest
 lands atomically after the files it describes.  All randomness descends from
 one master seed, one child stream per fixed-size chunk of trials, so reruns
-are byte-identical whatever the number of worker processes.
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import datetime
 import functools
@@ -28,7 +27,7 @@ from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_b
 from .devices import IidDevice
 from .lp import INSTANCE_KEYS, analytic_bound, certify_grid
 from .protocol import (
-    SIMULATE_CHUNK, ProtocolParams, acceptance_threshold, azuma_rejection_bound, fast_path_applicable,
+    ProtocolParams, acceptance_threshold, azuma_rejection_bound, fast_path_applicable,
     proposition_bound, robustness_acceptance_bound, robustness_threshold, simulate_trials,
 )
 from .quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
@@ -213,7 +212,7 @@ CONFIG_FIELDS = {
 
 # simulate's options: --seed and --trials are checked as the fields they replace
 SIMULATE_OPTIONS = {"seed": CONFIG_FIELDS["simulate"].fields["seed"],
-                    "trials": CONFIG_FIELDS["simulate"].fields["trials"], "jobs": Field("integer", 1, low=1)}
+                    "trials": CONFIG_FIELDS["simulate"].fields["trials"]}
 
 
 def load_config(path: str) -> tuple:
@@ -460,31 +459,11 @@ def _stream_trials(chunks, write) -> tuple:
     return n_acc, zeros, n_chunks
 
 
-def _windowed_map(pool, window: int, fn, *iterables):
-    """pool.map(fn, *iterables) with at most `window` calls submitted and
-    not yet yielded: results come in input order, and the inputs are read
-    only as the window frees a slot, so memory stays at a few chunks however
-    many there are (Executor.map submits every call before yielding one).
-    Calls still pending when the caller stops are cancelled."""
-    pending = collections.deque()
-    try:
-        for args in zip(*iterables):
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, *args))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def cmd_simulate(args) -> int:
     cfg, cfg_sha256 = _config(args, "simulate")
     for name, field in SIMULATE_OPTIONS.items():
         if (value := getattr(args, name)) is not None:
             cfg[name] = field.check(value, field, f"--{name}", "option")
-    cfg.setdefault("jobs", SIMULATE_OPTIONS["jobs"].default)
     params = ProtocolParams(n=cfg["n"], **{name: cfg[name] for name in _PARAMS})
     box = build_box(cfg["device"])
     strategy = build_strategy(cfg["sv"], params.epsilon)
@@ -492,24 +471,11 @@ def cmd_simulate(args) -> int:
 
     devices = [IidDevice(box)] * params.k
     engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
-    # Worker start-up (each imports numpy and randamp) costs more than
-    # a whole vectorized run, and a worker beyond the chunk count has no work.
-    workers = 1 if engine == "vectorized" else min(cfg["jobs"], -(-trials // SIMULATE_CHUNK))
+    chunks = simulate_trials(params, devices, strategy, trials, seed)
     written = {}
     os.makedirs(args.out, exist_ok=True)
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            # imported here: only a pool needs them, and they slow every command's start
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            spawn = multiprocessing.get_context("spawn")  # fork is unsafe with BLAS threads
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=spawn))
-            mapper = functools.partial(_windowed_map, pool, 2 * workers)
-        chunks = simulate_trials(params, devices, strategy, trials, seed, mapper=mapper)
-        with _atomic_output(args.out, "trials.csv", written) as write:
-            n_acc, zeros, n_chunks = _stream_trials(chunks, write)
+    with _atomic_output(args.out, "trials.csv", written) as write:
+        n_acc, zeros, n_chunks = _stream_trials(chunks, write)
 
     summary = {
         "params": {"n": list(params.n), **{name: getattr(params, name) for name in _PARAMS}},
@@ -525,8 +491,8 @@ def cmd_simulate(args) -> int:
         },
     }
     write_outputs(args.out, "simulate", cfg_sha256, {"summary.json": _json_bytes(summary)},
-                  metrics={"engine": engine, "workers": workers, "chunks": n_chunks}, written=written)
-    print(f"simulate: {trials} trials, engine={engine}, workers={workers}, "
+                  metrics={"engine": engine, "chunks": n_chunks}, written=written)
+    print(f"simulate: {trials} trials, engine={engine}, "
           f"acceptance {summary['acceptance_rate']:.4f}, outputs in {args.out}")
     return 0
 
@@ -534,7 +500,11 @@ def cmd_simulate(args) -> int:
 def cmd_definetti(args) -> int:
     cfg, cfg_sha256 = _config(args, "definetti")
     epsilon, sched, spec = cfg["epsilon"], cfg["schedule"], cfg["system"]
-    n = list(cfg["n"]) if sched is None else block_sizes(epsilon, sched["k"], sched["t"], sched["k_exponent"])
+    if sched is None:
+        n = list(cfg["n"])
+    else:  # a schedule that stops early repeats its last level up to k
+        n = block_sizes(epsilon, sched["k"], sched["t"], sched["k_exponent"])
+        n += n[-1:] * (sched["k"] - len(n))
     components = [np.asarray(c, dtype=float) for c in spec["components"]]
     system = ExchangeableMixture(n, components, spec["weights"])
     strategy = build_strategy(cfg["sv"], epsilon)
@@ -610,17 +580,17 @@ def cmd_bounds(args) -> int:
         f"LP guessing bound at delta  {analytic_bound(params.delta):.9g}",
         "block schedule:",
     ]
+    k = params.k
     try:
-        sizes = block_sizes(params.epsilon, params.k, params.t, k_exp)
-        for i, size in enumerate(sizes, start=1):
-            lines.append(f"  n_{i} = {size}")
+        levels = [f"= {size}" for size in block_sizes(params.epsilon, k, params.t, k_exp)]
     except OverflowError:
-        for i, lg in enumerate(log2_block_sizes(params.epsilon, params.k, params.t, k_exp), start=1):
-            if math.isinf(lg):
-                # log2 itself left the float range; so does every later level
-                lines.append(f"  n_{i}..n_{params.k} exceed 2^{sys.float_info.max:.4g}")
-                break
-            lines.append(f"  n_{i} ~ {_sci_from_log2(lg)}")
+        # log2 itself may leave the float range; so does every later level
+        levels = [f"exceed 2^{sys.float_info.max:.4g}" if math.isinf(lg) else f"~ {_sci_from_log2(lg)}"
+                  for lg in log2_block_sizes(params.epsilon, k, params.t, k_exp)]
+    # a schedule that stops early, at an infinite or repeated level, stands for the rest
+    for i, level in enumerate(levels, start=1):
+        ranged = i == len(levels) and (i < k or level.startswith("exceed"))
+        lines.append(f"  n_{i}..n_{k} {level}" if ranged else f"  n_{i} {level}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -647,7 +617,6 @@ def _add_command_options(parser: argparse.ArgumentParser, name: str) -> None:
     if name == "simulate":
         parser.add_argument("--seed", type=int, help="master seed override")
         parser.add_argument("--trials", type=int, help="trial count override")
-        parser.add_argument("--jobs", type=int, help="worker processes over trial chunks")
     parser.set_defaults(func=_COMMANDS[name][0])
 
 

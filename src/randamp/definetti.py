@@ -128,9 +128,10 @@ def _check_schedule(epsilon: float, k: int, t: float, k_exponent: int) -> None:
 def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}.
 
-    Every level is at least 0, one use, as in block_sizes.  The list stops
-    at its first infinite level, since every later level is infinite too: it
-    has k entries unless its last one is infinite."""
+    Every level is at least 0, one use, as in block_sizes.  A level depends
+    only on the one before it, so the list stops at its first infinite level
+    or its first level equal to the one before it: every later level is that
+    level too.  It has k entries unless it stopped early."""
     _check_schedule(epsilon, k, t, k_exponent)
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
     product = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
@@ -138,13 +139,17 @@ def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     logs = [0.0]
     while len(logs) < k and not math.isinf(logs[-1]):
         logs.append(max(0.0, (factor + logs[-1]) / shrink))
+        if logs[-1] == logs[-2]:
+            break
     return logs
 
 
 def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     """Integer block sizes from the recursion, each level ceiled before reuse
     and at least 1, as n_1 is: a tiny t puts the recursion's level near 0
-    uses, which would ceil to 0.
+    uses, which would ceil to 0.  A level depends only on the one before it,
+    so the list stops at its first level equal to the one before it: every
+    later level is that level too.  It has k entries unless it stopped early.
 
     Raises OverflowError when a level exceeds 2^62; use log2_block_sizes to
     inspect such schedules.
@@ -153,11 +158,13 @@ def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
     factor = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
     sizes = [1]
-    for _ in range(1, k):
+    while len(sizes) < k:
         raw = (factor * sizes[-1]) ** (1.0 / shrink)
         if raw > 2.0**62:
             raise OverflowError("block size exceeds 2^62; see log2_block_sizes")
         sizes.append(max(1, math.ceil(raw - 1e-9)))
+        if sizes[-1] == sizes[-2]:
+            break
     return sizes
 
 

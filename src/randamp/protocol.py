@@ -9,7 +9,6 @@ the per-device majorities of the first three outcome bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -526,18 +525,13 @@ class _ProtocolSampler:
             m_realized=np.array([t.m_realized for _, t in runs]).reshape(m, -1),
         )
 
-    def sample(self, m: int, rng) -> tuple:
-        rows = self.rows(m, rng)
-        return rows.z_k, rows.accepted, rows.output
-
     def counts(self, m: int, seed) -> tuple:
         """(accepted, accepted with output 0) over m trials, chunked and
         seeded like simulate_trials."""
         n_acc = zeros = 0
-        for size, chunk_seed in _chunks(m, seed):
-            _, accepted, output = self.sample(size, np.random.default_rng(chunk_seed))
-            n_acc += int(accepted.sum())
-            zeros += int(np.sum(output == 0))
+        for rows in _chunk_rows(self, m, seed):
+            n_acc += int(rows.accepted.sum())
+            zeros += int(np.sum(rows.output == 0))
         return n_acc, zeros
 
 
@@ -568,24 +562,23 @@ def _chunks(trials: int, seed):
     return ((min(SIMULATE_CHUNK, trials - lo), seed.spawn(1)[0]) for lo in range(0, trials, SIMULATE_CHUNK))
 
 
-def _chunk_rows(sampler, chunk: tuple) -> TrialRows:
-    return sampler.rows(chunk[0], np.random.default_rng(chunk[1]))
+def _chunk_rows(sampler, trials: int, seed):
+    """sampler.rows of each of _chunks(trials, seed), in trial order, one
+    chunk at a time; trials is checked now."""
+    return (sampler.rows(size, np.random.default_rng(child)) for size, child in _chunks(trials, seed))
 
 
-def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None,
-                    mapper=map):
+def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None):
     """Protocol runs of the k devices: an iterator of TrialRows, one per
     chunk of SIMULATE_CHUNK trials (the last may be shorter), in trial order.
 
     Chunk c draws only from child c of the seed's SeedSequence, so the rows
-    depend on the seed alone; mapper may be an executor's map to spread
-    chunks over processes.  The devices are shared by every trial, so each
-    device's box must be a function of the history alone.  A device may
-    memoize, as MixtureDevice does, as long as its answers do not depend on
-    earlier runs.
+    depend on the seed alone.  The devices are shared by every trial, so
+    each device's box must be a function of the history alone.  A device
+    may memoize, as MixtureDevice does, as long as its answers do not
+    depend on earlier runs.
     """
-    sampler = _sampler(params, devices, sv_strategy)
-    return mapper(_chunk_rows, itertools.repeat(sampler), _chunks(trials, seed))
+    return _chunk_rows(_sampler(params, devices, sv_strategy), trials, seed)
 
 
 @dataclass(slots=True)

@@ -58,16 +58,6 @@ def test_simulate_deterministic_and_manifest(tmp_path):
     assert not verify_manifest(str(out_a))
 
 
-def test_simulate_parallel_matches_serial(tmp_path):
-    cfg = write_config(tmp_path, SIM_CONFIG)
-    out_serial, out_par = tmp_path / "serial", tmp_path / "par"
-    assert run_main(["simulate", "--config", cfg, "--out", str(out_serial)]) == 0
-    assert run_main(
-        ["simulate", "--config", cfg, "--out", str(out_par), "--jobs", "2"]
-    ) == 0
-    assert (out_serial / "trials.csv").read_bytes() == (out_par / "trials.csv").read_bytes()
-
-
 def test_simulate_csv_columns(tmp_path):
     cfg = write_config(tmp_path, SIM_CONFIG)
     out = tmp_path / "out"
@@ -153,11 +143,10 @@ def test_simulate_general_engine_rows(tmp_path, capsys):
     # a period-3 source is not position-periodic within a setting draw, so
     # the vectorized sampler would be inexact: run_protocol per trial instead
     cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=300, sv={"strategy": "greedy", "target": [0, 1, 1]}))
-    outs = [tmp_path / name for name in ("a", "b", "par")]
+    outs = [tmp_path / name for name in ("a", "b")]
     assert run_main(["simulate", "--config", cfg, "--out", str(outs[0])]) == 0
     assert "engine=general" in capsys.readouterr().out
     assert run_main(["simulate", "--config", cfg, "--out", str(outs[1])]) == 0
-    assert run_main(["simulate", "--config", cfg, "--out", str(outs[2]), "--jobs", "2"]) == 0
     for name in ("trials.csv", "summary.json"):
         blobs = {(out / name).read_bytes() for out in outs}
         assert len(blobs) == 1
@@ -168,97 +157,6 @@ def test_simulate_general_engine_rows(tmp_path, capsys):
         assert all(int(s) in (0, 1) for s in row["selection"].split("|"))
         assert all(int(m) >= 2 for m in row["m_realized"].split("|"))
     assert 0 < sum(int(r["accepted"]) for r in rows) < 300
-
-
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("no worker pool expected")
-
-
-class InlinePool:
-    """Records max_workers and runs each submitted call in-process at once
-    instead of spawning.  peak[i] is the most calls pool i held submitted
-    and not yet collected."""
-
-    created = []
-    peak = []
-
-    def __init__(self, max_workers=None, mp_context=None):
-        self.created.append(max_workers)
-        self.peak.append(0)
-        self.outstanding = 0
-
-    def submit(self, fn, *args):
-        self.outstanding += 1
-        self.peak[-1] = max(self.peak[-1], self.outstanding)
-        return InlineFuture(self, fn(*args))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-class InlineFuture:
-    """A finished call of an InlinePool: reading its result collects it."""
-
-    def __init__(self, pool, value):
-        self.pool, self.value = pool, value
-
-    def result(self):
-        self.pool.outstanding -= 1
-        return self.value
-
-    def cancel(self):
-        return False
-
-
-def test_simulate_jobs_skip_pool_on_vectorized_engine(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=600))
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-    serial = capsys.readouterr().out
-    assert "engine=vectorized, workers=1," in serial
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-    assert "engine=vectorized, workers=1," in capsys.readouterr().out
-    for name in ("trials.csv", "summary.json"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
-
-
-def test_simulate_jobs_capped_at_chunk_count(tmp_path, capsys, monkeypatch):
-    general = {"strategy": "greedy", "target": [0, 1, 1]}
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    InlinePool.created.clear()
-    # 300 trials are two chunks of at most 256
-    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=300, sv=general))
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "8"]) == 0
-    assert "engine=general, workers=2," in capsys.readouterr().out
-    assert InlinePool.created == [2]
-    assert read_metrics(tmp_path / "a") == {"engine": "general", "workers": 2, "chunks": 2}
-    # one chunk: nothing to spread, so no pool
-    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=40, sv=general), name="one.json")
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--jobs", "8"]) == 0
-    assert "engine=general, workers=1," in capsys.readouterr().out
-    assert InlinePool.created == [2]
-
-
-def test_simulate_jobs_keep_a_window_of_chunks(tmp_path, capsys, monkeypatch):
-    """--jobs N holds at most 2N chunks submitted and not yet written, so
-    memory does not grow with the trial count, and writes them in chunk
-    order: the bytes equal a serial run's."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    InlinePool.created.clear()
-    InlinePool.peak.clear()
-    cfg = write_config(tmp_path, dict(SIM_CONFIG, trials=10 * 256, sv=GENERAL_SV))
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
-    capsys.readouterr()
-    assert InlinePool.created == [2]
-    assert InlinePool.peak == [4]  # ten chunks, a window of 2 x 2
-    assert read_metrics(tmp_path / "par") == {"engine": "general", "workers": 2, "chunks": 10}
-    for name in ("trials.csv", "summary.json"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def read_metrics(out):
@@ -287,7 +185,7 @@ GENERAL_SV = {"strategy": "greedy", "target": [0, 1, 1]}
     [
         ({"trials": 600}, [], "vectorized"),
         ({"trials": 300, "sv": GENERAL_SV}, [], "general"),
-        ({"trials": 300, "sv": GENERAL_SV}, ["--jobs", "2"], "general"),
+        ({"trials": 300, "sv": GENERAL_SV}, ["--seed", "6"], "general"),
         ({"k": 1, "trials": 300}, [], "vectorized"),
         ({"k": 1, "trials": 40, "sv": GENERAL_SV}, [], "general"),
         ({"n": [4, 2, 4], "trials": 300}, [], "vectorized"),
@@ -301,7 +199,7 @@ GENERAL_SV = {"strategy": "greedy", "target": [0, 1, 1]}
         ({"n": [1000], "trials": 300}, [], "vectorized"),  # selections up to 511
         # trial indices cross 999 -> 1000 and 9999 -> 10000 inside one batch
         ({"trials": 10_100}, [], "vectorized"),
-        ({"trials": 600, "sv": GENERAL_SV}, ["--jobs", "2"], "general"),
+        ({"trials": 600, "sv": GENERAL_SV}, ["--seed", "0"], "general"),
     ],
 )
 def test_simulate_rows_match_csv_writer_oracle(tmp_path, capsys, monkeypatch, overrides, extra, engine):
@@ -357,7 +255,7 @@ def test_simulate_data_files_pinned_and_metrics_in_manifest_only(tmp_path, capsy
         assert run_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha
-        assert read_metrics(out) == {"engine": engine, "workers": 1, "chunks": chunks}
+        assert read_metrics(out) == {"engine": engine, "chunks": chunks}
         summary = json.loads((out / "summary.json").read_text())
         assert "metrics" not in summary and "engine" not in summary
     capsys.readouterr()
@@ -465,9 +363,10 @@ def test_certify_records_error_type(tmp_path, capsys, monkeypatch):
     assert [f["delta"] for f in facts] == [0.0]  # only the certified deltas
 
 
-def test_run_flags_only_on_simulate(tmp_path):
+def test_run_flags_only_on_simulate(tmp_path, capsys):
     cfg = write_config(tmp_path, {"deltas": [0.0]})
     for argv in (
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"],
         ["certify", "--config", cfg, "--jobs", "2"],
         ["certify", "--config", cfg, "--seed", "1"],
         ["bounds", "--config", cfg, "--trials", "5"],
@@ -477,6 +376,7 @@ def test_run_flags_only_on_simulate(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_main(argv)
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 PARSE_CASES = [
@@ -544,12 +444,6 @@ def test_well_formed_call_builds_only_its_command_parser(tmp_path, monkeypatch):
     for out in ("a", "b"):
         assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
     assert built == ["simulate"]
-
-
-def test_simulate_rejects_nonpositive_jobs(tmp_path, capsys):
-    cfg = write_config(tmp_path, SIM_CONFIG)
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_certify_command(tmp_path, capsys):
@@ -944,6 +838,11 @@ def test_definetti_schedule_config(tmp_path, capsys):
     )
     assert run_main(["definetti", "--config", cfg]) == 0
     assert "n=[1, 3]" in capsys.readouterr().out
+    # a schedule that stops at a repeated level is padded back to k levels
+    cfg = write_config(tmp_path, {**json.loads(open(cfg).read()), "schedule": {"k": 3, "t": 1e-3},
+                                  "t_levels": [2.0, 2.0]}, "ones.json")
+    assert run_main(["definetti", "--config", cfg]) == 0
+    assert "n=[1, 1, 1]" in capsys.readouterr().out
 
 
 def test_definetti_rejects_malformed_flags(tmp_path, capsys):
@@ -1192,11 +1091,12 @@ def test_bounds_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "n_2 ~" in out and "e+" in out  # astronomically deep recursion
 
-    # a tiny t puts every level near 0 uses: each still gets one, as n_1 does
+    # a tiny t puts every level near 0 uses: each still gets one, as n_1
+    # does, and the levels from the first repeat on share one line
     cfg = write_config(tmp_path, {"epsilon": 0.1, "delta": 0.6, "mu": 0.5, "k": 4, "t": 1e-120}, "tiny.json")
     assert run_main(["bounds", "--config", cfg]) == 0
     schedule = capsys.readouterr().out.split("block schedule:\n")[1].splitlines()
-    assert schedule == [f"  n_{i} = 1" for i in range(1, 5)]
+    assert schedule == ["  n_1 = 1", "  n_2..n_4 = 1"]
 
 
 def test_bounds_command_at_large_k(tmp_path, capsys):
@@ -1225,6 +1125,19 @@ def test_bounds_command_at_the_largest_k(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"k={k} " in out
     assert out.split("block schedule:\n")[1].splitlines()[-1].startswith(f"  n_2305..n_{k} exceed 2^")
+
+
+def test_bounds_command_ends_on_a_schedule_of_ones(tmp_path):
+    """t^3 underflows, so every level is one use: the schedule stops at its
+    first repeat instead of walking k - 1 levels.  A fresh process with a
+    timeout, so a schedule that never ends fails the test instead of
+    hanging it."""
+    k = 2**63 - 1
+    cfg = write_config(tmp_path, {"epsilon": 0.1, "delta": 0.6, "mu": 0.5, "k": k, "t": 1e-120})
+    proc = subprocess.run([sys.executable, "-m", "randamp.cli", "bounds", "--config", cfg],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("block schedule:\n")[1].splitlines() == ["  n_1 = 1", f"  n_2..n_{k} = 1"]
 
 
 def test_write_outputs_helper(tmp_path):

@@ -442,8 +442,9 @@ def test_block_sizes():
     # a tiny t puts the levels near 0 uses: each gets one, as n_1 does, and
     # its log2 is 0, not below (at t = 1e-120, t^3 underflows to 0)
     for t in (1e-3, 1e-30, 1e-120):
-        assert block_sizes(0.1, 4, t) == [1, 1, 1, 1]
-        assert log2_block_sizes(0.1, 4, t) == [0.0] * 4
+        # the schedule stops at its first repeated level: every later one is 1
+        assert block_sizes(0.1, 4, t) == [1, 1]
+        assert log2_block_sizes(0.1, 4, t) == [0.0, 0.0]
     with pytest.raises(ValueError):
         block_sizes(0.5, 2, 1.0)
     with pytest.raises(ValueError):

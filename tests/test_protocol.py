@@ -772,7 +772,8 @@ def test_general_engine_on_nested_mixture_matches_closed_form():
         assert 0.05 < p_acc < 0.95 and abs(p_zero - 0.5) > 0.02
         for sampler, trials in ((_ProtocolSampler(params, [device] * k, source), 3000),
                                 (fast, 100_000)):
-            _, accepted, output = sampler.sample(trials, np.random.default_rng(seed))
+            rows = sampler.rows(trials, np.random.default_rng(seed))
+            accepted, output = rows.accepted, rows.output
             n_acc = int(accepted.sum())
             assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
             p0 = np.mean(output[accepted] == 0)
@@ -1007,11 +1008,6 @@ def test_simulate_trials_chunks_and_engines():
 
     chunks = list(simulate_trials(params, devices, greedy, 600, seed=3))
     assert [len(c.z_k) for c in chunks] == [256, 256, 88]
-    # each chunk draws from its own seed child, so scheduling cannot matter
-    backwards = lambda fn, *its: reversed([fn(*args) for args in reversed(list(zip(*its)))])
-    reordered = simulate_trials(params, devices, greedy, 600, seed=3, mapper=backwards)
-    for a, b in zip(engine_columns(chunks), engine_columns(reordered)):
-        assert np.array_equal(a, b)
     z, acc, out, sel, m = engine_columns(chunks)
     assert np.array_equal(acc, z <= acceptance_threshold(params))
     assert np.array_equal(out == -1, ~acc)

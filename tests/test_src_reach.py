@@ -10,6 +10,10 @@ src/ or demos/ calls needs an entry in ALLOWED with a one-line reason.
 Known gap: names are matched by spelling, not by binding, so definitions
 that share a name cover each other (the two to_json methods: a call of
 one counts for all).
+
+Every module-level import of src/randamp/*.py must also be read, as a
+Name, in its own module (`from __future__` aside), so that a deletion
+does not leave its imports behind.
 """
 
 import ast
@@ -66,6 +70,24 @@ def unreached(src: Path = SRC, demos: Path = ROOT / "demos") -> list:
     return missing
 
 
+def unread_imports(src: Path = SRC) -> list:
+    """module.name of every name a module-level import under src binds
+    that its own module never reads as a Name."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):  # `import a.b` binds a
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unread
+
+
 def test_every_src_name_is_reached_from_src_or_demos():
     missing = [name for name in unreached() if name not in ALLOWED]
     assert not missing, f"reached only by tests (move them to tests/helpers.py, or allow them): {missing}"
@@ -91,3 +113,22 @@ def test_scan_finds_an_unreferenced_function(tmp_path):
     (src / "b.py").write_text("from .a import used\n\n\ndef main():\n    return used()\n")
     (demos / "demo.py").write_text("from a import Box, main\n\nBox().shown()\nmain()\n")
     assert unreached(src, demos) == ["a.lonely", "a.Box.hidden"]
+
+
+def test_every_src_import_is_read():
+    unread = unread_imports()
+    assert not unread, f"imported but never read: drop the imports: {unread}"
+
+
+def test_import_scan_finds_an_unread_import(tmp_path):
+    """The import scan itself: an import, an alias and a from-import that
+    their module never reads are found; `import a.b` read through a, a name
+    read only in a nested function and `from __future__` are not."""
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import collections\nimport math\nimport os.path\nimport numpy as np\n"
+        "from .b import used, unused as alias\n\n\n"
+        "def f():\n    def g():\n        return used()\n\n    return math.pi, os.path.sep, g\n"
+    )
+    (tmp_path / "b.py").write_text("def used():\n    return 1\n")
+    assert unread_imports(tmp_path) == ["a.collections", "a.np", "a.alias"]
