@@ -125,6 +125,11 @@ def _check_schedule(epsilon: float, k: int, t: float, k_exponent: int) -> None:
         raise ValueError("k_exponent must be 2 or 3")
 
 
+def _shrink(epsilon: float) -> float:
+    """1 - log2(1 + 2 eps), the exponent of n_i in the block recursion."""
+    return 1.0 - math.log2(1.0 + 2.0 * epsilon)
+
+
 def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     """log2 of the recursion n_i^(1 - log2(1+2eps)) = 8 ln2 k^e t^3 n_{i-1}.
 
@@ -133,7 +138,7 @@ def log2_block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     or its first level equal to the one before it: every later level is that
     level too.  It has k entries unless it stopped early."""
     _check_schedule(epsilon, k, t, k_exponent)
-    shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
+    shrink = _shrink(epsilon)
     product = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
     factor = math.log2(product) if product > 0.0 else -math.inf  # t^3 may underflow
     logs = [0.0]
@@ -155,7 +160,7 @@ def block_sizes(epsilon: float, k: int, t: float, k_exponent: int = 2):
     inspect such schedules.
     """
     _check_schedule(epsilon, k, t, k_exponent)
-    shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
+    shrink = _shrink(epsilon)
     factor = 8.0 * math.log(2.0) * (float(k) ** k_exponent) * float(t) ** 3
     sizes = [1]
     while len(sizes) < k:
@@ -191,7 +196,7 @@ def definetti_rhs(n, t, epsilon: float, sigma_size: int) -> DeFinettiRhs:
     if sigma_size < 2:
         raise ValueError("sigma_size must be at least 2")
     log_sigma = math.log2(sigma_size)
-    shrink = 1.0 - math.log2(1.0 + 2.0 * epsilon)
+    shrink = _shrink(epsilon)
     coeff = 2.0 * math.log(2.0) * log_sigma
     per_level = [
         math.sqrt(coeff * t_i**2 * sum(n[: i - 1]) / n[i - 1] ** shrink) for i, t_i in enumerate(t, start=2)

@@ -19,28 +19,30 @@ inputs exactly when an odd number of outputs flips.  They fall into two
 orbits, of sizes 4 and 12.  `certify_grid` solves one instance per orbit
 and delta (on the simplex route both representatives of a delta in one
 call that shares phase 1, since they differ only in the objective) and
-carries its primal box and dual vector to the others; each map is first
-checked exactly, in integers, on the constraint rows, their right-hand
-side and the objectives, and each carried certificate is checked again
-like a solved one (Bodi, Herr & Joswig, Math. Program. 137, 2013).  The row map is checked on the ~2.9k
-nonzero entries of the constraint matrix: once P and R are bijections,
-A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
-one.
+carries its primal box and dual vector to the others.  A map's row action
+R follows from its column action P (Bodi, Herr & Joswig, Math. Program.
+137, 2013): row R[r] is row r carried by P, found by an exact row hash.
+Each map is checked exactly, in integers, on the constraint rows, their
+right-hand side and the objectives, and each carried certificate is checked
+again like a solved one.  The row map is checked on the ~2.9k nonzero
+entries of the constraint matrix: once P and R are bijections,
+A[R][:, P] == A holds exactly when every nonzero entry lands on an equal one.
 
 The equality system is built by index arithmetic.  HiGHS is called through
-scipy's bindings without `scipy.optimize.linprog`: the model linprog would
-hand it (the Bell row stacked over the equality rows in CSC form, the row
-and column bounds with kHighsInf for infinity, and linprog's default
-options) is built once.  `certify_grid` gives each orbit representative one
-solver for the whole delta grid: the model goes to it once, at the grid's
-first delta, and for each later delta only the Bell row's upper bound
-changes before the solver runs again.  The previous optimal basis stays
-dual feasible, so the dual simplex restarts from it and takes a few
-iterations instead of ~200 (Huangfu & Hall, Math. Prog. Comp. 10, 2018).
-A solve that is not optimal is that delta's error, and the next delta
-starts a fresh solver.  A first, cold solve returns what linprog returns,
-to the bit (checked in tests/test_lp.py); a warm one may differ from it in
-the last digits.
+scipy's bindings without `scipy.optimize.linprog`.  One HighsLp, built
+once, holds the model linprog would hand it (the Bell row stacked over the
+equality rows in CSC form, the row and column bounds with kHighsInf for
+infinity) with a zero objective and the Bell row free.  A fresh solver
+takes linprog's default options, a copy of that model and its objective;
+every solve, cold or warm, then only sets the Bell row's upper bound and
+runs.  `certify_grid` gives each orbit representative one solver for the
+whole delta grid, so for each later delta only that bound changes.  The
+previous optimal basis stays dual feasible, so the dual simplex restarts
+from it and takes a few iterations instead of ~200 (Huangfu & Hall, Math.
+Prog. Comp. 10, 2018).  A solve that is not optimal is that delta's error,
+and the next delta starts a fresh solver.  A first, cold solve returns
+what linprog returns, to the bit (checked in tests/test_lp.py); a warm one
+may differ from it in the last digits.
 
 Neither route imports a scipy subpackage.  `_highs_core` loads the
 bindings' extension module from its file: importing it by name would first
@@ -48,10 +50,10 @@ run scipy.optimize's __init__, ~780 modules and ~0.5 s that the bindings do
 not use.  The simplex route takes its independent equality rows from a
 stored list, which numpy checks on first use.
 
-The cached arrays and the model are read-only, so that threads may share
-them: on the HiGHS route `certify_grid` runs the representatives' solvers
-on threads, since HiGHS releases the GIL while it solves, after
-`prepare_highs` has built every cache and import on the calling thread.
+The cached arrays are read-only and nothing writes to the model, so threads
+share them: on the HiGHS route `certify_grid` runs the representatives'
+solvers on threads, since HiGHS releases the GIL while it solves, after it
+has built every cache and loaded the bindings on the calling thread.
 """
 
 from __future__ import annotations
@@ -100,11 +102,6 @@ def var_index(x: int, u: int) -> int:
 def _insert_zero_bit(index, pos):
     low = index & ((1 << pos) - 1)
     return low | ((index >> pos) << (pos + 1))
-
-
-def _drop_bit(index, pos):
-    low = index & ((1 << pos) - 1)
-    return low | ((index >> (pos + 1)) << pos)
 
 
 @lru_cache(maxsize=1)
@@ -237,24 +234,6 @@ def _dual_vector(free, pos, bell: float) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class _HighsModel:
-    """What linprog hands HiGHS for the primal, less the objective and the
-    Bell bound: the matrix vstack((bell_row, A_eq)) in CSC form, its row
-    bounds (the Bell row's lower one -kHighsInf), the column bounds 0 and
-    kHighsInf, and linprog's default options.  The sequences are tuples,
-    which HiGHS reads faster than arrays and nobody can edit."""
-
-    start: tuple
-    index: tuple
-    value: tuple
-    row_lower: tuple
-    b_eq: tuple
-    col_lower: tuple
-    col_upper: tuple
-    options: object  # HighsOptions
-
-
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
@@ -284,28 +263,34 @@ def _highs_core():
 
 
 @lru_cache(maxsize=1)
-def _highs_model() -> _HighsModel:
+def _highs_model():
+    """(model, options): the HighsLp linprog hands HiGHS for the primal, with
+    a zero objective and the Bell row free, and linprog's default options.
+    Each solver takes a copy of the model; nobody writes to the model itself."""
     highs = _highs_core()
 
     A_eq, b_eq = equality_constraints()
     rows = np.vstack([bell_row()[None, :], A_eq])
     cols, row_index = np.nonzero(rows.T)  # column-major, rows ascending in each column
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = N_VARS
+    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(N_VARS + 1)).tolist()
+    model.a_matrix_.index_ = row_index.tolist()
+    model.a_matrix_.value_ = rows[row_index, cols].tolist()
+    model.col_cost_ = [0.0] * N_VARS
+    model.col_lower_ = [0.0] * N_VARS
+    model.col_upper_ = [highs.kHighsInf] * N_VARS
+    model.row_lower_ = [-highs.kHighsInf, *b_eq.tolist()]
+    model.row_upper_ = [highs.kHighsInf, *b_eq.tolist()]
     options = highs.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    return _HighsModel(
-        tuple(np.searchsorted(cols, np.arange(N_VARS + 1)).tolist()),
-        tuple(row_index.tolist()),
-        tuple(rows[row_index, cols].tolist()),
-        (-highs.kHighsInf, *b_eq.tolist()),
-        tuple(b_eq.tolist()),
-        (0.0,) * N_VARS,
-        (highs.kHighsInf,) * N_VARS,
-        options,
-    )
+    return model, options
 
 
 def _highs_solve(c: np.ndarray, delta: float):
@@ -314,29 +299,19 @@ def _highs_solve(c: np.ndarray, delta: float):
     run it: (the solver, its solution as `_highs_run` reads it).  Raises
     RuntimeError naming the model status unless it is optimal."""
     highs = _highs_core()
-    model = _highs_model()
-    problem = highs.HighsLp()
-    problem.num_col_ = problem.a_matrix_.num_col_ = N_VARS
-    problem.num_row_ = problem.a_matrix_.num_row_ = len(model.row_lower)
-    problem.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    problem.a_matrix_.start_ = model.start
-    problem.a_matrix_.index_ = model.index
-    problem.a_matrix_.value_ = model.value
-    problem.col_cost_ = c.tolist()
-    problem.col_lower_ = model.col_lower
-    problem.col_upper_ = model.col_upper
-    problem.row_lower_ = model.row_lower
-    problem.row_upper_ = (float(delta), *model.b_eq)
+    model, options = _highs_model()
     solver = highs._Highs()
-    solver.passOptions(model.options)
-    solver.passModel(problem)
-    return solver, _highs_run(solver)
+    solver.passOptions(options)
+    solver.passModel(model)
+    solver.changeColsCost(N_VARS, np.arange(N_VARS, dtype=np.int32), c)
+    return solver, _highs_resolve(solver, delta)
 
 
 def _highs_resolve(solver, delta: float):
-    """The solver's last program with the Bell bound moved to delta, run
-    again.  Only that row bound changes, so the previous optimal basis stays
-    dual feasible and the dual simplex restarts from it."""
+    """The solver's program with the Bell bound set to delta, run.  On a
+    fresh solver that is its first, cold solve; after a solve only that row
+    bound changes, so the previous optimal basis stays dual feasible and the
+    dual simplex restarts from it."""
     solver.changeRowBounds(0, -_highs_core().kHighsInf, float(delta))
     return _highs_run(solver)
 
@@ -358,18 +333,6 @@ def _highs_run(solver):
                      solution.col_dual, 0.0)
     return (np.array(solution.col_value), info.objective_function_value, np.array(solution.row_dual),
             lower, info.simplex_iteration_count)
-
-
-def prepare_highs() -> None:
-    """Do on the calling thread the one-time work of the HiGHS route: build
-    the symmetry orbits and the cached systems they rest on, and the HiGHS
-    model, which loads scipy's bindings through `_highs_core`.  The threads
-    `certify_grid` starts afterwards only read caches and never load a
-    module.  `_highs_core` takes no lock: two threads that both found the
-    bindings missing would each load the extension and initialise the
-    pybind11 module twice."""
-    symmetry_orbits()
-    _highs_model()
 
 
 def _highs_chain(instances) -> list:
@@ -514,46 +477,32 @@ class SymmetryMap:
     parties[i]+1, the outputs are then XORed with out_flip, and all four
     inputs are flipped when in_flip.  It sends p to p' with p'(x'|u') = p(x|u).
 
-    Nothing here is trusted: `check_symmetry_map` verifies what the index
-    arithmetic claims."""
+    Nothing here is trusted: `check_symmetry_map` verifies the P and R
+    derived here."""
 
     parties: tuple
     out_flip: int
     in_flip: bool
 
-    def outcome(self, x):
-        return _bit_permutation(tuple(self.parties))[x] ^ self.out_flip
-
-    def setting(self, u):
-        return _bit_permutation(tuple(self.parties))[u] ^ (N_SETTINGS - 1 if self.in_flip else 0)
-
     def var_perm(self) -> np.ndarray:
         """P with p'[P[v]] = p[v] over flat variables v = var_index(x, u)."""
+        bits = _bit_permutation(tuple(self.parties))
         v = np.arange(N_VARS)
-        return var_index(self.outcome(v // N_SETTINGS), self.setting(v % N_SETTINGS))
+        return var_index(bits[v // N_SETTINGS] ^ self.out_flip,
+                         bits[v % N_SETTINGS] ^ (N_SETTINGS - 1 if self.in_flip else 0))
 
     def row_perm(self) -> np.ndarray:
         """R over the rows of the inequality form (+A_eq, -A_eq, -I, Bell;
-        see `_inequality_rhs`): row r read on p is row R[r] read on p'.  A
-        marginal row whose own input flips changes sign, so it moves between
-        the +A_eq and the -A_eq block."""
-        rows = np.empty(2 * N_EQ + N_VARS + 1, dtype=np.int64)
-        rows[:N_SETTINGS] = self.setting(np.arange(N_SETTINGS))
-        # Marginal row 16 + 64 i + 8 s + o: party i, other settings s and
-        # other outcomes o; its +1 entries sit at the party's own input 0.
-        r = np.arange(4 * 64)
-        party = r // 64
-        x = self.outcome(_insert_zero_bit(r % 8, party))
-        u = self.setting(_insert_zero_bit((r // 8) % 8, party))
-        moved = np.asarray(self.parties)[party]
-        own_input = (u >> moved) & 1
-        rows[N_SETTINGS:N_EQ] = (
-            N_SETTINGS + 64 * moved + 8 * _drop_bit(u, moved) + _drop_bit(x, moved) + N_EQ * own_input
-        )
-        rows[N_EQ : 2 * N_EQ] = (rows[:N_EQ] + N_EQ) % (2 * N_EQ)
-        rows[2 * N_EQ : -1] = 2 * N_EQ + self.var_perm()
-        rows[-1] = len(rows) - 1
-        return rows
+        see `_integer_rows`): row r read on p is row R[r] read on p', so row
+        R[r] is row r with its entries carried by P.  The carried rows are
+        matched to the rows by the rank of their hashes (`_rows_by_hash`); a
+        match between unequal rows gives an R that `check_symmetry_map` refuses."""
+        A, _, (rows, cols) = _integer_rows()
+        carried = np.bincount(rows, A[rows, cols] * _ROW_HASH_WEIGHTS[self.var_perm()[cols]], len(A))
+        order = _rows_by_hash()
+        R = np.empty_like(order)
+        R[np.argsort(carried)] = order
+        return R
 
 
 def _candidate_maps():
@@ -581,6 +530,18 @@ def _integer_rows():
     c = np.concatenate([b_int, -b_int, np.zeros(N_VARS + 1, dtype=np.int8)])
     rows, cols = np.divmod(np.flatnonzero(A != 0), N_VARS)
     return _read_only(A), _read_only(c), (_read_only(rows), _read_only(cols))
+
+
+# One weight per variable, the Park-Miller states 16807^(v+1) mod (2^31 - 1): a row
+# hash sums at most 256 of them, signed, so it is an integer below 2^39, exact in float64.
+_ROW_HASH_WEIGHTS = _read_only(np.array([pow(16807, v + 1, 2**31 - 1) for v in range(N_VARS)], dtype=float))
+
+
+@lru_cache(maxsize=1)
+def _rows_by_hash():
+    """The rows of the inequality form in the order of their hashes A @ _ROW_HASH_WEIGHTS."""
+    A, _, (rows, cols) = _integer_rows()
+    return _read_only(np.argsort(np.bincount(rows, A[rows, cols] * _ROW_HASH_WEIGHTS[cols], len(A))))
 
 
 @lru_cache(maxsize=1)
@@ -781,7 +742,10 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
         # imported here: only a pool needs it, and it slows every command's start
         from concurrent.futures import ThreadPoolExecutor
 
-        prepare_highs()  # no worker then imports a module or builds a cache
+        # Built here, as the orbits built every other cache, so no worker loads a
+        # module or builds a cache: `_highs_core` takes no lock, and two threads
+        # that both found the bindings missing would initialise them twice.
+        _highs_model()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_orbit = list(pool.map(certify_orbit, range(len(orbits))))
     else:

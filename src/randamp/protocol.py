@@ -89,10 +89,16 @@ def xor_bias_bound(eps_list) -> float:
     return min(0.5, 0.5 * math.prod(2.0 * e for e in eps))
 
 
+def _azuma_exponent(params: ProtocolParams) -> float:
+    """k (1/2 - eps)^8 (1 - mu)^2 delta^2, which each Azuma bound divides by
+    its own constant."""
+    e, d, m = params.epsilon, params.delta, params.mu
+    return params.k * (0.5 - e) ** 8 * (1.0 - m) ** 2 * d * d
+
+
 def azuma_rejection_bound(params: ProtocolParams) -> float:
     """Lower bound on rejection probability for devices that are not good."""
-    e, d, m = params.epsilon, params.delta, params.mu
-    return 1.0 - math.exp(-params.k * (0.5 - e) ** 8 * (1.0 - m) ** 2 * d * d / 8.0)
+    return 1.0 - math.exp(-_azuma_exponent(params) / 8.0)
 
 
 def f_epsilon(epsilon: float) -> float:
@@ -108,8 +114,7 @@ def robustness_threshold(epsilon: float, mu: float, delta: float) -> float:
 
 
 def robustness_acceptance_bound(params: ProtocolParams) -> float:
-    e, d, m = params.epsilon, params.delta, params.mu
-    return 1.0 - math.exp(-params.k * (0.5 - e) ** 8 * (1.0 - m) ** 2 * d * d / 2048.0)
+    return 1.0 - math.exp(-_azuma_exponent(params) / 2048.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +136,10 @@ def proposition_bound(params: ProtocolParams) -> PropositionBound:
     The estimation term ((11 + 7 delta)/16)^(mu k) is capped at 1: for
     delta > 5/7 its base exceeds 1, so the term is vacuous there (and the
     power would overflow a float at large k)."""
-    e, d, m, k = params.epsilon, params.delta, params.mu, params.k
-    base = (11.0 + 7.0 * d) / 16.0
+    base = (11.0 + 7.0 * params.delta) / 16.0
     return PropositionBound(
-        estimation_term=1.0 if base >= 1.0 else base ** (m * k),
-        azuma_term=2.0 * math.exp(-k * (0.5 - e) ** 8 * (1.0 - m) ** 2 * d * d / 8.0),
+        estimation_term=1.0 if base >= 1.0 else base ** (params.mu * params.k),
+        azuma_term=2.0 * math.exp(-_azuma_exponent(params) / 8.0),
         definetti_term=4.0 / math.sqrt(params.t),
     )
 

@@ -263,6 +263,15 @@ def loop_equality_constraints():
     return np.array(rows), np.array(b)
 
 
+def clear_lp_caches():
+    """Clear every lru_cache that randamp.lp defines, found by introspection."""
+    import randamp.lp as lp
+
+    for value in vars(lp).values():
+        if callable(getattr(value, "cache_clear", None)) and getattr(value, "__module__", None) == lp.__name__:
+            value.cache_clear()
+
+
 @lru_cache(maxsize=1)
 def _dense_integer_rows():
     A_eq, b_eq = loop_equality_constraints()

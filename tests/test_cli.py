@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_trials_csv
+from helpers import clear_lp_caches, reference_trials_csv
 
 import randamp.cli
 from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
@@ -626,9 +626,7 @@ def test_threaded_certify_builds_each_cache_once(tmp_path, monkeypatch):
     so no two workers build one at the same time."""
     import randamp.lp as lp
 
-    for name in ("equality_constraints", "_highs_model", "_integer_rows", "_objectives_int",
-                 "majority_sign_vector", "_bit_permutation", "symmetry_orbits"):
-        getattr(lp, name).cache_clear()
+    clear_lp_caches()
     monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 2)
     threads = _record_threads(monkeypatch)
     cfg = write_config(tmp_path, {"deltas": [0.05, 0.3, 1 / 3, 0.6, 2.0]})

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from randamp.lp import (
     symmetry_orbits,
 )
 
-from helpers import dense_check_symmetry_map, inequality_constraints, loop_equality_constraints
+from helpers import clear_lp_caches, dense_check_symmetry_map, inequality_constraints, loop_equality_constraints
 
 U_STAR = (0, 0, 0, 1)
 
@@ -313,6 +314,27 @@ def test_support_map_check_matches_dense_oracle():
     assert seen == {"is not a bijection", "moves the Bell row", "does not map the inequality rows onto themselves"}
 
 
+def test_row_map_from_a_colliding_hash_is_refused(monkeypatch):
+    """With every hash weight 1, distinct rows share a hash, so row_perm
+    matches some rows to unequal ones: check_symmetry_map refuses that R, and
+    certify stops before any certificate is carried."""
+    transported = []
+    monkeypatch.setattr(lp, "_ROW_HASH_WEIGHTS", np.ones(lp.N_VARS))
+    monkeypatch.setattr(lp, "_transport", lambda *args: transported.append(args))
+    clear_lp_caches()
+    try:
+        with pytest.raises(CertificationError, match="does not map the inequality rows"):
+            symmetry_orbits()
+        for method in ("highs", "simplex"):
+            with pytest.raises(CertificationError, match="does not map the inequality rows"):
+                lp.certify_grid([0.1, 1 / 3], method)
+    finally:
+        monkeypatch.undo()
+        clear_lp_caches()
+    assert transported == []
+    assert certify_bound(1 / 3).passed
+
+
 def test_transport_rechecks_the_dual():
     delta = 0.2
     rep, members = symmetry_orbits()[1]
@@ -409,6 +431,27 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         assert np.array_equal(lam, lp._dual_vector(-2.0 * want.eqlin.marginals, 2.0 * want.lower.marginals,
                                                    -2.0 * float(want.ineqlin.marginals[0]))), rep
         assert nit == want.nit, rep
+
+
+def test_threaded_certify_leaves_the_shared_model_as_built(monkeypatch):
+    """Every solver of a threaded grid starts from one HighsLp and sets its
+    objective and Bell bound on its own copy, so the model keeps its zero
+    objective and free Bell row: the fact threads sharing it rest on."""
+    threads = []
+    real = lp._solve_raw
+
+    def recording(instances, method):
+        threads.append(threading.get_ident())
+        return real(instances, method)
+
+    monkeypatch.setattr(lp.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(lp, "_solve_raw", recording)
+    reports = lp.certify_grid([0.05, 0.3, 1 / 3, 2.0])
+    assert all(isinstance(report, lp.CertificationReport) for report in reports)
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    model, _ = lp._highs_model()
+    assert list(model.col_cost_) == [0.0] * lp.N_VARS
+    assert model.row_upper_[0] == lp._highs_core().kHighsInf
 
 
 @pytest.mark.parametrize("steps", [
