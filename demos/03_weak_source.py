@@ -3,8 +3,8 @@ What an epsilon-biased source can and cannot do
 ===============================================
 
 Every bit may lean on the full history, but never further than epsilon from
-fair.  The source object enforces that promise at draw time: a strategy
-asking for more is rejected, not clamped.
+fair.  The library enforces that promise when it reads a source's per-bit
+law: a strategy asking for more is rejected, not clamped.
 """
 
 import numpy as np
@@ -15,16 +15,12 @@ from randamp.sv import (
     HonestBits,
     SettingSteering,
     StrategyViolationError,
-    SvTranscript,
     bit_probabilities,
     code_law,
-    draw_setting,
-    next_bit,
     string_probability_bounds,
 )
 
 eps = 0.1
-rng = np.random.default_rng(0)
 
 lo, hi = string_probability_bounds(eps, 4)
 print(f"any 4-bit string at eps={eps}: probability in [{lo:.4f}, {hi:.4f}]")
@@ -35,18 +31,22 @@ print(f"(a fair source would give {2**-4:.4f} always)")
 dist = code_law(bit_probabilities(GreedyTowardString((0,), eps), 4, eps))
 print(f"greedy strategy hits P(0000) = {dist[0]:.4f}  (= 0.6^4, the upper bound)")
 
-# the four-bit groups feed the Bell test as one setting per party
-t = SvTranscript(epsilon=eps)
-u = draw_setting(SettingSteering((1, 0, 0, 0), eps), t, rng)
-print("one steered setting draw:", u)
+# the four-bit groups feed the Bell test as one setting (u^1 .. u^4) per
+# party; a steering source makes its target the likeliest draw
+steered = code_law(bit_probabilities(SettingSteering((1, 0, 0, 0), eps), 4, eps))
+code = int(np.argmax(steered))
+print(f"steered toward 1000: likeliest draw {code:04b} with P = {steered[code]:.4f}"
+      f" (uniform {2**-4:.4f})")
 
 # over-reaching strategies are refused outright
 class TooGreedy:
+    period = 1
+
     def bias(self, history):
         return 0.3  # exceeds the promised envelope
 
 try:
-    next_bit(TooGreedy(), SvTranscript(epsilon=eps), rng)
+    bit_probabilities(TooGreedy(), 4, eps)
 except StrategyViolationError as e:
     print("over-biased strategy rejected:", e)
 

@@ -10,8 +10,6 @@ device and the output bit is the XOR of the majority bits there.
 Estimated acceptance rates below come with ~0.5% Monte Carlo error.
 """
 
-import numpy as np
-
 from randamp.boxes import algebraic_violation_box, bell_value, mixed_with_uniform
 from randamp.devices import IidDevice
 from randamp.lp import analytic_bound
@@ -19,7 +17,7 @@ from randamp.protocol import (
     ProtocolParams,
     acceptance_threshold,
     estimate_output_bias,
-    run_protocol,
+    simulate_trials,
     xor_bias_bound,
 )
 from randamp.quantum import born_box, build_state, xz_bases
@@ -29,15 +27,13 @@ params = ProtocolParams(epsilon=0.1, delta=0.8, mu=0.9, k=50)
 print(f"eps=0.1, delta=0.8, mu=0.9, k=50:"
       f" acceptance threshold {acceptance_threshold(params):.6f}")
 
-rng = np.random.default_rng(1)
 qbox = born_box(build_state(), xz_bases())
 
-# a single run, in full detail
-result, transcript = run_protocol(
-    params, [IidDevice(qbox)] * params.k, GreedyTowardString((0,), 0.1), rng
-)
-print(f"one honest run: z_k={result.z_k}, accepted={result.accepted},"
-      f" output bit={result.output_bit}")
+# a single run: one row of the engine the CLI and the audit use
+run = next(simulate_trials(params, [IidDevice(qbox)] * params.k, GreedyTowardString((0,), 0.1),
+                           trials=1, seed=1))
+print(f"one honest run: z_k={run.z_k[0]}, accepted={run.accepted[0]},"
+      f" output bit={run.output[0]}, settings drawn per device {run.m_realized[0][:5]} ...")
 
 # honest devices pass essentially always; devices at the local bound fail
 trials = 10_000

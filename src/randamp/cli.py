@@ -669,6 +669,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OverflowError) as exc:  # OverflowError: a block size past 2^62
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # a count inside the caps whose list or tuple no memory holds
+        print("error: out of memory: a count in the config is too large", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Randomness-amplification protocol: run loop, theoretical bounds, bias audit.
+"""Randomness-amplification protocol: its engines, theoretical bounds, bias audit.
 
 Steps per device j: draw four source bits per use until n_j uses carry a
 Bell-coefficient setting, then spend log2(n_j) more bits to pick one of the
@@ -15,16 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .boxes import (
-    BELL_FUNCTIONAL,
-    INEQUALITY_INDICES,
-    in_inequality,
-    majority,
-    pack_bits,
-    unpack_bits,
-)
-from .devices import IidDevice, MixtureDevice, sample_outcome
-from .sv import SvTranscript, as_integer, bit_probabilities, code_law, draw_index, draw_setting
+from .boxes import BELL_FUNCTIONAL, INEQUALITY_INDICES, majority, unpack_bits
+from .devices import IidDevice, MixtureDevice
+from .sv import as_integer, bit_probabilities, code_law
 
 WILSON_Z99 = 2.5758293035489004
 
@@ -178,85 +171,6 @@ def _distances(p: np.ndarray, w: np.ndarray) -> DistanceReport:
     return DistanceReport(d=d, d_c=d_c, sigma_size=sigma)
 
 
-@dataclass
-class RunTranscript:
-    params: ProtocolParams
-    uses: list  # per device: list of (setting_idx, outcome_idx) over all draws
-    kept: list  # per device: indices into uses with a Bell-coefficient setting
-    selection: tuple  # per device: chosen position among the addressable kept uses
-    m_realized: tuple  # per device: total settings drawn
-    sv: SvTranscript
-
-    def selected_use(self, j: int) -> int:
-        return self.kept[j][self.selection[j]]
-
-    def selected_pair(self, j: int):
-        return self.uses[j][self.selected_use(j)]
-
-
-@dataclass
-class ProtocolResult:
-    accepted: bool
-    z_k: float
-    output_bit: int | None
-    majority_bits: tuple
-    threshold: float
-
-    def __post_init__(self):
-        if self.accepted != (self.output_bit is not None):
-            raise AssertionError("output bit must exist exactly when accepted")
-        if not 0.0 <= self.z_k <= 1.0:
-            raise AssertionError(f"Z_k {self.z_k} outside [0, 1]")
-
-
-def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
-    """One full protocol run against live devices and a source strategy."""
-    if len(devices) != params.k:
-        raise ValueError(f"need {params.k} devices, got {len(devices)}")
-    transcript = SvTranscript(epsilon=params.epsilon, bits=[], biases=[])
-    uses, kept, m_realized = [], [], []
-    for j, device in enumerate(devices):
-        history, kept_j = [], []
-        while len(kept_j) < params.n[j]:
-            u_bits = draw_setting(sv_strategy, transcript, rng)
-            u = pack_bits(u_bits)
-            x = sample_outcome(device, history, u, rng)
-            if in_inequality(u_bits):
-                kept_j.append(len(history))
-            history.append((u, x))
-        uses.append(history)
-        kept.append(kept_j)
-        m_realized.append(len(history))
-
-    sizes = params.selection_sizes()
-    selection = tuple(
-        draw_index(sv_strategy, transcript, sizes[j], rng) for j in range(params.k)
-    )
-    run = RunTranscript(
-        params=params,
-        uses=uses,
-        kept=kept,
-        selection=selection,
-        m_realized=tuple(m_realized),
-        sv=transcript,
-    )
-
-    pairs = [run.selected_pair(j) for j in range(params.k)]
-    z_k = float(np.mean([float(BELL_FUNCTIONAL[x, u]) for u, x in pairs]))
-    threshold = acceptance_threshold(params)
-    accepted = z_k <= threshold
-    maj_bits = tuple(majority(*unpack_bits(x)[:3]) for _, x in pairs)
-    output = int(np.bitwise_xor.reduce(maj_bits)) if accepted else None
-    result = ProtocolResult(
-        accepted=accepted,
-        z_k=z_k,
-        output_bit=output,
-        majority_bits=maj_bits,
-        threshold=threshold,
-    )
-    return result, run
-
-
 def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
     """Distribution of one four-bit setting draw, indexed by setting (u^1 on
     the low bit, pack_bits), for a strategy whose bias depends on position
@@ -268,21 +182,15 @@ def per_draw_setting_distribution(sv_strategy, epsilon: float) -> np.ndarray:
 
 
 def _reduced_table(device):
-    """The selected-pair table of a device whose uses are i.i.d. given one
-    hidden label, or None.  An IidDevice reduces to its box; a MixtureDevice
-    draws its label once and is then i.i.d., so under a position-only source
-    its selected pair has the weight average of its components' laws (nested
-    mixtures recursively).  Anything else, or a mixture with such a component,
-    does not reduce.  The table is a function of _law_key(device) alone, so
-    _shared_table calls this once per distinct key."""
+    """The selected-pair table of a device whose _law_key is not None.  An
+    IidDevice reduces to its box; a MixtureDevice draws its label once and
+    is then i.i.d., so under a position-only source its selected pair has
+    the weight average of its components' laws (nested mixtures
+    recursively).  The table is a function of _law_key(device) alone, so
+    _reduced_tables calls this once per distinct key."""
     if isinstance(device, IidDevice):
         return device.box.table
-    if isinstance(device, MixtureDevice):
-        tables = [_reduced_table(c) for c in device.components]
-        if any(t is None for t in tables):
-            return None
-        return sum(w * t for w, t in zip(device.weights, tables))
-    return None
+    return sum(w * _reduced_table(c) for w, c in zip(device.weights, device.components))
 
 
 def _law_key(device):
@@ -290,7 +198,7 @@ def _law_key(device):
     is None: an IidDevice's is the identity of its box's table, a
     MixtureDevice's its components' keys with the bytes of the weights
     _reduced_table multiplies by.  Identities are compared only while the
-    devices hold their tables, so keys live for one _shared_table call."""
+    devices hold their tables, so keys live for one _reduced_tables call."""
     if isinstance(device, IidDevice):
         return id(device.box.table)
     if isinstance(device, MixtureDevice):
@@ -299,6 +207,38 @@ def _law_key(device):
             return None
         return keys, device.weights.tobytes()
     return None
+
+
+def _reduced_tables(devices):
+    """(the distinct selected-pair tables of the devices, each device's index
+    into them), or None where some device does not reduce: anything but an
+    IidDevice, or a MixtureDevice over such devices (_law_key).
+
+    Set-up is paid once per distinct law, not per device: each distinct
+    device object gets a structural key (_law_key), and only the first
+    device of each key is reduced, so k fresh mixtures over the same boxes
+    and weights cost one reduction and k key lookups."""
+    by_key, by_id, tables, owner = {}, {}, [], []
+    for device in devices:
+        index = by_id.get(id(device))
+        if index is None:
+            key = _law_key(device)
+            if key is None:
+                return None
+            index = by_id[id(device)] = by_key.setdefault(key, len(tables))
+            if index == len(tables):
+                tables.append(_reduced_table(device))
+        owner.append(index)
+    return tables, owner
+
+
+def _one_table(tables):
+    """The table when all of them are one table by content, else None: tables
+    of distinct keys are compared by content, so mixtures over distinct but
+    equal boxes still share a table."""
+    if not tables or any(not np.array_equal(t, tables[0]) for t in tables[1:]):
+        return None
+    return tables[0]
 
 
 def _shared_table(devices, sv_strategy):
@@ -311,32 +251,12 @@ def _shared_table(devices, sv_strategy):
     dividing 4).  Kept settings are then i.i.d. with the restricted,
     renormalized draw law, and neither they, the draw counts nor the
     selection step can correlate with a device's label or box contents.  Each
-    device conditions only on its own history, so even k copies of one
-    MixtureDevice act as k independent labels.
-
-    Set-up is paid once per distinct law, not per device: each distinct
-    device object gets a structural key (_law_key), and only the first
-    device of each key is reduced, so k fresh mixtures over the same boxes
-    and weights cost one reduction and k key lookups.  Tables of distinct
-    keys are compared by content, so mixtures over distinct but equal boxes
-    still share a table."""
+    device has its own label, so even k copies of one MixtureDevice act as k
+    independent labels."""
     period = getattr(sv_strategy, "period", None)
-    if period is None or 4 % period != 0 or not devices:
+    if period is None or 4 % period != 0 or (reduced := _reduced_tables(devices)) is None:
         return None
-    seen, table = set(), None
-    for device in {id(device): device for device in devices}.values():
-        key = _law_key(device)
-        if key is None:
-            return None
-        if key in seen:
-            continue
-        seen.add(key)
-        other = _reduced_table(device)
-        if table is None:
-            table = other
-        elif not np.array_equal(other, table):
-            return None
-    return table
+    return _one_table(reduced[0])
 
 
 def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
@@ -348,9 +268,8 @@ def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
 # Cell 2b + g of each (outcome, kept setting) pair, indexed [x, s]: b is the
 # pair's Bell coefficient, g the majority of the first three outcome bits.
 _KEPT = np.array(INEQUALITY_INDICES)
-_CELL = 2 * BELL_FUNCTIONAL[:, _KEPT].astype(np.int64) + np.array(
-    [majority(*unpack_bits(x)[:3]) for x in range(16)]
-)[:, None]
+_MAJORITY = np.array([majority(*unpack_bits(x)[:3]) for x in range(16)])
+_CELL = 2 * BELL_FUNCTIONAL[:, _KEPT].astype(np.int64) + _MAJORITY[:, None]
 _CELL.setflags(write=False)
 
 
@@ -486,10 +405,10 @@ class _IidSampler:
 def _selection_law(params: ProtocolParams, sv_strategy) -> tuple:
     """(P(bit = 0) per selection bit, each bit's weight in its device's index,
     the first bit of each device that has selection bits, those devices) for
-    a source whose bias is position-only with a period dividing four.  The
-    selection bits start at 4 x (settings drawn), a multiple of the period,
-    so their biases do not depend on the draw count.  A device with n_j = 1
-    has no selection bits and always selects use 0."""
+    a source whose bias is position-only.  P(0) is that of selection bits
+    starting at a multiple of the period, as they do at 4 x (settings drawn)
+    when the period divides four; the walk reads only the other three.  A
+    device with n_j = 1 has no selection bits and always selects use 0."""
     widths = np.array([size.bit_length() - 1 for size in params.selection_sizes()], dtype=np.int64)
     ends = np.cumsum(widths)
     p0 = bit_probabilities(sv_strategy, int(ends[-1]), params.epsilon)[:, 0]
@@ -511,23 +430,89 @@ class TrialRows:
     m_realized: np.ndarray  # (trials, k)
 
 
-class _ProtocolSampler:
-    """run_protocol once per trial against the given devices."""
+# the setting index of four drawn bits, u^1 on the low bit (pack_bits), and
+# whether a setting carries a Bell coefficient
+_SETTING_OF_BITS = np.array([1, 2, 4, 8])
+_IS_KEPT = np.isin(np.arange(16), _KEPT)
 
-    def __init__(self, params: ProtocolParams, devices, sv_strategy):
+
+class _WalkSampler:
+    """The per-trial protocol walked on the generator's own uniforms, for
+    devices that reduce (_reduced_tables) against a source with a period.
+
+    Each use takes four uniforms, bit i being 1 where its uniform is not
+    below that source position's P(0), then one outcome uniform; device j
+    takes uses until n_j of them carry a Bell coefficient, and after every
+    device's uses come the selection bits, device-major and most significant
+    first.  Each trial's source starts at position 0.  The test and the
+    output read only each device's selected pair, so only the selected use
+    maps its outcome uniform to an outcome, through the column cumsum of the
+    device's reduced table, as an outcome is drawn from a box (where the
+    cumsum is nondecreasing, counting entries <= the scaled uniform is
+    searchsorted).  For an IidDevice that table is its box, so the rows are
+    those of one protocol run per trial on the same generator; for a mixture
+    it is the weight average of its components, the law of its selected
+    outcome.
+    """
+
+    def __init__(self, params: ProtocolParams, tables, owner, sv_strategy):
+        period = sv_strategy.period
+        self.p0 = bit_probabilities(sv_strategy, period, params.epsilon)[:, 0]
+        # P(0) of a use's four setting bits, by the use's index mod the period
+        self.setting_p0 = self.p0[(4 * np.arange(period)[:, None] + np.arange(4)) % period]
         self.params = params
-        self.devices = devices
-        self.strategy = sv_strategy
+        self.cdf = np.cumsum(np.array(tables), axis=1)
+        self.owner = np.array(owner)
+        n = np.array(params.n)
+        self.ends = np.cumsum(n)  # each device's kept uses end here, in the trial's kept order
+        self.starts = self.ends - n
+        _, self.weights, self.first_bits, self.devices = _selection_law(params, sv_strategy)
+        # P(0) of the selection bits, by their first bit's source position mod the period
+        self.select_p0 = self.p0[(np.arange(period)[:, None] + np.arange(len(self.weights))) % period]
 
-    def rows(self, m: int, rng) -> TrialRows:
-        runs = [run_protocol(self.params, self.devices, self.strategy, rng) for _ in range(m)]
-        return TrialRows(
-            z_k=np.array([r.z_k for r, _ in runs]),
-            accepted=np.array([r.accepted for r, _ in runs]),
-            output=np.array([-1 if r.output_bit is None else r.output_bit for r, _ in runs]),
-            selection=np.array([t.selection for _, t in runs]).reshape(m, -1),
-            m_realized=np.array([t.m_realized for _, t in runs]).reshape(m, -1),
-        )
+    def rows(self, m: int, rng) -> "TrialRows":
+        k, period, width = self.params.k, len(self.p0), len(self.weights)
+        total = int(self.ends[-1])
+        stream, pos, use_p0 = np.empty(0), 0, np.empty((0, 4))
+
+        def uniforms(count: int) -> np.ndarray:
+            """The next count uniforms of the generator's stream, from pos."""
+            nonlocal stream, pos
+            if len(stream) - pos < count:
+                stream = np.concatenate([stream[pos:], rng.random(max(count - len(stream) + pos, 1 << 16))])
+                pos = 0
+            return stream[pos:pos + count]
+
+        selection, m_realized = np.zeros((m, k), dtype=np.int64), np.empty((m, k), dtype=np.int64)
+        setting, scaled = np.empty((m, k), dtype=np.intp), np.empty((m, k))
+        for trial in range(m):
+            uses = 2 * total + 16
+            while True:
+                if len(use_p0) < uses:
+                    use_p0 = self.setting_p0[np.arange(uses) % period]
+                u = uniforms(5 * uses).reshape(uses, 5)
+                codes = (u[:, :4] >= use_p0[:uses]) @ _SETTING_OF_BITS
+                kept = np.flatnonzero(_IS_KEPT[codes])
+                if len(kept) >= total:
+                    break
+                uses *= 2
+            last = kept[self.ends - 1]
+            m_realized[trial] = np.diff(last, prepend=-1)
+            drawn = 5 * (last[-1] + 1)
+            if width:
+                ones = uniforms(drawn + width)[drawn:] >= self.select_p0[4 * (last[-1] + 1) % period]
+                selection[trial, self.devices] = np.add.reduceat(np.where(ones, self.weights, 0), self.first_bits)
+            pos += drawn + width
+            chosen = kept[self.starts + selection[trial]]
+            setting[trial] = codes[chosen]
+            scaled[trial] = u[chosen, 4]
+        # the outcome uniform times the column's sum, against its cumsum entry by entry
+        scaled *= self.cdf[self.owner, -1, setting]
+        outcome = np.minimum(sum(self.cdf[self.owner, x, setting] <= scaled for x in range(16)), 15)
+        z = BELL_FUNCTIONAL[outcome, setting].sum(axis=1) / k
+        accepted = z <= acceptance_threshold(self.params)
+        output = np.where(accepted, _MAJORITY[outcome].sum(axis=1) % 2, -1)
+        return TrialRows(z_k=z, accepted=accepted, output=output, selection=selection, m_realized=m_realized)
 
     def counts(self, m: int, seed) -> tuple:
         """(accepted, accepted with output 0) over m trials, chunked and
@@ -541,14 +526,23 @@ class _ProtocolSampler:
 
 def _sampler(params: ProtocolParams, devices, sv_strategy):
     """The protocol engine for these k devices: the vectorized sampler where
-    fast_path_applicable makes it distribution-exact, run_protocol per trial
-    otherwise."""
+    fast_path_applicable makes it distribution-exact, the walk otherwise.
+    Both need every device to reduce and the source to have a period; a
+    ValueError names what is missing."""
     if len(devices) != params.k:
         raise ValueError(f"need {params.k} devices, got {len(devices)}")
-    table = _shared_table(devices, sv_strategy)
+    period = getattr(sv_strategy, "period", None)
+    if period is None:
+        raise ValueError("the protocol engines need a source whose bias depends on bit position "
+                         "only: a strategy with a period")
+    reduced = _reduced_tables(devices)
+    if reduced is None:
+        raise ValueError("the protocol engines need devices whose uses are i.i.d. given one hidden "
+                         "label: IidDevices, or MixtureDevices over such devices")
+    table = _one_table(reduced[0]) if 4 % period == 0 else None
     if table is not None:
         return _IidSampler(params, table, sv_strategy)
-    return _ProtocolSampler(params, devices, sv_strategy)
+    return _WalkSampler(params, *reduced, sv_strategy)
 
 
 SIMULATE_CHUNK = 256
@@ -577,10 +571,10 @@ def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, s
     chunk of SIMULATE_CHUNK trials (the last may be shorter), in trial order.
 
     Chunk c draws only from child c of the seed's SeedSequence, so the rows
-    depend on the seed alone.  The devices are shared by every trial, so
-    each device's box must be a function of the history alone.  A device
-    may memoize, as MixtureDevice does, as long as its answers do not
-    depend on earlier runs.
+    depend on the seed alone.  The devices must be IidDevices or mixtures of
+    them, and the source must have a period; anything else is a ValueError
+    that names what is missing (_sampler).  Each device draws its own label
+    in every trial.
     """
     return _chunk_rows(_sampler(params, devices, sv_strategy), trials, seed)
 
@@ -634,9 +628,11 @@ def estimate_output_bias(params: ProtocolParams, adversary, trials: int,
     yields the k devices every trial of that symbol runs against.  Each
     symbol is run `trials` times (stratified) on the engine simulate_trials
     uses, symbol i seeded by child i of SeedSequence(seed); the exact weights
-    enter the distance averages.  The general engine runs chunks of
-    SIMULATE_CHUNK trials like simulate_trials, so its counts equal those of
-    simulate_trials rows at that child.  The vectorized engine draws the
+    enter the distance averages.  Devices and sources that simulate_trials
+    refuses are refused here too, with the same ValueError.  The general
+    engine (the walk) runs chunks of SIMULATE_CHUNK trials like
+    simulate_trials, so its counts equal those of simulate_trials rows at
+    that child.  The vectorized engine draws the
     counts as one multinomial from child i, O(k) at any trial count: it
     shares the per-trial law with simulate_trials, not the random stream.
 

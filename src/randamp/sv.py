@@ -1,22 +1,22 @@
 """Santha-Vazirani bit sources with adversarially chosen per-bit biases.
 
 Every bit satisfies P(0 | history) = 1/2 + b with |b| <= epsilon.  A strategy
-is any rule from the full bit history to a bias; the draw helpers refuse rules
-that step outside [-epsilon, epsilon] rather than clamping them.
+is any rule from the full bit history to a bias; bit_probabilities refuses
+rules that step outside [-epsilon, epsilon] rather than clamping them.
 
 A strategy whose bias is a function of bit position alone, repeating every
 `period` bits, declares that period as an attribute.  bit_probabilities is
 the one notion of such a position-only source: its bits are independent,
 and every exact law the library reports (the vectorized engine's draw and
 selection laws, the de Finetti selection weights and input laws) is
-code_law of its per-bit laws.  Strategies without a `period` are treated as
-history-dependent and have no exact law here.
+code_law of its per-bit laws, and the protocol engines draw its bits from
+them.  Strategies without a `period` are treated as history-dependent and
+have no exact law here; the engines refuse them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,18 +44,6 @@ def _bit_string(bits, field: str) -> tuple:
     if not bits or any(b not in (0, 1) for b in bits):
         raise ValueError(f"{field} must be a nonempty bit string, got {bits}")
     return bits
-
-
-@dataclass
-class SvTranscript:
-    """Record of emitted bits and the biases in force when each was drawn."""
-
-    epsilon: float
-    bits: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.bits)
 
 
 class HonestBits:
@@ -104,38 +92,6 @@ class SettingSteering(GreedyTowardString):
         super().__init__(setting, epsilon)
 
 
-def next_bit(strategy, transcript: SvTranscript, rng: np.random.Generator) -> int:
-    b = float(strategy.bias(transcript.bits))
-    if not abs(b) <= transcript.epsilon:  # false for NaN too
-        raise StrategyViolationError(
-            f"bias {b} exceeds epsilon {transcript.epsilon} at position {len(transcript.bits)}"
-        )
-    bit = 0 if rng.random() < 0.5 + b else 1
-    transcript.bits.append(bit)
-    transcript.biases.append(b)
-    return bit
-
-
-def draw_bits(strategy, transcript: SvTranscript, n: int, rng: np.random.Generator):
-    return tuple(next_bit(strategy, transcript, rng) for _ in range(n))
-
-
-def draw_setting(strategy, transcript: SvTranscript, rng: np.random.Generator):
-    """Four source bits in order become (u^1, u^2, u^3, u^4)."""
-    return draw_bits(strategy, transcript, 4, rng)
-
-
-def draw_index(strategy, transcript: SvTranscript, n: int, rng: np.random.Generator) -> int:
-    """Choose an index in [0, n) from log2(n) source bits, first bit most significant."""
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"index range must be a power of two, got {n}")
-    width = n.bit_length() - 1
-    index = 0
-    for _ in range(width):
-        index = (index << 1) | next_bit(strategy, transcript, rng)
-    return index
-
-
 def string_probability_bounds(epsilon: float, length: int):
     """Range of probabilities an epsilon-SV source can give any fixed bit string."""
     if length < 0:
@@ -164,10 +120,10 @@ def bit_probabilities(strategy, length: int, epsilon: float) -> np.ndarray:
 
 def code_law(bit_p) -> np.ndarray:
     """Law of the big-endian code of independent bits with per-bit laws
-    bit_p[..., i, :] along axis -2 (first bit most significant, as
-    draw_index packs them); leading axes are kept.  The product runs in bit
-    order, so each probability is the same float as a walk over the
-    history tree gives."""
+    bit_p[..., i, :] along axis -2 (first bit most significant, as a
+    device's selection index packs them); leading axes are kept.  The
+    product runs in bit order, so each probability is the same float as a
+    walk over the history tree gives."""
     bit_p = np.asarray(bit_p, dtype=float)
     lead = bit_p.shape[:-2]
     law = np.ones(lead + (1,))

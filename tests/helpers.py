@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: a parameter check for
-Santha-Vazirani sources, the exact law of any source strategy by a walk over
+Santha-Vazirani sources, the source drawn one bit at a time into a
+transcript, the exact law of any source strategy by a walk over
 its history tree (with a source of every built-in strategy class and a
 position shift, to check the library's position-only laws against it), a
 kept-setting sampler, a transcript replay audit, a no-signaling checker for
@@ -13,14 +14,20 @@ boxes.no_signaling_violations), the goodness oracle and supermartingale over
 a run's selected conditional boxes, the checked distance from uniform (the
 reference for the audit's unchecked protocol._distances), the
 density-matrix Born rule over product measurement vectors (and those vectors
-as one einsum), trials.csv written row by row, a device that plays a fixed
-schedule of boxes, and a device's likelihood of a history and the device
-conditioned on it.  The dense de Finetti oracle is in dense_definetti."""
+as one einsum), trials.csv written row by row, the per-trial protocol run
+(run_protocol, one source bit and one outcome at a time against devices
+that answer a box per history, with MixtureDevice posteriors: the oracle of
+the library's engines), a device that plays a fixed schedule of boxes, and
+a device's likelihood of a history and the device conditioned on it.  The
+dense de Finetti oracle is in dense_definetti."""
+
+from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -36,16 +43,12 @@ from randamp.boxes import (
     bits_str,
     box_tensor,
     in_inequality,
+    majority,
     pack_bits,
+    unpack_bits,
 )
 from randamp.definetti import _pinsker_batch
-from randamp.devices import (
-    DeviceError,
-    MixtureDevice,
-    TimeOrderedDevice,
-    ZeroProbabilityHistoryError,
-    _scaled_likelihood,
-)
+from randamp.devices import IidDevice, MixtureDevice
 from randamp.lp import (
     N_VARS,
     CertificationError,
@@ -55,7 +58,7 @@ from randamp.lp import (
     equality_constraints,
     var_index,
 )
-from randamp.protocol import DistanceReport, RunTranscript, _distances
+from randamp.protocol import DistanceReport, ProtocolParams, TrialRows, _distances, acceptance_threshold
 from randamp.quantum import NoiseSpec, rotate_bases, validate_bases, validate_state
 from randamp.sv import (
     ConstantBias,
@@ -63,8 +66,6 @@ from randamp.sv import (
     HonestBits,
     SettingSteering,
     StrategyViolationError,
-    SvTranscript,
-    draw_setting,
 )
 
 
@@ -75,6 +76,50 @@ class SvParams:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in [0, 1/2), got {self.epsilon}")
+
+
+@dataclass
+class SvTranscript:
+    """Record of emitted bits and the biases in force when each was drawn."""
+
+    epsilon: float
+    bits: list = field(default_factory=list)
+    biases: list = field(default_factory=list)
+
+    def __len__(self):
+        return len(self.bits)
+
+
+def next_bit(strategy, transcript: SvTranscript, rng: np.random.Generator) -> int:
+    b = float(strategy.bias(transcript.bits))
+    if not abs(b) <= transcript.epsilon:  # false for NaN too
+        raise StrategyViolationError(
+            f"bias {b} exceeds epsilon {transcript.epsilon} at position {len(transcript.bits)}"
+        )
+    bit = 0 if rng.random() < 0.5 + b else 1
+    transcript.bits.append(bit)
+    transcript.biases.append(b)
+    return bit
+
+
+def draw_bits(strategy, transcript: SvTranscript, n: int, rng: np.random.Generator):
+    return tuple(next_bit(strategy, transcript, rng) for _ in range(n))
+
+
+def draw_setting(strategy, transcript: SvTranscript, rng: np.random.Generator):
+    """Four source bits in order become (u^1, u^2, u^3, u^4)."""
+    return draw_bits(strategy, transcript, 4, rng)
+
+
+def draw_index(strategy, transcript: SvTranscript, n: int, rng: np.random.Generator) -> int:
+    """Choose an index in [0, n) from log2(n) source bits, first bit most significant."""
+    if n < 1 or (n & (n - 1)) != 0:
+        raise ValueError(f"index range must be a power of two, got {n}")
+    width = n.bit_length() - 1
+    index = 0
+    for _ in range(width):
+        index = (index << 1) | next_bit(strategy, transcript, rng)
+    return index
 
 
 def exact_bitstring_distribution(strategy, length: int, epsilon: float) -> np.ndarray:
@@ -363,7 +408,7 @@ def goodness_oracle(devices, transcript: RunTranscript,
     x = 0.0
     for j, device in enumerate(devices):
         pos = transcript.selected_use(j)
-        box = device.box_given(tuple(transcript.uses[j][:pos]))
+        box = box_given(device, tuple(transcript.uses[j][:pos]))
         values.append(bell_value(box, validate=False))
         zeta.append(scale * values[-1])
         u, out = transcript.selected_pair(j)
@@ -472,6 +517,211 @@ def reference_trials_csv(chunks) -> bytes:
     return buf.getvalue().encode()
 
 
+class DeviceError(RuntimeError):
+    """A device returned something that is not a valid box."""
+
+
+class ZeroProbabilityHistoryError(ValueError):
+    """Conditioning on a history every component assigns probability zero."""
+
+
+class TimeOrderedDevice:
+    """A device queried once per use with the full history of (setting,
+    outcome) pairs it has produced so far; it answers with a no-signaling
+    box, a function of the past only."""
+
+    def box_given(self, history) -> NsBox:
+        raise NotImplementedError
+
+
+# each MixtureDevice's last (history, likelihoods) pair, kept by _likelihoods
+_LAST = weakref.WeakKeyDictionary()
+
+
+def box_given(device, history) -> NsBox:
+    """The box a device answers with after the given history: an
+    IidDevice's one box; a MixtureDevice's posterior-weighted sum of its
+    components' boxes; any other device's own box_given.  Each component
+    must answer with an NsBox; a convex combination of boxes valid within
+    tol is valid within tol, so the sum is not validated again."""
+    if isinstance(device, IidDevice):
+        return device.box
+    if not isinstance(device, MixtureDevice):
+        return device.box_given(history)
+    post = posterior(device, history)
+    table = np.zeros((16, 16))
+    for w, comp in zip(post, device.components):
+        if w > 0:
+            box = box_given(comp, history)
+            if not isinstance(box, NsBox):
+                raise DeviceError(f"component returned {type(box).__name__}, not a box")
+            table += w * box.table
+    return NsBox(table, validate=False)
+
+
+def _likelihoods(device, history) -> list:
+    """The likelihood of the history under each component of a
+    MixtureDevice (_scaled_likelihood), so a long history cannot underflow
+    it.  The last (history, likelihoods) pair is kept: a history one use
+    longer than it costs one factor per component, the same float product
+    in the same order up to exact powers of two; any other history is
+    recomputed from the start."""
+    history = tuple(history)
+    prev, like = _LAST.get(device, ((), [(0.5, 1)] * len(device.components)))
+    if len(history) == len(prev) + 1 and history[:-1] == prev:
+        u, x = history[-1]
+        like = [
+            _scaled(m * float(as_table(box_given(c, prev))[x, u]), e) if m != 0.0 else (m, e)
+            for (m, e), c in zip(like, device.components)
+        ]
+    elif history != prev:
+        like = [_scaled_likelihood(c, history) for c in device.components]
+    _LAST[device] = (history, like)
+    return like
+
+
+def posterior(device, history) -> np.ndarray:
+    """A MixtureDevice's prior times likelihood, normalized.  Every
+    likelihood is scaled by the same power of two first, so the result is
+    the plain weights * likelihoods / total whenever those do not
+    underflow."""
+    like = _likelihoods(device, history)
+    prior = device.weights.tolist()
+    supported = [e for w, (m, e) in zip(prior, like) if w > 0.0 and m != 0.0]
+    if not supported:
+        raise ZeroProbabilityHistoryError(
+            f"history of length {len(history)} has zero probability under every component"
+        )
+    top = max(supported)
+    joint = np.array([w * math.ldexp(m, e - top) for w, (m, e) in zip(prior, like)])
+    return joint / joint.sum()
+
+
+def _scaled(value: float, exponent: int) -> tuple:
+    """value * 2**exponent as a (mantissa, exponent) pair; exact."""
+    m, e = math.frexp(value)
+    return m, e + exponent
+
+
+def _scaled_likelihood(device, history) -> tuple:
+    """The probability the device assigns to an observed (setting, outcome)
+    list, conditional on those settings, as a (mantissa, exponent) pair from
+    math.frexp; (0.0, e) once a factor is 0, after which the device is not
+    queried again."""
+    m, e = 0.5, 1
+    for l, (u, x) in enumerate(history):
+        if m == 0.0:
+            break
+        m, e = _scaled(m * float(as_table(box_given(device, history[:l]))[x, u]), e)
+    return m, e
+
+
+def sample_outcome(device, history, setting: int, rng) -> int:
+    """Draw an outcome for the given setting.  The device must return an
+    NsBox (DeviceError otherwise); the box is not validated again."""
+    box = box_given(device, tuple(history))
+    if not isinstance(box, NsBox):
+        raise DeviceError(f"device returned {type(box).__name__}, not a box")
+    col = box.table[:, setting]
+    cdf = np.cumsum(col)
+    r = rng.random() * cdf[-1]
+    return int(min(np.searchsorted(cdf, r, side="right"), 15))
+
+
+@dataclass
+class RunTranscript:
+    params: ProtocolParams
+    uses: list  # per device: list of (setting_idx, outcome_idx) over all draws
+    kept: list  # per device: indices into uses with a Bell-coefficient setting
+    selection: tuple  # per device: chosen position among the addressable kept uses
+    m_realized: tuple  # per device: total settings drawn
+    sv: SvTranscript
+
+    def selected_use(self, j: int) -> int:
+        return self.kept[j][self.selection[j]]
+
+    def selected_pair(self, j: int):
+        return self.uses[j][self.selected_use(j)]
+
+
+@dataclass
+class ProtocolResult:
+    accepted: bool
+    z_k: float
+    output_bit: int | None
+    majority_bits: tuple
+    threshold: float
+
+    def __post_init__(self):
+        if self.accepted != (self.output_bit is not None):
+            raise AssertionError("output bit must exist exactly when accepted")
+        if not 0.0 <= self.z_k <= 1.0:
+            raise AssertionError(f"Z_k {self.z_k} outside [0, 1]")
+
+
+def run_protocol(params: ProtocolParams, devices, sv_strategy, rng) -> tuple:
+    """One full protocol run against live devices and a source strategy,
+    one source bit and one outcome at a time: the oracle of the library's
+    engines."""
+    if len(devices) != params.k:
+        raise ValueError(f"need {params.k} devices, got {len(devices)}")
+    transcript = SvTranscript(epsilon=params.epsilon, bits=[], biases=[])
+    uses, kept, m_realized = [], [], []
+    for j, device in enumerate(devices):
+        history, kept_j = [], []
+        while len(kept_j) < params.n[j]:
+            u_bits = draw_setting(sv_strategy, transcript, rng)
+            u = pack_bits(u_bits)
+            x = sample_outcome(device, history, u, rng)
+            if in_inequality(u_bits):
+                kept_j.append(len(history))
+            history.append((u, x))
+        uses.append(history)
+        kept.append(kept_j)
+        m_realized.append(len(history))
+
+    sizes = params.selection_sizes()
+    selection = tuple(
+        draw_index(sv_strategy, transcript, sizes[j], rng) for j in range(params.k)
+    )
+    run = RunTranscript(
+        params=params,
+        uses=uses,
+        kept=kept,
+        selection=selection,
+        m_realized=tuple(m_realized),
+        sv=transcript,
+    )
+
+    pairs = [run.selected_pair(j) for j in range(params.k)]
+    z_k = float(np.mean([float(BELL_FUNCTIONAL[x, u]) for u, x in pairs]))
+    threshold = acceptance_threshold(params)
+    accepted = z_k <= threshold
+    maj_bits = tuple(majority(*unpack_bits(x)[:3]) for _, x in pairs)
+    output = int(np.bitwise_xor.reduce(maj_bits)) if accepted else None
+    result = ProtocolResult(
+        accepted=accepted,
+        z_k=z_k,
+        output_bit=output,
+        majority_bits=maj_bits,
+        threshold=threshold,
+    )
+    return result, run
+
+
+def oracle_rows(params: ProtocolParams, devices, sv_strategy, m: int, rng) -> TrialRows:
+    """run_protocol once per trial, m times on one generator, as the
+    columns the library's engines return."""
+    runs = [run_protocol(params, devices, sv_strategy, rng) for _ in range(m)]
+    return TrialRows(
+        z_k=np.array([r.z_k for r, _ in runs]),
+        accepted=np.array([r.accepted for r, _ in runs]),
+        output=np.array([-1 if r.output_bit is None else r.output_bit for r, _ in runs]),
+        selection=np.array([t.selection for _, t in runs]).reshape(m, -1),
+        m_realized=np.array([t.m_realized for _, t in runs]).reshape(m, -1),
+    )
+
+
 class SequenceDevice(TimeOrderedDevice):
     """A fixed schedule of boxes, one per use: a device that is neither
     i.i.d. nor a mixture, so the general engine runs it."""
@@ -497,7 +747,7 @@ class ConditionedDevice(TimeOrderedDevice):
         self.prefix = tuple(prefix)
 
     def box_given(self, history) -> NsBox:
-        return self.device.box_given(self.prefix + tuple(history))
+        return box_given(self.device, self.prefix + tuple(history))
 
 
 def history_likelihood(device, history) -> float:
@@ -510,7 +760,7 @@ def condition_device(device, history) -> ConditionedDevice:
     """Pin a history prefix; raises if the device gives it probability zero."""
     history = tuple(history)
     if isinstance(device, MixtureDevice):
-        device.posterior(history)  # surfaces ZeroProbabilityHistoryError
+        posterior(device, history)  # surfaces ZeroProbabilityHistoryError
     elif _scaled_likelihood(device, history)[0] == 0.0:
         raise ZeroProbabilityHistoryError(f"history of length {len(history)} has zero probability")
     return ConditionedDevice(device, history)

@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import clear_lp_caches, reference_trials_csv
+from helpers import clear_lp_caches, reference_trials_csv, run_protocol
 
 import randamp.cli
 from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
 from randamp.cli import main, verify_manifest, write_outputs
 from randamp.devices import IidDevice
-from randamp.protocol import ProtocolParams, TrialRows, per_draw_setting_distribution, run_protocol
+from randamp.protocol import ProtocolParams, TrialRows, per_draw_setting_distribution
 from randamp.sv import GreedyTowardString
 
 SIM_CONFIG = {
@@ -685,11 +685,22 @@ def test_missing_field_named(tmp_path, capsys):
 
 
 def test_invalid_parameter_exits_one(tmp_path, capsys):
-    bad = dict(SIM_CONFIG)
-    bad["mu"] = 1.0
-    cfg = write_config(tmp_path, bad)
-    assert run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
-    assert "mu" in capsys.readouterr().err
+    """The library's errors exit 1 with an error line.  The two counts
+    inside the caps that no memory holds (k devices' use counts at k = 2^62,
+    and a definetti schedule padded to 2^62 levels) fail at once, before any
+    allocation: they ended in a MemoryError traceback."""
+    schedule = {k: v for k, v in DEFINETTI_CONFIG.items() if k != "n"}
+    cases = [
+        ("simulate", {**SIM_CONFIG, "mu": 1.0}, "mu"),
+        ("simulate", {**SIM_CONFIG, "k": 2**62}, "error: out of memory"),
+        ("definetti", {**schedule, "schedule": {"k": 2**62, "t": 1e-120}}, "error: out of memory"),
+    ]
+    for command, config, named in cases:
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "x"
+        assert run_main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_refuses_a_nan_device_table(tmp_path, capsys):

@@ -13,24 +13,29 @@ from randamp.boxes import (
     parity_box,
     uniform_box,
 )
-from randamp.devices import (
-    DeviceError,
-    IidDevice,
-    MixtureDevice,
-    TimeOrderedDevice,
-    ZeroProbabilityHistoryError,
-    sample_outcome,
-)
-from randamp.protocol import ProtocolParams, _reduced_table, run_protocol
+from randamp.devices import IidDevice, MixtureDevice
+from randamp.protocol import ProtocolParams, _reduced_table
 from randamp.sv import GreedyTowardString
 
-from helpers import SequenceDevice, condition_device, goodness_oracle, history_likelihood
+from helpers import (
+    DeviceError,
+    SequenceDevice,
+    TimeOrderedDevice,
+    ZeroProbabilityHistoryError,
+    box_given,
+    condition_device,
+    goodness_oracle,
+    history_likelihood,
+    posterior,
+    run_protocol,
+    sample_outcome,
+)
 
 
 def test_iid_device_ignores_history():
     device = IidDevice(algebraic_violation_box())
-    empty = device.box_given(())
-    later = device.box_given(((8, 0), (1, 3)))
+    empty = box_given(device, ())
+    later = box_given(device, ((8, 0), (1, 3)))
     assert empty is later
 
 
@@ -38,10 +43,10 @@ def test_sequence_device_schedule_and_exhaustion():
     good = algebraic_violation_box()
     bad = uniform_box()
     device = SequenceDevice([good, bad])
-    assert device.box_given(()) is good
-    assert device.box_given(((8, 0),)) is bad
+    assert box_given(device, ()) is good
+    assert box_given(device, ((8, 0),)) is bad
     with pytest.raises(DeviceError):
-        device.box_given(((8, 0), (8, 0)))
+        box_given(device, ((8, 0), (8, 0)))
     with pytest.raises(ValueError):
         SequenceDevice([])
 
@@ -53,12 +58,12 @@ def test_mixture_posterior_hand_computed():
     u, x = 8, 0  # outcome 0000 at setting 0001
     pa = box_a.table[x, u]
     pb = box_b.table[x, u]
-    post = device.posterior(((u, x),))
+    post = posterior(device, ((u, x),))
     expected_a = 0.3 * pa / (0.3 * pa + 0.7 * pb)
     assert post[0] == pytest.approx(expected_a, abs=1e-14)
     assert post.sum() == pytest.approx(1.0)
 
-    blended = device.box_given(((u, x),)).table
+    blended = box_given(device, ((u, x),)).table
     want = expected_a * box_a.table + (1 - expected_a) * box_b.table
     assert np.max(np.abs(blended - want)) <= 1e-12
 
@@ -67,9 +72,9 @@ def test_mixture_keeps_its_own_read_only_weights():
     weights = np.array([0.8, 0.2])
     device = MixtureDevice([IidDevice(algebraic_violation_box()), IidDevice(uniform_box())], weights)
     weights[:] = [0.2, 0.8]
-    table = device.box_given(()).table
+    table = box_given(device, ()).table
     assert device.weights.tolist() == [0.8, 0.2]
-    assert device.posterior(()).tolist() == [0.8, 0.2]
+    assert posterior(device, ()).tolist() == [0.8, 0.2]
     assert np.max(np.abs(_reduced_table(device) - table)) <= 1e-15
     assert np.max(np.abs(0.8 * algebraic_violation_box().table + 0.2 * uniform_box().table - table)) <= 1e-15
     with pytest.raises(ValueError):
@@ -81,7 +86,7 @@ def test_mixture_two_step_bayes_update():
     box_b = uniform_box()
     device = MixtureDevice([IidDevice(box_a), IidDevice(box_b)], (0.5, 0.5))
     history = ((8, 0), (1, 5))
-    post = device.posterior(history)
+    post = posterior(device, history)
     la = box_a.table[0, 8] * box_a.table[5, 1]
     lb = box_b.table[0, 8] * box_b.table[5, 1]
     assert post[0] == pytest.approx(0.5 * la / (0.5 * la + 0.5 * lb), abs=1e-14)
@@ -159,10 +164,9 @@ def test_mixture_weight_boundary_decisions(weights, accepted):
 
 
 def test_mixture_weight_check_matches_numpy_at_the_tolerance():
-    """The check runs on Python floats; its sum must round like numpy's,
-    left to right below eight entries and pairwise from eight on, so
-    vectors whose sum lands within a few ulps of 1 +- 1e-12 get numpy's
-    decision."""
+    """Vectors whose sum lands within a few ulps of 1 +- 1e-12 get the
+    decision of min(w) >= 0 and |w.sum() - 1| <= 1e-12 in numpy, whose sum
+    runs left to right below eight entries and pairwise from eight on."""
     rng = np.random.default_rng(31)
     device = IidDevice(uniform_box())
     decisions = set()
@@ -188,7 +192,7 @@ def test_zero_probability_history():
     device = MixtureDevice([IidDevice(even), IidDevice(even)], (0.5, 0.5))
     odd_outcome = pack_bits((1, 0, 0, 0))
     with pytest.raises(ZeroProbabilityHistoryError):
-        device.posterior(((0, odd_outcome),))
+        posterior(device, ((0, odd_outcome),))
     with pytest.raises(ZeroProbabilityHistoryError):
         condition_device(device, ((0, odd_outcome),))
     with pytest.raises(ZeroProbabilityHistoryError):
@@ -253,13 +257,13 @@ def test_mixture_box_is_posterior_weighted_sum_without_revalidation(monkeypatch)
     ]
     device = MixtureDevice([IidDevice(b) for b in boxes], (0.2, 0.5, 0.3))
     history = ((8, 0), (1, 5), (14, 3))
-    post = device.posterior(history)
+    post = posterior(device, history)
 
     def no_validation(*args, **kwargs):
         raise AssertionError("mixture box validated again")
 
     monkeypatch.setattr(randamp.boxes, "is_no_signaling", no_validation)
-    box = device.box_given(history)
+    box = box_given(device, history)
     assert isinstance(box, NsBox)
     want = sum(w * b.table for w, b in zip(post, boxes))
     assert np.max(np.abs(box.table - want)) <= 1e-15
@@ -274,7 +278,7 @@ def test_mixture_rejects_component_without_box():
 
     device = MixtureDevice([IidDevice(uniform_box()), RawTable()], (0.5, 0.5))
     with pytest.raises(DeviceError, match="ndarray"):
-        device.box_given(())
+        box_given(device, ())
     with pytest.raises(DeviceError):
         sample_outcome(device, (), 8, np.random.default_rng(0))
 
@@ -283,7 +287,7 @@ def stateless_box(device, history) -> np.ndarray:
     """The table a device answers with, recomputed from the full history by
     the same float operations as MixtureDevice, keeping nothing between calls."""
     if not isinstance(device, MixtureDevice):
-        return device.box_given(history).table
+        return box_given(device, history).table
     post = stateless_posterior(device, history)
     table = np.zeros((16, 16))
     for w, comp in zip(post, device.components):
@@ -326,13 +330,13 @@ def test_mixture_posterior_updates_one_use_at_a_time():
             assert zeta[j] == want
         history = tuple(run.uses[0])
         for l in range(len(history) + 1):  # one use at a time
-            assert np.array_equal(device.posterior(history[:l]), stateless_posterior(device, history[:l]))
+            assert np.array_equal(posterior(device, history[:l]), stateless_posterior(device, history[:l]))
         fresh = tuple(run.uses[1])[:3]
         assert fresh[:2] != history[:2]
         for query in (history[:2], fresh, history, history, ()):
             # a prefix, a fresh history one use longer, a repeat and the empty one
-            assert np.array_equal(device.posterior(query), stateless_posterior(device, query))
-            assert np.array_equal(device.box_given(query).table, stateless_box(device, query))
+            assert np.array_equal(posterior(device, query), stateless_posterior(device, query))
+            assert np.array_equal(box_given(device, query).table, stateless_box(device, query))
 
 
 def test_mixture_posterior_keeps_zero_likelihoods():
@@ -344,17 +348,17 @@ def test_mixture_posterior_keeps_zero_likelihoods():
     once = SequenceDevice([parity_box([0] * 16)])
     device = MixtureDevice([once, IidDevice(uniform_box())], (0.5, 0.5))
     for l in range(len(history) + 1):
-        post = device.posterior(history[:l])
+        post = posterior(device, history[:l])
         assert np.array_equal(post, stateless_posterior(device, history[:l]))
     assert post[0] == 0.0 and post[1] == 1.0
     only_even = MixtureDevice([even, even], (0.5, 0.5))
-    only_even.posterior(history[3:])
+    posterior(only_even, history[3:])
     with pytest.raises(ZeroProbabilityHistoryError):
-        only_even.posterior(history[3:] + history[:1])  # one use on from the kept history
+        posterior(only_even, history[3:] + history[:1])  # one use on from the kept history
     with pytest.raises(ZeroProbabilityHistoryError):
-        only_even.posterior(history[3:] + history[:2])
+        posterior(only_even, history[3:] + history[:2])
     with pytest.raises(ZeroProbabilityHistoryError):
-        only_even.posterior(history)  # recomputed from the start
+        posterior(only_even, history)  # recomputed from the start
 
 
 def uniform_half_mixture():
@@ -370,7 +374,7 @@ def test_mixture_long_run_does_not_underflow():
     result, run = run_protocol(params, [device] * 2, GreedyTowardString((0,), 0.1), np.random.default_rng(5))
     history = tuple(run.uses[0])
     assert len(history) > 1000 and 0.0 <= result.z_k <= 1.0
-    post = device.posterior(history)
+    post = posterior(device, history)
     assert np.all(np.isfinite(post)) and post.sum() == pytest.approx(1.0, abs=1e-15)
     assert history_likelihood(IidDevice(uniform_box()), history) == 0.0  # below the float range
     condition_device(IidDevice(uniform_box()), history)  # but not zero
@@ -398,6 +402,6 @@ def test_mixture_posterior_matches_fractions():
     for length in (0, 1, 12, 40, len(history)):
         want = fraction_posterior(device, history[:length])
         # incrementally extended, then recomputed from the start
-        assert np.max(np.abs(device.posterior(history[:length]) - want)) <= 1e-12
+        assert np.max(np.abs(posterior(device, history[:length]) - want)) <= 1e-12
         fresh = MixtureDevice(device.components, device.weights)
-        assert np.max(np.abs(fresh.posterior(history[:length]) - want)) <= 1e-12
+        assert np.max(np.abs(posterior(fresh, history[:length]) - want)) <= 1e-12

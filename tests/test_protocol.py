@@ -28,7 +28,6 @@ from randamp.devices import IidDevice, MixtureDevice
 from randamp.protocol import (
     ProtocolParams,
     _IidSampler,
-    _ProtocolSampler,
     _selection_law,
     _shared_table,
     acceptance_threshold,
@@ -40,7 +39,6 @@ from randamp.protocol import (
     proposition_bound,
     robustness_acceptance_bound,
     robustness_threshold,
-    run_protocol,
     simulate_trials,
     trial_law,
     wilson_interval,
@@ -57,6 +55,8 @@ from helpers import (
     distance_d,
     exact_bitstring_distribution,
     goodness_oracle,
+    oracle_rows,
+    run_protocol,
     xor_distribution_exact,
 )
 
@@ -754,30 +754,134 @@ def test_nested_mixture_law_is_weight_average():
         assert np.max(np.abs(law - expect)) <= 1e-15
 
 
+def phase_trial_law(table, source, epsilon, k):
+    """P(B, parity), indexed [B, parity], for k devices with n = 1 whose
+    selected pairs are drawn from one table, under a position-only source of
+    any period.  A device's selected use is its first kept use, which starts
+    where the previous device stopped, so its setting's law depends on the
+    use index mod the period: a DP over devices of (that phase, B, parity)."""
+    period = source.period
+    p0 = bit_probabilities(source, period, epsilon)[:, 0]
+    kept = np.array([bin(u).count("1") % 2 == 1 for u in range(16)])
+    # draw[c, u]: setting u (bit i is u^(i+1)) at a use whose index is c mod the period
+    draw = np.array([[math.prod(p0[(4 * c + i) % period] if not u >> i & 1 else 1 - p0[(4 * c + i) % period]
+                                for i in range(4)) for u in range(16)] for c in range(period)])
+    cell = np.zeros((16, 4))
+    for u in np.flatnonzero(kept):
+        for x in range(16):
+            cell[u, 2 * int(BELL_FUNCTIONAL[x, u]) + majority(*unpack_bits(x)[:3])] += table[x, u] / table[:, u].sum()
+    # step[c, c', cell]: from phase c, the first kept use has that cell and the next device starts at c'
+    step = np.zeros((period, period, 4))
+    for c0 in range(period):
+        reach = 1.0
+        for t in range(400):  # each use keeps about half the remaining mass
+            c = (c0 + t) % period
+            step[c0, (c + 1) % period] += reach * draw[c, kept] @ cell[kept]
+            reach *= draw[c, ~kept].sum()
+    dist = np.zeros((period, k + 1, 2))
+    dist[0, 0, 0] = 1.0
+    for _ in range(k):
+        new = np.zeros_like(dist)
+        for c0, c1, c in itertools.product(range(period), range(period), range(4)):
+            b, g = c >> 1, c & 1
+            new[c1, b:, :] += step[c0, c1, c] * dist[c0, :k + 1 - b][:, [g, 1 - g]]
+        dist = new
+    return dist.sum(axis=0)
+
+
 def test_general_engine_on_nested_mixture_matches_closed_form():
-    """run_protocol per trial, with per-use posteriors, against the law the
-    label-first reduction gives: accept iff at most thr k selected pairs
-    score, P(accept) binomial in q = P(b = 1)."""
+    """run_protocol per trial (from the tests, with per-use posteriors), the
+    walk and the vectorized sampler against the law the label-first
+    reduction gives: accept iff at most thr k selected pairs score.  Under a
+    period dividing four that law is binomial in the closed-form cell law;
+    under a period-3 source it is phase_trial_law's DP."""
     k = 3
     params = ProtocolParams(0.1, 8.0, 0.5, k)
-    device, _ = nested_mixture()
-    threshold = acceptance_threshold(params)
-    for source, seed in ((HONEST, 21), (GreedyTowardString((0, 1), 0.1), 22)):
-        fast = _IidSampler(params, _shared_table([device] * k, source), source)
-        law = fast.law
-        q = law[2] + law[3]
-        p_acc = sum(math.comb(k, b) * q**b * (1 - q) ** (k - b)
-                    for b in range(k + 1) if b / k <= threshold)
-        p_zero = binomial_dp(law, k, threshold)[1]
+    device, leaves = nested_mixture()
+    table = sum(w * box.table for w, box in leaves)
+    accept = [b for b in range(k + 1) if b / k <= acceptance_threshold(params)]
+    sources = ((HONEST, 21), (GreedyTowardString((0, 1), 0.1), 22), (GreedyTowardString((0, 1, 1), 0.1), 23))
+    for source, seed in sources:
+        law = phase_trial_law(table, source, 0.1, k)
+        p_acc = law[accept].sum()
+        p_zero = law[accept, 0].sum() / p_acc
         assert 0.05 < p_acc < 0.95 and abs(p_zero - 0.5) > 0.02
-        for sampler, trials in ((_ProtocolSampler(params, [device] * k, source), 3000),
-                                (fast, 100_000)):
-            rows = sampler.rows(trials, np.random.default_rng(seed))
+        samplers = [(lambda m, rng: oracle_rows(params, [device] * k, source, m, rng), 3000),
+                    (protocol._WalkSampler(params, *protocol._reduced_tables([device] * k), source).rows, 20_000)]
+        if 4 % source.period == 0:
+            fast = _IidSampler(params, _shared_table([device] * k, source), source)
+            assert np.max(np.abs(law - binomial_table(fast.law, k))) <= 1e-14
+            samplers.append((fast.rows, 100_000))
+        for rows_of, trials in samplers:
+            rows = rows_of(trials, np.random.default_rng(seed))
             accepted, output = rows.accepted, rows.output
             n_acc = int(accepted.sum())
             assert abs(n_acc / trials - p_acc) <= 4 * math.sqrt(p_acc * (1 - p_acc) / trials)
             p0 = np.mean(output[accepted] == 0)
             assert abs(p0 - p_zero) <= 4 * math.sqrt(p_zero * (1 - p_zero) / n_acc)
+
+
+WALK_CASES = {
+    # source, n, boxes by device, trials: every case takes the walk
+    "period-1": (ConstantBias(0.1), (1, 3), (LEANING, DETERMINISTIC), 40),
+    "period-2": (GreedyTowardString((1, 0), 0.1), (4, 2, 4), (LEANING, LEANING, uniform_box()), 40),
+    "period-3": (GreedyTowardString((0, 1, 1), 0.1), (1, 2, 5, 1, 16, 3, 1),
+                 (LEANING, DETERMINISTIC, uniform_box(), LEANING, algebraic_violation_box(), LEANING, DETERMINISTIC),
+                 40),
+    "period-4": (SettingSteering((0, 1, 1, 1), 0.1), (3, 1, 6), (DETERMINISTIC, LEANING, LEANING), 40),
+    "period-5": (GreedyTowardString((0, 1, 1, 0, 1), 0.1), (6, 1, 3), (LEANING,) * 3, 40),
+    "k=1-three-chunks": (GreedyTowardString((0, 1, 1), 0.1), (7,), (LEANING,), 600),
+}
+
+
+@pytest.mark.parametrize("case", WALK_CASES)
+def test_walk_rows_equal_run_protocol(case):
+    """On i.i.d. devices the walk's rows are those of run_protocol (from the
+    tests) on an identically seeded generator, element for element, chunk
+    by chunk: it takes the generator's uniforms in run_protocol's order and
+    maps only each selected use's outcome uniform, as sample_outcome maps
+    it."""
+    source, n, boxes, trials = WALK_CASES[case]
+    params = ProtocolParams(0.1, 0.8, 0.9, len(n), n=n)
+    devices = [IidDevice(box) for box in boxes]
+    assert isinstance(protocol._sampler(params, devices, source), protocol._WalkSampler)
+    for seed in range(3):
+        chunks = list(simulate_trials(params, devices, source, trials, seed=seed))
+        assert len(chunks) == -(-trials // 256)
+        for rows, (size, child) in zip(chunks, protocol._chunks(trials, seed)):
+            want = oracle_rows(params, devices, source, size, np.random.default_rng(child))
+            for field in ("z_k", "accepted", "output", "selection", "m_realized"):
+                a, b = getattr(rows, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (case, seed, field)
+        accepted = np.concatenate([rows.accepted for rows in chunks])
+        assert 0 < accepted.sum() < trials  # an interior rate, so the rows have teeth
+
+
+def test_engines_refuse_inputs_without_an_exact_law():
+    """simulate_trials and estimate_output_bias raise a ValueError that names
+    what is missing: devices that do not reduce to one table per use (a
+    schedule, a conditioned device, a mixture over a schedule), or a source
+    without a period."""
+    params = honest_params(k=2)
+    iid = IidDevice(algebraic_violation_box())
+    mixture = MixtureDevice([iid, IidDevice(uniform_box())], (0.5, 0.5))
+
+    class Opaque:
+        def bias(self, history):
+            return 0.0
+
+    cases = [
+        ([SequenceDevice([uniform_box()] * 8)] * 2, HONEST, "i.i.d. given one hidden label"),
+        ([ConditionedDevice(mixture, ()), iid], HONEST, "i.i.d. given one hidden label"),
+        ([MixtureDevice([iid, SequenceDevice([uniform_box()])], (0.5, 0.5))] * 2, HONEST,
+         "i.i.d. given one hidden label"),
+        ([iid] * 2, Opaque(), "a strategy with a period"),
+    ]
+    for devices, source, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            simulate_trials(params, devices, source, 10, seed=1)
+        with pytest.raises(ValueError, match=reason):
+            estimate_output_bias(params, [(1.0, lambda: devices, source)], 10, seed=1)
 
 
 def test_mixtures_that_do_not_reduce_stay_general():
@@ -888,7 +992,7 @@ def test_audit_distances_equal_checked_distance_d():
     adversary = [
         (0.6, lambda: [MixtureDevice([strong, flat], (0.7, 0.3)) for _ in range(k)], source),
         (0.0, lambda: [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * k, HONEST),
-        (0.4, lambda: [ConditionedDevice(MixtureDevice([strong, flat], (0.9, 0.1)), ())] * k, HONEST),
+        (0.4, lambda: [MixtureDevice([strong, flat], (0.9, 0.1))] * k, GreedyTowardString((0, 1, 1), 0.1)),
     ]
     report = estimate_output_bias(params, adversary, 400, seed=3)
     estimable = [row for row in report.per_symbol if row[1] > 0]
@@ -923,11 +1027,11 @@ def test_estimate_output_bias_general_path():
         ],
         (0.5, 0.5),
     )
-    # a ConditionedDevice does not reduce to one table, so the general engine runs
-    device = ConditionedDevice(mixture, ())
-    assert not fast_path_applicable(params, [device] * 2, HONEST)
+    # devices of different tables: the walk runs
+    devices = [mixture, IidDevice(algebraic_violation_box())]
+    assert not fast_path_applicable(params, devices, HONEST)
     adversary = [
-        (0.5, lambda: [device] * 2, HONEST),
+        (0.5, lambda: devices, HONEST),
         (0.5, lambda: [IidDevice(algebraic_violation_box())] * 2, HONEST),
     ]
     report = estimate_output_bias(params, adversary, trials=300, seed=1)
@@ -939,11 +1043,12 @@ def test_estimate_output_bias_general_path():
 
 def test_general_engine_audit_of_history_dependent_devices_pinned():
     """k = 20 fresh MixtureDevices, each one hidden label over an honest
-    quantum box and a uniform one, against a period-3 source: the general
-    engine, where every outcome is drawn from a posterior-weighted box.  The
-    (accepted, zeros) counts are pinned: they depend on the seed alone, and
-    neither a device's posterior cache nor the order of its queries may
-    move a draw."""
+    quantum box and a uniform one, against a period-3 source.  The audit
+    runs them on the walk, which draws each selected outcome from the
+    label-averaged table; run_protocol from the tests draws every outcome
+    from a posterior-weighted box, the same law.  Both (accepted, zeros)
+    counts are pinned: they depend on the seed alone, and neither the
+    oracle's posterior cache nor the order of its queries may move a draw."""
     params = ProtocolParams(0.1, 0.8, 0.9, 20, n=(16,))
     honest, flat = IidDevice(noisy_box(NoiseSpec())), IidDevice(uniform_box())
 
@@ -954,7 +1059,12 @@ def test_general_engine_audit_of_history_dependent_devices_pinned():
     assert not fast_path_applicable(params, factory(), source)
     report = estimate_output_bias(params, [(1.0, factory, source)], 64, seed=3)
     _, n_acc, _, interval = report.per_symbol[0]
-    assert (n_acc, interval.successes) == (26, 12)  # accepted, and accepted with output 0
+    assert (n_acc, interval.successes) == (24, 7)  # accepted, and accepted with output 0
+    devices, counts = factory(), np.zeros(2, dtype=int)
+    for size, child in protocol._chunks(64, np.random.SeedSequence(3).spawn(1)[0]):
+        rows = oracle_rows(params, devices, source, size, np.random.default_rng(child))
+        counts += rows.accepted.sum(), np.sum(rows.output == 0)
+    assert tuple(counts) == (26, 12)
 
 
 def test_estimate_output_bias_zero_acceptance():

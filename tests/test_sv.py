@@ -11,21 +11,21 @@ from randamp.sv import (
     HonestBits,
     SettingSteering,
     StrategyViolationError,
-    SvTranscript,
     bit_probabilities,
     code_law,
-    draw_bits,
-    draw_index,
-    draw_setting,
-    next_bit,
     string_probability_bounds,
 )
 
 from helpers import (
     SvParams,
+    SvTranscript,
     builtin_strategies,
+    draw_bits,
+    draw_index,
     draw_kept_setting,
+    draw_setting,
     exact_bitstring_distribution,
+    next_bit,
     replay_transcript,
 )
 
