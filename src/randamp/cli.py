@@ -330,12 +330,14 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def _certificate_facts(report) -> dict:
-    """A certified delta's solver facts for the manifest; on HiGHS with each
-    orbit solve's simplex iteration count."""
+    """A certified delta's solver facts for the manifest, with each orbit
+    solve's HiGHS simplex iteration count or tableau pivot count."""
     facts = {"delta": report.delta, "solved": report.solved, "dual_residual": report.dual_residual,
              "duality_gap": report.duality_gap}
     if report.highs_nit is not None:
         facts["highs_nit"] = list(report.highs_nit)
+    if report.simplex_pivots is not None:
+        facts["simplex_pivots"] = list(report.simplex_pivots)
     return facts
 
 

@@ -17,16 +17,15 @@ the box that leave the feasible set alone: permuting parties 1-3, flipping
 the outputs of parties 1-3 together or of party 4, and flipping all four
 inputs exactly when an odd number of outputs flips.  They fall into two
 orbits, of sizes 4 and 12.  `certify_grid` solves one instance per orbit
-and delta (on the simplex route both representatives of a delta in one
-call that shares phase 1, since they differ only in the objective) and
-carries its primal box and dual vector to the others.  A map's row action
-R follows from its column action P (Bodi, Herr & Joswig, Math. Program.
-137, 2013): row R[r] is row r carried by P, found by an exact row hash.
-Each map is checked exactly, in integers, on the constraint rows, their
-right-hand side and the objectives, and each carried certificate is checked
-again like a solved one.  The row map is checked on the ~2.9k nonzero
-entries of the constraint matrix: once P and R are bijections,
-A[R][:, P] == A holds exactly when every nonzero entry lands on an equal one.
+and delta and carries its primal box and dual vector to the others.  A
+map's row action R follows from its column action P (Bodi, Herr & Joswig,
+Math. Program. 137, 2013): row R[r] is row r carried by P, found by an
+exact row hash.  Each map is checked exactly, in integers, on the
+constraint rows, their right-hand side and the objectives, and each carried
+certificate is checked again like a solved one.  The row map is checked on
+the ~2.9k nonzero entries of the constraint matrix: once P and R are
+bijections, A[R][:, P] == A holds exactly when every nonzero entry lands on
+an equal one.
 
 The equality system is built by index arithmetic.  HiGHS is called through
 scipy's bindings without `scipy.optimize.linprog`.  One HighsLp, built
@@ -43,6 +42,15 @@ Prog. Comp. 10, 2018).  A solve that is not optimal is that delta's error,
 and the next delta starts a fresh solver.  A first, cold solve returns
 what linprog returns, to the bit (checked in tests/test_lp.py); a warm one
 may differ from it in the last digits.
+
+The simplex route walks the grid the same way, with one `SimplexWalk` for
+both representatives, since they differ only in the objective: the first
+delta runs phase 1 once and a phase 2 per representative, and each later
+delta moves only the Bell row's right-hand side and restarts each
+representative's tableau from its previous optimal basis with the dual
+simplex.  A failed delta is reported, and the next delta starts a fresh
+walk.  A walk of one delta is the cold solve, pivot for pivot; a warm
+delta may differ from its cold solve in the last digits.
 
 Neither route imports a scipy subpackage.  `_highs_core` loads the
 bindings' extension module from its file: importing it by name would first
@@ -79,7 +87,7 @@ from .boxes import (
     pack_bits,
     unpack_bits,
 )
-from .simplex import simplex_solve
+from .simplex import SimplexWalk
 
 N_VARS = N_OUTCOMES * N_SETTINGS  # p(x|u) flattened outcome-major
 N_EQ = N_SETTINGS + 4 * 64  # normalization rows, then 64 marginal rows per party
@@ -366,7 +374,8 @@ def _highs_chain(instances) -> list:
 def _simplex_program(instances):
     """(A, b, C) for the tableau simplex: the independent equality rows plus
     the Bell cap with one slack, and one objective row -m/2 per instance.
-    The instances must share their delta, which is all b depends on."""
+    The instances must share their delta, which is all b depends on: its
+    last entry."""
     deltas = {instance.delta for instance in instances}
     if len(deltas) != 1:
         raise ValueError(f"instances must share one delta, got {sorted(deltas)}")
@@ -384,36 +393,62 @@ def _simplex_program(instances):
     return A, b, C
 
 
-def _solve_primal_simplex(instances):
-    """The tableau simplex on instances sharing one delta, one phase 1 for
-    all of them; per instance its row duals y and reduced costs
-    c - A^T y >= 0 give
+def _simplex_steps(instances) -> list:
+    """instances cut into the steps of one walk: runs of one delta, each
+    holding the same objectives in the same order as the first."""
+    keys = list(dict.fromkeys((instance.u_star, instance.guess) for instance in instances))
+    steps = [instances[i : i + len(keys)] for i in range(0, len(instances), len(keys) or 1)]
+    for step in steps:
+        if [(instance.u_star, instance.guess) for instance in step] != keys or len(
+                {instance.delta for instance in step}) != 1:
+            raise ValueError("a simplex walk steps the same objectives through one delta at a time")
+    return steps
+
+
+def _simplex_walk(instances) -> list:
+    """The tableau simplex on instances given delta by delta, each delta
+    holding the same objectives (`_simplex_steps`), with one `SimplexWalk`:
+    the first delta runs one phase 1 for all objectives, and each later one
+    only moves the Bell row's right-hand side and restarts every objective
+    from its previous optimal basis.  A failure is every instance's of that
+    delta, and the next delta starts a fresh walk.  Per instance
+    (x, value, lam, pivots) or the exception; the row duals y and reduced
+    costs c - A^T y >= 0 give
     -m/2 = A_eq[keep]^T y[:-1] + bell_row * y[-1] + (c - A^T y)[:N_VARS]."""
-    A, b, C = _simplex_program(instances)
     keep = independent_equality_rows()
     n_eq = len(equality_constraints()[0])
-    results = []
-    for c, (x, value, y) in zip(C, simplex_solve(C, A, b)):
-        free = np.zeros(n_eq)
-        free[keep] = -2.0 * y[:-1]
-        lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
-        results.append((x[:N_VARS], -value, lam, None))
+    walk, results = None, []
+    for step in _simplex_steps(instances):
+        try:
+            if walk is None:
+                A, b, C = _simplex_program(step)
+                walk = SimplexWalk(C, A, b)
+            else:
+                b[-1] = step[0].delta
+                walk.move(b)
+            solved = []
+            for c, (x, value, y), pivots in zip(C, walk.solutions(), walk.pivots):
+                free = np.zeros(n_eq)
+                free[keep] = -2.0 * y[:-1]
+                lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
+                solved.append((x[:N_VARS], -value, lam, pivots))
+        except Exception as exc:  # this delta's outcome; the next one starts afresh
+            walk, solved = None, [exc] * len(step)
+        results.extend(solved)
     return results
 
 
 def _solve_raw(instances, method: str) -> list:
-    """(primal x, primal value, dual vector, HiGHS iterations) per instance,
-    or the exception its solve raised.  On HiGHS the instances share one
-    objective and walk one solver (`_highs_chain`); on the simplex route
-    they share one delta and one call, whose failure is every instance's,
-    and the iteration entry is None."""
+    """(primal x, primal value, dual vector, iterations) per instance, or
+    the exception its solve raised.  On HiGHS the instances share one
+    objective and walk one solver (`_highs_chain`), and the iterations are
+    HiGHS's simplex iterations; on the simplex route they come delta by
+    delta, with the same objectives at each, and walk one `SimplexWalk`
+    (`_simplex_walk`), and the iterations are tableau pivots."""
     if method == "highs":
         return _highs_chain(instances)
     if method == "simplex":
-        try:
-            return _solve_primal_simplex(instances)
-        except Exception as exc:  # the delta's outcome, as on HiGHS
-            return [exc] * len(instances)
+        return _simplex_walk(instances)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -636,6 +671,7 @@ class CertificationReport:
     dual_residual: float  # worst over the 16 certificates
     duality_gap: float  # worst |dual value / 2 - primal value|
     highs_nit: tuple | None = None  # HiGHS simplex iterations per orbit solve; None on the simplex route
+    simplex_pivots: tuple | None = None  # tableau pivots per orbit solve; None on the HiGHS route
 
     def to_json(self) -> dict:
         return {
@@ -672,8 +708,9 @@ def _orbit_solutions(orbit, instances, raws, method: str) -> list:
     return outcomes
 
 
-def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, highs_nit) -> CertificationReport:
-    """The cap checked on all 16 checked solutions of one delta."""
+def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, iterations) -> CertificationReport:
+    """The cap checked on all 16 checked solutions of one delta; iterations
+    are the route's own per orbit solve."""
     bound = analytic_bound(delta)
     optima = {}
     for u_star, guess in INSTANCE_KEYS:
@@ -694,7 +731,8 @@ def _report(delta: float, solutions: dict, method: str, tol: float, solved: int,
         float(delta), bound, optima, max(optima.values()), True, method, solved,
         max(sol.dual_residual for sol in solutions.values()),
         max(sol.duality_gap for sol in solutions.values()),
-        highs_nit,
+        highs_nit=iterations if method == "highs" else None,
+        simplex_pivots=iterations if method == "simplex" else None,
     )
 
 
@@ -712,15 +750,15 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
     CertificationError naming the first violating instance.
 
     On HiGHS each orbit representative walks the grid in order with one
-    solver (`_highs_chain`), so a delta's last digits may depend on the
-    delta before it; a grid of one delta is solved cold.  With more than
-    one delta the representatives are mapped over min(#orbits, CPUs)
-    threads, each running its chain and then checking and transporting its
-    own orbit's certificates: HiGHS releases the GIL while it solves, so one
-    orbit's solves overlap the other's checks.  The results are the same
-    whatever the number of threads.  A single delta, and the simplex route
-    (one call per delta for both representatives, sharing phase 1), stay on
-    the calling thread.
+    solver (`_highs_chain`), and on the simplex route both walk it in one
+    `SimplexWalk` (`_simplex_walk`), so a delta's last digits may depend on
+    the delta before it; a grid of one delta is solved cold.  On HiGHS, with
+    more than one delta, the representatives are mapped over
+    min(#orbits, CPUs) threads, each running its chain and then checking and
+    transporting its own orbit's certificates: HiGHS releases the GIL while
+    it solves, so one orbit's solves overlap the other's checks.  The
+    results are the same whatever the number of threads.  A single delta,
+    and the simplex route, which holds the GIL, stay on the calling thread.
 
     Raises ValueError, before any solve, for an unknown method, a delta
     outside [0, 8] or a tol that is not finite and >= 0: a NaN one would
@@ -731,10 +769,11 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
         raise ValueError(f"unknown method {method!r}")
     orbits = symmetry_orbits()
     grids = [[LpInstance(rep[0], delta, rep[1]) for delta in deltas] for rep, _ in orbits]
-    by_delta = None if method == "highs" else [_solve_raw(list(column), method) for column in zip(*grids)]
+    # The simplex route walks every representative in one call, delta by delta.
+    walked = None if method == "highs" else _solve_raw([inst for column in zip(*grids) for inst in column], method)
 
     def certify_orbit(i):
-        raws = _solve_raw(grids[i], method) if by_delta is None else [solved[i] for solved in by_delta]
+        raws = _solve_raw(grids[i], method) if walked is None else walked[i :: len(orbits)]
         return raws, _orbit_solutions(orbits[i], grids[i], raws, method)
 
     workers = min(len(orbits), os.cpu_count() or 1) if method == "highs" and len(deltas) > 1 else 1
@@ -760,9 +799,8 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
             outcomes.append(errors[0])
             continue
         solutions = {key: sol for orbit in checked for key, sol in orbit.items()}
-        highs_nit = tuple(raw[3] for raw in raws) if method == "highs" else None
         try:
-            outcomes.append(_report(delta, solutions, method, tol, len(orbits), highs_nit))
+            outcomes.append(_report(delta, solutions, method, tol, len(orbits), tuple(raw[3] for raw in raws)))
         except CertificationError as exc:
             outcomes.append(exc)
     return outcomes

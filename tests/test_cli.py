@@ -476,24 +476,27 @@ def test_certify_command(tmp_path, capsys):
 
 
 # sha256 of certify.json and of the manifest's metrics, and the HiGHS
-# iteration count of every orbit solve in serial order (delta by delta, the
-# orbit representatives in turn), on a grid with every linear piece of the
-# LP value function, the tight delta = 1/3 and both ends of [0, 8].  The
-# simplex figures were recorded before the equality system was built by
-# index arithmetic and handed to HiGHS as sparse matrices, and before HiGHS
-# was called without linprog; each left every byte alone.  The HiGHS figures
-# were re-pinned when each delta after the first came to be re-solved from
-# the previous optimal basis: every optimum moved by at most 4.6e-15.  The
-# figures are those of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS
-# may take other pivots.
+# iteration count and tableau pivot count of every orbit solve in serial
+# order (delta by delta, the orbit representatives in turn), on a grid with
+# every linear piece of the LP value function, the tight delta = 1/3 and
+# both ends of [0, 8].  The HiGHS figures were re-pinned when each delta
+# after the first came to be re-solved from the previous optimal basis:
+# every optimum moved by at most 4.6e-15.  The simplex figures were
+# re-pinned when the simplex route came to walk the grid the same way (one
+# phase 1, then a dual-simplex restart per delta) and the metrics gained
+# the pivot counts: every optimum moved from its cold solve by at most
+# 6.2e-14, and the HiGHS digests stayed as they were.  The figures are those
+# of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS may take other
+# pivots.
 PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
 PINNED_CERTIFY = {
     "highs": ("03ea1e76dff944c09fc8f02046ff7e5def63c5910735d7fbba9322c23b2e83c5",
               "7c06daa01c1987de4627bdec3a7de579b527680f882d4ce17ed94372c4cd74a3"),
-    "simplex": ("c7ad8af187c68b1f086f10202b4a8ddea20f8cb5370b8ea891a43a08a7f5354a",
-                "17a2a5bcd63b8025e7032f6aa754878f9e5220bd3bd72e27df7213d5dbb5fb32"),
+    "simplex": ("8363c866a25f4bbb73961dfda413fad34b051ac5d4a9308f4b203301a7768865",
+                "b9c1c1dd67ae801289fe3e42e3da18df91700156ad940de125a74f9d5572d4b2"),
 }
 PINNED_HIGHS_NIT = [153, 151, 12, 18, 0, 0, 18, 6, 12, 28, 0, 0, 17, 15, 27, 18]
+PINNED_SIMPLEX_PIVOTS = [352, 356, 8, 2, 0, 9, 24, 20, 12, 25, 1, 0, 25, 38, 91, 103]
 
 
 def test_certify_outputs_pinned(tmp_path):
@@ -507,6 +510,8 @@ def test_certify_outputs_pinned(tmp_path):
         assert digest == metrics_sha, method
         nit = [n for facts in metrics["certificates"] for n in facts.get("highs_nit", ())]
         assert nit == (PINNED_HIGHS_NIT if method == "highs" else [])
+        pivots = [n for facts in metrics["certificates"] for n in facts.get("simplex_pivots", ())]
+        assert pivots == (PINNED_SIMPLEX_PIVOTS if method == "simplex" else [])
 
 
 def test_one_delta_certify_is_solved_cold(tmp_path):
@@ -606,6 +611,41 @@ def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, m
     assert failed == {"delta": 0.2, "error": "solver gave up", "error_type": "ArithmeticError"}
     facts = json.loads((out / "manifest.json").read_text())["metrics"]["certificates"]
     assert [f["delta"] for f in facts] == [0.1, 1.5]
+
+
+def test_simplex_walk_restarts_cold_after_a_failing_delta(tmp_path, capsys, monkeypatch):
+    """A dual-simplex restart that fails is that delta's outcome, for both
+    orbit representatives, and the next delta starts a fresh walk: phase 1
+    again, so its entry and its pivots are those of a grid of its own."""
+    import randamp.lp as lp
+    import randamp.simplex as simplex
+
+    deltas = [0.1, 0.2, 1.5]
+    want = [json.loads(_serial_certify([delta], "simplex")[0])["grid"][0] for delta in deltas[::2]]
+    want_pivots = list(lp.certify_grid(deltas[2:], method="simplex")[0].simplex_pivots)
+    real = simplex._dual_iterate
+    restarts = []
+
+    def failing(*args):
+        restarts.append(args)
+        if len(restarts) == 1:  # the walk's first restart: delta = 0.2
+            raise ArithmeticError("dual simplex gave up")
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_dual_iterate", failing)
+    cfg = write_config(tmp_path, {"deltas": deltas, "method": "simplex"})
+    out = tmp_path / "cert"
+    assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert len(restarts) == 1  # 1.5 ran phase 1, not a restart
+    printed = capsys.readouterr().out
+    assert printed.index("delta=0.1:") < printed.index("delta=0.2: ERROR") < printed.index("delta=1.5:")
+    payload = json.loads((out / "certify.json").read_text())
+    first, failed, last = payload["grid"]
+    assert [first, last] == want
+    assert failed == {"delta": 0.2, "error": "dual simplex gave up", "error_type": "ArithmeticError"}
+    facts = json.loads((out / "manifest.json").read_text())["metrics"]["certificates"]
+    assert [f["delta"] for f in facts] == [0.1, 1.5]
+    assert facts[1]["simplex_pivots"] == want_pivots
 
 
 @pytest.mark.parametrize("config", [{"deltas": [0.1, 1.0], "method": "simplex"}, {"deltas": [1 / 3]}])

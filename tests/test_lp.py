@@ -2,6 +2,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from randamp.lp import (
 )
 
 from helpers import clear_lp_caches, dense_check_symmetry_map, inequality_constraints, loop_equality_constraints
+from test_cli import PINNED_CERTIFY_DELTAS
 
 U_STAR = (0, 0, 0, 1)
 
@@ -557,6 +559,52 @@ def test_highs_chain_walks_one_objective():
     a, b = (LpInstance(rep[0], 0.2, rep[1]) for rep, _ in symmetry_orbits())
     with pytest.raises(ValueError, match="one objective"):
         _solve_raw([a, b], "highs")
+
+
+RANDOM_DELTAS = np.random.default_rng(3408_1127).uniform(0.0, 8.0, 10).tolist()
+WALKED_GRIDS = {
+    "pinned": PINNED_CERTIFY_DELTAS,
+    "reversed": PINNED_CERTIFY_DELTAS[::-1],
+    "random": sorted(RANDOM_DELTAS),
+    "shuffled": RANDOM_DELTAS,
+}
+
+
+@lru_cache(maxsize=None)
+def _cold_simplex(delta):
+    return certify_bound(delta, method="simplex")
+
+
+@pytest.mark.parametrize("name", list(WALKED_GRIDS))
+def test_simplex_walk_matches_cold_solves(name):
+    """The simplex route walks a grid from one phase 1: every delta
+    certifies, and every optimum lies within 1e-11 of the grid of that delta
+    alone, which is solved cold.  Walking the grid in order, the restarts of
+    all later deltas together take fewer pivots than the first delta; in
+    random order each restart still takes fewer pivots than a cold solve."""
+    deltas = WALKED_GRIDS[name]
+    reports = lp.certify_grid(deltas, method="simplex")
+    assert all(isinstance(report, lp.CertificationReport) for report in reports), reports
+    for delta, report in zip(deltas, reports):
+        cold = _cold_simplex(delta)
+        assert report.optima.keys() == cold.optima.keys()
+        assert max(abs(report.optima[key] - cold.optima[key]) for key in cold.optima) <= 1e-11, delta
+    assert reports[0].simplex_pivots == _cold_simplex(deltas[0]).simplex_pivots
+    first = sum(reports[0].simplex_pivots)
+    later = [sum(report.simplex_pivots) for report in reports[1:]]
+    if name == "shuffled":
+        assert max(later) < first, (first, later)
+    else:
+        assert sum(later) < first, (first, later)
+
+
+def test_simplex_walk_checks_its_steps():
+    a, b = (LpInstance(rep[0], 0.2, rep[1]) for rep, _ in symmetry_orbits())
+    with pytest.raises(ValueError, match="same objectives"):
+        _solve_raw([a, b, LpInstance(a.u_star, 0.3, a.guess)], "simplex")
+    with pytest.raises(ValueError, match="same objectives"):
+        _solve_raw([a, LpInstance(b.u_star, 0.3, b.guess)], "simplex")
+    assert _solve_raw([], "simplex") == []
 
 
 @pytest.mark.parametrize("method", ["highs", "simplex"])

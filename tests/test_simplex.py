@@ -176,3 +176,76 @@ def test_random_instances_match_scipy():
         assert np.max(np.abs(y - ref.eqlin.marginals)) <= 1e-9, f"trial {trial}"
         assert np.min(c - A.T @ y) >= -1e-9
         assert b @ y == pytest.approx(value, abs=1e-9)
+
+
+def test_dual_restart_matches_a_cold_solve_after_an_rhs_change():
+    """The textbook LP, then random bounded LPs: after b moves, the restart
+    from the old optimal basis reaches the cold solve's value and duals."""
+    c, A, b = textbook_problem()
+    walk = simplex.SimplexWalk(c, A, b)
+    pivots = []
+    for moved in ([4.0, 12.0, 10.0], [1.0, 3.0, 18.0], [4.0, 12.0, 18.0], [6.0, 14.0, 30.0]):
+        walk.move(np.array(moved))
+        pivots += walk.pivots
+        (x, value, y), = walk.solutions()
+        cold_x, cold_value, cold_y = simplex_solve(c, A, np.array(moved))
+        assert value == pytest.approx(cold_value, abs=1e-12), moved
+        assert np.max(np.abs(x - cold_x)) <= 1e-12 and np.max(np.abs(y - cold_y)) <= 1e-12, moved
+    # At (6, 14, 30) the last basis {x, y, s1} reads x = 16/3, y = 7, s1 = 2/3: feasible, no pivot.
+    assert pivots[0] > 0 and pivots[-1] == 0
+
+    rng = np.random.default_rng(2018)
+    restarted = 0
+    for trial in range(30):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 1, 10))
+        A = np.hstack([np.vstack([rng.standard_normal((m, n)), np.ones(n)]), np.eye(m + 1)[:, -1:]])
+        points = rng.random((2, n))
+        b0, b1 = (np.concatenate([A[:m, :n] @ p, [p.sum() + 1.0]]) for p in points)
+        c = np.concatenate([rng.standard_normal(n), [0.0]])
+        walk = simplex.SimplexWalk(c, A, b0)
+        walk.move(b1)
+        restarted += walk.pivots[0] > 0
+        (x, value, y), = walk.solutions()
+        cold_x, cold_value, cold_y = simplex_solve(c, A, b1)
+        assert value == pytest.approx(cold_value, abs=1e-9), trial
+        assert np.max(np.abs(A @ x - b1)) <= 1e-9 and np.min(x) >= 0.0, trial
+        assert np.max(np.abs(y - cold_y)) <= 1e-9, trial
+    assert restarted >= 10  # 12 of the 30 moves leave the old basis infeasible
+
+
+def test_dual_restart_detects_an_infeasible_rhs():
+    c, A, b = textbook_problem()
+    walk = simplex.SimplexWalk(c, A, b)
+    with pytest.raises(InfeasibleError, match="dual simplex"):
+        walk.move(np.array([4.0, 12.0, -1.0]))  # 3x + 2y <= -1 with x, y >= 0
+
+
+def test_dual_restart_falls_back_to_bland_and_terminates(monkeypatch):
+    """With no stalled pivot allowed, the first dual pivot that leaves the
+    objective alone switches the restart to Bland's rule for good.  On the
+    certify LP, whose box polytope is massively degenerate, the restart
+    from delta = 0.1 to 8 still ends at the cold optimum with a feasible
+    dual."""
+    ruled = []
+    entering = simplex._entering_column
+
+    def recording(tableau, row, enter_cols, bland):
+        ruled.append(bland)
+        return entering(tableau, row, enter_cols, bland)
+
+    rep, _ = lp.symmetry_orbits()[0]
+    A, b, C = lp._simplex_program([lp.LpInstance(rep[0], 8.0, rep[1])])
+    _, cold_value, _ = simplex_solve(C[0], A, b)
+    b[-1] = 0.1
+    walk = simplex.SimplexWalk(C, A, b)
+    monkeypatch.setattr(simplex, "_entering_column", recording)
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    b[-1] = 8.0
+    walk.move(b)
+    assert ruled[0] is False and True in ruled
+    assert ruled[ruled.index(True):] == [True] * (len(ruled) - ruled.index(True))
+    (x, value, y), = walk.solutions()
+    assert value == pytest.approx(cold_value, abs=1e-12)
+    assert np.max(np.abs(A @ x - b)) <= 1e-9 and np.min(x) >= 0.0
+    assert np.min(C[0] - A.T @ y) >= -1e-9 and b @ y == pytest.approx(value, abs=1e-9)
