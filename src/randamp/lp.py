@@ -27,30 +27,24 @@ the ~2.9k nonzero entries of the constraint matrix: once P and R are
 bijections, A[R][:, P] == A holds exactly when every nonzero entry lands on
 an equal one.
 
-The equality system is built by index arithmetic.  HiGHS is called through
-scipy's bindings without `scipy.optimize.linprog`.  One HighsLp, built
-once, holds the model linprog would hand it (the Bell row stacked over the
-equality rows in CSC form, the row and column bounds with kHighsInf for
-infinity) with a zero objective and the Bell row free.  A fresh solver
-takes linprog's default options, a copy of that model and its objective;
-every solve, cold or warm, then only sets the Bell row's upper bound and
-runs.  `certify_grid` gives each orbit representative one solver for the
-whole delta grid, so for each later delta only that bound changes.  The
-previous optimal basis stays dual feasible, so the dual simplex restarts
-from it and takes a few iterations instead of ~200 (Huangfu & Hall, Math.
-Prog. Comp. 10, 2018).  A solve that is not optimal is that delta's error,
-and the next delta starts a fresh solver.  A first, cold solve returns
-what linprog returns, to the bit (checked in tests/test_lp.py); a warm one
-may differ from it in the last digits.
-
-The simplex route walks the grid the same way, with one `SimplexWalk` for
-both representatives, since they differ only in the objective: the first
-delta runs phase 1 once and a phase 2 per representative, and each later
-delta moves only the Bell row's right-hand side and restarts each
-representative's tableau from its previous optimal basis with the dual
-simplex.  A failed delta is reported, and the next delta starts a fresh
-walk.  A walk of one delta is the cold solve, pivot for pivot; a warm
-delta may differ from its cold solve in the last digits.
+The equality system is built by index arithmetic.  Both routes walk a
+delta grid through one loop, `_walk`: a route is built cold at the first
+delta, and each later delta moves only the Bell row's bound.  The previous
+optimal basis then stays dual feasible, so the dual simplex restarts from
+it and takes a few iterations instead of hundreds (Huangfu & Hall, Math.
+Prog. Comp. 10, 2018).  A delta whose solve fails is that delta's error,
+and the next delta builds a fresh route.  A walk of one delta is the cold
+solve; a warm delta may differ from its cold solve in the last digits.
+`_HighsRoute` keeps one HiGHS solver per objective, called through scipy's
+bindings without `scipy.optimize.linprog`: one HighsLp, built once, holds
+the model linprog would hand it (the Bell row stacked over the equality
+rows in CSC form, the row and column bounds with kHighsInf for infinity)
+with a zero objective and the Bell row free, and a fresh solver takes
+linprog's default options, a copy of that model and its objective.  Its
+cold solve returns what linprog returns, to the bit (checked in
+tests/test_lp.py).  `_SimplexRoute` keeps one `SimplexWalk` for all its
+objectives, which share the constraints: phase 1 runs once, then a phase 2
+per objective.
 
 Neither route imports a scipy subpackage.  `_highs_core` loads the
 bindings' extension module from its file: importing it by name would first
@@ -59,9 +53,9 @@ not use.  The simplex route takes its independent equality rows from a
 stored list, which numpy checks on first use.
 
 The cached arrays are read-only and nothing writes to the model, so threads
-share them: on the HiGHS route `certify_grid` runs the representatives'
-solvers on threads, since HiGHS releases the GIL while it solves, after it
-has built every cache and loaded the bindings on the calling thread.
+share them: `certify_grid` runs its HiGHS walks on threads, since HiGHS
+releases the GIL while it solves, after it has built every cache and
+loaded the bindings on the calling thread.
 """
 
 from __future__ import annotations
@@ -209,7 +203,6 @@ class LpSolution:
     box: NsBox
     dual_certificate: np.ndarray
     dual_value: float
-    method: str
     dual_residual: float  # max |A^T lam - m|
 
     @property
@@ -343,116 +336,100 @@ def _highs_run(solver):
             lower, info.simplex_iteration_count)
 
 
-def _highs_chain(instances) -> list:
-    """HiGHS on min -m.x/2 for instances that share one objective, in order,
-    with one solver: the first instance goes to a fresh solver, each later
-    one only moves the Bell bound (`_highs_resolve`).  After a failure the
-    next instance starts a fresh solver.  Per instance (x, value, lam, nit)
-    or the exception; the multipliers satisfy
+class _HighsRoute:
+    """HiGHS on min -m.x/2 with one solver per (u_star, guess) key: the
+    first delta goes to fresh solvers (`_highs_solve`), each later one only
+    moves their Bell bound (`_highs_resolve`).  The multipliers satisfy
     -m/2 = A_eq^T y + bell_row * mu + s with mu <= 0 and s >= 0.  x <= 1 is
     implied by normalization, so no bound row is given for it."""
-    if len({(instance.u_star, instance.guess) for instance in instances}) > 1:
-        raise ValueError("a HiGHS chain walks one objective")
-    solver, results = None, []
-    for instance in instances:
-        try:
-            if solver is None:
-                solver, solution = _highs_solve(-0.5 * instance.objective_m(), instance.delta)
-            else:
-                solution = _highs_resolve(solver, instance.delta)
-        except Exception as exc:  # this delta's outcome; the next one starts afresh
-            solver = None
-            results.append(RuntimeError(f"HiGHS failed on {instance}: {exc}")
-                           if isinstance(exc, RuntimeError) else exc)
-            continue
-        x, value, row_dual, lower, nit = solution
-        lam = _dual_vector(-2.0 * row_dual[1:], 2.0 * lower, -2.0 * float(row_dual[0]))
-        results.append((x, -value, lam, nit))
-    return results
+
+    def __init__(self, keys, delta: float):
+        self._keys, self._solvers = keys, [None] * len(keys)
+        self.move(delta)
+
+    def move(self, delta: float) -> None:
+        self._solved = []
+        for i, (u_star, guess) in enumerate(self._keys):
+            instance = LpInstance(u_star, delta, guess)
+            try:
+                if self._solvers[i] is None:
+                    self._solvers[i], solution = _highs_solve(-0.5 * instance.objective_m(), delta)
+                else:
+                    solution = _highs_resolve(self._solvers[i], delta)
+            except RuntimeError as exc:
+                raise RuntimeError(f"HiGHS failed on {instance}: {exc}") from exc
+            self._solved.append(solution)
+
+    def solutions(self) -> list:
+        """(x, value, lam, HiGHS simplex iterations) per key."""
+        return [(x, -value, _dual_vector(-2.0 * row_dual[1:], 2.0 * lower, -2.0 * float(row_dual[0])), nit)
+                for x, value, row_dual, lower, nit in self._solved]
 
 
-def _simplex_program(instances):
-    """(A, b, C) for the tableau simplex: the independent equality rows plus
-    the Bell cap with one slack, and one objective row -m/2 per instance.
-    The instances must share their delta, which is all b depends on: its
-    last entry."""
-    deltas = {instance.delta for instance in instances}
-    if len(deltas) != 1:
-        raise ValueError(f"instances must share one delta, got {sorted(deltas)}")
-    A_eq, b_eq = equality_constraints()
-    keep = independent_equality_rows()
-    n = N_VARS + 1
-    A = np.zeros((len(keep) + 1, n))
-    A[: len(keep), :N_VARS] = A_eq[keep]
-    A[-1, :N_VARS] = bell_row()
-    A[-1, -1] = 1.0
-    b = np.concatenate([b_eq[keep], [deltas.pop()]])
-    C = np.zeros((len(instances), n))
-    for row, instance in zip(C, instances):
-        row[:N_VARS] = -0.5 * instance.objective_m()
-    return A, b, C
-
-
-def _simplex_steps(instances) -> list:
-    """instances cut into the steps of one walk: runs of one delta, each
-    holding the same objectives in the same order as the first."""
-    keys = list(dict.fromkeys((instance.u_star, instance.guess) for instance in instances))
-    steps = [instances[i : i + len(keys)] for i in range(0, len(instances), len(keys) or 1)]
-    for step in steps:
-        if [(instance.u_star, instance.guess) for instance in step] != keys or len(
-                {instance.delta for instance in step}) != 1:
-            raise ValueError("a simplex walk steps the same objectives through one delta at a time")
-    return steps
-
-
-def _simplex_walk(instances) -> list:
-    """The tableau simplex on instances given delta by delta, each delta
-    holding the same objectives (`_simplex_steps`), with one `SimplexWalk`:
-    the first delta runs one phase 1 for all objectives, and each later one
-    only moves the Bell row's right-hand side and restarts every objective
-    from its previous optimal basis.  A failure is every instance's of that
-    delta, and the next delta starts a fresh walk.  Per instance
-    (x, value, lam, pivots) or the exception; the row duals y and reduced
-    costs c - A^T y >= 0 give
+class _SimplexRoute:
+    """The tableau simplex with one `SimplexWalk` for every (u_star, guess)
+    key: A x = b holds the independent equality rows and the Bell cap with
+    one slack, and C one objective row -m/2 per key.  The first delta runs
+    phase 1 once and a phase 2 per key; each later one only moves b's last
+    entry and restarts every key from its previous optimal basis.  The row
+    duals y and reduced costs c - A^T y >= 0 give
     -m/2 = A_eq[keep]^T y[:-1] + bell_row * y[-1] + (c - A^T y)[:N_VARS]."""
-    keep = independent_equality_rows()
-    n_eq = len(equality_constraints()[0])
-    walk, results = None, []
-    for step in _simplex_steps(instances):
+
+    def __init__(self, keys, delta: float):
+        A_eq, b_eq = equality_constraints()
+        keep = independent_equality_rows()
+        self.A = np.zeros((len(keep) + 1, N_VARS + 1))
+        self.A[:-1, :N_VARS] = A_eq[keep]
+        self.A[-1, :N_VARS] = bell_row()
+        self.A[-1, -1] = 1.0
+        self.b = np.concatenate([b_eq[keep], [delta]])
+        self.C = np.zeros((len(keys), N_VARS + 1))
+        for row, (u_star, guess) in zip(self.C, keys):
+            row[:N_VARS] = -0.5 * LpInstance(u_star, delta, guess).objective_m()
+        self.walk = SimplexWalk(self.C, self.A, self.b)
+
+    def move(self, delta: float) -> None:
+        self.b[-1] = delta
+        self.walk.move(self.b)
+
+    def solutions(self) -> list:
+        """(x, value, lam, tableau pivots) per key."""
+        keep = independent_equality_rows()
+        solved = []
+        for c, (x, value, y), pivots in zip(self.C, self.walk.solutions(), self.walk.pivots):
+            free = np.zeros(N_EQ)
+            free[keep] = -2.0 * y[:-1]
+            lam = _dual_vector(free, 2.0 * (c - self.A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
+            solved.append((x[:N_VARS], -value, lam, pivots))
+        return solved
+
+
+_ROUTES = {"highs": _HighsRoute, "simplex": _SimplexRoute}
+
+
+def _walk(method: str, keys, deltas) -> list:
+    """The route `method` names over the (u_star, guess) keys, walked
+    through the deltas in order: per delta, [(primal x, primal value, dual
+    vector, iterations) per key], or the exception that delta raised.  The
+    route is built at the first delta and moved to each later one; a failed
+    delta is that delta's entry, and the next delta builds a fresh route."""
+    if method not in _ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    route, outcomes = None, []
+    for delta in deltas:
         try:
-            if walk is None:
-                A, b, C = _simplex_program(step)
-                walk = SimplexWalk(C, A, b)
+            if route is None:
+                route = _ROUTES[method](keys, delta)
             else:
-                b[-1] = step[0].delta
-                walk.move(b)
-            solved = []
-            for c, (x, value, y), pivots in zip(C, walk.solutions(), walk.pivots):
-                free = np.zeros(n_eq)
-                free[keep] = -2.0 * y[:-1]
-                lam = _dual_vector(free, 2.0 * (c - A.T @ y)[:N_VARS], -2.0 * float(y[-1]))
-                solved.append((x[:N_VARS], -value, lam, pivots))
+                route.move(delta)
+            outcomes.append(route.solutions())
         except Exception as exc:  # this delta's outcome; the next one starts afresh
-            walk, solved = None, [exc] * len(step)
-        results.extend(solved)
-    return results
+            route = None
+            outcomes.append(exc)
+    return outcomes
 
 
-def _solve_raw(instances, method: str) -> list:
-    """(primal x, primal value, dual vector, iterations) per instance, or
-    the exception its solve raised.  On HiGHS the instances share one
-    objective and walk one solver (`_highs_chain`), and the iterations are
-    HiGHS's simplex iterations; on the simplex route they come delta by
-    delta, with the same objectives at each, and walk one `SimplexWalk`
-    (`_simplex_walk`), and the iterations are tableau pivots."""
-    if method == "highs":
-        return _highs_chain(instances)
-    if method == "simplex":
-        return _simplex_walk(instances)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSolution:
+def _certified(instance: LpInstance, x, value: float, lam) -> LpSolution:
     """Check a primal point and a dual vector for one instance and wrap them.
 
     lam must be non-negative; the dual residual |A^T lam - m| is formed from
@@ -476,7 +453,7 @@ def _certified(instance: LpInstance, x, value: float, lam, method: str) -> LpSol
     table = np.maximum(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0)
     table /= table.sum(axis=0, keepdims=True)
     box = NsBox(table, tol=1e-7)
-    return LpSolution(instance, float(value), box, lam, dual_value, method, residual)
+    return LpSolution(instance, float(value), box, lam, dual_value, residual)
 
 
 def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
@@ -487,11 +464,11 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     optimum and is checked (non-negative, dual residual, weak duality), so
     the two routes stay independent.
     """
-    (raw,) = _solve_raw([instance], method)
-    if isinstance(raw, Exception):
-        raise raw
-    x, value, lam, _ = raw
-    return _certified(instance, x, value, lam, method)
+    (solved,) = _walk(method, [(instance.u_star, instance.guess)], [instance.delta])
+    if isinstance(solved, Exception):
+        raise solved
+    ((x, value, lam, _),) = solved
+    return _certified(instance, x, value, lam)
 
 
 # -- symmetry orbits of the 16 instances ------------------------------------
@@ -644,14 +621,14 @@ def symmetry_orbits():
     return tuple(orbits)
 
 
-def _transport(instance: LpInstance, x, lam, P, R, method: str) -> LpSolution:
+def _transport(instance: LpInstance, x, lam, P, R) -> LpSolution:
     """Carry a representative's primal point and dual vector to another
     instance of its orbit and check them there as if solved."""
     x_t, lam_t = np.empty_like(x), np.empty_like(lam)
     x_t[P] = x
     lam_t[R] = lam
     value = 0.5 * float(instance.objective_m() @ x_t)
-    return _certified(instance, x_t, value, lam_t, method)
+    return _certified(instance, x_t, value, lam_t)
 
 
 def analytic_bound(delta: float) -> float:
@@ -670,8 +647,7 @@ class CertificationReport:
     solved: int  # LP instances solved; the rest were carried by symmetry
     dual_residual: float  # worst over the 16 certificates
     duality_gap: float  # worst |dual value / 2 - primal value|
-    highs_nit: tuple | None = None  # HiGHS simplex iterations per orbit solve; None on the simplex route
-    simplex_pivots: tuple | None = None  # tableau pivots per orbit solve; None on the HiGHS route
+    iterations: tuple  # per orbit solve: HiGHS simplex iterations, or tableau pivots on the simplex route
 
     def to_json(self) -> dict:
         return {
@@ -684,28 +660,22 @@ class CertificationReport:
         }
 
 
-def _orbit_solutions(orbit, instances, raws, method: str) -> list:
-    """Per instance of one representative's grid, the checked LpSolution of
-    every instance of its orbit by key (the representative's as solved, the
-    others carried through the orbit's maps), or the exception its solve or
-    a check raised."""
-    rep, members = orbit
-    outcomes = []
-    for instance, raw in zip(instances, raws):
-        if isinstance(raw, Exception):
-            outcomes.append(raw)
-            continue
-        x, value, lam, _ = raw
-        try:
-            solutions = {rep: _certified(instance, x, value, lam, method)}
+def _orbit_solutions(orbits, delta: float, solved) -> dict | Exception:
+    """The checked LpSolution of every instance of the orbits one walk
+    solved, at one delta, by key (each representative's as solved, the
+    others carried through its orbit's maps), or the exception the walk's
+    solve or a check raised."""
+    if isinstance(solved, Exception):
+        return solved
+    solutions = {}
+    try:
+        for (rep, members), (x, value, lam, _) in zip(orbits, solved):
+            solutions[rep] = _certified(LpInstance(rep[0], delta, rep[1]), x, value, lam)
             for member, P, R in members:
-                solutions[member] = _transport(
-                    LpInstance(member[0], instance.delta, member[1]), x, lam, P, R, method)
-        except Exception as exc:  # this delta's outcome
-            outcomes.append(exc)
-            continue
-        outcomes.append(solutions)
-    return outcomes
+                solutions[member] = _transport(LpInstance(member[0], delta, member[1]), x, lam, P, R)
+    except Exception as exc:  # this delta's outcome
+        return exc
+    return solutions
 
 
 def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, iterations) -> CertificationReport:
@@ -731,8 +701,7 @@ def _report(delta: float, solutions: dict, method: str, tol: float, solved: int,
         float(delta), bound, optima, max(optima.values()), True, method, solved,
         max(sol.dual_residual for sol in solutions.values()),
         max(sol.duality_gap for sol in solutions.values()),
-        highs_nit=iterations if method == "highs" else None,
-        simplex_pivots=iterations if method == "simplex" else None,
+        iterations,
     )
 
 
@@ -749,58 +718,62 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
     m.x/2 <= dual_value/2 + 8 * dual_residual.  A violation is a
     CertificationError naming the first violating instance.
 
-    On HiGHS each orbit representative walks the grid in order with one
-    solver (`_highs_chain`), and on the simplex route both walk it in one
-    `SimplexWalk` (`_simplex_walk`), so a delta's last digits may depend on
-    the delta before it; a grid of one delta is solved cold.  On HiGHS, with
-    more than one delta, the representatives are mapped over
-    min(#orbits, CPUs) threads, each running its chain and then checking and
-    transporting its own orbit's certificates: HiGHS releases the GIL while
-    it solves, so one orbit's solves overlap the other's checks.  The
-    results are the same whatever the number of threads.  A single delta,
-    and the simplex route, which holds the GIL, stay on the calling thread.
+    The orbit representatives walk the grid in order (`_walk`), so a
+    delta's last digits may depend on the delta before it; a grid of one
+    delta is solved cold.  On HiGHS each representative has a walk of its
+    own, and the simplex route walks both in one, so that they share phase
+    1.  With more than one walk and more than one delta, the walks are
+    mapped over min(#walks, CPUs) threads, each walking the grid and then
+    checking and transporting its own orbit's certificates: HiGHS releases
+    the GIL while it solves, so one orbit's solves overlap the other's
+    checks.  The results are the same whatever the number of threads.  A
+    single delta, and the simplex route's one walk, stay on the calling
+    thread.
 
     Raises ValueError, before any solve, for an unknown method, a delta
     outside [0, 8] or a tol that is not finite and >= 0: a NaN one would
     make every cap comparison false."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    if method not in ("highs", "simplex"):
-        raise ValueError(f"unknown method {method!r}")
+    if not all(0.0 <= delta <= 8.0 for delta in deltas):  # LpInstance's range, checked before any solve
+        raise ValueError("delta must lie in [0, 8]")
     orbits = symmetry_orbits()
-    grids = [[LpInstance(rep[0], delta, rep[1]) for delta in deltas] for rep, _ in orbits]
-    # The simplex route walks every representative in one call, delta by delta.
-    walked = None if method == "highs" else _solve_raw([inst for column in zip(*grids) for inst in column], method)
+    # A HiGHS solver holds one objective and releases the GIL while it solves;
+    # the simplex walk runs phase 1 once for all its objectives.  An unknown
+    # method is one walk, which `_walk` refuses before it solves anything.
+    walks = [[orbit] for orbit in orbits] if method == "highs" else [list(orbits)]
 
-    def certify_orbit(i):
-        raws = _solve_raw(grids[i], method) if walked is None else walked[i :: len(orbits)]
-        return raws, _orbit_solutions(orbits[i], grids[i], raws, method)
+    def certify_walk(walk):
+        solved = _walk(method, [rep for rep, _ in walk], deltas)
+        return solved, [_orbit_solutions(walk, delta, outcome) for delta, outcome in zip(deltas, solved)]
 
-    workers = min(len(orbits), os.cpu_count() or 1) if method == "highs" and len(deltas) > 1 else 1
+    workers = min(len(walks), os.cpu_count() or 1) if len(deltas) > 1 else 1
     if workers > 1:
         # imported here: only a pool needs it, and it slows every command's start
         from concurrent.futures import ThreadPoolExecutor
 
-        # Built here, as the orbits built every other cache, so no worker loads a
-        # module or builds a cache: `_highs_core` takes no lock, and two threads
-        # that both found the bindings missing would initialise them twice.
+        # Only HiGHS walks get here.  Its model is built here, as the orbits built
+        # every other cache, so no worker loads a module or builds a cache:
+        # `_highs_core` takes no lock, and two threads that both found the
+        # bindings missing would initialise them twice.
         _highs_model()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_orbit = list(pool.map(certify_orbit, range(len(orbits))))
+            per_walk = list(pool.map(certify_walk, walks))
     else:
-        per_orbit = [certify_orbit(i) for i in range(len(orbits))]
+        per_walk = [certify_walk(walk) for walk in walks]
     outcomes = []
     for i, delta in enumerate(deltas):
-        raws = [orbit[0][i] for orbit in per_orbit]
-        checked = [orbit[1][i] for orbit in per_orbit]
+        solved = [walk[0][i] for walk in per_walk]
+        checked = [walk[1][i] for walk in per_walk]
         # A failed solve is reported before a failed check, each in orbit order.
-        errors = [outcome for outcome in raws + checked if isinstance(outcome, Exception)]
+        errors = [outcome for outcome in solved + checked if isinstance(outcome, Exception)]
         if errors:
             outcomes.append(errors[0])
             continue
-        solutions = {key: sol for orbit in checked for key, sol in orbit.items()}
+        solutions = {key: sol for walk in checked for key, sol in walk.items()}
+        iterations = tuple(raw[3] for walk in solved for raw in walk)
         try:
-            outcomes.append(_report(delta, solutions, method, tol, len(orbits), tuple(raw[3] for raw in raws)))
+            outcomes.append(_report(delta, solutions, method, tol, len(orbits), iterations))
         except CertificationError as exc:
             outcomes.append(exc)
     return outcomes

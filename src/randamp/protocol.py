@@ -526,22 +526,21 @@ class _WalkSampler:
 
 def _sampler(params: ProtocolParams, devices, sv_strategy):
     """The protocol engine for these k devices: the vectorized sampler where
-    fast_path_applicable makes it distribution-exact, the walk otherwise.
+    _shared_table gives a table (fast_path_applicable), the walk otherwise.
     Both need every device to reduce and the source to have a period; a
     ValueError names what is missing."""
     if len(devices) != params.k:
         raise ValueError(f"need {params.k} devices, got {len(devices)}")
-    period = getattr(sv_strategy, "period", None)
-    if period is None:
+    table = _shared_table(devices, sv_strategy)
+    if table is not None:
+        return _IidSampler(params, table, sv_strategy)
+    if getattr(sv_strategy, "period", None) is None:
         raise ValueError("the protocol engines need a source whose bias depends on bit position "
                          "only: a strategy with a period")
     reduced = _reduced_tables(devices)
     if reduced is None:
         raise ValueError("the protocol engines need devices whose uses are i.i.d. given one hidden "
                          "label: IidDevices, or MixtureDevices over such devices")
-    table = _one_table(reduced[0]) if 4 % period == 0 else None
-    if table is not None:
-        return _IidSampler(params, table, sv_strategy)
     return _WalkSampler(params, *reduced, sv_strategy)
 
 

@@ -27,7 +27,7 @@ artificial block (the identity at the start, kept through both phases), and
 a dual simplex restarts from that basis (Lemke, Naval Res. Logist. Q. 1,
 1954).  Its leaving row is the most negative right-hand side; its entering
 column has the least reduced cost / |a_rj| over a_rj < 0, ties going to the
-largest |a_rj|.  A walk of one b is `simplex_solve`.
+largest |a_rj|.
 """
 
 from __future__ import annotations
@@ -180,24 +180,12 @@ def _dual_iterate(tableau, basis, enter_cols) -> int:
     raise SimplexError("iteration limit reached")
 
 
-def simplex_solve(c, A, b):
-    """Minimize c.x over A x = b, x >= 0.
-
-    Returns (x, value, y), y the row duals: c_B B^-1, read off the final
-    objective row over the artificial block, which started as the identity.
-    A 2-D c holds one objective per row; the result is then a list with one
-    such triple per row, all from one shared phase 1.  Raises
-    InfeasibleError / UnboundedError / SimplexError.  Rows of A should be
-    linearly independent; redundant rows surface as leftover artificial
-    basics and are pivoted out or rejected.
-    """
-    solutions = SimplexWalk(c, A, b).solutions()
-    return solutions[0] if np.ndim(c) == 1 else solutions
-
-
 class SimplexWalk:
     """The optimal tableaux of one or more objectives (the rows of a 2-D c,
     or a 1-D c) over A x = b, x >= 0, which `move` carries to a new b.
+    Rows of A should be linearly independent; redundant rows surface as
+    leftover artificial basics and are pivoted out or rejected.  Raises
+    InfeasibleError / UnboundedError / SimplexError.
 
     Built cold: one phase 1, then a phase 2 per objective on its own copy.
     `pivots` holds, per objective, the pivots that reached its current
@@ -231,7 +219,9 @@ class SimplexWalk:
             self.pivots[i] = _dual_iterate(tableau, basis, n)
 
     def solutions(self) -> list:
-        """(x, value, y) per objective, as `simplex_solve` returns them."""
+        """(x, value, y) per objective, y the row duals: c_B B^-1, read off
+        the final objective row over the artificial block, which started as
+        the identity."""
         return [_solution(tableau, basis, c, self._flip)
                 for (tableau, basis), c in zip(self._states, self._objectives)]
 

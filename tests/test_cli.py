@@ -540,25 +540,25 @@ def _serial_certify(deltas, method="highs"):
                "grid": [r.to_json() for r in reports]}
     metrics = {"certificates": [
         {"delta": r.delta, "solved": r.solved, "dual_residual": r.dual_residual, "duality_gap": r.duality_gap,
-         **({"highs_nit": list(r.highs_nit)} if method == "highs" else {})}
+         **({"highs_nit": list(r.iterations)} if method == "highs" else {})}
         for r in reports
     ]}
     return _json_bytes(summary), metrics
 
 
 def _record_threads(monkeypatch):
-    """Wrap lp._solve_raw to record the thread of every call: on HiGHS one
-    call per orbit representative, which walks the whole grid."""
+    """Wrap lp._walk to record the thread of every call: on HiGHS one call
+    per orbit representative, which walks the whole grid."""
     import randamp.lp as lp
 
     threads = []
-    real = lp._solve_raw
+    real = lp._walk
 
-    def recording(instances, method):
+    def recording(method, keys, deltas):
         threads.append(threading.get_ident())
-        return real(instances, method)
+        return real(method, keys, deltas)
 
-    monkeypatch.setattr(lp, "_solve_raw", recording)
+    monkeypatch.setattr(lp, "_walk", recording)
     return threads
 
 
@@ -622,7 +622,7 @@ def test_simplex_walk_restarts_cold_after_a_failing_delta(tmp_path, capsys, monk
 
     deltas = [0.1, 0.2, 1.5]
     want = [json.loads(_serial_certify([delta], "simplex")[0])["grid"][0] for delta in deltas[::2]]
-    want_pivots = list(lp.certify_grid(deltas[2:], method="simplex")[0].simplex_pivots)
+    want_pivots = list(lp.certify_grid(deltas[2:], method="simplex")[0].iterations)
     real = simplex._dual_iterate
     restarts = []
 

@@ -17,8 +17,8 @@ from randamp.lp import (
     analytic_bound,
     adversarial_box,
     _candidate_maps,
-    _solve_raw,
     _transport,
+    _walk,
     certify_bound,
     check_symmetry_map,
     equality_constraints,
@@ -341,18 +341,18 @@ def test_transport_rechecks_the_dual():
     delta = 0.2
     rep, members = symmetry_orbits()[1]
     member, P, R = members[0]
-    (x, _, lam, _), = _solve_raw([LpInstance(rep[0], delta, rep[1])], "highs")
+    ((x, _, lam, _),), = _walk("highs", [rep], [delta])
     target = LpInstance(member[0], delta, member[1])
-    carried = _transport(target, x, lam, P, R, "highs")
+    carried = _transport(target, x, lam, P, R)
     assert carried.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
     bad = lam.copy()
     bad[0] += 0.5  # weight on the normalization row of setting 0000
     with pytest.raises(CertificationError, match="dual certificate infeasible"):
-        _transport(target, x, bad, P, R, "highs")
+        _transport(target, x, bad, P, R)
     bad = lam.copy()
     bad[np.argmax(lam == 0.0)] = -0.1  # certifies nothing, whatever its residual
     with pytest.raises(CertificationError, match="negative multiplier"):
-        _transport(target, x, bad, P, R, "highs")
+        _transport(target, x, bad, P, R)
 
 
 def test_route_certificates_checked_independently(monkeypatch):
@@ -426,8 +426,8 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         assert np.array_equal(row_dual[1:], want.eqlin.marginals), rep
         assert np.array_equal(lower, want.lower.marginals), rep
         assert nit == want.nit, rep
-        chain = _solve_raw([LpInstance(rep[0], d, rep[1]) for d in (delta, 1 / 3, 8.0)], "highs")
-        x, value, lam, nit = chain[0]
+        chain = _walk("highs", [rep], [delta, 1 / 3, 8.0])
+        (x, value, lam, nit), = chain[0]
         assert np.array_equal(x, want.x), rep
         assert value == -want.fun, rep
         assert np.array_equal(lam, lp._dual_vector(-2.0 * want.eqlin.marginals, 2.0 * want.lower.marginals,
@@ -440,14 +440,14 @@ def test_threaded_certify_leaves_the_shared_model_as_built(monkeypatch):
     objective and Bell bound on its own copy, so the model keeps its zero
     objective and free Bell row: the fact threads sharing it rest on."""
     threads = []
-    real = lp._solve_raw
+    real = lp._walk
 
-    def recording(instances, method):
+    def recording(method, keys, deltas):
         threads.append(threading.get_ident())
-        return real(instances, method)
+        return real(method, keys, deltas)
 
     monkeypatch.setattr(lp.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(lp, "_solve_raw", recording)
+    monkeypatch.setattr(lp, "_walk", recording)
     reports = lp.certify_grid([0.05, 0.3, 1 / 3, 2.0])
     assert all(isinstance(report, lp.CertificationReport) for report in reports)
     assert len(threads) == 2 and threading.get_ident() not in threads
@@ -555,12 +555,6 @@ def test_failure_at_a_middle_delta_stays_its_own(monkeypatch):
     assert sorted(cold) == [0.1, 0.1, 1.5, 1.5]
 
 
-def test_highs_chain_walks_one_objective():
-    a, b = (LpInstance(rep[0], 0.2, rep[1]) for rep, _ in symmetry_orbits())
-    with pytest.raises(ValueError, match="one objective"):
-        _solve_raw([a, b], "highs")
-
-
 RANDOM_DELTAS = np.random.default_rng(3408_1127).uniform(0.0, 8.0, 10).tolist()
 WALKED_GRIDS = {
     "pinned": PINNED_CERTIFY_DELTAS,
@@ -589,22 +583,44 @@ def test_simplex_walk_matches_cold_solves(name):
         cold = _cold_simplex(delta)
         assert report.optima.keys() == cold.optima.keys()
         assert max(abs(report.optima[key] - cold.optima[key]) for key in cold.optima) <= 1e-11, delta
-    assert reports[0].simplex_pivots == _cold_simplex(deltas[0]).simplex_pivots
-    first = sum(reports[0].simplex_pivots)
-    later = [sum(report.simplex_pivots) for report in reports[1:]]
+    assert reports[0].iterations == _cold_simplex(deltas[0]).iterations
+    first = sum(reports[0].iterations)
+    later = [sum(report.iterations) for report in reports[1:]]
     if name == "shuffled":
         assert max(later) < first, (first, later)
     else:
         assert sum(later) < first, (first, later)
 
 
-def test_simplex_walk_checks_its_steps():
-    a, b = (LpInstance(rep[0], 0.2, rep[1]) for rep, _ in symmetry_orbits())
-    with pytest.raises(ValueError, match="same objectives"):
-        _solve_raw([a, b, LpInstance(a.u_star, 0.3, a.guess)], "simplex")
-    with pytest.raises(ValueError, match="same objectives"):
-        _solve_raw([a, LpInstance(b.u_star, 0.3, b.guess)], "simplex")
-    assert _solve_raw([], "simplex") == []
+def test_walk_reports_a_failed_delta_and_rebuilds_the_route(monkeypatch):
+    """The one failure policy of both routes: a delta whose move raises is
+    that delta's entry alone, and the next delta builds a fresh route."""
+    built, moved = [], []
+
+    class Route:
+        def __init__(self, keys, delta):
+            built.append((keys, delta))
+            self.delta = delta
+
+        def move(self, delta):
+            moved.append(delta)
+            if delta == 0.2:
+                raise ArithmeticError("route gave up")
+            self.delta = delta
+
+        def solutions(self):
+            return [(None, self.delta, None, 0)]
+
+    monkeypatch.setitem(lp._ROUTES, "fake", Route)
+    keys = [INSTANCE_KEYS[0]]
+    first, failed, third, fourth = _walk("fake", keys, [0.1, 0.2, 0.3, 0.4])
+    assert first == [(None, 0.1, None, 0)] and third == [(None, 0.3, None, 0)]
+    assert fourth == [(None, 0.4, None, 0)]
+    assert isinstance(failed, ArithmeticError) and str(failed) == "route gave up"
+    assert built == [(keys, 0.1), (keys, 0.3)]  # two constructions: the third delta starts afresh
+    assert moved == [0.2, 0.4]
+    with pytest.raises(ValueError, match="unknown method"):
+        _walk("nope", keys, [0.1])
 
 
 @pytest.mark.parametrize("method", ["highs", "simplex"])
@@ -616,12 +632,12 @@ def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
     delta, setting = 1 / 3, 5
     n_eq = len(equality_constraints()[0])
     positivity = slice(2 * n_eq + setting, 2 * n_eq + lp.N_VARS, lp.N_SETTINGS)
-    raw = lp._solve_raw
+    raw = lp._walk
     perturbed = []
 
-    def perturbing(instances, route):
-        results = raw(instances, route)
-        x, value, lam, nit = results[0]
+    def perturbing(route, keys, deltas):
+        results = raw(route, keys, deltas)
+        x, value, lam, nit = results[0][0]
         lam = lam.copy()
         if perturbation == "dual_value":
             # +t on the +A_eq normalization row of one setting and on the
@@ -632,15 +648,15 @@ def test_cap_checked_against_the_dual(monkeypatch, method, perturbation):
         else:
             # Residual 5e-7, inside the 1e-6 gate; 8 times it exceeds tol.
             lam[positivity.start] += 5e-7
-        perturbed.append(instances[0])
-        return [(x, value, lam, nit)] + results[1:]
+        perturbed.append(keys[0])
+        return [[(x, value, lam, nit)] + results[0][1:]] + results[1:]
 
-    monkeypatch.setattr(lp, "_solve_raw", perturbing)
+    monkeypatch.setattr(lp, "_walk", perturbing)
     with pytest.raises(CertificationError, match="dual certificate proves only") as err:
         certify_bound(delta, method=method)
-    rep = perturbed[0]
-    assert f"u*={rep.u_star}, guess={rep.guess}" in str(err.value)
-    monkeypatch.setattr(lp, "_solve_raw", raw)
+    u_star, guess = perturbed[0]
+    assert f"u*={u_star}, guess={guess}" in str(err.value)
+    monkeypatch.setattr(lp, "_walk", raw)
     report = certify_bound(delta, method=method)
     assert 0.5 * lp.N_SETTINGS * report.dual_residual < 1e-9
 

@@ -358,20 +358,34 @@ def test_draw_and_selection_laws_are_the_exact_walk():
         _selection_law(honest_params(k=2, n=(2,)), Opaque())
 
 
+def vectorized(params, devices, source) -> bool:
+    """fast_path_applicable, checked against the engine _sampler picks: the
+    vectorized one exactly when it holds (where _sampler refuses the inputs,
+    it must not hold)."""
+    fast = fast_path_applicable(params, devices, source)
+    try:
+        sampler = protocol._sampler(params, devices, source)
+    except ValueError:
+        assert not fast
+    else:
+        assert isinstance(sampler, _IidSampler) == fast
+    return fast
+
+
 def test_fast_path_applicability():
-    params = honest_params(k=3)
+    params = honest_params(k=3, epsilon=0.1)  # a budget that admits every biased source below
     iid = [IidDevice(algebraic_violation_box()) for _ in range(3)]
-    assert fast_path_applicable(params, iid, HONEST)
-    assert fast_path_applicable(params, iid, ConstantBias(0.05))
-    assert fast_path_applicable(params, iid, GreedyTowardString((0, 1), 0.1))
-    assert fast_path_applicable(params, iid, SettingSteering((0, 1, 1, 1), 0.1))
-    assert not fast_path_applicable(params, iid, GreedyTowardString((0, 1, 1), 0.1))
+    assert vectorized(params, iid, HONEST)
+    assert vectorized(params, iid, ConstantBias(0.05))
+    assert vectorized(params, iid, GreedyTowardString((0, 1), 0.1))
+    assert vectorized(params, iid, SettingSteering((0, 1, 1, 1), 0.1))
+    assert not vectorized(params, iid, GreedyTowardString((0, 1, 1), 0.1))
     mixed_boxes = iid[:2] + [IidDevice(uniform_box())]
-    assert not fast_path_applicable(params, mixed_boxes, HONEST)
+    assert not vectorized(params, mixed_boxes, HONEST)
     mixture = [MixtureDevice([IidDevice(uniform_box())], (1.0,))] * 3
-    assert fast_path_applicable(params, mixture, HONEST)
+    assert vectorized(params, mixture, HONEST)
     scheduled = MixtureDevice([IidDevice(uniform_box()), SequenceDevice([uniform_box()])], (0.5, 0.5))
-    assert not fast_path_applicable(params, [scheduled] * 3, HONEST)
+    assert not vectorized(params, [scheduled] * 3, HONEST)
 
     class Custom:
         position_dependent = True
@@ -379,7 +393,7 @@ def test_fast_path_applicability():
         def bias(self, history):
             return 0.0
 
-    assert not fast_path_applicable(params, iid, Custom())
+    assert not vectorized(params, iid, Custom())
 
 
 def test_vectorized_engine_reduces_each_device_once(monkeypatch):
@@ -887,13 +901,13 @@ def test_engines_refuse_inputs_without_an_exact_law():
 def test_mixtures_that_do_not_reduce_stay_general():
     params = honest_params(k=3)
     device, _ = nested_mixture()
-    assert fast_path_applicable(params, [device] * 3, HONEST)
-    assert fast_path_applicable(params, [nested_mixture()[0] for _ in range(3)], HONEST)
+    assert vectorized(params, [device] * 3, HONEST)
+    assert vectorized(params, [nested_mixture()[0] for _ in range(3)], HONEST)
     box = IidDevice(algebraic_violation_box())
     flat = IidDevice(uniform_box())
     weighted = [MixtureDevice([box, flat], (1 - w, w)) for w in (0.1, 0.2, 0.3)]
-    assert not fast_path_applicable(params, weighted, HONEST)
-    assert not fast_path_applicable(params, [ConditionedDevice(device, ())] * 3, HONEST)
+    assert not vectorized(params, weighted, HONEST)
+    assert not vectorized(params, [ConditionedDevice(device, ())] * 3, HONEST)
 
 
 def count_reductions(monkeypatch) -> list:

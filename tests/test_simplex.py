@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 import randamp.simplex as simplex
 from randamp import lp
-from randamp.simplex import InfeasibleError, UnboundedError, _lex_first, simplex_solve
+from randamp.simplex import InfeasibleError, SimplexWalk, UnboundedError, _lex_first
 
 
 def textbook_problem():
@@ -30,7 +30,7 @@ def assert_same_triples(stacked, separate):
 
 def test_textbook_production_problem():
     c, A, b = textbook_problem()
-    x, value, y = simplex_solve(c, A, b)
+    (x, value, y), = SimplexWalk(c, A, b).solutions()
     assert value == pytest.approx(-36.0, abs=1e-9)
     assert x[0] == pytest.approx(2.0, abs=1e-9)
     assert x[1] == pytest.approx(6.0, abs=1e-9)
@@ -39,7 +39,7 @@ def test_textbook_production_problem():
     # given changes sign.
     A[1] *= -1.0
     b[1] *= -1.0
-    _, flipped_value, flipped = simplex_solve(c, A, b)
+    (_, flipped_value, flipped), = SimplexWalk(c, A, b).solutions()
     assert flipped_value == value
     assert np.max(np.abs(flipped - [0.0, 1.5, -1.0])) <= 1e-12
 
@@ -55,7 +55,7 @@ def test_beale_cycling_example():
     )
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
-    x, value, _ = simplex_solve(c, A, b)
+    (x, value, _), = SimplexWalk(c, A, b).solutions()
     assert value == pytest.approx(-0.05, abs=1e-9)
 
 
@@ -63,22 +63,22 @@ def test_infeasible_detected():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0])
     with pytest.raises(InfeasibleError):
-        simplex_solve(np.zeros(2), A, b)
+        SimplexWalk(np.zeros(2), A, b)
 
 
 def test_unbounded_detected():
     A = np.array([[1.0, -1.0]])
     b = np.array([1.0])
     with pytest.raises(UnboundedError):
-        simplex_solve(np.array([-1.0, 0.0]), A, b)
+        SimplexWalk(np.array([-1.0, 0.0]), A, b)
 
 
 def test_trivial_and_redundant_rows():
-    x, value, _ = simplex_solve(np.array([1.0]), np.array([[1.0]]), np.array([0.0]))
+    (x, value, _), = SimplexWalk(np.array([1.0]), np.array([[1.0]]), np.array([0.0])).solutions()
     assert value == 0.0
     A = np.array([[1.0, 1.0], [2.0, 2.0]])  # consistent duplicate
     b = np.array([1.0, 2.0])
-    x, value, _ = simplex_solve(np.array([1.0, 0.0]), A, b)
+    (x, value, _), = SimplexWalk(np.array([1.0, 0.0]), A, b).solutions()
     assert value == pytest.approx(0.0, abs=1e-9)
     assert x[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -87,24 +87,24 @@ def test_negative_rhs_rows_are_flipped():
     # Same feasible set as x1 + x2 = 1 written with a negated row.
     A = np.array([[-1.0, -1.0]])
     b = np.array([-1.0])
-    x, value, _ = simplex_solve(np.array([2.0, 1.0]), A, b)
+    (x, value, _), = SimplexWalk(np.array([2.0, 1.0]), A, b).solutions()
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
-        simplex_solve(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
+        SimplexWalk(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
-        simplex_solve(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
+        SimplexWalk(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
-        simplex_solve(np.float64(0.0), np.zeros((2, 2)), np.zeros(2))
+        SimplexWalk(np.float64(0.0), np.zeros((2, 2)), np.zeros(2))
 
 
 @pytest.mark.parametrize("delta", [0.0, 2 / 9, 1 / 3, 1.0, 8.0])
 def test_stacked_objectives_match_separate_solves_on_certify_lp(delta):
-    instances = [lp.LpInstance(rep[0], delta, rep[1]) for rep, _ in lp.symmetry_orbits()]
-    A, b, C = lp._simplex_program(instances)
-    assert_same_triples(simplex_solve(C, A, b), [simplex_solve(c, A, b) for c in C])
+    route = lp._SimplexRoute([rep for rep, _ in lp.symmetry_orbits()], delta)
+    A, b = route.A, route.b
+    assert_same_triples(route.walk.solutions(), [SimplexWalk(c, A, b).solutions()[0] for c in route.C])
 
 
 def test_stacked_objectives_match_separate_solves_with_flipped_row():
@@ -112,8 +112,8 @@ def test_stacked_objectives_match_separate_solves_with_flipped_row():
     A[1] *= -1.0
     b[1] *= -1.0  # b < 0: flipped inside, and the dual of that row with it
     C = np.array([c, [-1.0, -1.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.0, 0.0]])
-    stacked = simplex_solve(C, A, b)
-    assert_same_triples(stacked, [simplex_solve(row, A, b) for row in C])
+    stacked = SimplexWalk(C, A, b).solutions()
+    assert_same_triples(stacked, [SimplexWalk(row, A, b).solutions()[0] for row in C])
     assert np.max(np.abs(stacked[0][2] - [0.0, 1.5, -1.0])) <= 1e-12
 
 
@@ -129,11 +129,11 @@ def test_phase_one_runs_once_for_stacked_objectives(monkeypatch):
     c, A, b = textbook_problem()
     for r in (1, 2, 3):
         calls.clear()
-        results = simplex_solve(np.tile(c, (r, 1)), A, b)
+        results = SimplexWalk(np.tile(c, (r, 1)), A, b).solutions()
         assert len(results) == r
         assert len(calls) == 1 + r
     calls.clear()
-    simplex_solve(c, A, b)
+    SimplexWalk(c, A, b)
     assert len(calls) == 2
 
 
@@ -166,7 +166,7 @@ def test_random_instances_match_scipy():
         b = np.concatenate([A[:m, :n] @ x0, [x0.sum() + 1.0]])
         c = np.concatenate([rng.standard_normal(n), [0.0]])
 
-        x, value, y = simplex_solve(c, A, b)
+        (x, value, y), = SimplexWalk(c, A, b).solutions()
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status == 0, f"trial {trial}: scipy failed"
         assert value == pytest.approx(ref.fun, abs=1e-7)
@@ -182,13 +182,13 @@ def test_dual_restart_matches_a_cold_solve_after_an_rhs_change():
     """The textbook LP, then random bounded LPs: after b moves, the restart
     from the old optimal basis reaches the cold solve's value and duals."""
     c, A, b = textbook_problem()
-    walk = simplex.SimplexWalk(c, A, b)
+    walk = SimplexWalk(c, A, b)
     pivots = []
     for moved in ([4.0, 12.0, 10.0], [1.0, 3.0, 18.0], [4.0, 12.0, 18.0], [6.0, 14.0, 30.0]):
         walk.move(np.array(moved))
         pivots += walk.pivots
         (x, value, y), = walk.solutions()
-        cold_x, cold_value, cold_y = simplex_solve(c, A, np.array(moved))
+        (cold_x, cold_value, cold_y), = SimplexWalk(c, A, np.array(moved)).solutions()
         assert value == pytest.approx(cold_value, abs=1e-12), moved
         assert np.max(np.abs(x - cold_x)) <= 1e-12 and np.max(np.abs(y - cold_y)) <= 1e-12, moved
     # At (6, 14, 30) the last basis {x, y, s1} reads x = 16/3, y = 7, s1 = 2/3: feasible, no pivot.
@@ -203,11 +203,11 @@ def test_dual_restart_matches_a_cold_solve_after_an_rhs_change():
         points = rng.random((2, n))
         b0, b1 = (np.concatenate([A[:m, :n] @ p, [p.sum() + 1.0]]) for p in points)
         c = np.concatenate([rng.standard_normal(n), [0.0]])
-        walk = simplex.SimplexWalk(c, A, b0)
+        walk = SimplexWalk(c, A, b0)
         walk.move(b1)
         restarted += walk.pivots[0] > 0
         (x, value, y), = walk.solutions()
-        cold_x, cold_value, cold_y = simplex_solve(c, A, b1)
+        (cold_x, cold_value, cold_y), = SimplexWalk(c, A, b1).solutions()
         assert value == pytest.approx(cold_value, abs=1e-9), trial
         assert np.max(np.abs(A @ x - b1)) <= 1e-9 and np.min(x) >= 0.0, trial
         assert np.max(np.abs(y - cold_y)) <= 1e-9, trial
@@ -216,7 +216,7 @@ def test_dual_restart_matches_a_cold_solve_after_an_rhs_change():
 
 def test_dual_restart_detects_an_infeasible_rhs():
     c, A, b = textbook_problem()
-    walk = simplex.SimplexWalk(c, A, b)
+    walk = SimplexWalk(c, A, b)
     with pytest.raises(InfeasibleError, match="dual simplex"):
         walk.move(np.array([4.0, 12.0, -1.0]))  # 3x + 2y <= -1 with x, y >= 0
 
@@ -235,17 +235,15 @@ def test_dual_restart_falls_back_to_bland_and_terminates(monkeypatch):
         return entering(tableau, row, enter_cols, bland)
 
     rep, _ = lp.symmetry_orbits()[0]
-    A, b, C = lp._simplex_program([lp.LpInstance(rep[0], 8.0, rep[1])])
-    _, cold_value, _ = simplex_solve(C[0], A, b)
-    b[-1] = 0.1
-    walk = simplex.SimplexWalk(C, A, b)
+    (_, cold_value, _), = lp._SimplexRoute([rep], 8.0).walk.solutions()
+    route = lp._SimplexRoute([rep], 0.1)
     monkeypatch.setattr(simplex, "_entering_column", recording)
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
-    b[-1] = 8.0
-    walk.move(b)
+    route.move(8.0)
     assert ruled[0] is False and True in ruled
     assert ruled[ruled.index(True):] == [True] * (len(ruled) - ruled.index(True))
-    (x, value, y), = walk.solutions()
+    (x, value, y), = route.walk.solutions()
+    A, b, C = route.A, route.b, route.C
     assert value == pytest.approx(cold_value, abs=1e-12)
     assert np.max(np.abs(A @ x - b)) <= 1e-9 and np.min(x) >= 0.0
     assert np.min(C[0] - A.T @ y) >= -1e-9 and b @ y == pytest.approx(value, abs=1e-9)

@@ -24,7 +24,6 @@ SRC = ROOT / "src" / "randamp"
 
 ALLOWED = {
     "cli.verify_manifest": "library API: checks a run's outputs against its manifest, as the bench does",
-    "simplex.simplex_solve": "library API: the one-shot solve, a SimplexWalk of one b; the bench's tracer times it",
 }
 
 
