@@ -14,9 +14,10 @@ the certificate is checked before the bound counts.
 from randamp.boxes import bell_value
 from randamp.lp import LpInstance, adversarial_box, analytic_bound, certify_bound, certify_grid, solve
 
-# One solver per symmetry orbit walks the grid; each delta after the first
-# is re-solved from the previous optimal basis.  An entry is the report, or
-# the error that certifying its delta raised.
+# The 16 instances are one symmetry orbit: one solver walks the grid for
+# its representative, and each delta after the first is re-solved from the
+# previous optimal basis.  An entry is the report, or the error that
+# certifying its delta raised.
 deltas = (0.0, 0.2, 0.8)
 for delta, report in zip(deltas, certify_grid(deltas, method="highs")):
     if isinstance(report, Exception):

@@ -103,33 +103,41 @@ def _marginal_positions() -> np.ndarray:
 _MARGINAL_POSITIONS = _marginal_positions()
 
 
+def violation_masks(tables, tol: float = DEFAULT_TOL):
+    """The no-signaling conditions on a stack of tables, shape (..., 16, 16):
+    (masks, column sums, marginal shifts).  The masks are, in this order,
+    the non-finite entries, the entries below -tol, the settings whose
+    column sum is off 1 by more than tol, and the (party, k) marginals that
+    shift by more than tol.  A party's marginal is summed over its own
+    output and must not react to its own input; k = 8 o + s runs over the
+    other parties' outcomes o and settings s.  Every comparison is false for
+    NaN, hence the mask of non-finite entries."""
+    tables = np.asarray(tables, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum of a non-finite table
+        col_sums = tables.sum(axis=-2)
+        # all four parties' marginals in one gather: axes (..., party, x_i, u_i, k)
+        p = np.take(tables.reshape(tables.shape[:-2] + (-1,)), _MARGINAL_POSITIONS, axis=-1)
+        marg = p[..., 0, :, :] + p[..., 1, :, :]
+        shifts = np.abs(marg[..., 0, :] - marg[..., 1, :])
+    masks = (~np.isfinite(tables), tables < -tol, np.abs(col_sums - 1.0) > tol, shifts > tol)
+    return masks, col_sums, shifts
+
+
 def no_signaling_violations(table: np.ndarray, tol: float = DEFAULT_TOL):
     """List human-readable constraint violations of a candidate box table."""
     table = np.asarray(table, dtype=float)
     if table.shape != (N_OUTCOMES, N_SETTINGS):
         return [f"table shape {table.shape} != (16, 16)"]
-    # every comparison below is false for NaN, so a NaN table would pass them
-    finite = np.isfinite(table)
-    if not finite.all():
+    (non_finite, negative, off, shifted), col_sums, shifts = violation_masks(table, tol)
+    if non_finite.any():
         return [f"non-finite entry p({bits_str(x)}|{bits_str(u)}) = {table[x, u]}"
-                for x, u in zip(*np.nonzero(~finite))]
-    violations = []
-    if np.min(table) < -tol:
-        for x, u in zip(*np.where(table < -tol)):
-            violations.append(f"negative entry p({bits_str(x)}|{bits_str(u)}) = {table[x, u]:.3e}")
-    col_sums = table.sum(axis=0)
-    for u in np.where(np.abs(col_sums - 1.0) > tol)[0]:
-        violations.append(f"setting {bits_str(u)} sums to {col_sums[u]:.12f}")
-    # Marginal over each party's outcome must not react to its own input:
-    # all four parties' marginals in one gather.
-    p = table.reshape(-1)[_MARGINAL_POSITIONS]
-    marg = p[:, 0] + p[:, 1]
-    diff = np.abs(marg[:, 0] - marg[:, 1])
-    for party, k in zip(*np.nonzero(diff > tol)):
-        violations.append(
-            f"party {party + 1} marginal shifts by {diff[party, k]:.3e} "
-            f"(other outcomes {int(k) >> 3:03b}, other settings {int(k) & 7:03b})"
-        )
+                for x, u in zip(*np.nonzero(non_finite))]
+    violations = [f"negative entry p({bits_str(x)}|{bits_str(u)}) = {table[x, u]:.3e}"
+                  for x, u in zip(*np.nonzero(negative))]
+    violations += [f"setting {bits_str(u)} sums to {col_sums[u]:.12f}" for u in np.flatnonzero(off)]
+    violations += [f"party {party + 1} marginal shifts by {shifts[party, k]:.3e} "
+                   f"(other outcomes {int(k) >> 3:03b}, other settings {int(k) & 7:03b})"
+                   for party, k in zip(*np.nonzero(shifted))]
     return violations
 
 

@@ -27,8 +27,8 @@ from .definetti import ExchangeableMixture, block_sizes, definetti_check, log2_b
 from .devices import IidDevice
 from .lp import INSTANCE_KEYS, analytic_bound, certify_grid
 from .protocol import (
-    ProtocolParams, acceptance_threshold, azuma_rejection_bound, fast_path_applicable,
-    proposition_bound, robustness_acceptance_bound, robustness_threshold, simulate_trials,
+    ProtocolParams, acceptance_threshold, azuma_rejection_bound, proposition_bound,
+    robustness_acceptance_bound, robustness_threshold, simulate_trials,
 )
 from .quantum import NoiseSpec, born_box, build_state, noisy_box, xz_bases
 from .sv import ConstantBias, GreedyTowardString, HonestBits, SettingSteering
@@ -330,8 +330,8 @@ def _json_bytes(payload: dict) -> bytes:
 
 
 def _certificate_facts(report) -> dict:
-    """A certified delta's solver facts for the manifest, with each orbit
-    solve's HiGHS simplex iteration count or tableau pivot count."""
+    """A certified delta's solver facts for the manifest, with the
+    representative's HiGHS simplex iteration count or tableau pivot count."""
     return {"delta": report.delta, "solved": report.solved, "dual_residual": report.dual_residual,
             "duality_gap": report.duality_gap,
             "highs_nit" if report.method == "highs" else "simplex_pivots": list(report.iterations)}
@@ -340,11 +340,11 @@ def _certificate_facts(report) -> dict:
 def cmd_certify(args) -> int:
     """Certify the LP guessing bound at every delta of the config's grid.
 
-    `certify_grid` does the work and picks the threads: on the HiGHS route
-    with more than one delta, one per orbit representative (up to the CPU
-    count), each re-solving every delta after the first from its previous
-    optimal basis.  Entries, prints, certify.json and the manifest follow
-    grid order, so they are the same whatever the number of threads."""
+    `certify_grid` does the work on the calling thread: it solves the one
+    symmetry orbit's representative at each delta, every delta after the
+    first from the previous optimal basis, and carries the certificate to
+    the other 15 instances.  Entries, prints, certify.json and the manifest
+    follow grid order."""
     raw, cfg_sha256 = load_config(args.config)
     cfg = _object(raw, CONFIG_FIELDS["certify"], "")
     method = cfg["method"]
@@ -368,7 +368,7 @@ def cmd_certify(args) -> int:
         else:
             print(f"delta={entry['delta']}: max_optimum={entry['max_optimum']:.9f} bound={entry['bound']:.9f} ok")
     if reports:
-        print(f"solved {reports[-1].solved} of {len(INSTANCE_KEYS)} instances per delta (symmetry orbits)")
+        print(f"solved {reports[-1].solved} of {len(INSTANCE_KEYS)} instances per delta (one symmetry orbit)")
         print(f"dual certificates: worst residual {max(r.dual_residual for r in reports):.3e}, "
               f"worst |dual/2 - primal| {max(r.duality_gap for r in reports):.3e}")
     print("certification:", "pass" if passed else "FAIL")
@@ -467,7 +467,6 @@ def cmd_simulate(args) -> int:
     trials, seed = cfg["trials"], cfg["seed"]
 
     devices = [IidDevice(box)] * params.k
-    engine = "vectorized" if fast_path_applicable(params, devices, strategy) else "general"
     chunks = simulate_trials(params, devices, strategy, trials, seed)
     written = {}
     os.makedirs(args.out, exist_ok=True)
@@ -488,8 +487,8 @@ def cmd_simulate(args) -> int:
         },
     }
     write_outputs(args.out, "simulate", cfg_sha256, {"summary.json": _json_bytes(summary)},
-                  metrics={"engine": engine, "chunks": n_chunks}, written=written)
-    print(f"simulate: {trials} trials, engine={engine}, "
+                  metrics={"engine": chunks.engine, "chunks": n_chunks}, written=written)
+    print(f"simulate: {trials} trials, engine={chunks.engine}, "
           f"acceptance {summary['acceptance_rate']:.4f}, outputs in {args.out}")
     return 0
 

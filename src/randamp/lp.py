@@ -12,20 +12,22 @@ non-negative, dual residual |A^T lam - m| small, weak duality.  The cap is
 checked against the bound the certificate proves, dual value / 2 plus
 8 times the residual, as well as against the primal optimum.
 
-The 16 instances (8 settings u* x 2 guesses) are related by relabelings of
-the box that leave the feasible set alone: permuting parties 1-3, flipping
-the outputs of parties 1-3 together or of party 4, and flipping all four
-inputs exactly when an odd number of outputs flips.  They fall into two
-orbits, of sizes 4 and 12.  `certify_grid` solves one instance per orbit
-and delta and carries its primal box and dual vector to the others.  A
-map's row action R follows from its column action P (Bodi, Herr & Joswig,
-Math. Program. 137, 2013): row R[r] is row r carried by P, found by an
-exact row hash.  Each map is checked exactly, in integers, on the
-constraint rows, their right-hand side and the objectives, and each carried
-certificate is checked again like a solved one.  The row map is checked on
-the ~2.9k nonzero entries of the constraint matrix: once P and R are
-bijections, A[R][:, P] == A holds exactly when every nonzero entry lands on
-an equal one.
+The 16 instances (8 settings u* x 2 guesses) are related by local
+relabelings of the box that leave the feasible set alone: a permutation of
+the parties, a flip of each party's input, and a flip of each party's
+output that may depend on that party's input.  The relabelings that fix
+the Bell row form a group of 3072, and under it the 16 instances are one
+orbit.  `certify_grid` solves the representative ((0,0,0,1), 0) at each
+delta and carries its primal box and dual vector to the other 15 instances,
+through one map each that keeps the parties in place.  A map's row action
+R follows from its column action P (Bodi, Herr & Joswig, Math. Program.
+137, 2013): row R[r] is row r carried by P, found by an exact row hash.
+Each map is checked exactly, in integers, on the constraint rows, their
+right-hand side and the objectives.  The row map is checked on the ~2.9k
+nonzero entries of the constraint matrix: once P and R are bijections,
+A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
+one.  The 16 certificates of a delta, solved or carried, are then checked
+as one stack (`_checked`), each row as a solved certificate is checked.
 
 The equality system is built by index arithmetic.  Both routes walk a
 delta grid through one loop, `_walk`: a route is built cold at the first
@@ -50,17 +52,12 @@ Neither route imports a scipy subpackage.  `_highs_core` loads the
 bindings' extension module from its file: importing it by name would first
 run scipy.optimize's __init__, ~780 modules and ~0.5 s that the bindings do
 not use.  The simplex route takes its independent equality rows from a
-stored list, which numpy checks on first use.
-
-The cached arrays are read-only and nothing writes to the model, so threads
-share them: `certify_grid` runs its HiGHS walks on threads, since HiGHS
-releases the GIL while it solves, after it has built every cache and
-loaded the bindings on the calling thread.
+stored list, which numpy checks on first use.  Everything runs on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import sys
@@ -78,8 +75,10 @@ from .boxes import (
     bits_str,
     in_inequality,
     majority,
+    no_signaling_violations,
     pack_bits,
     unpack_bits,
+    violation_masks,
 )
 from .simplex import SimplexWalk
 
@@ -198,6 +197,8 @@ class LpInstance:
 
 @dataclass
 class LpSolution:
+    """A certificate that passed `_checked`."""
+
     instance: LpInstance
     value: float
     box: NsBox
@@ -209,13 +210,6 @@ class LpSolution:
     def duality_gap(self) -> float:
         """|dual value / 2 - primal value|; the dual objective is unhalved."""
         return abs(0.5 * self.dual_value - self.value)
-
-    def __post_init__(self):
-        # Weak duality, with the halving convention of the primal objective.
-        if self.value > 0.5 * self.dual_value + 1e-8:
-            raise CertificationError(
-                f"weak duality violated: primal {self.value} vs dual {self.dual_value}"
-            )
 
 
 def _inequality_rhs(delta: float) -> np.ndarray:
@@ -429,31 +423,49 @@ def _walk(method: str, keys, deltas) -> list:
     return outcomes
 
 
-def _certified(instance: LpInstance, x, value: float, lam) -> LpSolution:
-    """Check a primal point and a dual vector for one instance and wrap them.
+def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -> dict:
+    """Check a stack of primal points X and dual vectors Lam, row k for
+    instance keys[k] at delta, and wrap each row in an LpSolution, by key.
+    Row 0's primal value is the route's own, `value`; every other row's is
+    m.x/2 of its point.
 
-    lam must be non-negative; the dual residual |A^T lam - m| is formed from
-    the equality blocks, so no dense copy of the inequality matrix is needed;
-    the box must be no-signaling within 1e-7 and LpSolution checks weak
-    duality."""
-    if lam.min() < 0.0:
-        raise CertificationError(
-            f"dual certificate has a negative multiplier on {instance}: {lam.min():.3e}"
-        )
+    Per row: every multiplier is >= 0; the dual residual max |A^T lam - m|
+    is at most 1e-6, formed from the equality blocks in one product for the
+    stack, so no dense copy of the inequality matrix is needed; the primal
+    box, clipped at 0 and normalized per setting, is no-signaling within
+    1e-7 (`boxes.violation_masks`); and weak duality holds, the primal value
+    at most the dual value / 2 plus 1e-8.  Each comparison fails on NaN.
+    The first row that fails raises CertificationError naming its instance
+    and the first check it fails, in that order."""
+    instances = [LpInstance(u_star, delta, guess) for u_star, guess in keys]
+    objectives = _objectives_int()
+    M = np.array([objectives[key] for key in keys], dtype=float)
+    values = 0.5 * np.einsum("ij,ij->i", M, X)
+    values[0] = value
     A_eq, _ = equality_constraints()
-    lam_pos = lam[2 * N_EQ : 2 * N_EQ + N_VARS]
-    residual = float(np.abs(
-        A_eq.T @ (lam[:N_EQ] - lam[N_EQ : 2 * N_EQ]) - lam_pos + lam[-1] * bell_row() - instance.objective_m()
-    ).max())
-    if residual > 1e-6:
-        raise CertificationError(
-            f"dual certificate infeasible on {instance}, residual {residual:.3e}"
-        )
-    dual_value = float(_inequality_rhs(instance.delta) @ lam)
-    table = np.maximum(x.reshape(N_OUTCOMES, N_SETTINGS), 0.0)
-    table /= table.sum(axis=0, keepdims=True)
-    box = NsBox(table, tol=1e-7)
-    return LpSolution(instance, float(value), box, lam, dual_value, residual)
+    residuals = np.abs((Lam[:, :N_EQ] - Lam[:, N_EQ : 2 * N_EQ]) @ A_eq - Lam[:, 2 * N_EQ : 2 * N_EQ + N_VARS]
+                       + Lam[:, -1:] * bell_row() - M).max(axis=1)
+    dual_values = Lam @ _inequality_rhs(delta)
+    tables = np.maximum(X.reshape(len(keys), N_OUTCOMES, N_SETTINGS), 0.0)
+    tables /= tables.sum(axis=1, keepdims=True)
+    masks, _, _ = violation_masks(tables, 1e-7)
+    signals = np.any([mask.reshape(len(keys), -1).any(axis=1) for mask in masks], axis=0)
+    negative = ~(Lam.min(axis=1) >= 0.0)
+    infeasible = ~(residuals <= 1e-6)
+    above_dual = ~(values <= 0.5 * dual_values + 1e-8)
+    for k in np.flatnonzero(negative | infeasible | signals | above_dual):
+        instance = instances[k]
+        if negative[k]:
+            raise CertificationError(f"dual certificate has a negative multiplier on {instance}: {Lam[k].min():.3e}")
+        if infeasible[k]:
+            raise CertificationError(f"dual certificate infeasible on {instance}, residual {residuals[k]:.3e}")
+        if signals[k]:
+            raise CertificationError(f"primal box of {instance} is not no-signaling within 1e-7: "
+                                     f"{no_signaling_violations(tables[k], 1e-7)[0]}")
+        raise CertificationError(f"weak duality violated on {instance}: primal {values[k]} vs dual {dual_values[k]}")
+    return {key: LpSolution(instance, float(values[k]), NsBox(tables[k], tol=1e-7, validate=False), Lam[k],
+                            float(dual_values[k]), float(residuals[k]))
+            for k, (key, instance) in enumerate(zip(keys, instances))}
 
 
 def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
@@ -461,47 +473,43 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
 
     method "highs" uses scipy; "simplex" uses the vendored tableau solver.
     Either way the dual certificate comes from that route's own primal
-    optimum and is checked (non-negative, dual residual, weak duality), so
-    the two routes stay independent.
+    optimum and is checked (`_checked`, on a stack of one), so the two
+    routes stay independent.
     """
-    (solved,) = _walk(method, [(instance.u_star, instance.guess)], [instance.delta])
+    key = (instance.u_star, instance.guess)
+    (solved,) = _walk(method, [key], [instance.delta])
     if isinstance(solved, Exception):
         raise solved
     ((x, value, lam, _),) = solved
-    return _certified(instance, x, value, lam)
+    return _checked([key], instance.delta, x[None, :], lam[None, :], value)[key]
 
 
-# -- symmetry orbits of the 16 instances ------------------------------------
+# -- the symmetry orbit of the 16 instances ---------------------------------
 
 INSTANCE_KEYS = tuple((u_star, guess) for u_star in INEQUALITY_SETTINGS for guess in (0, 1))
 
 
-@lru_cache(maxsize=None)
-def _bit_permutation(parties: tuple) -> np.ndarray:
-    """The 16 four-bit indices with bit i of each moved to bit parties[i]."""
-    bits = (np.arange(N_SETTINGS)[:, None] >> np.arange(4)) & 1
-    return _read_only(bits @ (1 << np.asarray(parties)))
-
-
 @dataclass(frozen=True)
 class SymmetryMap:
-    """A relabeling of box entries: party i+1's bits move to party
-    parties[i]+1, the outputs are then XORed with out_flip, and all four
-    inputs are flipped when in_flip.  It sends p to p' with p'(x'|u') = p(x|u).
+    """A local relabeling of box entries: party i's input u_i becomes party
+    parties[i]'s input u_i ^ in_flip[i], and its output x_i becomes party
+    parties[i]'s output x_i ^ out_flip[i][u_i].  It sends p to p' with
+    p'(x'|u') = p(x|u).
 
     Nothing here is trusted: `check_symmetry_map` verifies the P and R
     derived here."""
 
     parties: tuple
-    out_flip: int
-    in_flip: bool
+    in_flip: tuple  # per party, 0 or 1
+    out_flip: tuple  # per party, (flip at input 0, flip at input 1)
 
     def var_perm(self) -> np.ndarray:
         """P with p'[P[v]] = p[v] over flat variables v = var_index(x, u)."""
-        bits = _bit_permutation(tuple(self.parties))
-        v = np.arange(N_VARS)
-        return var_index(bits[v // N_SETTINGS] ^ self.out_flip,
-                         bits[v % N_SETTINGS] ^ (N_SETTINGS - 1 if self.in_flip else 0))
+        v, party = np.arange(N_VARS)[:, None], np.arange(4)
+        u, x = (v % N_SETTINGS >> party) & 1, (v // N_SETTINGS >> party) & 1
+        weights = 1 << np.asarray(self.parties)
+        return var_index((x ^ np.asarray(self.out_flip)[party, u]) @ weights,
+                         (u ^ np.asarray(self.in_flip)) @ weights)
 
     def row_perm(self) -> np.ndarray:
         """R over the rows of the inequality form (+A_eq, -A_eq, -I, Bell;
@@ -518,14 +526,23 @@ class SymmetryMap:
 
 
 def _candidate_maps():
-    """The 24 relabelings that keep the Bell row and carry majority-of-three
-    objectives to majority-of-three objectives: permute parties 1-3, flip the
-    outputs of parties 1-3 together and/or of party 4, and flip every input
-    exactly when an odd number of outputs flips.  Flipping only some of
-    parties 1-3 also keeps the LP but no objective."""
-    for perm in itertools.permutations(range(3)):
-        for out_flip in (0, 7, 8, 15):
-            yield SymmetryMap(perm + (3,), out_flip, bin(out_flip).count("1") % 2 == 1)
+    """(target, map) for each of the 15 other instances: a map that keeps
+    the parties in place and carries the representative ((0,0,0,1), 0) to
+    the target (u', g').
+
+    Its input flip is d = (0,0,0,1) ^ u'.  The Bell row holds the even
+    outputs of weight-1 settings and the odd ones of weight-3 settings, and
+    an odd-weight setting u moves to u ^ d, so the number of outputs flipped
+    at u must have the parity of sum_i d_i u_i + [|d| = 2]: party i flips at
+    input 1 as at input 0, xor d_i, and the flips at input 0 sum to
+    [|d| = 2].  At u* parties 1-3 hold input 0, and majority is self-dual,
+    so they flip together exactly when g' = 1; party 4's flip at input 0
+    makes up the sum."""
+    (u_rep, _), *others = INSTANCE_KEYS
+    for u_t, guess in others:
+        d = tuple(a ^ b for a, b in zip(u_rep, u_t))
+        at_zero = (guess,) * 3 + (guess ^ (sum(d) == 2),)
+        yield (u_t, guess), SymmetryMap((0, 1, 2, 3), d, tuple((f, f ^ di) for f, di in zip(at_zero, d)))
 
 
 @lru_cache(maxsize=1)
@@ -570,65 +587,36 @@ def check_symmetry_map(smap: SymmetryMap, source, target):
     Checked in integers: P and R are bijections, every inequality row maps
     onto row R[r] under P, the right-hand side is unchanged, the Bell row is
     fixed (so every delta is kept) and the source objective becomes the
-    target objective.  Any failure raises CertificationError."""
+    target objective.  Any failure raises CertificationError naming the map,
+    the source and the target."""
     A, c, (rows, cols) = _integer_rows()
     P, R = smap.var_perm(), smap.row_perm()
+    on = f"on {source} -> {target}"
     if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
-        raise CertificationError(f"{smap} is not a bijection")
+        raise CertificationError(f"{smap} is not a bijection {on}")
     if R[-1] != len(A) - 1:
-        raise CertificationError(f"{smap} moves the Bell row")
+        raise CertificationError(f"{smap} moves the Bell row {on}")
     # A[R][:, P] == A, checked on A's nonzero entries only: (r, v) ->
     # (R[r], P[v]) is a bijection, so once it sends every nonzero entry to
     # an equal one, the nonzero entries fill A's support and zeros go to zeros.
     if not np.array_equal(A[R[rows], P[cols]], A[rows, cols]):
-        raise CertificationError(f"{smap} does not map the inequality rows onto themselves")
+        raise CertificationError(f"{smap} does not map the inequality rows onto themselves {on}")
     if not np.array_equal(c[R], c):
-        raise CertificationError(f"{smap} changes the right-hand side")
+        raise CertificationError(f"{smap} changes the right-hand side {on}")
     objectives = _objectives_int()
     if not np.array_equal(objectives[target][P], objectives[source]):
-        raise CertificationError(f"{smap} does not carry the objective of {source} to {target}")
+        raise CertificationError(f"{smap} does not carry the objective {on}")
     return P, R
 
 
 @lru_cache(maxsize=1)
 def symmetry_orbits():
-    """((representative, ((member, P, R), ...)), ...) over the 16 instances.
-
-    Representatives are taken in INSTANCE_KEYS order.  Each candidate map is
-    applied to a representative's objective; the first map that lands on
-    another instance's objective carries the representative to it, and must
-    pass `check_symmetry_map`.  An instance no map reaches is its own
-    representative."""
-    objectives = _objectives_int()
-    by_objective = {m.tobytes(): key for key, m in objectives.items()}
-    candidates = [(smap, smap.var_perm()) for smap in _candidate_maps()]
-    reached, orbits = set(), []
-    for rep in INSTANCE_KEYS:
-        if rep in reached:
-            continue
-        reached.add(rep)
-        m_rep = objectives[rep]
-        members = []
-        for smap, P in candidates:
-            image = np.empty_like(m_rep)
-            image[P] = m_rep
-            member = by_objective.get(image.tobytes())
-            if member is None or member in reached:
-                continue
-            reached.add(member)
-            members.append((member, *check_symmetry_map(smap, rep, member)))
-        orbits.append((rep, tuple(members)))
-    return tuple(orbits)
-
-
-def _transport(instance: LpInstance, x, lam, P, R) -> LpSolution:
-    """Carry a representative's primal point and dual vector to another
-    instance of its orbit and check them there as if solved."""
-    x_t, lam_t = np.empty_like(x), np.empty_like(lam)
-    x_t[P] = x
-    lam_t[R] = lam
-    value = 0.5 * float(instance.objective_m() @ x_t)
-    return _certified(instance, x_t, value, lam_t)
+    """((representative, ((member, P, R), ...)),): the one orbit of the 16
+    instances, each of the 15 members reached from the representative by its
+    map from `_candidate_maps`, which must pass `check_symmetry_map`."""
+    rep = INSTANCE_KEYS[0]
+    members = tuple((target, *check_symmetry_map(smap, rep, target)) for target, smap in _candidate_maps())
+    return ((rep, members),)
 
 
 def analytic_bound(delta: float) -> float:
@@ -647,7 +635,7 @@ class CertificationReport:
     solved: int  # LP instances solved; the rest were carried by symmetry
     dual_residual: float  # worst over the 16 certificates
     duality_gap: float  # worst |dual value / 2 - primal value|
-    iterations: tuple  # per orbit solve: HiGHS simplex iterations, or tableau pivots on the simplex route
+    iterations: tuple  # per solve: HiGHS simplex iterations, or tableau pivots on the simplex route
 
     def to_json(self) -> dict:
         return {
@@ -660,27 +648,9 @@ class CertificationReport:
         }
 
 
-def _orbit_solutions(orbits, delta: float, solved) -> dict | Exception:
-    """The checked LpSolution of every instance of the orbits one walk
-    solved, at one delta, by key (each representative's as solved, the
-    others carried through its orbit's maps), or the exception the walk's
-    solve or a check raised."""
-    if isinstance(solved, Exception):
-        return solved
-    solutions = {}
-    try:
-        for (rep, members), (x, value, lam, _) in zip(orbits, solved):
-            solutions[rep] = _certified(LpInstance(rep[0], delta, rep[1]), x, value, lam)
-            for member, P, R in members:
-                solutions[member] = _transport(LpInstance(member[0], delta, member[1]), x, lam, P, R)
-    except Exception as exc:  # this delta's outcome
-        return exc
-    return solutions
-
-
 def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, iterations) -> CertificationReport:
     """The cap checked on all 16 checked solutions of one delta; iterations
-    are the route's own per orbit solve."""
+    are the route's own per solve."""
     bound = analytic_bound(delta)
     optima = {}
     for u_star, guess in INSTANCE_KEYS:
@@ -710,25 +680,17 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
     delta of the grid: per delta, in grid order, its CertificationReport or
     the exception certifying it raised.
 
-    Solves one instance per symmetry orbit, transports its primal box and
-    dual certificate to the rest of the orbit, and re-checks every
-    transported certificate as a solved one is checked.  The cap must hold
-    for the primal optimum and for the bound each dual certificate proves:
-    for every feasible x (|x|_1 = 16, one unit per setting),
+    Solves the orbit's representative, carries its primal box and dual
+    certificate to the other 15 instances, and checks all 16 as one stack
+    (`_checked`), each as a solved one is checked.  The cap must hold for
+    the primal optimum and for the bound each dual certificate proves: for
+    every feasible x (|x|_1 = 16, one unit per setting),
     m.x/2 <= dual_value/2 + 8 * dual_residual.  A violation is a
     CertificationError naming the first violating instance.
 
-    The orbit representatives walk the grid in order (`_walk`), so a
-    delta's last digits may depend on the delta before it; a grid of one
-    delta is solved cold.  On HiGHS each representative has a walk of its
-    own, and the simplex route walks both in one, so that they share phase
-    1.  With more than one walk and more than one delta, the walks are
-    mapped over min(#walks, CPUs) threads, each walking the grid and then
-    checking and transporting its own orbit's certificates: HiGHS releases
-    the GIL while it solves, so one orbit's solves overlap the other's
-    checks.  The results are the same whatever the number of threads.  A
-    single delta, and the simplex route's one walk, stay on the calling
-    thread.
+    The representative walks the grid in order (`_walk`), on the calling
+    thread, so a delta's last digits may depend on the delta before it; a
+    grid of one delta is solved cold.
 
     Raises ValueError, before any solve, for an unknown method, a delta
     outside [0, 8] or a tol that is not finite and >= 0: a NaN one would
@@ -737,43 +699,24 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not all(0.0 <= delta <= 8.0 for delta in deltas):  # LpInstance's range, checked before any solve
         raise ValueError("delta must lie in [0, 8]")
-    orbits = symmetry_orbits()
-    # A HiGHS solver holds one objective and releases the GIL while it solves;
-    # the simplex walk runs phase 1 once for all its objectives.  An unknown
-    # method is one walk, which `_walk` refuses before it solves anything.
-    walks = [[orbit] for orbit in orbits] if method == "highs" else [list(orbits)]
-
-    def certify_walk(walk):
-        solved = _walk(method, [rep for rep, _ in walk], deltas)
-        return solved, [_orbit_solutions(walk, delta, outcome) for delta, outcome in zip(deltas, solved)]
-
-    workers = min(len(walks), os.cpu_count() or 1) if len(deltas) > 1 else 1
-    if workers > 1:
-        # imported here: only a pool needs it, and it slows every command's start
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Only HiGHS walks get here.  Its model is built here, as the orbits built
-        # every other cache, so no worker loads a module or builds a cache:
-        # `_highs_core` takes no lock, and two threads that both found the
-        # bindings missing would initialise them twice.
-        _highs_model()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_walk = list(pool.map(certify_walk, walks))
-    else:
-        per_walk = [certify_walk(walk) for walk in walks]
+    ((rep, members),) = symmetry_orbits()
+    keys = [rep] + [member for member, _, _ in members]
+    # Row k of the stacks is instance keys[k]: x_k[P_k] = x and lam_k[R_k] = lam,
+    # with the identity for the representative.
+    P = np.array([np.arange(N_VARS)] + [P for _, P, _ in members])
+    R = np.array([np.arange(2 * N_EQ + N_VARS + 1)] + [R for _, _, R in members])
+    stack = np.arange(len(keys))[:, None]
     outcomes = []
-    for i, delta in enumerate(deltas):
-        solved = [walk[0][i] for walk in per_walk]
-        checked = [walk[1][i] for walk in per_walk]
-        # A failed solve is reported before a failed check, each in orbit order.
-        errors = [outcome for outcome in solved + checked if isinstance(outcome, Exception)]
-        if errors:
-            outcomes.append(errors[0])
+    for delta, solved in zip(deltas, _walk(method, [rep], deltas)):
+        if isinstance(solved, Exception):
+            outcomes.append(solved)
             continue
-        solutions = {key: sol for walk in checked for key, sol in walk.items()}
-        iterations = tuple(raw[3] for walk in solved for raw in walk)
+        ((x, value, lam, iterations),) = solved
+        X, Lam = np.empty(P.shape), np.empty(R.shape)
+        X[stack, P], Lam[stack, R] = x, lam
         try:
-            outcomes.append(_report(delta, solutions, method, tol, len(orbits), iterations))
+            solutions = _checked(keys, delta, X, Lam, value)
+            outcomes.append(_report(delta, solutions, method, tol, 1, (iterations,)))
         except CertificationError as exc:
             outcomes.append(exc)
     return outcomes

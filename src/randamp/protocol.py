@@ -241,9 +241,10 @@ def _one_table(tables):
     return tables[0]
 
 
-def _shared_table(devices, sv_strategy):
-    """The one selected-pair table every device reduces to, when the
-    vectorized runner is exact for these devices and this source, else None.
+def _shared_table(reduced, sv_strategy):
+    """The one selected-pair table every device reduces to, given the
+    devices' _reduced_tables, when the vectorized runner is exact for these
+    devices and this source, else None.
 
     That needs every device to reduce to one shared table (an IidDevice, or a
     mixture of them sharing one hidden label: see _reduced_table) and each
@@ -254,15 +255,9 @@ def _shared_table(devices, sv_strategy):
     device has its own label, so even k copies of one MixtureDevice act as k
     independent labels."""
     period = getattr(sv_strategy, "period", None)
-    if period is None or 4 % period != 0 or (reduced := _reduced_tables(devices)) is None:
+    if period is None or 4 % period != 0 or reduced is None:
         return None
     return _one_table(reduced[0])
-
-
-def fast_path_applicable(params: ProtocolParams, devices, sv_strategy) -> bool:
-    """Whether the vectorized runner is exact for these devices and this
-    source (_shared_table)."""
-    return _shared_table(devices, sv_strategy) is not None
 
 
 # Cell 2b + g of each (outcome, kept setting) pair, indexed [x, s]: b is the
@@ -326,6 +321,8 @@ class _IidSampler:
     (B, parity): how many pairs score and the parity of their majorities
     (trial_law).  Outcomes of probability 0 are never drawn.
     """
+
+    engine = "vectorized"
 
     def __init__(self, params: ProtocolParams, table: np.ndarray, sv_strategy):
         draw = per_draw_setting_distribution(sv_strategy, params.epsilon)
@@ -455,6 +452,8 @@ class _WalkSampler:
     outcome.
     """
 
+    engine = "general"
+
     def __init__(self, params: ProtocolParams, tables, owner, sv_strategy):
         period = sv_strategy.period
         self.p0 = bit_probabilities(sv_strategy, period, params.epsilon)[:, 0]
@@ -525,19 +524,19 @@ class _WalkSampler:
 
 
 def _sampler(params: ProtocolParams, devices, sv_strategy):
-    """The protocol engine for these k devices: the vectorized sampler where
-    _shared_table gives a table (fast_path_applicable), the walk otherwise.
+    """The protocol engine for these k devices, named by its `engine`: the
+    vectorized sampler where _shared_table gives a table, the walk otherwise.
     Both need every device to reduce and the source to have a period; a
-    ValueError names what is missing."""
+    ValueError names what is missing.  The devices are reduced once."""
     if len(devices) != params.k:
         raise ValueError(f"need {params.k} devices, got {len(devices)}")
-    table = _shared_table(devices, sv_strategy)
+    reduced = _reduced_tables(devices)
+    table = _shared_table(reduced, sv_strategy)
     if table is not None:
         return _IidSampler(params, table, sv_strategy)
     if getattr(sv_strategy, "period", None) is None:
         raise ValueError("the protocol engines need a source whose bias depends on bit position "
                          "only: a strategy with a period")
-    reduced = _reduced_tables(devices)
     if reduced is None:
         raise ValueError("the protocol engines need devices whose uses are i.i.d. given one hidden "
                          "label: IidDevices, or MixtureDevices over such devices")
@@ -565,9 +564,24 @@ def _chunk_rows(sampler, trials: int, seed):
     return (sampler.rows(size, np.random.default_rng(child)) for size, child in _chunks(trials, seed))
 
 
-def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None):
+class TrialChunks:
+    """The chunks of simulate_trials, drawn as they are iterated, and the
+    engine that draws them: "vectorized" or "general"."""
+
+    def __init__(self, engine: str, rows):
+        self.engine, self._rows = engine, iter(rows)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> TrialRows:
+        return next(self._rows)
+
+
+def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, seed=None) -> TrialChunks:
     """Protocol runs of the k devices: an iterator of TrialRows, one per
-    chunk of SIMULATE_CHUNK trials (the last may be shorter), in trial order.
+    chunk of SIMULATE_CHUNK trials (the last may be shorter), in trial
+    order, whose `engine` names the engine that draws them.
 
     Chunk c draws only from child c of the seed's SeedSequence, so the rows
     depend on the seed alone.  The devices must be IidDevices or mixtures of
@@ -575,7 +589,8 @@ def simulate_trials(params: ProtocolParams, devices, sv_strategy, trials: int, s
     that names what is missing (_sampler).  Each device draws its own label
     in every trial.
     """
-    return _chunk_rows(_sampler(params, devices, sv_strategy), trials, seed)
+    sampler = _sampler(params, devices, sv_strategy)
+    return TrialChunks(sampler.engine, _chunk_rows(sampler, trials, seed))
 
 
 @dataclass(slots=True)

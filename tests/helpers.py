@@ -336,16 +336,17 @@ def dense_check_symmetry_map(smap, source, target):
     def objective(key):
         return LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8)
 
+    on = f"on {source} -> {target}"
     if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
-        raise CertificationError(f"{smap} is not a bijection")
+        raise CertificationError(f"{smap} is not a bijection {on}")
     if R[-1] != len(A) - 1:
-        raise CertificationError(f"{smap} moves the Bell row")
+        raise CertificationError(f"{smap} moves the Bell row {on}")
     if not np.array_equal(A[R][:, P], A):
-        raise CertificationError(f"{smap} does not map the inequality rows onto themselves")
+        raise CertificationError(f"{smap} does not map the inequality rows onto themselves {on}")
     if not np.array_equal(c[R], c):
-        raise CertificationError(f"{smap} changes the right-hand side")
+        raise CertificationError(f"{smap} changes the right-hand side {on}")
     if not np.array_equal(objective(target)[P], objective(source)):
-        raise CertificationError(f"{smap} does not carry the objective of {source} to {target}")
+        raise CertificationError(f"{smap} does not carry the objective {on}")
     return P, R
 
 

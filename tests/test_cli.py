@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import clear_lp_caches, reference_trials_csv, run_protocol
+from helpers import reference_trials_csv, run_protocol
 
 import randamp.cli
 from randamp.boxes import INEQUALITY_INDICES, algebraic_violation_box, mixed_with_uniform
 from randamp.cli import main, verify_manifest, write_outputs
 from randamp.devices import IidDevice
-from randamp.protocol import ProtocolParams, TrialRows, per_draw_setting_distribution
+from randamp.protocol import ProtocolParams, TrialChunks, TrialRows, per_draw_setting_distribution
 from randamp.sv import GreedyTowardString
 
 SIM_CONFIG = {
@@ -168,9 +168,8 @@ def record_chunks(monkeypatch) -> list:
     seen = []
 
     def recording(*args, **kwargs):
-        for rows in real(*args, **kwargs):
-            seen.append(rows)
-            yield rows
+        chunks = real(*args, **kwargs)
+        return TrialChunks(chunks.engine, (seen.append(rows) or rows for rows in chunks))
 
     real = randamp.cli.simulate_trials
     monkeypatch.setattr(randamp.cli, "simulate_trials", recording)
@@ -281,8 +280,13 @@ def test_simulate_failure_mid_stream_leaves_outputs_untouched(tmp_path, capsys, 
     assert set(before) == {"trials.csv", "summary.json", "manifest.json"}
 
     def one_chunk_then_fail(*args, **kwargs):
-        yield next(iter(real(*args, **kwargs)))
-        raise OSError("No space left on device")
+        chunks = real(*args, **kwargs)
+
+        def then_fail():
+            yield next(chunks)
+            raise OSError("No space left on device")
+
+        return TrialChunks(chunks.engine, then_fail())
 
     real = randamp.cli.simulate_trials
     monkeypatch.setattr(randamp.cli, "simulate_trials", one_chunk_then_fail)
@@ -453,7 +457,7 @@ def test_certify_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "certification: pass" in printed
     assert "delta=0.0: max_optimum=0.250000000" in printed
-    assert "solved 2 of 16 instances per delta (symmetry orbits)" in printed
+    assert "solved 1 of 16 instances per delta (one symmetry orbit)" in printed
     line = re.search(r"^dual certificates: worst residual (\S+), worst \|dual/2 - primal\| (\S+)$",
                      printed, re.MULTILINE)
     assert line is not None
@@ -470,33 +474,35 @@ def test_certify_command(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     facts = manifest["metrics"]["certificates"]
     assert [f["delta"] for f in facts] == [0.0, 0.2]
-    assert all(f["solved"] == 2 for f in facts)
+    assert all(f["solved"] == 1 for f in facts)
     assert all(0.0 <= f[key] <= 1e-9 for f in facts for key in ("dual_residual", "duality_gap"))
     assert f"{max(f['dual_residual'] for f in facts):.3e}" == line.group(1)
 
 
 # sha256 of certify.json and of the manifest's metrics, and the HiGHS
-# iteration count and tableau pivot count of every orbit solve in serial
-# order (delta by delta, the orbit representatives in turn), on a grid with
-# every linear piece of the LP value function, the tight delta = 1/3 and
-# both ends of [0, 8].  The HiGHS figures were re-pinned when each delta
-# after the first came to be re-solved from the previous optimal basis:
-# every optimum moved by at most 4.6e-15.  The simplex figures were
-# re-pinned when the simplex route came to walk the grid the same way (one
-# phase 1, then a dual-simplex restart per delta) and the metrics gained
-# the pivot counts: every optimum moved from its cold solve by at most
-# 6.2e-14, and the HiGHS digests stayed as they were.  The figures are those
-# of scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS may take other
-# pivots.
+# iteration count and tableau pivot count of the representative's solve at
+# each delta, on a grid with every linear piece of the LP value function,
+# the tight delta = 1/3 and both ends of [0, 8].  The HiGHS figures were
+# re-pinned when each delta after the first came to be re-solved from the
+# previous optimal basis: every optimum moved by at most 4.6e-15.  The
+# simplex figures were re-pinned when the simplex route came to walk the
+# grid the same way (one phase 1, then a dual-simplex restart per delta) and
+# the metrics gained the pivot counts: every optimum moved from its cold
+# solve by at most 6.2e-14.  All four were re-pinned when the 16 instances
+# became one symmetry orbit, solved once per delta, with the 16
+# certificates checked as one stack: every optimum moved by at most 5.2e-15
+# on HiGHS and 4.5e-14 on the simplex route, and the iteration counts are
+# those the same representative took before.  The figures are those of
+# scipy 1.17.1's HiGHS and numpy 2.4.6; another HiGHS may take other pivots.
 PINNED_CERTIFY_DELTAS = [0.0, 0.1, 2 / 9, 1 / 3, 0.7, 1.0, 2.0, 8.0]
 PINNED_CERTIFY = {
-    "highs": ("03ea1e76dff944c09fc8f02046ff7e5def63c5910735d7fbba9322c23b2e83c5",
-              "7c06daa01c1987de4627bdec3a7de579b527680f882d4ce17ed94372c4cd74a3"),
-    "simplex": ("8363c866a25f4bbb73961dfda413fad34b051ac5d4a9308f4b203301a7768865",
-                "b9c1c1dd67ae801289fe3e42e3da18df91700156ad940de125a74f9d5572d4b2"),
+    "highs": ("db1bbef9dce45a66098aa2ad8b86e019d137e783874e30566b9d1123ab6e3b8f",
+              "e9eb848527f1bd22a64e7ca18aa270496d224fdb2642c588bd1816509b306ffe"),
+    "simplex": ("bdc12403ad6ea89459c04f917c374d28cfb9f550328bb5b362bd1cd3cceab2a6",
+                "ef176640febe48cf9105e9a9ac3367f2665e7c094863dd94f2c20c0ed04903b6"),
 }
-PINNED_HIGHS_NIT = [153, 151, 12, 18, 0, 0, 18, 6, 12, 28, 0, 0, 17, 15, 27, 18]
-PINNED_SIMPLEX_PIVOTS = [352, 356, 8, 2, 0, 9, 24, 20, 12, 25, 1, 0, 25, 38, 91, 103]
+PINNED_HIGHS_NIT = [153, 12, 0, 18, 12, 0, 17, 27]
+PINNED_SIMPLEX_PIVOTS = [352, 8, 0, 24, 12, 1, 25, 91]
 
 
 def test_certify_outputs_pinned(tmp_path):
@@ -515,9 +521,9 @@ def test_certify_outputs_pinned(tmp_path):
 
 
 def test_one_delta_certify_is_solved_cold(tmp_path):
-    """A grid of one delta starts every solver afresh, so its certify.json
-    keeps the bytes of one cold solve per orbit.  At delta = 8 a warm solve
-    along the pinned grid lands 4.6e-15 away."""
+    """A grid of one delta starts the solver afresh, so its certify.json
+    keeps the bytes of one cold solve of the representative.  At delta = 8 a
+    warm solve along the pinned grid lands 4.6e-15 away."""
     cfg = write_config(tmp_path, {"deltas": [8.0]})
     out = tmp_path / "one"
     assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
@@ -526,16 +532,12 @@ def test_one_delta_certify_is_solved_cold(tmp_path):
 
 
 def _serial_certify(deltas, method="highs"):
-    """certify.json's bytes and the manifest's metrics of a grid certified by
-    certify_grid on the calling thread, as with one CPU."""
+    """certify.json's bytes and the manifest's metrics that certify writes
+    for a grid, built here from certify_grid's reports."""
     import randamp.lp as lp
     from randamp.cli import _json_bytes
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp.os, "cpu_count", lambda: 1)
-        threads = _record_threads(patch)
-        reports = lp.certify_grid(deltas, method=method)
-    assert set(threads) == {threading.get_ident()}
+    reports = lp.certify_grid(deltas, method=method)
     summary = {"passed": True, "method": method, "bound_formula": "min((11 + 7 delta)/32, 1/2)",
                "grid": [r.to_json() for r in reports]}
     metrics = {"certificates": [
@@ -546,63 +548,28 @@ def _serial_certify(deltas, method="highs"):
     return _json_bytes(summary), metrics
 
 
-def _record_threads(monkeypatch):
-    """Wrap lp._walk to record the thread of every call: on HiGHS one call
-    per orbit representative, which walks the whole grid."""
-    import randamp.lp as lp
-
-    threads = []
-    real = lp._walk
-
-    def recording(method, keys, deltas):
-        threads.append(threading.get_ident())
-        return real(method, keys, deltas)
-
-    monkeypatch.setattr(lp, "_walk", recording)
-    return threads
-
-
-def test_threaded_certify_matches_a_serial_loop(tmp_path, monkeypatch):
-    """More deltas than threads, every linear piece and both ends of [0, 8]:
-    the threaded grid writes the bytes certify_grid gives on the calling
-    thread, run after run."""
-    import randamp.lp as lp
-
-    deltas = [0.0, 0.05, 2 / 9, 0.3, 1 / 3, 0.5, 0.9, 1.0, 3.0, 8.0]
-    want_certify, want_metrics = _serial_certify(deltas)
-    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 4)
-    threads = _record_threads(monkeypatch)
-    cfg = write_config(tmp_path, {"deltas": deltas})
-    for run in range(3):
-        out = tmp_path / f"run{run}"
-        assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "certify.json").read_bytes() == want_certify
-        assert json.loads((out / "manifest.json").read_text())["metrics"] == want_metrics
-    assert len(threads) == 3 * len(lp.symmetry_orbits())
-    assert threading.get_ident() not in threads  # every chain ran on a worker
-
-
-def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, monkeypatch):
+def test_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, monkeypatch):
+    """A HiGHS re-solve that fails is that delta's outcome, and the next
+    delta starts a fresh solver, so its entry is that of a grid of its own."""
     import randamp.lp as lp
 
     deltas = [0.1, 0.2, 1.5]
-    # 0.1 opens each chain; after the failure at 0.2, 1.5 starts a fresh solver.
+    # 0.1 opens the walk; after the failure at 0.2, 1.5 starts a fresh solver.
     want = [json.loads(_serial_certify([delta])[0])["grid"][0] for delta in deltas[::2]]
     real = lp._highs_resolve
     failed_on = []
 
     def failing(solver, delta):
         if delta == 0.2:
-            failed_on.append(threading.get_ident())
+            failed_on.append(delta)
             raise ArithmeticError("solver gave up")
         return real(solver, delta)
 
-    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(lp, "_highs_resolve", failing)
     cfg = write_config(tmp_path, {"deltas": deltas})
     out = tmp_path / "cert"
     assert run_main(["certify", "--config", cfg, "--out", str(out)]) == 1
-    assert failed_on and threading.get_ident() not in failed_on
+    assert failed_on == [0.2]
     printed = capsys.readouterr().out
     assert printed.index("delta=0.1:") < printed.index("delta=0.2: ERROR") < printed.index("delta=1.5:")
     payload = json.loads((out / "certify.json").read_text())
@@ -614,9 +581,9 @@ def test_threaded_certify_keeps_order_around_a_failing_delta(tmp_path, capsys, m
 
 
 def test_simplex_walk_restarts_cold_after_a_failing_delta(tmp_path, capsys, monkeypatch):
-    """A dual-simplex restart that fails is that delta's outcome, for both
-    orbit representatives, and the next delta starts a fresh walk: phase 1
-    again, so its entry and its pivots are those of a grid of its own."""
+    """A dual-simplex restart that fails is that delta's outcome, and the
+    next delta starts a fresh walk: phase 1 again, so its entry and its
+    pivots are those of a grid of its own."""
     import randamp.lp as lp
     import randamp.simplex as simplex
 
@@ -648,33 +615,17 @@ def test_simplex_walk_restarts_cold_after_a_failing_delta(tmp_path, capsys, monk
     assert facts[1]["simplex_pivots"] == want_pivots
 
 
-@pytest.mark.parametrize("config", [{"deltas": [0.1, 1.0], "method": "simplex"}, {"deltas": [1 / 3]}])
+@pytest.mark.parametrize("config", [{"deltas": [0.1, 1.0], "method": "simplex"}, {"deltas": [1 / 3]},
+                                    {"deltas": [0.05, 0.3, 1 / 3, 0.6, 2.0]}])
 def test_serial_certify_starts_no_thread(tmp_path, capsys, monkeypatch, config):
-    """The simplex route holds the GIL and a single delta has nothing to
-    overlap, so neither starts a thread."""
+    """Certify walks the one representative on the calling thread, on either
+    route and for any number of deltas."""
     def no_thread(self):
         raise AssertionError("no thread expected")
 
-    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert run_main(["certify", "--config", write_config(tmp_path, config)]) == 0
     assert "certification: pass" in capsys.readouterr().out
-
-
-def test_threaded_certify_builds_each_cache_once(tmp_path, monkeypatch):
-    """Cold caches are built on the calling thread before the workers start,
-    so no two workers build one at the same time."""
-    import randamp.lp as lp
-
-    clear_lp_caches()
-    monkeypatch.setattr(randamp.cli.os, "cpu_count", lambda: 2)
-    threads = _record_threads(monkeypatch)
-    cfg = write_config(tmp_path, {"deltas": [0.05, 0.3, 1 / 3, 0.6, 2.0]})
-    assert run_main(["certify", "--config", cfg]) == 0
-    assert threading.get_ident() not in threads
-    assert lp.equality_constraints.cache_info().misses == 1
-    assert lp.symmetry_orbits.cache_info().misses == 1
-    assert lp._highs_model.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("tolerance", ["NaN", "Infinity", "-Infinity", "-1e-9"])
@@ -1237,16 +1188,24 @@ def test_scipy_imported_only_by_lp_solves(tmp_path):
         assert proc.returncode == 0, (config, proc.stderr)
 
 
-def test_process_pool_imported_only_for_jobs(tmp_path):
-    """multiprocessing and concurrent.futures load only where simulate builds
-    a worker pool: importing the CLI and a serial simulate leave them out."""
-    cfg = write_config(tmp_path, SIM_CONFIG)
-    script = (
-        "import sys, randamp.cli\n"
-        "pool = ('multiprocessing', 'concurrent.futures')\n"
-        "assert not any(m in sys.modules for m in pool), 'on import'\n"
-        f"assert randamp.cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert not any(m in sys.modules for m in pool), 'after simulate'\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_commands_load_no_pool_and_start_no_thread(tmp_path):
+    """Importing the CLI, a simulate and a certify over several deltas on
+    either route leave multiprocessing and concurrent.futures unloaded and
+    start no thread.  Each run is a fresh process."""
+    runs = [("simulate", SIM_CONFIG)] + [
+        ("certify", {"deltas": [0.05, 0.3, 1 / 3, 0.6, 2.0], "method": method}) for method in ("highs", "simplex")
+    ]
+    for i, (command, config) in enumerate(runs):
+        cfg = write_config(tmp_path, config, f"config{i}.json")
+        script = (
+            "import sys, threading, randamp.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures')\n"
+            "assert not any(m in sys.modules for m in pool), 'on import'\n"
+            "def no_thread(self):\n"
+            "    raise AssertionError('thread started')\n"
+            "threading.Thread.start = no_thread\n"
+            f"assert randamp.cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / f'out{i}')!r}]) == 0\n"
+            f"assert not any(m in sys.modules for m in pool), 'after {command}'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, (config, proc.stderr)

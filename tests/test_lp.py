@@ -1,3 +1,5 @@
+import itertools
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +19,7 @@ from randamp.lp import (
     analytic_bound,
     adversarial_box,
     _candidate_maps,
-    _transport,
+    _checked,
     _walk,
     certify_bound,
     check_symmetry_map,
@@ -195,47 +197,127 @@ def test_certify_matches_independent_solves():
     for delta in (0.0, 0.1, 1 / 3, 0.8, 2.0):
         for method in ("highs", "simplex"):
             report = certify_bound(delta, method=method)
-            assert report.solved == 2
+            assert report.solved == 1
             for label, value in report.optima.items():
                 u_star, guess = _key(label)
                 fresh = solve(LpInstance(u_star, delta, guess), method=method).value
                 assert abs(value - fresh) <= 1e-9, (delta, method, label)
 
 
+REP = ((0, 0, 0, 1), 0)
+IDENTITY_MAP = SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((0, 0),) * 4)
+
+
+def _objective(key, delta=0.0):
+    return LpInstance(key[0], delta, key[1]).objective_m()
+
+
+def _image(smap, source):
+    """The instance whose objective smap carries source's onto, or None."""
+    by_objective = {_objective(key).tobytes(): key for key in INSTANCE_KEYS}
+    image = np.empty(lp.N_VARS)
+    image[smap.var_perm()] = _objective(source)
+    return by_objective.get(image.tobytes())
+
+
 def test_symmetry_orbits_and_exact_maps():
     orbits = symmetry_orbits()
-    assert sorted(1 + len(members) for _, members in orbits) == [4, 12]
-    covered = [rep for rep, _ in orbits] + [m for _, members in orbits for m, _, _ in members]
-    assert sorted(covered) == sorted(INSTANCE_KEYS)
+    assert [(rep, len(members)) for rep, members in orbits] == [(REP, 15)]
+    (rep, members), = orbits
+    assert sorted([rep] + [member for member, _, _ in members]) == sorted(INSTANCE_KEYS)
     # The stored permutations, re-checked on the float matrix at a delta.
     A, c = inequality_constraints(0.3)
-    for rep, members in orbits:
-        m_rep = LpInstance(rep[0], 0.3, rep[1]).objective_m()
-        for member, P, R in members:
-            assert np.array_equal(A[R][:, P], A)
-            assert np.array_equal(c[R], c)
-            assert np.array_equal(LpInstance(member[0], 0.3, member[1]).objective_m()[P], m_rep)
-    # Every candidate map passes the exact checks from every instance.
-    by_objective = {LpInstance(u, 0.0, g).objective_m().tobytes(): (u, g) for u, g in INSTANCE_KEYS}
+    for member, P, R in members:
+        assert np.array_equal(A[R][:, P], A)
+        assert np.array_equal(c[R], c)
+        assert np.array_equal(_objective(member, 0.3)[P], _objective(rep, 0.3))
+    # Every joining map keeps the parties in place, flips the inputs by
+    # u* ^ u', and passes the exact checks from every instance it carries
+    # to an instance.
     maps = list(_candidate_maps())
-    assert len(maps) == 24
-    for smap in maps:
+    assert [target for target, _ in maps] == [member for member, _, _ in members]
+    for target, smap in maps:
+        assert smap.parties == (0, 1, 2, 3)
+        assert smap.in_flip == tuple(a ^ b for a, b in zip(REP[0], target[0]))
+        assert _image(smap, REP) == target
+        carried = 0
         for source in INSTANCE_KEYS:
-            m = LpInstance(source[0], 0.0, source[1]).objective_m()
-            image = np.empty_like(m)
-            image[smap.var_perm()] = m
-            check_symmetry_map(smap, source, by_objective[image.tobytes()])
+            if (image := _image(smap, source)) is not None:
+                check_symmetry_map(smap, source, image)
+                carried += 1
+        assert carried >= 1
+
+
+def test_joining_maps_by_their_rule():
+    """Two of the rule's maps, and a second map between one pair of them:
+    the rule picks one of the 12 that the stabilizer allows."""
+    maps = dict(_candidate_maps())
+    guess_flip = ((0, 0, 0, 1), 1)
+    assert maps[guess_flip] == SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((1, 1),) * 4)  # every output flips
+    assert maps[((0, 0, 1, 0), 0)] == SymmetryMap((0, 1, 2, 3), (0, 0, 1, 1), ((0, 0), (0, 0), (0, 1), (1, 0)))
+    other = SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((1, 0), (1, 0), (1, 0), (0, 1)))
+    P, _ = check_symmetry_map(other, REP, guess_flip)
+    assert not np.array_equal(P, maps[guess_flip].var_perm())
+
+
+def test_a_joining_map_with_one_entry_changed_is_refused():
+    """Each of the 15 maps with one input flip or one output flip (party,
+    input) toggled no longer carries the representative to its target."""
+    for target, smap in _candidate_maps():
+        for party in range(4):
+            in_flip = list(smap.in_flip)
+            in_flip[party] ^= 1
+            with pytest.raises(CertificationError, match=r"on \(\(0, 0, 0, 1\), 0\) -> "):
+                check_symmetry_map(SymmetryMap(smap.parties, tuple(in_flip), smap.out_flip), REP, target)
+            for u in (0, 1):
+                out_flip = [list(pair) for pair in smap.out_flip]
+                out_flip[party][u] ^= 1
+                changed = SymmetryMap(smap.parties, smap.in_flip, tuple(map(tuple, out_flip)))
+                with pytest.raises(CertificationError, match=r"on \(\(0, 0, 0, 1\), 0\) -> "):
+                    check_symmetry_map(changed, REP, target)
+
+
+def test_local_relabelings_fixing_the_bell_row():
+    """All 4! 8^4 local relabelings, enumerated here one party permutation at
+    a time.  3072 fix the Bell row; 192 of them carry the representative's
+    objective to an instance's, 12 to each of the 16 instances.  The 12
+    that fix it, its stabilizer, each pass check_symmetry_map."""
+    v, party = np.arange(lp.N_VARS)[:, None], np.arange(4)
+    u, x = ((v % 16 >> party) & 1).astype(np.int8), ((v // 16 >> party) & 1).astype(np.int8)
+    flips = np.array(list(itertools.product((0, 1), repeat=12)), dtype=np.int8)
+    in_flip, out_flip = flips[:, :4], flips[:, 4:].reshape(-1, 4, 2)
+    x_flipped, u_flipped = x ^ out_flip[:, party, u], u ^ in_flip[:, None, :]  # (4096, 256, 4)
+    bell, m_rep = lp.bell_row(), _objective(REP)
+    objectives = {_objective(key).tobytes(): key for key in INSTANCE_KEYS}
+    group, landed, stabilizer = 0, [], []
+    for parties in itertools.permutations(range(4)):
+        weights = (1 << np.array(parties)).astype(np.int8)
+        P = (x_flipped @ weights).astype(np.int64) * 16 + u_flipped @ weights
+        fixes = (bell[P] == bell).all(axis=1)
+        group += int(fixes.sum())
+        image = np.empty((int(fixes.sum()), lp.N_VARS))
+        np.put_along_axis(image, P[fixes], m_rep, axis=1)
+        landed += [objectives[row.tobytes()] for row in image if row.tobytes() in objectives]
+        for i in np.flatnonzero(fixes & (m_rep[P] == m_rep).all(axis=1)):
+            smap = SymmetryMap(parties, tuple(map(int, in_flip[i])), tuple(tuple(map(int, f)) for f in out_flip[i]))
+            assert np.array_equal(smap.var_perm(), P[i])
+            stabilizer.append(smap)
+    assert group == 3072
+    assert sorted(landed) == sorted(INSTANCE_KEYS * 12)
+    assert len(stabilizer) == 12 and IDENTITY_MAP in stabilizer
+    for smap in stabilizer:
+        check_symmetry_map(smap, REP, REP)
 
 
 def test_corrupted_symmetry_maps_rejected():
-    source = ((0, 0, 0, 1), 0)
     # Swapping parties 1 and 4 keeps the constraints but not the objective.
     with pytest.raises(CertificationError, match="objective"):
-        check_symmetry_map(SymmetryMap((3, 1, 2, 0), 0, False), source, ((1, 0, 0, 0), 0))
-    # An odd output flip without the input flip moves the Bell row's support.
+        check_symmetry_map(SymmetryMap((3, 1, 2, 0), (0, 0, 0, 0), ((0, 0),) * 4), REP, ((1, 0, 0, 0), 0))
+    # Party 4's output flipped without an input flip moves the Bell row's support.
+    flip_4 = ((0, 0),) * 3 + ((1, 1),)
     with pytest.raises(CertificationError, match="inequality rows"):
-        check_symmetry_map(SymmetryMap((0, 1, 2, 3), 8, False), source, source)
-    check_symmetry_map(SymmetryMap((0, 1, 2, 3), 8, True), source, ((1, 1, 1, 0), 0))
+        check_symmetry_map(SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), flip_4), REP, REP)
+    check_symmetry_map(SymmetryMap((0, 1, 2, 3), (1, 1, 1, 1), flip_4), REP, ((1, 1, 1, 0), 0))
 
 
 def _verdict(check, *args):
@@ -275,20 +357,13 @@ class SwappedMap(SymmetryMap):
 def test_support_map_check_matches_dense_oracle():
     """check_symmetry_map decides every map, sound or corrupted, as the
     dense A[R][:, P] == A check does, with the same message."""
-    by_objective = {LpInstance(u, 0.0, g).objective_m().tobytes(): (u, g) for u, g in INSTANCE_KEYS}
-
-    def image_of(smap, source):
-        m = LpInstance(source[0], 0.0, source[1]).objective_m()
-        image = np.empty_like(m)
-        image[smap.var_perm()] = m
-        return by_objective[image.tobytes()]
-
     rng = np.random.default_rng(4)
     seen = set()
     n_rows = 2 * lp.N_EQ + lp.N_VARS + 1
-    for smap in _candidate_maps():
+    for joined, smap in _candidate_maps():
         for source in INSTANCE_KEYS:
-            target = image_of(smap, source)
+            if (target := _image(smap, source)) is None:
+                continue
             accepted = _verdict(dense_check_symmetry_map, smap, source, target)
             assert _verdict(check_symmetry_map, smap, source, target) == accepted
             assert accepted == (smap.var_perm().tobytes(), smap.row_perm().tobytes())
@@ -305,13 +380,11 @@ def test_support_map_check_matches_dense_oracle():
         corrupt += [("P", *map(int, rng.choice(lp.N_VARS, 2, replace=False))) for _ in range(4)]
         corrupt += [("P", 7, None), ("R", 40, None)]
         for which, i, j in corrupt:
-            bad = SwappedMap(smap.parties, smap.out_flip, smap.in_flip, which, i, j)
-            source = INSTANCE_KEYS[int(rng.integers(len(INSTANCE_KEYS)))]
-            target = image_of(smap, source)
-            verdict = _verdict(check_symmetry_map, bad, source, target)
-            assert verdict == _verdict(dense_check_symmetry_map, bad, source, target)
+            bad = SwappedMap(smap.parties, smap.in_flip, smap.out_flip, which, i, j)
+            verdict = _verdict(check_symmetry_map, bad, REP, joined)
+            assert verdict == _verdict(dense_check_symmetry_map, bad, REP, joined)
             assert isinstance(verdict, str), (smap, which, i, j)
-            seen.add(verdict.split(") ", 1)[1].split(" of ")[0])
+            seen.add(verdict.split(") ", 1)[1].split(" on ")[0])
     # Swapped entries break the row map before the objective is looked at.
     assert seen == {"is not a bijection", "moves the Bell row", "does not map the inequality rows onto themselves"}
 
@@ -319,10 +392,10 @@ def test_support_map_check_matches_dense_oracle():
 def test_row_map_from_a_colliding_hash_is_refused(monkeypatch):
     """With every hash weight 1, distinct rows share a hash, so row_perm
     matches some rows to unequal ones: check_symmetry_map refuses that R, and
-    certify stops before any certificate is carried."""
-    transported = []
+    certify stops before any certificate is carried or checked."""
+    checked = []
     monkeypatch.setattr(lp, "_ROW_HASH_WEIGHTS", np.ones(lp.N_VARS))
-    monkeypatch.setattr(lp, "_transport", lambda *args: transported.append(args))
+    monkeypatch.setattr(lp, "_checked", lambda *args: checked.append(args))
     clear_lp_caches()
     try:
         with pytest.raises(CertificationError, match="does not map the inequality rows"):
@@ -333,26 +406,99 @@ def test_row_map_from_a_colliding_hash_is_refused(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_lp_caches()
-    assert transported == []
+    assert checked == []
     assert certify_bound(1 / 3).passed
+
+
+def _carried_stack(delta, method="highs"):
+    """The representative's (x, value, lam) at delta and the stacks certify
+    checks: row k carries them to instance keys[k]."""
+    (rep, members), = symmetry_orbits()
+    ((x, value, lam, _),), = _walk(method, [rep], [delta])
+    keys, X, Lam = [rep], [x], [lam]
+    for member, P, R in members:
+        keys.append(member)
+        X.append(np.empty_like(x))
+        X[-1][P] = x
+        Lam.append(np.empty_like(lam))
+        Lam[-1][R] = lam
+    return keys, np.array(X), np.array(Lam), value
 
 
 def test_transport_rechecks_the_dual():
     delta = 0.2
-    rep, members = symmetry_orbits()[1]
-    member, P, R = members[0]
-    ((x, _, lam, _),), = _walk("highs", [rep], [delta])
-    target = LpInstance(member[0], delta, member[1])
-    carried = _transport(target, x, lam, P, R)
-    assert carried.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
-    bad = lam.copy()
-    bad[0] += 0.5  # weight on the normalization row of setting 0000
-    with pytest.raises(CertificationError, match="dual certificate infeasible"):
-        _transport(target, x, bad, P, R)
-    bad = lam.copy()
-    bad[np.argmax(lam == 0.0)] = -0.1  # certifies nothing, whatever its residual
-    with pytest.raises(CertificationError, match="negative multiplier"):
-        _transport(target, x, bad, P, R)
+    keys, X, Lam, value = _carried_stack(delta)
+    solutions = _checked(keys, delta, X, Lam, value)
+    assert list(solutions) == keys
+    for key, solution in solutions.items():
+        assert solution.instance == LpInstance(key[0], delta, key[1])
+        assert solution.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
+    k = 5
+    named = f"on {LpInstance(keys[k][0], delta, keys[k][1])}"
+    bad = Lam.copy()
+    bad[k, 0] += 0.5  # weight on the normalization row of setting 0000
+    with pytest.raises(CertificationError, match=rf"dual certificate infeasible {re.escape(named)}"):
+        _checked(keys, delta, X, bad, value)
+    for poison in (-0.1, np.nan):  # certifies nothing, whatever its residual
+        bad = Lam.copy()
+        bad[k, np.argmax(Lam[k] == 0.0)] = poison
+        with pytest.raises(CertificationError, match=rf"negative multiplier {re.escape(named)}"):
+            _checked(keys, delta, X, bad, value)
+
+
+def test_each_certificate_check_refuses_an_input_just_past_its_bound(monkeypatch):
+    """Each check of a certificate, fed a carried certificate just inside
+    its bound and then just past it, passes and then raises a
+    CertificationError that names the instance; the symmetry map check
+    refuses a right-hand side with one entry changed."""
+    delta, k = 0.3, 9
+    keys, X, Lam, value = _carried_stack(delta)
+    instance = LpInstance(keys[k][0], delta, keys[k][1])
+    named = re.escape(str(instance))
+    # The dual residual: one positivity multiplier off by t moves A^T lam by t.
+    positivity = 2 * lp.N_EQ + int(np.argmax(X[k] > 0.01))
+    for t, past in ((5e-7, False), (2e-6, True)):
+        bad = Lam.copy()
+        bad[k, positivity] += t
+        if past:
+            with pytest.raises(CertificationError, match=rf"dual certificate infeasible on {named}, residual 2\.0"):
+                _checked(keys, delta, X, bad, value)
+        else:
+            assert _checked(keys, delta, X, bad, value)[keys[k]].dual_residual == pytest.approx(t, rel=1e-6)
+    # Weak duality, on the solved row 0: its primal value is the route's own.
+    dual = float(Lam[0] @ lp._inequality_rhs(delta))
+    assert _checked(keys, delta, X, Lam, 0.5 * dual + 5e-9)[keys[0]].value == 0.5 * dual + 5e-9
+    rep = re.escape(str(LpInstance(keys[0][0], delta, keys[0][1])))
+    with pytest.raises(CertificationError, match=rf"weak duality violated on {rep}"):
+        _checked(keys, delta, X, Lam, 0.5 * dual + 2e-8)
+    # No-signaling: mass t moved to party 1's other output at setting 0000,
+    # which no objective reads, shifts the marginals of parties 2-4 by t.
+    u = 0
+    x = int(np.argmax(X[k].reshape(16, 16)[:, u]))
+    for t, past in ((5e-8, False), (2e-7, True)):
+        bad = X.copy()
+        moved = bad[k].reshape(16, 16)
+        moved[x, u] -= t
+        moved[x ^ 1, u] += t
+        if past:
+            with pytest.raises(CertificationError, match=rf"primal box of {named} is not no-signaling within 1e-7: "
+                                                         r"party \d marginal shifts by 2\.0"):
+                _checked(keys, delta, bad, Lam, value)
+        else:
+            _checked(keys, delta, bad, Lam, value)
+    # The right-hand side of the symmetry map check.
+    A, c, nonzero = lp._integer_rows()
+    changed = c.copy()
+    changed[0] = 2  # the normalization row of setting 0000
+    monkeypatch.setattr(lp, "_integer_rows", lambda: (A, changed, nonzero))
+    clear_lp_caches()
+    try:
+        with pytest.raises(CertificationError, match=r"changes the right-hand side on \(\(0, 0, 0, 1\), 0\) -> "
+                                                     r"\(\(\d, \d, \d, \d\), \d\)"):
+            certify_bound(delta)
+    finally:
+        monkeypatch.undo()
+        clear_lp_caches()
 
 
 def test_route_certificates_checked_independently(monkeypatch):
@@ -360,14 +506,14 @@ def test_route_certificates_checked_independently(monkeypatch):
     routes: non-negative, A^T lam = m on the dense inequality matrix, and
     dual value / 2 equal to the primal value."""
     checked = []
-    certified = lp._certified
+    stacked = lp._checked
 
     def recording(*args):
-        sol = certified(*args)
-        checked.append(sol)
-        return sol
+        solutions = stacked(*args)
+        checked.extend(solutions.values())
+        return solutions
 
-    monkeypatch.setattr(lp, "_certified", recording)
+    monkeypatch.setattr(lp, "_checked", recording)
     for delta in (0.0, 0.1, 2 / 9, 1 / 3, 1.0, 2.0, 8.0):
         A, c = inequality_constraints(delta)
         for method in ("highs", "simplex"):
@@ -435,10 +581,10 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         assert nit == want.nit, rep
 
 
-def test_threaded_certify_leaves_the_shared_model_as_built(monkeypatch):
-    """Every solver of a threaded grid starts from one HighsLp and sets its
-    objective and Bell bound on its own copy, so the model keeps its zero
-    objective and free Bell row: the fact threads sharing it rest on."""
+def test_certify_leaves_the_shared_model_as_built(monkeypatch):
+    """Every solver of a grid starts from one HighsLp and sets its objective
+    and Bell bound on its own copy, so the model keeps its zero objective
+    and free Bell row.  The grid is one walk, on the calling thread."""
     threads = []
     real = lp._walk
 
@@ -446,11 +592,10 @@ def test_threaded_certify_leaves_the_shared_model_as_built(monkeypatch):
         threads.append(threading.get_ident())
         return real(method, keys, deltas)
 
-    monkeypatch.setattr(lp.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(lp, "_walk", recording)
     reports = lp.certify_grid([0.05, 0.3, 1 / 3, 2.0])
     assert all(isinstance(report, lp.CertificationReport) for report in reports)
-    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert threads == [threading.get_ident()]
     model, _ = lp._highs_model()
     assert list(model.col_cost_) == [0.0] * lp.N_VARS
     assert model.row_upper_[0] == lp._highs_core().kHighsInf
@@ -552,7 +697,7 @@ def test_failure_at_a_middle_delta_stays_its_own(monkeypatch):
     assert [first, second, last] == want
     assert isinstance(failed, RuntimeError)
     assert str(failed).startswith("HiGHS failed on LpInstance(") and f"delta={1 / 3}" in str(failed)
-    assert sorted(cold) == [0.1, 0.1, 1.5, 1.5]
+    assert cold == [0.1, 1.5]
 
 
 RANDOM_DELTAS = np.random.default_rng(3408_1127).uniform(0.0, 8.0, 10).tolist()
@@ -674,8 +819,8 @@ def test_certify_accepts_a_zero_tolerance():
 
 
 def test_cached_arrays_are_read_only():
-    """Threads certifying deltas side by side share these caches, so none
-    of them can be written through."""
+    """Every caller shares these caches, so none of them can be written
+    through."""
     A, b = equality_constraints()
     A_int, c_int, (rows, cols) = lp._integer_rows()
     shared = {
@@ -683,7 +828,7 @@ def test_cached_arrays_are_read_only():
         "equality b": b,
         "independent rows": independent_equality_rows(),
         "majority signs": majority_sign_vector(1),
-        "bit permutation": lp._bit_permutation((1, 0, 2, 3)),
+        "rows by hash": lp._rows_by_hash(),
         "integer rows": A_int,
         "integer rhs": c_int,
         "nonzero rows": rows,

@@ -28,13 +28,13 @@ from randamp.devices import IidDevice, MixtureDevice
 from randamp.protocol import (
     ProtocolParams,
     _IidSampler,
+    _reduced_tables,
     _selection_law,
     _shared_table,
     acceptance_threshold,
     azuma_rejection_bound,
     estimate_output_bias,
     f_epsilon,
-    fast_path_applicable,
     per_draw_setting_distribution,
     proposition_bound,
     robustness_acceptance_bound,
@@ -359,17 +359,14 @@ def test_draw_and_selection_laws_are_the_exact_walk():
 
 
 def vectorized(params, devices, source) -> bool:
-    """fast_path_applicable, checked against the engine _sampler picks: the
-    vectorized one exactly when it holds (where _sampler refuses the inputs,
-    it must not hold)."""
-    fast = fast_path_applicable(params, devices, source)
+    """Whether _sampler picks the vectorized engine, which it names as its
+    class is (False where it refuses the inputs)."""
     try:
         sampler = protocol._sampler(params, devices, source)
     except ValueError:
-        assert not fast
-    else:
-        assert isinstance(sampler, _IidSampler) == fast
-    return fast
+        return False
+    assert sampler.engine == ("vectorized" if isinstance(sampler, _IidSampler) else "general")
+    return sampler.engine == "vectorized"
 
 
 def test_fast_path_applicability():
@@ -539,7 +536,7 @@ def test_iid_sampler_algebraic_box_always_accepts():
     params = ProtocolParams(0.1, 0.8, 0.9, 20, n=(4,))
     devices = [IidDevice(algebraic_violation_box())] * 20
     source = GreedyTowardString((0, 1), 0.1)
-    assert fast_path_applicable(params, devices, source)
+    assert vectorized(params, devices, source)
     z, accepted = engine_columns(
         simulate_trials(params, devices, source, 5000, seed=8), ("z_k", "accepted")
     )
@@ -763,7 +760,7 @@ def test_nested_mixture_law_is_weight_average():
     params = ProtocolParams(0.2, 0.8, 0.9, 4)
     device, leaves = nested_mixture()
     for source in (GreedyTowardString((0, 1), 0.2), SettingSteering((0, 1, 1, 1), 0.2)):
-        law = _IidSampler(params, _shared_table([device] * 4, source), source).law
+        law = _IidSampler(params, _shared_table(_reduced_tables([device] * 4), source), source).law
         expect = sum(w * cell_law(box.table, source, 0.2) for w, box in leaves)
         assert np.max(np.abs(law - expect)) <= 1e-15
 
@@ -823,7 +820,7 @@ def test_general_engine_on_nested_mixture_matches_closed_form():
         samplers = [(lambda m, rng: oracle_rows(params, [device] * k, source, m, rng), 3000),
                     (protocol._WalkSampler(params, *protocol._reduced_tables([device] * k), source).rows, 20_000)]
         if 4 % source.period == 0:
-            fast = _IidSampler(params, _shared_table([device] * k, source), source)
+            fast = _IidSampler(params, _shared_table(_reduced_tables([device] * k), source), source)
             assert np.max(np.abs(law - binomial_table(fast.law, k))) <= 1e-14
             samplers.append((fast.rows, 100_000))
         for rows_of, trials in samplers:
@@ -937,7 +934,8 @@ def test_fresh_mixtures_over_shared_boxes_reduce_once(monkeypatch):
     fresh = [MixtureDevice([strong, flat], w) for w in [(0.8, 0.2), [0.8, 0.2], np.array([0.8, 0.2])] * 2]
     one = MixtureDevice([strong, flat], (0.8, 0.2))
     calls = count_reductions(monkeypatch)
-    assert np.array_equal(_shared_table(fresh, source), _shared_table([one] * k, source))
+    assert np.array_equal(_shared_table(_reduced_tables(fresh), source),
+                          _shared_table(_reduced_tables([one] * k), source))
     assert calls == [fresh[0], strong, flat, one, strong, flat]
 
     fresh_rows = engine_columns(simulate_trials(params, fresh, source, 600, seed=4))
@@ -962,13 +960,13 @@ def test_mixtures_over_equal_tables_compare_by_content(monkeypatch):
     flat = IidDevice(uniform_box())
     copies = [MixtureDevice([IidDevice(NsBox(table.copy())), flat], (0.8, 0.2)) for _ in range(3)]
     calls = count_reductions(monkeypatch)
-    assert fast_path_applicable(params, copies, HONEST)
+    assert vectorized(params, copies, HONEST)
     assert [c for c in calls if isinstance(c, MixtureDevice)] == copies
 
     strong = IidDevice(algebraic_violation_box())
     weighted = [MixtureDevice([strong, flat], w) for w in ((0.8, 0.2), (0.8, 0.2), (0.7, 0.3))]
     calls.clear()
-    assert not fast_path_applicable(params, weighted, HONEST)
+    assert not vectorized(params, weighted, HONEST)
     assert [c for c in calls if isinstance(c, MixtureDevice)] == [weighted[0], weighted[2]]
 
 
@@ -982,17 +980,17 @@ def test_nested_mixtures_are_keyed_through_inner_mixtures(monkeypatch):
 
     devices = [nested() for _ in range(4)]
     calls = count_reductions(monkeypatch)
-    table = _shared_table(devices, HONEST)
+    table = _shared_table(_reduced_tables(devices), HONEST)
     assert calls == [devices[0], devices[0].components[0], leaning, deterministic, flat]
-    assert np.array_equal(table, _shared_table([nested_mixture()[0]] * 4, HONEST))
+    assert np.array_equal(table, _shared_table(_reduced_tables([nested_mixture()[0]] * 4), HONEST))
 
     # a different inner weight is a different key, and here a different table
     calls.clear()
-    assert not fast_path_applicable(params, devices[:3] + [nested((2 / 3, 1 / 3))], HONEST)
+    assert not vectorized(params, devices[:3] + [nested((2 / 3, 1 / 3))], HONEST)
     assert len([c for c in calls if c is leaning]) == 2
     # an inner component that does not reduce keys the whole device to None
     scheduled = nested(last=SequenceDevice([uniform_box()]))
-    assert not fast_path_applicable(params, devices[:3] + [scheduled], HONEST)
+    assert not vectorized(params, devices[:3] + [scheduled], HONEST)
 
 
 def test_audit_distances_equal_checked_distance_d():
@@ -1043,7 +1041,7 @@ def test_estimate_output_bias_general_path():
     )
     # devices of different tables: the walk runs
     devices = [mixture, IidDevice(algebraic_violation_box())]
-    assert not fast_path_applicable(params, devices, HONEST)
+    assert not vectorized(params, devices, HONEST)
     adversary = [
         (0.5, lambda: devices, HONEST),
         (0.5, lambda: [IidDevice(algebraic_violation_box())] * 2, HONEST),
@@ -1070,7 +1068,7 @@ def test_general_engine_audit_of_history_dependent_devices_pinned():
         return [MixtureDevice([honest, flat], [0.9, 0.1]) for _ in range(params.k)]
 
     source = GreedyTowardString((0, 1, 1), 0.1)
-    assert not fast_path_applicable(params, factory(), source)
+    assert not vectorized(params, factory(), source)
     report = estimate_output_bias(params, [(1.0, factory, source)], 64, seed=3)
     _, n_acc, _, interval = report.per_symbol[0]
     assert (n_acc, interval.successes) == (24, 7)  # accepted, and accepted with output 0
@@ -1127,9 +1125,11 @@ def test_simulate_trials_chunks_and_engines():
     params = honest_params(k=3, epsilon=0.1, n=(4,))
     devices = [IidDevice(mixed_with_uniform(algebraic_violation_box(), 0.2))] * 3
     greedy = GreedyTowardString((0, 1), 0.1)
-    assert fast_path_applicable(params, devices, greedy)
-    assert not fast_path_applicable(params, devices, GreedyTowardString((0, 1, 1), 0.1))
+    assert vectorized(params, devices, greedy)
+    assert not vectorized(params, devices, GreedyTowardString((0, 1, 1), 0.1))
 
+    assert simulate_trials(params, devices, greedy, 10, seed=3).engine == "vectorized"
+    assert simulate_trials(params, devices, GreedyTowardString((0, 1, 1), 0.1), 10, seed=3).engine == "general"
     chunks = list(simulate_trials(params, devices, greedy, 600, seed=3))
     assert [len(c.z_k) for c in chunks] == [256, 256, 88]
     z, acc, out, sel, m = engine_columns(chunks)
@@ -1196,7 +1196,7 @@ def test_audit_counts_match_simulate_rows():
         ([mixture] * 3, GreedyTowardString((0, 1, 1), 0.1), 300),
     ]
     for devices, source, trials in general:
-        assert not fast_path_applicable(params, devices, source)
+        assert not vectorized(params, devices, source)
         report = estimate_output_bias(params, [(1.0, lambda: devices, source)], trials, seed=5)
         child = np.random.SeedSequence(5).spawn(1)[0]
         accepted, output = engine_columns(
@@ -1207,14 +1207,14 @@ def test_audit_counts_match_simulate_rows():
         assert n_acc == int(accepted.sum())
         assert interval.successes == int(np.sum(output == 0))
 
-    vectorized = [
+    iid = [
         ([IidDevice(box)] * 3, GreedyTowardString((0, 1), 0.1)),
         ([mixture] * 3, HONEST),
     ]
     trials = 1_000_000
-    for devices, source in vectorized:
-        assert fast_path_applicable(params, devices, source)
-        sampler = _IidSampler(params, _shared_table(devices, source), source)
+    for devices, source in iid:
+        sampler = protocol._sampler(params, devices, source)
+        assert sampler.engine == "vectorized"
         # one uniform at the left edge of each interval searchsorted can land in
         widths = np.diff(sampler.cdf, prepend=0.0)
         drawn = np.flatnonzero(widths > 0)
