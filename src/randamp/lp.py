@@ -22,12 +22,14 @@ delta and carries its primal box and dual vector to the other 15 instances,
 through one map each that keeps the parties in place.  A map's row action
 R follows from its column action P (Bodi, Herr & Joswig, Math. Program.
 137, 2013): row R[r] is row r carried by P, found by an exact row hash.
-Each map is checked exactly, in integers, on the constraint rows, their
+The 15 maps are derived as one stack (`map_perms`) and checked exactly, in
+integers, as one stack (`check_symmetry_map`) on the constraint rows, their
 right-hand side and the objectives.  The row map is checked on the ~2.9k
 nonzero entries of the constraint matrix: once P and R are bijections,
 A[R][:, P] == A holds exactly when every nonzero entry lands on an equal
 one.  The 16 certificates of a delta, solved or carried, are then checked
-as one stack (`_checked`), each row as a solved certificate is checked.
+as one stack of arrays (`_checked`), each row as a solved certificate is
+checked, and the cap on those arrays (`_report`).
 
 The equality system is built by index arithmetic.  Both routes walk a
 delta grid through one loop, `_walk`: a route is built cold at the first
@@ -264,16 +266,18 @@ def _highs_model():
     Each solver takes a copy of the model; nobody writes to the model itself."""
     highs = _highs_core()
 
-    A_eq, b_eq = equality_constraints()
-    rows = np.vstack([bell_row()[None, :], A_eq])
-    cols, row_index = np.nonzero(rows.T)  # column-major, rows ascending in each column
+    _, b_eq = equality_constraints()
+    A, _, (rows, cols) = _integer_rows()
+    kept = (rows < N_EQ) | (rows == len(A) - 1)  # the nonzeros of +A_eq and of the Bell row
+    row_index = np.where(rows[kept] < N_EQ, rows[kept] + 1, 0)  # the Bell row first, then A_eq
+    order = np.lexsort((row_index, cols[kept]))  # column-major, rows ascending in each column
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = N_VARS
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.num_row_ = model.a_matrix_.num_row_ = N_EQ + 1
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.searchsorted(cols, np.arange(N_VARS + 1)).tolist()
-    model.a_matrix_.index_ = row_index.tolist()
-    model.a_matrix_.value_ = rows[row_index, cols].tolist()
+    model.a_matrix_.start_ = np.searchsorted(cols[kept][order], np.arange(N_VARS + 1)).tolist()
+    model.a_matrix_.index_ = row_index[order].tolist()
+    model.a_matrix_.value_ = A[rows, cols][kept][order].astype(float).tolist()
     model.col_cost_ = [0.0] * N_VARS
     model.col_lower_ = [0.0] * N_VARS
     model.col_upper_ = [highs.kHighsInf] * N_VARS
@@ -323,11 +327,18 @@ def _highs_run(solver):
     if status != highs.HighsModelStatus.kOptimal:
         raise RuntimeError(f"HiGHS ended with model status {solver.modelStatusToString(status)!r}")
     info, solution = solver.getInfo(), solver.getSolution()
-    at_lower = highs.HighsBasisStatus.kLower
-    lower = np.where([col == at_lower for col in solver.getBasis().col_status],
-                     solution.col_dual, 0.0)
+    lower = np.where(_at_lower(solver), solution.col_dual, 0.0)
     return (np.array(solution.col_value), info.objective_function_value, np.array(solution.row_dual),
             lower, info.simplex_iteration_count)
+
+
+def _at_lower(solver) -> np.ndarray:
+    """Mask of the columns nonbasic in the solver's basis.  Every column
+    has bounds [0, inf), so a nonbasic one is at its lower bound."""
+    status, basic = solver.getBasicVariables()  # a column index, or -1 - r for row r's slack
+    if status != _highs_core().HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS has no basis to read: {status}")
+    return np.bincount(basic[basic >= 0], minlength=N_VARS) == 0
 
 
 class _HighsRoute:
@@ -423,11 +434,12 @@ def _walk(method: str, keys, deltas) -> list:
     return outcomes
 
 
-def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -> dict:
+def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -> tuple:
     """Check a stack of primal points X and dual vectors Lam, row k for
-    instance keys[k] at delta, and wrap each row in an LpSolution, by key.
-    Row 0's primal value is the route's own, `value`; every other row's is
-    m.x/2 of its point.
+    instance keys[k] at delta, and return the checked stack as arrays, row
+    k for keys[k]: (primal values, boxes as normalized tables, dual values,
+    dual residuals).  Row 0's primal value is the route's own, `value`;
+    every other row's is m.x/2 of its point.
 
     Per row: every multiplier is >= 0; the dual residual max |A^T lam - m|
     is at most 1e-6, formed from the equality blocks in one product for the
@@ -437,7 +449,6 @@ def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -
     at most the dual value / 2 plus 1e-8.  Each comparison fails on NaN.
     The first row that fails raises CertificationError naming its instance
     and the first check it fails, in that order."""
-    instances = [LpInstance(u_star, delta, guess) for u_star, guess in keys]
     objectives = _objectives_int()
     M = np.array([objectives[key] for key in keys], dtype=float)
     values = 0.5 * np.einsum("ij,ij->i", M, X)
@@ -454,7 +465,7 @@ def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -
     infeasible = ~(residuals <= 1e-6)
     above_dual = ~(values <= 0.5 * dual_values + 1e-8)
     for k in np.flatnonzero(negative | infeasible | signals | above_dual):
-        instance = instances[k]
+        instance = LpInstance(keys[k][0], delta, keys[k][1])
         if negative[k]:
             raise CertificationError(f"dual certificate has a negative multiplier on {instance}: {Lam[k].min():.3e}")
         if infeasible[k]:
@@ -463,9 +474,7 @@ def _checked(keys, delta: float, X: np.ndarray, Lam: np.ndarray, value: float) -
             raise CertificationError(f"primal box of {instance} is not no-signaling within 1e-7: "
                                      f"{no_signaling_violations(tables[k], 1e-7)[0]}")
         raise CertificationError(f"weak duality violated on {instance}: primal {values[k]} vs dual {dual_values[k]}")
-    return {key: LpSolution(instance, float(values[k]), NsBox(tables[k], tol=1e-7, validate=False), Lam[k],
-                            float(dual_values[k]), float(residuals[k]))
-            for k, (key, instance) in enumerate(zip(keys, instances))}
+    return values, tables, dual_values, residuals
 
 
 def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
@@ -481,7 +490,9 @@ def solve(instance: LpInstance, method: str = "highs") -> LpSolution:
     if isinstance(solved, Exception):
         raise solved
     ((x, value, lam, _),) = solved
-    return _checked([key], instance.delta, x[None, :], lam[None, :], value)[key]
+    (value,), (table,), (dual_value,), (residual,) = _checked([key], instance.delta, x[None, :], lam[None, :], value)
+    return LpSolution(instance, float(value), NsBox(table, tol=1e-7, validate=False), lam, float(dual_value),
+                      float(residual))
 
 
 # -- the symmetry orbit of the 16 instances ---------------------------------
@@ -496,33 +507,35 @@ class SymmetryMap:
     parties[i]'s output x_i ^ out_flip[i][u_i].  It sends p to p' with
     p'(x'|u') = p(x|u).
 
-    Nothing here is trusted: `check_symmetry_map` verifies the P and R
-    derived here."""
+    Nothing here is trusted: `check_symmetry_map` verifies the P and R that
+    `map_perms` derives."""
 
     parties: tuple
     in_flip: tuple  # per party, 0 or 1
     out_flip: tuple  # per party, (flip at input 0, flip at input 1)
 
-    def var_perm(self) -> np.ndarray:
-        """P with p'[P[v]] = p[v] over flat variables v = var_index(x, u)."""
-        v, party = np.arange(N_VARS)[:, None], np.arange(4)
-        u, x = (v % N_SETTINGS >> party) & 1, (v // N_SETTINGS >> party) & 1
-        weights = 1 << np.asarray(self.parties)
-        return var_index((x ^ np.asarray(self.out_flip)[party, u]) @ weights,
-                         (u ^ np.asarray(self.in_flip)) @ weights)
 
-    def row_perm(self) -> np.ndarray:
-        """R over the rows of the inequality form (+A_eq, -A_eq, -I, Bell;
-        see `_integer_rows`): row r read on p is row R[r] read on p', so row
-        R[r] is row r with its entries carried by P.  The carried rows are
-        matched to the rows by the rank of their hashes (`_rows_by_hash`); a
-        match between unequal rows gives an R that `check_symmetry_map` refuses."""
-        A, _, (rows, cols) = _integer_rows()
-        carried = np.bincount(rows, A[rows, cols] * _ROW_HASH_WEIGHTS[self.var_perm()[cols]], len(A))
-        order = _rows_by_hash()
-        R = np.empty_like(order)
-        R[np.argsort(carried)] = order
-        return R
+def map_perms(smaps):
+    """(P, R) of the maps, stacked with row k for smaps[k]: p'[P[k, v]] = p[v]
+    over flat variables v = var_index(x, u), and row r of the inequality
+    form (+A_eq, -A_eq, -I, Bell; see `_integer_rows`) read on p is row
+    R[k, r] read on p', so row R[k, r] is row r carried by P[k].  The carried
+    rows, hashed for all maps in one bincount, are matched to the rows by
+    the rank of their hashes (`_rows_by_hash`, P clipped into range); a bad
+    match or a P out of range gives a map that `check_symmetry_map` refuses."""
+    parties = np.array([smap.parties for smap in smaps])
+    in_flip = np.array([smap.in_flip for smap in smaps])
+    out_flip = np.array([smap.out_flip for smap in smaps])
+    v, party = np.arange(N_VARS)[:, None], np.arange(4)
+    u, x = (v % N_SETTINGS >> party) & 1, (v // N_SETTINGS >> party) & 1
+    weights = (1 << parties)[:, :, None]
+    P = var_index(((x ^ out_flip[:, party, u]) @ weights)[..., 0], ((u ^ in_flip[:, None, :]) @ weights)[..., 0])
+    A, _, (rows, cols) = _integer_rows()
+    stacked = rows + len(A) * np.arange(len(P))[:, None]  # map k's rows offset by k len(A)
+    R = np.empty((len(P), len(A)), dtype=np.intp)
+    carried = np.bincount(stacked.ravel(), (A[rows, cols] * _ROW_HASH_WEIGHTS.take(P[:, cols], mode="clip")).ravel(), R.size)
+    np.put_along_axis(R, np.argsort(carried.reshape(R.shape), axis=1), _rows_by_hash()[None, :], axis=1)
+    return P, R
 
 
 def _candidate_maps():
@@ -580,43 +593,53 @@ def _objectives_int() -> dict:
             for key in INSTANCE_KEYS}
 
 
-def check_symmetry_map(smap: SymmetryMap, source, target):
-    """Verify exactly that smap carries instance `source` to `target`, both
-    (u_star, guess) keys, and return its (P, R).
+_MAP_FAILURES = ("is not a bijection", "moves the Bell row", "does not map the inequality rows onto themselves",
+                 "changes the right-hand side", "does not carry the objective")
 
-    Checked in integers: P and R are bijections, every inequality row maps
-    onto row R[r] under P, the right-hand side is unchanged, the Bell row is
-    fixed (so every delta is kept) and the source objective becomes the
-    target objective.  Any failure raises CertificationError naming the map,
-    the source and the target."""
+
+def check_symmetry_map(joins, P: np.ndarray, R: np.ndarray) -> None:
+    """Verify exactly that map k of `joins`, a sequence of (map, source,
+    target) with (u_star, guess) keys, carries source to target by the
+    column action P[k] and the row action R[k]; one map is a stack of one.
+
+    Checked in integers, each check once for the stack: P[k] and R[k] are
+    bijections, the Bell row is fixed (so every delta is kept), every
+    inequality row maps onto row R[k, r] under P[k], the right-hand side is
+    unchanged and the source objective becomes the target objective.  The
+    first failing map in `joins` order raises CertificationError naming it,
+    its source and target, and the first check it fails."""
     A, c, (rows, cols) = _integer_rows()
-    P, R = smap.var_perm(), smap.row_perm()
-    on = f"on {source} -> {target}"
-    if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
-        raise CertificationError(f"{smap} is not a bijection {on}")
-    if R[-1] != len(A) - 1:
-        raise CertificationError(f"{smap} moves the Bell row {on}")
-    # A[R][:, P] == A, checked on A's nonzero entries only: (r, v) ->
-    # (R[r], P[v]) is a bijection, so once it sends every nonzero entry to
-    # an equal one, the nonzero entries fill A's support and zeros go to zeros.
-    if not np.array_equal(A[R[rows], P[cols]], A[rows, cols]):
-        raise CertificationError(f"{smap} does not map the inequality rows onto themselves {on}")
-    if not np.array_equal(c[R], c):
-        raise CertificationError(f"{smap} changes the right-hand side {on}")
     objectives = _objectives_int()
-    if not np.array_equal(objectives[target][P], objectives[source]):
-        raise CertificationError(f"{smap} does not carry the objective {on}")
-    return P, R
+    _, sources, targets = zip(*joins)
+    M_source, M_target = (np.array([objectives[key] for key in keys]) for keys in (sources, targets))
+    bijective = (np.sort(P, axis=1) == np.arange(N_VARS)).all(axis=1) & (np.sort(R, axis=1) == np.arange(len(A))).all(axis=1)
+    # The later checks index by P and R, so they read a map that is no bijection as the identity.
+    P, R = (np.where(bijective[:, None], X, np.arange(X.shape[1])) for X in (P, R))
+    failed = np.array([
+        ~bijective, R[:, -1] != len(A) - 1,
+        # A[R][:, P] == A, checked on A's nonzero entries only: (r, v) ->
+        # (R[r], P[v]) is a bijection, so once it sends every nonzero entry to
+        # an equal one, the nonzero entries fill A's support and zeros go to zeros.
+        (A[R[:, rows], P[:, cols]] != A[rows, cols]).any(axis=1),
+        (c[R] != c).any(axis=1),
+        (np.take_along_axis(M_target, P, axis=1) != M_source).any(axis=1),
+    ])
+    for k in np.flatnonzero(failed.any(axis=0)):
+        smap, source, target = joins[k]
+        raise CertificationError(f"{smap} {_MAP_FAILURES[np.argmax(failed[:, k])]} on {source} -> {target}")
 
 
 @lru_cache(maxsize=1)
 def symmetry_orbits():
     """((representative, ((member, P, R), ...)),): the one orbit of the 16
     instances, each of the 15 members reached from the representative by its
-    map from `_candidate_maps`, which must pass `check_symmetry_map`."""
+    map from `_candidate_maps`.  The 15 maps pass `check_symmetry_map` as one
+    stack; the members follow INSTANCE_KEYS."""
     rep = INSTANCE_KEYS[0]
-    members = tuple((target, *check_symmetry_map(smap, rep, target)) for target, smap in _candidate_maps())
-    return ((rep, members),)
+    targets, smaps = zip(*_candidate_maps())
+    P, R = map(_read_only, map_perms(smaps))
+    check_symmetry_map([(smap, rep, target) for target, smap in zip(targets, smaps)], P, R)
+    return ((rep, tuple(zip(targets, P, R))),)
 
 
 def analytic_bound(delta: float) -> float:
@@ -648,30 +671,27 @@ class CertificationReport:
         }
 
 
-def _report(delta: float, solutions: dict, method: str, tol: float, solved: int, iterations) -> CertificationReport:
-    """The cap checked on all 16 checked solutions of one delta; iterations
-    are the route's own per solve."""
+_LABELS = {key: (bits_str(pack_bits(key[0])), key[1]) for key in INSTANCE_KEYS}  # the optima's keys
+
+
+def _report(delta: float, keys, checked, method: str, tol: float, solved: int, iterations) -> CertificationReport:
+    """The cap checked on a stack that passed `_checked`, row k for keys[k],
+    in row order: per instance against its primal value, then against the
+    bound its dual certificate proves.  iterations are the route's own per
+    solve."""
     bound = analytic_bound(delta)
-    optima = {}
-    for u_star, guess in INSTANCE_KEYS:
-        solution = solutions[(u_star, guess)]
-        value = solution.value
-        optima[(bits_str(pack_bits(u_star)), guess)] = value
-        if value > bound + tol:
-            raise CertificationError(
-                f"optimum {value} exceeds bound {bound} at u*={u_star}, guess={guess}, delta={delta}"
-            )
-        proved = 0.5 * solution.dual_value + 0.5 * N_SETTINGS * solution.dual_residual
-        if proved > bound + tol:
-            raise CertificationError(
-                f"dual certificate proves only {proved} against bound {bound} "
-                f"at u*={u_star}, guess={guess}, delta={delta}"
-            )
+    values, _, dual_values, residuals = checked
+    proved = 0.5 * dual_values + 0.5 * N_SETTINGS * residuals
+    above, unproved = values > bound + tol, proved > bound + tol
+    for k in np.flatnonzero(above | unproved):
+        at = f"at u*={keys[k][0]}, guess={keys[k][1]}, delta={delta}"
+        if above[k]:
+            raise CertificationError(f"optimum {float(values[k])} exceeds bound {bound} {at}")
+        raise CertificationError(f"dual certificate proves only {float(proved[k])} against bound {bound} {at}")
+    optima = {_LABELS[key]: value for key, value in zip(keys, values.tolist())}
     return CertificationReport(
-        float(delta), bound, optima, max(optima.values()), True, method, solved,
-        max(sol.dual_residual for sol in solutions.values()),
-        max(sol.duality_gap for sol in solutions.values()),
-        iterations,
+        float(delta), bound, optima, max(optima.values()), True, method, solved, float(residuals.max()),
+        float(np.abs(0.5 * dual_values - values).max()), iterations,
     )
 
 
@@ -697,10 +717,11 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
     make every cap comparison false."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    deltas = list(deltas)  # read once: an iterator would be spent by the range check
     if not all(0.0 <= delta <= 8.0 for delta in deltas):  # LpInstance's range, checked before any solve
         raise ValueError("delta must lie in [0, 8]")
     ((rep, members),) = symmetry_orbits()
-    keys = [rep] + [member for member, _, _ in members]
+    keys = [rep] + [member for member, _, _ in members]  # INSTANCE_KEYS, in its order
     # Row k of the stacks is instance keys[k]: x_k[P_k] = x and lam_k[R_k] = lam,
     # with the identity for the representative.
     P = np.array([np.arange(N_VARS)] + [P for _, P, _ in members])
@@ -715,8 +736,7 @@ def certify_grid(deltas, method: str = "highs", tol: float = 1e-8) -> list:
         X, Lam = np.empty(P.shape), np.empty(R.shape)
         X[stack, P], Lam[stack, R] = x, lam
         try:
-            solutions = _checked(keys, delta, X, Lam, value)
-            outcomes.append(_report(delta, solutions, method, tol, 1, (iterations,)))
+            outcomes.append(_report(delta, keys, _checked(keys, delta, X, Lam, value), method, tol, 1, (iterations,)))
         except CertificationError as exc:
             outcomes.append(exc)
     return outcomes

@@ -8,8 +8,9 @@ tables of any number of binary parties, the joint table of independent
 boxes, the exhaustive XOR oracle of criterion 4, the mutual information of
 a 2-D joint and the Pinsker pair of one, the all-inequality form of the
 guessing LP, its equality system built row by row, the dense check of a
-symmetry map and the four-party no-signaling check one party at a time (the
-oracles of lp.equality_constraints, lp.check_symmetry_map and
+symmetry map and one map's P and R derived for it alone, and the four-party
+no-signaling check one party at a time (the oracles of
+lp.equality_constraints, lp.check_symmetry_map, lp.map_perms and
 boxes.no_signaling_violations), the goodness oracle and supermartingale over
 a run's selected conditional boxes, the checked distance from uniform (the
 reference for the audit's unchecked protocol._distances), the
@@ -326,28 +327,45 @@ def _dense_integer_rows():
     return A, c
 
 
-def dense_check_symmetry_map(smap, source, target):
-    """lp.check_symmetry_map with the row map checked on the whole integer
-    matrix, A[R][:, P] == A, over the loop-built system: its oracle.
-    Returns (P, R) or raises CertificationError with the same messages."""
+def single_map_perms(smap):
+    """(P, R) of one symmetry map, derived for that map alone: the oracle of
+    lp.map_perms, which derives a stack of maps at once."""
+    import randamp.lp as lp
+
+    v, party = np.arange(N_VARS)[:, None], np.arange(4)
+    u, x = (v % N_SETTINGS >> party) & 1, (v // N_SETTINGS >> party) & 1
+    weights = 1 << np.asarray(smap.parties)
+    P = var_index((x ^ np.asarray(smap.out_flip)[party, u]) @ weights, (u ^ np.asarray(smap.in_flip)) @ weights)
+    A, _, (rows, cols) = lp._integer_rows()
+    carried = np.bincount(rows, A[rows, cols] * lp._ROW_HASH_WEIGHTS[P[cols]], len(A))
+    order = lp._rows_by_hash()
+    R = np.empty_like(order)
+    R[np.argsort(carried)] = order
+    return P, R
+
+
+def dense_check_symmetry_map(joins, P, R):
+    """lp.check_symmetry_map map by map, with the row map checked on the
+    whole integer matrix, A[R[k]][:, P[k]] == A, over the loop-built system:
+    its oracle.  Raises CertificationError with the same message for the
+    first failing map of `joins`."""
     A, c = _dense_integer_rows()
-    P, R = smap.var_perm(), smap.row_perm()
 
     def objective(key):
         return LpInstance(key[0], 0.0, key[1]).objective_m().astype(np.int8)
 
-    on = f"on {source} -> {target}"
-    if not (np.array_equal(np.sort(P), np.arange(N_VARS)) and np.array_equal(np.sort(R), np.arange(len(A)))):
-        raise CertificationError(f"{smap} is not a bijection {on}")
-    if R[-1] != len(A) - 1:
-        raise CertificationError(f"{smap} moves the Bell row {on}")
-    if not np.array_equal(A[R][:, P], A):
-        raise CertificationError(f"{smap} does not map the inequality rows onto themselves {on}")
-    if not np.array_equal(c[R], c):
-        raise CertificationError(f"{smap} changes the right-hand side {on}")
-    if not np.array_equal(objective(target)[P], objective(source)):
-        raise CertificationError(f"{smap} does not carry the objective {on}")
-    return P, R
+    for (smap, source, target), P_k, R_k in zip(joins, P, R, strict=True):
+        on = f"on {source} -> {target}"
+        if not (np.array_equal(np.sort(P_k), np.arange(N_VARS)) and np.array_equal(np.sort(R_k), np.arange(len(A)))):
+            raise CertificationError(f"{smap} is not a bijection {on}")
+        if R_k[-1] != len(A) - 1:
+            raise CertificationError(f"{smap} moves the Bell row {on}")
+        if not np.array_equal(A[R_k][:, P_k], A):
+            raise CertificationError(f"{smap} does not map the inequality rows onto themselves {on}")
+        if not np.array_equal(c[R_k], c):
+            raise CertificationError(f"{smap} changes the right-hand side {on}")
+        if not np.array_equal(objective(target)[P_k], objective(source)):
+            raise CertificationError(f"{smap} does not carry the objective {on}")
 
 
 def tensor_marginal_shifts(table) -> list:

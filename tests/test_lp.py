@@ -26,11 +26,18 @@ from randamp.lp import (
     equality_constraints,
     independent_equality_rows,
     majority_sign_vector,
+    map_perms,
     solve,
     symmetry_orbits,
 )
 
-from helpers import clear_lp_caches, dense_check_symmetry_map, inequality_constraints, loop_equality_constraints
+from helpers import (
+    clear_lp_caches,
+    dense_check_symmetry_map,
+    inequality_constraints,
+    loop_equality_constraints,
+    single_map_perms,
+)
 from test_cli import PINNED_CERTIFY_DELTAS
 
 U_STAR = (0, 0, 0, 1)
@@ -216,15 +223,22 @@ def _image(smap, source):
     """The instance whose objective smap carries source's onto, or None."""
     by_objective = {_objective(key).tobytes(): key for key in INSTANCE_KEYS}
     image = np.empty(lp.N_VARS)
-    image[smap.var_perm()] = _objective(source)
+    image[map_perms([smap])[0][0]] = _objective(source)
     return by_objective.get(image.tobytes())
+
+
+def check_one(smap, source, target):
+    """check_symmetry_map on the stack of one map; its (P, R)."""
+    P, R = map_perms([smap])
+    check_symmetry_map([(smap, source, target)], P, R)
+    return P[0], R[0]
 
 
 def test_symmetry_orbits_and_exact_maps():
     orbits = symmetry_orbits()
     assert [(rep, len(members)) for rep, members in orbits] == [(REP, 15)]
     (rep, members), = orbits
-    assert sorted([rep] + [member for member, _, _ in members]) == sorted(INSTANCE_KEYS)
+    assert [rep] + [member for member, _, _ in members] == list(INSTANCE_KEYS)
     # The stored permutations, re-checked on the float matrix at a delta.
     A, c = inequality_constraints(0.3)
     for member, P, R in members:
@@ -243,7 +257,7 @@ def test_symmetry_orbits_and_exact_maps():
         carried = 0
         for source in INSTANCE_KEYS:
             if (image := _image(smap, source)) is not None:
-                check_symmetry_map(smap, source, image)
+                check_one(smap, source, image)
                 carried += 1
         assert carried >= 1
 
@@ -256,25 +270,32 @@ def test_joining_maps_by_their_rule():
     assert maps[guess_flip] == SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((1, 1),) * 4)  # every output flips
     assert maps[((0, 0, 1, 0), 0)] == SymmetryMap((0, 1, 2, 3), (0, 0, 1, 1), ((0, 0), (0, 0), (0, 1), (1, 0)))
     other = SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((1, 0), (1, 0), (1, 0), (0, 1)))
-    P, _ = check_symmetry_map(other, REP, guess_flip)
-    assert not np.array_equal(P, maps[guess_flip].var_perm())
+    P, _ = check_one(other, REP, guess_flip)
+    assert not np.array_equal(P, map_perms([maps[guess_flip]])[0][0])
+
+
+def _toggled(smap, party, u=None):
+    """smap with party's input flip toggled (u = None) or its output flip at input u."""
+    if u is None:
+        return SymmetryMap(smap.parties, tuple(f ^ (i == party) for i, f in enumerate(smap.in_flip)), smap.out_flip)
+    out_flip = [list(pair) for pair in smap.out_flip]
+    out_flip[party][u] ^= 1
+    return SymmetryMap(smap.parties, smap.in_flip, tuple(map(tuple, out_flip)))
 
 
 def test_a_joining_map_with_one_entry_changed_is_refused():
     """Each of the 15 maps with one input flip or one output flip (party,
-    input) toggled no longer carries the representative to its target."""
-    for target, smap in _candidate_maps():
-        for party in range(4):
-            in_flip = list(smap.in_flip)
-            in_flip[party] ^= 1
-            with pytest.raises(CertificationError, match=r"on \(\(0, 0, 0, 1\), 0\) -> "):
-                check_symmetry_map(SymmetryMap(smap.parties, tuple(in_flip), smap.out_flip), REP, target)
-            for u in (0, 1):
-                out_flip = [list(pair) for pair in smap.out_flip]
-                out_flip[party][u] ^= 1
-                changed = SymmetryMap(smap.parties, smap.in_flip, tuple(map(tuple, out_flip)))
-                with pytest.raises(CertificationError, match=r"on \(\(0, 0, 0, 1\), 0\) -> "):
-                    check_symmetry_map(changed, REP, target)
+    input) toggled, in the stack of all 15, no longer carries the
+    representative to its target, and the check names that map."""
+    targets, maps = zip(*_candidate_maps())
+    for k, target in enumerate(targets):
+        for party, u in itertools.product(range(4), (None, 0, 1)):
+            changed = list(maps)
+            changed[k] = _toggled(maps[k], party, u)
+            joins = [(smap, REP, t) for smap, t in zip(changed, targets)]
+            with pytest.raises(CertificationError, match=rf"^{re.escape(str(changed[k]))} .* on "
+                                                         rf"{re.escape(f'{REP} -> {target}')}$"):
+                check_symmetry_map(joins, *map_perms(changed))
 
 
 def test_local_relabelings_fixing_the_bell_row():
@@ -300,97 +321,158 @@ def test_local_relabelings_fixing_the_bell_row():
         landed += [objectives[row.tobytes()] for row in image if row.tobytes() in objectives]
         for i in np.flatnonzero(fixes & (m_rep[P] == m_rep).all(axis=1)):
             smap = SymmetryMap(parties, tuple(map(int, in_flip[i])), tuple(tuple(map(int, f)) for f in out_flip[i]))
-            assert np.array_equal(smap.var_perm(), P[i])
-            stabilizer.append(smap)
+            stabilizer.append((smap, P[i]))
     assert group == 3072
     assert sorted(landed) == sorted(INSTANCE_KEYS * 12)
-    assert len(stabilizer) == 12 and IDENTITY_MAP in stabilizer
-    for smap in stabilizer:
-        check_symmetry_map(smap, REP, REP)
+    assert len(stabilizer) == 12 and IDENTITY_MAP in [smap for smap, _ in stabilizer]
+    P, R = map_perms([smap for smap, _ in stabilizer])
+    assert np.array_equal(P, [P_i for _, P_i in stabilizer])
+    check_symmetry_map([(smap, REP, REP) for smap, _ in stabilizer], P, R)
 
 
 def test_corrupted_symmetry_maps_rejected():
     # Swapping parties 1 and 4 keeps the constraints but not the objective.
     with pytest.raises(CertificationError, match="objective"):
-        check_symmetry_map(SymmetryMap((3, 1, 2, 0), (0, 0, 0, 0), ((0, 0),) * 4), REP, ((1, 0, 0, 0), 0))
+        check_one(SymmetryMap((3, 1, 2, 0), (0, 0, 0, 0), ((0, 0),) * 4), REP, ((1, 0, 0, 0), 0))
     # Party 4's output flipped without an input flip moves the Bell row's support.
     flip_4 = ((0, 0),) * 3 + ((1, 1),)
     with pytest.raises(CertificationError, match="inequality rows"):
-        check_symmetry_map(SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), flip_4), REP, REP)
-    check_symmetry_map(SymmetryMap((0, 1, 2, 3), (1, 1, 1, 1), flip_4), REP, ((1, 1, 1, 0), 0))
+        check_one(SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), flip_4), REP, REP)
+    check_one(SymmetryMap((0, 1, 2, 3), (1, 1, 1, 1), flip_4), REP, ((1, 1, 1, 0), 0))
+    # Parties that are no permutation, or an input flip of 2, give a P out of range.
+    for smap in (SymmetryMap((3, 3, 3, 3), (0, 0, 0, 0), ((0, 0),) * 4),
+                 SymmetryMap((0, 1, 2, 3), (2, 0, 0, 0), ((0, 0),) * 4)):
+        with pytest.raises(CertificationError, match="is not a bijection"):
+            check_one(smap, REP, REP)
+    # So does an entry out of range fed to the check as data, in row k of the
+    # stack: the check and its dense oracle name map k as no bijection.
+    targets, maps = zip(*_candidate_maps())
+    joins = [(smap, REP, target) for smap, target in zip(maps, targets)]
+    P, R = map_perms(maps)
+    for which, value in (("P", lp.N_VARS), ("P", -1), ("R", R.shape[1]), ("R", -1)):
+        bad_P, bad_R = P.copy(), R.copy()
+        (bad_P if which == "P" else bad_R)[4, 9] = value
+        want = f"{maps[4]} is not a bijection on {REP} -> {targets[4]}"
+        assert _verdict(check_symmetry_map, joins, bad_P, bad_R) == want
+        assert _verdict(dense_check_symmetry_map, joins, bad_P, bad_R) == want
 
 
-def _verdict(check, *args):
+def _verdict(check, joins, P, R):
+    """The message of the check's CertificationError, or None if it passes."""
     try:
-        P, R = check(*args)
+        check(joins, P, R)
     except CertificationError as exc:
         return str(exc)
-    return P.tobytes(), R.tobytes()
+    return None
 
 
 @dataclass(frozen=True)
 class SwappedMap(SymmetryMap):
-    """A symmetry map with two entries of its P or of its R swapped, or
-    (j = None) entry i of P overwritten by entry i + 1."""
+    """A symmetry map whose P or R, as fed to the check, has two entries
+    swapped, or (j = None) entry i overwritten by entry i + 1."""
 
     which: str = "P"
     i: int = 0
     j: int | None = None
 
-    def _corrupt(self, perm):
-        perm = perm.copy()
+    def corrupt(self, P, R):
+        """This map's (P, R) from its sound ones."""
+        perm = (P if self.which == "P" else R).copy()
         if self.j is None:
             perm[self.i] = perm[self.i + 1]
         else:
             perm[[self.i, self.j]] = perm[[self.j, self.i]]
-        return perm
+        return (perm, R) if self.which == "P" else (P, perm)
 
-    def var_perm(self):
-        P = super().var_perm()
-        return self._corrupt(P) if self.which == "P" else P
 
-    def row_perm(self):
-        R = super().row_perm()
-        return self._corrupt(R) if self.which == "R" else R
+def test_map_perms_match_the_per_map_derivation():
+    """The stacked derivation gives, map by map, the P and R derived for
+    that map alone: for the 15 joining maps, a map with a party permutation
+    and one that the check refuses, in one stack and each as a stack of one."""
+    maps = [smap for _, smap in _candidate_maps()]
+    maps += [SymmetryMap((3, 1, 2, 0), (0, 1, 0, 0), ((0, 1), (1, 0), (0, 0), (1, 1))),
+             SymmetryMap((0, 1, 2, 3), (0, 0, 0, 0), ((0, 0),) * 3 + ((1, 1),))]
+    P, R = map_perms(maps)
+    assert P.shape == (len(maps), lp.N_VARS) and R.shape == (len(maps), 2 * lp.N_EQ + lp.N_VARS + 1)
+    for smap, P_k, R_k in zip(maps, P, R):
+        want_P, want_R = single_map_perms(smap)
+        assert np.array_equal(P_k, want_P) and np.array_equal(R_k, want_R), smap
+    for smap in maps[-3:]:
+        alone_P, alone_R = map_perms([smap])
+        want_P, want_R = single_map_perms(smap)
+        assert np.array_equal(alone_P[0], want_P) and np.array_equal(alone_R[0], want_R), smap
 
 
 def test_support_map_check_matches_dense_oracle():
-    """check_symmetry_map decides every map, sound or corrupted, as the
-    dense A[R][:, P] == A check does, with the same message."""
+    """check_symmetry_map decides every stack of maps, sound or with one map
+    corrupted, as the dense A[R][:, P] == A check does map by map, with the
+    same message."""
     rng = np.random.default_rng(4)
     seen = set()
     n_rows = 2 * lp.N_EQ + lp.N_VARS + 1
-    for joined, smap in _candidate_maps():
-        for source in INSTANCE_KEYS:
-            if (target := _image(smap, source)) is None:
-                continue
-            accepted = _verdict(dense_check_symmetry_map, smap, source, target)
-            assert _verdict(check_symmetry_map, smap, source, target) == accepted
-            assert accepted == (smap.var_perm().tobytes(), smap.row_perm().tobytes())
-            # The wrong target: only the objective check can fail.
-            wrong = INSTANCE_KEYS[(INSTANCE_KEYS.index(target) + 1) % len(INSTANCE_KEYS)]
-            verdict = _verdict(check_symmetry_map, smap, source, wrong)
-            assert verdict == _verdict(dense_check_symmetry_map, smap, source, wrong)
-            assert "does not carry the objective" in verdict
-        # Two entries of R or of P swapped, some pairs drawn at random and
-        # some chosen: the Bell row, and rows or variables of one block; and
-        # one entry repeated, which is no bijection.
+    # Every joining map from every instance it carries to an instance, as one stack.
+    joins = [(smap, source, target) for _, smap in _candidate_maps() for source in INSTANCE_KEYS
+             if (target := _image(smap, source)) is not None]
+    P, R = map_perms([smap for smap, _, _ in joins])
+    assert _verdict(check_symmetry_map, joins, P, R) is None
+    assert _verdict(dense_check_symmetry_map, joins, P, R) is None
+    # The wrong target: only the objective check can fail, map by map.
+    for k, (smap, source, target) in enumerate(joins):
+        wrong = [(smap, source, INSTANCE_KEYS[(INSTANCE_KEYS.index(target) + 1) % len(INSTANCE_KEYS)])]
+        verdict = _verdict(check_symmetry_map, wrong, P[k:k + 1], R[k:k + 1])
+        assert verdict == _verdict(dense_check_symmetry_map, wrong, P[k:k + 1], R[k:k + 1])
+        assert "does not carry the objective" in verdict
+    # In the stack of the 15 joining maps, map k's R or P with two entries
+    # swapped, some pairs drawn at random and some chosen: the Bell row, and
+    # rows or variables of one block; and one entry repeated, which is no
+    # bijection.  The check names map k.
+    targets, maps = zip(*_candidate_maps())
+    P, R = map_perms(maps)
+    for k, (target, smap) in enumerate(zip(targets, maps)):
         corrupt = [("R", n_rows - 1, 0), ("R", 3, 300), ("R", 17, 18), ("R", 600, 601), ("P", 0, 1), ("P", 5, 250)]
         corrupt += [("R", *map(int, rng.choice(n_rows, 2, replace=False))) for _ in range(4)]
         corrupt += [("P", *map(int, rng.choice(lp.N_VARS, 2, replace=False))) for _ in range(4)]
         corrupt += [("P", 7, None), ("R", 40, None)]
         for which, i, j in corrupt:
             bad = SwappedMap(smap.parties, smap.in_flip, smap.out_flip, which, i, j)
-            verdict = _verdict(check_symmetry_map, bad, REP, joined)
-            assert verdict == _verdict(dense_check_symmetry_map, bad, REP, joined)
+            joins = [(m, REP, t) for m, t in zip(maps, targets)]
+            joins[k] = (bad, REP, target)
+            bad_P, bad_R = P.copy(), R.copy()
+            bad_P[k], bad_R[k] = bad.corrupt(P[k], R[k])
+            verdict = _verdict(check_symmetry_map, joins, bad_P, bad_R)
+            assert verdict == _verdict(dense_check_symmetry_map, joins, bad_P, bad_R)
             assert isinstance(verdict, str), (smap, which, i, j)
+            assert verdict.startswith(f"{bad} ") and verdict.endswith(f" on {REP} -> {target}")
             seen.add(verdict.split(") ", 1)[1].split(" on ")[0])
     # Swapped entries break the row map before the objective is looked at.
     assert seen == {"is not a bijection", "moves the Bell row", "does not map the inequality rows onto themselves"}
 
 
+def test_the_first_failing_map_in_candidate_order_is_named():
+    """With two maps of the stack corrupted, the check names the one that
+    comes first in `_candidate_maps` order, with the first check that map
+    fails, whichever checks the other map fails."""
+    targets, maps = zip(*_candidate_maps())
+    P, R = map_perms(maps)
+    joins = [(smap, REP, target) for smap, target in zip(maps, targets)]
+    for first, second in ((2, 11), (0, 14), (6, 7)):
+        bad_P, bad_R, bad_joins = P.copy(), R.copy(), list(joins)
+        bad_R[first, [17, 18]] = bad_R[first, [18, 17]]  # a row map between unequal rows
+        bad_P[second, 7] = bad_P[second, 8]  # no bijection, a check that comes earlier
+        bad_joins[first] = (maps[first], REP, targets[second])  # and the wrong target
+        want = f"{maps[first]} does not map the inequality rows onto themselves on {REP} -> {targets[second]}"
+        assert _verdict(check_symmetry_map, bad_joins, bad_P, bad_R) == want
+        assert _verdict(dense_check_symmetry_map, bad_joins, bad_P, bad_R) == want
+        bad_R[first] = R[first]
+        want = f"{maps[first]} does not carry the objective on {REP} -> {targets[second]}"
+        assert _verdict(check_symmetry_map, bad_joins, bad_P, bad_R) == want
+        bad_joins[first] = joins[first]
+        want = f"{maps[second]} is not a bijection on {REP} -> {targets[second]}"
+        assert _verdict(check_symmetry_map, bad_joins, bad_P, bad_R) == want
+
+
 def test_row_map_from_a_colliding_hash_is_refused(monkeypatch):
-    """With every hash weight 1, distinct rows share a hash, so row_perm
+    """With every hash weight 1, distinct rows share a hash, so map_perms
     matches some rows to unequal ones: check_symmetry_map refuses that R, and
     certify stops before any certificate is carried or checked."""
     checked = []
@@ -428,11 +510,11 @@ def _carried_stack(delta, method="highs"):
 def test_transport_rechecks_the_dual():
     delta = 0.2
     keys, X, Lam, value = _carried_stack(delta)
-    solutions = _checked(keys, delta, X, Lam, value)
-    assert list(solutions) == keys
-    for key, solution in solutions.items():
-        assert solution.instance == LpInstance(key[0], delta, key[1])
-        assert solution.value == pytest.approx(FROZEN_OPTIMA[delta], abs=1e-9)
+    values, tables, dual_values, residuals = _checked(keys, delta, X, Lam, value)
+    assert keys == list(INSTANCE_KEYS)
+    assert values.shape == dual_values.shape == residuals.shape == (16,) and tables.shape == (16, 16, 16)
+    assert values[0] == value
+    assert np.all(np.abs(values - FROZEN_OPTIMA[delta]) <= 1e-9)
     k = 5
     named = f"on {LpInstance(keys[k][0], delta, keys[k][1])}"
     bad = Lam.copy()
@@ -464,10 +546,11 @@ def test_each_certificate_check_refuses_an_input_just_past_its_bound(monkeypatch
             with pytest.raises(CertificationError, match=rf"dual certificate infeasible on {named}, residual 2\.0"):
                 _checked(keys, delta, X, bad, value)
         else:
-            assert _checked(keys, delta, X, bad, value)[keys[k]].dual_residual == pytest.approx(t, rel=1e-6)
+            _, _, _, residuals = _checked(keys, delta, X, bad, value)
+            assert residuals[k] == pytest.approx(t, rel=1e-6)
     # Weak duality, on the solved row 0: its primal value is the route's own.
     dual = float(Lam[0] @ lp._inequality_rhs(delta))
-    assert _checked(keys, delta, X, Lam, 0.5 * dual + 5e-9)[keys[0]].value == 0.5 * dual + 5e-9
+    assert _checked(keys, delta, X, Lam, 0.5 * dual + 5e-9)[0][0] == 0.5 * dual + 5e-9
     rep = re.escape(str(LpInstance(keys[0][0], delta, keys[0][1])))
     with pytest.raises(CertificationError, match=rf"weak duality violated on {rep}"):
         _checked(keys, delta, X, Lam, 0.5 * dual + 2e-8)
@@ -508,10 +591,10 @@ def test_route_certificates_checked_independently(monkeypatch):
     checked = []
     stacked = lp._checked
 
-    def recording(*args):
-        solutions = stacked(*args)
-        checked.extend(solutions.values())
-        return solutions
+    def recording(keys, delta, X, Lam, value):
+        arrays = stacked(keys, delta, X, Lam, value)
+        checked.extend(zip(keys, Lam, *arrays))
+        return arrays
 
     monkeypatch.setattr(lp, "_checked", recording)
     for delta in (0.0, 0.1, 2 / 9, 1 / 3, 1.0, 2.0, 8.0):
@@ -520,16 +603,15 @@ def test_route_certificates_checked_independently(monkeypatch):
             checked.clear()
             report = certify_bound(delta, method=method)
             assert len(checked) == 16
-            for sol in checked:
-                lam = sol.dual_certificate
+            for key, lam, value, _, dual_value, dual_residual in checked:
                 assert np.min(lam) >= 0.0
-                residual = np.max(np.abs(A.T @ lam - sol.instance.objective_m()))
-                assert residual <= 1e-9, (delta, method, sol.instance)
-                assert sol.dual_residual == pytest.approx(residual, abs=1e-12)
-                assert c @ lam == pytest.approx(sol.dual_value, abs=1e-12)
-                assert abs(0.5 * sol.dual_value - sol.value) <= 1e-9, (delta, method, sol.instance)
-            assert report.dual_residual == max(sol.dual_residual for sol in checked)
-            assert report.duality_gap == max(sol.duality_gap for sol in checked)
+                residual = np.max(np.abs(A.T @ lam - LpInstance(key[0], delta, key[1]).objective_m()))
+                assert residual <= 1e-9, (delta, method, key)
+                assert dual_residual == pytest.approx(residual, abs=1e-12)
+                assert c @ lam == pytest.approx(dual_value, abs=1e-12)
+                assert abs(0.5 * dual_value - value) <= 1e-9, (delta, method, key)
+            assert report.dual_residual == max(entry[5] for entry in checked)
+            assert report.duality_gap == max(abs(0.5 * entry[4] - entry[2]) for entry in checked)
 
 
 def test_one_solve_per_orbit_and_no_dual_program(monkeypatch):
@@ -579,6 +661,102 @@ def test_direct_highs_matches_linprog_bit_for_bit(delta):
         assert np.array_equal(lam, lp._dual_vector(-2.0 * want.eqlin.marginals, 2.0 * want.lower.marginals,
                                                    -2.0 * float(want.ineqlin.marginals[0]))), rep
         assert nit == want.nit, rep
+
+
+def test_highs_model_is_the_dense_rows_column_by_column():
+    """The HighsLp's CSC matrix, built from the integer rows' nonzeros, is
+    the Bell row stacked over A_eq, read column by column with the rows
+    ascending, entry for entry and to the bit."""
+    A_eq, _ = equality_constraints()
+    rows = np.vstack([lp.bell_row()[None, :], A_eq])
+    cols, row_index = np.nonzero(rows.T)
+    model, _ = lp._highs_model()
+    assert model.num_row_ == model.a_matrix_.num_row_ == len(rows)
+    assert list(model.a_matrix_.start_) == np.searchsorted(cols, np.arange(lp.N_VARS + 1)).tolist()
+    assert list(model.a_matrix_.index_) == row_index.tolist()
+    values = model.a_matrix_.value_
+    assert all(type(v) is float for v in values)
+    assert np.array(values).tobytes() == rows[row_index, cols].tobytes()
+
+
+def test_nonbasic_mask_is_the_columns_at_their_lower_bound():
+    """The readout's mask from the basic variables equals the column status
+    kLower, on the cold solve of every delta of the pinned grid and on the
+    warm walk through it."""
+    highs = lp._highs_core()
+    c = -0.5 * LpInstance(REP[0], 0.0, REP[1]).objective_m()
+    walked = None
+    for delta in PINNED_CERTIFY_DELTAS:
+        cold, _ = lp._highs_solve(c, delta)
+        if walked is None:
+            walked = cold
+        else:
+            lp._highs_resolve(walked, delta)
+        for solver in (cold, walked):
+            want = [status == highs.HighsBasisStatus.kLower for status in solver.getBasis().col_status]
+            mask = lp._at_lower(solver)
+            assert mask.dtype == bool and mask.tolist() == want, delta
+            assert 0 < mask.sum() < lp.N_VARS
+
+
+def test_certify_grid_takes_an_iterator_of_deltas():
+    """A grid given as an iterator is certified as the same grid given as a
+    list; a delta out of range in it is still refused before any solve."""
+    deltas = [0.1, 0.3, 1 / 3]
+    for method in ("highs", "simplex"):
+        assert lp.certify_grid(iter(deltas), method) == lp.certify_grid(deltas, method)
+        assert len(lp.certify_grid(delta for delta in deltas)) == 3
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 8\]"):
+        lp.certify_grid(iter([0.1, 9.0]))
+
+
+def test_report_checks_the_cap_in_instance_order():
+    """_report checks the cap on each row of a checked stack, in row order:
+    against its primal value, then against the bound its dual certificate
+    proves, each just past tol refused and just inside it passed, and names
+    the first failing instance."""
+    delta, tol = 1 / 3, 1e-8
+    keys, X, Lam, value = _carried_stack(delta)
+    values, tables, dual_values, residuals = _checked(keys, delta, X, Lam, value)
+    bound = analytic_bound(delta)
+
+    def report(values=values, residuals=residuals):
+        return lp._report(delta, keys, (values, tables, dual_values, residuals), "highs", tol, 1, (0,))
+
+    def at(k):
+        return re.escape(f"at u*={keys[k][0]}, guess={keys[k][1]}, delta={delta}")
+
+    passed = report()
+    assert passed.passed and list(passed.optima) == [("".join(map(str, u)), g) for u, g in keys]
+    assert list(passed.optima.values()) == values.tolist()
+    assert passed.dual_residual == residuals.max()
+    # The primal value of row 9: 5e-9 above the cap passes, 2e-8 above it is refused.
+    for above, past in ((5e-9, False), (2e-8, True)):
+        raised = values.copy()
+        raised[9] = bound + above
+        if past:
+            with pytest.raises(CertificationError, match=rf"^{re.escape(f'optimum {raised[9]} exceeds bound {bound}')} {at(9)}$"):
+                report(values=raised)
+        else:
+            assert report(values=raised).max_optimum == bound + above
+    # The proved bound of row 4, 8 residual above the dual value / 2 at the
+    # tight delta: a residual of 5e-10 passes, 3e-9 is refused.
+    for residual, past in ((5e-10, False), (3e-9, True)):
+        worse = residuals.copy()
+        worse[4] = residual
+        if past:
+            with pytest.raises(CertificationError,
+                               match=rf"^dual certificate proves only .* against bound {bound} {at(4)}$"):
+                report(residuals=worse)
+        else:
+            assert report(residuals=worse).dual_residual == residual
+    # Both rows failing: the earlier row is named, whichever check it fails.
+    raised[9], worse[4] = bound + 2e-8, 3e-9
+    with pytest.raises(CertificationError, match=rf"^dual certificate proves only .* {at(4)}$"):
+        report(values=raised, residuals=worse)
+    raised[2] = bound + 2e-8
+    with pytest.raises(CertificationError, match=rf"^optimum .* exceeds bound .* {at(2)}$"):
+        report(values=raised, residuals=worse)
 
 
 def test_certify_leaves_the_shared_model_as_built(monkeypatch):
@@ -823,6 +1001,7 @@ def test_cached_arrays_are_read_only():
     through."""
     A, b = equality_constraints()
     A_int, c_int, (rows, cols) = lp._integer_rows()
+    (_, members), = symmetry_orbits()
     shared = {
         "equality A": A,
         "equality b": b,
@@ -834,6 +1013,7 @@ def test_cached_arrays_are_read_only():
         "nonzero rows": rows,
         "nonzero cols": cols,
         **{f"objective {key}": m for key, m in lp._objectives_int().items()},
+        **{f"orbit {name} of {member}": perm for member, P, R in members for name, perm in (("P", P), ("R", R))},
     }
     for name, array in shared.items():
         with pytest.raises(ValueError, match="read-only"):
